@@ -194,10 +194,7 @@ def bench_baseline_regression(n: int = PAIRED_N) -> tuple[float, float]:
 
     Positive = the shipped kernel is slower than the baseline snapshot.
     Runs the shipped simulator in its default configuration minus
-    tracing/strict (the fast path the baseline freezes); the compiled
-    core participates exactly when ``REPRO_COMPILED`` turns it on for
-    default-constructed simulators, so the gate watches whichever path
-    ships.
+    tracing/strict (the fast path the baseline freezes).
     """
     event_pct = paired_overhead_pct(
         lambda: _tick_rate(BaselineSimulator(), n),
@@ -309,8 +306,6 @@ def bench_sweep_cache() -> tuple[float, float]:
 
 
 def collect() -> dict:
-    from repro.engine import compiled as compiled_core
-
     cold, warm = bench_sweep_cache()
     event_regression, cancel_regression = bench_baseline_regression()
     metrics_disabled, metrics_enabled = bench_metrics_overhead()
@@ -319,7 +314,6 @@ def collect() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "git_commit": _git_commit(),
-        "compiled_core": compiled_core.available(),
         "bench_iterations": {
             "event_n": EVENT_N,
             "cancel_n": CANCEL_N,

@@ -9,9 +9,7 @@ they were scheduled (unless a priority says otherwise).
 dataclass: simulations allocate millions of these, and the constructor
 is on the scheduling hot path.  Folding the owning simulator into
 ``__init__`` (instead of a post-construction attribute write) and
-skipping dataclass machinery keeps per-event cost minimal.  When the
-opt-in compiled core is active the engine substitutes a bit-compatible
-C implementation of this class (see :mod:`repro.engine.compiled`).
+skipping dataclass machinery keeps per-event cost minimal.
 """
 
 from __future__ import annotations
@@ -103,9 +101,6 @@ class Event:
     def pending(self) -> bool:
         """True while the event has neither fired nor been cancelled."""
         return not self.cancelled and not self._fired
-
-    def _mark_fired(self) -> None:
-        self._fired = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

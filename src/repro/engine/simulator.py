@@ -12,24 +12,22 @@ Hot-path design — *bind once, branch never*:
 - Heap entries are ``(time, priority, sequence, event)`` tuples, so heap
   sifting compares plain tuples at C speed instead of invoking
   ``Event.__lt__``.
-- :meth:`run` samples the sanitizer flag, the tracer, and the compiled
-  core **once** and dispatches to one of a small set of specialized
-  drain loops.  The bare loop (:meth:`_drain_fast`) contains no strict
-  checks, no tracer probes, and no observer code — hooks cost nothing
-  when disabled.  All loops execute events in exactly the same order
-  with exactly the same state transitions; the variants only *add*
-  checks or wall-clock sampling around the callback, never change what
-  runs.  The fast-path parity test and ``repro parity --check`` enforce
-  this bit-for-bit.
+- :meth:`run` samples the sanitizer flag and the tracer **once** and
+  picks one of two drain loops.  The bare loop (:meth:`_drain_fast`)
+  contains no strict checks, no tracer probes, and no observer code —
+  hooks cost nothing when disabled.  :meth:`_drain_instrumented` is the
+  same loop with the sanitizer check and the wall-clock sampling each
+  guarded by a local around the callback.  Both execute events in
+  exactly the same order with exactly the same state transitions; the
+  instrumented loop only *adds* checks or sampling, never changes what
+  runs.  The fast-path parity test, the differential test against the
+  frozen ``benchmarks/baseline_kernel.py`` and ``repro parity --check``
+  enforce this bit-for-bit.
 - Cancelled events stay in the calendar (cancellation is O(1)) but are
   counted, and when they exceed :attr:`COMPACT_CANCELLED_FRACTION` of a
   sufficiently large calendar the heap is compacted in one pass.  Without
   this, refreshed retransmit timers leave a trail of dead entries that
   inflate every subsequent push/pop.
-- With ``REPRO_COMPILED=1`` (or ``Simulator(compiled=True)``) and the
-  extension built, event construction and the bare drain loop run in C
-  (see :mod:`repro.engine.compiled`).  Strict or traced runs always use
-  the Python loops, so the sanitizer and tracer see everything.
 
 Example
 -------
@@ -48,7 +46,6 @@ import math
 from time import perf_counter_ns
 from typing import Callable, Protocol
 
-from repro.engine import compiled as _compiled
 from repro.engine.event import Event, EventPriority
 from repro.engine.sanitize import SanitizerError, sanitize_enabled
 from repro.errors import SimulationError
@@ -62,8 +59,6 @@ _isfinite = math.isfinite
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-_EventFactory = Callable[[float, int, int, Callable[[], None], str, "Simulator"], Event]
-_CcoreDrain = Callable[["Simulator", float | None, int | None], None]
 
 
 class DispatchTracer(Protocol):
@@ -90,13 +85,6 @@ class Simulator:
         Enable the runtime invariant sanitizer for this simulator
         (see :mod:`repro.engine.sanitize`).  ``None`` (default) defers
         to the ``REPRO_SANITIZE`` environment variable.
-    compiled:
-        Use the compiled engine core for event construction and the
-        bare dispatch loop.  ``None`` (default) defers to the
-        ``REPRO_COMPILED`` environment variable and silently falls back
-        to pure Python when the extension is not built; ``True``
-        requires the extension and raises
-        :class:`~repro.errors.SimulationError` when it is missing.
     """
 
     #: Calendar size below which compaction is never attempted.
@@ -105,8 +93,7 @@ class Simulator:
     COMPACT_CANCELLED_FRACTION = 0.5
 
     def __init__(self, start_time: float = 0.0, *,
-                 strict: bool | None = None,
-                 compiled: bool | None = None) -> None:
+                 strict: bool | None = None) -> None:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
@@ -118,21 +105,6 @@ class Simulator:
         self._compactions = 0
         self._strict = sanitize_enabled() if strict is None else bool(strict)
         self._tracer: DispatchTracer | None = None
-        # Bind-once: resolve the event factory and the optional C drain
-        # loop here so schedule() and run() never re-probe availability.
-        self._event_factory: _EventFactory = Event
-        self._ccore_drain: _CcoreDrain | None = None
-        if compiled is None:
-            compiled = _compiled.compiled_requested() and _compiled.available()
-        if compiled:
-            module = _compiled.load()
-            if module is None:
-                raise SimulationError(
-                    "compiled engine core requested but not built; run "
-                    "`python -m repro.engine.compiled build` first"
-                )
-            self._event_factory = module.Event
-            self._ccore_drain = module.drain
 
     # ------------------------------------------------------------------
     # Clock
@@ -148,11 +120,6 @@ class Simulator:
         return self._strict
 
     @property
-    def compiled(self) -> bool:
-        """True when this simulator dispatches through the C core."""
-        return self._ccore_drain is not None
-
-    @property
     def tracer(self) -> DispatchTracer | None:
         """The attached dispatch tracer, if any."""
         return self._tracer
@@ -161,7 +128,7 @@ class Simulator:
         """Attach (or with ``None`` detach) a dispatch tracer.
 
         The tracer is sampled once when :meth:`run` starts — the
-        untraced dispatch loops contain no tracer code at all (the
+        bare dispatch loop contains no tracer code at all (the
         zero-cost fast path the perf harness guards), so attaching or
         detaching from inside a callback takes effect on the next
         :meth:`run`/:meth:`step` call.  Tracing is observation-only;
@@ -230,7 +197,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         prio = _NORMAL if priority is _NORMAL_MEMBER else int(priority)
-        event = self._event_factory(time, prio, sequence, callback, label, self)
+        event = Event(time, prio, sequence, callback, label, self)
         _heappush(self._heap, (time, prio, sequence, event))
         return event
 
@@ -256,7 +223,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         prio = int(priority)
-        event = self._event_factory(time, prio, sequence, callback, label, self)
+        event = Event(time, prio, sequence, callback, label, self)
         _heappush(self._heap, (time, prio, sequence, event))
         return event
 
@@ -274,39 +241,38 @@ class Simulator:
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         on return even if the calendar drained earlier, so utilization
-        accounting over ``[0, until]`` is well defined.
+        accounting over ``[0, until]`` is well defined.  The exceptions
+        are :meth:`stop` and a spent ``max_events`` budget that leaves
+        events at or before ``until`` pending: the clock then stays at
+        the last executed event, so it never passes a pending one.
 
-        Bind-once dispatch: the strict flag, the tracer, and the
-        compiled core are sampled here, once, to select one specialized
-        drain loop.  The loops differ only in the checks/instrumentation
-        *around* each callback — dispatch order and state transitions
-        are identical across all of them.
+        Bind-once dispatch: the strict flag and the tracer are sampled
+        here, once, to select the bare or the instrumented drain loop.
+        The two differ only in the checks/instrumentation *around* each
+        callback — dispatch order and state transitions are identical.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stop_requested = False
-        tracer = self._tracer
         try:
-            if self._strict:
-                if tracer is None:
-                    self._drain_strict(until, max_events)
-                else:
-                    self._drain_strict_traced(until, max_events, tracer)
-            elif tracer is not None:
-                self._drain_traced(until, max_events, tracer)
-            elif self._ccore_drain is not None:
-                budget = (None if max_events is None
-                          else max(max_events - self._events_processed, 0))
-                self._ccore_drain(self, until, budget)
+            if self._strict or self._tracer is not None:
+                self._drain_instrumented(until, max_events)
             else:
                 self._drain_fast(until, max_events)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stop_requested:
-            self._now = until
+            # A spent event budget can leave live events at or before
+            # `until`; jumping the clock over them would make the next
+            # run step backwards in time.
+            budget_spent = (max_events is not None
+                            and self._events_processed >= max_events)
+            next_time = self.peek_time() if budget_spent else None
+            if next_time is None or next_time > until:
+                self._now = until
 
-    # Each drain loop keeps `events_processed` in a local and writes it
+    # Both drain loops keep `events_processed` in a local and write it
     # back in `finally` so counters survive a raising callback.  Nothing
     # in the tree reads `events_processed` mid-run (callbacks included),
     # so the deferred write-back is unobservable.  Cancelled pops never
@@ -339,43 +305,13 @@ class Simulator:
         finally:
             self._events_processed = processed
 
-    def _drain_traced(self, until: float | None, max_events: int | None,
-                      tracer: DispatchTracer) -> None:
-        """The bare loop plus wall-clock sampling around each callback."""
-        heap = self._heap
-        pop = _heappop
-        until_t = _INF if until is None else until
-        processed = self._events_processed
-        budget = -1 if max_events is None else max(max_events - processed, 0)
-        dispatch = tracer.dispatch
-        try:
-            while heap:
-                if self._stop_requested or budget == 0:
-                    break
-                entry = heap[0]
-                if entry[0] > until_t:
-                    break
-                pop(heap)
-                event = entry[3]
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                self._now = entry[0]
-                event._fired = True
-                # +1: the popped entry itself still counts toward the
-                # calendar depth the handler ran at.
-                depth = len(heap) + 1
-                begin = perf_counter_ns()
-                event.callback()
-                dispatch(entry[0], perf_counter_ns() - begin,
-                         event.label, depth, entry[2])
-                processed += 1
-                budget -= 1
-        finally:
-            self._events_processed = processed
-
-    def _drain_strict(self, until: float | None, max_events: int | None) -> None:
-        """The bare loop plus per-pop sanitizer invariants."""
+    def _drain_instrumented(self, until: float | None,
+                            max_events: int | None) -> None:
+        """The bare loop plus per-pop sanitizer invariants (when strict)
+        and/or wall-clock sampling around each callback (when traced)."""
+        strict = self._strict
+        tracer = self._tracer
+        dispatch = None if tracer is None else tracer.dispatch
         heap = self._heap
         pop = _heappop
         until_t = _INF if until is None else until
@@ -393,44 +329,20 @@ class Simulator:
                 if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
-                self._sanitize_pop(entry, event)
+                if strict:
+                    self._sanitize_pop(entry, event)
                 self._now = entry[0]
                 event._fired = True
-                event.callback()
-                processed += 1
-                budget -= 1
-        finally:
-            self._events_processed = processed
-
-    def _drain_strict_traced(self, until: float | None, max_events: int | None,
-                             tracer: DispatchTracer) -> None:
-        """Sanitizer invariants plus tracer sampling — the slowest loop."""
-        heap = self._heap
-        pop = _heappop
-        until_t = _INF if until is None else until
-        processed = self._events_processed
-        budget = -1 if max_events is None else max(max_events - processed, 0)
-        dispatch = tracer.dispatch
-        try:
-            while heap:
-                if self._stop_requested or budget == 0:
-                    break
-                entry = heap[0]
-                if entry[0] > until_t:
-                    break
-                pop(heap)
-                event = entry[3]
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                self._sanitize_pop(entry, event)
-                self._now = entry[0]
-                event._fired = True
-                depth = len(heap) + 1
-                begin = perf_counter_ns()
-                event.callback()
-                dispatch(entry[0], perf_counter_ns() - begin,
-                         event.label, depth, entry[2])
+                if dispatch is None:
+                    event.callback()
+                else:
+                    # +1: the popped entry itself still counts toward the
+                    # calendar depth the handler ran at.
+                    depth = len(heap) + 1
+                    begin = perf_counter_ns()
+                    event.callback()
+                    dispatch(entry[0], perf_counter_ns() - begin,
+                             event.label, depth, entry[2])
                 processed += 1
                 budget -= 1
         finally:
@@ -441,30 +353,10 @@ class Simulator:
 
         Returns ``True`` if an event ran, ``False`` if the calendar is empty.
         """
-        heap = self._heap
-        strict = self._strict
-        tracer = self._tracer
-        while heap:
-            entry = _heappop(heap)
-            event = entry[3]
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            if strict:
-                self._sanitize_pop(entry, event)
-            self._now = entry[0]
-            event._fired = True
-            if tracer is None:
-                event.callback()
-            else:
-                depth = len(heap) + 1
-                begin = perf_counter_ns()
-                event.callback()
-                tracer.dispatch(entry[0], perf_counter_ns() - begin,
-                                event.label, depth, entry[2])
-            self._events_processed += 1
-            return True
-        return False
+        before = self._events_processed
+        self._stop_requested = False
+        self._drain_instrumented(None, before + 1)
+        return self._events_processed > before
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""

@@ -83,24 +83,35 @@ def _check_picklable_extract(extract) -> None:
         ) from exc
 
 
-def _execute_point(task: tuple) -> tuple[int, dict, str, float, int, dict | None]:
-    """Worker body for the plain pool path: run one config, extract.
+def _run_point(config: ScenarioConfig, extract,
+               metered: bool) -> tuple[dict, float, int, dict | None]:
+    """Run one config and extract — the body every execution path shares.
 
-    Module-level so it pickles by reference under the spawn start method.
-    Alongside the measurements it reports the worker's process name, the
-    wall time spent simulating, the engine's event count, and — when the
-    sweep collects telemetry — the point's metrics snapshot (a plain
-    dict, so only JSON-able data travels back), so the parent can emit
+    Alongside the measurements it reports the wall time spent
+    simulating, the engine's event count, and — when the sweep collects
+    telemetry — the point's metrics snapshot (a plain dict, so only
+    JSON-able data crosses a process boundary), so the parent can emit
     progress lines, write live-point manifests and fold the snapshot
     into the :class:`~repro.obs.metrics.SweepTelemetry` aggregate.
     """
-    index, config, extract, metered = task
     begin = perf_counter()
     result = run_scenario(config, metrics=metered)
     wall_seconds = perf_counter() - begin
     snapshot = result.metrics.snapshot() if result.metrics is not None else None
-    return (index, extract(result), multiprocessing.current_process().name,
-            wall_seconds, result.events_processed, snapshot)
+    return extract(result), wall_seconds, result.events_processed, snapshot
+
+
+def _execute_point(task: tuple) -> tuple[int, dict, str, float, int, dict | None]:
+    """Worker body for the plain pool path: one task in, one result row out.
+
+    Module-level so it pickles by reference under the spawn start method;
+    the row adds the task index and the worker's process name.
+    """
+    index, config, extract, metered = task
+    measurements, wall_seconds, events, snapshot = _run_point(
+        config, extract, metered)
+    return (index, measurements, multiprocessing.current_process().name,
+            wall_seconds, events, snapshot)
 
 
 def _send_quietly(conn, payload) -> bool:
@@ -130,13 +141,7 @@ def _supervised_point(conn, index: int, attempt: int, config: ScenarioConfig,
     """
     try:
         apply_worker_faults(faults, index, attempt)
-        begin = perf_counter()
-        result = run_scenario(config, metrics=metered)
-        wall_seconds = perf_counter() - begin
-        snapshot = (result.metrics.snapshot()
-                    if result.metrics is not None else None)
-        payload = ("ok", extract(result), wall_seconds,
-                   result.events_processed, snapshot)
+        payload = ("ok", *_run_point(config, extract, metered))
     except Exception as exc:
         payload = ("error", f"{type(exc).__name__}: {exc}")
     _send_quietly(conn, payload)
@@ -267,18 +272,15 @@ class _Supervisor:
         try:
             apply_worker_faults(self._fault_plan.worker_faults(index, attempt),
                                 index, attempt)
-            result = run_scenario(self._configs[index], metrics=self._metered)
-            measurements = self._extract(result)
+            measurements, wall_seconds, events, snapshot = _run_point(
+                self._configs[index], self._extract, self._metered)
         except Exception as exc:
             self._attempt_over(index, attempt, OUTCOME_ERROR,
                                perf_counter() - begin,
                                f"{type(exc).__name__}: {exc}", worker)
             return
-        snapshot = (result.metrics.snapshot()
-                    if result.metrics is not None else None)
-        self._complete(index, measurements, worker, perf_counter() - begin,
-                       result.events_processed, attempts=attempt,
-                       snapshot=snapshot)
+        self._complete(index, measurements, worker, wall_seconds, events,
+                       attempts=attempt, snapshot=snapshot)
 
     # ------------------------------------------------------------------
     # Collection
@@ -385,13 +387,10 @@ class LocalBackend(SweepBackend):
             worker = multiprocessing.current_process().name
             for index in pending:
                 emit(PointProgress(index=index, phase="start", worker=worker))
-                begin = perf_counter()
-                result = run_scenario(configs[index], metrics=metered)
-                wall_seconds = perf_counter() - begin
-                snapshot = (result.metrics.snapshot()
-                            if result.metrics is not None else None)
-                complete(index, extract(result), worker, wall_seconds,
-                         result.events_processed, snapshot=snapshot)
+                measurements, wall_seconds, events, snapshot = _run_point(
+                    configs[index], extract, metered)
+                complete(index, measurements, worker, wall_seconds, events,
+                         snapshot=snapshot)
             return
         _check_spawnable_main()
         _check_picklable_extract(extract)
@@ -458,8 +457,8 @@ class LocalBackend(SweepBackend):
                     apply_worker_faults(
                         fault_plan.worker_faults(index, attempt),
                         index, attempt)
-                    result = run_scenario(configs[index], metrics=metered)
-                    measurements = extract(result)
+                    measurements, wall_seconds, events, snapshot = _run_point(
+                        configs[index], extract, metered)
                 except Exception as exc:
                     delay = attempt_failed(
                         index, attempt, OUTCOME_ERROR, perf_counter() - begin,
@@ -469,9 +468,6 @@ class LocalBackend(SweepBackend):
                     sleep(delay)
                     attempt += 1
                     continue
-                snapshot = (result.metrics.snapshot()
-                            if result.metrics is not None else None)
-                complete(index, measurements, worker, perf_counter() - begin,
-                         result.events_processed, attempts=attempt,
-                         snapshot=snapshot)
+                complete(index, measurements, worker, wall_seconds, events,
+                         attempts=attempt, snapshot=snapshot)
                 break

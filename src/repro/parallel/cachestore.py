@@ -111,9 +111,13 @@ class SharedCacheServer:
         """
         self._stopping.set()
         try:
-            self._listener.close()
+            # close() alone leaves a thread blocked in accept() asleep;
+            # shutdown() makes that accept() raise so the join below
+            # returns at once instead of timing out.
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:  # repro: noqa[RPR007] -- listener may already be closed; stop() is idempotent
             pass
+        self._listener.close()
         with self._lock:
             active = list(self._active)
         for conn in active:

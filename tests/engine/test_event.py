@@ -45,7 +45,7 @@ class TestLifecycle:
 
     def test_fired_event_not_pending(self):
         event = _event()
-        event._mark_fired()
+        event._fired = True
         assert not event.pending
 
     def test_cancel_is_idempotent(self):
@@ -68,7 +68,7 @@ class TestFootprint:
     def test_fired_flag_is_a_real_field(self):
         event = _event()
         assert event._fired is False
-        event._mark_fired()
+        event._fired = True
         assert event._fired is True
 
     def test_double_cancel_notifies_owner_once(self):

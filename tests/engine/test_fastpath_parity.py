@@ -1,17 +1,16 @@
-"""Fast-path vs slow-path parity: every dispatch loop, same dynamics.
+"""Fast-path vs slow-path parity: both dispatch loops, same dynamics.
 
-The bind-once rebuild gave the simulator five dispatch loops (bare,
-traced, strict, strict+traced, compiled C).  The contract is that they
-differ only in *observation* — the simulated dynamics must be
-bit-identical.  These tests pin that down with the PR 5 parity
-fingerprints: one paper scenario run bare, then re-run with every hook
-loaded (strict sanitizing + tracer + the observers the tracer attaches)
-and, when a C compiler is available, on the compiled core.
+The simulator has a bare drain loop and an instrumented one that adds
+the strict sanitizer and/or the tracer around each callback.  The
+contract is that they differ only in *observation* — the simulated
+dynamics must be bit-identical.  These tests pin that down with the
+PR 5 parity fingerprints: one paper scenario run bare, then re-run
+under each instrumentation combination (strict, traced — which also
+attaches the tracer's port/link/connection observers — and both).
 """
 
 import pytest
 
-from repro.engine import compiled
 from repro.engine.sanitize import SANITIZE_ENV
 from repro.experiments import parity
 from repro.scenarios import paper, run
@@ -31,7 +30,7 @@ def bare_hash():
 
 
 def test_strict_traced_observed_run_is_bit_identical(bare_hash, monkeypatch):
-    # strict=True routes through _drain_strict_traced; trace=True makes
+    # Both instrumented-loop branches at once; trace=True also makes
     # the tracer attach port/link/connection observers, so the bound
     # fan-outs are live rather than None sentinels.
     monkeypatch.setenv(SANITIZE_ENV, "1")
@@ -48,14 +47,3 @@ def test_traced_only_run_is_bit_identical(bare_hash, monkeypatch):
 def test_strict_only_run_is_bit_identical(bare_hash, monkeypatch):
     monkeypatch.setenv(SANITIZE_ENV, "1")
     assert parity.fingerprint_hash(run(_config())) == bare_hash
-
-
-def test_compiled_core_run_is_bit_identical(bare_hash, monkeypatch):
-    if compiled.load() is None:
-        try:
-            compiled.build()
-        except RuntimeError as exc:
-            pytest.skip(f"compiled core unavailable: {exc}")
-    monkeypatch.setenv(compiled.CCORE_ENV, "1")
-    result = run(_config())
-    assert parity.fingerprint_hash(result) == bare_hash

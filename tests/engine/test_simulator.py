@@ -201,6 +201,52 @@ class TestRunControl:
         assert sim.calendar_size == 2
 
 
+@pytest.mark.parametrize("strict", [False, True],
+                         ids=["fast", "instrumented"])
+class TestLoopSemantics:
+    """Run-control semantics both drain loops must share (a strict
+    simulator runs the instrumented loop)."""
+
+    def test_budget_is_cumulative_across_runs(self, strict):
+        sim = Simulator(strict=strict)
+        for index in range(10):
+            sim.schedule(float(index), lambda: None)
+        sim.run(max_events=4)
+        assert sim.events_processed == 4
+        sim.run(max_events=4)
+        assert sim.events_processed == 4
+        sim.run(max_events=7)
+        assert sim.events_processed == 7
+
+    def test_spent_budget_does_not_jump_the_clock_past_pending_events(
+            self, strict):
+        sim = Simulator(strict=strict)
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: fired.append(sim.now))
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 1.0  # not 10.0: two events are still due
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.now == 10.0
+
+    def test_spent_budget_still_advances_over_an_empty_horizon(self, strict):
+        sim = Simulator(strict=strict)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None).cancel()
+        sim.schedule(50.0, lambda: None)
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 10.0
+
+    def test_stop_from_callback(self, strict):
+        sim = Simulator(strict=strict)
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: pytest.fail("ran past stop()"))
+        sim.run()
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
+
+
 class TestCompaction:
     def test_manual_compact_drops_cancelled_entries(self):
         sim = Simulator()

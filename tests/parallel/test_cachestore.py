@@ -7,6 +7,7 @@ receives for ``cache="tcp://host:port"``.
 """
 
 import socket
+import time
 
 import pytest
 
@@ -126,6 +127,22 @@ class TestDegradation:
                 if client.get(KEY) is None and client.degraded:
                     break
         assert client.degraded
+
+
+class TestStop:
+    def test_stop_wakes_the_accept_thread(self, tmp_path):
+        server = SharedCacheServer(tmp_path / "cache").start()
+        accept_thread = server._accept_thread
+        # An open conversation must not delay the stop either.
+        client = SharedCacheClient(server.host, server.port, timeout=2.0)
+        client.put(KEY, PAYLOAD)
+        started = time.perf_counter()
+        server.stop()
+        elapsed = time.perf_counter() - started
+        client.close()
+        assert elapsed < 1.0
+        assert not accept_thread.is_alive()
+        server.stop()  # idempotent: the listener is already closed
 
 
 class TestResolveCache:
