@@ -1,9 +1,10 @@
 """Event primitives for the discrete-event engine.
 
-An :class:`Event` is a callback scheduled at a simulated time.  Events are
-totally ordered by ``(time, priority, sequence)`` so that simulations are
-deterministic: two events at the same timestamp always fire in the order
-they were scheduled (unless a priority says otherwise).
+An :class:`Event` is a callback, plus the positional arguments it will be
+called with, scheduled at a simulated time.  Events are totally ordered
+by ``(time, priority, sequence)`` so that simulations are deterministic:
+two events at the same timestamp always fire in the order they were
+scheduled (unless a priority says otherwise).
 
 :class:`Event` is a handwritten ``__slots__`` class rather than a
 dataclass: simulations allocate millions of these, and the constructor
@@ -15,7 +16,7 @@ skipping dataclass machinery keeps per-event cost minimal.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from repro.engine.simulator import Simulator
@@ -36,23 +37,27 @@ class EventPriority(enum.IntEnum):
 
 
 class Event:
-    """A single scheduled callback.
+    """A single scheduled call, ``callback(*args)``.
 
     Instances are created by :meth:`repro.engine.simulator.Simulator.schedule`
     and should not be constructed directly.  The comparison order —
-    ``(time, priority, sequence)`` — is the execution order.
+    ``(time, priority, sequence)`` — is the execution order.  Carrying
+    the arguments on the event is what lets handlers be scheduled as
+    pre-bound methods instead of a fresh closure per event.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "label",
+    __slots__ = ("time", "priority", "sequence", "callback", "args", "label",
                  "cancelled", "_fired", "_owner")
 
     def __init__(self, time: float, priority: int, sequence: int,
-                 callback: Callable[[], None], label: str = "",
-                 owner: "Simulator | None" = None) -> None:
+                 callback: Callable[..., None], label: str = "",
+                 owner: "Simulator | None" = None,
+                 args: tuple[Any, ...] = ()) -> None:
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
+        self.args = args
         self.label = label
         self.cancelled = False
         self._fired = False

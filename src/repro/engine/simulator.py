@@ -23,6 +23,12 @@ Hot-path design — *bind once, branch never*:
   runs.  The fast-path parity test, the differential test against the
   frozen ``benchmarks/baseline_kernel.py`` and ``repro parity --check``
   enforce this bit-for-bit.
+- An event carries the positional arguments of its callback
+  (``schedule(delay, handler, packet)``), so model components schedule
+  methods they bound once at construction — no closure is allocated and
+  no extra frame entered per event — and :attr:`Simulator.now` is a
+  plain attribute the drain loops write, not a property, so reading the
+  clock in a handler is an attribute load.
 - Cancelled events stay in the calendar (cancellation is O(1)) but are
   counted, and when they exceed :attr:`COMPACT_CANCELLED_FRACTION` of a
   sufficiently large calendar the heap is compacted in one pass.  Without
@@ -33,10 +39,12 @@ Example
 -------
 >>> sim = Simulator()
 >>> fired = []
->>> _ = sim.schedule(1.5, lambda: fired.append(sim.now))
+>>> def note(what):
+...     fired.append((sim.now, what))
+>>> _ = sim.schedule(1.5, note, "timer")
 >>> sim.run()
 >>> fired
-[1.5]
+[(1.5, 'timer')]
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from __future__ import annotations
 import heapq
 import math
 from time import perf_counter_ns
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 from repro.engine.event import Event, EventPriority
 from repro.engine.sanitize import SanitizerError, sanitize_enabled
@@ -85,6 +93,13 @@ class Simulator:
         Enable the runtime invariant sanitizer for this simulator
         (see :mod:`repro.engine.sanitize`).  ``None`` (default) defers
         to the ``REPRO_SANITIZE`` environment variable.
+
+    Attributes
+    ----------
+    now:
+        Current virtual time in seconds.  Written only by the engine
+        (the drain loops and the end-of-:meth:`run` clock advance);
+        everything else reads it.
     """
 
     #: Calendar size below which compaction is never attempted.
@@ -94,7 +109,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0, *,
                  strict: bool | None = None) -> None:
-        self._now = float(start_time)
+        self.now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._running = False
@@ -107,13 +122,8 @@ class Simulator:
         self._tracer: DispatchTracer | None = None
 
     # ------------------------------------------------------------------
-    # Clock
+    # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def strict(self) -> bool:
         """True when the runtime sanitizer checks this simulator's runs."""
@@ -172,12 +182,18 @@ class Simulator:
     def schedule(
         self,
         delay: float,
-        callback: Callable[[], None],
-        *,
+        callback: Callable[..., None],
+        *args: Any,
         priority: EventPriority = EventPriority.NORMAL,
         label: str = "",
     ) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now.
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        Pass the handler's arguments here rather than closing over them
+        (``schedule(delay, self._arrive, packet)``, not a ``lambda``):
+        the event carries them, so the per-packet path allocates no
+        closure and enters no extra frame.  ``priority`` and ``label``
+        are keyword-only and never reach the callback.
 
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method can
         be used to revoke it (e.g. retransmit timers that get refreshed).
@@ -188,7 +204,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         if self._strict and not _isfinite(time):
             raise SanitizerError(
                 f"non-finite timestamp t={time} entering the calendar "
@@ -197,22 +213,22 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         prio = _NORMAL if priority is _NORMAL_MEMBER else int(priority)
-        event = Event(time, prio, sequence, callback, label, self)
+        event = Event(time, prio, sequence, callback, label, self, args)
         _heappush(self._heap, (time, prio, sequence, event))
         return event
 
     def schedule_at(
         self,
         time: float,
-        callback: Callable[[], None],
-        *,
+        callback: Callable[..., None],
+        *args: Any,
         priority: EventPriority = EventPriority.NORMAL,
         label: str = "",
     ) -> Event:
-        """Schedule ``callback`` at an absolute virtual time."""
-        if time < self._now:
+        """Schedule ``callback(*args)`` at an absolute virtual time."""
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} which is before now={self._now}"
+                f"cannot schedule at t={time} which is before now={self.now}"
             )
         time = float(time)
         if self._strict and not _isfinite(time):
@@ -223,7 +239,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         prio = int(priority)
-        event = Event(time, prio, sequence, callback, label, self)
+        event = Event(time, prio, sequence, callback, label, self, args)
         _heappush(self._heap, (time, prio, sequence, event))
         return event
 
@@ -262,7 +278,7 @@ class Simulator:
                 self._drain_fast(until, max_events)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stop_requested:
+        if until is not None and self.now < until and not self._stop_requested:
             # A spent event budget can leave live events at or before
             # `until`; jumping the clock over them would make the next
             # run step backwards in time.
@@ -270,7 +286,7 @@ class Simulator:
                             and self._events_processed >= max_events)
             next_time = self.peek_time() if budget_spent else None
             if next_time is None or next_time > until:
-                self._now = until
+                self.now = until
 
     # Both drain loops keep `events_processed` in a local and write it
     # back in `finally` so counters survive a raising callback.  Nothing
@@ -297,9 +313,9 @@ class Simulator:
                 if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
-                self._now = entry[0]
+                self.now = entry[0]
                 event._fired = True
-                event.callback()
+                event.callback(*event.args)
                 processed += 1
                 budget -= 1
         finally:
@@ -331,16 +347,16 @@ class Simulator:
                     continue
                 if strict:
                     self._sanitize_pop(entry, event)
-                self._now = entry[0]
+                self.now = entry[0]
                 event._fired = True
                 if dispatch is None:
-                    event.callback()
+                    event.callback(*event.args)
                 else:
                     # +1: the popped entry itself still counts toward the
                     # calendar depth the handler ran at.
                     depth = len(heap) + 1
                     begin = perf_counter_ns()
-                    event.callback()
+                    event.callback(*event.args)
                     dispatch(entry[0], perf_counter_ns() - begin,
                              event.label, depth, entry[2])
                 processed += 1
@@ -385,10 +401,10 @@ class Simulator:
         heap), and a re-fire means one callback ran twice.
         """
         time, priority, sequence = entry[0], entry[1], entry[2]
-        if time < self._now:
+        if time < self.now:
             raise SanitizerError(
                 f"monotonic clock violation: popped event {event!r} at "
-                f"t={time} with clock already at now={self._now}"
+                f"t={time} with clock already at now={self.now}"
             )
         if (event.time != time or event.priority != priority  # repro: noqa[RPR002] -- mutation check needs bit-identity with the heap snapshot, not closeness
                 or event.sequence != sequence):

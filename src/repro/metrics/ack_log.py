@@ -9,7 +9,7 @@ inter-arrival statistics and compression ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from repro.tcp.sender import Sender
 __all__ = ["AckArrivalLog", "AckArrival"]
 
 
-@dataclass(frozen=True)
-class AckArrival:
+class AckArrival(NamedTuple):
     """One ACK reaching the sending endpoint."""
 
     time: float
@@ -37,7 +36,7 @@ class AckArrivalLog:
         sender.on_ack(self._on_ack)
 
     def _on_ack(self, time: float, packet: Packet) -> None:
-        self.arrivals.append(AckArrival(time=time, ack=packet.ack))
+        self.arrivals.append(AckArrival(time, packet.ack))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -11,7 +11,7 @@ measured without estimator noise.
 from __future__ import annotations
 
 from repro.errors import AnalysisError
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketKind
 from repro.net.port import OutputPort
 
 __all__ = ["LinkMonitor"]
@@ -32,7 +32,7 @@ class LinkMonitor:
 
     def _on_transmission(self, start: float, duration: float, packet: Packet) -> None:
         self._intervals.append((start, duration))
-        if packet.is_data:
+        if packet.kind is PacketKind.DATA:
             self._data_packets += 1
             self._data_bytes += packet.size
         else:

@@ -9,18 +9,22 @@ analyses can reconstruct the order in which packets left the buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.metrics.timeseries import StepSeries
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketKind
 from repro.net.port import OutputPort
 
 __all__ = ["QueueMonitor", "DepartureRecord"]
 
 
-@dataclass(frozen=True)
-class DepartureRecord:
-    """One packet leaving a port's transmitter (transmission start)."""
+class DepartureRecord(NamedTuple):
+    """One packet leaving a port's transmitter (transmission start).
+
+    A tuple, not a dataclass: one is built per departure on every
+    watched port, and a frozen dataclass pays an ``object.__setattr__``
+    per field.
+    """
 
     time: float
     conn_id: int
@@ -57,35 +61,30 @@ class QueueMonitor:
         port.queue.on_drop(self._on_drop)
         port.on_departure(self._on_departure)
 
+    # StepSeries.record coerces values to float; the handlers pass them raw.
     def _on_length(self, time: float, length: int) -> None:
-        self.lengths.record(time, float(length))
+        self.lengths.record(time, length)
 
     def _on_enqueue(self, time: float, packet: Packet) -> None:
         self._buffered_bytes += packet.size
         self._buffered_uids[packet.uid] = packet.size
-        self.byte_lengths.record(time, float(self._buffered_bytes))
+        self.byte_lengths.record(time, self._buffered_bytes)
 
     def _on_dequeue(self, time: float, packet: Packet) -> None:
         self._buffered_bytes -= self._buffered_uids.pop(packet.uid, packet.size)
-        self.byte_lengths.record(time, float(self._buffered_bytes))
+        self.byte_lengths.record(time, self._buffered_bytes)
 
     def _on_drop(self, time: float, packet: Packet) -> None:
         size = self._buffered_uids.pop(packet.uid, None)
         if size is not None:  # a buffered victim (random drop), not an arrival
             self._buffered_bytes -= size
-            self.byte_lengths.record(time, float(self._buffered_bytes))
+            self.byte_lengths.record(time, self._buffered_bytes)
 
     def _on_departure(self, time: float, packet: Packet) -> None:
-        self.departures.append(
-            DepartureRecord(
-                time=time,
-                conn_id=packet.conn_id,
-                is_data=packet.is_data,
-                seq=packet.seq if packet.is_data else packet.ack,
-                size=packet.size,
-                uid=packet.uid,
-            )
-        )
+        is_data = packet.kind is PacketKind.DATA
+        self.departures.append(DepartureRecord(
+            time, packet.conn_id, is_data,
+            packet.seq if is_data else packet.ack, packet.size, packet.uid))
 
     # ------------------------------------------------------------------
     @property

@@ -10,18 +10,17 @@ measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketKind
 from repro.net.port import OutputPort
 
 __all__ = ["SojournMonitor", "SojournSample", "effective_pipe_packets"]
 
 
-@dataclass(frozen=True)
-class SojournSample:
+class SojournSample(NamedTuple):
     """One packet's time in the buffer (excludes its own transmission)."""
 
     departed_at: float
@@ -43,19 +42,22 @@ class SojournMonitor:
         self.samples: list[SojournSample] = []
         self._entered: dict[int, float] = {}
         port.queue.on_enqueue(self._on_enqueue)
+        # Random-drop queues evict *buffered* packets (enqueued, never
+        # departing); watch drops so their entry stamps cannot leak.
+        port.queue.on_drop(self._on_drop)
         port.on_departure(self._on_departure)
 
     def _on_enqueue(self, time: float, packet: Packet) -> None:
         self._entered[packet.uid] = time
 
+    def _on_drop(self, time: float, packet: Packet) -> None:
+        self._entered.pop(packet.uid, None)
+
     def _on_departure(self, time: float, packet: Packet) -> None:
         entered = self._entered.pop(packet.uid, time)
         self.samples.append(SojournSample(
-            departed_at=time,
-            wait=time - entered,
-            is_data=packet.is_data,
-            conn_id=packet.conn_id,
-        ))
+            time, time - entered, packet.kind is PacketKind.DATA,
+            packet.conn_id))
 
     # ------------------------------------------------------------------
     def waits(self, data_only: bool | None = None,

@@ -9,6 +9,7 @@ time-weighted statistics, and extraction of windows.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Iterable, Iterator
 
@@ -27,6 +28,8 @@ class StepSeries:
         self._times: list[float] = []
         self._values: list[float] = []
         self._initial_value = float(initial_value)
+        # Cached self._times[-1] for record()'s monotonicity check.
+        self._last_time = -math.inf
 
     # ------------------------------------------------------------------
     # Recording
@@ -38,12 +41,14 @@ class StepSeries:
         timestamp); the last one wins for queries at that instant, while
         intermediate points are retained for fluctuation analysis.
         """
-        if self._times and time < self._times[-1]:
+        if time < self._last_time:
             raise AnalysisError(
                 f"{self.name or 'series'}: time went backwards "
-                f"({time} < {self._times[-1]})"
+                f"({time} < {self._last_time})"
             )
-        self._times.append(float(time))
+        time = float(time)
+        self._last_time = time
+        self._times.append(time)
         self._values.append(float(value))
 
     def extend(self, points: Iterable[tuple[float, float]]) -> None:

@@ -43,23 +43,30 @@ class Host(Node):
                 f"processing delay must be >= 0, got {processing_delay}"
             )
         self.processing_delay = processing_delay
-        self._sinks: dict[tuple[int, PacketKind], PacketSink] = {}
+        # (conn_id, is-DATA) -> the sink's bound ``deliver``.  Keyed by a
+        # bool rather than the PacketKind member because hashing an Enum
+        # member is a Python-level call, paid per delivered packet.
+        self._sinks: dict[tuple[int, bool], Callable[[Packet], None]] = {}
         self._received = 0
         self._sent = 0
         self._send_observers: list[Callable[[float, Packet], None]] = []
         self._send_fan: Callable[[float, Packet], None] | None = None
         # Constant per host; built per delivered packet before.
         self._proc_label = f"{name}:proc"
+        # Bound once: what the calendar calls per delivered packet.
+        self._schedule = sim.schedule
+        self._deliver = self._deliver_local
 
     # ------------------------------------------------------------------
     # Endpoint registry
     # ------------------------------------------------------------------
     def register_endpoint(self, conn_id: int, kind: PacketKind, sink: PacketSink) -> None:
         """Deliver future packets of ``kind`` for ``conn_id`` to ``sink``."""
-        key = (conn_id, kind)
+        key = (conn_id, kind is PacketKind.DATA)
         if key in self._sinks:
-            raise ConfigurationError(f"{self.name}: endpoint already bound for {key}")
-        self._sinks[key] = sink
+            raise ConfigurationError(
+                f"{self.name}: endpoint already bound for {(conn_id, kind)}")
+        self._sinks[key] = sink.deliver
 
     # ------------------------------------------------------------------
     # Statistics
@@ -85,22 +92,19 @@ class Host(Node):
     def handle_packet(self, packet: Packet) -> None:
         """Receive from the wire: apply processing delay, then demux."""
         if self.processing_delay > 0:
-            self.sim.schedule(
-                self.processing_delay,
-                lambda: self._deliver_local(packet),
-                label=self._proc_label,
-            )
+            self._schedule(self.processing_delay, self._deliver, packet,
+                           label=self._proc_label)
         else:
             self._deliver_local(packet)
 
     def _deliver_local(self, packet: Packet) -> None:
-        sink = self._sinks.get((packet.conn_id, packet.kind))
-        if sink is None:
+        deliver = self._sinks.get((packet.conn_id, packet.kind is PacketKind.DATA))
+        if deliver is None:
             raise ConfigurationError(
                 f"{self.name}: no endpoint for conn {packet.conn_id} kind {packet.kind}"
             )
         self._received += 1
-        sink.deliver(packet)
+        deliver(packet)
 
     def send(self, packet: Packet, destination: str) -> bool:
         """Inject a locally-generated packet toward ``destination``.
@@ -115,4 +119,8 @@ class Host(Node):
         fan = self._send_fan
         if fan is not None:
             fan(self.sim.now, packet)
-        return self.forward(packet)
+        try:
+            port = self.ports[self.routes[destination]]
+        except KeyError:
+            port = self.port_toward(destination)  # raises: no route
+        return port.send(packet)

@@ -51,6 +51,11 @@ class Link:
         # The arrival label is constant per link; building the f-string
         # per carried packet showed up in the dumbbell profile.
         self._arrive_label = f"{name}:arrive"
+        # Bound once (the destination is fixed for the life of the
+        # link): what the calendar calls per carried packet.
+        self._schedule = sim.schedule
+        self._on_arrive = self._arrive
+        self._handle = destination.handle_packet
 
     @property
     def in_flight(self) -> int:
@@ -80,7 +85,8 @@ class Link:
         """Launch ``packet``; it reaches the destination after the delay."""
         self._in_flight += 1
         self._carried += 1
-        self._sim.schedule(self.propagation, lambda: self._arrive(packet), label=self._arrive_label)
+        self._schedule(self.propagation, self._on_arrive, packet,
+                       label=self._arrive_label)
 
     def _arrive(self, packet: Packet) -> None:
         self._in_flight -= 1
@@ -96,7 +102,7 @@ class Link:
         fan = self._deliver_fan
         if fan is not None:
             fan(self._sim.now, packet)
-        self.destination.handle_packet(packet)
+        self._handle(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Link({self.name!r}, prop={self.propagation}s -> {self.destination.name!r})"

@@ -43,7 +43,12 @@ class Node:
         self.routes[destination] = via
 
     def port_toward(self, destination: str) -> OutputPort:
-        """The output port used for packets addressed to ``destination``."""
+        """The output port used for packets addressed to ``destination``.
+
+        The per-packet paths (:meth:`Switch.handle_packet`,
+        :meth:`Host.send`) do this lookup inline and come here only to
+        raise the no-route error.
+        """
         via = self.routes.get(destination)
         if via is None:
             raise ConfigurationError(f"{self.name}: no route to {destination}")
@@ -55,13 +60,6 @@ class Node:
     def handle_packet(self, packet: Packet) -> None:
         """Process a packet arriving from a link.  Subclasses override."""
         raise NotImplementedError
-
-    def forward(self, packet: Packet) -> bool:
-        """Send ``packet`` toward its destination.
-
-        Returns ``False`` if the output buffer dropped it.
-        """
-        return self.port_toward(packet.dst).send(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r}, ports={sorted(self.ports)})"

@@ -44,7 +44,7 @@ class PacketKind(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A transport segment travelling through the simulated network.
 

@@ -71,6 +71,11 @@ class OutputPort:
         # The txdone label never changes; building the f-string per
         # packet showed up in the dumbbell profile.
         self._txdone_label = f"{name}:txdone"
+        # Bound once: the handlers the calendar and the port call per
+        # packet, so no bound method or closure is built per event.
+        self._schedule = sim.schedule
+        self._finish = self._finish_transmission
+        self._carry = link.carry
 
     # ------------------------------------------------------------------
     # Introspection
@@ -124,31 +129,32 @@ class OutputPort:
         now = self._sim.now
         if not self._busy:
             # Transmitter idle implies the queue is empty; go straight out.
-            self._begin_transmission(packet)
+            self._begin_transmission(now, packet)
             return True
         return self.queue.offer(now, packet)
 
-    def _begin_transmission(self, packet: Packet) -> None:
-        now = self._sim.now
+    def _begin_transmission(self, now: float, packet: Packet) -> None:
         self._busy = True
-        duration = self.tx_time(packet)
+        # tx_time(packet), inlined: a call per hop for one expression.
+        size = packet.size
+        duration = size * 8.0 / self.bandwidth if size > 0 else 0.0
         fan = self._departure_fan
         if fan is not None:
             fan(now, packet)
         busy_fan = self._busy_fan
         if busy_fan is not None:
             busy_fan(now, duration, packet)
-        self._sim.schedule(
-            duration, lambda: self._finish_transmission(packet, duration), label=self._txdone_label
-        )
+        self._schedule(duration, self._finish, packet, duration,
+                       label=self._txdone_label)
 
     def _finish_transmission(self, packet: Packet, duration: float) -> None:
         self._transmissions += 1
         self._busy_time += duration
-        self.link.carry(packet)
-        nxt = self.queue.take(self._sim.now)
+        self._carry(packet)
+        now = self._sim.now
+        nxt = self.queue.take(now)
         if nxt is not None:
-            self._begin_transmission(nxt)
+            self._begin_transmission(now, nxt)
         else:
             self._busy = False
 

@@ -168,7 +168,8 @@ class DropTailQueue:
 
         Returns ``True`` if accepted, ``False`` if dropped (drop-tail).
         """
-        if self.is_full:
+        capacity = self.capacity
+        if capacity is not None and len(self._packets) >= capacity:  # = is_full
             self._drops += 1
             fan = self._drop_fan
             if fan is not None:

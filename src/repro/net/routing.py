@@ -41,6 +41,9 @@ def compute_next_hops(
         If some node cannot reach a destination (partitioned network).
     """
     tables: dict[str, dict[str, str]] = {name: {} for name in adjacency}
+    # Sorted once, not per BFS visit: the tie-break order is the same for
+    # every destination, and a 129-neighbor switch is visited once per host.
+    ordered = {name: sorted(neighbors) for name, neighbors in adjacency.items()}
     for dst in destinations:
         if dst not in adjacency:
             raise ConfigurationError(f"destination {dst!r} is not in the topology")
@@ -50,7 +53,7 @@ def compute_next_hops(
         frontier = deque([dst])
         while frontier:
             current = frontier.popleft()
-            for neighbor in sorted(adjacency[current]):
+            for neighbor in ordered[current]:
                 if neighbor not in parent:
                     parent[neighbor] = current
                     frontier.append(neighbor)

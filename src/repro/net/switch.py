@@ -29,5 +29,9 @@ class Switch(Node):
 
     def handle_packet(self, packet: Packet) -> None:
         """Forward an arriving packet toward its destination host."""
-        if self.forward(packet):
+        try:
+            port = self.ports[self.routes[packet.dst]]
+        except KeyError:
+            port = self.port_toward(packet.dst)  # raises: no route
+        if port.send(packet):
             self._forwarded += 1

@@ -82,7 +82,7 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     def deliver(self, packet: Packet) -> None:
         """Process an arriving DATA packet (PacketSink interface)."""
-        if not packet.is_data:
+        if packet.kind is not PacketKind.DATA:
             raise ProtocolError(f"conn {self.conn_id}: receiver got non-data {packet!r}")
         self.packets_received += 1
         fan = self._receive_fan

@@ -258,7 +258,7 @@ class Sender:
     # ------------------------------------------------------------------
     def deliver(self, packet: Packet) -> None:
         """Process an arriving ACK (PacketSink interface)."""
-        if not packet.is_ack:
+        if packet.kind is not PacketKind.ACK:
             raise ProtocolError(f"conn {self.conn_id}: sender got non-ACK {packet!r}")
         self.acks_received += 1
         fan = self._ack_fan

@@ -247,6 +247,84 @@ class TestLoopSemantics:
         assert sim.events_processed == 1
 
 
+class _RecordingTracer:
+    """Minimal DispatchTracer: remembers the labels it was shown."""
+
+    def __init__(self):
+        self.labels = []
+
+    def dispatch(self, sim_time, wall_ns, label, calendar_size, sequence):
+        self.labels.append(label)
+
+
+@pytest.mark.parametrize("strict, traced", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["bare", "strict", "traced", "strict+traced"])
+class TestScheduledArguments:
+    """``schedule``/``schedule_at`` carry the callback's positional
+    arguments on the event; both drain loops deliver them."""
+
+    @staticmethod
+    def _sim(strict, traced):
+        sim = Simulator(strict=strict)
+        tracer = _RecordingTracer() if traced else None
+        sim.set_tracer(tracer)
+        return sim, tracer
+
+    def test_schedule_delivers_arguments(self, strict, traced):
+        sim, tracer = self._sim(strict, traced)
+        seen = []
+        event = sim.schedule(1.0, lambda a, b: seen.append((sim.now, a, b)),
+                             "x", 2, label="pair",
+                             priority=EventPriority.LATE)
+        sim.schedule(1.0, lambda: seen.append((sim.now,)))
+        assert event.args == ("x", 2)
+        assert event.label == "pair" and event.priority == EventPriority.LATE
+        sim.run()
+        # LATE fires after the NORMAL event scheduled later at the same time.
+        assert seen == [(1.0,), (1.0, "x", 2)]
+        if tracer is not None:
+            assert tracer.labels == ["", "pair"]
+
+    def test_schedule_at_delivers_arguments(self, strict, traced):
+        sim, _ = self._sim(strict, traced)
+        seen = []
+        sim.schedule_at(2.5, lambda *args: seen.append((sim.now, args)),
+                        1, 2, 3, label="triple")
+        sim.run()
+        assert seen == [(2.5, (1, 2, 3))]
+
+    def test_step_delivers_arguments(self, strict, traced):
+        sim, _ = self._sim(strict, traced)
+        seen = []
+        sim.schedule(1.0, seen.append, "only")
+        assert sim.step() is True
+        assert seen == ["only"]
+
+    def test_cancelled_event_never_calls(self, strict, traced):
+        sim, tracer = self._sim(strict, traced)
+        seen = []
+        sim.schedule(1.0, seen.append, "kept")
+        sim.schedule(1.0, seen.append, "cancelled").cancel()
+        sim.schedule_at(2.0, seen.append, "cancelled too").cancel()
+        sim.run()
+        assert seen == ["kept"]
+        assert sim.events_processed == 1
+        if tracer is not None:
+            assert len(tracer.labels) == 1
+
+    def test_keywords_are_not_forwarded_to_the_callback(self, strict, traced):
+        sim, _ = self._sim(strict, traced)
+        seen = []
+
+        def handler(*args, **kwargs):
+            seen.append((args, kwargs))
+
+        sim.schedule(0.0, handler, 1, label="l", priority=EventPriority.EARLY)
+        sim.run()
+        assert seen == [((1,), {})]
+
+
 class TestCompaction:
     def test_manual_compact_drops_cancelled_entries(self):
         sim = Simulator()

@@ -4,11 +4,14 @@ import pytest
 
 from repro.engine import Simulator
 from repro.metrics import (
+    AckArrival,
     AckArrivalLog,
     CwndLog,
+    DepartureRecord,
     DropLog,
     LinkMonitor,
     QueueMonitor,
+    SojournSample,
     TraceSet,
 )
 from repro.net import Packet, PacketKind, build_dumbbell
@@ -225,3 +228,57 @@ class TestByteLengths:
         # Bytes bounded by packets * max packet size at every change.
         assert (monitor.byte_lengths.values
                 <= monitor.lengths.max_in(0, 60) * 500 + 500).all()
+
+
+class TestRecordTypes:
+    """The per-packet records are tuples built positionally on the hot
+    path; what callers relied on from the frozen dataclasses they
+    replaced — keyword construction, field names, immutability,
+    equality — is kept."""
+
+    CASES = [
+        (DepartureRecord,
+         dict(time=1.5, conn_id=2, is_data=True, seq=7, size=500, uid=11)),
+        (SojournSample,
+         dict(departed_at=1.5, wait=0.25, is_data=False, conn_id=2)),
+        (AckArrival, dict(time=1.5, ack=8)),
+    ]
+
+    @pytest.mark.parametrize("record_type, fields", CASES,
+                             ids=[case[0].__name__ for case in CASES])
+    def test_keyword_and_positional_construction_agree(self, record_type, fields):
+        by_keyword = record_type(**fields)
+        assert record_type._fields == tuple(fields)
+        assert by_keyword == record_type(*fields.values())
+        for name, value in fields.items():
+            assert getattr(by_keyword, name) == value
+
+    @pytest.mark.parametrize("record_type, fields", CASES,
+                             ids=[case[0].__name__ for case in CASES])
+    def test_immutable_and_compared_by_value(self, record_type, fields):
+        record = record_type(**fields)
+        name, value = next(iter(fields.items()))
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        changed = dict(fields, **{name: 99.0})
+        assert record == record_type(**fields)
+        assert record != record_type(**changed)
+        assert hash(record) == hash(record_type(**fields))
+
+    def test_monitors_log_these_types(self):
+        _, _, _, queue_mon, _, _, _, ack_log = _loaded_network(until=5.0)
+        departure = queue_mon.departures[0]
+        assert type(departure) is DepartureRecord
+        assert departure.is_data is True and departure.size == 500
+        assert type(ack_log.arrivals[0]) is AckArrival
+
+    def test_logs_stay_plain_assignable_lists(self):
+        # io/persist.py and the analysis test fakes assign these.
+        _, _, _, queue_mon, _, _, _, ack_log = _loaded_network(until=5.0)
+        assert type(queue_mon.departures) is list
+        assert type(ack_log.arrivals) is list
+        queue_mon.departures = []
+        ack_log.arrivals = [AckArrival(time=0.0, ack=1)]
+        assert len(ack_log) == 1

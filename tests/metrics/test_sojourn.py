@@ -117,3 +117,31 @@ class TestEffectivePipeEndToEnd:
         sim2.run(until=120.0)
         one_way_ack_wait = reverse.mean_wait(data_only=False, start=60.0)
         assert one_way_ack_wait == pytest.approx(0.0, abs=1e-6)
+
+
+class TestRandomDropEviction:
+    def test_evicted_packets_do_not_leak_entry_stamps(self):
+        """A Random Drop victim was enqueued but never departs; its entry
+        stamp must go when it is evicted, not stay for the whole run."""
+        from repro.scenarios import QueueSpec, build, paper
+
+        config = paper.figure4(duration=60.0, warmup=10.0).with_updates(
+            queue=QueueSpec("randomdrop"))
+        built = build(config)
+        port = built.net.port("sw1", "sw2")
+        monitor = built.traces.sojourn("sw1->sw2")
+
+        # The samples as the monitor computed them before it watched
+        # drops: entry stamps kept forever, popped only on departure.
+        entered: dict[int, float] = {}
+        expected = []
+        port.queue.on_enqueue(lambda t, p: entered.__setitem__(p.uid, t))
+        port.on_departure(lambda t, p: expected.append(
+            (t, t - entered.pop(p.uid, t), p.is_data, p.conn_id)))
+
+        built.sim.run(until=config.duration)
+
+        assert port.queue.evictions > 0
+        assert len(entered) > len(port.queue)  # the reference does leak
+        assert set(monitor._entered) == {p.uid for p in port.queue.snapshot()}
+        assert monitor.samples == expected

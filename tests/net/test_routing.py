@@ -3,8 +3,9 @@
 import networkx as nx
 import pytest
 
+from repro.engine import Simulator
 from repro.errors import ConfigurationError
-from repro.net import compute_next_hops
+from repro.net import build_chain, build_dumbbell, compute_next_hops
 
 
 def _chain(names):
@@ -80,3 +81,60 @@ class TestAgainstNetworkx:
         tables_a = compute_next_hops(adjacency, ["00"])
         tables_b = compute_next_hops(adjacency, ["00"])
         assert tables_a == tables_b
+
+
+def _reference_next_hops(adjacency, destinations):
+    """The BFS as first written: re-sorts a node's neighbors on every
+    visit.  Kept as the oracle for the sort-once implementation."""
+    from collections import deque
+
+    tables = {name: {} for name in adjacency}
+    for dst in destinations:
+        parent = {dst: dst}
+        frontier = deque([dst])
+        while frontier:
+            current = frontier.popleft()
+            for neighbor in sorted(adjacency[current]):
+                if neighbor not in parent:
+                    parent[neighbor] = current
+                    frontier.append(neighbor)
+        for node in adjacency:
+            if node != dst:
+                tables[node][dst] = parent[node]
+    return tables
+
+
+class TestSortOnceMatchesPerVisitSort:
+    """Sorting each adjacency list once must not move a single tie-break."""
+
+    @staticmethod
+    def _adjacency_and_hosts(net):
+        from repro.net import Host
+
+        adjacency = {name: [] for name in net.nodes}
+        for a, b in net.links:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        hosts = [name for name, node in net.nodes.items()
+                 if isinstance(node, Host)]
+        return adjacency, hosts
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda sim: build_dumbbell(sim), id="dumbbell-n1"),
+        pytest.param(lambda sim: build_dumbbell(sim, n_left=128, n_right=128),
+                     id="dumbbell-n128"),
+        pytest.param(lambda sim: build_chain(sim, n_switches=4), id="chain-4"),
+    ])
+    def test_tables_identical(self, build):
+        net = build(Simulator())
+        adjacency, hosts = self._adjacency_and_hosts(net)
+        expected = _reference_next_hops(adjacency, hosts)
+        assert compute_next_hops(adjacency, hosts) == expected
+        # ...and they are the routes the builders actually installed.
+        assert {name: node.routes for name, node in net.nodes.items()} == expected
+
+    def test_input_lists_are_not_reordered(self):
+        adjacency = {"hub": ["s3", "s1", "s2"],
+                     "s1": ["hub"], "s2": ["hub"], "s3": ["hub"]}
+        compute_next_hops(adjacency, ["s1"])
+        assert adjacency["hub"] == ["s3", "s1", "s2"]

@@ -137,6 +137,19 @@ class TestSwitchForwarding:
         with pytest.raises(ConfigurationError):
             net.switch("sw1").port_toward("nowhere")
 
+    def test_no_route_raises_on_the_data_path(self):
+        # The per-packet paths look the route up inline; an unroutable
+        # destination must still surface as the same ConfigurationError.
+        sim = Simulator()
+        net = build_dumbbell(sim)
+        with pytest.raises(ConfigurationError, match="no route to nowhere"):
+            net.host("host1").send(_data(), "nowhere")
+        stray = _data()
+        stray.dst = "nowhere"
+        with pytest.raises(ConfigurationError, match="no route to nowhere"):
+            net.switch("sw1").handle_packet(stray)
+        assert net.switch("sw1").forwarded == 0
+
     def test_route_via_unknown_neighbor_rejected(self):
         sim = Simulator()
         net = build_dumbbell(sim)

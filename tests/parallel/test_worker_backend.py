@@ -159,13 +159,26 @@ class TestDegradation:
 
 
 class TestTcpFleet:
-    def test_connect_to_listening_agent(self, baseline):
+    def test_connect_to_listening_agent(self, baseline, monkeypatch):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
+        # The coordinator connects within a few ms of agent.start(); wait
+        # until the agent thread is actually listening, or the connect
+        # races the bind and is refused about one run in three.
+        listening = threading.Event()
+        create_server = socket.create_server
+
+        def create_server_and_signal(*args, **kwargs):
+            server = create_server(*args, **kwargs)
+            listening.set()
+            return server
+
+        monkeypatch.setattr(socket, "create_server", create_server_and_signal)
         agent = threading.Thread(target=serve_tcp, args=("127.0.0.1", port),
                                  kwargs=dict(once=True), daemon=True)
         agent.start()
+        assert listening.wait(timeout=10.0)
         runner = ParallelSweepRunner(
             backend=WorkerBackend(connect=[f"127.0.0.1:{port}"],
                                   lease_ttl=30.0))

@@ -73,3 +73,22 @@ class TestVersioning:
         path.write_text(json.dumps(document))
         with pytest.raises(AnalysisError):
             load_result(path)
+
+
+class TestRecordsRoundTrip:
+    def test_ack_arrivals_round_trip_as_equal_records(self, result, tmp_path):
+        saved = load_result(save_result(result, tmp_path / "run.json"))
+        for conn_id, log in result.traces.acks.items():
+            restored = saved.acks[conn_id].arrivals
+            assert restored == log.arrivals
+            assert {type(a) for a in restored} == {type(log.arrivals[0])}
+
+    def test_compression_stats_identical_offline(self, result, tmp_path):
+        saved = load_result(save_result(result, tmp_path / "run.json"))
+        start, end = result.window
+        for conn_id in result.traces.acks:
+            live = compression_stats(result.traces.ack_log(conn_id),
+                                     data_tx_time=0.08, start=start, end=end)
+            offline = compression_stats(saved.acks[conn_id],
+                                        data_tx_time=0.08, start=start, end=end)
+            assert offline == live
