@@ -59,8 +59,8 @@ def test_warm_cache_skips_simulation(benchmark, record, tmp_path):
 
 
 def test_runner_order_independence(benchmark, record):
-    """Chunked, unordered completion still yields input-ordered points."""
-    runner = ParallelSweepRunner(jobs=2, chunksize=1)
+    """Unordered completion still yields input-ordered points."""
+    runner = ParallelSweepRunner(jobs=2)
     points = run_once(benchmark, lambda: runner.run(
         _make_config, CASES, families.utilization_extract))
     record(n_points=len(points))

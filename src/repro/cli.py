@@ -60,9 +60,10 @@ exit codes:
   4  every point failed
 
 Supervision (--timeout/--retries/--resume, and any REPRO_FAULTS fault
-injection) runs each point in its own worker process when --jobs > 1;
-with --jobs 1 points run in-process, so retries still apply but
-per-point timeouts cannot be enforced.  Failed points are reported on
+injection) runs points on --jobs long-lived worker processes when
+--jobs > 1, replacing any worker that dies or hangs; with --jobs 1
+points run in-process, so retries still apply but per-point timeouts
+cannot be enforced.  Failed points are reported on
 stderr and recorded in --manifest-dir manifests and the --report
 document.
 """

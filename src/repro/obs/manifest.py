@@ -24,8 +24,12 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.analysis.lint.model import LINT_RULESET_VERSION
-from repro.parallel.cache import CACHE_SCHEMA_VERSION, cache_key, config_hash
+from repro.parallel.cache import (
+    CACHE_SCHEMA_VERSION,
+    cache_key,
+    config_hash,
+    lint_ruleset_version,
+)
 from repro.scenarios.config import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,7 +122,7 @@ class RunManifest:
     self-contained when moved."""
     obs_schema: int = OBS_SCHEMA_VERSION
     cache_schema: int = CACHE_SCHEMA_VERSION
-    lint_ruleset: int = LINT_RULESET_VERSION
+    lint_ruleset: int = field(default_factory=lint_ruleset_version)
 
     def to_dict(self) -> dict[str, object]:
         """A JSON-compatible representation."""

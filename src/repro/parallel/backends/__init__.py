@@ -7,9 +7,10 @@ congestion-control algorithms made — so ``repro sweep --backend worker``
 and ``ParallelSweepRunner(backend="worker")`` resolve through one
 string-keyed table:
 
-- ``local`` — this host's processes (serial loop, plain pool, or the
-  supervised process-per-point executor).  The default, and the
-  degradation target when any other backend dies mid-sweep.
+- ``local`` — this host's processes (serial loop, supervised serial
+  loop, or ``jobs`` long-lived workers spawned once per sweep).  The
+  default, and the degradation target when any other backend dies
+  mid-sweep.
 - ``worker`` — a fleet of long-lived ``repro worker serve`` agents
   coordinated over the lease-based wire protocol.
 

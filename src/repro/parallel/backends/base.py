@@ -5,7 +5,7 @@ journal and cache prefilters left pending — and reports each point back
 through the callbacks the runner packed into a :class:`BackendRequest`.
 The runner owns all sweep-level state (results list, cache, journal,
 report, manifests, telemetry); a backend owns only *how* points run:
-in-process, in a local process pool, or leased out to a fleet of worker
+in-process, on local worker processes, or leased out to a fleet of worker
 agents.
 
 That split is what makes degradation safe: when a distributed backend
@@ -70,7 +70,8 @@ class BackendRequest:
     complete: CompleteFn
     emit: Callable[[PointProgress], None]
     policy: ResilienceConfig | None = None
-    """``None`` selects the unsupervised hot paths (local backend only);
+    """``None`` selects the unsupervised paths (local backend only: no
+    deadlines, no retries, the first failure fails the sweep);
     distributed backends always run supervised."""
     attempt_failed: AttemptFailedFn | None = None
     """Present whenever ``policy`` is — terminal-failure bookkeeping."""
@@ -87,7 +88,6 @@ class BackendRequest:
     """``conflict(index, accepted, duplicate)`` — an at-least-once
     duplicate completion disagreed with the accepted payload."""
     start_method: str = "spawn"
-    chunksize: int | None = None
 
 
 class SweepBackend:

@@ -1,15 +1,20 @@
 """The local execution backend: this host's processes, no network.
 
-Two regimes share the backend, selected by ``request.policy``:
+Three bodies share the backend, selected by ``request.jobs`` and
+``request.policy``:
 
-* The **plain** paths (``policy is None``) are the original hot paths —
-  a serial loop, or ``Pool.imap_unordered`` — with no supervision
-  overhead.  A worker crash or unhandled exception fails the whole
-  sweep.
-* The **supervised** paths run each point in its own short-lived
-  process multiplexed over a bounded worker budget, enforce per-point
-  wall-clock timeouts, contain worker crashes, and retry failed points
-  with deterministic backoff through ``request.attempt_failed``.
+* **serial** (``jobs == 1``, no policy) — the in-process loop with no
+  overhead; an exception fails the whole sweep with its own type.
+* **supervised serial** (``jobs == 1`` under a policy) — in-process
+  attempts with retry/backoff, but no process boundary to enforce a
+  timeout across.
+* **workers** (``jobs > 1``) — at most ``jobs`` long-lived worker
+  processes, each spawned once and fed one point at a time over its own
+  pipe.  Under a policy the supervisor enforces per-point wall-clock
+  timeouts, contains worker crashes, and retries failed points with
+  deterministic backoff through ``request.attempt_failed``; without one
+  the same loop runs with no deadline and the first failed attempt
+  fails the sweep.
 
 This module is also the fallback target for graceful degradation: when
 a distributed backend dies mid-sweep the runner re-issues the remaining
@@ -27,16 +32,15 @@ import warnings
 from dataclasses import dataclass
 from multiprocessing import connection
 from time import monotonic, perf_counter, sleep
-from typing import Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.parallel.backends.base import BackendRequest, SweepBackend
 from repro.parallel.progress import PointProgress
-from repro.resilience.faults import FaultPlan, apply_worker_faults
-from repro.resilience.policy import ResilienceConfig
+from repro.resilience.faults import apply_worker_faults
 from repro.resilience.report import (
     OUTCOME_CRASH,
     OUTCOME_ERROR,
+    OUTCOME_OK,
     OUTCOME_TIMEOUT,
 )
 from repro.scenarios.config import ScenarioConfig
@@ -46,12 +50,12 @@ __all__ = ["LocalBackend"]
 
 
 def _check_spawnable_main() -> None:
-    """Refuse pool creation when spawn cannot re-import ``__main__``.
+    """Refuse to start workers when spawn cannot re-import ``__main__``.
 
     A ``__main__`` fed from stdin (``python - <<EOF``) reports a
     ``__file__`` of ``<stdin>`` that spawn children try — and fail — to
-    re-run, and the pool replaces the crashing workers forever.  Raising
-    here turns an infinite hang into an actionable error.
+    re-run, so every worker would die on start-up.  Raising here turns
+    that into an actionable error.
     """
     process = multiprocessing.current_process()
     if process.daemon or process.name != "MainProcess":
@@ -73,7 +77,7 @@ def _check_spawnable_main() -> None:
 
 
 def _check_picklable_extract(extract) -> None:
-    """The process-pool analogue of the wire protocol's extract check."""
+    """The worker-process analogue of the wire protocol's extract check."""
     try:
         pickle.dumps(extract)
     except Exception as exc:
@@ -101,85 +105,74 @@ def _run_point(config: ScenarioConfig, extract,
     return extract(result), wall_seconds, result.events_processed, snapshot
 
 
-def _execute_point(task: tuple) -> tuple[int, dict, str, float, int, dict | None]:
-    """Worker body for the plain pool path: one task in, one result row out.
-
-    Module-level so it pickles by reference under the spawn start method;
-    the row adds the task index and the worker's process name.
-    """
-    index, config, extract, metered = task
-    measurements, wall_seconds, events, snapshot = _run_point(
-        config, extract, metered)
-    return (index, measurements, multiprocessing.current_process().name,
-            wall_seconds, events, snapshot)
-
-
-def _send_quietly(conn, payload) -> bool:
-    """Send on a pipe that the supervisor may have already abandoned.
-
-    A worker whose parent timed it out (or died) has nobody listening;
-    its result is discarded either way, so a broken pipe here is not an
-    error worth a traceback in the child.
-    """
-    try:
-        conn.send(payload)
-        return True
-    except (OSError, ValueError):
-        return False
-
-
-def _supervised_point(conn, index: int, attempt: int, config: ScenarioConfig,
-                      extract, faults, metered: bool = False) -> None:
-    """Worker body for the supervised path: one process per attempt.
+def _attempt(index: int, attempt: int, config: ScenarioConfig, faults,
+             extract, metered: bool) -> tuple:
+    """One contained attempt, in whichever process it runs.
 
     Applies any scheduled injected faults first (so a ``kill`` dies
     before simulating, like a real early OOM), then runs and extracts.
-    The outcome travels back as a tagged tuple — ``("ok", measurements,
-    wall_seconds, events, metrics_snapshot)`` or ``("error", detail)``
-    — and a process that dies without sending anything is diagnosed as
-    a crash by the parent when the pipe EOFs.
+    The outcome is a tagged tuple — ``("ok", measurements,
+    wall_seconds, events, metrics_snapshot)`` or ``("error", detail)``.
     """
     try:
         apply_worker_faults(faults, index, attempt)
-        payload = ("ok", *_run_point(config, extract, metered))
+        return (OUTCOME_OK, *_run_point(config, extract, metered))
     except Exception as exc:
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    _send_quietly(conn, payload)
-    conn.close()
+        return (OUTCOME_ERROR, f"{type(exc).__name__}: {exc}")
 
 
-def _stop_process(process) -> None:
-    """Terminate a worker, escalating to SIGKILL if it will not die."""
-    process.terminate()
-    process.join(5.0)
-    if process.is_alive():  # pragma: no cover - needs a SIGTERM-immune child
-        process.kill()
-        process.join()
+def _worker_main(conn, extract, metered: bool) -> None:
+    """Body of a long-lived worker: one task in, one tagged outcome out.
+
+    Serves ``(index, attempt, config, faults)`` tasks until the parent
+    closes the pipe.  A worker that dies without answering is diagnosed
+    as a crash by the parent when the pipe EOFs; one whose parent has
+    stopped listening (it timed the attempt out, or died) just leaves.
+    """
+    try:
+        while True:
+            conn.send(_attempt(*conn.recv(), extract, metered))
+    except (EOFError, OSError):
+        conn.close()
 
 
 @dataclass
-class _Attempt:
-    """Bookkeeping for one in-flight supervised worker."""
+class _Worker:
+    """One long-lived worker process and the attempt it is running."""
 
-    index: int
-    attempt: int
     process: multiprocessing.process.BaseProcess
-    deadline: float
+    conn: connection.Connection
+    index: int = -1
+    attempt: int = 0
+    deadline: float = math.inf
     """Monotonic instant the attempt times out (``math.inf`` = never)."""
-    begin: float
+    begin: float = 0.0
+
+    def stop(self) -> None:
+        """Terminate and reap, escalating to SIGKILL if it will not die."""
+        self.conn.close()
+        self.process.terminate()
+        self.process.join(5.0)
+        if self.process.is_alive():  # pragma: no cover - needs a SIGTERM-immune child
+            self.process.kill()
+            self.process.join()
 
 
 class _Supervisor:
-    """Process-per-point executor with timeouts, crash containment and
-    retry scheduling (the supervised ``jobs > 1`` path).
+    """Feeds points to at most ``jobs`` long-lived workers, with
+    timeouts, crash containment and retry scheduling (the ``jobs > 1``
+    path).
 
-    Unlike ``Pool.imap_unordered`` — which loses the task and blocks
-    forever when a worker is SIGKILLed mid-point — every attempt here
-    owns a dedicated process and pipe, multiplexed through
-    :func:`multiprocessing.connection.wait`.  A dead worker surfaces as
-    pipe EOF, a hung worker as a missed monotonic deadline; both fail
-    only their own attempt.  Failed attempts re-enter the queue with a
-    ``not_before`` timestamp from the policy's deterministic backoff.
+    Every worker is spawned once and owns a dedicated duplex pipe,
+    multiplexed through :func:`multiprocessing.connection.wait`.  A dead
+    worker surfaces as EOF on *its* pipe, a hung one as a missed
+    monotonic deadline; both fail only the attempt that worker was
+    running, the worker is killed and discarded, and the next dispatch
+    spawns a replacement.  A worker that answered — with measurements
+    or with an ``error`` — goes back on the idle list.  Failed attempts
+    re-enter the queue with a ``not_before`` timestamp from the policy's
+    deterministic backoff; without a policy (``attempt_failed is
+    None``) the first failed attempt raises instead.
 
     If the host cannot spawn processes at all (fd/PID exhaustion —
     ``Process.start()`` raising ``OSError``), the attempt degrades to
@@ -187,35 +180,28 @@ class _Supervisor:
     the sweep.
     """
 
-    def __init__(self, *, context, jobs: int, policy: ResilienceConfig,
-                 fault_plan: FaultPlan, configs: Sequence[ScenarioConfig],
-                 extract, pending: Sequence[int], complete, attempt_failed,
-                 emit, metered: bool = False) -> None:
-        self._context = context
-        self._jobs = jobs
-        self._policy = policy
-        self._fault_plan = fault_plan
-        self._configs = configs
-        self._extract = extract
-        self._metered = metered
+    def __init__(self, request: BackendRequest) -> None:
+        self._request = request
+        self._context = multiprocessing.get_context(request.start_method)
+        self._timeout = request.policy.timeout if request.policy else None
         #: (index, attempt, not_before) — runnable once monotonic() passes.
         self._queue: list[tuple[int, int, float]] = [
-            (index, 1, 0.0) for index in pending]
-        self._active: dict = {}
-        self._complete = complete
-        self._attempt_failed = attempt_failed
-        self._emit = emit
+            (index, 1, 0.0) for index in request.pending]
+        self._idle: list[_Worker] = []
+        self._busy: dict[connection.Connection, _Worker] = {}
+        self._spawned = 0
 
     def run(self) -> None:
         """Drive every queued point to completion or terminal failure."""
         try:
-            while self._queue or self._active:
+            while self._queue or self._busy:
                 self._launch_ready()
                 self._wait_and_collect()
         finally:
-            # Normal exit leaves nothing active; any exception —
-            # KeyboardInterrupt included — must not orphan workers.
-            self._shutdown()
+            # Any exit — KeyboardInterrupt included — must not orphan
+            # workers, idle or busy.
+            for worker in (*self._idle, *self._busy.values()):
+                worker.stop()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -223,80 +209,110 @@ class _Supervisor:
     def _launch_ready(self) -> None:
         now = monotonic()
         for task in [t for t in self._queue if t[2] <= now]:
-            if len(self._active) >= self._jobs:
+            if len(self._busy) >= self._request.jobs:
                 return
             self._queue.remove(task)
-            index, attempt, _ = task
-            if not self._spawn(index, attempt):
-                self._inline_attempt(index, attempt)
+            self._dispatch(task[0], task[1])
 
-    def _spawn(self, index: int, attempt: int) -> bool:
-        recv_end, send_end = self._context.Pipe(duplex=False)
-        faults = self._fault_plan.worker_faults(index, attempt)
+    def _dispatch(self, index: int, attempt: int) -> None:
+        request = self._request
+        task = (index, attempt, request.configs[index],
+                request.fault_plan.worker_faults(index, attempt))
+        worker = self._acquire(task)
+        name = (worker.process if worker is not None
+                else multiprocessing.current_process()).name
+        request.emit(PointProgress(index=index, phase="start", attempt=attempt,
+                                   worker=name))
+        begin = perf_counter()
+        if worker is None:
+            payload = _attempt(*task, request.extract, request.metered)
+            self._settle(index, attempt, name, payload, perf_counter() - begin)
+            return
+        worker.index, worker.attempt, worker.begin = index, attempt, begin
+        worker.deadline = (math.inf if self._timeout is None
+                           else monotonic() + self._timeout)
+        self._busy[worker.conn] = worker
+
+    def _acquire(self, task: tuple) -> _Worker | None:
+        """An idle or freshly spawned worker that has been sent ``task``;
+        ``None`` when the host cannot spawn one."""
+        while True:
+            worker = self._idle.pop() if self._idle else self._spawn()
+            if worker is None:
+                return None
+            try:
+                worker.conn.send(task)
+                return worker
+            except OSError:
+                worker.stop()  # died while idle: not this point's failure
+
+    def _spawn(self) -> _Worker | None:
+        parent_end, child_end = self._context.Pipe()
+        self._spawned += 1
         process = self._context.Process(
-            target=_supervised_point,
-            args=(send_end, index, attempt, self._configs[index],
-                  self._extract, faults, self._metered),
-            name=f"repro-point{index}-a{attempt}",
+            target=_worker_main,
+            args=(child_end, self._request.extract, self._request.metered),
+            name=f"repro-worker-{self._spawned}",
             daemon=True,
         )
         try:
             process.start()
         except OSError as exc:
-            recv_end.close()
-            send_end.close()
+            parent_end.close()
             warnings.warn(
                 f"could not spawn a sweep worker ({exc}); running this "
                 "attempt in-process instead (no timeout enforcement)",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return False
-        send_end.close()
-        if self._policy.timeout is not None:
-            deadline = monotonic() + self._policy.timeout
-        else:
-            deadline = math.inf
-        self._active[recv_end] = _Attempt(
-            index=index, attempt=attempt, process=process,
-            deadline=deadline, begin=perf_counter())
-        self._emit(PointProgress(index=index, phase="start", attempt=attempt,
-                                 worker=process.name))
-        return True
-
-    def _inline_attempt(self, index: int, attempt: int) -> None:
-        worker = multiprocessing.current_process().name
-        self._emit(PointProgress(index=index, phase="start", attempt=attempt,
-                                 worker=worker))
-        begin = perf_counter()
-        try:
-            apply_worker_faults(self._fault_plan.worker_faults(index, attempt),
-                                index, attempt)
-            measurements, wall_seconds, events, snapshot = _run_point(
-                self._configs[index], self._extract, self._metered)
-        except Exception as exc:
-            self._attempt_over(index, attempt, OUTCOME_ERROR,
-                               perf_counter() - begin,
-                               f"{type(exc).__name__}: {exc}", worker)
-            return
-        self._complete(index, measurements, worker, wall_seconds, events,
-                       attempts=attempt, snapshot=snapshot)
+            return None
+        finally:
+            child_end.close()
+        return _Worker(process, parent_end)
 
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
     def _wait_and_collect(self) -> None:
-        if not self._active:
+        if not self._busy:
             # Everything runnable is backing off: sleep to the first retry.
             if self._queue:
                 pause = min(task[2] for task in self._queue) - monotonic()
                 if pause > 0:
                     sleep(pause)
             return
-        ready = connection.wait(list(self._active), timeout=self._wait_budget())
+        ready = connection.wait(list(self._busy), timeout=self._wait_budget())
         for conn in ready:
-            self._collect(conn)
-        self._expire_deadlines()
+            self._collect(self._busy[conn])
+        now = monotonic()
+        for worker in [w for w in self._busy.values() if w.deadline <= now]:
+            wall_seconds = perf_counter() - worker.begin
+            self._retire(worker)
+            self._settle(
+                worker.index, worker.attempt, worker.process.name,
+                (OUTCOME_TIMEOUT,
+                 f"exceeded the per-point timeout of {self._timeout}s"),
+                wall_seconds)
+
+    def _collect(self, worker: _Worker) -> None:
+        wall_seconds = perf_counter() - worker.begin
+        try:
+            payload = worker.conn.recv()
+        except (EOFError, OSError):
+            self._retire(worker)
+            payload = (OUTCOME_CRASH, "worker died with exit code "
+                       f"{worker.process.exitcode} before reporting a result")
+        else:
+            self._idle.append(worker)
+            del self._busy[worker.conn]
+        self._settle(worker.index, worker.attempt, worker.process.name,
+                     payload, wall_seconds)
+
+    def _retire(self, worker: _Worker) -> None:
+        """Kill and discard a busy worker; it stays listed until it is
+        reaped, so an interrupt in between cannot orphan it."""
+        worker.stop()
+        del self._busy[worker.conn]
 
     def _wait_budget(self) -> float | None:
         """Seconds to block in ``connection.wait`` before bookkeeping.
@@ -305,64 +321,32 @@ class _Supervisor:
         is free — the nearest backoff expiry, so timeouts fire promptly
         and retries are not starved behind long-running points.
         """
-        horizon = min(entry.deadline for entry in self._active.values())
-        if self._queue and len(self._active) < self._jobs:
+        horizon = min(worker.deadline for worker in self._busy.values())
+        if self._queue and len(self._busy) < self._request.jobs:
             horizon = min(horizon, min(task[2] for task in self._queue))
         if math.isinf(horizon):
             return None
         return max(0.0, horizon - monotonic())
 
-    def _collect(self, conn) -> None:
-        entry = self._active.pop(conn)
-        wall_seconds = perf_counter() - entry.begin
-        try:
-            payload = conn.recv()
-        except (EOFError, OSError):
-            payload = None
-        conn.close()
-        entry.process.join()
-        if payload is not None and payload[0] == "ok":
-            _, measurements, worker_wall, events, snapshot = payload
-            self._complete(entry.index, measurements, entry.process.name,
-                           worker_wall, events, attempts=entry.attempt,
-                           snapshot=snapshot)
+    def _settle(self, index: int, attempt: int, worker: str, payload: tuple,
+                wall_seconds: float) -> None:
+        """Account one finished attempt: complete it, requeue it, or —
+        unsupervised — fail the sweep."""
+        request = self._request
+        if payload[0] == OUTCOME_OK:
+            _, measurements, simulate_seconds, events, snapshot = payload
+            request.complete(index, measurements, worker, simulate_seconds,
+                             events, attempts=attempt, snapshot=snapshot)
             return
-        if payload is None:
-            outcome = OUTCOME_CRASH
-            detail = (f"worker died with exit code {entry.process.exitcode} "
-                      "before reporting a result")
-        else:
-            outcome = OUTCOME_ERROR
-            detail = str(payload[1])
-        self._attempt_over(entry.index, entry.attempt, outcome, wall_seconds,
-                           detail, entry.process.name)
-
-    def _expire_deadlines(self) -> None:
-        now = monotonic()
-        expired = [conn for conn, entry in self._active.items()
-                   if entry.deadline <= now]
-        for conn in expired:
-            entry = self._active.pop(conn)
-            _stop_process(entry.process)
-            conn.close()
-            self._attempt_over(
-                entry.index, entry.attempt, OUTCOME_TIMEOUT,
-                perf_counter() - entry.begin,
-                f"exceeded the per-point timeout of {self._policy.timeout}s",
-                entry.process.name)
-
-    def _attempt_over(self, index: int, attempt: int, outcome: str,
-                      wall_seconds: float, detail: str, worker: str) -> None:
-        delay = self._attempt_failed(index, attempt, outcome, wall_seconds,
-                                     detail, worker)
+        outcome, detail = payload
+        if request.attempt_failed is None:
+            raise ReproError(
+                f"sweep point {index} failed on worker {worker} "
+                f"({outcome}): {detail}")
+        delay = request.attempt_failed(index, attempt, outcome, wall_seconds,
+                                       detail, worker)
         if delay is not None:
             self._queue.append((index, attempt + 1, monotonic() + delay))
-
-    def _shutdown(self) -> None:
-        for conn, entry in list(self._active.items()):
-            _stop_process(entry.process)
-            conn.close()
-        self._active.clear()
 
 
 class LocalBackend(SweepBackend):
@@ -371,68 +355,25 @@ class LocalBackend(SweepBackend):
     name = "local"
 
     def execute(self, request: BackendRequest) -> None:
-        if request.policy is None:
-            self._run_plain(request)
+        if request.jobs > 1:
+            _check_spawnable_main()
+            _check_picklable_extract(request.extract)
+            _Supervisor(request).run()
+        elif request.policy is None:
+            self._run_serial(request)
         else:
-            self._run_supervised(request)
-
-    # ------------------------------------------------------------------
-    # Plain (unsupervised) execution — the original hot paths
-    # ------------------------------------------------------------------
-    def _run_plain(self, request: BackendRequest) -> None:
-        pending, configs = request.pending, request.configs
-        extract, jobs, metered = request.extract, request.jobs, request.metered
-        complete, emit = request.complete, request.emit
-        if jobs <= 1:
-            worker = multiprocessing.current_process().name
-            for index in pending:
-                emit(PointProgress(index=index, phase="start", worker=worker))
-                measurements, wall_seconds, events, snapshot = _run_point(
-                    configs[index], extract, metered)
-                complete(index, measurements, worker, wall_seconds, events,
-                         snapshot=snapshot)
-            return
-        _check_spawnable_main()
-        _check_picklable_extract(extract)
-        tasks = [(index, configs[index], extract, metered)
-                 for index in pending]
-        chunksize = request.chunksize or max(1, len(tasks) // (jobs * 4))
-        context = multiprocessing.get_context(request.start_method)
-        pool = context.Pool(processes=jobs)
-        try:
-            for index, measurements, worker, wall_seconds, events, snapshot in (
-                    pool.imap_unordered(_execute_point, tasks,
-                                        chunksize=chunksize)):
-                complete(index, measurements, worker, wall_seconds, events,
-                         snapshot=snapshot)
-        except BaseException:
-            # KeyboardInterrupt (and anything else) mid-iteration: kill
-            # the workers *now* and reap them before propagating, instead
-            # of leaking a pool that blocks interpreter exit.
-            pool.terminate()
-            pool.join()
-            raise
-        else:
-            pool.close()
-            pool.join()
-
-    # ------------------------------------------------------------------
-    # Supervised execution
-    # ------------------------------------------------------------------
-    def _run_supervised(self, request: BackendRequest) -> None:
-        if request.jobs <= 1:
             self._run_supervised_serial(request)
-            return
-        _check_spawnable_main()
-        _check_picklable_extract(request.extract)
-        supervisor = _Supervisor(
-            context=multiprocessing.get_context(request.start_method),
-            jobs=request.jobs, policy=request.policy,
-            fault_plan=request.fault_plan, configs=request.configs,
-            extract=request.extract, pending=request.pending,
-            complete=request.complete, attempt_failed=request.attempt_failed,
-            emit=request.emit, metered=request.metered)
-        supervisor.run()
+
+    def _run_serial(self, request: BackendRequest) -> None:
+        """Plain ``jobs=1``: the original hot loop, nothing contained."""
+        worker = multiprocessing.current_process().name
+        for index in request.pending:
+            request.emit(PointProgress(index=index, phase="start",
+                                       worker=worker))
+            measurements, wall_seconds, events, snapshot = _run_point(
+                request.configs[index], request.extract, request.metered)
+            request.complete(index, measurements, worker, wall_seconds,
+                             events, snapshot=snapshot)
 
     def _run_supervised_serial(self, request: BackendRequest) -> None:
         """Supervised ``jobs=1``: in-process attempts with retry/backoff.
@@ -442,32 +383,27 @@ class LocalBackend(SweepBackend):
         enforced and a ``kill``/``hang`` fault is faithfully fatal —
         use ``jobs >= 2`` for full containment.
         """
-        configs, extract = request.configs, request.extract
-        fault_plan, metered = request.fault_plan, request.metered
-        complete, attempt_failed = request.complete, request.attempt_failed
-        emit = request.emit
         worker = multiprocessing.current_process().name
         for index in request.pending:
             attempt = 1
             while True:
-                emit(PointProgress(index=index, phase="start",
-                                   attempt=attempt, worker=worker))
+                request.emit(PointProgress(index=index, phase="start",
+                                           attempt=attempt, worker=worker))
                 begin = perf_counter()
-                try:
-                    apply_worker_faults(
-                        fault_plan.worker_faults(index, attempt),
-                        index, attempt)
-                    measurements, wall_seconds, events, snapshot = _run_point(
-                        configs[index], extract, metered)
-                except Exception as exc:
-                    delay = attempt_failed(
-                        index, attempt, OUTCOME_ERROR, perf_counter() - begin,
-                        f"{type(exc).__name__}: {exc}", worker)
-                    if delay is None:
-                        break
-                    sleep(delay)
-                    attempt += 1
-                    continue
-                complete(index, measurements, worker, wall_seconds, events,
-                         attempts=attempt, snapshot=snapshot)
-                break
+                payload = _attempt(
+                    index, attempt, request.configs[index],
+                    request.fault_plan.worker_faults(index, attempt),
+                    request.extract, request.metered)
+                if payload[0] == OUTCOME_OK:
+                    _, measurements, wall_seconds, events, snapshot = payload
+                    request.complete(index, measurements, worker,
+                                     wall_seconds, events, attempts=attempt,
+                                     snapshot=snapshot)
+                    break
+                delay = request.attempt_failed(
+                    index, attempt, OUTCOME_ERROR, perf_counter() - begin,
+                    payload[1], worker)
+                if delay is None:
+                    break
+                sleep(delay)
+                attempt += 1

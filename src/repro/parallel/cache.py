@@ -37,7 +37,6 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
-from repro.analysis.lint.model import LINT_RULESET_VERSION
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.serialize import config_to_dict
 
@@ -62,6 +61,16 @@ __all__ = [
 #: ``access_propagation``) — the discipline identity is now part of
 #: every key.
 CACHE_SCHEMA_VERSION = 3
+
+
+def lint_ruleset_version() -> int:
+    """The linter's ruleset stamp, imported where a document is written:
+    a module-level import would load the whole linter into every process
+    that imports ``repro`` — each sweep worker and fleet agent — for this
+    one integer."""
+    from repro.analysis.lint.model import LINT_RULESET_VERSION
+
+    return LINT_RULESET_VERSION
 
 
 def default_cache_dir() -> Path:
@@ -259,7 +268,7 @@ class ResultCache:
         document = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
-            "lint_ruleset": LINT_RULESET_VERSION,
+            "lint_ruleset": lint_ruleset_version(),
             "config": config_to_dict(config) if config is not None else None,
             "measurements": measurements,
         }

@@ -16,9 +16,8 @@ __all__ = ["PointProgress"]
 class PointProgress:
     """One progress notification from a sweep execution.
 
-    ``phase`` is ``"start"`` when a point begins simulating (emitted by
-    the serial and supervised paths — a plain spawn pool cannot report
-    start times to the parent), ``"finish"`` when its measurements are
+    ``phase`` is ``"start"`` when a point is handed to the process that
+    will simulate it, ``"finish"`` when its measurements are
     available, and — on supervised runs — ``"retry"`` when a failed
     attempt is re-queued and ``"fail"`` when a point exhausts its retry
     budget.  Cache and journal hits finish immediately with

@@ -140,7 +140,7 @@ def extract_reference(extract: Callable) -> dict[str, str]:
     Agents re-import the extractor from this reference — nothing else
     crosses the wire — so only module-level callables qualify.  Lambdas,
     nested functions and bound closures are rejected here, at the
-    coordinator, with the same discipline the spawn-pool path enforces
+    coordinator, with the same discipline the local worker path enforces
     via pickling (and the RPR005/RPR010 lint rules enforce statically).
     """
     module = getattr(extract, "__module__", None)

@@ -23,10 +23,10 @@ never results.
 
 Two execution regimes share this front end:
 
-* The **plain** paths (``resilience=None``, the default) are the
-  original hot paths — a serial loop, or ``Pool.imap_unordered`` —
-  with no supervision overhead.  A worker crash or unhandled
-  exception fails the whole sweep.
+* The **plain** paths (``resilience=None``, the default) carry no
+  supervision overhead — a serial loop, or with ``jobs > 1`` the local
+  backend's long-lived workers run without deadlines or retries.  A
+  worker crash or unhandled exception fails the whole sweep, promptly.
 * The **supervised** paths (``resilience=`` a
   :class:`~repro.resilience.policy.ResilienceConfig`, or any non-local
   backend) contain crashes, enforce per-point wall-clock timeouts,
@@ -48,13 +48,6 @@ from repro.engine.sanitize import SANITIZE_ENV, sanitize_enabled
 from repro.errors import BackendUnavailable, ConfigurationError, SweepFailureError
 from repro.parallel.backends import LocalBackend, resolve_backend
 from repro.parallel.backends.base import BackendRequest
-from repro.parallel.backends.local import (  # noqa: F401 - re-exported for compat
-    _check_spawnable_main,
-    _execute_point,
-    _send_quietly,
-    _stop_process,
-    _supervised_point,
-)
 from repro.parallel.cache import ResultCache, cache_key, config_hash
 from repro.parallel.progress import PointProgress
 from repro.resilience.faults import active_plan, corrupt_entry_file
@@ -103,14 +96,10 @@ class ParallelSweepRunner:
     ----------
     jobs:
         Worker process count.  ``1`` runs everything serially in-process
-        (no pickling requirements).
+        (no pickling requirements); more spawns that many long-lived
+        workers once per sweep and feeds them one point at a time.
     cache:
         Anything :func:`resolve_cache` accepts.
-    chunksize:
-        Points handed to a worker per dispatch on the plain pool path;
-        defaults to roughly four chunks per worker so stragglers stay
-        balanced.  The supervised path dispatches one point per process
-        and ignores it.
     start_method:
         The multiprocessing start method.  ``spawn`` (default) works on
         every platform and never inherits dirty parent state.
@@ -137,7 +126,6 @@ class ParallelSweepRunner:
         self,
         jobs: int = 1,
         cache=None,
-        chunksize: int | None = None,
         start_method: str = "spawn",
         resilience: ResilienceConfig | bool | None = None,
         backend=None,
@@ -146,7 +134,6 @@ class ParallelSweepRunner:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.cache = resolve_cache(cache)
-        self.chunksize = chunksize
         self.start_method = start_method
         self.resilience = resolve_resilience(resilience)
         self.backend = backend
@@ -438,7 +425,6 @@ class ParallelSweepRunner:
             report=report,
             conflict=conflict,
             start_method=self.start_method,
-            chunksize=self.chunksize,
         )
         try:
             if pending:

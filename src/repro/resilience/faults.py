@@ -27,10 +27,12 @@ succeeds — the shape every recovery test wants.  ``'?'`` points are
 resolved by hashing the spec seed (``seed=N`` clause, default 0), never
 by ``random``: the whole schedule is a pure function of the spec string.
 
-Worker faults are applied by the *supervised* execution path (the plain
-fast path has no containment and would genuinely die); ``corrupt`` is
-applied in the parent wherever cache writes happen, so it works on
-every path.
+Worker faults are applied wherever an attempt is contained: by the
+supervised paths, and by the unsupervised ``jobs > 1`` workers (where a
+``kill`` or ``raise`` fails the sweep promptly, as the real thing
+would).  The plain serial loop has no containment and ignores them;
+``corrupt`` is applied in the parent wherever cache writes happen, so
+it works on every path.
 
 Three **remote** kinds exercise the distributed backend
 (:mod:`repro.parallel.backends.worker`):
@@ -262,8 +264,8 @@ def apply_worker_faults(faults: Iterable[FaultClause], index: int,
                         attempt: int) -> None:
     """Execute the in-worker faults scheduled for this attempt.
 
-    Called at the top of a supervised worker attempt, before the
-    simulation starts.  ``kill`` never returns; ``hang``/``slow`` sleep;
+    Called at the top of a contained attempt, before the simulation
+    starts.  ``kill`` never returns; ``hang``/``slow`` sleep;
     ``raise`` throws.  Runs in the worker process (or inline, on the
     serial path — where ``kill`` and ``hang`` are faithfully fatal).
     """

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from repro.analysis.lint.model import LINT_RULESET_VERSION
 from repro.obs import (
     OBS_SCHEMA_VERSION,
     Tracer,
@@ -131,7 +132,7 @@ class TestWriteManifest:
         assert path.name == f"{manifest.run_id}.manifest.json"
         data = json.loads(path.read_text())
         assert data["config_hash"] == config_hash(config)
-        assert data["lint_ruleset"] == manifest.lint_ruleset
+        assert data["lint_ruleset"] == LINT_RULESET_VERSION
 
     def test_explicit_file_target(self, tmp_path):
         manifest = build_manifest(small_config())

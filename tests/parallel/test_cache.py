@@ -1,9 +1,15 @@
 """Unit tests for repro.parallel.cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis.lint.model import LINT_RULESET_VERSION
 from repro.parallel.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
@@ -91,6 +97,16 @@ class TestResultCache:
         document = json.loads(path.read_text())
         assert document["schema"] == CACHE_SCHEMA_VERSION
         assert document["config"] == config_to_dict(config)
+        assert document["lint_ruleset"] == LINT_RULESET_VERSION
+
+    def test_importing_repro_does_not_load_the_linter(self):
+        """The ruleset stamp is read where it is written, so workers and
+        fleet agents do not compile ~3.5k lint lines to simulate."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        probe = ("import repro, sys; assert not any("
+                 "m.startswith('repro.analysis.lint') for m in sys.modules)")
+        subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
     def test_schema_version_partitions_entries(self, cache, monkeypatch):
         cache.put_config(_config(), {"a": 1.0})

@@ -52,11 +52,23 @@ class TestParallelEquivalence:
                          jobs=4)
         assert parallel == serial  # byte-identical SweepPoints
 
-    def test_chunked_completion_still_input_ordered(self):
-        runner = ParallelSweepRunner(jobs=2, chunksize=1)
+    def test_unordered_completion_still_input_ordered(self):
+        runner = ParallelSweepRunner(jobs=2)
         points = runner.run(make_config, CASES,
                             families.utilization_extract)
         assert [p.value for p in points] == CASES
+
+    def test_plain_jobs2_spawns_two_workers_once(self):
+        """No policy, same long-lived workers: every point reports a
+        start and a finish, all from the two processes spawned up front."""
+        events = []
+        ParallelSweepRunner(jobs=2).run(
+            make_config, CASES, families.utilization_extract,
+            on_progress=events.append)
+        for phase in ("start", "finish"):
+            assert sorted(event.index for event in events
+                          if event.phase == phase) == list(range(len(CASES)))
+        assert len({event.worker for event in events}) == 2
 
     def test_unpicklable_extract_is_a_clean_error(self):
         with pytest.raises(ConfigurationError, match="picklable"):
@@ -82,7 +94,7 @@ class TestParallelEquivalence:
         import sys
         import types
 
-        from repro.parallel.runner import _check_spawnable_main
+        from repro.parallel.backends.local import _check_spawnable_main
 
         fake_main = types.ModuleType("__main__")
         fake_main.__file__ = "<stdin>"
@@ -97,7 +109,7 @@ class TestParallelEquivalence:
         monkeypatch.setitem(sys.modules, "__main__", worker_main)
         monkeypatch.setattr(
             "multiprocessing.current_process",
-            lambda: types.SimpleNamespace(name="SpawnPoolWorker-1",
+            lambda: types.SimpleNamespace(name="repro-worker-1",
                                           daemon=True))
         with pytest.raises(ConfigurationError, match="jobs=1"):
             _check_spawnable_main()

@@ -1,12 +1,13 @@
-"""Ctrl-C on a supervised sweep must terminate and reap every attempt.
+"""Ctrl-C on a supervised sweep must terminate and reap every worker.
 
 The regression this guards: a KeyboardInterrupt arriving while the
-supervised executor has attempt processes in flight must not leave
-orphans behind — the supervisor's cleanup runs on *any* exit from its
-loop, interrupt included.  The drill runs a real sweep in a fresh
-session (so its attempt processes are identifiable by session id),
-hangs every point, interrupts the coordinator only, and asserts the
-whole session empties out.
+supervisor holds worker processes — busy mid-attempt *or* idle between
+points — must not leave orphans behind: the supervisor's cleanup runs
+on *any* exit from its loop, interrupt included.  The drill runs a real
+sweep in a fresh session (so its workers are identifiable by session
+id), lets two points finish and hangs the third — one worker busy, the
+other idle — interrupts the coordinator only, and asserts the whole
+session empties out.
 """
 
 import os
@@ -30,8 +31,7 @@ SCRIPT = textwrap.dedent("""\
 
 
     def report(progress):
-        if progress.phase == "start":
-            print("START", flush=True)
+        print(progress.phase.upper(), flush=True)
 
 
     if __name__ == "__main__":
@@ -67,8 +67,9 @@ def test_keyboard_interrupt_reaps_all_attempt_processes(tmp_path):
     script.write_text(SCRIPT)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-    # Every attempt of every point hangs far past the test's patience.
-    env["REPRO_FAULTS"] = "hang@0:600*9;hang@1:600*9;hang@2:600*9"
+    # The last point hangs far past the test's patience; whichever
+    # worker did not get it sits idle on an empty queue.
+    env["REPRO_FAULTS"] = "hang@2:600*9"
 
     child = subprocess.Popen(
         [sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
@@ -77,18 +78,22 @@ def test_keyboard_interrupt_reaps_all_attempt_processes(tmp_path):
     threading.Thread(target=lambda: [lines.put(line) for line in child.stdout],
                      daemon=True).start()
     try:
-        # Wait until both workers hold an in-flight attempt.
-        started = 0
+        # Wait until one worker holds the hung attempt and the other
+        # has nothing left to do.
+        seen = {"START": 0, "FINISH": 0}
         deadline = time.monotonic() + 60.0
-        while started < 2 and time.monotonic() < deadline:
+        while ((seen["START"], seen["FINISH"]) != (3, 2)
+               and time.monotonic() < deadline):
             try:
-                if lines.get(timeout=1.0).strip() == "START":
-                    started += 1
+                line = lines.get(timeout=1.0).strip()
             except queue.Empty:
                 continue
-        assert started >= 2, "sweep never launched its attempt processes"
+            seen[line] = seen.get(line, 0) + 1
+        assert (seen["START"], seen["FINISH"]) == (3, 2), (
+            f"sweep never reached one busy and one idle worker: {seen}")
+        assert len(_session_members(child.pid)) >= 3
 
-        # Interrupt the coordinator only — the attempts must be cleaned
+        # Interrupt the coordinator only — the workers must be cleaned
         # up by the supervisor, not by the signal reaching them.
         os.kill(child.pid, signal.SIGINT)
         assert child.wait(timeout=30.0) != 0
@@ -98,7 +103,7 @@ def test_keyboard_interrupt_reaps_all_attempt_processes(tmp_path):
         while _session_members(child.pid) and time.monotonic() < deadline:
             time.sleep(0.2)
         leftovers = _session_members(child.pid)
-        assert leftovers == [], f"orphaned attempt processes: {leftovers}"
+        assert leftovers == [], f"orphaned worker processes: {leftovers}"
     finally:
         try:
             os.killpg(child.pid, signal.SIGKILL)

@@ -8,10 +8,13 @@ small and the faulted tests reuse one module-level baseline.
 """
 
 import functools
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from repro.errors import SweepFailureError
+from repro.errors import ReproError, SweepFailureError
 from repro.parallel import ParallelSweepRunner
 from repro.resilience import FAULTS_ENV, ResilienceConfig, SweepJournal
 from repro.scenarios import families
@@ -119,6 +122,122 @@ class TestInjectedFaults:
         assert results[2] is None
         assert results[:2] == baseline[:2]
         assert not runner.last_report.ok
+
+
+SIX = [make_config(case) for case in families.CONJECTURE_CASES[:6]]
+
+
+@pytest.fixture(scope="module")
+def baseline_six():
+    return ParallelSweepRunner(jobs=1).run_configs(SIX, extract)
+
+
+def _run_six(policy):
+    """A ``jobs=2`` sweep of SIX: (results, report, progress events)."""
+    events = []
+    runner = ParallelSweepRunner(jobs=2, resilience=policy)
+    results = runner.run_configs(SIX, extract, on_progress=events.append)
+    return results, runner.last_report, events
+
+
+def _dying_extract(result):
+    os._exit(3)
+
+
+def _raising_extract(result):
+    raise ValueError("extract blew up")
+
+
+class TestLongLivedWorkers:
+    """Workers are spawned once and replaced only when they are lost."""
+
+    def test_two_jobs_means_two_workers(self, baseline_six):
+        results, report, events = _run_six(ResilienceConfig(timeout=120.0))
+        assert results == baseline_six and report.ok
+        assert len({event.worker for event in events}) == 2
+
+    def test_kill_costs_one_worker_and_nobody_elses_attempt(
+            self, baseline_six, monkeypatch):
+        # Point 0 is slow, so its worker is mid-attempt when point 1's
+        # dies and the freed slot can only go to a replacement.
+        monkeypatch.setenv(FAULTS_ENV, "kill@1;slow@0:1.0")
+        results, report, events = _run_six(
+            ResilienceConfig(timeout=120.0, retries=2, **FAST_BACKOFF))
+        assert results == baseline_six
+        assert (report.crashes, report.retries) == (1, 1)
+        assert len({event.worker for event in events}) == 3
+        (crashed,) = [position for position, event in enumerate(events)
+                      if event.phase == "retry"]
+        dead = events[crashed].worker
+        assert dead not in {event.worker for event in events[crashed + 1:]}
+        finishes = {event.index: (position, event)
+                    for position, event in enumerate(events)
+                    if event.phase == "finish"}
+        assert finishes[1][1].attempt == 2
+        assert all(finishes[index][1].attempt == 1
+                   for index in (0, 2, 3, 4, 5))
+        # The bystander's in-flight point outlived the crash untouched.
+        position, bystander = finishes[0]
+        assert position > crashed and bystander.worker == events[0].worker
+
+    def test_timeout_kills_only_the_hung_worker(self, baseline_six,
+                                                monkeypatch):
+        # Point 0 hangs on the first worker; the second is kept busy
+        # across the deadline by two slow points, so the hung worker's
+        # slot can only be refilled by a freshly spawned replacement.
+        monkeypatch.setenv(FAULTS_ENV, "hang@0:600;slow@1:1.6;slow@2:1.6")
+        results, report, events = _run_six(
+            ResilienceConfig(timeout=3.0, retries=1, **FAST_BACKOFF))
+        assert results == baseline_six
+        assert (report.timeouts, report.crashes, report.retries) == (1, 0, 1)
+        (timed_out,) = [position for position, event in enumerate(events)
+                        if event.phase == "retry"]
+        hung = events[timed_out].worker
+        before = {event.worker for event in events[:timed_out]}
+        after = {event.worker for event in events[timed_out + 1:]}
+        assert hung not in after
+        (survivor,) = before - {hung}
+        assert survivor in {event.worker for event in events[timed_out + 1:]
+                            if event.phase == "finish"}
+        (replacement,) = after - before
+        assert {event.index for event in events
+                if event.worker == replacement} - {0}
+
+    def test_error_outcome_keeps_the_worker(self, baseline_six, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV, "raise@1")
+        results, report, events = _run_six(
+            ResilienceConfig(timeout=120.0, retries=1, **FAST_BACKOFF))
+        assert results == baseline_six
+        assert (report.errors, report.retries) == (1, 1)
+        assert len({event.worker for event in events}) == 2
+
+    def test_spawn_failure_degrades_to_inline(self, baseline, monkeypatch):
+        def refuse(self):
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        runner = ParallelSweepRunner(
+            jobs=2, resilience=ResilienceConfig(timeout=120.0))
+        with pytest.warns(RuntimeWarning, match="could not spawn"):
+            assert runner.run_configs(CONFIGS, extract) == baseline
+        assert runner.last_report.ok
+
+
+class TestUnsupervisedWorkers:
+    """``jobs > 1`` without a policy: same workers, first failure fatal."""
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        begin = time.monotonic()
+        with pytest.raises(ReproError, match=r"point \d .*crash.*exit code 3"):
+            ParallelSweepRunner(jobs=2).run_configs(CONFIGS, _dying_extract)
+        assert time.monotonic() - begin < 60.0
+
+    def test_raising_extract_names_the_point(self):
+        with pytest.raises(ReproError,
+                           match=r"point \d failed on worker repro-worker-\d "
+                                 r".*ValueError: extract blew up"):
+            ParallelSweepRunner(jobs=2).run_configs(CONFIGS, _raising_extract)
 
 
 class TestJournalResume:
