@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-project bench report figures examples clean
+.PHONY: install test lint bench report figures examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -24,12 +24,6 @@ lint:
 	else \
 		echo "mypy not installed; skipping (pip install mypy)"; \
 	fi
-
-# Whole-program mode: per-file rules plus the interprocedural set
-# (RPR009 taint, RPR010 cross-module pickleability, RPR011 registry
-# contracts).  The incremental cache makes warm re-runs near-instant.
-lint-project:
-	PYTHONPATH=src $(PYTHON) -m repro lint --project src
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

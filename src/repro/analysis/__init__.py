@@ -39,7 +39,6 @@ from repro.analysis.epochs import (
     drops_per_epoch,
     epoch_period,
 )
-from repro.analysis.group_sync import GroupPhase, group_phase
 from repro.analysis.growth import (
     GrowthFit,
     growth_concavity,
@@ -52,19 +51,19 @@ from repro.analysis.oscillation import (
     rapid_fluctuation_amplitude,
 )
 from repro.analysis.stats import BatchStats, batch_means, utilization_batches
-from repro.analysis.sync import (
+from repro.analysis.synchronization import (
     EnsembleMode,
     EnsembleVerdict,
-    classify_ensemble,
-    drop_coincidence,
-    mean_pairwise_correlation,
-)
-from repro.analysis.synchronization import (
+    GroupPhase,
     SyncMode,
     SyncVerdict,
     alternation_fraction,
+    classify_ensemble,
     classify_phase,
+    drop_coincidence,
+    group_phase,
     loss_synchronization,
+    mean_pairwise_correlation,
     phase_correlation,
 )
 

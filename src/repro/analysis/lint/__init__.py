@@ -13,20 +13,18 @@ RPR005    non-module-level sweep callables / algorithm factories
 RPR006    ``float('inf')`` sentinel timestamps entering the heap
 RPR007    swallowed exceptions in supervision/cache/journal paths
 RPR008    constant dispatch hooks probed inside hot loop bodies
-RPR009    nondeterminism taint reaching a determinism sink (--project)
-RPR010    cross-module unpicklable sweep callable (--project)
-RPR011    registry contract violation (--project)
 RPR900    unparseable source (syntax error or not UTF-8)
 ========  ==============================================================
 
 Use ``repro lint [paths]`` from the CLI, ``repro lint --explain CODE``
 for the rationale behind a rule, and suppress single lines with
-``# repro: noqa[CODE] -- justification``.  RPR009–RPR011 are
-interprocedural and only fire in ``repro lint --project`` mode, which
-parses the whole tree once into an import graph + call graph + taint
-summaries (with an incremental per-module cache keyed by content hash).
-The dynamic twins of these checks are the runtime sanitizer invariants
-enabled by ``Simulator(strict=True)`` or ``REPRO_SANITIZE=1``.
+``# repro: noqa[CODE] -- justification``.  Every rule looks at one file
+at a time.  The dynamic twins of these checks are the runtime sanitizer
+invariants enabled by ``Simulator(strict=True)`` or ``REPRO_SANITIZE=1``;
+what cannot be seen in one file (an unpicklable extractor built in
+another module, a registered class that is not a ``CongestionControl``
+or ``DropTailQueue``) is rejected eagerly where it is handed over, by
+``ParallelSweepRunner``, ``extract_reference`` and the two registries.
 """
 
 from repro.analysis.lint.model import (
@@ -41,23 +39,16 @@ from repro.analysis.lint.model import (
 from repro.analysis.lint.noqa import Suppression, parse_suppressions
 from repro.analysis.lint.runner import (
     LintContext,
+    apply_baseline,
     format_violations,
     iter_python_files,
     lint_file,
     lint_paths,
     lint_source,
-)
-from repro.analysis.lint import rules as _rules  # registers RPR001..RPR008
-from repro.analysis.lint import taint as _taint  # registers RPR009/RPR010
-from repro.analysis.lint import contracts as _contracts  # registers RPR011
-from repro.analysis.lint.export import render_json, render_sarif, render_text
-from repro.analysis.lint.project import (
-    ProjectModel,
-    apply_baseline,
-    build_project,
-    lint_project,
     load_baseline,
 )
+from repro.analysis.lint import rules as _rules  # registers RPR001..RPR008
+from repro.analysis.lint.export import render_json, render_sarif, render_text
 
 __all__ = [
     "LINT_RULESET_VERSION",
@@ -66,7 +57,6 @@ __all__ = [
     "Violation",
     "Suppression",
     "LintContext",
-    "ProjectModel",
     "explain",
     "get_rule",
     "iter_rules",
@@ -74,8 +64,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "lint_project",
-    "build_project",
     "iter_python_files",
     "format_violations",
     "render_text",
@@ -85,4 +73,4 @@ __all__ = [
     "apply_baseline",
 ]
 
-del _rules, _taint, _contracts
+del _rules

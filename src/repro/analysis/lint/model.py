@@ -54,7 +54,10 @@ __all__ = [
 #:     module-level requirement, and registered queue classes are checked
 #:     against the DropTailQueue interface (base chain, `offer`/`take`
 #:     arity, `__slots__` on every chain class).
-LINT_RULESET_VERSION = 8
+#: v9: whole-program layer retired (RPR009, RPR010, RPR011 and `--project`
+#:     removed): no finding outside its fixtures since v5; the runtime
+#:     checks at the sweep, protocol and registry boundaries remain.
+LINT_RULESET_VERSION = 9
 
 CheckFunction = Callable[["LintContext"], Iterator["Violation"]]
 

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 from repro.analysis.lint.model import RULES, Violation, register_descriptive
 
-__all__ = [
-    "Suppression",
-    "parse_suppressions",
-    "valid_suppressions",
-    "apply_suppressions",
-]
+__all__ = ["Suppression", "parse_suppressions", "apply_suppressions"]
 
 register_descriptive(
     "RPR000",
@@ -103,17 +98,16 @@ def parse_suppressions(source: str) -> list[Suppression]:
     return found
 
 
-def valid_suppressions(
+def apply_suppressions(
     path: str,
+    violations: list[Violation],
     suppressions: list[Suppression],
-) -> tuple[dict[int, set[str]], list[Violation]]:
-    """Split suppressions into a line->codes map and hygiene violations.
+) -> list[Violation]:
+    """Filter suppressed violations; emit RPR000 for malformed suppressions.
 
-    The map contains only well-formed suppressions (code named, justified,
-    codes known and suppressable); each malformed one yields an RPR000 and
-    silences nothing.  The whole-program layer caches the map per file so
-    project rules (RPR009–RPR011) honor the same ``# repro: noqa`` syntax
-    without re-tokenizing.
+    Returns the surviving violations plus one RPR000 per blanket or
+    unjustified suppression comment.  Malformed suppressions silence
+    nothing.
     """
     valid_by_line: dict[int, set[str]] = {}
     hygiene: list[Violation] = []
@@ -147,21 +141,7 @@ def valid_suppressions(
             ))
             continue
         valid_by_line.setdefault(suppression.line, set()).update(suppression.codes)
-    return valid_by_line, hygiene
 
-
-def apply_suppressions(
-    path: str,
-    violations: list[Violation],
-    suppressions: list[Suppression],
-) -> list[Violation]:
-    """Filter suppressed violations; emit RPR000 for malformed suppressions.
-
-    Returns the surviving violations plus one RPR000 per blanket or
-    unjustified suppression comment.  Malformed suppressions silence
-    nothing.
-    """
-    valid_by_line, hygiene = valid_suppressions(path, suppressions)
     kept = [
         violation for violation in violations
         if violation.code not in valid_by_line.get(violation.line, ())

@@ -3,8 +3,9 @@
 The runner owns everything rule implementations should not care about:
 resolving a file's *logical module* (so path-scoped rules like RPR001's
 ``repro.engine.rng`` exemption work), parsing, dispatching every
-registered rule, applying ``# repro: noqa`` suppressions, and sorting
-the surviving violations into a deterministic report.
+registered rule, applying ``# repro: noqa`` suppressions, sorting the
+surviving violations into a deterministic report, and filtering a
+report through a curated baseline of known violations.
 
 Logical modules are derived from the path: the segment after the last
 ``src/`` (or the last path component named ``repro``) onward, dotted.
@@ -18,6 +19,8 @@ in their first ten lines::
 from __future__ import annotations
 
 import ast
+import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,10 +32,11 @@ from repro.errors import LintError
 
 __all__ = [
     "LintContext",
-    "run_rules",
     "lint_source",
     "lint_file",
     "lint_paths",
+    "load_baseline",
+    "apply_baseline",
     "iter_python_files",
     "format_violations",
 ]
@@ -87,22 +91,6 @@ def resolve_module(path: str | Path, source: str) -> str:
     return ".".join(dotted)
 
 
-def run_rules(context: LintContext) -> list[Violation]:
-    """Run every registered per-file rule; suppressions NOT yet applied.
-
-    The whole-program layer reuses this so each file is parsed exactly
-    once: it builds the :class:`LintContext` itself, runs the per-file
-    rules here, then applies suppressions with the same map its own
-    project rules are filtered through.
-    """
-    violations: list[Violation] = []
-    for code in sorted(RULES):
-        check = RULES[code].check
-        if check is not None:
-            violations.extend(check(context))
-    return violations
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -123,7 +111,11 @@ def lint_source(
         tree=tree,
         module=resolve_module(display, source) if module is None else module,
     )
-    violations = run_rules(context)
+    violations: list[Violation] = []
+    for code in sorted(RULES):
+        check = RULES[code].check
+        if check is not None:
+            violations.extend(check(context))
     violations = apply_suppressions(display, violations, parse_suppressions(source))
     return sorted(violations, key=lambda violation: violation.sort_key)
 
@@ -164,6 +156,48 @@ def lint_paths(paths: Iterable[str | Path]) -> list[Violation]:
     for path in iter_python_files(paths):
         violations.extend(lint_file(path))
     return sorted(violations, key=lambda violation: violation.sort_key)
+
+
+def load_baseline(path: str | Path) -> list[tuple[str, str]]:
+    """Load a baseline file: a JSON list of ``{"path": ..., "code": ...}``.
+
+    A baseline is the curated list of known violations CI tolerates when
+    linting ``tests/`` and ``benchmarks/`` (rule fixtures, mostly).  Paths
+    match as suffixes (``tests/analysis/lint/fixtures/...``), so the
+    baseline is independent of the checkout directory.
+    """
+    target = Path(path)
+    try:
+        raw = json.loads(target.read_text())
+    except OSError as exc:
+        raise LintError(f"cannot read baseline {target}: {exc}") from exc
+    except ValueError as exc:
+        raise LintError(f"baseline {target} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise LintError(f"baseline {target} must be a JSON list")
+    entries: list[tuple[str, str]] = []
+    for item in raw:
+        if (not isinstance(item, dict) or "path" not in item
+                or "code" not in item):
+            raise LintError(
+                f"baseline {target}: each entry needs 'path' and 'code'")
+        entries.append((str(item["path"]), str(item["code"]).upper()))
+    return entries
+
+
+def apply_baseline(
+    violations: list[Violation],
+    baseline: list[tuple[str, str]],
+) -> list[Violation]:
+    """Drop violations covered by the baseline (suffix path + code match)."""
+    def covered(violation: Violation) -> bool:
+        normalized = violation.path.replace(os.sep, "/")
+        for suffix, code in baseline:
+            if code == violation.code and normalized.endswith(suffix):
+                return True
+        return False
+
+    return [violation for violation in violations if not covered(violation)]
 
 
 def format_violations(violations: list[Violation]) -> str:

@@ -328,10 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the rationale for one rule code and exit")
     lint_p.add_argument("--list", action="store_true", dest="list_rules",
                         help="list all registered rule codes and exit")
-    lint_p.add_argument("--project", action="store_true",
-                        help="whole-program mode: build the import/call "
-                             "graphs and run the interprocedural rules "
-                             "(RPR009-RPR011) on top of the per-file set")
     lint_p.add_argument("--format", default="text", dest="fmt",
                         choices=["text", "json", "sarif"],
                         help="report format (default: text)")
@@ -341,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--baseline", default=None, metavar="FILE",
                         help="JSON list of {path,code} entries to ignore "
                              "(curated known-violations, e.g. rule fixtures)")
-    lint_p.add_argument("--cache-file", default=None, metavar="FILE",
-                        help="incremental analysis cache for --project mode "
-                             "(default: .repro-lint-cache.json)")
-    lint_p.add_argument("--no-cache", action="store_true",
-                        help="disable the --project incremental cache")
 
     wrk_p = sub.add_parser(
         "worker",
@@ -816,7 +807,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         format_violations,
         iter_rules,
         lint_paths,
-        lint_project,
         load_baseline,
         render_json,
         render_sarif,
@@ -829,14 +819,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule in iter_rules():
             print(f"{rule.code}  {rule.name:32}  {rule.summary}")
         return 0
-    paths = args.paths or ["src"]
-    if args.project:
-        cache_path = None
-        if not args.no_cache:
-            cache_path = args.cache_file or ".repro-lint-cache.json"
-        violations = lint_project(paths, cache_path=cache_path)
-    else:
-        violations = lint_paths(paths)
+    violations = lint_paths(args.paths or ["src"])
     if args.baseline:
         violations = apply_baseline(violations, load_baseline(args.baseline))
     if args.fmt == "json":

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.sync import EnsembleMode, classify_ensemble
+from repro.analysis.synchronization import EnsembleMode, classify_ensemble
 from repro.experiments.report import ExperimentReport
 from repro.scenarios import families, run
 from repro.scenarios.config import QueueSpec, ScenarioConfig

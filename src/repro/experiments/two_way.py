@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from repro.analysis.clustering import cluster_runs, clustering_stats
 from repro.analysis.epochs import drops_per_epoch
-from repro.analysis.group_sync import group_phase
 from repro.analysis.growth import growth_concavity, rebuild_segments
 from repro.analysis.oscillation import rapid_fluctuation_amplitude
-from repro.analysis.synchronization import SyncMode, alternation_fraction
+from repro.analysis.synchronization import (
+    SyncMode,
+    alternation_fraction,
+    group_phase,
+)
 from repro.experiments.expectations import DROP_PATTERNS, UTILIZATION
 from repro.experiments.report import ExperimentReport
 from repro.scenarios import paper, run

@@ -7,9 +7,9 @@ one maps discipline names to queue *classes* — subclasses of
 :class:`~repro.net.queues.DropTailQueue` sharing the constructor shape
 ``cls(name, capacity, rng=..., strict=..., **params)``.
 
-Registering classes (not closures) keeps entries picklable and lets the
-whole-program lint (RPR011) resolve each factory to its class and check
-the discipline interface statically.  Scenario configs carry the
+Registering classes (not closures) keeps entries picklable, and
+:func:`register_discipline` rejects anything that is not a
+``DropTailQueue`` subclass on the spot.  Scenario configs carry the
 discipline identity as a :class:`~repro.scenarios.config.QueueSpec`
 (name + normalized params) which is validated eagerly through
 :func:`validate_params` — a bad parameter fails at config construction,

@@ -87,7 +87,6 @@ class BackendRequest:
     conflict: Callable[[int, dict, dict], None] | None = None
     """``conflict(index, accepted, duplicate)`` — an at-least-once
     duplicate completion disagreed with the accepted payload."""
-    start_method: str = "spawn"
 
 
 class SweepBackend:

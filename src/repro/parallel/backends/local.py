@@ -48,6 +48,9 @@ from repro.scenarios.runner import run as run_scenario
 
 __all__ = ["LocalBackend"]
 
+#: Works on every platform and never inherits dirty parent state.
+_START_METHOD = "spawn"
+
 
 def _check_spawnable_main() -> None:
     """Refuse to start workers when spawn cannot re-import ``__main__``.
@@ -182,7 +185,7 @@ class _Supervisor:
 
     def __init__(self, request: BackendRequest) -> None:
         self._request = request
-        self._context = multiprocessing.get_context(request.start_method)
+        self._context = multiprocessing.get_context(_START_METHOD)
         self._timeout = request.policy.timeout if request.policy else None
         #: (index, attempt, not_before) — runnable once monotonic() passes.
         self._queue: list[tuple[int, int, float]] = [

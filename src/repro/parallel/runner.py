@@ -100,9 +100,6 @@ class ParallelSweepRunner:
         workers once per sweep and feeds them one point at a time.
     cache:
         Anything :func:`resolve_cache` accepts.
-    start_method:
-        The multiprocessing start method.  ``spawn`` (default) works on
-        every platform and never inherits dirty parent state.
     resilience:
         Anything :func:`~repro.resilience.policy.resolve_resilience`
         accepts: ``None``/``False`` (default) keeps the unsupervised hot
@@ -126,7 +123,6 @@ class ParallelSweepRunner:
         self,
         jobs: int = 1,
         cache=None,
-        start_method: str = "spawn",
         resilience: ResilienceConfig | bool | None = None,
         backend=None,
     ) -> None:
@@ -134,7 +130,6 @@ class ParallelSweepRunner:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.cache = resolve_cache(cache)
-        self.start_method = start_method
         self.resilience = resolve_resilience(resilience)
         self.backend = backend
         self.last_report: ResilienceReport | None = None
@@ -424,7 +419,6 @@ class ParallelSweepRunner:
             keys=keys,
             report=report,
             conflict=conflict,
-            start_method=self.start_method,
         )
         try:
             if pending:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.analysis.sync import classify_ensemble
+from repro.analysis.synchronization import classify_ensemble
 from repro.scenarios import paper
 from repro.scenarios.config import (
     FlowParams,
@@ -321,8 +321,8 @@ def sync_extract(result: ScenarioResult) -> dict[str, float]:
 
     The phase-diagram measurement: the categorical mode ships as its
     stable numeric code (see
-    :attr:`repro.analysis.sync.EnsembleMode.code`) next to the raw
-    drop-coincidence and mean-pairwise-correlation numbers.
+    :attr:`repro.analysis.synchronization.EnsembleMode.code`) next to the
+    raw drop-coincidence and mean-pairwise-correlation numbers.
     """
     start, end = result.window
     series = [result.traces.cwnd(c.conn_id).cwnd for c in result.connections]

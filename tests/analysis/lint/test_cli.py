@@ -1,12 +1,17 @@
-"""The `repro lint` subcommand: exit codes, --explain, --list, --project."""
+"""The `repro lint` subcommand: exit codes, --explain, --list, report formats."""
 
 import json
 import pathlib
+
+import pytest
 
 from repro.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 REPO_SRC = pathlib.Path(__file__).parents[3] / "src"
+
+ALL_CODES = ["RPR000", "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+             "RPR006", "RPR007", "RPR008", "RPR900"]
 
 
 def test_clean_file_exits_zero(capsys):
@@ -36,10 +41,7 @@ def test_explain_unknown_code_exits_two(capsys):
 def test_list_shows_every_code(capsys):
     assert main(["lint", "--list"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPR000", "RPR001", "RPR002", "RPR003",
-                 "RPR004", "RPR005", "RPR006", "RPR007",
-                 "RPR008", "RPR009", "RPR010", "RPR011", "RPR900"):
-        assert code in out
+    assert [line.split()[0] for line in out.strip().splitlines()] == ALL_CODES
 
 
 def test_list_output_is_stable(capsys):
@@ -55,11 +57,12 @@ def test_explain_works_for_every_registered_code(capsys):
     """A rule added without --explain documentation fails here."""
     from repro.analysis.lint import iter_rules
 
-    for rule in iter_rules():
-        assert main(["lint", "--explain", rule.code]) == 0
+    assert [rule.code for rule in iter_rules()] == ALL_CODES
+    for code in ALL_CODES:
+        assert main(["lint", "--explain", code]) == 0
         out = capsys.readouterr().out
-        assert rule.code in out
-        assert len(out.strip().splitlines()) >= 4, rule.code
+        assert code in out
+        assert len(out.strip().splitlines()) >= 4, code
 
 
 def test_missing_path_exits_two(capsys):
@@ -67,37 +70,33 @@ def test_missing_path_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_project_mode_on_real_tree_is_clean(capsys):
-    """`repro lint --project src` stays at zero violations by construction."""
-    assert main(["lint", "--project", "--no-cache", str(REPO_SRC)]) == 0
-    assert "no violations found" in capsys.readouterr().out
-
-
-def test_project_mode_flags_cross_module_fixture(capsys):
-    bad = FIXTURES / "project" / "rpr009_bad"
-    assert main(["lint", "--project", "--no-cache", str(bad)]) == 1
-    assert "RPR009" in capsys.readouterr().out
+@pytest.mark.parametrize("flag", ["--project", "--cache-file", "--no-cache"])
+def test_project_flag_is_gone(flag, capsys):
+    """The whole-program mode and its cache options were retired."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", flag, str(FIXTURES / "rpr001_good.py")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_format_json_report(capsys):
-    bad = FIXTURES / "project" / "rpr010_bad"
-    assert main(["lint", "--project", "--no-cache",
-                 "--format", "json", str(bad)]) == 1
+    bad = FIXTURES / "rpr005_bad.py"
+    assert main(["lint", "--format", "json", str(bad)]) == 1
     document = json.loads(capsys.readouterr().out)
     assert document["schema"] == "repro-lint-report/1"
-    assert {v["code"] for v in document["violations"]} == {"RPR010"}
+    assert {v["code"] for v in document["violations"]} == {"RPR005"}
 
 
 def test_format_sarif_to_output_file(tmp_path, capsys):
-    bad = FIXTURES / "project" / "rpr011_bad"
+    bad = FIXTURES / "rpr007_bad.py"
     out_file = tmp_path / "report.sarif"
-    assert main(["lint", "--project", "--no-cache", "--format", "sarif",
+    assert main(["lint", "--format", "sarif",
                  "--output", str(out_file), str(bad)]) == 1
     captured = capsys.readouterr().out
     assert "violations found" in captured  # text summary still on stdout
     document = json.loads(out_file.read_text())
     assert document["version"] == "2.1.0"
-    assert {r["ruleId"] for r in document["runs"][0]["results"]} == {"RPR011"}
+    assert {r["ruleId"] for r in document["runs"][0]["results"]} == {"RPR007"}
 
 
 def test_baseline_suppresses_known_violations(tmp_path, capsys):

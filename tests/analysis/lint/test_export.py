@@ -6,7 +6,7 @@ from repro.analysis.lint import render_json, render_sarif
 from repro.analysis.lint.model import LINT_RULESET_VERSION, Violation, iter_rules
 
 SAMPLE = [
-    Violation(path="b.py", line=3, col=4, code="RPR009", message="second"),
+    Violation(path="b.py", line=3, col=4, code="RPR008", message="second"),
     Violation(path="a.py", line=10, col=0, code="RPR001", message="first"),
 ]
 
@@ -21,8 +21,8 @@ class TestJson:
     def test_rule_metadata_embedded(self):
         document = json.loads(render_json([]))
         assert set(document["rules"]) == {r.code for r in iter_rules()}
-        assert document["rules"]["RPR009"]["name"] == \
-            "tainted-determinism-sink"
+        assert document["rules"]["RPR008"]["name"] == \
+            "hook-probe-in-dispatch-loop"
 
     def test_deterministic_output(self):
         assert render_json(SAMPLE) == render_json(list(reversed(SAMPLE)))
@@ -34,7 +34,7 @@ class TestSarif:
         assert document["version"] == "2.1.0"
         run = document["runs"][0]
         results = run["results"]
-        assert [r["ruleId"] for r in results] == ["RPR001", "RPR009"]
+        assert [r["ruleId"] for r in results] == ["RPR001", "RPR008"]
         region = results[0]["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 10
         assert region["startColumn"] == 1  # SARIF columns are 1-based

@@ -1,16 +1,22 @@
-"""Runner mechanics: module resolution, file walking, RPR900, reports."""
+"""Runner mechanics: module resolution, file walking, RPR900, baselines, reports."""
+
+import json
 
 import pytest
 
 from repro.analysis.lint import (
+    apply_baseline,
     format_violations,
     get_rule,
     iter_rules,
     lint_paths,
     lint_source,
+    load_baseline,
 )
 from repro.analysis.lint.runner import iter_python_files, resolve_module
 from repro.errors import LintError
+
+from .test_cli import ALL_CODES, FIXTURES, REPO_SRC
 
 
 class TestModuleResolution:
@@ -65,11 +71,7 @@ class TestFileWalking:
 
 class TestRegistry:
     def test_all_rules_registered(self):
-        codes = [rule.code for rule in iter_rules()]
-        assert codes == ["RPR000", "RPR001", "RPR002", "RPR003",
-                         "RPR004", "RPR005", "RPR006", "RPR007",
-                         "RPR008", "RPR009", "RPR010", "RPR011",
-                         "RPR900"]
+        assert [rule.code for rule in iter_rules()] == ALL_CODES
 
     def test_explain_mentions_suppression_syntax(self):
         text = get_rule("RPR002").explain()
@@ -79,6 +81,42 @@ class TestRegistry:
     def test_unknown_code_raises(self):
         with pytest.raises(LintError):
             get_rule("RPR999")
+
+
+class TestBaseline:
+    def test_suffix_and_code_matching(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(
+            [{"path": "fixtures/rpr005_bad.py", "code": "RPR005"}]))
+        violations = lint_paths([FIXTURES / "rpr005_bad.py"])
+        assert {v.code for v in violations} == {"RPR005"}
+        filtered = apply_baseline(violations, load_baseline(baseline))
+        assert filtered == []
+
+    def test_baseline_does_not_hide_other_codes(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(
+            [{"path": "fixtures/rpr007_bad.py", "code": "RPR001"}]))
+        violations = lint_paths([FIXTURES / "rpr007_bad.py"])
+        assert violations
+        assert apply_baseline(violations, load_baseline(baseline)) == violations
+
+    def test_malformed_baseline_raises(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"path": "x"}))
+        with pytest.raises(LintError):
+            load_baseline(baseline)
+
+    def test_shipped_ci_baseline_loads(self):
+        shipped = FIXTURES.parent / "ci-baseline.json"
+        entries = load_baseline(shipped)
+        assert entries, "the CI baseline must cover the rule fixtures"
+        assert all(code in ALL_CODES for _path, code in entries)
+
+
+def test_shipped_tree_is_clean():
+    """`repro lint src` finds nothing — clean by construction."""
+    assert lint_paths([REPO_SRC]) == []
 
 
 class TestReport:

@@ -1,17 +1,23 @@
-"""Unit tests for repro.analysis.synchronization."""
+"""Unit tests for repro.analysis.synchronization: two signals, two
+groups, N-flow ensembles."""
 
 import math
 
 import pytest
 
 from repro.analysis import (
+    EnsembleMode,
     SyncMode,
     alternation_fraction,
+    classify_ensemble,
     classify_phase,
+    drop_coincidence,
+    group_phase,
     loss_synchronization,
+    mean_pairwise_correlation,
     phase_correlation,
 )
-from repro.analysis.epochs import detect_epochs
+from repro.analysis.epochs import CongestionEpoch, detect_epochs
 from repro.errors import AnalysisError
 from repro.metrics import StepSeries
 from repro.metrics.drop_log import DropRecord
@@ -29,6 +35,22 @@ def _wave(phase, period=10.0, duration=100.0, dt=0.1):
 def _drop(time, conn):
     return DropRecord(time=time, queue="q", conn_id=conn, is_data=True,
                       seq=0, is_retransmit=False)
+
+
+def _epoch(start, end, conn_ids):
+    return CongestionEpoch(start=start, end=end,
+                           drops=[_drop(start, c) for c in conn_ids])
+
+
+def _sawtooth(period, phase, start=0.0, end=100.0, dt=0.5):
+    """A cwnd-like sawtooth StepSeries with the given phase offset."""
+    series = StepSeries("cwnd", 1.0)
+    t = start
+    while t <= end:
+        frac = ((t + phase) % period) / period
+        series.record(t, 1.0 + 20.0 * frac)
+        t += dt
+    return series
 
 
 class TestPhaseClassification:
@@ -113,3 +135,155 @@ class TestAlternation:
         epochs = detect_epochs([_drop(0.0, 1)], gap=5.0)
         with pytest.raises(AnalysisError):
             alternation_fraction(epochs)
+
+
+class TestGroupPhase:
+    def test_coherent_antiphase_groups(self):
+        group_a = [_wave(0.0), _wave(0.05)]
+        group_b = [_wave(math.pi), _wave(math.pi + 0.05)]
+        result = group_phase(group_a, group_b, 0.0, 100.0, dt=0.1)
+        assert result.within_a > 0.9
+        assert result.within_b > 0.9
+        assert result.between < -0.9
+        assert result.groups_internally_in_phase
+        assert result.groups_mutually_out_of_phase
+
+    def test_all_in_phase(self):
+        group_a = [_wave(0.0), _wave(0.0)]
+        group_b = [_wave(0.0), _wave(0.0)]
+        result = group_phase(group_a, group_b, 0.0, 100.0, dt=0.1)
+        assert result.between > 0.9
+        assert not result.groups_mutually_out_of_phase
+
+    def test_incoherent_group_detected(self):
+        group_a = [_wave(0.0), _wave(math.pi)]  # internally anti-phased
+        group_b = [_wave(0.0), _wave(0.0)]
+        result = group_phase(group_a, group_b, 0.0, 100.0, dt=0.1)
+        assert result.within_a < 0.0
+        assert not result.groups_internally_in_phase
+
+    def test_group_size_validated(self):
+        with pytest.raises(AnalysisError):
+            group_phase([_wave(0.0)], [_wave(0.0), _wave(0.0)], 0.0, 100.0)
+        with pytest.raises(AnalysisError):
+            group_phase([_wave(0.0), _wave(0.0)], [], 0.0, 100.0)
+
+    def test_symmetry(self):
+        group_a = [_wave(0.0), _wave(0.1)]
+        group_b = [_wave(1.0), _wave(1.1)]
+        ab = group_phase(group_a, group_b, 0.0, 100.0, dt=0.1)
+        ba = group_phase(group_b, group_a, 0.0, 100.0, dt=0.1)
+        assert ab.between == pytest.approx(ba.between)
+        assert ab.within_a == pytest.approx(ba.within_b)
+
+
+class TestDropCoincidence:
+    def test_all_global_epochs(self):
+        epochs = [_epoch(i * 10.0, i * 10.0 + 1.0, range(8)) for i in range(5)]
+        assert drop_coincidence(epochs, 8) == 1.0
+
+    def test_quorum_counts_distinct_connections(self):
+        # 4 of 8 connections lose: exactly at the default half quorum.
+        epochs = [_epoch(0.0, 1.0, [0, 1, 2, 3])]
+        assert drop_coincidence(epochs, 8) == 1.0
+        # 3 of 8 misses the quorum.
+        epochs = [_epoch(0.0, 1.0, [0, 1, 2])]
+        assert drop_coincidence(epochs, 8) == 0.0
+
+    def test_repeated_drops_by_one_connection_do_not_inflate(self):
+        epoch = CongestionEpoch(start=0.0, end=1.0,
+                                drops=[_drop(0.1, 1) for _ in range(10)])
+        assert drop_coincidence([epoch], 4) == 0.0
+
+    def test_strict_quorum_matches_two_flow_statistic(self):
+        epochs = [_epoch(0.0, 1.0, [0, 1]), _epoch(10.0, 11.0, [0])]
+        assert drop_coincidence(epochs, 2, quorum=1.0) == 0.5
+
+    def test_no_epochs_is_zero(self):
+        assert drop_coincidence([], 4) == 0.0
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(AnalysisError):
+            drop_coincidence([], 0)
+        with pytest.raises(AnalysisError):
+            drop_coincidence([], 4, quorum=0.0)
+        with pytest.raises(AnalysisError):
+            drop_coincidence([], 4, quorum=1.5)
+
+
+class TestMeanPairwiseCorrelation:
+    def test_lockstep_is_near_one(self):
+        series = [_sawtooth(20.0, 0.0) for _ in range(4)]
+        corr = mean_pairwise_correlation(series, 10.0, 90.0)
+        assert corr > 0.95
+
+    def test_staggered_ensemble_approaches_floor(self):
+        # N sawtooths spread uniformly over the period: the mean pairwise
+        # correlation sits near the attainable floor -1/(N-1).
+        n, period = 4, 20.0
+        series = [_sawtooth(period, i * period / n) for i in range(n)]
+        corr = mean_pairwise_correlation(series, 10.0, 90.0)
+        floor = -1.0 / (n - 1)
+        assert corr < 0.0
+        assert corr >= floor - 0.05
+        assert math.isclose(corr, floor, abs_tol=0.15)
+
+    def test_single_series_has_no_pairs(self):
+        assert mean_pairwise_correlation([_sawtooth(20.0, 0.0)], 10.0, 90.0) == 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(AnalysisError):
+            mean_pairwise_correlation([], 0.0, 1.0)
+
+
+class TestClassifyEnsemble:
+    def test_global_loss_epochs_dominate(self):
+        series = [_sawtooth(20.0, 0.0) for _ in range(4)]
+        epochs = [_epoch(i * 20.0, i * 20.0 + 1.0, range(4)) for i in range(4)]
+        verdict = classify_ensemble(series, epochs, 4, 10.0, 90.0)
+        assert verdict.mode is EnsembleMode.DROP_SYNCHRONIZED
+        assert verdict.coincidence == 1.0
+        assert verdict.n_epochs == 4
+        assert verdict.mode.code == 3
+
+    def test_min_epochs_guard_defers_to_correlation(self):
+        # One merged epoch (continuous-loss regime): coincidence is
+        # trivially 1.0 but carries no evidence of repeated global
+        # events, so the correlation decides.
+        series = [_sawtooth(20.0, 0.0) for _ in range(4)]
+        epochs = [_epoch(0.0, 90.0, range(4))]
+        verdict = classify_ensemble(series, epochs, 4, 10.0, 90.0)
+        assert verdict.coincidence == 1.0
+        assert verdict.mode is EnsembleMode.IN_PHASE
+
+    def test_min_epochs_is_tunable(self):
+        series = [_sawtooth(20.0, 0.0) for _ in range(4)]
+        epochs = [_epoch(0.0, 90.0, range(4))]
+        verdict = classify_ensemble(series, epochs, 4, 10.0, 90.0,
+                                    min_epochs=1)
+        assert verdict.mode is EnsembleMode.DROP_SYNCHRONIZED
+
+    def test_out_of_phase_threshold_scales_with_population(self):
+        n, period = 4, 20.0
+        series = [_sawtooth(period, i * period / n) for i in range(n)]
+        verdict = classify_ensemble(series, [], n, 10.0, 90.0)
+        assert verdict.mode is EnsembleMode.OUT_OF_PHASE
+        assert verdict.correlation < 0.0
+
+    def test_flat_uncorrelated_is_desynchronized(self):
+        flat = StepSeries("cwnd", 5.0)
+        flat.record(0.0, 5.0)
+        series = [flat, _sawtooth(20.0, 0.0), _sawtooth(31.0, 7.0)]
+        verdict = classify_ensemble(series, [], 3, 10.0, 90.0,
+                                    corr_threshold=0.5)
+        assert verdict.mode in (EnsembleMode.DESYNCHRONIZED,
+                                EnsembleMode.OUT_OF_PHASE)
+
+    def test_verdict_carries_statistics(self):
+        series = [_sawtooth(20.0, 0.0) for _ in range(3)]
+        epochs = [_epoch(i * 20.0, i * 20.0 + 1.0, [0]) for i in range(5)]
+        verdict = classify_ensemble(series, epochs, 3, 10.0, 90.0)
+        assert verdict.n_connections == 3
+        assert verdict.n_epochs == 5
+        assert verdict.coincidence == 0.0
+        assert verdict.mode is EnsembleMode.IN_PHASE

@@ -9,7 +9,7 @@ so a regression in any layer fails fast in the default test tier.
 from repro.experiments.parity import fingerprint_hash
 from repro.scenarios import run
 from repro.scenarios.families import manyflow_config, queued_config, sync_extract
-from repro.analysis.sync import EnsembleMode
+from repro.analysis.synchronization import EnsembleMode
 
 
 def _config():

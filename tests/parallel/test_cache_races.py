@@ -10,6 +10,7 @@ entry behind.
 
 import json
 import multiprocessing
+import warnings
 
 import pytest
 
@@ -23,7 +24,12 @@ OTHER = {"fwd": 0.999, "rev": 0.001}
 def _put_from_child(args):
     """Runs in a forked worker: one put against the shared directory."""
     root, payload = args
-    ResultCache(root).put(KEY, payload)
+    with warnings.catch_warnings():
+        # Conflicting writers provoke the quarantine warning on purpose,
+        # and a forked worker inherits tier-1's error::RuntimeWarning.
+        warnings.filterwarnings("ignore", message="quarantined conflicting",
+                                category=RuntimeWarning)
+        ResultCache(root).put(KEY, payload)
 
 
 def _tmp_leftovers(root):

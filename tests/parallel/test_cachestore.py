@@ -80,7 +80,8 @@ class TestRoundTrip:
 
     def test_conflicting_put_quarantines_both_on_server(self, store, client):
         client.put(KEY, PAYLOAD)
-        client.put(KEY, {"fwd": 0.9, "rev": 0.9})
+        with pytest.warns(RuntimeWarning, match="quarantined conflicting"):
+            client.put(KEY, {"fwd": 0.9, "rev": 0.9})
         assert store.cache.get(KEY) is None        # no entry survives
         assert store.cache.quarantined == 1
         quarantine = store.cache.quarantine_dir
@@ -88,7 +89,8 @@ class TestRoundTrip:
 
     def test_explicit_quarantine_verb(self, store, client):
         client.put(KEY, PAYLOAD)
-        client.quarantine_conflict(KEY, PAYLOAD, {"fwd": 1.0})
+        with pytest.warns(RuntimeWarning, match="quarantined conflicting"):
+            client.quarantine_conflict(KEY, PAYLOAD, {"fwd": 1.0})
         assert client.quarantined == 1
         assert store.cache.get(KEY) is None
 

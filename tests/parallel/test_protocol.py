@@ -64,6 +64,14 @@ class TestFraming:
         assert PROTOCOL_VERSION == 1
 
 
+def make_probe():
+    """An extractor factory as another module would export it: what it
+    returns looks like a plain name at the call site but is a closure."""
+    def probe(result):
+        return {"events": float(result.events_processed)}
+    return probe
+
+
 class TestExtractReference:
     def test_module_level_function_round_trips(self):
         reference = extract_reference(families.utilization_extract)
@@ -80,6 +88,10 @@ class TestExtractReference:
             return {}
         with pytest.raises(ConfigurationError, match="nested"):
             extract_reference(nested)
+
+    def test_closure_factory_result_rejected(self):
+        with pytest.raises(ConfigurationError, match="make_probe.<locals>.probe"):
+            extract_reference(make_probe())
 
     def test_main_module_rejected(self):
         def probe(result):

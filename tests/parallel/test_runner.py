@@ -14,6 +14,8 @@ from repro.parallel import ParallelSweepRunner, ResultCache
 from repro.scenarios import families, sweep
 from repro.scenarios.sweeps import SweepPoint
 
+from .test_protocol import make_probe
+
 # The fig-8/fig-9 conjecture corner of the grid: small and large pipe.
 CASES = [(30, 25, 0.01), (30, 5, 0.01), (30, 25, 1.0), (26, 25, 1.0)]
 make_config = functools.partial(families.conjecture_config,
@@ -73,6 +75,20 @@ class TestParallelEquivalence:
     def test_unpicklable_extract_is_a_clean_error(self):
         with pytest.raises(ConfigurationError, match="picklable"):
             sweep(make_config, CASES[:2], lambda r: {}, jobs=2)
+
+    def test_imported_closure_factory_is_refused_before_any_worker(self):
+        """The extractor comes from a factory in another module, so no
+        lambda or nested `def` is visible here; the runner still refuses
+        it, and does so before a process is spawned or a point started."""
+        import multiprocessing
+
+        events = []
+        with pytest.raises(ConfigurationError, match="picklable"):
+            ParallelSweepRunner(jobs=2).run(
+                make_config, CASES[:2], make_probe(),
+                on_progress=events.append)
+        assert events == []
+        assert multiprocessing.active_children() == []
 
     def test_stdin_main_module_is_a_clean_error(self, monkeypatch):
         """A __main__ that spawn children cannot re-import (piped stdin

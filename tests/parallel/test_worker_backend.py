@@ -153,7 +153,8 @@ class TestDegradation:
         backend = WorkerBackend(
             command=[str(tmp_path / "no-such-binary")], workers=1)
         runner = ParallelSweepRunner(backend=backend)
-        with pytest.warns(RuntimeWarning, match="degrading"):
+        with pytest.warns(RuntimeWarning, match="degrading"), \
+                pytest.warns(RuntimeWarning, match="could not spawn worker agent"):
             assert runner.run_configs(CONFIGS, extract) == baseline
         assert runner.last_report.degraded_points == len(CONFIGS)
 
