@@ -16,10 +16,11 @@ its own frozen self.  Strip those and the baseline becomes a lower
 bound the live code can never reach, the measured "regression" sits
 permanently above zero, and the gate's budget stops meaning anything.
 
-``perf_harness.py`` runs identical workloads on this kernel and on the
-shipped :class:`repro.engine.simulator.Simulator` in interleaved pairs;
-the median paired ratio is the shipped kernel's regression relative to
-this baseline.  Because both sides run in the same process on the same
+The benchmark suite (``benchmarks/suite``, metric
+``engine.vs_frozen_kernel_pct``) runs identical workloads on this kernel
+and on the shipped :class:`repro.engine.simulator.Simulator` in
+interleaved pairs; the median paired ratio is the shipped kernel's
+regression relative to this baseline.  Because both sides run in the same process on the same
 machine in the same minute, the number is machine-independent in a way
 the absolute events-per-second figures never were.
 

@@ -592,7 +592,7 @@ cost of a disabled hook is zero.  An `if self._strict:`, a
 `self._meter`-style metrics-probe read inside a loop body re-probes per
 iteration, and those attribute loads are exactly the
 death-by-a-thousand-cuts tax that once cost this engine 3x
-(BENCH_engine.json, entries 1-2).  Hoist the read (`strict =
+(790k -> 244k chained events/s when tracing first went in).  Hoist the read (`strict =
 self._strict` / `fan = self._x_fan` before the loop) or call the bound
 local instead.  Scoped to the hot packages (repro.engine, repro.net,
 repro.tcp); static analysis cannot prove a given loop is hot, so

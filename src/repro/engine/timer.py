@@ -105,7 +105,12 @@ class CoarseTimer:
         return max(ticks, 1)
 
     def start_ticks(self, ticks: int) -> None:
-        """Arm the timer to fire on the ``ticks``-th tick boundary from now."""
+        """Arm the timer to fire on the ``ticks``-th tick boundary from now.
+
+        A re-arm that lands on the boundary already armed is a no-op: the
+        pending event, and with it its place among same-time events, is
+        kept from the first arm.
+        """
         if ticks < 1:
             raise ValueError(f"tick count must be >= 1, got {ticks}")
         now = self._sim.now
@@ -117,6 +122,12 @@ class CoarseTimer:
         # every restart quantizes to the same boundary.  Keeping the
         # already-armed event avoids a cancel + reschedule per ACK (the
         # dominant source of cancelled-entry churn in the calendar).
+        # The kept event also keeps its *first-arm* sequence number, so
+        # timers expiring on one boundary fire in first-arm order, not
+        # last-arm order as cancel + reschedule would give.  Dynamics
+        # with many same-tick expirations depend on it (50 drop-tail
+        # flows on the four-switch chain do; none of the 11 parity
+        # scenarios does) — see docs/algorithms.md.
         # Both sides of the comparison come from the identical expression
         # over the same period, so float equality is exact here.
         event = self._event

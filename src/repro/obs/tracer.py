@@ -5,9 +5,10 @@ A :class:`Tracer` observes a simulation from two vantage points:
 - **the engine** — :meth:`dispatch` is invoked by the
   :class:`~repro.engine.simulator.Simulator` around every executed
   event (sim-time, wall-time, handler category, calendar depth).  With
-  no tracer attached the engine pays one attribute check per event;
-  the micro-benchmarked overhead of the disabled path is guarded below
-  2% by ``benchmarks/perf_harness.py``.
+  no tracer attached the engine pays one attribute check per ``run()``;
+  ``benchmarks/perf_gate.py`` guards the disabled path through the
+  suite's ``engine.vs_frozen_kernel_pct`` (the frozen kernel has no
+  hook at all).
 - **the packet path** — :meth:`instrument` subscribes to the existing
   observer callbacks of queues, ports, links and transport senders, so
   every enqueue/dequeue/drop/transmit/deliver (plus transport-level

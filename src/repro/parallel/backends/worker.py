@@ -212,6 +212,27 @@ class WorkerBackend(SweepBackend):
         self._start_reader(agent, inbox)
         return agent
 
+    def _release(self, agent: _AgentHandle) -> None:
+        """Close a stopped agent's transport.  Its pump thread reads one
+        of the streams, so that is let return (EOF follows the reaped
+        process or the shut-down socket) before anything is closed."""
+        if agent.sock is not None:
+            try:
+                # close() alone is deferred while the makefile wrappers live.
+                agent.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # repro: noqa[RPR007] -- the peer already disconnected; nothing to shut down
+                pass
+        if agent.thread is not None:
+            agent.thread.join(timeout=5.0)
+            if agent.thread.is_alive():  # pragma: no cover - pipe held open by a grandchild
+                return
+        for stream in (agent.writer, agent.reader, agent.sock):
+            if stream is not None:
+                try:
+                    stream.close()
+                except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
+                    pass
+
     def _dismiss(self, agent: _AgentHandle) -> None:
         """Stop one agent: polite shutdown, then force."""
         if agent.writer is not None:
@@ -229,11 +250,7 @@ class WorkerBackend(SweepBackend):
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
                 agent.proc.kill()
                 agent.proc.wait()
-        if agent.sock is not None:
-            try:
-                agent.sock.close()
-            except OSError:  # repro: noqa[RPR007] -- socket teardown after the process already exited
-                pass
+        self._release(agent)
         agent.alive = False
 
     def _kill(self, agent: _AgentHandle) -> None:
@@ -242,11 +259,7 @@ class WorkerBackend(SweepBackend):
         if agent.proc is not None:
             agent.proc.kill()
             agent.proc.wait()
-        if agent.sock is not None:
-            try:
-                agent.sock.close()
-            except OSError:  # repro: noqa[RPR007] -- socket teardown after SIGKILL; the peer is gone
-                pass
+        self._release(agent)
 
     # ------------------------------------------------------------------
     # Execution
@@ -585,6 +598,7 @@ class _SweepRun:
             agent.alive = False
             if agent.proc is not None:
                 agent.proc.wait()
+            self.backend._release(agent)
         report = self.request.report
         now = monotonic()
         orphans = self.leases.by_worker(agent.name)

@@ -4,7 +4,7 @@ Parallel sweeps pickle the ``make_config`` products and the ``extract``
 callable to worker processes, and the result cache fingerprints the
 extractor's source.  Both want *module-level* functions — closures and
 lambdas neither pickle nor fingerprint stably — so the sweep families
-shared by the CLI (``repro sweep``), the benchmarks, and the tests live
+shared by the CLI (``repro sweep``), the benchmark suite and the tests live
 here.  Partial application (``functools.partial``) of these functions is
 picklable too and is the supported way to fix durations or seeds.
 """
@@ -38,8 +38,6 @@ __all__ = [
     "buffer_duration",
     "conjecture_config",
     "fixed_window_config",
-    "one_way_buffer_config",
-    "identity_config",
     "manyflow_config",
     "onoff_manyflow_config",
     "phase_grid",
@@ -47,9 +45,6 @@ __all__ = [
     "substituted_config",
     "utilization_extract",
     "timeouts_extract",
-    "lockstep_extract",
-    "compression_extract",
-    "epoch_pattern_extract",
     "sync_extract",
 ]
 
@@ -135,21 +130,6 @@ def buffer_config(buffers: int,
     duration, warmup = buffer_duration(buffers, base_duration, base_warmup)
     return paper.figure4(buffer_packets=buffers,
                          duration=duration, warmup=warmup)
-
-
-def one_way_buffer_config(buffers: int,
-                          duration: float = 250.0,
-                          warmup: float = 100.0) -> ScenarioConfig:
-    """The contrasting one-way case: idle time shrinks as buffers grow."""
-    return paper.one_way(n_connections=3, propagation=1.0,
-                         buffer_packets=buffers,
-                         duration=duration, warmup=warmup)
-
-
-def identity_config(config: ScenarioConfig) -> ScenarioConfig:
-    """``make_config`` for sweeps whose values already *are* configs
-    (ablation pairs and other heterogeneous families)."""
-    return config
 
 
 def _manyflow_flows(
@@ -302,20 +282,6 @@ def timeouts_extract(result: ScenarioResult) -> dict[str, float]:
                                   for c in result.connections))}
 
 
-def lockstep_extract(result: ScenarioResult) -> dict[str, float]:
-    """Per-connection send counts plus queue phase correlation."""
-    out = {f"sent:{c.conn_id}": float(c.sender.packets_sent)
-           for c in result.connections}
-    out["queue_correlation"] = float(result.queue_sync().correlation)
-    return out
-
-
-def compression_extract(result: ScenarioResult) -> dict[str, float]:
-    """ACK-compression factor observed by connection 1."""
-    return {"compression_factor":
-            float(result.ack_compression(1).compression_factor)}
-
-
 def sync_extract(result: ScenarioResult) -> dict[str, float]:
     """Ensemble synchronization verdict plus its supporting statistics.
 
@@ -333,19 +299,5 @@ def sync_extract(result: ScenarioResult) -> dict[str, float]:
         "drop_coincidence": verdict.coincidence,
         "mean_correlation": verdict.correlation,
         "epochs": float(verdict.n_epochs),
-        "utilization": result.utilization(),
-    }
-
-
-def epoch_pattern_extract(result: ScenarioResult) -> dict[str, float]:
-    """Loss-epoch sharing pattern (drop-tail vs Random Drop signature)."""
-    epochs = result.epochs()
-    n = len(epochs)
-    single = sum(1 for e in epochs if len(e.connections) == 1) / n if n else 0.0
-    shared = sum(1 for e in epochs if len(e.connections) == 2) / n if n else 0.0
-    return {
-        "epochs": float(n),
-        "single_loser_fraction": single,
-        "shared_loss_fraction": shared,
         "utilization": result.utilization(),
     }

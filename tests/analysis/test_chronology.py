@@ -99,15 +99,38 @@ class TestComplementarity:
 
 
 class TestOnFigure8:
-    def test_section_42_coupling(self):
-        """End to end: Q1's falls coincide with Q2's rises and vice versa."""
+    @pytest.fixture(scope="class")
+    def fig8(self):
         from repro.scenarios import paper, run
 
-        result = run(paper.figure8(duration=200.0, warmup=150.0))
+        return run(paper.figure8(duration=200.0, warmup=150.0))
+
+    @staticmethod
+    def _transitions(result, port):
         start, end = result.window
-        kwargs = dict(min_swing=5, max_transition_time=1.0)
-        tr1 = detect_square_cycles(result.queue_series("sw1->sw2"), start, end, **kwargs)
-        tr2 = detect_square_cycles(result.queue_series("sw2->sw1"), start, end, **kwargs)
-        falls1 = [t for t in tr1 if not t.rising]
-        rises2 = [t for t in tr2 if t.rising]
-        assert transitions_are_complementary(falls1, rises2) >= 0.9
+        return detect_square_cycles(result.traces.queue(port).lengths,
+                                    start, end, min_swing=5,
+                                    max_transition_time=1.0)
+
+    def test_section_42_coupling(self, fig8):
+        """End to end: Q1's falls coincide with Q2's rises and vice versa."""
+        tr1 = self._transitions(fig8, "sw1->sw2")
+        tr2 = self._transitions(fig8, "sw2->sw1")
+        for falling, rising in ((tr1, tr2), (tr2, tr1)):
+            falls = [t for t in falling if not t.rising]
+            rises = [t for t in rising if t.rising]
+            assert transitions_are_complementary(falls, rises) >= 0.9
+
+    def test_packet_count_falls_are_byte_artifacts(self, fig8):
+        """Section 4.2's parenthetical: the rapid decreases "reflect the
+        fact that the queue length is measured in the number of packets
+        rather than in bytes" — the departing packets are 50 B ACKs, so
+        the byte occupancy drops ~10% of what data departures would."""
+        monitor = fig8.traces.queue("sw1->sw2")
+        falls = [t for t in self._transitions(fig8, "sw1->sw2")
+                 if not t.rising]
+        assert falls
+        ratios = [(monitor.byte_lengths.value_at(fall.start)
+                   - monitor.byte_lengths.value_at(fall.end))
+                  / (fall.magnitude * 500.0) for fall in falls]
+        assert sum(ratios) / len(ratios) < 0.25

@@ -381,6 +381,7 @@ class TestCompaction:
         assert sim.calendar_size < 1000
         sim.run()
         assert sim.events_processed == 1
+        assert sim.calendar_size == 0
 
     def test_ordering_preserved_across_compaction(self):
         sim = Simulator()

@@ -119,6 +119,20 @@ class TestCoarseTimer:
         sim.run()
         assert fired == [2.0]
 
+    def test_rearm_onto_same_boundary_keeps_first_arm_order(self):
+        """Re-arming onto the boundary already armed keeps the pending
+        event and its first-arm sequence number: A, armed before B,
+        still fires before B after being re-armed later than B."""
+        sim = Simulator()
+        fired = []
+        a = CoarseTimer(sim, lambda: fired.append("A"), period=0.5)
+        b = CoarseTimer(sim, lambda: fired.append("B"), period=0.5)
+        a.start_ticks(2)
+        b.start_ticks(2)
+        a.start_ticks(2)
+        sim.run()
+        assert fired == ["A", "B"]
+
     def test_cancel(self):
         sim = Simulator()
         fired = []

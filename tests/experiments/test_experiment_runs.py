@@ -3,8 +3,8 @@
 Each experiment is run with very short durations — far below what the
 verdicts were tuned for — so these tests check the *structure* of the
 reports (ids, rows present, informational rows marked) rather than
-pass/fail verdicts.  Full-duration verdicts are covered by the
-benchmark suite and EXPERIMENTS.md.
+pass/fail verdicts.  Full-duration verdicts are `repro report`'s:
+EXPERIMENTS.md holds them and CI fails when a fresh report differs.
 """
 
 import pytest

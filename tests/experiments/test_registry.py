@@ -1,5 +1,8 @@
 """Unit tests for the experiment registry (no full runs here)."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -18,6 +21,13 @@ EXPECTED_IDS = [
 class TestRegistry:
     def test_all_figures_registered(self):
         assert experiment_ids() == EXPECTED_IDS
+
+    def test_committed_report_covers_exactly_the_registry(self):
+        """EXPERIMENTS.md is `repro report` output; CI diffs the whole
+        file, this catches a stale one without running anything."""
+        report = Path(__file__).parents[2] / "EXPERIMENTS.md"
+        sections = re.findall(r"^### `(\w+)`", report.read_text(), re.M)
+        assert sections == experiment_ids()
 
     def test_entries_have_titles_and_runners(self):
         for experiment in REGISTRY.values():

@@ -66,6 +66,29 @@ class TestReplicate:
         # Different seeds genuinely vary the dynamics.
         assert summaries["drops"].std >= 0.0
 
+    def test_figure4_claims_hold_across_seeds(self):
+        """The Figures 4-5 headline numbers as confidence intervals over
+        five start-time seeds, not one lucky run."""
+        from repro.analysis import drops_per_epoch
+
+        summaries = replicate(
+            lambda seed: paper.figure4(duration=350.0, warmup=150.0
+                                       ).with_updates(seed=seed),
+            seeds=range(1, 6),
+            extract=lambda result: {
+                "utilization": result.utilization("sw1->sw2"),
+                "drops_per_epoch": drops_per_epoch(result.epochs()),
+                "queue_correlation": result.queue_sync().correlation,
+            },
+        )
+        util = summaries["utilization"]
+        drops = summaries["drops_per_epoch"]
+        # Paper: ~70% utilization, 2 drops per congestion epoch.
+        assert 0.60 <= util.ci_low and util.ci_high <= 0.85
+        assert drops.contains(2.0) or abs(drops.mean - 2.0) < 0.7
+        # Out-of-phase at every seed, not on average only.
+        assert all(v < -0.2 for v in summaries["queue_correlation"].values)
+
     def test_no_seeds_rejected(self):
         with pytest.raises(AnalysisError):
             replicate(lambda s: paper.figure4(), seeds=[], extract=lambda r: {})

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import compressed_ack_bursts, plateau_heights, predict
 from repro.analysis.synchronization import SyncMode
-from repro.scenarios import paper, run
+from repro.scenarios import families, paper, run
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,15 @@ class TestFigure9:
         for util in fig9.utilizations().values():
             assert util < 0.95
 
+    def test_plateau_heights_alternate(self, fig9):
+        """"An alternation pattern in the plateau heights": more than
+        one distinct level recurs."""
+        start, end = fig9.window
+        plateaus = plateau_heights(fig9.queue_series("sw1->sw2"),
+                                   start, min(start + 60.0, end),
+                                   min_duration=1.0, tolerance=1.5)
+        assert len({round(p) for p in plateaus}) >= 2
+
     def test_both_queues_empty_at_times(self, fig9):
         start, end = fig9.window
         for port in ("sw1->sw2", "sw2->sw1"):
@@ -73,13 +82,10 @@ class TestFigure9:
 
 
 class TestZeroAckConjecture:
-    @pytest.mark.parametrize("w1,w2,tau", [
-        (30, 25, 0.01),   # out-of-phase regime
-        (30, 25, 1.0),    # in-phase regime
-    ])
+    @pytest.mark.parametrize("w1,w2,tau", families.CONJECTURE_CASES)
     def test_utilization_pattern(self, w1, w2, tau):
-        config = paper.zero_ack_fixed_window(w1, w2, tau,
-                                             duration=150.0, warmup=100.0)
+        """The whole grid, dense on both sides of W1 = W2 + 2P."""
+        config = families.conjecture_config((w1, w2, tau))
         result = run(config)
         prediction = predict(w1, w2, config.pipe_size)
         utils = list(result.utilizations().values())

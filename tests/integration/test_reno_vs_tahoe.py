@@ -64,6 +64,7 @@ class TestWhatPersists:
     def test_compression_persists(self, reno_result):
         stats = reno_result.ack_compression(1)
         assert stats.compression_factor == pytest.approx(10.0, rel=0.3)
+        assert stats.compressed_fraction > 0.2
 
     def test_mode_persists(self, reno_result):
         from repro.analysis import SyncMode
@@ -72,3 +73,10 @@ class TestWhatPersists:
 
     def test_no_ack_drops_persists(self, reno_result):
         assert reno_result.traces.drops.ack_drops == []
+
+    def test_two_way_utilization_not_below_tahoe(self, reno_result):
+        """Fast recovery softens the post-loss dip, so Reno's two-way
+        utilization is at least Tahoe's in the same configuration."""
+        tahoe = run(paper.figure4(duration=300.0, warmup=120.0))
+        assert (reno_result.utilization("sw1->sw2")
+                >= tahoe.utilization("sw1->sw2") - 0.05)

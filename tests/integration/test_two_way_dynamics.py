@@ -46,8 +46,10 @@ class TestAckCompression:
         # One-way queues alternate between adjacent values only.
         assert amplitude <= 2.0
 
-    def test_no_ack_drops_two_way(self, small_pipe):
+    def test_no_ack_drops_two_way(self, small_pipe, large_pipe):
+        """Section 4.2's argument holds on both finite-buffer runs."""
         assert small_pipe.traces.drops.ack_drops == []
+        assert large_pipe.traces.drops.ack_drops == []
 
 
 class TestOutOfPhaseMode:

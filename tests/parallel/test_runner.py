@@ -6,6 +6,7 @@ assertion is exact — measurements must be byte-identical across paths.
 """
 
 import functools
+import time
 
 import pytest
 
@@ -134,13 +135,20 @@ class TestParallelEquivalence:
 class TestCacheIntegration:
     def test_second_sweep_is_all_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
+        started = time.perf_counter()
         cold = sweep(make_config, CASES[:2], families.utilization_extract,
                      cache=cache)
+        cold_seconds = time.perf_counter() - started
         assert (cache.hits, cache.misses) == (0, 2)
+        started = time.perf_counter()
         warm = sweep(make_config, CASES[:2], families.utilization_extract,
                      cache=cache)
+        warm_seconds = time.perf_counter() - started
         assert (cache.hits, cache.misses) == (2, 2)
         assert warm == cold
+        # A warm sweep is disk reads only (the suite's
+        # `phase_sweep_cache` workload measures the ratio at > 100x).
+        assert cold_seconds >= 5.0 * warm_seconds
 
     def test_parallel_populates_cache_serial_reads_it(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -68,6 +68,7 @@ class TestCompact:
         journal.record(entry("k1"))
         journal.compact()
         journal.record(entry("k2"))
+        journal.close()
         assert set(journal.load()) == {"k1", "k2"}
 
 
