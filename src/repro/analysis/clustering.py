@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
-from repro.metrics.queue_monitor import DepartureRecord
+from repro.metrics.port_monitor import DepartureRecord
 
 __all__ = ["ClusterRun", "cluster_runs", "ClusteringStats", "clustering_stats"]
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.metrics.ack_log import AckArrivalLog
-from repro.metrics.queue_monitor import DepartureRecord
+from repro.metrics.port_monitor import DepartureRecord
 
 __all__ = ["CompressionStats", "compression_stats", "compressed_ack_bursts"]
 

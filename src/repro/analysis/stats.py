@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
-from repro.metrics.link_monitor import LinkMonitor
+from repro.metrics.port_monitor import PortMonitor
 
 __all__ = ["BatchStats", "batch_means", "utilization_batches", "t_critical_95"]
 
@@ -74,7 +74,7 @@ def batch_means(values: list[float]) -> BatchStats:
 
 
 def utilization_batches(
-    monitor: LinkMonitor,
+    monitor: PortMonitor,
     start: float,
     end: float,
     n_batches: int = 10,

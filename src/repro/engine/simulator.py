@@ -138,8 +138,9 @@ class Simulator:
         """Attach (or with ``None`` detach) a dispatch tracer.
 
         The tracer is sampled once when :meth:`run` starts — the
-        bare dispatch loop contains no tracer code at all (the
-        zero-cost fast path the perf harness guards), so attaching or
+        bare dispatch loop contains no tracer code at all (the fast
+        path ``benchmarks/perf_gate.py`` holds against the frozen,
+        hook-free kernel: ``engine.vs_frozen_kernel_pct``), so attaching or
         detaching from inside a callback takes effect on the next
         :meth:`run`/:meth:`step` call.  Tracing is observation-only;
         attaching a tracer never changes a run's trajectory.

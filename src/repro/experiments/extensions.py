@@ -100,7 +100,7 @@ def effective_pipe(duration: float = 500.0, warmup: float = 200.0) -> Experiment
     the bottleneck and convert it into effective-pipe packets; it must
     grow roughly linearly with the buffer while physical P stays fixed.
     """
-    from repro.metrics.sojourn import effective_pipe_packets
+    from repro.metrics.port_monitor import effective_pipe_packets
 
     report = ExperimentReport(
         exp_id="effective_pipe",

@@ -1,19 +1,21 @@
-"""Instrumentation: time series, queue/link monitors, drop and cwnd logs."""
+"""Instrumentation: time series, the per-port monitor, drop, cwnd and ACK logs."""
 
 from repro.metrics.ack_log import AckArrival, AckArrivalLog
 from repro.metrics.cwnd_log import CwndLog, LossEvent
 from repro.metrics.drop_log import DropLog, DropRecord
-from repro.metrics.link_monitor import LinkMonitor
-from repro.metrics.queue_monitor import DepartureRecord, QueueMonitor
-from repro.metrics.sojourn import SojournMonitor, SojournSample, effective_pipe_packets
+from repro.metrics.port_monitor import (
+    DepartureRecord,
+    PortMonitor,
+    SojournSample,
+    effective_pipe_packets,
+)
 from repro.metrics.timeseries import StepSeries
 from repro.metrics.trace import TraceSet
 
 __all__ = [
     "StepSeries",
-    "QueueMonitor",
+    "PortMonitor",
     "DepartureRecord",
-    "LinkMonitor",
     "DropLog",
     "DropRecord",
     "CwndLog",
@@ -21,7 +23,6 @@ __all__ = [
     "AckArrivalLog",
     "AckArrival",
     "TraceSet",
-    "SojournMonitor",
     "SojournSample",
     "effective_pipe_packets",
 ]

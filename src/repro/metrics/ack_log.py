@@ -36,7 +36,9 @@ class AckArrivalLog:
         sender.on_ack(self._on_ack)
 
     def _on_ack(self, time: float, packet: Packet) -> None:
-        self.arrivals.append(AckArrival(time, packet.ack))
+        # tuple.__new__ is the C constructor AckArrival's own (Python)
+        # __new__ would call: no frame per ACK.
+        self.arrivals.append(tuple.__new__(AckArrival, (time, packet.ack)))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -35,12 +35,14 @@ class CwndLog:
         self.ssthresh = StepSeries(name=f"conn{sender.conn_id}:ssthresh",
                                    initial_value=sender.options.effective_initial_ssthresh)
         self.losses: list[LossEvent] = []
+        self._record_cwnd = self.cwnd.record
+        self._record_ssthresh = self.ssthresh.record
         sender.on_cwnd_change(self._on_cwnd)
         sender.on_loss_detected(self._on_loss)
 
     def _on_cwnd(self, time: float, cwnd: float, ssthresh: float) -> None:
-        self.cwnd.record(time, cwnd)
-        self.ssthresh.record(time, ssthresh)
+        self._record_cwnd(time, cwnd)
+        self._record_ssthresh(time, ssthresh)
 
     def _on_loss(self, time: float, trigger: str, seq: int) -> None:
         self.losses.append(LossEvent(time=time, conn_id=self.conn_id,

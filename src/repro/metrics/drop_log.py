@@ -4,22 +4,20 @@ The paper's figures mark every dropped packet above the queue-length
 trace and several claims are about drop *patterns*: which connection
 lost, how many per congestion epoch, and whether any ACKs were ever
 dropped (the paper proves none can be).  :class:`DropLog` aggregates
-drop events across any number of queues into one time-ordered record.
+drop events across any number of queues into one time-ordered record;
+each watched port's :class:`~repro.metrics.port_monitor.PortMonitor`
+appends to it from its drop handler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.net.packet import Packet
-from repro.net.port import OutputPort
+from typing import NamedTuple
 
 __all__ = ["DropLog", "DropRecord"]
 
 
-@dataclass(frozen=True)
-class DropRecord:
-    """One drop-tail discard."""
+class DropRecord(NamedTuple):
+    """One discarded packet (a refused arrival or an evicted victim)."""
 
     time: float
     queue: str
@@ -34,24 +32,6 @@ class DropLog:
 
     def __init__(self) -> None:
         self.records: list[DropRecord] = []
-
-    def watch(self, port: OutputPort, name: str | None = None) -> None:
-        """Start recording drops at ``port``'s queue."""
-        label = name or port.name
-
-        def _on_drop(time: float, packet: Packet) -> None:
-            self.records.append(
-                DropRecord(
-                    time=time,
-                    queue=label,
-                    conn_id=packet.conn_id,
-                    is_data=packet.is_data,
-                    seq=packet.seq if packet.is_data else packet.ack,
-                    is_retransmit=packet.is_retransmit,
-                )
-            )
-
-        port.queue.on_drop(_on_drop)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -12,9 +12,7 @@ from repro.errors import AnalysisError
 from repro.metrics.ack_log import AckArrivalLog
 from repro.metrics.cwnd_log import CwndLog
 from repro.metrics.drop_log import DropLog
-from repro.metrics.link_monitor import LinkMonitor
-from repro.metrics.queue_monitor import QueueMonitor
-from repro.metrics.sojourn import SojournMonitor
+from repro.metrics.port_monitor import PortMonitor
 from repro.net.port import OutputPort
 from repro.tcp.connection import Connection
 
@@ -25,9 +23,10 @@ class TraceSet:
     """All monitors attached to one simulation."""
 
     def __init__(self) -> None:
-        self.queues: dict[str, QueueMonitor] = {}
-        self.links: dict[str, LinkMonitor] = {}
-        self.sojourns: dict[str, SojournMonitor] = {}
+        # One monitor per watched port, under the three names its
+        # queue, link and sojourn readers address it by.
+        self.queues: dict[str, PortMonitor] = {}
+        self.links = self.sojourns = self.queues
         self.cwnds: dict[int, CwndLog] = {}
         self.acks: dict[int, AckArrivalLog] = {}
         self.drops = DropLog()
@@ -36,14 +35,11 @@ class TraceSet:
     # Attachment
     # ------------------------------------------------------------------
     def watch_port(self, port: OutputPort, name: str | None = None) -> None:
-        """Attach queue, link, sojourn and drop monitors to ``port``."""
+        """Attach the queue / link / sojourn / drop monitor to ``port``."""
         label = name or port.name
         if label in self.queues:
             raise AnalysisError(f"port {label!r} is already watched")
-        self.queues[label] = QueueMonitor(port, name=label)
-        self.links[label] = LinkMonitor(port, name=label)
-        self.sojourns[label] = SojournMonitor(port, name=label)
-        self.drops.watch(port, name=label)
+        self.queues[label] = PortMonitor(port, name=label, drops=self.drops)
 
     def watch_connection(self, conn: Connection) -> None:
         """Attach cwnd and ACK-arrival logs to ``conn``.
@@ -63,24 +59,13 @@ class TraceSet:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def queue(self, name: str) -> QueueMonitor:
-        """The queue monitor registered under ``name``."""
+    def queue(self, name: str) -> PortMonitor:
+        """The monitor of the port watched under ``name``."""
         if name not in self.queues:
-            raise AnalysisError(f"no queue monitor named {name!r}; have {sorted(self.queues)}")
+            raise AnalysisError(f"no port monitor named {name!r}; have {sorted(self.queues)}")
         return self.queues[name]
 
-    def link(self, name: str) -> LinkMonitor:
-        """The link monitor registered under ``name``."""
-        if name not in self.links:
-            raise AnalysisError(f"no link monitor named {name!r}; have {sorted(self.links)}")
-        return self.links[name]
-
-    def sojourn(self, name: str) -> SojournMonitor:
-        """The sojourn (buffer-wait) monitor registered under ``name``."""
-        if name not in self.sojourns:
-            raise AnalysisError(
-                f"no sojourn monitor named {name!r}; have {sorted(self.sojourns)}")
-        return self.sojourns[name]
+    link = sojourn = queue
 
     def cwnd(self, conn_id: int) -> CwndLog:
         """The cwnd log of connection ``conn_id``."""

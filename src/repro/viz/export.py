@@ -59,7 +59,7 @@ def write_departures_csv(departures, path: str | Path) -> Path:
     """Write a port's departure stream (a packet-level trace) to CSV.
 
     ``departures`` is a list of
-    :class:`~repro.metrics.queue_monitor.DepartureRecord`; the resulting
+    :class:`~repro.metrics.port_monitor.DepartureRecord`; the resulting
     file is the closest thing to a packet capture this simulator
     produces and can feed external clustering/compression analyses.
     """

@@ -11,7 +11,7 @@ from repro.analysis import (
 )
 from repro.metrics.ack_log import AckArrival, AckArrivalLog
 from repro.metrics.drop_log import DropRecord
-from repro.metrics.queue_monitor import DepartureRecord
+from repro.metrics.port_monitor import DepartureRecord
 
 
 # --- Epoch detection -------------------------------------------------------

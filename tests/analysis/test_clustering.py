@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import cluster_runs, clustering_stats
 from repro.errors import AnalysisError
-from repro.metrics.queue_monitor import DepartureRecord
+from repro.metrics.port_monitor import DepartureRecord
 
 
 def _dep(time, conn, is_data=True):

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import compressed_ack_bursts, compression_stats
 from repro.errors import AnalysisError
 from repro.metrics.ack_log import AckArrival, AckArrivalLog
-from repro.metrics.queue_monitor import DepartureRecord
+from repro.metrics.port_monitor import DepartureRecord
 
 
 class FakeAckLog(AckArrivalLog):

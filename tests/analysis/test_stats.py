@@ -30,13 +30,13 @@ class TestBatchMeans:
 class TestUtilizationBatches:
     def _monitor(self):
         from repro.engine import Simulator
-        from repro.metrics import LinkMonitor
+        from repro.metrics import PortMonitor
         from repro.net import build_dumbbell
         from repro.tcp import make_tahoe_connection
 
         sim = Simulator()
         net = build_dumbbell(sim, bottleneck_propagation=0.01)
-        monitor = LinkMonitor(net.port("sw1", "sw2"))
+        monitor = PortMonitor(net.port("sw1", "sw2"))
         make_tahoe_connection(sim, net, 1, "host1", "host2")
         sim.run(until=120.0)
         return monitor

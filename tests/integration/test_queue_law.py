@@ -12,7 +12,7 @@ baseline that two-way traffic breaks.
 import pytest
 
 from repro.engine import Simulator
-from repro.metrics import QueueMonitor
+from repro.metrics import PortMonitor
 from repro.net import build_dumbbell
 from repro.tcp import make_fixed_window_connection
 from repro.units import pipe_size
@@ -23,7 +23,7 @@ def _steady_queue(windows, propagation, duration=200.0):
     sim = Simulator()
     net = build_dumbbell(sim, bottleneck_propagation=propagation,
                          buffer_packets=None)
-    monitor = QueueMonitor(net.port("sw1", "sw2"))
+    monitor = PortMonitor(net.port("sw1", "sw2"))
     for index, window in enumerate(windows, start=1):
         make_fixed_window_connection(
             sim, net, index, "host1", "host2", window=window,
@@ -61,9 +61,9 @@ class TestQueueLaw:
         sim = Simulator()
         net = build_dumbbell(sim, bottleneck_propagation=1.0,
                              buffer_packets=None)
-        from repro.metrics import LinkMonitor
+        from repro.metrics import PortMonitor
 
-        monitor = LinkMonitor(net.port("sw1", "sw2"))
+        monitor = PortMonitor(net.port("sw1", "sw2"))
         make_fixed_window_connection(sim, net, 1, "host1", "host2", window=10)
         sim.run(until=200.0)
         # W=10 against a 2P=25 pipe: utilization ~ W/2P.
@@ -79,9 +79,9 @@ class TestThroughputLaw:
         sim = Simulator()
         net = build_dumbbell(sim, bottleneck_propagation=1.0,
                              buffer_packets=None)
-        from repro.metrics import LinkMonitor
+        from repro.metrics import PortMonitor
 
-        monitor = LinkMonitor(net.port("sw1", "sw2"))
+        monitor = PortMonitor(net.port("sw1", "sw2"))
         make_fixed_window_connection(sim, net, 1, "host1", "host2",
                                      window=window)
         sim.run(until=250.0)

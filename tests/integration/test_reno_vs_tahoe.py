@@ -12,7 +12,7 @@ down what changes and what does not when fast recovery is added:
 import pytest
 
 from repro.engine import Simulator
-from repro.metrics import CwndLog, LinkMonitor
+from repro.metrics import CwndLog, PortMonitor
 from repro.net import build_dumbbell
 from repro.scenarios import paper, run
 from repro.tcp import make_reno_connection, make_tahoe_connection
@@ -21,7 +21,7 @@ from repro.tcp import make_reno_connection, make_tahoe_connection
 def _one_way_run(factory, duration=300.0):
     sim = Simulator()
     net = build_dumbbell(sim, bottleneck_propagation=1.0, buffer_packets=20)
-    monitor = LinkMonitor(net.port("sw1", "sw2"))
+    monitor = PortMonitor(net.port("sw1", "sw2"))
     conn = factory(sim, net, 1, "host1", "host2")
     log = CwndLog(conn.sender)
     sim.run(until=duration)

@@ -1,4 +1,4 @@
-"""Unit tests for queue/link/drop/cwnd/ack monitors."""
+"""Unit tests for the port monitor and the drop/cwnd/ack logs."""
 
 import pytest
 
@@ -9,8 +9,8 @@ from repro.metrics import (
     CwndLog,
     DepartureRecord,
     DropLog,
-    LinkMonitor,
-    QueueMonitor,
+    DropRecord,
+    PortMonitor,
     SojournSample,
     TraceSet,
 )
@@ -22,10 +22,8 @@ def _loaded_network(until=30.0):
     """A dumbbell with one Tahoe connection run for a while."""
     sim = Simulator()
     net = build_dumbbell(sim, bottleneck_propagation=0.01, buffer_packets=5)
-    queue_mon = QueueMonitor(net.port("sw1", "sw2"))
-    link_mon = LinkMonitor(net.port("sw1", "sw2"))
     drops = DropLog()
-    drops.watch(net.port("sw1", "sw2"))
+    queue_mon = link_mon = PortMonitor(net.port("sw1", "sw2"), drops=drops)
     conn = make_tahoe_connection(sim, net, 1, "host1", "host2")
     cwnd_log = CwndLog(conn.sender)
     ack_log = AckArrivalLog(conn.sender)
@@ -200,7 +198,7 @@ class TestByteLengths:
         sink = Sink(sim, "sink")
         link = Link(sim, "w", 0.0, destination=sink)
         port = OutputPort(sim, "p", 50_000.0, link, buffer_packets=None)
-        monitor = QueueMonitor(port)
+        monitor = PortMonitor(port)
         # First packet bypasses the queue (transmitting); next two buffer.
         port.send(Packet(conn_id=1, kind=PacketKind.DATA, seq=0, size=500))
         port.send(Packet(conn_id=1, kind=PacketKind.DATA, seq=1, size=500))
@@ -242,6 +240,9 @@ class TestRecordTypes:
         (SojournSample,
          dict(departed_at=1.5, wait=0.25, is_data=False, conn_id=2)),
         (AckArrival, dict(time=1.5, ack=8)),
+        (DropRecord,
+         dict(time=1.5, queue="sw1->sw2", conn_id=2, is_data=True, seq=7,
+              is_retransmit=False)),
     ]
 
     @pytest.mark.parametrize("record_type, fields", CASES,
@@ -268,10 +269,13 @@ class TestRecordTypes:
         assert hash(record) == hash(record_type(**fields))
 
     def test_monitors_log_these_types(self):
-        _, _, _, queue_mon, _, _, _, ack_log = _loaded_network(until=5.0)
+        _, _, _, queue_mon, _, drops, _, ack_log = _loaded_network(until=30.0)
         departure = queue_mon.departures[0]
         assert type(departure) is DepartureRecord
         assert departure.is_data is True and departure.size == 500
+        assert type(queue_mon.samples[0]) is SojournSample
+        assert type(drops.records[0]) is DropRecord
+        assert drops.records[0].queue == queue_mon.name
         assert type(ack_log.arrivals[0]) is AckArrival
 
     def test_logs_stay_plain_assignable_lists(self):

@@ -1,9 +1,9 @@
-"""Unit tests for repro.metrics.sojourn."""
+"""Unit tests for the sojourn (buffer-wait) side of repro.metrics.PortMonitor."""
 
 import pytest
 
 from repro.engine import Simulator
-from repro.metrics import SojournMonitor, effective_pipe_packets
+from repro.metrics import PortMonitor, effective_pipe_packets
 from repro.net import Link, OutputPort, Packet, PacketKind
 from repro.net.node import Node
 
@@ -18,7 +18,7 @@ def _setup(bandwidth=50_000.0):
     sink = SinkNode(sim, "sink")
     link = Link(sim, "wire", 0.0, destination=sink)
     port = OutputPort(sim, "port", bandwidth, link, buffer_packets=None)
-    monitor = SojournMonitor(port)
+    monitor = PortMonitor(port)
     return sim, port, monitor
 
 
@@ -100,7 +100,7 @@ class TestEffectivePipeEndToEnd:
         sim = Simulator()
         net = build_dumbbell(sim, bottleneck_propagation=0.01,
                              buffer_packets=None)
-        monitor = SojournMonitor(net.port("sw1", "sw2"))
+        monitor = PortMonitor(net.port("sw1", "sw2"))
         make_fixed_window_connection(sim, net, 1, "host1", "host2", window=20)
         make_fixed_window_connection(sim, net, 2, "host2", "host1", window=15,
                                      start_time=1.1)
@@ -112,7 +112,7 @@ class TestEffectivePipeEndToEnd:
         sim2 = Simulator()
         net2 = build_dumbbell(sim2, bottleneck_propagation=0.01,
                               buffer_packets=None)
-        reverse = SojournMonitor(net2.port("sw2", "sw1"))
+        reverse = PortMonitor(net2.port("sw2", "sw1"))
         make_fixed_window_connection(sim2, net2, 1, "host1", "host2", window=20)
         sim2.run(until=120.0)
         one_way_ack_wait = reverse.mean_wait(data_only=False, start=60.0)

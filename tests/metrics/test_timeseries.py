@@ -42,6 +42,17 @@ class TestRecording:
         assert np.array_equal(series.times, [1.0, 2.0])
         assert np.array_equal(series.values, [5.0, 7.0])
 
+    def test_numpy_views_read_the_columns_in_place(self):
+        series = make_series([(1, 5), (2.0, 7.0)])  # ints coerce on append
+        times, values = series.times, series.values
+        assert times.dtype == values.dtype == np.float64
+        assert np.shares_memory(times, series.times)
+        with pytest.raises(ValueError):
+            values[0] = 99.0  # a view of the series itself, so read-only
+        del times, values
+        series.record(3.0, 9.0)  # no view alive: the columns grow again
+        assert list(series) == [(1.0, 5.0), (2.0, 7.0), (3.0, 9.0)]
+
 
 class TestValueAt:
     def test_before_first_point_is_initial(self):

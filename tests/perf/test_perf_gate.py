@@ -20,6 +20,7 @@ GOOD = {
         "parallel.runner_overhead_pct": {"value": 0.5, "unit": "%"},
         "scenarios.run_overhead_pct": {"value": 0.5, "unit": "%"},
         "net.red_overhead_pct": {"value": 25.0, "unit": "%"},
+        "metrics.monitor_overhead_pct.two_way": {"value": 23.5, "unit": "%"},
         "engine.cancel_pairs_per_s": {"value": 1.0e6, "unit": "1/s"},
         "engine.tick_events_per_s": {"value": 1.2e6, "unit": "1/s"},
     },

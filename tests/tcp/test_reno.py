@@ -128,7 +128,7 @@ class TestEndToEnd:
         """With isolated single drops, fast recovery avoids the slow-start
         dip, so Reno's one-way utilization is at least Tahoe's."""
         from repro.engine import Simulator
-        from repro.metrics import LinkMonitor
+        from repro.metrics import PortMonitor
         from repro.net import build_dumbbell
         from repro.tcp import make_reno_connection, make_tahoe_connection
 
@@ -136,7 +136,7 @@ class TestEndToEnd:
             sim = Simulator()
             net = build_dumbbell(sim, bottleneck_propagation=1.0,
                                  buffer_packets=20)
-            monitor = LinkMonitor(net.port("sw1", "sw2"))
+            monitor = PortMonitor(net.port("sw1", "sw2"))
             factory(sim, net, 1, "host1", "host2")
             sim.run(until=300.0)
             return monitor.utilization(100.0, 300.0)

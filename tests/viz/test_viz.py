@@ -104,7 +104,7 @@ class TestCsvExport:
 
 class TestDeparturesCsv:
     def test_departure_trace_export(self, tmp_path):
-        from repro.metrics.queue_monitor import DepartureRecord
+        from repro.metrics.port_monitor import DepartureRecord
         from repro.viz import write_departures_csv
 
         departures = [
