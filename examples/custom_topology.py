@@ -14,7 +14,7 @@ Run:
 from repro.engine import Simulator
 from repro.metrics import TraceSet
 from repro.net import build_chain
-from repro.tcp import TcpOptions, make_tahoe_connection
+from repro.tcp import TcpOptions, make_connection
 from repro.units import kbps
 from repro.viz import plot_series, write_drops_csv, write_series_csv
 
@@ -34,12 +34,12 @@ def main() -> None:
         traces.watch_port(net.port(a, b))
 
     options = TcpOptions()  # the paper's defaults: 500B data, 50B ACKs
-    long_haul = make_tahoe_connection(
+    long_haul = make_connection(
         sim, net, conn_id=1, src_host="host1", dst_host="host3",
-        options=options, start_time=0.0)
-    cross_flow = make_tahoe_connection(
+        algorithm="tahoe", options=options, start_time=0.0)
+    cross_flow = make_connection(
         sim, net, conn_id=2, src_host="host3", dst_host="host2",
-        options=options, start_time=1.7)
+        algorithm="tahoe", options=options, start_time=1.7)
     for conn in (long_haul, cross_flow):
         traces.watch_connection(conn)
 

@@ -7,9 +7,9 @@ control algorithm will exhibit these two phenomena", and in the summary:
 function."
 
 This example runs the same two-way fixed-window workload twice —
-nonpaced (transmit immediately on every ACK) and paced at the bottleneck
-data rate — and compares clustering, ACK-compression, and queue
-fluctuation side by side.
+nonpaced (``algorithm="fixed"``: transmit immediately on every ACK) and
+paced at the bottleneck data rate (``algorithm="paced"``) — and compares
+clustering, ACK-compression, and queue fluctuation side by side.
 
 Run:
     python examples/pacing_counterfactual.py
@@ -18,54 +18,22 @@ Run:
 from repro.analysis import (
     cluster_runs,
     clustering_stats,
-    compression_stats,
     rapid_fluctuation_amplitude,
 )
-from repro.engine import Simulator
-from repro.metrics import TraceSet
-from repro.net import build_dumbbell
 from repro.scenarios import paper, run
-from repro.tcp import make_paced_connection
 from repro.viz import plot_series
 
-DATA_TX = 0.08  # 500 B at 50 Kbps
-WINDOW_1, WINDOW_2 = 30, 25
 START, END = 150.0, 300.0
 
 
-def run_nonpaced():
-    """The paper's Figure 8 system: nonpaced fixed windows."""
-    result = run(paper.figure8(duration=END, warmup=START))
-    return result.traces, result.queue_series("sw1->sw2")
-
-
-def run_paced():
-    """Same workload, transmissions spaced by the bottleneck data rate."""
-    sim = Simulator()
-    net = build_dumbbell(sim, bottleneck_propagation=0.01, buffer_packets=None)
-    traces = TraceSet()
-    traces.watch_port(net.port("sw1", "sw2"), name="sw1->sw2")
-    traces.watch_port(net.port("sw2", "sw1"), name="sw2->sw1")
-    conns = [
-        make_paced_connection(sim, net, 1, "host1", "host2",
-                              window=WINDOW_1, pace_interval=DATA_TX),
-        make_paced_connection(sim, net, 2, "host2", "host1",
-                              window=WINDOW_2, pace_interval=DATA_TX,
-                              start_time=1.3),
-    ]
-    for conn in conns:
-        traces.watch_connection(conn)
-    sim.run(until=END)
-    return traces, traces.queue("sw1->sw2").lengths
-
-
-def report(label, traces, series):
-    stats = compression_stats(traces.ack_log(1), data_tx_time=DATA_TX,
-                              start=START, end=END)
+def report(label, result):
+    series = result.queue_series("sw1->sw2")
+    stats = result.ack_compression(1)
     clusters = clustering_stats(cluster_runs(
-        traces.queue("sw1->sw2").departures, data_only=False,
+        result.traces.queue("sw1->sw2").departures, data_only=False,
         start=START, end=END))
-    amplitude = rapid_fluctuation_amplitude(series, START, END, window=DATA_TX)
+    amplitude = rapid_fluctuation_amplitude(
+        series, START, END, window=result.config.data_tx_time)
     print(f"{label}:")
     print(f"  ACK compression factor:   {stats.compression_factor:5.1f} "
           f"(compressed fraction {stats.compressed_fraction:.0%})")
@@ -79,13 +47,11 @@ def report(label, traces, series):
 
 
 def main() -> None:
-    print(f"two-way fixed windows {WINDOW_1}/{WINDOW_2}, tau=0.01 s, "
-          "infinite buffers\n")
-    nonpaced_traces, nonpaced_series = run_nonpaced()
-    report("NONPACED (the paper's system)", nonpaced_traces, nonpaced_series)
-
-    paced_traces, paced_series = run_paced()
-    report("PACED at the bottleneck rate", paced_traces, paced_series)
+    print("two-way fixed windows 30/25, tau=0.01 s, infinite buffers\n")
+    report("NONPACED (the paper's system)",
+           run(paper.figure8(duration=END, warmup=START)))
+    report("PACED at the bottleneck rate",
+           run(paper.paced_two_way(duration=END, warmup=START)))
 
     print("conclusion: pacing removes clustering, and without clusters")
     print("there is nothing for the queue to compress — exactly the")

@@ -7,7 +7,8 @@ The package provides:
 
 - ``repro.engine`` — a deterministic discrete-event simulator;
 - ``repro.net`` — links, drop-tail FIFO switches, hosts, topologies;
-- ``repro.tcp`` — BSD 4.3-Tahoe TCP and fixed-window senders;
+- ``repro.tcp`` — one sender core plus Tahoe, Reno, AIMD, fixed and
+  paced window strategies;
 - ``repro.metrics`` — queue/cwnd/drop/utilization instrumentation;
 - ``repro.analysis`` — ACK-compression, clustering, synchronization-mode
   and congestion-epoch analyses;
@@ -46,7 +47,7 @@ from repro.errors import (
 )
 from repro.net import Network, build_chain, build_dumbbell
 from repro.scenarios import ScenarioConfig, ScenarioResult, run
-from repro.tcp import TahoeSender, TcpOptions
+from repro.tcp import Sender, TcpOptions
 
 __version__ = "1.0.0"
 
@@ -65,7 +66,7 @@ __all__ = [
     "Network",
     "build_dumbbell",
     "build_chain",
-    "TahoeSender",
+    "Sender",
     "TcpOptions",
     "ScenarioConfig",
     "ScenarioResult",

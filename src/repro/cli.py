@@ -392,15 +392,10 @@ def _cmd_list() -> int:
 
 
 def _cmd_algorithms() -> int:
-    from repro.tcp import algorithm_names, create_control
+    from repro.tcp import algorithm_factory, algorithm_names
 
     for name in algorithm_names():
-        try:
-            control = create_control(name, {"window": 1} if name == "fixed" else {})
-            kind = type(control).__name__
-        except ReproError:  # pragma: no cover - factory needs params
-            kind = "?"
-        print(f"{name:12}  {kind}")
+        print(f"{name:12}  {algorithm_factory(name).__name__}")
     return 0
 
 

@@ -14,8 +14,7 @@ from repro.experiments.report import ExperimentReport
 from repro.scenarios import paper, run
 
 __all__ = ["four_switch", "four_switch_fifty", "aimd_conjecture",
-           "clustering_two_way", "effective_pipe", "paced_two_way", "pacing",
-           "unequal_rtt"]
+           "clustering_two_way", "effective_pipe", "pacing", "unequal_rtt"]
 
 
 def four_switch(duration: float = 500.0, warmup: float = 200.0) -> ExperimentReport:
@@ -127,44 +126,13 @@ def effective_pipe(duration: float = 500.0, warmup: float = 200.0) -> Experiment
     return report
 
 
-PACED_DATA_TX = 0.08  # 500 B at 50 kbit/s: the bottleneck data rate
-
-
-def paced_two_way(duration: float):
-    """Figure 8's fixed windows (30/25, tau = 0.01 s, infinite buffers)
-    with both senders paced at the bottleneck data rate; returns the
-    run's :class:`~repro.metrics.trace.TraceSet`."""
-    from repro.engine import Simulator
-    from repro.metrics.trace import TraceSet
-    from repro.net.topology import build_dumbbell
-    from repro.tcp.connection import make_paced_connection
-
-    sim = Simulator()
-    net = build_dumbbell(sim, bottleneck_propagation=0.01, buffer_packets=None)
-    traces = TraceSet()
-    traces.watch_port(net.port("sw1", "sw2"), name="sw1->sw2")
-    traces.watch_port(net.port("sw2", "sw1"), name="sw2->sw1")
-    for conn in (
-        make_paced_connection(sim, net, 1, "host1", "host2",
-                              window=30, pace_interval=PACED_DATA_TX),
-        make_paced_connection(sim, net, 2, "host2", "host1",
-                              window=25, pace_interval=PACED_DATA_TX,
-                              start_time=1.3),
-    ):
-        traces.watch_connection(conn)
-    sim.run(until=duration)
-    return traces
-
-
 def pacing(duration: float = 250.0, warmup: float = 100.0) -> ExperimentReport:
     """Sections 3.1/6: pacing removes clustering and hence compression.
 
     The paper conjectures every *nonpaced* window algorithm exhibits the
     two phenomena and suggests future designs need better clocking; the
-    counterfactual paced sender confirms the mechanism.
+    counterfactual paced strategy confirms the mechanism.
     """
-    from repro.analysis.compression import compression_stats
-
     report = ExperimentReport(
         exp_id="pacing",
         title="Pacing counterfactual: no clusters, no compression",
@@ -174,12 +142,10 @@ def pacing(duration: float = 250.0, warmup: float = 100.0) -> ExperimentReport:
     nonpaced = run(paper.figure8(duration=duration, warmup=warmup))
     nonpaced_stats = nonpaced.ack_compression(1)
 
-    traces = paced_two_way(duration)
-    paced_stats = compression_stats(traces.ack_log(1),
-                                    data_tx_time=PACED_DATA_TX,
-                                    start=warmup, end=duration)
+    paced = run(paper.paced_two_way(duration=duration, warmup=warmup))
+    paced_stats = paced.ack_compression(1)
     paced_clusters = clustering_stats(cluster_runs(
-        traces.queue("sw1->sw2").departures, data_only=False,
+        paced.traces.queue("sw1->sw2").departures, data_only=False,
         start=warmup, end=duration))
 
     report.add("nonpaced compression factor", "RA/RD = 10",

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.net.packet import Packet
-from repro.tcp.pacing import PacedWindowSender
 from repro.tcp.sender import Sender
 
 __all__ = ["AckArrivalLog", "AckArrival"]
@@ -30,7 +29,7 @@ class AckArrival(NamedTuple):
 class AckArrivalLog:
     """Records the ACK arrival process of one sender."""
 
-    def __init__(self, sender: Sender | PacedWindowSender) -> None:
+    def __init__(self, sender: Sender) -> None:
         self.conn_id = sender.conn_id
         self.arrivals: list[AckArrival] = []
         sender.on_ack(self._on_ack)

@@ -46,13 +46,12 @@ class TraceSet:
 
         Any sender whose congestion-control strategy is *adaptive* —
         one with a dynamic window worth tracing (Tahoe, Reno, AIMD,
-        ...) — gets a :class:`CwndLog`; fixed-window and paced senders
-        have no dynamic window to log.
+        ...) — gets a :class:`CwndLog`; fixed and paced windows have
+        nothing dynamic to log.
         """
         if conn.conn_id in self.acks:
             raise AnalysisError(f"connection {conn.conn_id} is already watched")
-        control = getattr(conn.sender, "control", None)
-        if control is not None and control.adaptive:
+        if conn.sender.control.adaptive:
             self.cwnds[conn.conn_id] = CwndLog(conn.sender)
         self.acks[conn.conn_id] = AckArrivalLog(conn.sender)
 

@@ -41,6 +41,7 @@ from repro.obs.metrics.core import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios.builder import BuiltScenario
+    from repro.tcp.connection import Connection
 
 __all__ = ["ScenarioMeter", "resolve_meter"]
 
@@ -123,13 +124,13 @@ class ScenarioMeter:
         port.on_departure(on_departure)
 
     @staticmethod
-    def _probe_rtt(conn: object, hist: Histogram) -> None:
+    def _probe_rtt(conn: "Connection", hist: Histogram) -> None:
         observe = hist.observe
 
         def on_rtt(time: float, rtt: float) -> None:
             observe(rtt)
 
-        conn.sender.on_rtt_sample(on_rtt)  # type: ignore[attr-defined]
+        conn.sender.on_rtt_sample(on_rtt)
 
     # ------------------------------------------------------------------
     # Post-run harvest

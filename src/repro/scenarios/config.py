@@ -242,21 +242,16 @@ def substitute_algorithm(
     """``config`` with every flow switched to ``algorithm``.
 
     A pure transform for counterfactual runs ("the same scenario under
-    AIMD"): per-flow ``window`` and ``start_time`` survive — so a
-    fixed-window grid keeps its W1/W2 as window caps — while the old
-    algorithm and its parameters are replaced wholesale.  The scenario
+    AIMD"): every other per-flow field survives — so a fixed-window
+    grid keeps its W1/W2 as window caps and an RTT-spread population
+    its ``access_propagation`` — while the old algorithm and its
+    parameters are replaced wholesale.  The scenario
     is renamed (``<name>+<algorithm>`` by default) so caches and
     manifests cannot confuse the substituted run with the original.
     """
     flows = tuple(
-        FlowSpec(
-            src=flow.src,
-            dst=flow.dst,
-            algorithm=algorithm,
-            params=() if params is None else params,
-            window=flow.window,
-            start_time=flow.start_time,
-        )
+        replace(flow, algorithm=algorithm,
+                params=() if params is None else params)
         for flow in config.flows
     )
     return replace(config, flows=flows, name=name or f"{config.name}+{algorithm}")

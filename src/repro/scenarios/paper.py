@@ -8,6 +8,8 @@ figures are (they plot windows hundreds of seconds into the runs).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.scenarios.config import FlowSpec, ScenarioConfig, TopologyKind
 from repro.tcp.options import TcpOptions
 from repro.units import LARGE_PIPE_PROPAGATION, SMALL_PIPE_PROPAGATION
@@ -23,6 +25,7 @@ __all__ = [
     "fixed_window_two_way",
     "figure8",
     "figure9",
+    "paced_two_way",
     "zero_ack_fixed_window",
     "delayed_ack_two_way",
     "reno_two_way",
@@ -219,6 +222,29 @@ def figure9(duration: float = 600.0, warmup: float = 400.0) -> ScenarioConfig:
     return fixed_window_two_way(
         w1=30, w2=25, propagation=LARGE_PIPE_PROPAGATION,
         duration=duration, warmup=warmup, name="figure9",
+    )
+
+
+def paced_two_way(duration: float = 250.0, warmup: float = 100.0) -> ScenarioConfig:
+    """Section 3.1's counterfactual: Figure 8's system with both fixed
+    windows (30/25) paced at the bottleneck data rate.
+
+    Starts are explicit (0.0 and 1.3 s), not jittered: the run is
+    pinned by digest in ``tests/tcp/test_pacing.py``.
+    """
+    base = figure8(duration=duration, warmup=warmup)
+    pace = {"pace_interval": base.data_tx_time}
+    flows = (
+        FlowSpec(src="host1", dst="host2", algorithm="paced", window=30,
+                 params=pace, start_time=0.0),
+        FlowSpec(src="host2", dst="host1", algorithm="paced", window=25,
+                 params=pace, start_time=1.3),
+    )
+    return replace(
+        base,
+        name="paced-two-way",
+        description="paced fixed windows 30/25, tau=0.01s, infinite buffers",
+        flows=flows,
     )
 
 

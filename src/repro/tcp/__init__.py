@@ -12,22 +12,16 @@ from repro.tcp.congestion import (
     AimdControl,
     CongestionControl,
     FixedWindowControl,
+    PacedControl,
     RenoControl,
     TahoeControl,
+    algorithm_factory,
     algorithm_names,
     create_control,
     is_registered,
     register_algorithm,
 )
-from repro.tcp.connection import (
-    Connection,
-    make_connection,
-    make_fixed_window_connection,
-    make_paced_connection,
-    make_reno_connection,
-    make_tahoe_connection,
-)
-from repro.tcp.fixed_window import FixedWindowSender
+from repro.tcp.connection import Connection, make_connection
 from repro.tcp.observers import (
     AckObserver,
     CwndObserver,
@@ -35,35 +29,27 @@ from repro.tcp.observers import (
     SendObserver,
 )
 from repro.tcp.options import TcpOptions
-from repro.tcp.pacing import PacedWindowSender
 from repro.tcp.receiver import TcpReceiver
-from repro.tcp.reno import RenoSender
 from repro.tcp.rto import RttEstimator
-from repro.tcp.sender import Sender, TahoeSender
+from repro.tcp.sender import Sender
 
 __all__ = [
     "TcpOptions",
     "Sender",
-    "TahoeSender",
     "TcpReceiver",
-    "FixedWindowSender",
     "RttEstimator",
-    "PacedWindowSender",
     "Connection",
     "make_connection",
-    "make_tahoe_connection",
-    "make_fixed_window_connection",
-    "make_paced_connection",
-    "RenoSender",
-    "make_reno_connection",
     "CongestionControl",
     "TahoeControl",
     "RenoControl",
     "FixedWindowControl",
+    "PacedControl",
     "AimdControl",
     "register_algorithm",
     "create_control",
     "algorithm_names",
+    "algorithm_factory",
     "is_registered",
     "CwndObserver",
     "LossObserver",

@@ -14,7 +14,9 @@ worker processes, which re-import modules rather than inherit state.
 from repro.tcp.congestion.aimd import AimdControl
 from repro.tcp.congestion.base import CongestionControl
 from repro.tcp.congestion.fixed import FixedWindowControl
+from repro.tcp.congestion.paced import PacedControl
 from repro.tcp.congestion.registry import (
+    algorithm_factory,
     algorithm_names,
     create_control,
     is_registered,
@@ -28,14 +30,17 @@ __all__ = [
     "TahoeControl",
     "RenoControl",
     "FixedWindowControl",
+    "PacedControl",
     "AimdControl",
     "register_algorithm",
     "create_control",
     "algorithm_names",
+    "algorithm_factory",
     "is_registered",
 ]
 
 register_algorithm("tahoe", TahoeControl)
 register_algorithm("reno", RenoControl)
 register_algorithm("fixed", FixedWindowControl)
+register_algorithm("paced", PacedControl)
 register_algorithm("aimd", AimdControl)

@@ -25,9 +25,10 @@ and the result cache addresses runs by config hash alone.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.simulator import Simulator
     from repro.tcp.sender import Sender
 
 __all__ = ["CongestionControl"]
@@ -66,6 +67,23 @@ class CongestionControl:
         Override to seed transport window state (e.g. a fixed window
         writes ``t.cwnd``); must not schedule events or send packets.
         """
+
+    def bind_fill(self, sim: "Simulator", t: "Sender") -> Callable[[], None] | None:
+        """The fill seam: take over *when* the window is filled.
+
+        Called once, from ``Sender.__init__`` after :meth:`attach`.
+        ``None`` — every nonpaced strategy — leaves the transport's own
+        back-to-back fill in place, at no per-packet cost.  A strategy
+        that returns a callable replaces it: the transport calls it
+        wherever it would have filled the window (start, every ACK of
+        new data, after a loss reaction) and the strategy decides how
+        many packets leave now (``t.send_next()``, never past its
+        :meth:`usable_window`) and when to look again (its own wake-up
+        event on ``sim``).  It must not touch reliability state —
+        ``snd_una``, the timer, RTT sampling: pacing changes when
+        packets leave, not what counts as outstanding.
+        """
+        return None
 
     def usable_window(self, t: "Sender") -> int:
         """How many packets may be outstanding right now (>= 1)."""

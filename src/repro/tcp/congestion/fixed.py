@@ -10,8 +10,8 @@ anything.
 ``reliable = False``: these experiments use infinite buffers and
 error-free links, so nothing is ever lost and the transport runs no
 retransmission machinery for the flow.  If a packet *is* dropped (a
-misconfigured scenario), the connection stalls; the sender's
-``stalled`` flag surfaces this rather than hiding it.
+misconfigured scenario), the connection stalls with the full window
+outstanding and no ACKs arriving, rather than hiding the loss.
 """
 
 from __future__ import annotations

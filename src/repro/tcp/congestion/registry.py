@@ -33,6 +33,7 @@ __all__ = [
     "register_algorithm",
     "create_control",
     "algorithm_names",
+    "algorithm_factory",
     "is_registered",
 ]
 
@@ -72,6 +73,15 @@ def algorithm_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def algorithm_factory(name: str) -> AlgorithmFactory:
+    """The factory registered under ``name``, not instantiated."""
+    if name not in _REGISTRY:
+        raise ConfigurationError(
+            f"unknown algorithm {name!r}; registered: "
+            f"{', '.join(algorithm_names()) or '(none)'}")
+    return _REGISTRY[name]
+
+
 def is_registered(name: str) -> bool:
     """Whether ``name`` resolves to a factory."""
     return name in _REGISTRY
@@ -89,11 +99,7 @@ def create_control(
     a bad sweep point fails with context instead of a bare TypeError
     from deep inside a worker process.
     """
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown algorithm {name!r}; registered: "
-            f"{', '.join(algorithm_names()) or '(none)'}")
-    factory = _REGISTRY[name]
+    factory = algorithm_factory(name)
     kwargs = dict(params) if params else {}
     try:
         control = factory(**kwargs)

@@ -6,10 +6,9 @@ demultiplexers, and schedules the sender's start time.  Connections
 pre-exist (the paper removes set-up/close), so "start" just means the
 first window transmission.
 
-:func:`make_connection` is the algorithm-agnostic factory: it resolves
-a registry name (or takes a ready strategy instance) and wires a
-unified :class:`~repro.tcp.sender.Sender` around it.  The named
-factories below it are conveniences for the built-in algorithms.
+:func:`make_connection` is the one factory: it resolves a registry
+name (or takes a ready strategy instance) and wires a
+:class:`~repro.tcp.sender.Sender` around it.
 """
 
 from __future__ import annotations
@@ -24,37 +23,21 @@ from repro.net.topology import Network
 from repro.tcp.congestion.base import CongestionControl
 from repro.tcp.congestion.fixed import FixedWindowControl
 from repro.tcp.congestion.registry import create_control
-from repro.tcp.fixed_window import FixedWindowSender
 from repro.tcp.options import TcpOptions
-from repro.tcp.pacing import PacedWindowSender
 from repro.tcp.receiver import TcpReceiver
-from repro.tcp.reno import RenoSender
-from repro.tcp.sender import Sender, TahoeSender
+from repro.tcp.sender import Sender
 
-__all__ = [
-    "Connection",
-    "make_connection",
-    "make_tahoe_connection",
-    "make_reno_connection",
-    "make_fixed_window_connection",
-    "make_paced_connection",
-]
+__all__ = ["Connection", "make_connection"]
 
 
 @dataclass
 class Connection:
-    """One unidirectional transport connection, fully wired.
-
-    ``sender`` is a unified :class:`~repro.tcp.sender.Sender` (whatever
-    its congestion-control strategy) or a
-    :class:`~repro.tcp.pacing.PacedWindowSender`; ``receiver`` is
-    always a :class:`TcpReceiver`.
-    """
+    """One unidirectional transport connection, fully wired."""
 
     conn_id: int
     src_host: str
     dst_host: str
-    sender: Sender | PacedWindowSender
+    sender: Sender
     receiver: TcpReceiver
     start_time: float = 0.0
     options: TcpOptions = field(default_factory=TcpOptions)
@@ -62,52 +45,7 @@ class Connection:
     @property
     def is_fixed_window(self) -> bool:
         """True for fixed-window (non-adaptive) connections."""
-        control = getattr(self.sender, "control", None)
-        return isinstance(control, FixedWindowControl)
-
-    @property
-    def is_paced(self) -> bool:
-        """True for paced (rate-spaced) connections."""
-        return isinstance(self.sender, PacedWindowSender)
-
-
-def _wire(
-    sim: Simulator,
-    net: Network,
-    conn: Connection,
-) -> Connection:
-    src = net.host(conn.src_host)
-    dst = net.host(conn.dst_host)
-    if conn.src_host == conn.dst_host:
-        raise ConfigurationError("connection endpoints must differ")
-    # ACKs come back to the source host; DATA arrives at the destination.
-    src.register_endpoint(conn.conn_id, PacketKind.ACK, conn.sender)
-    dst.register_endpoint(conn.conn_id, PacketKind.DATA, conn.receiver)
-    sim.schedule_at(conn.start_time, conn.sender.start, label=f"conn{conn.conn_id}:start")
-    return conn
-
-
-def _finish(
-    sim: Simulator,
-    net: Network,
-    conn_id: int,
-    src_host: str,
-    dst_host: str,
-    sender: Sender | PacedWindowSender,
-    opts: TcpOptions,
-    start_time: float,
-) -> Connection:
-    receiver = TcpReceiver(sim, net.host(dst_host), conn_id, src_host, opts)
-    conn = Connection(
-        conn_id=conn_id,
-        src_host=src_host,
-        dst_host=dst_host,
-        sender=sender,
-        receiver=receiver,
-        start_time=start_time,
-        options=opts,
-    )
-    return _wire(sim, net, conn)
+        return isinstance(self.sender.control, FixedWindowControl)
 
 
 def make_connection(
@@ -127,6 +65,8 @@ def make_connection(
     an already-built :class:`CongestionControl` instance (``params``
     must then be empty).
     """
+    if src_host == dst_host:
+        raise ConfigurationError("connection endpoints must differ")
     opts = options or TcpOptions()
     if isinstance(algorithm, CongestionControl):
         if params:
@@ -136,75 +76,20 @@ def make_connection(
         control = algorithm
     else:
         control = create_control(algorithm, params)
-    sender = Sender(sim, net.host(src_host), conn_id, dst_host,
-                    options=opts, control=control)
-    return _finish(sim, net, conn_id, src_host, dst_host, sender, opts, start_time)
-
-
-def make_tahoe_connection(
-    sim: Simulator,
-    net: Network,
-    conn_id: int,
-    src_host: str,
-    dst_host: str,
-    options: TcpOptions | None = None,
-    start_time: float = 0.0,
-) -> Connection:
-    """Create, register and schedule a Tahoe TCP connection."""
-    opts = options or TcpOptions()
-    sender = TahoeSender(sim, net.host(src_host), conn_id, dst_host, opts)
-    return _finish(sim, net, conn_id, src_host, dst_host, sender, opts, start_time)
-
-
-def make_reno_connection(
-    sim: Simulator,
-    net: Network,
-    conn_id: int,
-    src_host: str,
-    dst_host: str,
-    options: TcpOptions | None = None,
-    start_time: float = 0.0,
-) -> Connection:
-    """Create, register and schedule a Reno (fast-recovery) connection."""
-    opts = options or TcpOptions()
-    sender = RenoSender(sim, net.host(src_host), conn_id, dst_host, opts)
-    return _finish(sim, net, conn_id, src_host, dst_host, sender, opts, start_time)
-
-
-def make_paced_connection(
-    sim: Simulator,
-    net: Network,
-    conn_id: int,
-    src_host: str,
-    dst_host: str,
-    window: int,
-    pace_interval: float,
-    options: TcpOptions | None = None,
-    start_time: float = 0.0,
-) -> Connection:
-    """Create, register and schedule a paced fixed-window connection.
-
-    The paper's pacing counterfactual (Section 3.1): transmissions are
-    spaced by ``pace_interval`` regardless of ACK bunching, so packet
-    clustering — and with it ACK-compression — cannot form.
-    """
-    opts = options or TcpOptions()
-    sender = PacedWindowSender(sim, net.host(src_host), conn_id, dst_host,
-                               window, pace_interval, opts)
-    return _finish(sim, net, conn_id, src_host, dst_host, sender, opts, start_time)
-
-
-def make_fixed_window_connection(
-    sim: Simulator,
-    net: Network,
-    conn_id: int,
-    src_host: str,
-    dst_host: str,
-    window: int,
-    options: TcpOptions | None = None,
-    start_time: float = 0.0,
-) -> Connection:
-    """Create, register and schedule a fixed-window connection."""
-    opts = options or TcpOptions()
-    sender = FixedWindowSender(sim, net.host(src_host), conn_id, dst_host, window, opts)
-    return _finish(sim, net, conn_id, src_host, dst_host, sender, opts, start_time)
+    src = net.host(src_host)
+    dst = net.host(dst_host)
+    sender = Sender(sim, src, conn_id, dst_host, options=opts, control=control)
+    receiver = TcpReceiver(sim, dst, conn_id, src_host, opts)
+    # ACKs come back to the source host; DATA arrives at the destination.
+    src.register_endpoint(conn_id, PacketKind.ACK, sender)
+    dst.register_endpoint(conn_id, PacketKind.DATA, receiver)
+    sim.schedule_at(start_time, sender.start, label=f"conn{conn_id}:start")
+    return Connection(
+        conn_id=conn_id,
+        src_host=src_host,
+        dst_host=dst_host,
+        sender=sender,
+        receiver=receiver,
+        start_time=start_time,
+        options=opts,
+    )

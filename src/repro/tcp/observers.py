@@ -1,10 +1,10 @@
 """Shared observer callback signatures for transport senders.
 
-Every sender exposes the same observation hooks — per-send, per-ACK,
-per-cwnd-adjustment and per-loss-detection callbacks — and the metrics
-and obs layers attach to them uniformly.  The signatures live here, in
-one place, so :mod:`repro.tcp.sender` and :mod:`repro.tcp.pacing` (and
-anything else growing a hook) cannot drift apart again.
+The sender exposes per-send, per-ACK, per-cwnd-adjustment and
+per-loss-detection hooks, and the metrics and obs layers attach to
+them uniformly.  The signatures live here, in one place, so
+:mod:`repro.tcp.sender` and anything else growing a hook cannot drift
+apart.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 One :class:`Sender` owns every *mechanism* a windowed transport
 endpoint needs — sequence state, the retransmit queue implied by
 go-back-N, the coarse retransmission timer, RTT estimation (Karn's
-rule included), nonpaced window filling, and observer fan-out — while
-all *policy* (how the window evolves) lives in a
+rule included), window filling, and observer fan-out — while all
+*policy* (how the window evolves) lives in a
 :class:`~repro.tcp.congestion.base.CongestionControl` strategy chosen
 per flow.  ``Sender(..., control=TahoeControl())`` is the paper's
 Section 2.1 sender; swapping the strategy swaps the algorithm without
@@ -12,10 +12,12 @@ touching a line of this file.
 
 Transmission is nonpaced: every send happens immediately upon ACK
 receipt — the property that produces packet clustering and, with
-two-way traffic, ACK-compression.  The sender has an infinite backlog
-(the paper's sources "have an infinite amount of data to send");
-sequence numbers count maximum-size packets, not bytes, matching the
-paper's units.
+two-way traffic, ACK-compression.  The one exception is a strategy
+that takes the fill seam (``CongestionControl.bind_fill``, bound once
+in ``__init__``): the paced counterfactual spaces its own sends.  The
+sender has an infinite backlog (the paper's sources "have an infinite
+amount of data to send"); sequence numbers count maximum-size packets,
+not bytes, matching the paper's units.
 
 Strategies whose ``reliable`` flag is off (fixed-window flows over
 lossless scenarios) run with the reliability machinery disabled: the
@@ -24,6 +26,8 @@ timer is never armed, ACKs are never timed, duplicate ACKs are ignored
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.engine.fanout import bind_fanout
 from repro.engine.simulator import Simulator
@@ -43,7 +47,7 @@ from repro.tcp.observers import (
 from repro.tcp.options import TcpOptions
 from repro.tcp.rto import RttEstimator
 
-__all__ = ["Sender", "TahoeSender"]
+__all__ = ["Sender"]
 
 
 class Sender:
@@ -126,6 +130,12 @@ class Sender:
         self._cc_on_loss = control.on_loss
         self._cc_usable_window = control.usable_window
         self._reliable = control.reliable
+        #: Send what the window permits.  The fill seam, bound here and
+        #: never again: the nonpaced burst below unless the strategy
+        #: takes filling over (see ``CongestionControl.bind_fill``), so
+        #: a nonpaced flow pays no call or branch for the choice.
+        self.fill_window: Callable[[], None] = (
+            control.bind_fill(sim, self) or self._fill_back_to_back)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -223,7 +233,13 @@ class Sender:
         """Resend the lowest unacknowledged segment."""
         self._transmit(self.snd_una)
 
-    def fill_window(self) -> None:
+    def send_next(self) -> None:
+        """Transmit one new segment at ``snd_nxt`` (no window check)."""
+        nxt = self.snd_nxt
+        self._transmit(nxt)
+        self.snd_nxt = nxt + 1
+
+    def _fill_back_to_back(self) -> None:
         """Send as many packets as the window permits, back to back.
 
         This is the nonpaced behavior: a window increase triggered by an
@@ -374,23 +390,3 @@ class Sender:
             f"algo={type(self.control).__name__}, cwnd={self.cwnd:.2f}, "
             f"ssthresh={self.ssthresh:.1f}, una={self.snd_una}, nxt={self.snd_nxt})"
         )
-
-
-class TahoeSender(Sender):
-    """The BSD 4.3-Tahoe sender: the unified core + Tahoe policy.
-
-    Kept as a named class so the paper-facing code reads as the paper
-    does ("the Tahoe sender"); it adds nothing beyond the strategy
-    choice.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        host: Host,
-        conn_id: int,
-        destination: str,
-        options: TcpOptions | None = None,
-    ) -> None:
-        super().__init__(sim, host, conn_id, destination,
-                         options=options, control=TahoeControl())

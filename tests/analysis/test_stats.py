@@ -32,12 +32,12 @@ class TestUtilizationBatches:
         from repro.engine import Simulator
         from repro.metrics import PortMonitor
         from repro.net import build_dumbbell
-        from repro.tcp import make_tahoe_connection
+        from repro.tcp import make_connection
 
         sim = Simulator()
         net = build_dumbbell(sim, bottleneck_propagation=0.01)
         monitor = PortMonitor(net.port("sw1", "sw2"))
-        make_tahoe_connection(sim, net, 1, "host1", "host2")
+        make_connection(sim, net, 1, "host1", "host2", "tahoe")
         sim.run(until=120.0)
         return monitor
 

@@ -10,7 +10,7 @@ import pytest
 from repro.engine import Simulator
 from repro.net import build_chain, build_dumbbell
 from repro.scenarios import paper, run
-from repro.tcp import make_tahoe_connection
+from repro.tcp import make_connection
 
 
 class TestConservation:
@@ -49,7 +49,7 @@ class TestMultiHopDelivery:
     def test_chain_end_to_end(self):
         sim = Simulator()
         net = build_chain(sim, n_switches=4, bottleneck_propagation=0.01)
-        conn = make_tahoe_connection(sim, net, 1, "host1", "host4")
+        conn = make_connection(sim, net, 1, "host1", "host4", "tahoe")
         sim.run(until=60.0)
         assert conn.receiver.rcv_nxt > 50
         # Data traversed every inter-switch hop.

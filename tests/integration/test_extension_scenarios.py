@@ -9,10 +9,8 @@ import pytest
 from repro.analysis import (
     cluster_runs,
     clustering_stats,
-    compression_stats,
     rapid_fluctuation_amplitude,
 )
-from repro.experiments.extensions import PACED_DATA_TX, paced_two_way
 from repro.scenarios import FlowSpec, QueueSpec, ScenarioConfig, paper, run
 from repro.tcp import TcpOptions
 
@@ -162,11 +160,8 @@ class TestPacingCounterfactual:
         bottleneck data rate, the figure-8 windows show almost no
         compressed ACKs and the queue moves ~1 packet per data
         transmission time instead of square-waving by tens."""
-        traces = paced_two_way(250.0)
-        stats = compression_stats(traces.ack_log(1),
-                                  data_tx_time=PACED_DATA_TX,
-                                  start=100.0, end=250.0)
-        assert stats.compressed_fraction <= 0.05
+        result = run(paper.paced_two_way(250.0, 100.0))
+        assert result.ack_compression(1).compressed_fraction <= 0.05
         assert rapid_fluctuation_amplitude(
-            traces.queue("sw1->sw2").lengths, 100.0, 250.0,
-            window=PACED_DATA_TX) <= 2.0
+            result.queue_series("sw1->sw2"), 100.0, 250.0,
+            window=result.config.data_tx_time) <= 2.0

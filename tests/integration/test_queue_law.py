@@ -14,7 +14,7 @@ import pytest
 from repro.engine import Simulator
 from repro.metrics import PortMonitor
 from repro.net import build_dumbbell
-from repro.tcp import make_fixed_window_connection
+from repro.tcp import make_connection
 from repro.units import pipe_size
 
 
@@ -25,8 +25,8 @@ def _steady_queue(windows, propagation, duration=200.0):
                          buffer_packets=None)
     monitor = PortMonitor(net.port("sw1", "sw2"))
     for index, window in enumerate(windows, start=1):
-        make_fixed_window_connection(
-            sim, net, index, "host1", "host2", window=window,
+        make_connection(
+            sim, net, index, "host1", "host2", "fixed", {"window": window},
             start_time=0.3 * index)
     sim.run(until=duration)
     lo = monitor.lengths.min_in(duration * 0.7, duration)
@@ -64,7 +64,7 @@ class TestQueueLaw:
         from repro.metrics import PortMonitor
 
         monitor = PortMonitor(net.port("sw1", "sw2"))
-        make_fixed_window_connection(sim, net, 1, "host1", "host2", window=10)
+        make_connection(sim, net, 1, "host1", "host2", "fixed", {"window": 10})
         sim.run(until=200.0)
         # W=10 against a 2P=25 pipe: utilization ~ W/2P.
         util = monitor.utilization(100.0, 200.0)
@@ -82,8 +82,8 @@ class TestThroughputLaw:
         from repro.metrics import PortMonitor
 
         monitor = PortMonitor(net.port("sw1", "sw2"))
-        make_fixed_window_connection(sim, net, 1, "host1", "host2",
-                                     window=window)
+        make_connection(sim, net, 1, "host1", "host2", "fixed",
+                        {"window": window})
         sim.run(until=250.0)
         two_p = 2 * pipe_size(50_000, 1.0, 500)  # 25 packets
         expected = min(1.0, window / two_p)

@@ -15,14 +15,14 @@ from repro.engine import Simulator
 from repro.metrics import CwndLog, PortMonitor
 from repro.net import build_dumbbell
 from repro.scenarios import paper, run
-from repro.tcp import make_reno_connection, make_tahoe_connection
+from repro.tcp import make_connection
 
 
-def _one_way_run(factory, duration=300.0):
+def _one_way_run(algorithm, duration=300.0):
     sim = Simulator()
     net = build_dumbbell(sim, bottleneck_propagation=1.0, buffer_packets=20)
     monitor = PortMonitor(net.port("sw1", "sw2"))
-    conn = factory(sim, net, 1, "host1", "host2")
+    conn = make_connection(sim, net, 1, "host1", "host2", algorithm)
     log = CwndLog(conn.sender)
     sim.run(until=duration)
     return monitor, log, conn
@@ -30,8 +30,8 @@ def _one_way_run(factory, duration=300.0):
 
 class TestWhatChanges:
     def test_reno_avoids_the_cwnd_one_dip(self):
-        _, tahoe_log, _ = _one_way_run(make_tahoe_connection)
-        _, reno_log, _ = _one_way_run(make_reno_connection)
+        _, tahoe_log, _ = _one_way_run("tahoe")
+        _, reno_log, _ = _one_way_run("reno")
         # Post-transient: Tahoe revisits cwnd=1 every cycle, Reno does not.
         _, tahoe_values = tahoe_log.cwnd.sample(100.0, 300.0, 0.5)
         _, reno_values = reno_log.cwnd.sample(100.0, 300.0, 0.5)
@@ -39,8 +39,8 @@ class TestWhatChanges:
         assert not (reno_values == 1.0).any()
 
     def test_reno_mean_window_is_larger(self):
-        _, tahoe_log, _ = _one_way_run(make_tahoe_connection)
-        _, reno_log, _ = _one_way_run(make_reno_connection)
+        _, tahoe_log, _ = _one_way_run("tahoe")
+        _, reno_log, _ = _one_way_run("reno")
         assert (reno_log.cwnd.time_average(100.0, 300.0)
                 > tahoe_log.cwnd.time_average(100.0, 300.0))
 

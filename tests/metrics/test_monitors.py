@@ -15,7 +15,7 @@ from repro.metrics import (
     TraceSet,
 )
 from repro.net import Packet, PacketKind, build_dumbbell
-from repro.tcp import make_tahoe_connection
+from repro.tcp import make_connection
 
 
 def _loaded_network(until=30.0):
@@ -24,7 +24,7 @@ def _loaded_network(until=30.0):
     net = build_dumbbell(sim, bottleneck_propagation=0.01, buffer_packets=5)
     drops = DropLog()
     queue_mon = link_mon = PortMonitor(net.port("sw1", "sw2"), drops=drops)
-    conn = make_tahoe_connection(sim, net, 1, "host1", "host2")
+    conn = make_connection(sim, net, 1, "host1", "host2", "tahoe")
     cwnd_log = CwndLog(conn.sender)
     ack_log = AckArrivalLog(conn.sender)
     sim.run(until=until)
@@ -134,7 +134,7 @@ class TestAckArrivalLog:
     def test_too_few_arrivals_empty(self):
         sim = Simulator()
         net = build_dumbbell(sim)
-        conn = make_tahoe_connection(sim, net, 1, "host1", "host2")
+        conn = make_connection(sim, net, 1, "host1", "host2", "tahoe")
         log = AckArrivalLog(conn.sender)
         assert len(log.inter_arrival_times()) == 0
 
@@ -145,7 +145,7 @@ class TestTraceSet:
         net = build_dumbbell(sim)
         traces = TraceSet()
         traces.watch_port(net.port("sw1", "sw2"), name="bottleneck")
-        conn = make_tahoe_connection(sim, net, 1, "host1", "host2")
+        conn = make_connection(sim, net, 1, "host1", "host2", "tahoe")
         traces.watch_connection(conn)
         sim.run(until=10.0)
         assert traces.queue("bottleneck").max_length >= 0
@@ -173,12 +173,10 @@ class TestTraceSet:
             traces.ack_log(9)
 
     def test_fixed_window_connection_has_no_cwnd_log(self):
-        from repro.tcp import make_fixed_window_connection
-
         sim = Simulator()
         net = build_dumbbell(sim, buffer_packets=None)
         traces = TraceSet()
-        conn = make_fixed_window_connection(sim, net, 1, "host1", "host2", window=3)
+        conn = make_connection(sim, net, 1, "host1", "host2", "fixed", {"window": 3})
         traces.watch_connection(conn)
         assert 1 not in traces.cwnds
         assert 1 in traces.acks

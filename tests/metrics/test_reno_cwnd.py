@@ -1,10 +1,9 @@
 """Cwnd logging must cover every windowed sender, Reno included.
 
 ``TraceSet.watch_connection`` keys off the congestion-control
-strategy's ``adaptive`` flag rather than checking
-``isinstance(sender, TahoeSender)``, so Reno (and any future windowed
-algorithm) gets a cwnd trace while fixed-window and paced senders —
-which have no dynamic window — do not.
+strategy's ``adaptive`` flag rather than on the sender's type, so Reno
+(and any future windowed algorithm) gets a cwnd trace while fixed and
+paced windows — which have nothing dynamic to log — do not.
 """
 
 from types import SimpleNamespace
@@ -14,7 +13,7 @@ import pytest
 from repro.engine import Simulator
 from repro.metrics.trace import TraceSet
 from repro.scenarios import FlowSpec, ScenarioConfig, run
-from repro.tcp import RenoSender, TcpOptions
+from repro.tcp import RenoControl, Sender, TcpOptions
 from tests.tcp.conftest import FakeHost, make_ack
 
 
@@ -59,9 +58,10 @@ class TestFastRecoveryTrace:
     @pytest.fixture
     def watched_sender(self):
         sim = Simulator()
-        sender = RenoSender(sim, FakeHost(sim), conn_id=1,
-                            destination="host2",
-                            options=TcpOptions(initial_cwnd=8.0))
+        sender = Sender(sim, FakeHost(sim), conn_id=1,
+                        destination="host2",
+                        options=TcpOptions(initial_cwnd=8.0),
+                        control=RenoControl())
         traces = TraceSet()
         traces.watch_connection(SimpleNamespace(conn_id=1, sender=sender))
         sender.start()
@@ -72,7 +72,7 @@ class TestFastRecoveryTrace:
         log = traces.cwnd(1)
         for _ in range(3):
             sender.deliver(make_ack(1, 0))
-        assert sender.in_recovery
+        assert sender.control.in_recovery
         # Entry: ssthresh=4, cwnd inflated to ssthresh+3=7 — not 1.
         assert log.cwnd.last_value == 7.0
         assert log.ssthresh.last_value == 4.0
@@ -82,7 +82,7 @@ class TestFastRecoveryTrace:
         assert log.cwnd.last_value == 8.0
 
         sender.deliver(make_ack(1, 4))  # new data: deflate, exit recovery
-        assert not sender.in_recovery
+        assert not sender.control.in_recovery
         assert log.cwnd.last_value == 4.0
 
         # The Tahoe collapse-to-1 never appears in the series.

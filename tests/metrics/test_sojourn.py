@@ -93,7 +93,7 @@ class TestEffectivePipeEndToEnd:
         """Section 4.2: ACKs queue behind data only with two-way traffic."""
         from repro.metrics import TraceSet
         from repro.net import build_dumbbell
-        from repro.tcp import make_fixed_window_connection
+        from repro.tcp import make_connection
 
         # Two-way fixed windows: conn 2's ACKs share sw1->sw2 with conn
         # 1's data.
@@ -101,9 +101,9 @@ class TestEffectivePipeEndToEnd:
         net = build_dumbbell(sim, bottleneck_propagation=0.01,
                              buffer_packets=None)
         monitor = PortMonitor(net.port("sw1", "sw2"))
-        make_fixed_window_connection(sim, net, 1, "host1", "host2", window=20)
-        make_fixed_window_connection(sim, net, 2, "host2", "host1", window=15,
-                                     start_time=1.1)
+        make_connection(sim, net, 1, "host1", "host2", "fixed", {"window": 20})
+        make_connection(sim, net, 2, "host2", "host1", "fixed", {"window": 15},
+                        start_time=1.1)
         sim.run(until=120.0)
         two_way_ack_wait = monitor.mean_wait(data_only=False, start=60.0)
         assert two_way_ack_wait > 0.1
@@ -113,7 +113,7 @@ class TestEffectivePipeEndToEnd:
         net2 = build_dumbbell(sim2, bottleneck_propagation=0.01,
                               buffer_packets=None)
         reverse = PortMonitor(net2.port("sw2", "sw1"))
-        make_fixed_window_connection(sim2, net2, 1, "host1", "host2", window=20)
+        make_connection(sim2, net2, 1, "host1", "host2", "fixed", {"window": 20})
         sim2.run(until=120.0)
         one_way_ack_wait = reverse.mean_wait(data_only=False, start=60.0)
         assert one_way_ack_wait == pytest.approx(0.0, abs=1e-6)

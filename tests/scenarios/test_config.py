@@ -1,5 +1,7 @@
 """Unit tests for repro.scenarios.config."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -89,6 +91,19 @@ class TestSubstituteAlgorithm:
         swapped = substitute_algorithm(config, "aimd")
         assert swapped.flows[0].window == 30
         assert swapped.flows[0].start_time is None
+
+    def test_every_other_flow_field_survives(self):
+        # Differs from the FlowSpec default in every field, so a field the
+        # substitution forgot shows as a reset to that default.
+        flow = _flow(src="host2", dst="host1", algorithm="fixed", window=30,
+                     start_time=None, access_propagation=0.0002)
+        swapped = substitute_algorithm(_config(flows=(flow,)), "aimd").flows[0]
+        kept = [f for f in dataclasses.fields(FlowSpec)
+                if f.name not in ("algorithm", "params")]
+        assert kept
+        for f in kept:
+            assert getattr(flow, f.name) != f.default
+            assert getattr(swapped, f.name) == getattr(flow, f.name), f.name
 
     def test_original_untouched(self):
         config = _config()

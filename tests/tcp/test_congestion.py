@@ -28,7 +28,7 @@ def scratch_registry(monkeypatch):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert algorithm_names() == ["aimd", "fixed", "reno", "tahoe"]
+        assert algorithm_names() == ["aimd", "fixed", "paced", "reno", "tahoe"]
         for name in algorithm_names():
             assert is_registered(name)
 

@@ -1,16 +1,16 @@
-"""Unit tests for repro.tcp.fixed_window."""
+"""Unit tests for the fixed-window strategy on the unified sender."""
 
 import pytest
 
 from repro.errors import ProtocolError
-from repro.tcp import FixedWindowSender, TcpOptions
+from repro.tcp import Sender, TcpOptions, create_control
 from tests.tcp.conftest import make_ack, make_data
 
 
 def make_sender(sim, host, window=5, **option_kwargs):
     options = TcpOptions(**option_kwargs)
-    return FixedWindowSender(sim, host, conn_id=1, destination="host2",
-                             window=window, options=options)
+    return Sender(sim, host, conn_id=1, destination="host2", options=options,
+                  control=create_control("fixed", {"window": window}))
 
 
 class TestStart:
@@ -89,9 +89,11 @@ class TestDiagnostics:
     def test_stalled_flag(self, sim, host):
         sender = make_sender(sim, host, window=2)
         sender.start()
-        assert sender.stalled  # full window outstanding
+        # Full window outstanding, and still window-limited once refilled:
+        # the state a stalled (lossy, misconfigured) flow is left in.
+        assert sender.packets_out == sender.control.window
         sender.deliver(make_ack(1, 1))
-        assert sender.stalled  # refilled: still window-limited
+        assert sender.packets_out == sender.control.window
 
     def test_counters(self, sim, host):
         sender = make_sender(sim, host, window=3)

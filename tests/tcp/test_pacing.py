@@ -1,17 +1,31 @@
-"""Unit tests for repro.tcp.pacing."""
+"""Unit tests for the paced strategy on the unified sender, and the
+digest that pins its dynamics to the hand-wired sender it replaced."""
 
+import hashlib
+import struct
+
+import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
-from repro.tcp import PacedWindowSender, TcpOptions
+from repro.errors import ConfigurationError, ProtocolError
+from repro.parallel.cache import cache_key
+from repro.scenarios import (
+    FlowSpec,
+    config_from_dict,
+    config_to_dict,
+    paper,
+    run,
+)
+from repro.tcp import Sender, TcpOptions, create_control
 from tests.tcp.conftest import make_ack, make_data
 
 
 def make_sender(sim, host, window=5, interval=0.08, **option_kwargs):
     options = TcpOptions(**option_kwargs)
-    return PacedWindowSender(sim, host, conn_id=1, destination="host2",
-                             window=window, pace_interval=interval,
-                             options=options)
+    control = create_control(
+        "paced", {"window": window, "pace_interval": interval})
+    return Sender(sim, host, conn_id=1, destination="host2",
+                  options=options, control=control)
 
 
 class TestConstruction:
@@ -115,3 +129,55 @@ class TestObservers:
         sender.deliver(make_ack(1, 1))
         assert sent[:2] == [0, 1]
         assert acked == [1]
+
+
+#: SHA-256 over the 250 s paced run as the separate ``PacedWindowSender``
+#: transport produced it (captured from
+#: ``experiments.extensions.paced_two_way(250.0)`` on the last commit
+#: that had one): both connections' ``(time, ack)`` arrivals, both
+#: bottleneck queue-length series, every ``sw1->sw2`` departure record.
+PACED_DIGEST = "fe603677e4d7aefdbd564b6ef1b411ce6c868653cd7b99cdd60e1a0755055cfa"
+
+
+def paced_digest(traces):
+    digest = hashlib.sha256()
+    for conn_id in (1, 2):
+        for arrival in traces.ack_log(conn_id).arrivals:
+            digest.update(struct.pack("<dq", *arrival))
+    for port in ("sw1->sw2", "sw2->sw1"):
+        lengths = traces.queue(port).lengths
+        digest.update(np.asarray(lengths.times, dtype="<f8").tobytes())
+        digest.update(np.asarray(lengths.values, dtype="<f8").tobytes())
+    for departure in traces.queue("sw1->sw2").departures:
+        digest.update(struct.pack("<dq?qqq", *departure))
+    return digest.hexdigest()
+
+
+class TestPacedScenario:
+    """``algorithm="paced"`` as plain config data through ``scenarios.run``."""
+
+    def test_run_reproduces_the_hand_wired_sender(self):
+        result = run(paper.paced_two_way(250.0, 100.0))
+        assert len(result.traces.ack_log(1)) == 2883
+        assert len(result.traces.queue("sw1->sw2").departures) == 5296
+        assert paced_digest(result.traces) == PACED_DIGEST
+
+    def test_observed_run_is_bit_identical_to_bare(self):
+        result = run(paper.paced_two_way(250.0, 100.0),
+                     metrics=True, trace=True, manifest=True)
+        assert paced_digest(result.traces) == PACED_DIGEST
+        assert result.manifest.events_processed == result.events_processed
+        assert result.metrics.snapshot()
+
+    def test_config_round_trips_and_hashes_stably(self):
+        config = paper.paced_two_way(250.0, 100.0)
+        assert config_from_dict(config_to_dict(config)) == config
+        assert cache_key(config) == cache_key(paper.paced_two_way(250.0, 100.0))
+        assert cache_key(config) != cache_key(
+            paper.figure8(duration=250.0, warmup=100.0))
+
+    def test_missing_params_fail_at_config_time(self):
+        with pytest.raises(ConfigurationError, match="'paced'"):
+            FlowSpec(src="host1", dst="host2", algorithm="paced")
+        with pytest.raises(ConfigurationError, match="'paced'"):
+            FlowSpec(src="host1", dst="host2", algorithm="paced", window=30)

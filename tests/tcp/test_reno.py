@@ -1,14 +1,15 @@
-"""Unit tests for repro.tcp.reno (fast recovery)."""
+"""Unit tests for the Reno strategy (fast recovery) on the unified sender."""
 
 import pytest
 
-from repro.tcp import RenoSender, TcpOptions
+from repro.tcp import RenoControl, Sender, TcpOptions
 from tests.tcp.conftest import make_ack
 
 
 def make_sender(sim, host, **option_kwargs):
     options = TcpOptions(**option_kwargs)
-    return RenoSender(sim, host, conn_id=1, destination="host2", options=options)
+    return Sender(sim, host, conn_id=1, destination="host2", options=options,
+                  control=RenoControl())
 
 
 def loaded(sim, host, outstanding=8):
@@ -24,8 +25,8 @@ class TestFastRecoveryEntry:
         host.clear()
         for _ in range(3):
             sender.deliver(make_ack(1, 0))
-        assert sender.in_recovery
-        assert sender.fast_recoveries == 1
+        assert sender.control.in_recovery
+        assert sender.control.fast_recoveries == 1
         # Missing segment retransmitted exactly once.
         assert [p.seq for p in host.data_packets if p.is_retransmit] == [0]
 
@@ -75,7 +76,7 @@ class TestRecoveryExit:
         for _ in range(3):
             sender.deliver(make_ack(1, 0))
         sender.deliver(make_ack(1, 8))  # everything recovered
-        assert not sender.in_recovery
+        assert not sender.control.in_recovery
         assert sender.cwnd == sender.ssthresh == 4.0
 
     def test_congestion_avoidance_resumes_after_exit(self, sim, host):
@@ -101,15 +102,15 @@ class TestTimeoutFallback:
         sim.run(until=10.0)
         assert sender.timeouts >= 1
         assert sender.cwnd == 1.0
-        assert not sender.in_recovery
+        assert not sender.control.in_recovery
 
     def test_timeout_during_recovery_resets_state(self, sim, host):
         sender = loaded(sim, host, outstanding=8)
         for _ in range(3):
             sender.deliver(make_ack(1, 0))
-        assert sender.in_recovery
+        assert sender.control.in_recovery
         sender._on_timeout()
-        assert not sender.in_recovery
+        assert not sender.control.in_recovery
         assert sender.cwnd == 1.0
 
 
@@ -130,17 +131,17 @@ class TestEndToEnd:
         from repro.engine import Simulator
         from repro.metrics import PortMonitor
         from repro.net import build_dumbbell
-        from repro.tcp import make_reno_connection, make_tahoe_connection
+        from repro.tcp import make_connection
 
-        def run_one(factory):
+        def run_one(algorithm):
             sim = Simulator()
             net = build_dumbbell(sim, bottleneck_propagation=1.0,
                                  buffer_packets=20)
             monitor = PortMonitor(net.port("sw1", "sw2"))
-            factory(sim, net, 1, "host1", "host2")
+            make_connection(sim, net, 1, "host1", "host2", algorithm)
             sim.run(until=300.0)
             return monitor.utilization(100.0, 300.0)
 
-        reno = run_one(make_reno_connection)
-        tahoe = run_one(make_tahoe_connection)
+        reno = run_one("reno")
+        tahoe = run_one("tahoe")
         assert reno >= tahoe - 0.02

@@ -1,6 +1,6 @@
 """Unit tests for repro.tcp.sender (the Tahoe state machine).
 
-These drive a :class:`TahoeSender` directly with hand-crafted ACKs via a
+These drive a Tahoe-controlled :class:`Sender` directly with hand-crafted ACKs via a
 FakeHost, with no network in between, so every transition of the
 congestion-control algorithm of Section 2.1 is pinned down exactly.
 """
@@ -8,13 +8,14 @@ congestion-control algorithm of Section 2.1 is pinned down exactly.
 import pytest
 
 from repro.errors import ProtocolError
-from repro.tcp import TahoeSender, TcpOptions
+from repro.tcp import Sender, TahoeControl, TcpOptions
 from tests.tcp.conftest import make_ack, make_data
 
 
 def make_sender(sim, host, **option_kwargs):
     options = TcpOptions(**option_kwargs)
-    sender = TahoeSender(sim, host, conn_id=1, destination="host2", options=options)
+    sender = Sender(sim, host, conn_id=1, destination="host2", options=options,
+                    control=TahoeControl())
     return sender
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Simulator
-from repro.tcp import TahoeSender, TcpOptions
+from repro.tcp import Sender, TahoeControl, TcpOptions
 from tests.tcp.conftest import FakeHost, make_ack
 
 
@@ -17,8 +17,8 @@ def _drive(ack_choices):
     """Run a sender against a derived, always-legal ACK stream."""
     sim = Simulator()
     host = FakeHost(sim)
-    sender = TahoeSender(sim, host, conn_id=1, destination="h2",
-                         options=TcpOptions(maxwnd=64))
+    sender = Sender(sim, host, conn_id=1, destination="h2",
+                    options=TcpOptions(maxwnd=64), control=TahoeControl())
     sender.start()
     states = []
     for choice in ack_choices:

@@ -40,6 +40,14 @@ class TestMain:
         assert "fig2" in out
         assert "conjecture" in out
 
+    def test_algorithms_lists_every_registered_strategy_class(self, capsys):
+        from repro.tcp import algorithm_names
+
+        assert main(["algorithms"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [name for name, _ in rows] == algorithm_names()
+        assert all(kind.endswith("Control") for _, kind in rows)
+
     def test_unknown_experiment_is_clean_error(self, capsys):
         assert main(["run", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
