@@ -22,12 +22,11 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.parallel.cache import (
     CACHE_SCHEMA_VERSION,
-    cache_key,
-    config_hash,
+    PointIdentity,
     lint_ruleset_version,
 )
 from repro.scenarios.config import ScenarioConfig
@@ -71,7 +70,7 @@ MANIFEST_SOURCES = ("live", "cache", "journal", "failed")
 
 def run_id_for(config: ScenarioConfig) -> str:
     """The deterministic run identifier of ``config``."""
-    return f"{config_hash(config)[:12]}-s{config.seed}"
+    return PointIdentity.of(config, "").run_id
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def build_manifest(
     events_processed: int | None = None,
     wall_seconds: float | None = None,
     tracer: "Tracer | None" = None,
-    extract: Callable | None = None,
+    identity: PointIdentity | None = None,
     attempts: int = 1,
     failure: "PointFailure | None" = None,
     backend: str = "local",
@@ -144,12 +143,12 @@ def build_manifest(
 ) -> RunManifest:
     """Assemble the manifest of one run of ``config``.
 
-    ``extract`` is the sweep measurement extractor, when there is one;
-    folding it in makes :attr:`RunManifest.cache_key` byte-identical to
-    the key the :class:`~repro.parallel.cache.ResultCache` files the
-    point under.  Supervised sweeps report how many ``attempts`` the
-    point consumed and, for ``source="failed"`` points, the structured
-    ``failure`` record.
+    ``identity`` is the sweep runner's name for the point, so
+    :attr:`RunManifest.cache_key` is the very key its measurements are
+    cached under; a standalone run has no extractor, hence no cache key,
+    and is identified here.  Supervised sweeps report how many
+    ``attempts`` the point consumed and, for ``source="failed"`` points,
+    the structured ``failure`` record.
     """
     if source not in MANIFEST_SOURCES:
         raise ValueError(
@@ -162,11 +161,12 @@ def build_manifest(
     if tracer is not None:
         categories = {name: stats.events
                       for name, stats in sorted(tracer.categories().items())}
+    point = identity or PointIdentity.of(config, "")
     return RunManifest(
-        run_id=run_id_for(config),
+        run_id=point.run_id,
         scenario=config.name,
-        config_hash=config_hash(config),
-        cache_key=cache_key(config, extract) if extract is not None else None,
+        config_hash=point.config_hash,
+        cache_key=identity.key if identity is not None else None,
         seed=config.seed,
         source=source,
         events_processed=events_processed,

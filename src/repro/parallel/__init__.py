@@ -31,6 +31,7 @@ from repro.parallel.backends import (
 )
 from repro.parallel.cache import (
     CACHE_SCHEMA_VERSION,
+    PointIdentity,
     ResultCache,
     cache_key,
     canonical_config_json,
@@ -46,6 +47,7 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "LocalBackend",
     "ParallelSweepRunner",
+    "PointIdentity",
     "PointProgress",
     "ResultCache",
     "SharedCacheClient",

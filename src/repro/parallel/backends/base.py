@@ -78,9 +78,6 @@ class BackendRequest:
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     metered: bool = False
     """Run points with metrics registries and ship snapshots back."""
-    keys: Sequence[str] = ()
-    """Content-address cache keys, parallel to ``configs`` (empty when
-    neither cache nor policy needs them)."""
     report: ResilienceReport | None = None
     """Supervised runs only; backends bump distributed counters
     (``lease_reclaims``, ``duplicate_results``) directly."""

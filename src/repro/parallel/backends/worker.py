@@ -233,25 +233,28 @@ class WorkerBackend(SweepBackend):
                 except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
                     pass
 
-    def _dismiss(self, agent: _AgentHandle) -> None:
-        """Stop one agent: polite shutdown, then force."""
-        if agent.writer is not None:
-            try:
-                write_message(agent.writer, {"t": "shutdown"})
-            except (OSError, ValueError):  # repro: noqa[RPR007] -- polite shutdown of a possibly-dead agent; failure falls through to kill
-                pass
-            try:
-                agent.writer.close()
-            except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
-                pass
-        if agent.proc is not None:
-            try:
-                agent.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
-                agent.proc.kill()
-                agent.proc.wait()
-        self._release(agent)
-        agent.alive = False
+    def _dismiss(self, agents: Sequence[_AgentHandle]) -> None:
+        """Stop agents: polite shutdown, then force.  All are told before
+        any is waited for, so their interpreters finalise side by side."""
+        for agent in agents:
+            if agent.writer is not None:
+                try:
+                    write_message(agent.writer, {"t": "shutdown"})
+                except (OSError, ValueError):  # repro: noqa[RPR007] -- polite shutdown of a possibly-dead agent; failure falls through to kill
+                    pass
+                try:
+                    agent.writer.close()
+                except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
+                    pass
+        for agent in agents:
+            if agent.proc is not None:
+                try:
+                    agent.proc.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
+                    agent.proc.kill()
+                    agent.proc.wait()
+            self._release(agent)
+            agent.alive = False
 
     def _kill(self, agent: _AgentHandle) -> None:
         """Stop one agent *now* (it is presumed hung or partitioned)."""
@@ -367,8 +370,7 @@ class _SweepRun:
                     continue
                 self._handle(agent_name, message)
         finally:
-            for agent in self._alive():
-                self.backend._dismiss(agent)
+            self.backend._dismiss(self._alive())
 
     def _wait_budget(self, now: float) -> float:
         horizons = [lease.deadline for lease in self.leases.active.values()]

@@ -28,6 +28,7 @@ schema version to actually invalidate).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -35,13 +36,14 @@ import os
 import shutil
 import warnings
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.serialize import config_to_dict
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "PointIdentity",
     "ResultCache",
     "cache_key",
     "canonical_config_json",
@@ -94,42 +96,61 @@ def canonical_config_json(config: ScenarioConfig) -> str:
                       separators=(",", ":"))
 
 
-def config_hash(config: ScenarioConfig) -> str:
-    """SHA-256 of the canonical config JSON alone.
-
-    This is the extractor-independent identity of a scenario — what run
-    manifests record — whereas :func:`cache_key` additionally folds in
-    the cache schema version and the extractor fingerprint.
-    """
-    return hashlib.sha256(canonical_config_json(config).encode()).hexdigest()
-
-
 def _extractor_fingerprint(extract: Callable | None) -> str:
     """A stable identity for the measurement extractor.
 
     Module-level functions hash their qualified name plus source text, so
-    renaming or editing the extractor invalidates its cache entries.  For
+    renaming or editing the extractor invalidates its cache entries.  A
+    :func:`functools.partial` adds its bound arguments to its function's
+    fingerprint and a callable instance stands for its class, so neither
+    is named by a ``repr()`` whose address changes with the process.  For
     objects without retrievable source, the qualified name alone is used.
     """
     if extract is None:
         return ""
-    name = f"{getattr(extract, '__module__', '?')}.{getattr(extract, '__qualname__', repr(extract))}"
+    if isinstance(extract, functools.partial):
+        keywords = sorted(extract.keywords.items())
+        return f"{_extractor_fingerprint(extract.func)}({extract.args!r},{keywords!r})"
+    named = extract if hasattr(extract, "__qualname__") else type(extract)
+    name = f"{getattr(named, '__module__', '?')}.{named.__qualname__}"
     try:
-        source = inspect.getsource(extract)
+        source = inspect.getsource(named)
     except (OSError, TypeError):
         source = ""
     digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     return f"{name}:{digest}"
 
 
+class PointIdentity(NamedTuple):
+    """The three names of one sweep point, from one serialisation: the
+    content address ``key`` of its (config, extractor) measurement set,
+    the extractor-independent ``config_hash`` of the canonical config
+    JSON that manifests record, and the ``run_id`` (hash prefix + seed)."""
+
+    key: str
+    config_hash: str
+    run_id: str
+
+    @classmethod
+    def of(cls, config: ScenarioConfig, fingerprint: str) -> "PointIdentity":
+        """Identify ``config`` given its extractor's fingerprint — which
+        re-reads source, so a sweep computes it once for all its points."""
+        document = canonical_config_json(config)
+        digest = hashlib.sha256(document.encode()).hexdigest()
+        blob = f"v{CACHE_SCHEMA_VERSION}|{document}|{fingerprint}"
+        return cls(hashlib.sha256(blob.encode()).hexdigest(), digest,
+                   f"{digest[:12]}-s{config.seed}")
+
+
+def config_hash(config: ScenarioConfig) -> str:
+    """SHA-256 of the canonical config JSON alone (one-shot)."""
+    return PointIdentity.of(config, "").config_hash
+
+
 def cache_key(config: ScenarioConfig, extract: Callable | None = None) -> str:
-    """The content address of one (config, extractor) measurement set."""
-    blob = "|".join((
-        f"v{CACHE_SCHEMA_VERSION}",
-        canonical_config_json(config),
-        _extractor_fingerprint(extract),
-    ))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """The content address of one (config, extractor) measurement set
+    (one-shot: every call fingerprints the extractor again)."""
+    return PointIdentity.of(config, _extractor_fingerprint(extract)).key
 
 
 class ResultCache:
@@ -169,10 +190,7 @@ class ResultCache:
         path = self._path(key)
         try:
             raw = path.read_text()
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError:
+        except OSError:  # absent (the common miss) or unreadable
             self.misses += 1
             return None
         document: object = None

@@ -48,7 +48,7 @@ from repro.engine.sanitize import SANITIZE_ENV, sanitize_enabled
 from repro.errors import BackendUnavailable, ConfigurationError, SweepFailureError
 from repro.parallel.backends import LocalBackend, resolve_backend
 from repro.parallel.backends.base import BackendRequest
-from repro.parallel.cache import ResultCache, cache_key, config_hash
+from repro.parallel.cache import PointIdentity, ResultCache, _extractor_fingerprint
 from repro.parallel.progress import PointProgress
 from repro.resilience.faults import active_plan, corrupt_entry_file
 from repro.resilience.journal import JournalEntry, SweepJournal
@@ -213,22 +213,20 @@ class ParallelSweepRunner:
         journal: SweepJournal | None = None
         owns_journal = False
         journal_entries: dict[str, JournalEntry] = {}
-        keys: list[str] = []
-        run_ids: list[str] = []
-        hashes: list[str] = []
-        if cache is not None or policy is not None:
-            keys = [cache_key(config, extract) for config in configs]
-        if policy is not None:
-            hashes = [config_hash(config) for config in configs]
-            run_ids = [f"{digest[:12]}-s{config.seed}"
-                       for digest, config in zip(hashes, configs)]
-            if policy.journal is not None:
-                if isinstance(policy.journal, SweepJournal):
-                    journal = policy.journal
-                else:
-                    journal = SweepJournal(policy.journal)
-                    owns_journal = True
-                journal_entries = journal.load()
+        # Identify every point once, up front: one extractor fingerprint
+        # per sweep, one serialisation per config (a plain sweep: none).
+        identities: list[PointIdentity] = []
+        if cache is not None or policy is not None or manifest_dir is not None:
+            fingerprint = _extractor_fingerprint(extract)
+            identities = [PointIdentity.of(config, fingerprint)
+                          for config in configs]
+        if policy is not None and policy.journal is not None:
+            if isinstance(policy.journal, SweepJournal):
+                journal = policy.journal
+            else:
+                journal = SweepJournal(policy.journal)
+                owns_journal = True
+            journal_entries = journal.load()
 
         unreachable = {"warned": False}
 
@@ -267,13 +265,23 @@ class ParallelSweepRunner:
             from repro.obs.manifest import build_manifest, write_manifest
 
             write_manifest(
-                build_manifest(configs[index], source=source,
-                               events_processed=events, wall_seconds=wall,
-                               extract=extract, attempts=attempts,
+                build_manifest(configs[index], identity=identities[index],
+                               source=source, events_processed=events,
+                               wall_seconds=wall, attempts=attempts,
                                failure=failure, backend=backend.name,
                                worker=worker),
                 manifest_dir,
             )
+
+        def checkpoint(index: int, measurements: dict, source: str,
+                       attempts: int = 1) -> None:
+            if journal is None:
+                return
+            journal.record(JournalEntry(
+                **identities[index]._asdict(), index=index, attempts=attempts,
+                source=source, measurements=measurements))
+            if telemetry is not None:
+                telemetry.record_journal_append()
 
         def complete(index: int, measurements: dict, worker: str,
                      wall_seconds: float, events: int,
@@ -283,18 +291,13 @@ class ParallelSweepRunner:
                 telemetry.fold_point(index, snapshot)
             point_cache = cache_for(index)
             if point_cache is not None:
-                entry_path = point_cache.put(keys[index], measurements,
+                entry_path = point_cache.put(identities[index].key,
+                                             measurements,
                                              config=configs[index])
                 if (entry_path is not None and fault_plan
                         and fault_plan.corrupts(index)):
                     corrupt_entry_file(entry_path)
-            if journal is not None:
-                journal.record(JournalEntry(
-                    key=keys[index], config_hash=hashes[index],
-                    run_id=run_ids[index], index=index, attempts=attempts,
-                    source="live", measurements=measurements))
-                if telemetry is not None:
-                    telemetry.record_journal_append()
+            checkpoint(index, measurements, "live", attempts)
             if report is not None:
                 report.live += 1
                 if attempts > 1:
@@ -317,13 +320,13 @@ class ParallelSweepRunner:
             if report is not None:
                 report.conflicts += 1
             point_cache = cache_for(index)
-            if point_cache is not None and keys:
-                point_cache.quarantine_conflict(keys[index], accepted,
-                                                duplicate)
+            key = identities[index].key
+            if point_cache is not None:
+                point_cache.quarantine_conflict(key, accepted, duplicate)
             warnings.warn(
                 f"sweep point {index}: duplicate completion disagreed with "
                 "the accepted measurements; both payloads quarantined "
-                f"(key {keys[index][:12] if keys else '?'}…)",
+                f"(key {key[:12]}…)",
                 RuntimeWarning, stacklevel=3)
 
         histories: dict[int, list[AttemptRecord]] = {}
@@ -346,9 +349,10 @@ class ParallelSweepRunner:
                 emit(PointProgress(index=index, phase="retry",
                                    attempt=attempt, worker=worker,
                                    wall_seconds=wall_seconds))
-                return policy.backoff_delay(keys[index], attempt)
+                return policy.backoff_delay(identities[index].key, attempt)
             failure = PointFailure(
-                index=index, run_id=run_ids[index], config_hash=hashes[index],
+                index=index, run_id=identities[index].run_id,
+                config_hash=identities[index].config_hash,
                 scenario=configs[index].name, attempts=attempt, kind=outcome,
                 message=detail, history=tuple(histories[index]))
             report.failures.append(failure)
@@ -364,7 +368,7 @@ class ParallelSweepRunner:
         if journal_entries:
             remaining = []
             for index in pending:
-                entry = journal_entries.get(keys[index])
+                entry = journal_entries.get(identities[index].key)
                 if entry is None:
                     remaining.append(index)
                     continue
@@ -383,7 +387,7 @@ class ParallelSweepRunner:
             remaining = []
             for index in pending:
                 point_cache = cache_for(index)
-                hit = (point_cache.get(keys[index])
+                hit = (point_cache.get(identities[index].key)
                        if point_cache is not None else None)
                 if hit is None:
                     remaining.append(index)
@@ -391,13 +395,7 @@ class ParallelSweepRunner:
                 results[index] = hit
                 if report is not None:
                     report.cache_hits += 1
-                if journal is not None:
-                    journal.record(JournalEntry(
-                        key=keys[index], config_hash=hashes[index],
-                        run_id=run_ids[index], index=index, attempts=1,
-                        source="cache", measurements=hit))
-                    if telemetry is not None:
-                        telemetry.record_journal_append()
+                checkpoint(index, hit, "cache")
                 if on_point is not None:
                     on_point(index, hit)
                 write_point_manifest(index, source="cache")
@@ -416,7 +414,6 @@ class ParallelSweepRunner:
             attempt_failed=attempt_failed if policy is not None else None,
             fault_plan=fault_plan,
             metered=metered,
-            keys=keys,
             report=report,
             conflict=conflict,
         )

@@ -14,7 +14,13 @@ from repro.obs import (
     run_id_for,
     write_manifest,
 )
-from repro.parallel import CACHE_SCHEMA_VERSION, ResultCache, cache_key, config_hash
+from repro.parallel import (
+    CACHE_SCHEMA_VERSION,
+    PointIdentity,
+    ResultCache,
+    cache_key,
+    config_hash,
+)
 from repro.scenarios import FlowSpec, ScenarioConfig, run
 from repro.scenarios.families import utilization_extract
 
@@ -28,6 +34,13 @@ def small_config(**kwargs):
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
+
+
+def _identity(config):
+    """What a sweep under ``utilization_extract`` names ``config``."""
+    return PointIdentity(key=cache_key(config, utilization_extract),
+                         config_hash=config_hash(config),
+                         run_id=run_id_for(config))
 
 
 class TestRunId:
@@ -66,7 +79,7 @@ class TestBuildManifest:
     def test_cache_manifest_has_identity_but_no_stats(self):
         config = small_config()
         manifest = build_manifest(config, source="cache",
-                                  extract=utilization_extract)
+                                  identity=_identity(config))
         assert manifest.source == "cache"
         assert manifest.events_processed is None
         assert manifest.wall_seconds is None
@@ -79,7 +92,7 @@ class TestBuildManifest:
         cache = ResultCache(tmp_path)
         stored = cache.put_config(config, {"u": 1.0}, utilization_extract)
         manifest = build_manifest(config, source="cache",
-                                  extract=utilization_extract)
+                                  identity=_identity(config))
         assert stored.stem == manifest.cache_key
 
     def test_invalid_source_rejected(self):

@@ -1,0 +1,206 @@
+"""A sweep point is identified once: the runner's up-front identities
+are the one-shot ``cache_key`` / ``config_hash`` / ``run_id_for``, byte
+for byte, wherever the runner hands them — cache, journal, failure
+report, manifests — and extractor fingerprints do not depend on the
+process that computes them."""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.obs.manifest import run_id_for
+from repro.parallel import ParallelSweepRunner, cache_key, config_hash
+from repro.parallel.cache import PointIdentity, _extractor_fingerprint
+from repro.resilience import ResilienceConfig
+from repro.scenarios import families, paper
+
+#: ``families.manyflow_config((8, 40, 1.0))`` under ``families.sync_extract``
+#: as the tree before ``PointIdentity`` computed them (commit 6f0c7f6).
+#: Caches on users' disks are addressed by these bytes: a change to the
+#: canonical config JSON or to the key recipe must bump
+#: ``CACHE_SCHEMA_VERSION``, not edit this literal.  (An edit to
+#: ``sync_extract``'s source legitimately moves the fingerprint and the
+#: key with it; the config hash never.)
+GOLDEN_CASE = (8, 40, 1.0)
+GOLDEN_FINGERPRINT = "repro.scenarios.families.sync_extract:9811cea97dd61b2a"
+GOLDEN_KEY = "acabdbee74860f9325d9d95e78e74f2642e4837ac853c3d77615447d1568f254"
+GOLDEN_CONFIG_HASH = (
+    "07a111ab4194eb457b9e948db411db7951dc0f95ca04145a274c41008d17d546")
+GOLDEN_RUN_ID = "07a111ab4194-s1"
+
+GRID = families.phase_grid((2, 8, 32), (10, 40), (1.0,))
+STUB = {"stub": 1.0}
+
+
+class AlwaysHit:
+    """A ``cache=`` that answers every key and remembers what it was asked,
+    so no point simulates and the runner's keys are observable."""
+
+    def __init__(self):
+        self.asked = []
+
+    def get(self, key):
+        self.asked.append(key)
+        return STUB
+
+    def put(self, key, measurements, config=None):  # pragma: no cover
+        raise AssertionError("every point should have been a hit")
+
+
+def _one_shot(config, extract):
+    return PointIdentity(key=cache_key(config, extract),
+                         config_hash=config_hash(config),
+                         run_id=run_id_for(config))
+
+
+class TestGolden:
+    def test_one_shot_functions_reproduce_the_parent_bytes(self):
+        config = families.manyflow_config(GOLDEN_CASE)
+        assert _extractor_fingerprint(families.sync_extract) == GOLDEN_FINGERPRINT
+        assert cache_key(config, families.sync_extract) == GOLDEN_KEY
+        assert config_hash(config) == GOLDEN_CONFIG_HASH
+        assert run_id_for(config) == GOLDEN_RUN_ID
+
+    def test_runner_identities_reproduce_the_parent_bytes(self, tmp_path):
+        cache = AlwaysHit()
+        ParallelSweepRunner(cache=cache).run_configs(
+            [families.manyflow_config(GOLDEN_CASE)], families.sync_extract,
+            manifest_dir=tmp_path)
+        assert cache.asked == [GOLDEN_KEY]
+        document = json.loads(
+            (tmp_path / f"{GOLDEN_RUN_ID}.manifest.json").read_text())
+        assert document["cache_key"] == GOLDEN_KEY
+        assert document["config_hash"] == GOLDEN_CONFIG_HASH
+        assert document["run_id"] == GOLDEN_RUN_ID
+
+
+class TestRunnerIdentity:
+    @pytest.mark.parametrize("mode", ["plain", "policy", "journal"])
+    def test_runner_names_points_as_the_one_shots_do(self, mode, tmp_path):
+        configs = [families.manyflow_config(case) for case in GRID]
+        expected = [_one_shot(config, families.sync_extract)
+                    for config in configs]
+        resilience = {
+            "plain": None,
+            "policy": ResilienceConfig(),
+            "journal": ResilienceConfig(journal=tmp_path / "journal.jsonl"),
+        }[mode]
+        cache = AlwaysHit()
+        runner = ParallelSweepRunner(cache=cache, resilience=resilience)
+        results = runner.run_configs(configs, families.sync_extract,
+                                     manifest_dir=tmp_path / "manifests")
+        assert results == [STUB] * len(configs)
+        assert cache.asked == [identity.key for identity in expected]
+        for identity in expected:
+            document = json.loads(
+                (tmp_path / "manifests"
+                 / f"{identity.run_id}.manifest.json").read_text())
+            assert PointIdentity(document["cache_key"],
+                                 document["config_hash"],
+                                 document["run_id"]) == identity
+        if mode == "journal":
+            lines = [json.loads(line) for line in
+                     (tmp_path / "journal.jsonl").read_text().splitlines()]
+            assert [PointIdentity(line["key"], line["config_hash"],
+                                  line["run_id"])
+                    for line in lines] == expected
+
+    def test_manifests_alone_still_identify_points(self, tmp_path):
+        # No cache, no policy: the manifest is the only consumer.
+        config = paper.figure4(duration=5.0, warmup=2.0)
+        ParallelSweepRunner().run_configs(
+            [config], families.utilization_extract, manifest_dir=tmp_path)
+        identity = _one_shot(config, families.utilization_extract)
+        document = json.loads(
+            (tmp_path / f"{identity.run_id}.manifest.json").read_text())
+        assert document["cache_key"] == identity.key
+        assert document["config_hash"] == identity.config_hash
+
+    def test_failure_report_carries_the_same_identity(self):
+        config = paper.figure4(duration=5.0, warmup=2.0)
+        runner = ParallelSweepRunner(resilience=ResilienceConfig(
+            retries=0, allow_partial=True))
+        assert runner.run_configs([config], _raising_extract) == [None]
+        (failure,) = runner.last_report.failures
+        assert failure.run_id == run_id_for(config)
+        assert failure.config_hash == config_hash(config)
+
+
+def _raising_extract(result):
+    raise RuntimeError("no measurements today")
+
+
+class Thresholded:
+    """A callable-instance extractor."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def __call__(self, result):
+        return {"over": float(result.events_processed > self.threshold)}
+
+
+class TestExtractorFingerprint:
+    def test_equal_partials_built_separately_agree(self):
+        one = functools.partial(families.sync_extract, 3, scale=2.0, name="a")
+        two = functools.partial(families.sync_extract, 3, name="a", scale=2.0)
+        assert one is not two
+        assert _extractor_fingerprint(one) == _extractor_fingerprint(two)
+
+    def test_partial_is_its_function_plus_its_bound_arguments(self):
+        bare = _extractor_fingerprint(families.sync_extract)
+        wrapped = _extractor_fingerprint(
+            functools.partial(families.sync_extract))
+        assert wrapped.startswith(bare) and wrapped != bare
+        assert (_extractor_fingerprint(
+                    functools.partial(families.utilization_extract))
+                != wrapped)
+
+    def test_different_bound_arguments_differ(self):
+        fingerprints = {
+            _extractor_fingerprint(functools.partial(families.sync_extract)),
+            _extractor_fingerprint(functools.partial(families.sync_extract, 1)),
+            _extractor_fingerprint(functools.partial(families.sync_extract, 2)),
+            _extractor_fingerprint(
+                functools.partial(families.sync_extract, scale=1)),
+            _extractor_fingerprint(
+                functools.partial(families.sync_extract, scale=2)),
+        }
+        assert len(fingerprints) == 5
+
+    def test_callable_instance_is_fingerprinted_by_its_class(self):
+        fingerprint = _extractor_fingerprint(Thresholded(10))
+        assert fingerprint == _extractor_fingerprint(Thresholded(10))
+        assert fingerprint.startswith(f"{__name__}.Thresholded:")
+        # The class source was found and hashed, not the empty string.
+        assert not fingerprint.endswith(":e3b0c44298fc1c14")
+
+    def test_no_fingerprint_embeds_a_memory_address(self):
+        for extract in (families.sync_extract,
+                        functools.partial(families.sync_extract, 1, scale=2),
+                        functools.partial(functools.partial(
+                            families.sync_extract, 1), 2),
+                        Thresholded(10), Thresholded(10).__call__,
+                        _raising_extract):
+            assert "0x" not in _extractor_fingerprint(extract), extract
+
+    def test_partial_fingerprint_is_the_same_in_another_process(self):
+        # The bug this guards: a repr()-named partial never hit across
+        # processes and filled the cache with orphans.
+        probe = ("import functools; from repro.scenarios import families; "
+                 "from repro.parallel.cache import _extractor_fingerprint; "
+                 "print(_extractor_fingerprint(functools.partial("
+                 "families.sync_extract, 1, scale=2)))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        elsewhere = subprocess.run(
+            [sys.executable, "-c", probe], check=True, env=env,
+            stdout=subprocess.PIPE, text=True).stdout.strip()
+        assert elsewhere == _extractor_fingerprint(
+            functools.partial(families.sync_extract, 1, scale=2))

@@ -21,6 +21,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.parallel import ParallelSweepRunner, ResultCache, WorkerBackend
+from repro.parallel.backends.worker import _AgentHandle
 from repro.parallel.worker_agent import serve_tcp
 from repro.resilience import FAULTS_ENV, ResilienceConfig
 from repro.scenarios import families
@@ -132,6 +133,45 @@ class TestInjectedFleetFaults:
         assert runner.last_report.ok
         # The partitioned point skipped its write; the others landed.
         assert len(cache) == len(CONFIGS) - 1
+
+
+class _StubStream:
+    """An agent's stdin, as far as ``_dismiss`` can tell."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def write(self, line):
+        self.log.append((json.loads(line)["t"], self.name))
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+class _StubProc:
+    returncode = 0
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+
+    def wait(self, timeout=None):
+        self.log.append(("wait", self.name))
+        return 0
+
+
+class TestFleetTeardown:
+    def test_every_agent_is_told_before_any_is_waited_for(self):
+        log = []
+        agents = [_AgentHandle(name, proc=_StubProc(name, log),
+                               writer=_StubStream(name, log))
+                  for name in ("agent0", "agent1")]
+        WorkerBackend()._dismiss(agents)
+        assert log == [("shutdown", "agent0"), ("shutdown", "agent1"),
+                       ("wait", "agent0"), ("wait", "agent1")]
+        assert not any(agent.alive for agent in agents)
 
 
 class TestDegradation:

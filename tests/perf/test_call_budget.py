@@ -8,11 +8,18 @@ property (+23) or one pass-through method per hop (+6) all overshoot the
 budget, where a timing assertion would drown in noise.  The event and
 packet totals are pinned too, so a change that makes the path cheaper by
 *dropping* events fails here rather than passing as a speed-up.
+
+The replay path — a warm sweep answered entirely by the result cache —
+is budgeted the same way, per replayed point, together with the number
+of times the sweep reads its extractor's source.
 """
 
+import functools
+import inspect
 import sys
 
-from repro.scenarios import build, paper
+from repro.parallel import ResultCache
+from repro.scenarios import build, families, paper, sweep
 
 #: Python-level calls per delivered data packet.  The path measured
 #: 112.7 when the four per-port monitors became one observer per site
@@ -35,9 +42,21 @@ FIGURE4_EVENTS = 43_905
 FIGURE4_PACKETS = 3_081
 
 
-def _drain_counting_calls(config):
-    """``(calls, events, delivered packets)`` of one profiled run."""
-    built = build(config)
+#: The replay path — a warm ten-point ``sweep()`` through ``ResultCache``
+#: — in Python-level calls per replayed point: make_config (29), one
+#: canonical serialisation hashed twice (29), one ``cache.get``, and a
+#: tenth of the sweep's one extractor fingerprint (422).  Measured 141.5
+#: on CPython 3.11 (520.3 when every point re-read and re-tokenised the
+#: extractor's source); stdlib frames count here, so the headroom allows
+#: for another interpreter's ``pathlib`` / ``json`` but is smaller than a
+#: second serialisation of the config (+27).
+REPLAY_CALLS_PER_POINT_BUDGET = 160.0
+REPLAY_POINTS = 10
+
+
+def _count_calls(run):
+    """``(Python-level calls made, result)`` of ``run()`` under
+    ``sys.setprofile``."""
     calls = 0
 
     def count_calls(frame, event, arg):
@@ -48,10 +67,17 @@ def _drain_counting_calls(config):
     previous = sys.getprofile()
     sys.setprofile(count_calls)
     try:
-        built.sim.run(until=built.config.duration)
+        result = run()
     finally:
         sys.setprofile(previous)
+    return calls, result
 
+
+def _drain_counting_calls(config):
+    """``(calls, events, delivered packets)`` of one profiled run."""
+    built = build(config)
+    calls, _ = _count_calls(
+        lambda: built.sim.run(until=built.config.duration))
     packets = sum(conn.receiver.rcv_nxt for conn in built.connections)
     return calls, built.sim.events_processed, packets
 
@@ -99,3 +125,35 @@ def test_one_metrics_observer_per_emission_site():
             ours = [observer for observer in observers
                     if observer.__module__.startswith("repro.metrics")]
             assert len(ours) <= 1, f"{name} {site}: {ours}"
+
+
+def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
+    """A warm sweep fingerprints its extractor once, not once per point,
+    and spends a bounded number of calls on each replayed point."""
+    make_config = functools.partial(families.manyflow_config,
+                                    duration=5.0, warmup=2.0)
+    values = families.phase_grid((2,), (10, 20, 30, 40, 50), (0.0, 1.0))
+    assert len(values) == REPLAY_POINTS
+    cache = ResultCache(tmp_path)
+    cold = sweep(make_config, values, families.sync_extract, cache=cache,
+                 jobs=1)
+    assert (cache.hits, cache.misses) == (0, REPLAY_POINTS)
+
+    source_reads = []
+    getsource = inspect.getsource
+
+    def counting_getsource(target):
+        source_reads.append(target)
+        return getsource(target)
+
+    monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    calls, warm = _count_calls(
+        lambda: sweep(make_config, values, families.sync_extract,
+                      cache=cache, jobs=1))
+    assert warm == cold
+    assert (cache.hits, cache.misses) == (REPLAY_POINTS, REPLAY_POINTS)
+    assert source_reads == [families.sync_extract]
+    assert calls / REPLAY_POINTS <= REPLAY_CALLS_PER_POINT_BUDGET, (
+        f"{calls / REPLAY_POINTS:.1f} Python calls per replayed point "
+        f"(budget {REPLAY_CALLS_PER_POINT_BUDGET}): a sweep point is being "
+        "serialised, hashed or fingerprinted more than once")
