@@ -59,13 +59,16 @@ exit codes:
      this case exits 0 instead)
   4  every point failed
 
-Supervision (--timeout/--retries/--resume, and any REPRO_FAULTS fault
-injection) runs points on --jobs long-lived worker processes when
---jobs > 1, replacing any worker that dies or hangs; with --jobs 1
-points run in-process, so retries still apply but per-point timeouts
-cannot be enforced.  Failed points are reported on
-stderr and recorded in --manifest-dir manifests and the --report
-document.
+One coordinator runs every point, on any --backend: with --jobs > 1 on
+that many long-lived worker processes, with --backend worker on a fleet
+of agents, with --jobs 1 in-process.  Supervision (--timeout/--retries/
+--resume) replaces any worker that dies, goes silent or hangs; on
+--jobs 1 retries still apply but a per-point timeout cannot be enforced,
+and a REPRO_FAULTS kill or hang takes this process with it.  A malformed
+--worker-connect HOST:PORT is a configuration error; an unreachable one
+is warned about and the sweep degrades to local execution.  Failed
+points are reported on stderr and recorded in --manifest-dir manifests
+and the --report document.
 """
 
 #: Default sim-time slice a ``repro trace`` records: enough to show several
@@ -711,18 +714,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.parallel.cachestore import parse_endpoint
     from repro.parallel.worker_agent import serve_stdio, serve_tcp
 
     if args.listen is None:
         return serve_stdio()
-    host, _, port_text = args.listen.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(f"error: --listen wants HOST:PORT, got {args.listen!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    return serve_tcp(host or "127.0.0.1", port, once=not args.forever)
+    host, port = parse_endpoint(args.listen)
+    return serve_tcp(host, port, once=not args.forever)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:

@@ -7,12 +7,14 @@ congestion-control algorithms made — so ``repro sweep --backend worker``
 and ``ParallelSweepRunner(backend="worker")`` resolve through one
 string-keyed table:
 
-- ``local`` — this host's processes (serial loop, supervised serial
-  loop, or ``jobs`` long-lived workers spawned once per sweep).  The
-  default, and the degradation target when any other backend dies
-  mid-sweep.
+- ``local`` — this host's processes (``jobs`` long-lived workers
+  spawned once per sweep; in-process for ``jobs == 1``).  The default,
+  and the degradation target when any other backend dies mid-sweep.
 - ``worker`` — a fleet of long-lived ``repro worker serve`` agents
-  coordinated over the lease-based wire protocol.
+  speaking the line-JSON wire protocol.
+
+Both are a transport under the one supervision loop of
+:mod:`~repro.parallel.backends.coordinator`.
 
 Third-party backends subclass :class:`~repro.parallel.backends.base.
 SweepBackend` and call :func:`register_backend`.

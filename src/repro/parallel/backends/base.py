@@ -70,16 +70,16 @@ class BackendRequest:
     complete: CompleteFn
     emit: Callable[[PointProgress], None]
     policy: ResilienceConfig | None = None
-    """``None`` selects the unsupervised paths (local backend only: no
-    deadlines, no retries, the first failure fails the sweep);
-    distributed backends always run supervised."""
+    """``None`` runs unsupervised (local backend only: no deadlines, no
+    retries, the first failure fails the sweep); distributed backends
+    always run supervised."""
     attempt_failed: AttemptFailedFn | None = None
     """Present whenever ``policy`` is — terminal-failure bookkeeping."""
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     metered: bool = False
     """Run points with metrics registries and ship snapshots back."""
     report: ResilienceReport | None = None
-    """Supervised runs only; backends bump distributed counters
+    """Supervised runs only; the coordinator bumps the lease counters
     (``lease_reclaims``, ``duplicate_results``) directly."""
     conflict: Callable[[int, dict, dict], None] | None = None
     """``conflict(index, accepted, duplicate)`` — an at-least-once

@@ -1,53 +1,51 @@
 """The distributed execution backend: leases over a fleet of agents.
 
-The coordinator here speaks the :mod:`repro.parallel.protocol`
-worker-agent conversation with a fleet of long-lived ``repro worker
-serve`` processes — spawned locally over stdio pipes by default, or
-reached over TCP with ``connect=``.  Each pending sweep point becomes a
-**lease** (:mod:`repro.parallel.leases`): granted to an idle agent,
-kept alive by heartbeats, reclaimed and re-leased when its deadline
-passes without one.  An agent crash, hang, or network partition costs
-the sweep latency, never a point.
+``WorkerBackend.execute`` is pre-flight checks, a crew of agents and
+:func:`~repro.parallel.backends.coordinator.coordinate` — the same
+supervision loop the local backend runs.  An agent is a long-lived
+``repro worker serve`` process speaking the
+:mod:`repro.parallel.protocol` conversation: spawned locally over stdio
+pipes by default, or reached over TCP with ``connect=``.  Each pending
+sweep point becomes a **lease** (:mod:`repro.parallel.leases`): granted
+to an idle agent, kept alive by heartbeats, reclaimed and re-leased
+when its deadline passes without one.  An agent crash, hang, or network
+partition costs the sweep latency, never a point.
 
-Reclamation makes execution at-least-once; safety comes from content
-addressing.  A duplicate completion whose payload matches the accepted
-one is counted and dropped (``report.duplicate_results``); a duplicate
-that *disagrees* is handed to ``request.conflict`` — the runner
-quarantines both copies, because a conflict means nondeterminism or
-corruption and neither payload can be trusted.
+What this module adds to the loop is the transport: :class:`_Agent`
+turns the agent's byte stream into the coordinator's messages (a
+bounded line splitter over the raw pipe or socket fd, so the
+coordinator blocks in one ``connection.wait`` over the whole fleet),
+keeps ``hello`` — and its version check — to itself and surfaces it as
+*ready*, and turns ``heartbeat`` into a keep-alive.
 
-When the whole fleet is gone and cannot be respawned the backend raises
-:class:`~repro.errors.BackendUnavailable`; the runner then degrades the
-remaining points to the local backend, so a distributed sweep's worst
-case is a slow local sweep.
+When the whole fleet is gone and cannot be respawned the coordinator
+raises :class:`~repro.errors.BackendUnavailable`; the runner then
+degrades the remaining points to the local backend, so a distributed
+sweep's worst case is a slow local sweep.
 """
 
 from __future__ import annotations
 
-import queue
+import itertools
+import os
 import socket
 import subprocess
 import sys
-import threading
 import warnings
-from time import monotonic
 from typing import Sequence
 
 from repro.errors import BackendUnavailable, WireError
 from repro.parallel.backends.base import BackendRequest, SweepBackend
-from repro.parallel.leases import LeaseTable
-from repro.parallel.progress import PointProgress
+from repro.parallel.backends.coordinator import Crew, Transport, coordinate
+from repro.parallel.cachestore import parse_endpoint
 from repro.parallel.protocol import (
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    decode_message,
+    encode_message,
     extract_reference,
-    read_message,
-    write_message,
 )
-from repro.resilience.report import (
-    OUTCOME_CRASH,
-    OUTCOME_ERROR,
-    OUTCOME_TIMEOUT,
-)
+from repro.resilience.report import OUTCOME_ERROR, OUTCOME_OK
 from repro.scenarios.serialize import config_to_dict
 
 __all__ = ["WorkerBackend", "default_agent_command"]
@@ -64,47 +62,118 @@ def default_agent_command() -> list[str]:
     return [sys.executable, "-u", "-m", "repro", "worker", "serve"]
 
 
-class _AgentHandle:
-    """Coordinator-side state for one fleet member."""
+class _Agent(Transport):
+    """One fleet member: a spawned ``proc`` (stdio) or a connected ``sock``,
+    its messages arriving on the raw descriptor ``fd``.  ``terms`` are the
+    lease fields every point shares (extract reference, metered, heartbeat)."""
 
-    def __init__(self, name: str, *, proc=None, sock=None,
-                 reader=None, writer=None, hello_deadline: float = 0.0) -> None:
+    ready = False
+
+    def __init__(self, name: str, fd: int, writer, terms: dict, *,
+                 proc=None, sock=None) -> None:
         self.name = name
+        self.waitable = fd
+        self.writer = writer
+        self.terms = terms
         self.proc = proc
         self.sock = sock
-        self.reader = reader
-        self.writer = writer
-        self.host = ""
-        self.pid: int | None = None
-        self.ready = False
-        """True once the agent's ``hello`` arrived (and matched versions)."""
-        self.alive = True
-        self.busy_lease: str | None = None
-        """The lease this agent is currently serving, if any."""
-        self.hello_deadline = hello_deadline
-        self.thread: threading.Thread | None = None
+        self._buffer = bytearray()
 
-    @property
-    def idle(self) -> bool:
-        return self.alive and self.ready and self.busy_lease is None
+    def _write(self, message: dict) -> None:
+        self.writer.write(encode_message(message).encode())
+        self.writer.flush()
 
-    def identity(self) -> str:
-        """Provenance string for manifests: who actually ran the point."""
-        host = self.host or "localhost"
-        return f"{self.name}@{host}" + (f":{self.pid}" if self.pid else "")
+    def send(self, lease_id: str, task: tuple) -> None:
+        index, attempt, config, faults = task
+        self._write({
+            "t": "lease", "lease_id": lease_id, "index": index,
+            "attempt": attempt, "config": config_to_dict(config),
+            "faults": [clause.to_dict() for clause in faults], **self.terms})
 
+    def messages(self) -> list[tuple]:
+        try:
+            chunk = os.read(self.waitable, 1 << 16)
+        except OSError:
+            chunk = b""
+        if not chunk:
+            return [self._died("EOF on the agent transport")]
+        self._buffer += chunk
+        *lines, self._buffer = self._buffer.split(b"\n")
+        arrived: list[tuple] = []
+        try:
+            if len(self._buffer) > MAX_LINE_BYTES:
+                raise WireError(
+                    f"protocol line exceeds {MAX_LINE_BYTES} bytes")
+            for line in lines:
+                arrived += self._understood(decode_message(line))
+        except (WireError, TypeError, ValueError) as exc:
+            # A peer that cannot frame lines or type its fields cannot
+            # be trusted to pair results with leases.
+            arrived.append(self._died(f"protocol damage: {exc}"))
+        return arrived
 
-class _LeaseInfo:
-    """Immutable grant-time facts, kept past reclamation for stale arrivals."""
+    def _understood(self, message: dict) -> list[tuple]:
+        kind = message["t"]
+        lease_id = str(message.get("lease_id", ""))
+        if kind == "hello":
+            if message.get("proto") != PROTOCOL_VERSION:
+                raise WireError(
+                    f"version mismatch (agent {message.get('proto')} != "
+                    f"coordinator {PROTOCOL_VERSION})")
+            # Provenance for manifests: who actually ran the point.
+            pid = message.get("pid")
+            self.name += (f"@{message.get('host') or 'localhost'}"
+                          + (f":{pid}" if isinstance(pid, int) else ""))
+            self.ready = True
+        elif kind == "heartbeat":
+            return [("alive", lease_id, None)]
+        elif kind == "result":
+            return [(OUTCOME_OK, lease_id,
+                     (message.get("measurements"),
+                      float(message.get("wall_seconds", 0.0)),
+                      int(message.get("events_processed", 0)),
+                      message.get("snapshot")))]
+        elif kind == "error":
+            return [(OUTCOME_ERROR, lease_id,
+                     str(message.get("detail", "worker error")))]
+        # Unknown message kinds are ignored: a newer agent may emit
+        # vocabulary this coordinator predates.
+        return []
 
-    __slots__ = ("index", "attempt", "agent", "begin")
+    def _died(self, why: str) -> tuple:
+        self.reap(force=True)
+        code = getattr(self.proc, "returncode", None)
+        return ("dead", "",
+                why + (f", exit code {code}" if code is not None else ""))
 
-    def __init__(self, index: int, attempt: int, agent: str,
-                 begin: float) -> None:
-        self.index = index
-        self.attempt = attempt
-        self.agent = agent
-        self.begin = begin
+    def dismiss(self) -> None:
+        try:
+            self._write({"t": "shutdown"})
+        except (OSError, ValueError):  # repro: noqa[RPR007] -- polite shutdown of a possibly-dead agent; reap falls through to kill
+            pass
+        self._close(self.writer)
+
+    def reap(self, force: bool = False) -> None:
+        if self.proc is not None:
+            if force:
+                # Presumed hung or partitioned: stop it *now*.
+                self.proc.kill()
+            try:
+                self.proc.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
+                self.proc.kill()
+                self.proc.wait()
+        self._close(self.writer, getattr(self.proc, "stdout", None),
+                    self.sock)
+
+    @staticmethod
+    def _close(*streams) -> None:
+        for stream in streams:
+            try:
+                if stream is not None:
+                    stream.close()
+            except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
+                pass
 
 
 class WorkerBackend(SweepBackend):
@@ -142,478 +211,69 @@ class WorkerBackend(SweepBackend):
         self.command = list(command) if command else default_agent_command()
         self.workers = workers
         self.connect = tuple(connect)
+        #: Parsed here so a typo is a ConfigurationError before anything
+        #: is spawned, not an agent that "could not be reached".
+        self._endpoints = [parse_endpoint(endpoint)
+                           for endpoint in self.connect]
         self.lease_ttl = float(lease_ttl)
         self.heartbeat = max(0.05, self.lease_ttl * _HEARTBEAT_FRACTION)
         self.max_respawns = max_respawns
         self.hello_timeout = float(hello_timeout)
 
-    # ------------------------------------------------------------------
-    # Fleet plumbing
-    # ------------------------------------------------------------------
-    def _pump(self, agent: _AgentHandle, inbox: queue.Queue) -> None:
-        """Reader-thread body: decode agent messages into the inbox.
-
-        ``None`` marks EOF; a wire error is surfaced as a synthetic
-        message (the coordinator kills the agent — a peer that cannot
-        frame lines cannot be trusted to pair results with leases).
-        """
+    def _spawn_agent(self, ordinal: int, terms: dict) -> _Agent | None:
         try:
-            while True:
-                try:
-                    message = read_message(agent.reader)
-                except WireError as exc:
-                    inbox.put((agent.name, {"t": "~damaged", "detail": str(exc)}))
-                    return
-                inbox.put((agent.name, message))
-                if message is None:
-                    return
-        except (OSError, ValueError):
-            inbox.put((agent.name, None))
-
-    def _start_reader(self, agent: _AgentHandle, inbox: queue.Queue) -> None:
-        agent.thread = threading.Thread(
-            target=self._pump, args=(agent, inbox), daemon=True,
-            name=f"pump-{agent.name}")
-        agent.thread.start()
-
-    def _spawn_agent(self, ordinal: int, inbox: queue.Queue,
-                     now: float) -> _AgentHandle | None:
-        name = f"agent{ordinal}"
-        try:
-            proc = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, encoding="utf-8", bufsize=1)
+            proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
+                                    stdout=subprocess.PIPE)
         except OSError as exc:
             warnings.warn(f"could not spawn worker agent ({exc})",
-                          RuntimeWarning, stacklevel=3)
+                          RuntimeWarning, stacklevel=5)
             return None
-        agent = _AgentHandle(name, proc=proc, reader=proc.stdout,
-                             writer=proc.stdin,
-                             hello_deadline=now + self.hello_timeout)
-        self._start_reader(agent, inbox)
-        return agent
+        return _Agent(f"agent{ordinal}", proc.stdout.fileno(), proc.stdin,
+                      terms, proc=proc)
 
-    def _connect_agent(self, ordinal: int, endpoint: str, inbox: queue.Queue,
-                       now: float) -> _AgentHandle | None:
-        host, _, port_text = endpoint.rpartition(":")
+    def _connect_agent(self, ordinal: int, endpoint: tuple[str, int],
+                       terms: dict) -> _Agent | None:
         try:
-            sock = socket.create_connection((host or "localhost",
-                                             int(port_text)), timeout=10.0)
-        except (OSError, ValueError) as exc:
-            warnings.warn(f"could not connect to worker agent {endpoint!r} "
-                          f"({exc})", RuntimeWarning, stacklevel=3)
+            sock = socket.create_connection(endpoint, timeout=10.0)
+        except OSError as exc:
+            warnings.warn("could not connect to worker agent "
+                          f"{endpoint[0]}:{endpoint[1]} ({exc})",
+                          RuntimeWarning, stacklevel=5)
             return None
-        agent = _AgentHandle(
-            f"agent{ordinal}",
-            sock=sock,
-            reader=sock.makefile("r", encoding="utf-8", newline="\n"),
-            writer=sock.makefile("w", encoding="utf-8", newline="\n"),
-            hello_deadline=now + self.hello_timeout)
-        self._start_reader(agent, inbox)
-        return agent
+        sock.settimeout(None)
+        return _Agent(f"agent{ordinal}", sock.fileno(), sock.makefile("wb"),
+                      terms, sock=sock)
 
-    def _release(self, agent: _AgentHandle) -> None:
-        """Close a stopped agent's transport.  Its pump thread reads one
-        of the streams, so that is let return (EOF follows the reaped
-        process or the shut-down socket) before anything is closed."""
-        if agent.sock is not None:
-            try:
-                # close() alone is deferred while the makefile wrappers live.
-                agent.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:  # repro: noqa[RPR007] -- the peer already disconnected; nothing to shut down
-                pass
-        if agent.thread is not None:
-            agent.thread.join(timeout=5.0)
-            if agent.thread.is_alive():  # pragma: no cover - pipe held open by a grandchild
-                return
-        for stream in (agent.writer, agent.reader, agent.sock):
-            if stream is not None:
-                try:
-                    stream.close()
-                except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
-                    pass
-
-    def _dismiss(self, agents: Sequence[_AgentHandle]) -> None:
-        """Stop agents: polite shutdown, then force.  All are told before
-        any is waited for, so their interpreters finalise side by side."""
-        for agent in agents:
-            if agent.writer is not None:
-                try:
-                    write_message(agent.writer, {"t": "shutdown"})
-                except (OSError, ValueError):  # repro: noqa[RPR007] -- polite shutdown of a possibly-dead agent; failure falls through to kill
-                    pass
-                try:
-                    agent.writer.close()
-                except (OSError, ValueError):  # repro: noqa[RPR007] -- closing a stream to a dead peer; nothing to recover
-                    pass
-        for agent in agents:
-            if agent.proc is not None:
-                try:
-                    agent.proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
-                    agent.proc.kill()
-                    agent.proc.wait()
-            self._release(agent)
-            agent.alive = False
-
-    def _kill(self, agent: _AgentHandle) -> None:
-        """Stop one agent *now* (it is presumed hung or partitioned)."""
-        agent.alive = False
-        if agent.proc is not None:
-            agent.proc.kill()
-            agent.proc.wait()
-        self._release(agent)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def execute(self, request: BackendRequest) -> None:
         if request.policy is None or request.attempt_failed is None:
             raise BackendUnavailable(
                 "the worker backend always runs supervised; the runner must "
                 "provide a resilience policy")
-        reference = extract_reference(request.extract)
-        run = _SweepRun(self, request, reference)
-        run.execute()
+        terms = {"extract": extract_reference(request.extract),
+                 "metered": request.metered, "heartbeat": self.heartbeat}
+        fleet = len(self.connect) or self.workers or max(1, request.jobs)
+        respawns = (self.max_respawns if self.max_respawns is not None
+                    else 2 * fleet)
+        ordinals = itertools.count()
+        endpoints = list(self._endpoints)
 
-
-class _SweepRun:
-    """One sweep's coordinator state (fleet, leases, queue, dedupe)."""
-
-    def __init__(self, backend: WorkerBackend, request: BackendRequest,
-                 reference: dict) -> None:
-        self.backend = backend
-        self.request = request
-        self.reference = reference
-        self.plan = request.fault_plan
-        self.inbox: queue.Queue = queue.Queue()
-        self.agents: dict[str, _AgentHandle] = {}
-        self.leases = LeaseTable(ttl=backend.lease_ttl)
-        self.lease_info: dict[str, _LeaseInfo] = {}
-        #: (index, attempt, not_before) — runnable once monotonic() passes.
-        self.queue: list[tuple[int, int, float]] = [
-            (index, 1, 0.0) for index in request.pending]
-        self.done: set[int] = set()
-        self.failed: set[int] = set()
-        self.accepted: dict[int, dict] = {}
-        self.expire_fired: dict[int, int] = {}
-        self.ordinal = 0
-        self.respawns = 0
-        fleet = (len(backend.connect) or backend.workers
-                 or max(1, request.jobs))
-        self.fleet = fleet
-        self.max_respawns = (backend.max_respawns
-                             if backend.max_respawns is not None
-                             else 2 * fleet)
-
-    # -- fleet -----------------------------------------------------------
-    def _recruit(self, now: float) -> None:
-        backend = self.backend
-        if backend.connect:
-            for endpoint in backend.connect:
-                agent = backend._connect_agent(self.ordinal, endpoint,
-                                               self.inbox, now)
-                self.ordinal += 1
+        def spawn() -> _Agent | None:
+            # TCP endpoints are someone else's processes — they are not
+            # replaced, the fleet just shrinks.
+            while endpoints:
+                agent = self._connect_agent(next(ordinals), endpoints.pop(0),
+                                            terms)
                 if agent is not None:
-                    self.agents[agent.name] = agent
-            return
-        for _ in range(self.fleet):
-            self._add_agent(now)
+                    return agent
+            ordinal = next(ordinals)
+            if self.connect or ordinal >= fleet + respawns:
+                return None
+            return self._spawn_agent(ordinal, terms)
 
-    def _add_agent(self, now: float) -> bool:
-        agent = self.backend._spawn_agent(self.ordinal, self.inbox, now)
-        self.ordinal += 1
-        if agent is None:
-            return False
-        self.agents[agent.name] = agent
-        return True
-
-    def _maybe_respawn(self, now: float) -> None:
-        """Replace a dead agent, within the respawn budget.
-
-        TCP endpoints are someone else's processes — they are not
-        replaced, the fleet just shrinks.
-        """
-        if self.backend.connect:
-            return
-        if self.respawns >= self.max_respawns:
-            return
-        self.respawns += 1
-        self._add_agent(now)
-
-    def _alive(self) -> list[_AgentHandle]:
-        return [agent for agent in self.agents.values() if agent.alive]
-
-    # -- main loop -------------------------------------------------------
-    def execute(self) -> None:
-        total = len(self.request.pending)
-        now = monotonic()
-        self._recruit(now)
-        if not self._alive():
-            raise BackendUnavailable(
-                "worker backend: no agent could be started "
-                f"(command={self.backend.command!r}, "
-                f"connect={self.backend.connect!r})")
-        try:
-            while len(self.done) + len(self.failed) < total:
-                now = monotonic()
-                self._enforce_deadlines(now)
-                if not self._alive():
-                    raise BackendUnavailable(
-                        "worker backend: every agent died and the respawn "
-                        f"budget ({self.max_respawns}) is spent")
-                self._assign(now)
-                try:
-                    agent_name, message = self.inbox.get(
-                        timeout=self._wait_budget(now))
-                except queue.Empty:
-                    continue
-                self._handle(agent_name, message)
-        finally:
-            self.backend._dismiss(self._alive())
-
-    def _wait_budget(self, now: float) -> float:
-        horizons = [lease.deadline for lease in self.leases.active.values()]
-        horizons += [lease.point_deadline
-                     for lease in self.leases.active.values()]
-        horizons += [agent.hello_deadline for agent in self._alive()
-                     if not agent.ready]
-        horizons += [task[2] for task in self.queue]
-        horizon = min((h for h in horizons if h != float("inf")),
-                      default=now + 0.5)
-        return min(0.5, max(0.01, horizon - now))
-
-    # -- dispatch --------------------------------------------------------
-    def _assign(self, now: float) -> None:
-        request = self.request
-        # A point can finish (via a stale at-least-once result) while a
-        # requeued copy still waits; never lease work that is over.
-        self.queue = [task for task in self.queue
-                      if task[0] not in self.done
-                      and task[0] not in self.failed]
-        ready_tasks = sorted(task for task in self.queue if task[2] <= now)
-        for agent in self.agents.values():
-            if not ready_tasks:
-                return
-            if not agent.idle:
-                continue
-            task = ready_tasks.pop(0)
-            self.queue.remove(task)
-            index, attempt, _ = task
-            lease = self.leases.grant(
-                index, attempt, agent.name, now,
-                point_budget=request.policy.timeout)
-            self.lease_info[lease.lease_id] = _LeaseInfo(
-                index, attempt, agent.name, now)
-            faults = [clause.to_dict() for clause
-                      in self.plan.agent_faults(index, attempt)]
-            message = {
-                "t": "lease",
-                "lease_id": lease.lease_id,
-                "index": index,
-                "attempt": attempt,
-                "config": config_to_dict(request.configs[index]),
-                "extract": self.reference,
-                "faults": faults,
-                "metered": request.metered,
-                "heartbeat": self.backend.heartbeat,
-            }
-            try:
-                write_message(agent.writer, message)
-            except (OSError, ValueError):
-                # The agent died between hello and this grant; undo and
-                # let the EOF handler (already in the inbox) clean up.
-                self.leases.release(lease.lease_id)
-                self.queue.append(task)
-                continue
-            agent.busy_lease = lease.lease_id
-            request.emit(PointProgress(index=index, phase="start",
-                                       attempt=attempt,
-                                       worker=agent.identity()))
-            fired = self.expire_fired.get(index, 0)
-            if self.plan and self.plan.lease_expires(index, fired + 1):
-                # Injected partition: reclaim and re-lease immediately
-                # (waiting for the deadline sweep would race a fast
-                # simulation's result).  The agent keeps working,
-                # oblivious; whichever copy reports second must dedupe
-                # by content — the at-least-once case this drill exists
-                # to exercise.
-                self.leases.force_expire(index)
-                self.leases.reclaim(lease.lease_id)
-                if request.report is not None:
-                    request.report.lease_reclaims += 1
-                self.queue.append((index, attempt, now))
-                self.expire_fired[index] = fired + 1
-
-    # -- deadlines -------------------------------------------------------
-    def _enforce_deadlines(self, now: float) -> None:
-        report = self.request.report
-        for agent in self._alive():
-            if not agent.ready and agent.hello_deadline <= now:
-                self.backend._kill(agent)
-                warnings.warn(
-                    f"worker agent {agent.name} never said hello within "
-                    f"{self.backend.hello_timeout}s; replacing it",
-                    RuntimeWarning, stacklevel=2)
-                self._maybe_respawn(now)
-        for lease in self.leases.overdue(now):
-            info = self.lease_info[lease.lease_id]
-            self.leases.reclaim(lease.lease_id)
-            agent = self.agents.get(lease.worker)
-            if agent is not None and agent.alive:
-                # The agent may heartbeat forever on a stuck simulation;
-                # only killing it frees the fleet slot.
-                self.backend._kill(agent)
-                agent.busy_lease = None
-                self._maybe_respawn(now)
-            self._attempt_over(
-                info, OUTCOME_TIMEOUT, now - info.begin,
-                "exceeded the per-point timeout of "
-                f"{self.request.policy.timeout}s (lease {lease.lease_id})")
-        for lease in self.leases.expired(now):
-            info = self.lease_info[lease.lease_id]
-            self.leases.reclaim(lease.lease_id)
-            if report is not None:
-                report.lease_reclaims += 1
-            if lease.forced:
-                # Injected partition: the worker is healthy and must not
-                # be killed — its eventual duplicate completion is the
-                # at-least-once case this drill exists to exercise.
-                if info.index not in self.done and info.index not in self.failed:
-                    self.queue.append((info.index, info.attempt, now))
-                continue
-            agent = self.agents.get(lease.worker)
-            if agent is not None and agent.alive:
-                self.backend._kill(agent)
-                agent.busy_lease = None
-                self._maybe_respawn(now)
-            self._attempt_over(
-                info, OUTCOME_CRASH, now - info.begin,
-                f"lease {lease.lease_id} expired without a heartbeat "
-                f"(ttl {self.backend.lease_ttl}s)")
-
-    def _attempt_over(self, info: _LeaseInfo, outcome: str,
-                      wall_seconds: float, detail: str) -> None:
-        if info.index in self.done or info.index in self.failed:
-            return
-        delay = self.request.attempt_failed(
-            info.index, info.attempt, outcome, wall_seconds, detail,
-            info.agent)
-        if delay is None:
-            self.failed.add(info.index)
-        else:
-            self.queue.append((info.index, info.attempt + 1,
-                               monotonic() + delay))
-
-    # -- message handling ------------------------------------------------
-    def _handle(self, agent_name: str, message: dict | None) -> None:
-        agent = self.agents.get(agent_name)
-        if agent is None:  # pragma: no cover - defensive
-            return
-        if message is None:
-            self._on_death(agent, "EOF on the agent transport")
-            return
-        kind = message.get("t")
-        if kind == "~damaged":
-            self.backend._kill(agent)
-            self._on_death(
-                agent, f"protocol damage: {message.get('detail', '')}")
-        elif kind == "hello":
-            if message.get("proto") != PROTOCOL_VERSION:
-                self.backend._kill(agent)
-                self._on_death(
-                    agent,
-                    f"protocol version mismatch (agent {message.get('proto')}"
-                    f" != coordinator {PROTOCOL_VERSION})")
-                return
-            agent.ready = True
-            agent.host = str(message.get("host", ""))
-            pid = message.get("pid")
-            agent.pid = pid if isinstance(pid, int) else None
-        elif kind == "heartbeat":
-            lease_id = message.get("lease_id")
-            if isinstance(lease_id, str):
-                self.leases.heartbeat(lease_id, monotonic())
-        elif kind == "result":
-            self._on_result(agent, message)
-        elif kind == "error":
-            self._on_error(agent, message)
-        # Unknown message kinds are ignored: a newer agent may emit
-        # vocabulary this coordinator predates.
-
-    def _on_result(self, agent: _AgentHandle, message: dict) -> None:
-        request, report = self.request, self.request.report
-        lease_id = message.get("lease_id")
-        info = self.lease_info.get(lease_id) if isinstance(lease_id, str) else None
-        if agent.busy_lease == lease_id:
-            agent.busy_lease = None
-        if info is None:
-            warnings.warn(f"worker agent {agent.name} reported a result for "
-                          f"an unknown lease {lease_id!r}; dropping it",
-                          RuntimeWarning, stacklevel=2)
-            return
-        self.leases.release(lease_id)
-        measurements = message.get("measurements")
-        if info.index in self.done:
-            # At-least-once aftermath: a reclaimed lease's worker finished
-            # anyway.  Equal payloads dedupe by content; unequal payloads
-            # mean nondeterminism or corruption — quarantine both.
-            if measurements == self.accepted[info.index]:
-                if report is not None:
-                    report.duplicate_results += 1
-            elif request.conflict is not None:
-                request.conflict(info.index, self.accepted[info.index],
-                                 measurements)
-            return
-        if info.index in self.failed:
-            if report is not None:
-                report.duplicate_results += 1
-            return
-        self.done.add(info.index)
-        self.accepted[info.index] = measurements
-        request.complete(
-            info.index, measurements, agent.identity(),
-            float(message.get("wall_seconds", 0.0)),
-            int(message.get("events_processed", 0)),
-            attempts=info.attempt,
-            snapshot=message.get("snapshot"))
-
-    def _on_error(self, agent: _AgentHandle, message: dict) -> None:
-        lease_id = message.get("lease_id")
-        info = self.lease_info.get(lease_id) if isinstance(lease_id, str) else None
-        if agent.busy_lease == lease_id:
-            agent.busy_lease = None
-        if info is None:
-            warnings.warn(
-                f"worker agent {agent.name} reported: "
-                f"{message.get('detail', 'unknown error')}",
-                RuntimeWarning, stacklevel=2)
-            return
-        lease = self.leases.release(lease_id)
-        if lease is None or info.index in self.done:
-            return  # stale: the point was reclaimed and has moved on
-        self._attempt_over(info, OUTCOME_ERROR, monotonic() - info.begin,
-                           str(message.get("detail", "worker error")))
-
-    def _on_death(self, agent: _AgentHandle, detail: str) -> None:
-        if agent.alive:
-            agent.alive = False
-            if agent.proc is not None:
-                agent.proc.wait()
-            self.backend._release(agent)
-        report = self.request.report
-        now = monotonic()
-        orphans = self.leases.by_worker(agent.name)
-        for lease in orphans:
-            self.leases.reclaim(lease.lease_id)
-            if report is not None:
-                report.lease_reclaims += 1
-            info = self.lease_info[lease.lease_id]
-            exitcode = agent.proc.returncode if agent.proc is not None else None
-            self._attempt_over(
-                info, OUTCOME_CRASH, now - info.begin,
-                f"worker agent died ({detail}"
-                + (f", exit code {exitcode}" if exitcode is not None else "")
-                + ") before reporting a result")
-        agent.busy_lease = None
-        self._maybe_respawn(now)
+        coordinate(request, Crew(
+            spawn, slots=fleet, ttl=self.lease_ttl,
+            hello_timeout=self.hello_timeout,
+            unavailable="worker backend: no agent is alive and no more can "
+                        f"be started (command={self.command!r}, "
+                        f"connect={self.connect!r}, respawn budget "
+                        f"{respawns})"))

@@ -42,17 +42,22 @@ __all__ = ["SharedCacheClient", "SharedCacheServer", "parse_endpoint"]
 
 
 def parse_endpoint(url: str) -> tuple[str, int]:
-    """``tcp://host:port`` (or bare ``host:port``) → ``(host, port)``."""
+    """``tcp://host:port`` (or bare ``host:port``) → ``(host, port)``.
+
+    The one ``HOST:PORT`` parser: the shared cache URL, ``repro worker
+    serve --listen`` and ``--worker-connect`` all come through here, so
+    a malformed endpoint is the same :class:`ConfigurationError`
+    everywhere.
+    """
     text = url.strip()
     if text.startswith("tcp://"):
         text = text[len("tcp://"):]
     host, _, port_text = text.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
+    if not port_text.isdecimal() or int(port_text) > 65535:
         raise ConfigurationError(
-            f"bad cache endpoint {url!r}; expected tcp://HOST:PORT")
-    return host or "localhost", port
+            f"bad endpoint {url!r}; expected HOST:PORT or tcp://HOST:PORT "
+            "with a port in 0-65535")
+    return host or "localhost", int(port_text)
 
 
 class SharedCacheServer:

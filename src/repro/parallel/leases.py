@@ -1,11 +1,13 @@
-"""Lease-based work claiming for distributed sweep execution.
+"""Lease-based work claiming: the coordinator's one busy-table.
 
-A sweep point dispatched to a remote worker is never *given away* — it
-is **leased**: the coordinator grants a lease with a deadline, the
-worker heartbeats to keep it alive, and a lease whose deadline passes
-without a heartbeat is **reclaimed** so the point can be re-leased to a
-healthier worker.  An orphaned point (worker died, network partitioned,
-host rebooted) therefore costs latency, never results.
+A sweep point dispatched to a worker — a local process or a remote
+agent — is never *given away*; it is **leased**: the coordinator grants
+a lease with a deadline, the worker keeps it alive, and a lease whose
+deadline passes without a keep-alive is **reclaimed** so the point can
+be re-leased to a healthier worker.  (A pipe worker's table has a TTL
+of ``inf``: its death is an EOF, not a silence.)  An orphaned point
+(worker died, network partitioned, host rebooted) therefore costs
+latency, never results.
 
 Reclamation makes execution *at-least-once*: a partitioned-but-alive
 worker may still finish its stale lease and report a result the
@@ -43,6 +45,8 @@ class Lease:
     point_deadline: float = math.inf
     """Monotonic instant the point's *total* wall-clock budget runs out
     (``resilience.timeout``); heartbeats never extend this one."""
+    granted_at: float = 0.0
+    """Monotonic instant of the grant (a failed attempt's wall time)."""
     heartbeats: int = 0
     forced: bool = False
     """True when a ``lease-expire`` fault expired this lease on purpose
@@ -87,6 +91,7 @@ class LeaseTable:
             deadline=now + self.ttl,
             point_deadline=(now + point_budget
                             if point_budget is not None else math.inf),
+            granted_at=now,
         )
         self.active[lease.lease_id] = lease
         return lease

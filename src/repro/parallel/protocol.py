@@ -90,8 +90,10 @@ def encode_message(message: dict) -> str:
     return json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def decode_message(line: str) -> dict:
-    """Parse one wire line; raises :class:`~repro.errors.WireError` on damage."""
+def decode_message(line: str | bytes | bytearray) -> dict:
+    """Parse one wire line — text, or raw bytes straight off a descriptor
+    (undecodable bytes are damage too); raises
+    :class:`~repro.errors.WireError` on damage."""
     if len(line) > MAX_LINE_BYTES:
         raise WireError(f"protocol line exceeds {MAX_LINE_BYTES} bytes")
     text = line.strip()

@@ -21,18 +21,22 @@ execution.  When a distributed backend raises
 points degrade to the local backend, so a dead fleet costs locality,
 never results.
 
-Two execution regimes share this front end:
+One coordinator (:mod:`repro.parallel.backends.coordinator`) executes
+every live point, whatever the backend and whatever ``jobs`` is; what
+the ``resilience=`` policy changes is what a failed attempt means:
 
-* The **plain** paths (``resilience=None``, the default) carry no
-  supervision overhead — a serial loop, or with ``jobs > 1`` the local
-  backend's long-lived workers run without deadlines or retries.  A
-  worker crash or unhandled exception fails the whole sweep, promptly.
-* The **supervised** paths (``resilience=`` a
+* **Plain** (``resilience=None``, the default): no deadlines, no
+  retries, no report.  The first failed attempt — an exception in the
+  extractor, a dead worker — fails the whole sweep, promptly, with a
+  :class:`~repro.errors.ReproError` naming the point and the worker
+  (``jobs=1`` chains the original exception as its cause).
+* **Supervised** (``resilience=`` a
   :class:`~repro.resilience.policy.ResilienceConfig`, or any non-local
-  backend) contain crashes, enforce per-point wall-clock timeouts,
-  retry failed points with deterministic backoff, checkpoint completed
-  points to a :class:`~repro.resilience.journal.SweepJournal`, and
-  report failures as structured
+  backend): crashes are contained, per-point wall-clock timeouts are
+  enforced wherever there is a process boundary to enforce them across,
+  failed points retry with deterministic backoff, completed points are
+  checkpointed to a :class:`~repro.resilience.journal.SweepJournal`,
+  and failures are reported as structured
   :class:`~repro.resilience.report.PointFailure` records instead of
   dying.
 """

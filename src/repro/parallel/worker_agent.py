@@ -8,14 +8,14 @@ transport reaches EOF.
 
 The agent is deliberately dumb.  It holds no queue, no cache, no
 journal, no retry policy: all of that lives in the coordinator
-(:mod:`repro.parallel.backends.worker`), which is what lets the same
-agent binary join a fleet over any transport that can move lines of
-JSON — a stdio pipe from a local spawn, ``ssh host repro worker
+(:mod:`repro.parallel.backends.coordinator`), which is what lets the
+same agent binary join a fleet over any transport that can move lines
+of JSON — a stdio pipe from a local spawn, ``ssh host repro worker
 serve``, a container runtime, or a TCP socket (``--listen``).
 
-Determinism note: the agent runs the same
-:func:`repro.scenarios.runner.run` a local sweep does, on a config
-rebuilt from its canonical dict form, so a point computes bit-identical
+Determinism note: a lease is served by the same ``_attempt`` body a
+local worker process and the in-process path run, on a config rebuilt
+from its canonical dict form, so a point computes bit-identical
 measurements whichever host claims its lease.  Heartbeats are the only
 wall-clock-driven traffic, and they carry no data that reaches results.
 """
@@ -26,17 +26,18 @@ import os
 import socket
 import sys
 import threading
-from time import perf_counter
 from typing import IO
 
 from repro.errors import ReproError, WireError
+from repro.parallel.backends.coordinator import _attempt
 from repro.parallel.protocol import (
     PROTOCOL_VERSION,
     read_message,
     resolve_extract,
     write_message,
 )
-from repro.resilience.faults import FaultClause, apply_worker_faults
+from repro.resilience.faults import FaultClause
+from repro.resilience.report import OUTCOME_OK
 from repro.scenarios.serialize import config_from_dict
 
 __all__ = ["serve", "serve_stdio", "serve_tcp"]
@@ -118,41 +119,23 @@ def _serve_lease(message: dict, writer: IO[str],
                                    "detail": f"bad lease: {exc}"})
         return
 
-    # Faults first, before any heartbeat: a killed agent dies silently
-    # (like a real OOM) and a hung one goes quiet, so the coordinator's
-    # lease deadline — not the agent's goodwill — detects both.
-    try:
-        apply_worker_faults(faults, index, attempt)
-    except ReproError as exc:
-        with lock:
-            write_message(writer, {"t": "error", "lease_id": lease_id,
-                                   "detail": f"{type(exc).__name__}: {exc}"})
-        return
-
-    from repro.scenarios.runner import run as run_scenario
-
-    try:
-        with _Heartbeat(writer, lock, lease_id, interval):
-            begin = perf_counter()
-            result = run_scenario(config, metrics=metered)
-            wall_seconds = perf_counter() - begin
-            measurements = extract(result)
-    except Exception as exc:
-        with lock:
-            write_message(writer, {"t": "error", "lease_id": lease_id,
-                                   "detail": f"{type(exc).__name__}: {exc}"})
-        return
-    snapshot = result.metrics.snapshot() if result.metrics is not None else None
+    # The one attempt body; faults fire before the first heartbeat, so a
+    # killed agent dies silently (like a real OOM) and a hung one goes
+    # quiet, and the coordinator's lease deadline — not the agent's
+    # goodwill — detects both.
+    outcome, body, _ = _attempt(
+        index, attempt, config, faults, extract, metered,
+        alive=lambda: _Heartbeat(writer, lock, lease_id, interval))
+    if outcome == OUTCOME_OK:
+        measurements, wall_seconds, events, snapshot = body
+        message = {"t": "result", "lease_id": lease_id, "index": index,
+                   "measurements": measurements,
+                   "wall_seconds": wall_seconds,
+                   "events_processed": events, "snapshot": snapshot}
+    else:
+        message = {"t": "error", "lease_id": lease_id, "detail": body}
     with lock:
-        write_message(writer, {
-            "t": "result",
-            "lease_id": lease_id,
-            "index": index,
-            "measurements": measurements,
-            "wall_seconds": wall_seconds,
-            "events_processed": result.events_processed,
-            "snapshot": snapshot,
-        })
+        write_message(writer, message)
 
 
 def serve(reader: IO[str], writer: IO[str]) -> int:

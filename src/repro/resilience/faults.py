@@ -27,23 +27,27 @@ succeeds — the shape every recovery test wants.  ``'?'`` points are
 resolved by hashing the spec seed (``seed=N`` clause, default 0), never
 by ``random``: the whole schedule is a pure function of the spec string.
 
-Worker faults are applied wherever an attempt is contained: by the
-supervised paths, and by the unsupervised ``jobs > 1`` workers (where a
-``kill`` or ``raise`` fails the sweep promptly, as the real thing
-would).  The plain serial loop has no containment and ignores them;
+In-worker faults are applied by the one attempt body every execution
+path shares (``parallel/backends/coordinator.py::_attempt``): on
+``jobs > 1`` worker processes, on fleet agents, and in-process on
+``jobs == 1`` — where a ``kill`` or ``hang`` is faithfully fatal to the
+process that asked for it.  Without a resilience policy a ``kill`` or
+``raise`` fails the sweep promptly, as the real thing would.
 ``corrupt`` is applied in the parent wherever cache writes happen, so
 it works on every path.
 
-Three **remote** kinds exercise the distributed backend
-(:mod:`repro.parallel.backends.worker`):
+Three hyphenated kinds name what the lease layer survives; the
+coordinator ships one clause set to every worker and keeps one lease
+table for both transports, so they fire wherever a point runs:
 
-* ``worker-kill@n`` — the long-lived worker *agent* that receives the
-  lease for point ``n`` dies with ``os._exit(137)``, taking its whole
-  fleet slot with it (a crashed host, not a crashed attempt).
+* ``worker-kill@n`` — the long-lived worker (process or agent) that
+  receives the lease for point ``n`` dies with ``os._exit(137)``,
+  taking its slot with it — on a long-lived worker the same thing as
+  ``kill``.
 * ``lease-expire@n`` — the coordinator force-expires the lease on
-  point ``n`` even though the worker is healthy and heartbeating (a
-  simulated network partition); the point is re-leased and the
-  partitioned worker's eventual duplicate result must dedupe.
+  point ``n`` even though the worker is healthy (a simulated network
+  partition); the point is re-leased and the partitioned worker's
+  eventual duplicate result must dedupe.
 * ``cache-unreachable@n`` — every cache read/write for point ``n``
   behaves as if the shared store were down: reads miss, writes are
   skipped with a warning, and the sweep must still complete with
@@ -85,12 +89,11 @@ FAULTS_ENV = "REPRO_FAULTS"
 
 #: Fault kinds executed inside a worker attempt, in application order.
 WORKER_KINDS = ("kill", "hang", "slow", "raise")
-#: Fault kinds that target the distributed backend: the agent process,
+#: Fault kinds that target the lease layer: the worker holding a lease,
 #: the lease lifecycle, and the shared cache transport.
 REMOTE_KINDS = ("worker-kill", "lease-expire", "cache-unreachable")
-#: In-worker kinds shipped to a remote agent alongside a lease
-#: (``worker-kill`` executes in the agent; ``kill`` does too — for a
-#: long-lived agent the two are the same ``os._exit``).
+#: In-worker kinds shipped alongside every lease (for a long-lived
+#: worker ``kill`` and ``worker-kill`` are the same ``os._exit``).
 AGENT_KINDS = WORKER_KINDS + ("worker-kill",)
 #: All fault kinds; ``corrupt`` is applied in the parent after a cache put.
 KINDS = WORKER_KINDS + ("corrupt",) + REMOTE_KINDS
@@ -173,22 +176,17 @@ class FaultPlan:
             resolved.append(clause)
         return FaultPlan(tuple(resolved), self.seed)
 
-    def worker_faults(self, index: int, attempt: int) -> tuple[FaultClause, ...]:
-        """The in-worker faults to apply on this (point, attempt)."""
-        return tuple(clause for clause in self.clauses
-                     if clause.kind in WORKER_KINDS
-                     and clause.matches(index, attempt))
-
     def corrupts(self, index: int) -> bool:
         """True when the cache entry written for ``index`` is torn."""
         return any(clause.kind == "corrupt" and clause.matches(index, 1)
                    for clause in self.clauses)
 
     def agent_faults(self, index: int, attempt: int) -> tuple[FaultClause, ...]:
-        """The clauses shipped to a remote agent with this lease.
+        """The clauses shipped with this (point, attempt) to whoever runs
+        it — worker process, fleet agent or this process.
 
         ``worker-kill`` rides along with the plain in-worker kinds — on
-        a long-lived agent both mean the agent process dies.
+        a long-lived worker both mean the worker process dies.
         """
         return tuple(clause for clause in self.clauses
                      if clause.kind in AGENT_KINDS
@@ -266,8 +264,8 @@ def apply_worker_faults(faults: Iterable[FaultClause], index: int,
 
     Called at the top of a contained attempt, before the simulation
     starts.  ``kill`` never returns; ``hang``/``slow`` sleep;
-    ``raise`` throws.  Runs in the worker process (or inline, on the
-    serial path — where ``kill`` and ``hang`` are faithfully fatal).
+    ``raise`` throws.  Runs in the worker process (or in-process, on
+    ``jobs == 1`` — where ``kill`` and ``hang`` are faithfully fatal).
     """
     for clause in faults:
         if clause.kind in ("kill", "worker-kill"):

@@ -74,8 +74,8 @@ class ResilienceReport:
     backend: str = "local"
     """Which execution backend ran the sweep's live points."""
     lease_reclaims: int = 0
-    """Leases taken back from unresponsive (or fault-partitioned)
-    workers and re-leased — distributed backends only."""
+    """Leases taken back from a worker that died, went silent, overran
+    the point's budget or was fault-partitioned — on any backend."""
     duplicate_results: int = 0
     """At-least-once completions whose payload matched the accepted one
     and was deduplicated by content address."""

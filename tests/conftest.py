@@ -1,35 +1,68 @@
 """Suite-wide fixtures: the tier-1 process/thread leak guard."""
 
 import multiprocessing
+import os
 import threading
 import time
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import pytest
 
 #: Directories whose tests drive sweep workers, servers and agents.
 _GUARDED = ("tests/parallel/", "tests/resilience/", "tests/integration/")
+#: Daemon threads the sweep machinery names; a daemon thread cannot keep
+#: the interpreter alive, so only these are held to account.
+_OURS = ("pump-", "heartbeat-", "repro-")
 
 
-def _leaks(threads_before: set) -> list[str]:
+def _child_pids() -> set[int]:
+    """This process's children, however they were started — worker
+    agents are ``subprocess.Popen`` children that ``multiprocessing``
+    never hears of.  Zombies count: nobody waited for them; the spawn
+    context's resource tracker, which lives as long as we do, does not.
+    POSIX with ``/proc`` only; elsewhere the guard sees
+    ``multiprocessing`` alone."""
+    children = set()
+    if not os.path.isdir("/proc/self"):
+        return children
+    me = os.getpid()
+    tracker = getattr(resource_tracker._resource_tracker, "_pid", None)
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+            except OSError:
+                continue  # raced with exit
+            if int(fields[1]) == me and int(entry.name) != tracker:
+                children.add(int(entry.name))
+    return children
+
+
+def _leaks(threads_before: set, children_before: set[int]) -> list[str]:
     children = [f"process {child.name}"
                 for child in multiprocessing.active_children()]
+    children += [f"child pid {pid}"
+                 for pid in sorted(_child_pids() - children_before)]
     threads = [f"thread {thread.name}" for thread in threading.enumerate()
-               if thread.is_alive() and not thread.daemon
-               and thread not in threads_before]
+               if thread.is_alive() and thread not in threads_before
+               and (not thread.daemon or thread.name.startswith(_OURS))]
     return children + threads
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers(request):
-    """Fail a test that leaves a child process or a non-daemon thread
+    """Fail a test that leaves a child process or one of our threads
     behind — long-lived sweep workers make a forgotten shutdown path a
     leak, not a zombie that exits by itself."""
     if not request.node.nodeid.startswith(_GUARDED):
         yield
         return
     threads_before = set(threading.enumerate())
+    children_before = _child_pids()
     yield
     deadline = time.monotonic() + 2.0  # a stopping thread may still be unwinding
-    while (leaks := _leaks(threads_before)) and time.monotonic() < deadline:
+    while ((leaks := _leaks(threads_before, children_before))
+           and time.monotonic() < deadline):
         time.sleep(0.05)
     assert not leaks, f"test leaked: {', '.join(leaks)}"

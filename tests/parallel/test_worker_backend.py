@@ -21,7 +21,8 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.parallel import ParallelSweepRunner, ResultCache, WorkerBackend
-from repro.parallel.backends.worker import _AgentHandle
+from repro.parallel.backends.coordinator import stop_all
+from repro.parallel.backends.worker import _Agent
 from repro.parallel.worker_agent import serve_tcp
 from repro.resilience import FAULTS_ENV, ResilienceConfig
 from repro.scenarios import families
@@ -136,7 +137,7 @@ class TestInjectedFleetFaults:
 
 
 class _StubStream:
-    """An agent's stdin, as far as ``_dismiss`` can tell."""
+    """An agent's stdin, as far as teardown can tell."""
 
     def __init__(self, name, log):
         self.name, self.log = name, log
@@ -165,13 +166,12 @@ class _StubProc:
 class TestFleetTeardown:
     def test_every_agent_is_told_before_any_is_waited_for(self):
         log = []
-        agents = [_AgentHandle(name, proc=_StubProc(name, log),
-                               writer=_StubStream(name, log))
+        agents = [_Agent(name, -1, _StubStream(name, log), {},
+                         proc=_StubProc(name, log))
                   for name in ("agent0", "agent1")]
-        WorkerBackend()._dismiss(agents)
+        stop_all(agents)
         assert log == [("shutdown", "agent0"), ("shutdown", "agent1"),
                        ("wait", "agent0"), ("wait", "agent1")]
-        assert not any(agent.alive for agent in agents)
 
 
 class TestDegradation:

@@ -72,7 +72,7 @@ class TestScheduling:
 
     def test_worker_faults_excludes_corrupt(self):
         plan = parse_faults("kill@1;corrupt@1")
-        kinds = [c.kind for c in plan.worker_faults(1, 1)]
+        kinds = [c.kind for c in plan.agent_faults(1, 1)]
         assert kinds == ["kill"]
         assert plan.corrupts(1)
         assert not plan.corrupts(2)
@@ -142,12 +142,12 @@ class TestActivePlan:
 
 class TestApplication:
     def test_raise_fault_raises(self):
-        faults = parse_faults("raise@4").worker_faults(4, 1)
+        faults = parse_faults("raise@4").agent_faults(4, 1)
         with pytest.raises(FaultInjectionError, match="point 4"):
             apply_worker_faults(faults, 4, 1)
 
     def test_slow_fault_returns_after_sleeping(self):
-        faults = parse_faults("slow@0:0.0").worker_faults(0, 1)
+        faults = parse_faults("slow@0:0.0").agent_faults(0, 1)
         apply_worker_faults(faults, 0, 1)  # value 0.0 -> returns at once
 
     def test_no_faults_is_a_no_op(self):

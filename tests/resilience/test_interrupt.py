@@ -1,13 +1,14 @@
 """Ctrl-C on a supervised sweep must terminate and reap every worker.
 
 The regression this guards: a KeyboardInterrupt arriving while the
-supervisor holds worker processes — busy mid-attempt *or* idle between
-points — must not leave orphans behind: the supervisor's cleanup runs
-on *any* exit from its loop, interrupt included.  The drill runs a real
-sweep in a fresh session (so its workers are identifiable by session
-id), lets two points finish and hangs the third — one worker busy, the
-other idle — interrupts the coordinator only, and asserts the whole
-session empties out.
+coordinator holds workers — busy mid-attempt *or* idle between points,
+spawned processes *or* fleet agents — must not leave orphans behind:
+the coordinator's teardown runs on *any* exit from its loop, interrupt
+included.  The drill runs a real sweep in a fresh session (so its
+workers are identifiable by session id), lets two points finish and
+hangs the third — one worker busy, the other idle — interrupts the
+coordinator only, and asserts the whole session empties out.  It runs
+once per transport.
 """
 
 import os
@@ -37,7 +38,7 @@ SCRIPT = textwrap.dedent("""\
     if __name__ == "__main__":
         configs = [families.conjecture_config(case, duration=5.0, warmup=2.0)
                    for case in families.CONJECTURE_CASES[:3]]
-        runner = ParallelSweepRunner(jobs=2,
+        runner = ParallelSweepRunner(jobs=2, backend=BACKEND,
                                      resilience=ResilienceConfig(retries=0))
         runner.run_configs(configs, families.utilization_extract,
                            on_progress=report)
@@ -61,10 +62,22 @@ def _session_members(sid: int) -> list[int]:
     return members
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+posix = pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+
+
+@posix
 def test_keyboard_interrupt_reaps_all_attempt_processes(tmp_path):
+    _interrupt_mid_sweep(tmp_path, backend=None)
+
+
+@posix
+def test_keyboard_interrupt_reaps_the_whole_fleet(tmp_path):
+    _interrupt_mid_sweep(tmp_path, backend="worker")
+
+
+def _interrupt_mid_sweep(tmp_path, backend):
     script = tmp_path / "hung_sweep.py"
-    script.write_text(SCRIPT)
+    script.write_text(SCRIPT.replace("BACKEND", repr(backend)))
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
     # The last point hangs far past the test's patience; whichever
@@ -94,7 +107,7 @@ def test_keyboard_interrupt_reaps_all_attempt_processes(tmp_path):
         assert len(_session_members(child.pid)) >= 3
 
         # Interrupt the coordinator only — the workers must be cleaned
-        # up by the supervisor, not by the signal reaching them.
+        # up by its teardown, not by the signal reaching them.
         os.kill(child.pid, signal.SIGINT)
         assert child.wait(timeout=30.0) != 0
 
