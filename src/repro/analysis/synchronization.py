@@ -95,6 +95,51 @@ class SyncVerdict:
     correlation: float
 
 
+def _sample_each(
+    series: Iterable[StepSeries], start: float, end: float, dt: float
+) -> list[np.ndarray]:
+    """Every series resampled, once, on the window's shared grid."""
+    if end <= start:
+        raise AnalysisError(f"need end > start, got [{start}, {end}]")
+    sampled = [s.sample(start, end, dt)[1] for s in series]
+    if sampled and len(sampled[0]) < 4:
+        raise AnalysisError("window too short for the requested sampling interval")
+    return sampled
+
+
+def _centre_each(
+    series: Iterable[StepSeries], start: float, end: float, dt: float
+) -> list[tuple[np.ndarray, float]]:
+    """Each series as ``(v, v @ v)`` — its grid samples with their mean
+    removed, and their squared norm: all a correlation needs from one
+    series, computed once rather than once per pair it appears in."""
+    centred = [v - v.mean() for v in _sample_each(series, start, end, dt)]
+    return [(v, v @ v) for v in centred]
+
+
+def _correlate(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """Pearson correlation of two :func:`_centre_each` entries."""
+    (va, saa), (vb, sbb) = a, b
+    denom = float(np.sqrt(saa * sbb))
+    if denom == 0.0:
+        return 0.0  # at least one signal is constant: no phase information
+    return float((va @ vb) / denom)
+
+
+def _mean_correlation(centred: list[tuple[np.ndarray, float]]) -> float:
+    """Mean of :func:`_correlate` over all pairs (0.0 when there is none).
+
+    One scalar expression per pair, summed in index order: a Gram matrix
+    is faster and rounds differently in the last place, which every
+    cached ``mean_correlation`` and measurement hash would see.
+    """
+    pairs = len(centred) * (len(centred) - 1) // 2
+    total = 0.0
+    for a, b in itertools.combinations(centred, 2):
+        total += _correlate(a, b)
+    return total / pairs if pairs else 0.0
+
+
 def phase_correlation(
     a: StepSeries,
     b: StepSeries,
@@ -103,18 +148,7 @@ def phase_correlation(
     dt: float,
 ) -> float:
     """Pearson correlation of two step series resampled on a shared grid."""
-    if end <= start:
-        raise AnalysisError(f"need end > start, got [{start}, {end}]")
-    _, va = a.sample(start, end, dt)
-    _, vb = b.sample(start, end, dt)
-    if len(va) < 4:
-        raise AnalysisError("window too short for the requested sampling interval")
-    va = va - va.mean()
-    vb = vb - vb.mean()
-    denom = float(np.sqrt((va @ va) * (vb @ vb)))
-    if denom == 0.0:
-        return 0.0  # at least one signal is constant: no phase information
-    return float((va @ vb) / denom)
+    return _correlate(*_centre_each((a, b), start, end, dt))
 
 
 def classify_phase(
@@ -202,13 +236,7 @@ def mean_pairwise_correlation(
     """
     if not series:
         raise AnalysisError("need at least one cwnd series")
-    if len(series) == 1:
-        return 0.0
-    pairs = list(itertools.combinations(range(len(series)), 2))
-    total = 0.0
-    for i, j in pairs:
-        total += phase_correlation(series[i], series[j], start, end, dt)
-    return total / len(pairs)
+    return _mean_correlation(_centre_each(series, start, end, dt))
 
 
 @dataclass(frozen=True)
@@ -240,13 +268,12 @@ def group_phase(
     """Within- and between-group mean phase correlations."""
     if len(group_a) < 2 or len(group_b) < 2:
         raise AnalysisError("each group needs at least two series")
-    cross = [
-        phase_correlation(a, b, start, end, dt)
-        for a, b in itertools.product(group_a, group_b)
-    ]
+    centred_a = _centre_each(group_a, start, end, dt)
+    centred_b = _centre_each(group_b, start, end, dt)
+    cross = [_correlate(a, b) for a, b in itertools.product(centred_a, centred_b)]
     return GroupPhase(
-        within_a=mean_pairwise_correlation(group_a, start, end, dt),
-        within_b=mean_pairwise_correlation(group_b, start, end, dt),
+        within_a=_mean_correlation(centred_a),
+        within_b=_mean_correlation(centred_b),
         between=sum(cross) / len(cross),
     )
 

@@ -17,12 +17,18 @@ study opens onto:
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.analysis.synchronization import EnsembleMode, classify_ensemble
+from repro.analysis.synchronization import (
+    EnsembleMode,
+    _sample_each,
+    classify_ensemble,
+)
 from repro.experiments.report import ExperimentReport
 from repro.scenarios import families, run
 from repro.scenarios.config import QueueSpec, ScenarioConfig
@@ -183,17 +189,35 @@ def _red_config(n: int, duration: float, warmup: float) -> ScenarioConfig:
 def _ensemble_mean_series(result) -> np.ndarray:
     """The instantaneous ensemble-mean cwnd on a regular grid."""
     start, end = result.window
-    dt = 0.25
-    grids = []
-    for conn in result.connections:
-        _, values = result.traces.cwnd(conn.conn_id).cwnd.sample(start, end, dt)
-        grids.append(np.asarray(values, dtype=float))
-    return np.mean(np.stack(grids), axis=0)
+    series = [result.traces.cwnd(c.conn_id).cwnd for c in result.connections]
+    return np.mean(np.stack(_sample_each(series, start, end, 0.25)), axis=0)
 
 
-def _mean_cwnd(result) -> float:
-    """Time- and ensemble-averaged cwnd (packets) over the window."""
-    return float(np.mean(_ensemble_mean_series(result)))
+class _MeanfieldPoint(NamedTuple):
+    """One population size of the mean-field comparison."""
+
+    n: int
+    measured: float
+    cv: float
+    predicted: float
+    q_star: float
+    error: float
+
+
+@functools.lru_cache(maxsize=None)
+def _meanfield_point(n: int, duration: float, warmup: float) -> _MeanfieldPoint:
+    """Run the N-flow RED scenario against its fixed point.
+
+    Memoized (the run is a pure function of its arguments), so the
+    experiment and the figure rendered after it share one run per N.
+    """
+    config = _red_config(n, duration, warmup)
+    ensemble = _ensemble_mean_series(run(config))
+    measured = float(np.mean(ensemble))
+    predicted, q_star = meanfield_fixed_point(config, n)
+    return _MeanfieldPoint(n, measured, float(np.std(ensemble)) / measured,
+                           predicted, q_star,
+                           abs(measured - predicted) / predicted)
 
 
 def red_meanfield(duration: float = 300.0, warmup: float = 120.0,
@@ -207,18 +231,13 @@ def red_meanfield(duration: float = 300.0, warmup: float = 120.0,
     errors: dict[int, float] = {}
     dispersions: dict[int, float] = {}
     for n in ns:
-        config = _red_config(n, duration, warmup)
-        result = run(config)
-        ensemble = _ensemble_mean_series(result)
-        measured = float(np.mean(ensemble))
-        dispersions[n] = float(np.std(ensemble)) / measured
-        predicted, q_star = meanfield_fixed_point(config, n)
-        errors[n] = abs(measured - predicted) / predicted
+        point = _meanfield_point(n, duration, warmup)
+        errors[n], dispersions[n] = point.error, point.cv
         report.add(
             f"N={n}: ensemble mean cwnd vs. prediction",
-            f"{predicted:.1f} pkts (q*={q_star:.1f})",
-            f"{measured:.1f} pkts (rel. err. {errors[n]:.0%}, "
-            f"cv {dispersions[n]:.2f})",
+            f"{point.predicted:.1f} pkts (q*={point.q_star:.1f})",
+            f"{point.measured:.1f} pkts (rel. err. {point.error:.0%}, "
+            f"cv {point.cv:.2f})",
             None,
         )
     largest, base = max(ns), min(ns)
@@ -260,28 +279,23 @@ def write_meanfield_figure(path: str | Path,
         f"{'N':>4}  {'measured Wbar':>14}  {'mean-field Wbar':>16}  "
         f"{'q*':>6}  {'rel.err':>8}",
     ]
-    rows = []
-    for n in ns:
-        config = _red_config(n, duration, warmup)
-        result = run(config)
-        measured = _mean_cwnd(result)
-        predicted, q_star = meanfield_fixed_point(config, n)
-        err = abs(measured - predicted) / predicted
-        rows.append((n, measured, predicted, err))
-        lines.append(f"{n:>4}  {measured:>14.2f}  {predicted:>16.2f}  "
-                     f"{q_star:>6.2f}  {err:>8.0%}")
+    rows = [_meanfield_point(n, duration, warmup) for n in ns]
+    for row in rows:
+        lines.append(f"{row.n:>4}  {row.measured:>14.2f}  "
+                     f"{row.predicted:>16.2f}  {row.q_star:>6.2f}  "
+                     f"{row.error:>8.0%}")
     lines.append("")
-    scale_max = max(max(r[1] for r in rows), max(r[2] for r in rows))
+    scale_max = max(max(r.measured, r.predicted) for r in rows)
     width = 48
     lines.append("measured (*) vs. predicted (|) windows, packets:")
-    for n, measured, predicted, _ in rows:
+    for row in rows:
         bar = [" "] * width
-        m_col = min(int(measured / scale_max * (width - 1)), width - 1)
-        p_col = min(int(predicted / scale_max * (width - 1)), width - 1)
+        m_col = min(int(row.measured / scale_max * (width - 1)), width - 1)
+        p_col = min(int(row.predicted / scale_max * (width - 1)), width - 1)
         for col in range(m_col + 1):
             bar[col] = "*"
         bar[p_col] = "|"
-        lines.append(f"  N={n:<3} {''.join(bar)}")
+        lines.append(f"  N={row.n:<3} {''.join(bar)}")
     lines.append(f"        0{'':{width - 8}}{scale_max:.1f}")
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -124,8 +124,13 @@ class Network:
         hosts = [name for name, node in self.nodes.items() if isinstance(node, Host)]
         tables = compute_next_hops(adjacency, hosts)
         for name, node in self.nodes.items():
-            for dst, via in tables[name].items():
-                node.add_route(dst, via)
+            if len(node.ports) == 1:
+                # Every entry names the node's only port: nothing for
+                # add_route to check, and N hosts x N destinations of it.
+                node.routes.update(tables[name])
+            else:
+                for dst, via in tables[name].items():
+                    node.add_route(dst, via)
 
     # ------------------------------------------------------------------
     # Lookup helpers

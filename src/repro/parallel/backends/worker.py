@@ -34,7 +34,7 @@ import sys
 import warnings
 from typing import Sequence
 
-from repro.errors import BackendUnavailable, WireError
+from repro.errors import BackendUnavailable, ConfigurationError, WireError
 from repro.parallel.backends.base import BackendRequest, SweepBackend
 from repro.parallel.backends.coordinator import Crew, Transport, coordinate
 from repro.parallel.cachestore import parse_endpoint
@@ -206,6 +206,11 @@ class WorkerBackend(SweepBackend):
                  lease_ttl: float = 15.0,
                  max_respawns: int | None = None,
                  hello_timeout: float = _DEFAULT_HELLO_TIMEOUT) -> None:
+        if os.name != "posix":
+            raise ConfigurationError(
+                "the worker backend's coordinator waits on raw pipe and "
+                "socket descriptors and needs a POSIX host (its agents, "
+                "`repro worker serve`, run anywhere)")
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.command = list(command) if command else default_agent_command()

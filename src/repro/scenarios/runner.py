@@ -9,6 +9,7 @@ post-warmup window.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -221,12 +222,13 @@ class ScenarioResult:
             f"scenario: {self.config.name}",
             f"window:   [{start:.0f}s, {end:.0f}s]   events: {self.events_processed}",
         ]
+        drops = Counter(record.queue for record in self.traces.drops.records)
         for name, util in self.utilizations().items():
             monitor = self.traces.queue(name)
             lines.append(
                 f"  {name}: util={util * 100:5.1f}%  "
                 f"max_q={monitor.lengths.max_in(start, end):.0f}  "
-                f"drops={len([r for r in self.traces.drops.records if r.queue == name])}"
+                f"drops={drops[name]}"
             )
         epochs = self.epochs()
         if epochs:

@@ -9,7 +9,13 @@ EXPERIMENTS.md holds them and CI fails when a fresh report differs.
 
 import pytest
 
-from repro.experiments import extensions, fixed_window, one_way, two_way
+from repro.experiments import (
+    extensions,
+    fixed_window,
+    one_way,
+    population,
+    two_way,
+)
 from repro.experiments.report import ExperimentReport
 
 SHORT = dict(duration=120.0, warmup=60.0)
@@ -83,3 +89,25 @@ class TestExtensionExperiments:
         report = extensions.pacing(duration=120.0, warmup=50.0)
         _check_report(report, "pacing")
         assert report.passed  # the mechanism is robust even on short runs
+
+
+class TestPopulationExperiments:
+    def test_meanfield_figure_renders_the_experiments_rows(self, tmp_path,
+                                                           monkeypatch):
+        """The figure is drawn from the rows the experiment measured:
+        one run per N between them, and the same numbers in both."""
+        short = dict(duration=60.0, warmup=20.0, ns=(2, 4))
+        runs = []
+        run = population.run
+        monkeypatch.setattr(population, "run",
+                            lambda config: runs.append(config.name) or run(config))
+        report = population.red_meanfield(**short)
+        _check_report(report, "red_meanfield")
+        assert len(runs) == 2
+        figure = population.write_meanfield_figure(tmp_path / "fig.txt", **short)
+        assert len(runs) == 2
+        table = [line.split() for line in figure.read_text().splitlines()[4:6]]
+        for row, (n, measured, predicted, *_) in zip(report.rows, table):
+            assert row.metric.startswith(f"N={n}:")
+            assert row.paper.startswith(f"{float(predicted):.1f} pkts")
+            assert row.measured.startswith(f"{float(measured):.1f} pkts")

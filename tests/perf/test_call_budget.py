@@ -12,14 +12,25 @@ packet totals are pinned too, so a change that makes the path cheaper by
 The replay path — a warm sweep answered entirely by the result cache —
 is budgeted the same way, per replayed point, together with the number
 of times the sweep reads its extractor's source.
+
+What a sweep point does *around* the event loop is held to a growth law
+rather than a constant: resampling calls per extracted trace, and calls
+spent building a dumbbell as its host count doubles.  Both were
+quadratic in the population before they were budgeted.
 """
 
 import functools
 import inspect
 import sys
 
+import pytest
+
+from repro.engine import Simulator
+from repro.metrics import StepSeries
+from repro.net import build_dumbbell
 from repro.parallel import ResultCache
 from repro.scenarios import build, families, paper, sweep
+from repro.scenarios import run as run_scenario
 
 #: Python-level calls per delivered data packet.  The path measured
 #: 112.7 when the four per-port monitors became one observer per site
@@ -52,6 +63,12 @@ FIGURE4_PACKETS = 3_081
 #: second serialisation of the config (+27).
 REPLAY_CALLS_PER_POINT_BUDGET = 160.0
 REPLAY_POINTS = 10
+
+#: Doubling a dumbbell's hosts may at most double the Python-level calls
+#: that build it, plus slack for the per-build constant.  Measured 1.99
+#: (3,376 -> 6,704 calls from 64 to 128 hosts a side); one BFS and one
+#: ``add_route`` per (host, node) pair made it 3.67.
+BUILD_CALLS_DOUBLING_BUDGET = 2.2
 
 
 def _count_calls(run):
@@ -157,3 +174,35 @@ def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
         f"{calls / REPLAY_POINTS:.1f} Python calls per replayed point "
         f"(budget {REPLAY_CALLS_PER_POINT_BUDGET}): a sweep point is being "
         "serialised, hashed or fingerprinted more than once")
+
+
+@pytest.mark.parametrize("flows", [8, 32])
+def test_sync_extract_resamples_each_trace_once(monkeypatch, flows):
+    """N ``StepSeries.sample`` calls for N cwnd traces — it was one per
+    series per pair, N(N-1): 56 and 992 here."""
+    result = run_scenario(families.manyflow_config((flows, 20, 0.0),
+                                                   duration=10.0, warmup=4.0))
+    assert len(result.connections) == flows
+    sampled = []
+    sample = StepSeries.sample
+
+    def counting_sample(self, start, end, dt):
+        sampled.append(self)
+        return sample(self, start, end, dt)
+
+    monkeypatch.setattr(StepSeries, "sample", counting_sample)
+    families.sync_extract(result)
+    assert len(sampled) == flows
+    assert len({id(series) for series in sampled}) == flows
+
+
+def test_dumbbell_build_calls_grow_linearly_in_hosts():
+    def build_calls(hosts):
+        return _count_calls(lambda: build_dumbbell(
+            Simulator(), n_left=hosts, n_right=hosts))[0]
+
+    small, large = build_calls(64), build_calls(128)
+    assert large / small <= BUILD_CALLS_DOUBLING_BUDGET, (
+        f"{small} -> {large} Python calls from 64 to 128 hosts a side "
+        f"({large / small:.2f}x, budget {BUILD_CALLS_DOUBLING_BUDGET}x): "
+        "something per (host, node) pair is back in the build")

@@ -23,6 +23,8 @@ GOOD = {
         "metrics.monitor_overhead_pct.two_way": {"value": 23.5, "unit": "%"},
         "engine.cancel_pairs_per_s": {"value": 1.0e6, "unit": "1/s"},
         "engine.tick_events_per_s": {"value": 1.2e6, "unit": "1/s"},
+        "scenarios.build_ms.n128": {"value": 12.3, "unit": "ms"},
+        "scenarios.build_ms.n2": {"value": 0.18, "unit": "ms"},
     },
 }
 
@@ -57,6 +59,16 @@ def test_a_median_across_its_limit_fails(monkeypatch, name, divisor, limit,
                                          bad_side):
     worse = abs(limit) * 2 + 1 if bad_side == "above" else 0.0
     assert _exit_code(monkeypatch, _records(**{name: worse})) == 1
+
+
+def test_build_growth_ratio_ignores_machine_speed_and_sees_a_quadratic(monkeypatch):
+    """A runner three times slower moves both builds and passes; the
+    N = 128 build alone going back to one BFS per host (32 ms on the
+    machine whose N = 2 build takes 0.18 ms) does not."""
+    slower = {"scenarios.build_ms.n128": 3 * 12.3, "scenarios.build_ms.n2": 3 * 0.18}
+    assert _exit_code(monkeypatch, _records(**slower)) == 0
+    quadratic = {"scenarios.build_ms.n128": 32.2}
+    assert _exit_code(monkeypatch, _records(**quadratic)) == 1
 
 
 def test_a_missing_metric_fails(monkeypatch):

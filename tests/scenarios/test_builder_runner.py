@@ -123,6 +123,13 @@ class TestRun:
         text = result.summary()
         assert "small" in text
         assert "sw1->sw2" in text
+        records = result.traces.drops.records
+        assert records  # the per-port counts below are not all zero
+        for name in result.bottleneck_ports:
+            line = next(row for row in text.splitlines()
+                        if row.startswith(f"  {name}:"))
+            assert line.endswith(
+                f"drops={sum(1 for r in records if r.queue == name)}")
 
     def test_clustering_accessor(self):
         result = run(_small_two_way(duration=120.0, warmup=30.0))

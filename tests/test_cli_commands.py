@@ -170,6 +170,20 @@ class TestSweepExitCodes:
         assert "bad endpoint 'localhost:port'" in captured.err
         assert "point" not in captured.out  # nothing ran
 
+    def test_worker_backend_off_posix_exits_2(self, capsys, monkeypatch):
+        """The coordinator waits on raw descriptors: elsewhere that is a
+        configuration error up front, not a traceback from the wait."""
+        import types
+
+        from repro.parallel.backends import worker
+
+        monkeypatch.setattr(worker, "os", types.SimpleNamespace(name="nt"))
+        assert main(["sweep", "conjecture", "--fast", "--no-cache",
+                     "--backend", "worker"]) == 2
+        captured = capsys.readouterr()
+        assert "needs a POSIX host" in captured.err
+        assert "point" not in captured.out  # nothing ran
+
     def test_unreachable_worker_endpoint_degrades_to_local(self, capsys):
         import socket
 
