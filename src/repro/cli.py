@@ -550,7 +550,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from repro.parallel import ParallelSweepRunner, resolve_cache
+    from repro.parallel import ParallelSweepRunner
     from repro.resilience import ResilienceConfig
     from repro.scenarios import families
 
@@ -589,7 +589,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             families.queued_config, make_config=make_config,
             queue=args.queue, params=tuple(sorted(queue_params.items())))
 
-    cache = None if args.no_cache else resolve_cache(args.cache_dir or True)
+    cache = None if args.no_cache else args.cache_dir or True  # runner's to open
     # Always allow_partial at the library level: the CLI wants the
     # partial results and the report either way, and decides the exit
     # code itself from the failure count.
@@ -664,7 +664,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if dashboard is not None:
             dashboard.close()
     elapsed = time.perf_counter() - started
-    report = runner.last_report
+    report, cache = runner.last_report, runner.cache
 
     if telemetry is not None:
         from repro.obs.metrics import write_telemetry

@@ -15,8 +15,9 @@ from typing import Callable, Iterable
 
 from repro.analysis.stats import t_critical_95
 from repro.errors import AnalysisError
+from repro.parallel.runner import ParallelSweepRunner
 from repro.scenarios.config import ScenarioConfig
-from repro.scenarios.runner import ScenarioResult, run
+from repro.scenarios.runner import ScenarioResult
 
 __all__ = ["MetricSummary", "replicate", "t_critical_95"]
 
@@ -76,23 +77,15 @@ def replicate(
 ) -> dict[str, MetricSummary]:
     """Run ``make_config(seed)`` per seed; summarize extracted metrics.
 
-    Every replication must produce the same metric names.
+    The seeds run as one :class:`~repro.parallel.runner.ParallelSweepRunner`
+    sweep.  Every replication must produce the same metric names.
     """
-    collected: dict[str, list[float]] = {}
-    count = 0
-    for seed in seeds:
-        config = make_config(seed)
-        if not isinstance(config, ScenarioConfig):
-            raise AnalysisError("make_config must return a ScenarioConfig")
-        result = run(config)
-        metrics = extract(result)
-        if count == 0:
-            collected = {name: [] for name in metrics}
-        if set(metrics) != set(collected):
-            raise AnalysisError("replications produced inconsistent metric names")
-        for name, value in metrics.items():
-            collected[name].append(float(value))
-        count += 1
-    if count == 0:
+    configs = [make_config(seed) for seed in seeds]
+    if not configs:
         raise AnalysisError("need at least one seed")
-    return {name: _summarize(name, values) for name, values in collected.items()}
+    replications = ParallelSweepRunner().run_configs(configs, extract)
+    if any(set(metrics) != set(replications[0]) for metrics in replications):
+        raise AnalysisError("replications produced inconsistent metric names")
+    return {name: _summarize(name, [float(metrics[name])
+                                    for metrics in replications])
+            for name in replications[0]}

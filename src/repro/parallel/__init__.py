@@ -8,8 +8,8 @@ Public surface:
   keyed by the SHA-256 of the canonical config JSON.
 - :func:`~repro.parallel.cache.cache_key` / helpers for addressing.
 
-- :mod:`~repro.parallel.backends` — the pluggable execution-backend
-  registry (``local`` processes, the distributed ``worker`` fleet).
+- :mod:`~repro.parallel.backends` — the execution backends
+  (``local`` processes, the distributed ``worker`` fleet).
 - :class:`~repro.parallel.cachestore.SharedCacheClient` /
   :class:`~repro.parallel.cachestore.SharedCacheServer` — one result
   cache shared by many sweep hosts over TCP.
@@ -24,9 +24,6 @@ from repro.parallel.backends import (
     LocalBackend,
     SweepBackend,
     WorkerBackend,
-    backend_names,
-    create_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.parallel.cache import (
@@ -54,13 +51,10 @@ __all__ = [
     "SharedCacheServer",
     "SweepBackend",
     "WorkerBackend",
-    "backend_names",
     "cache_key",
     "canonical_config_json",
     "config_hash",
-    "create_backend",
     "default_cache_dir",
-    "register_backend",
     "resolve_backend",
     "resolve_cache",
 ]

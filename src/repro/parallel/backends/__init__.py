@@ -1,11 +1,10 @@
-"""Pluggable sweep execution backends.
+"""Sweep execution backends.
 
 The runner decides *what* runs (prefilters, caching, journaling,
 retry accounting); a backend decides *where and how* the live points
-execute.  Backends register here by name — the same registry move the
-congestion-control algorithms made — so ``repro sweep --backend worker``
-and ``ParallelSweepRunner(backend="worker")`` resolve through one
-string-keyed table:
+execute.  ``repro sweep --backend worker`` and
+``ParallelSweepRunner(backend="worker")`` resolve a name through
+:func:`resolve_backend`'s two-entry table:
 
 - ``local`` — this host's processes (``jobs`` long-lived workers
   spawned once per sweep; in-process for ``jobs == 1``).  The default,
@@ -15,9 +14,6 @@ string-keyed table:
 
 Both are a transport under the one supervision loop of
 :mod:`~repro.parallel.backends.coordinator`.
-
-Third-party backends subclass :class:`~repro.parallel.backends.base.
-SweepBackend` and call :func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -32,60 +28,31 @@ __all__ = [
     "LocalBackend",
     "SweepBackend",
     "WorkerBackend",
-    "backend_names",
-    "create_backend",
-    "register_backend",
     "resolve_backend",
 ]
 
-_REGISTRY: dict[str, type[SweepBackend]] = {}
-
-
-def register_backend(name: str, cls: type[SweepBackend]) -> None:
-    """Add a backend class to the registry (idempotent re-registration
-    of the same class is allowed; name collisions are not)."""
-    if not name or not isinstance(name, str):
-        raise ConfigurationError(f"backend name must be a non-empty string, "
-                                 f"got {name!r}")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ConfigurationError(
-            f"backend {name!r} is already registered to "
-            f"{existing.__module__}.{existing.__qualname__}")
-    _REGISTRY[name] = cls
-
-
-def backend_names() -> list[str]:
-    """Registered backend names, sorted (CLI help and error messages)."""
-    return sorted(_REGISTRY)
-
-
-def create_backend(name: str, **options) -> SweepBackend:
-    """Instantiate a registered backend by name."""
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ConfigurationError(
-            f"unknown sweep backend {name!r} "
-            f"(registered: {', '.join(backend_names())})")
-    return cls(**options)
+_BACKENDS: dict[str, type[SweepBackend]] = {
+    LocalBackend.name: LocalBackend,
+    WorkerBackend.name: WorkerBackend,
+}
 
 
 def resolve_backend(backend) -> SweepBackend:
     """Normalize the user-facing ``backend=`` argument.
 
-    ``None`` means local execution, a string resolves through the
-    registry, and a :class:`SweepBackend` instance is used as-is.
+    ``None`` means local execution, a string names a known backend,
+    and a :class:`SweepBackend` instance is used as-is.
     """
     if backend is None:
         return LocalBackend()
     if isinstance(backend, SweepBackend):
         return backend
     if isinstance(backend, str):
-        return create_backend(backend)
+        if backend not in _BACKENDS:
+            raise ConfigurationError(
+                f"unknown sweep backend {backend!r} "
+                f"(registered: {', '.join(sorted(_BACKENDS))})")
+        return _BACKENDS[backend]()
     raise ConfigurationError(
         "backend must be None, a registered backend name, or a "
         f"SweepBackend instance, got {type(backend).__name__}")
-
-
-register_backend(LocalBackend.name, LocalBackend)
-register_backend(WorkerBackend.name, WorkerBackend)

@@ -39,7 +39,6 @@ from typing import Callable, ContextManager, Sequence
 from repro.errors import BackendUnavailable, ReproError
 from repro.parallel.backends.base import BackendRequest
 from repro.parallel.leases import Lease, LeaseTable
-from repro.parallel.progress import PointProgress
 from repro.resilience.faults import apply_worker_faults
 from repro.resilience.report import (
     OUTCOME_CRASH,
@@ -188,8 +187,7 @@ class _Coordinator:
         finally:
             # Any exit — KeyboardInterrupt included — must not orphan
             # workers, idle or busy.
-            if self.request.report is not None:
-                self.request.report.lease_reclaims += self.leases.reclaimed
+            self.request.ledger.reclaimed(self.leases.reclaimed)
             stop_all(self.workers)
 
     # ------------------------------------------------------------------
@@ -243,8 +241,7 @@ class _Coordinator:
                 continue
             self.granted[lease.lease_id] = lease
             worker.lease = lease.lease_id
-            request.emit(PointProgress(index=index, phase="start",
-                                       attempt=attempt, worker=worker.name))
+            request.ledger.started(index, attempt, worker.name)
             fired = self.expire_fired.get(index, 0)
             if request.fault_plan.lease_expires(index, fired + 1):
                 # Injected partition: reclaim and requeue at once (waiting
@@ -260,8 +257,7 @@ class _Coordinator:
         """Run one attempt in this process (no worker slots)."""
         request, (index, attempt) = self.request, job[:2]
         name = multiprocessing.current_process().name
-        request.emit(PointProgress(index=index, phase="start",
-                                   attempt=attempt, worker=name))
+        request.ledger.started(index, attempt, name)
         begin = monotonic()
         outcome, body, cause = _attempt(*job, request.extract,
                                         request.metered)
@@ -357,33 +353,32 @@ class _Coordinator:
                 cause: BaseException | None = None) -> None:
         """Account one finished attempt: complete it, dedupe it, requeue
         it, fail it for good or — unsupervised — fail the sweep."""
-        request, report = self.request, self.request.report
+        ledger = self.request.ledger
         settled = index in self.accepted or index in self.failed
         if outcome == OUTCOME_OK:
             measurements, simulate_seconds, events, snapshot = body
             if not settled:
                 self.accepted[index] = measurements
-                request.complete(index, measurements, worker,
-                                 simulate_seconds, events, attempts=attempt,
-                                 snapshot=snapshot)
+                ledger.settle(index, measurements, "live", worker,
+                              wall_seconds=simulate_seconds, events=events,
+                              attempts=attempt, snapshot=snapshot)
             # At-least-once aftermath: a reclaimed lease's worker finished
             # anyway.  Equal payloads dedupe by content; unequal payloads
             # mean nondeterminism or corruption — quarantine both.
             elif (index in self.failed
                   or measurements == self.accepted[index]):
-                if report is not None:
-                    report.duplicate_results += 1
-            elif request.conflict is not None:
-                request.conflict(index, self.accepted[index], measurements)
+                ledger.duplicate(index)
+            else:
+                ledger.conflict(index, self.accepted[index], measurements)
         elif settled:
             return
-        elif request.attempt_failed is None:
+        elif self.request.policy is None:
             raise ReproError(
                 f"sweep point {index} failed on worker {worker} "
                 f"({outcome}): {body}") from cause
         else:
-            delay = request.attempt_failed(index, attempt, outcome,
-                                           wall_seconds, body, worker)
+            delay = ledger.attempt_failed(index, attempt, outcome,
+                                          wall_seconds, body, worker)
             if delay is None:
                 self.failed.add(index)
             else:

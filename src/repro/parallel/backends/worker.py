@@ -250,7 +250,7 @@ class WorkerBackend(SweepBackend):
                       terms, sock=sock)
 
     def execute(self, request: BackendRequest) -> None:
-        if request.policy is None or request.attempt_failed is None:
+        if request.policy is None:
             raise BackendUnavailable(
                 "the worker backend always runs supervised; the runner must "
                 "provide a resilience policy")

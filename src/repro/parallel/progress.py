@@ -1,8 +1,7 @@
-"""Progress notifications shared by every sweep execution backend.
+"""Progress notifications of a sweep, whatever backend executes it.
 
-Lives in its own module so backends, the runner front end, telemetry and
-the dashboard can all import :class:`PointProgress` without touching the
-runner (which imports the backends — keeping this here breaks the cycle).
+The sweep ledger (:mod:`repro.parallel.runner`) is their only emitter;
+telemetry, the dashboard and ``repro sweep --progress`` consume them.
 """
 
 from __future__ import annotations

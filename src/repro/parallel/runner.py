@@ -12,14 +12,14 @@ Combined with the content-addressed :class:`~repro.parallel.cache.ResultCache`
 the runner skips simulation entirely for points it has seen before, so a
 warm re-run of a benchmark sweep costs milliseconds.
 
-The runner owns everything a sweep shares across backends — journal and
-cache prefilters, retry accounting, manifests, telemetry, the
-resilience report — and packs it into a
-:class:`~repro.parallel.backends.base.BackendRequest`; backends own only
-execution.  When a distributed backend raises
-:class:`~repro.errors.BackendUnavailable` mid-sweep, the remaining
-points degrade to the local backend, so a dead fleet costs locality,
-never results.
+Everything a sweep shares across backends — results, cache, journal,
+retry accounting, manifests, telemetry, the resilience report — is one
+:class:`_Ledger`, which settles a point once whether the journal, the
+cache or a simulation supplied it; backends get it in a
+:class:`~repro.parallel.backends.base.BackendRequest` and own only
+execution.  When one raises :class:`~repro.errors.BackendUnavailable`
+mid-sweep, the remaining points degrade to the local backend, so a dead
+fleet costs locality, never results.
 
 One coordinator (:mod:`repro.parallel.backends.coordinator`) executes
 every live point, whatever the backend and whatever ``jobs`` is; what
@@ -92,6 +92,232 @@ def resolve_cache(cache) -> ResultCache | None:
     return ResultCache(cache)
 
 
+class _Ledger:
+    """One sweep's books: where every point is settled, exactly once.
+
+    Owns what a sweep accumulates — results, report, point identities,
+    cache, journal and manifest handles, the caller's callbacks,
+    telemetry — with one method per transition of a point: the runner
+    calls :meth:`replay` and :meth:`unsettled`, the coordinator
+    :meth:`started`, :meth:`settle`, :meth:`attempt_failed`,
+    :meth:`duplicate`, :meth:`conflict` and :meth:`reclaimed`.  Parent
+    process only: a ledger never crosses to a worker.
+    """
+
+    def __init__(self, configs: Sequence[ScenarioConfig], extract: Callable,
+                 backend: str, policy: ResilienceConfig | None, cache,
+                 on_point, on_progress, manifest_dir, telemetry) -> None:
+        self.configs = configs
+        self.policy = policy
+        self.cache = cache
+        self.on_point = on_point
+        self.on_progress = on_progress
+        self.manifest_dir = manifest_dir
+        self.telemetry = telemetry
+        self.results: list[dict | None] = [None] * len(configs)
+        self.report = ResilienceReport(points=len(configs), backend=backend)
+        self.fault_plan = active_plan().resolve(len(configs))
+        self.histories: dict[int, list[AttemptRecord]] = {}
+        self._warned_unreachable = False
+        if telemetry is not None:
+            telemetry.points = len(configs)
+            self._cache_base = ((cache.hits, cache.misses, cache.quarantined)
+                                if cache is not None else (0, 0, 0))
+        # Identify every point once, up front: one extractor fingerprint
+        # per sweep, one serialisation per config (a plain sweep: none).
+        self.identities: list[PointIdentity] = []
+        if cache is not None or policy is not None or manifest_dir is not None:
+            fingerprint = _extractor_fingerprint(extract)
+            self.identities = [PointIdentity.of(config, fingerprint)
+                               for config in configs]
+        journal = policy.journal if policy is not None else None
+        self._owns_journal = (journal is not None
+                              and not isinstance(journal, SweepJournal))
+        self.journal: SweepJournal | None = (
+            SweepJournal(journal) if self._owns_journal else journal)
+        self.journal_entries: dict[str, JournalEntry] | None = (
+            self.journal.load() if self.journal is not None else None)
+
+    def _cache_for(self, index: int) -> ResultCache | None:
+        """The cache to use for one point — ``None`` under an
+        injected ``cache-unreachable`` partition."""
+        if self.cache is None:
+            return None
+        if self.fault_plan and self.fault_plan.cache_unreachable(index):
+            if not self._warned_unreachable:
+                warnings.warn(
+                    "injected cache-unreachable fault: skipping cache "
+                    "reads and writes for the faulted point(s); the "
+                    "journal remains the source of truth",
+                    RuntimeWarning, stacklevel=3)
+                self._warned_unreachable = True
+            return None
+        return self.cache
+
+    def _emit(self, progress: PointProgress) -> None:
+        if self.telemetry is not None:
+            self.telemetry.on_progress(progress)
+        if self.on_progress is not None:
+            self.on_progress(progress)
+
+    def _write_manifest(self, index: int, source: str, **provenance) -> None:
+        if self.manifest_dir is None:
+            return
+        # Lazy: obs sits above this layer (its manifest module keys
+        # off repro.parallel.cache).
+        from repro.obs.manifest import build_manifest, write_manifest
+
+        write_manifest(build_manifest(
+            self.configs[index], identity=self.identities[index],
+            source=source, backend=self.report.backend, **provenance),
+            self.manifest_dir)
+
+    def replay(self, pending: Sequence[int], source: str) -> list[int]:
+        """Settle every pending point that ``source`` (``"journal"`` or
+        ``"cache"``) already holds; returns the rest, in order."""
+        remaining = []
+        for index in pending:
+            store = (self.journal_entries if source == "journal"
+                     else self._cache_for(index))
+            held = (store.get(self.identities[index].key)
+                    if store is not None else None)
+            if held is None:
+                remaining.append(index)
+            elif isinstance(held, JournalEntry):
+                self.settle(index, held.measurements, source, source,
+                            attempts=held.attempts)
+            else:
+                self.settle(index, held, source, source)
+        return remaining
+
+    def unsettled(self, pending: Sequence[int]) -> list[int]:
+        """The pending points neither measured nor failed for good."""
+        failed = {failure.index for failure in self.report.failures}
+        return [index for index in pending
+                if self.results[index] is None and index not in failed]
+
+    def started(self, index: int, attempt: int, worker: str) -> None:
+        """An attempt was handed to the process that will simulate it."""
+        self._emit(PointProgress(index, "start", attempt=attempt, worker=worker))
+
+    def settle(self, index: int, measurements: dict, source: str,
+               worker: str, *, wall_seconds: float | None = None,
+               events: int | None = None, attempts: int = 1,
+               snapshot: dict | None = None) -> None:
+        """A point has its measurements: from the ``"journal"``, the
+        ``"cache"``, or ``"live"`` from ``worker`` with its statistics.
+        Every sink hears of it here and nowhere else: results, the cache
+        and journal that lack it, report, ``on_point``, manifest, progress."""
+        live = source == "live"
+        self.results[index] = measurements
+        if live:
+            self.report.live += 1
+            if attempts > 1:
+                self.report.attempts_by_index[index] = attempts
+            if self.telemetry is not None:
+                self.telemetry.fold_point(index, snapshot)
+            point_cache = self._cache_for(index)
+            if point_cache is not None:
+                entry_path = point_cache.put(self.identities[index].key,
+                                             measurements,
+                                             config=self.configs[index])
+                if (entry_path is not None and self.fault_plan
+                        and self.fault_plan.corrupts(index)):
+                    corrupt_entry_file(entry_path)
+        elif source == "cache":
+            self.report.cache_hits += 1
+        else:
+            self.report.journal_skips += 1
+        if self.journal is not None and source != "journal":
+            self.journal.record(JournalEntry(
+                **self.identities[index]._asdict(), index=index,
+                attempts=attempts, source=source, measurements=measurements))
+            if self.telemetry is not None:
+                self.telemetry.record_journal_append()
+        if self.on_point is not None:
+            self.on_point(index, measurements)
+        self._write_manifest(index, source, events_processed=events,
+                             wall_seconds=wall_seconds, attempts=attempts,
+                             worker=worker if live else "")
+        statistics = dict(wall_seconds=wall_seconds, events_processed=events,
+                          attempt=attempts) if live else {}
+        self._emit(PointProgress(index=index, phase="finish", cached=not live,
+                                 worker=worker, **statistics))
+
+    def attempt_failed(self, index: int, attempt: int, outcome: str,
+                       wall_seconds: float, detail: str,
+                       worker: str) -> float | None:
+        """Record one failed attempt.
+
+        Returns the backoff delay when the point gets another try,
+        or ``None`` when the failure is terminal (the point is then
+        reported as a :class:`PointFailure` and left unmeasured).
+        """
+        identity, report = self.identities[index], self.report
+        self.histories.setdefault(index, []).append(AttemptRecord(
+            attempt=attempt, outcome=outcome,
+            wall_seconds=round(wall_seconds, 6), detail=detail))
+        report.count_attempt_outcome(outcome)
+        if attempt < self.policy.max_attempts:
+            report.retries += 1
+            self._emit(PointProgress(index=index, phase="retry",
+                                     attempt=attempt, worker=worker,
+                                     wall_seconds=wall_seconds))
+            return self.policy.backoff_delay(identity.key, attempt)
+        failure = PointFailure(
+            index=index, run_id=identity.run_id,
+            config_hash=identity.config_hash,
+            scenario=self.configs[index].name, attempts=attempt, kind=outcome,
+            message=detail, history=tuple(self.histories[index]))
+        report.failures.append(failure)
+        report.attempts_by_index[index] = attempt
+        self._write_manifest(index, "failed", attempts=attempt, worker=worker,
+                             failure=failure)
+        self._emit(PointProgress(index=index, phase="fail", attempt=attempt,
+                                 worker=worker, wall_seconds=wall_seconds))
+        return None
+
+    def duplicate(self, index: int) -> None:
+        """A late result matched the accepted one, or the point had
+        already failed for good: deduped."""
+        self.report.duplicate_results += 1
+
+    def conflict(self, index: int, accepted: dict, duplicate: dict) -> None:
+        """An at-least-once duplicate disagreed with the accepted
+        payload: quarantine both cache copies and report loudly —
+        scenarios are pure functions of their config, so a conflict
+        means nondeterminism or corruption, and neither copy can be
+        trusted by future runs."""
+        self.report.conflicts += 1
+        point_cache = self._cache_for(index)
+        key = self.identities[index].key
+        if point_cache is not None:
+            point_cache.quarantine_conflict(key, accepted, duplicate)
+        warnings.warn(
+            f"sweep point {index}: duplicate completion disagreed with "
+            "the accepted measurements; both payloads quarantined "
+            f"(key {key[:12]}…)",
+            RuntimeWarning, stacklevel=3)
+
+    def reclaimed(self, leases: int) -> None:
+        """The coordinator took ``leases`` leases back from workers."""
+        self.report.lease_reclaims += leases
+
+    def close(self, *, close_cache: bool) -> None:
+        """However the sweep ended: release what it opened, total up."""
+        if self.journal is not None and self._owns_journal:
+            self.journal.close()
+        if self.telemetry is not None:
+            if self.cache is not None:
+                hits, misses, quarantined = self._cache_base
+                self.telemetry.record_cache(
+                    self.cache.hits - hits, self.cache.misses - misses,
+                    self.cache.quarantined - quarantined)
+            self.telemetry.record_report(self.report)
+        if close_cache:
+            self.cache.close()
+
+
 class ParallelSweepRunner:
     """Executes families of independent scenarios, optionally in parallel,
     through the result cache, and under fault-tolerant supervision.
@@ -114,13 +340,12 @@ class ParallelSweepRunner:
         :class:`~repro.resilience.report.ResilienceReport`.
     backend:
         Anything :func:`~repro.parallel.backends.resolve_backend`
-        accepts: ``None`` (default) runs on this host, a registered name
-        (``"local"``, ``"worker"``) resolves through the backend
-        registry, and a :class:`~repro.parallel.backends.base.
-        SweepBackend` instance is used as-is.  Non-local backends always
-        run supervised — a default policy is adopted when none is set —
-        and degrade to the local backend if they become unavailable
-        mid-sweep.
+        accepts: ``None`` (default) runs on this host, a backend name
+        (``"local"``, ``"worker"``) is looked up, and a
+        :class:`~repro.parallel.backends.base.SweepBackend` instance is
+        used as-is.  Non-local backends always run supervised — a
+        default policy is adopted when none is set — and degrade to the
+        local backend if they become unavailable mid-sweep.
     """
 
     def __init__(
@@ -134,6 +359,10 @@ class ParallelSweepRunner:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = int(jobs)
         self.cache = resolve_cache(cache)
+        #: A store client opened here, from a URL, is closed here after
+        #: each sweep (it reconnects on the next call).
+        self._owns_cache = (self.cache is not cache
+                            and hasattr(self.cache, "close"))
         self.resilience = resolve_resilience(resilience)
         self.backend = backend
         self.last_report: ResilienceReport | None = None
@@ -161,10 +390,11 @@ class ParallelSweepRunner:
     ) -> list[dict]:
         """Measurements for each config, in input order.
 
-        ``on_point(index, measurements)`` fires as each point becomes
-        available — journal restorations and cache hits first, then
-        simulations in completion order — so long sweeps can report
-        progress.  ``on_progress`` additionally receives
+        The sweep's :class:`_Ledger` settles every point once, from the
+        first source that has it.  ``on_point(index, measurements)``
+        fires as each is settled — journal restorations and cache hits
+        first, then simulations in completion order — so long sweeps can
+        report progress.  ``on_progress`` additionally receives
         :class:`PointProgress` notifications carrying worker identity,
         timing and attempt counts.
 
@@ -197,268 +427,48 @@ class ParallelSweepRunner:
                 raise ConfigurationError("make_config must return a ScenarioConfig")
 
         backend = resolve_backend(self.backend)
-        results: list[dict | None] = [None] * len(configs)
-        cache = self.cache
         policy = self.resilience
         if backend.name != "local" and policy is None:
             # Distributed execution is pointless without supervision:
             # leases, retries and the report all hang off the policy.
             policy = ResilienceConfig()
-        metered = telemetry is not None
-        if metered:
-            telemetry.points = len(configs)
-            cache_base = ((cache.hits, cache.misses, cache.quarantined)
-                          if cache is not None else (0, 0, 0))
-        fault_plan = active_plan().resolve(len(configs))
-        report = ResilienceReport(points=len(configs),
-                                  backend=backend.name) if policy else None
-        self.last_report = report
-
-        journal: SweepJournal | None = None
-        owns_journal = False
-        journal_entries: dict[str, JournalEntry] = {}
-        # Identify every point once, up front: one extractor fingerprint
-        # per sweep, one serialisation per config (a plain sweep: none).
-        identities: list[PointIdentity] = []
-        if cache is not None or policy is not None or manifest_dir is not None:
-            fingerprint = _extractor_fingerprint(extract)
-            identities = [PointIdentity.of(config, fingerprint)
-                          for config in configs]
-        if policy is not None and policy.journal is not None:
-            if isinstance(policy.journal, SweepJournal):
-                journal = policy.journal
-            else:
-                journal = SweepJournal(policy.journal)
-                owns_journal = True
-            journal_entries = journal.load()
-
-        unreachable = {"warned": False}
-
-        def cache_for(index: int) -> ResultCache | None:
-            """The cache to use for one point — ``None`` under an
-            injected ``cache-unreachable`` partition."""
-            if cache is None:
-                return None
-            if fault_plan and fault_plan.cache_unreachable(index):
-                if not unreachable["warned"]:
-                    warnings.warn(
-                        "injected cache-unreachable fault: skipping cache "
-                        "reads and writes for the faulted point(s); the "
-                        "journal remains the source of truth",
-                        RuntimeWarning, stacklevel=3)
-                    unreachable["warned"] = True
-                return None
-            return cache
-
-        def emit(progress: PointProgress) -> None:
-            if telemetry is not None:
-                telemetry.on_progress(progress)
-            if on_progress is not None:
-                on_progress(progress)
-
-        def write_point_manifest(index: int, *, source: str,
-                                 events: int | None = None,
-                                 wall: float | None = None,
-                                 attempts: int = 1,
-                                 worker: str = "",
-                                 failure: PointFailure | None = None) -> None:
-            if manifest_dir is None:
-                return
-            # Lazy: obs sits above this layer (its manifest module keys
-            # off repro.parallel.cache).
-            from repro.obs.manifest import build_manifest, write_manifest
-
-            write_manifest(
-                build_manifest(configs[index], identity=identities[index],
-                               source=source, events_processed=events,
-                               wall_seconds=wall, attempts=attempts,
-                               failure=failure, backend=backend.name,
-                               worker=worker),
-                manifest_dir,
-            )
-
-        def checkpoint(index: int, measurements: dict, source: str,
-                       attempts: int = 1) -> None:
-            if journal is None:
-                return
-            journal.record(JournalEntry(
-                **identities[index]._asdict(), index=index, attempts=attempts,
-                source=source, measurements=measurements))
-            if telemetry is not None:
-                telemetry.record_journal_append()
-
-        def complete(index: int, measurements: dict, worker: str,
-                     wall_seconds: float, events: int,
-                     attempts: int = 1, snapshot: dict | None = None) -> None:
-            results[index] = measurements
-            if telemetry is not None:
-                telemetry.fold_point(index, snapshot)
-            point_cache = cache_for(index)
-            if point_cache is not None:
-                entry_path = point_cache.put(identities[index].key,
-                                             measurements,
-                                             config=configs[index])
-                if (entry_path is not None and fault_plan
-                        and fault_plan.corrupts(index)):
-                    corrupt_entry_file(entry_path)
-            checkpoint(index, measurements, "live", attempts)
-            if report is not None:
-                report.live += 1
-                if attempts > 1:
-                    report.attempts_by_index[index] = attempts
-            if on_point is not None:
-                on_point(index, measurements)
-            write_point_manifest(index, source="live", events=events,
-                                 wall=wall_seconds, attempts=attempts,
-                                 worker=worker)
-            emit(PointProgress(index=index, phase="finish", cached=False,
-                               worker=worker, wall_seconds=wall_seconds,
-                               events_processed=events, attempt=attempts))
-
-        def conflict(index: int, accepted: dict, duplicate: dict) -> None:
-            """An at-least-once duplicate disagreed with the accepted
-            payload: quarantine both cache copies and report loudly —
-            scenarios are pure functions of their config, so a conflict
-            means nondeterminism or corruption, and neither copy can be
-            trusted by future runs."""
-            if report is not None:
-                report.conflicts += 1
-            point_cache = cache_for(index)
-            key = identities[index].key
-            if point_cache is not None:
-                point_cache.quarantine_conflict(key, accepted, duplicate)
-            warnings.warn(
-                f"sweep point {index}: duplicate completion disagreed with "
-                "the accepted measurements; both payloads quarantined "
-                f"(key {key[:12]}…)",
-                RuntimeWarning, stacklevel=3)
-
-        histories: dict[int, list[AttemptRecord]] = {}
-
-        def attempt_failed(index: int, attempt: int, outcome: str,
-                           wall_seconds: float, detail: str,
-                           worker: str) -> float | None:
-            """Record one failed attempt.
-
-            Returns the backoff delay when the point gets another try,
-            or ``None`` when the failure is terminal (the point is then
-            reported as a :class:`PointFailure` and left unmeasured).
-            """
-            histories.setdefault(index, []).append(AttemptRecord(
-                attempt=attempt, outcome=outcome,
-                wall_seconds=round(wall_seconds, 6), detail=detail))
-            report.count_attempt_outcome(outcome)
-            if attempt < policy.max_attempts:
-                report.retries += 1
-                emit(PointProgress(index=index, phase="retry",
-                                   attempt=attempt, worker=worker,
-                                   wall_seconds=wall_seconds))
-                return policy.backoff_delay(identities[index].key, attempt)
-            failure = PointFailure(
-                index=index, run_id=identities[index].run_id,
-                config_hash=identities[index].config_hash,
-                scenario=configs[index].name, attempts=attempt, kind=outcome,
-                message=detail, history=tuple(histories[index]))
-            report.failures.append(failure)
-            report.attempts_by_index[index] = attempt
-            write_point_manifest(index, source="failed", attempts=attempt,
-                                 worker=worker, failure=failure)
-            emit(PointProgress(index=index, phase="fail", attempt=attempt,
-                               worker=worker, wall_seconds=wall_seconds))
-            return None
-
-        pending = list(range(len(configs)))
-
-        if journal_entries:
-            remaining = []
-            for index in pending:
-                entry = journal_entries.get(identities[index].key)
-                if entry is None:
-                    remaining.append(index)
-                    continue
-                results[index] = entry.measurements
-                if report is not None:
-                    report.journal_skips += 1
-                if on_point is not None:
-                    on_point(index, entry.measurements)
-                write_point_manifest(index, source="journal",
-                                     attempts=entry.attempts)
-                emit(PointProgress(index=index, phase="finish", cached=True,
-                                   worker="journal"))
-            pending = remaining
-
-        if cache is not None:
-            remaining = []
-            for index in pending:
-                point_cache = cache_for(index)
-                hit = (point_cache.get(identities[index].key)
-                       if point_cache is not None else None)
-                if hit is None:
-                    remaining.append(index)
-                    continue
-                results[index] = hit
-                if report is not None:
-                    report.cache_hits += 1
-                checkpoint(index, hit, "cache")
-                if on_point is not None:
-                    on_point(index, hit)
-                write_point_manifest(index, source="cache")
-                emit(PointProgress(index=index, phase="finish",
-                                   cached=True, worker="cache"))
-            pending = remaining
-
-        request = BackendRequest(
-            pending=pending,
-            configs=configs,
-            extract=extract,
-            jobs=min(self.jobs, len(pending)) if pending else 0,
-            complete=complete,
-            emit=emit,
-            policy=policy,
-            attempt_failed=attempt_failed if policy is not None else None,
-            fault_plan=fault_plan,
-            metered=metered,
-            report=report,
-            conflict=conflict,
-        )
+        ledger = _Ledger(configs, extract, backend.name, policy,
+                         self.cache, on_point, on_progress, manifest_dir,
+                         telemetry)
+        report = ledger.report
+        self.last_report = report if policy is not None else None
         try:
+            pending = list(range(len(configs)))
+            for source in ("journal", "cache"):
+                pending = ledger.replay(pending, source)
+            request = BackendRequest(
+                pending=pending, configs=configs, extract=extract,
+                jobs=min(self.jobs, len(pending)), ledger=ledger,
+                policy=policy, fault_plan=ledger.fault_plan,
+                metered=telemetry is not None)
             if pending:
                 try:
                     backend.execute(request)
                 except BackendUnavailable as exc:
                     if isinstance(backend, LocalBackend):
                         raise
-                    failed_indices = ({failure.index for failure
-                                       in report.failures}
-                                      if report is not None else set())
-                    remaining = [index for index in pending
-                                 if results[index] is None
-                                 and index not in failed_indices]
+                    remaining = ledger.unsettled(pending)
                     warnings.warn(
                         f"sweep backend {backend.name!r} became unavailable "
                         f"({exc}); degrading {len(remaining)} remaining "
                         "point(s) to local execution",
                         RuntimeWarning, stacklevel=2)
-                    if report is not None:
-                        report.degraded_points += len(remaining)
+                    report.degraded_points += len(remaining)
                     if remaining:
                         LocalBackend().execute(replace(
                             request, pending=remaining,
                             jobs=min(self.jobs, len(remaining))))
         finally:
-            if journal is not None and owns_journal:
-                journal.close()
-            if telemetry is not None:
-                if cache is not None:
-                    telemetry.record_cache(
-                        cache.hits - cache_base[0],
-                        cache.misses - cache_base[1],
-                        cache.quarantined - cache_base[2])
-                telemetry.record_report(report)
+            ledger.close(close_cache=self._owns_cache)
 
-        if report is not None and report.failures and not policy.allow_partial:
-            raise SweepFailureError(report.failures, results)
-        return results  # type: ignore[return-value]
+        if report.failures and not policy.allow_partial:
+            raise SweepFailureError(report.failures, ledger.results)
+        return ledger.results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Sweep-shaped front end

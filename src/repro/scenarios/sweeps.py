@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.families import utilization_extract
 from repro.scenarios.runner import ScenarioResult
@@ -108,15 +107,10 @@ def sweep(
         Which execution backend runs the live points: ``None`` (default)
         or ``"local"`` for this host's process pool, ``"worker"`` (or a
         configured :class:`~repro.parallel.backends.worker.WorkerBackend`)
-        for the distributed worker fleet, or any name registered with
-        :func:`~repro.parallel.backends.register_backend`.  Non-local
-        backends always run supervised (``resilience`` defaults on).
+        for the distributed fleet; non-local backends run supervised.
     """
     from repro.parallel.runner import ParallelSweepRunner
 
-    values = list(values)
-    if not values:
-        raise ConfigurationError("sweep needs at least one value")
     runner = ParallelSweepRunner(jobs=jobs, cache=cache, resilience=resilience,
                                  backend=backend)
     return runner.run(make_config, values, extract, on_point=on_point,

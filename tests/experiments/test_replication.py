@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments.replication import MetricSummary, replicate, t_critical_95
 from repro.scenarios import paper
 
@@ -94,7 +94,7 @@ class TestReplicate:
             replicate(lambda s: paper.figure4(), seeds=[], extract=lambda r: {})
 
     def test_non_config_rejected(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ConfigurationError):
             replicate(lambda s: 42, seeds=[1], extract=lambda r: {})
 
     def test_metric_consistency_enforced(self):

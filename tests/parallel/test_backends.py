@@ -1,4 +1,4 @@
-"""The execution-backend registry and the runner's backend resolution."""
+"""The runner's backend resolution."""
 
 import pytest
 
@@ -7,38 +7,18 @@ from repro.parallel.backends import (
     LocalBackend,
     SweepBackend,
     WorkerBackend,
-    backend_names,
-    create_backend,
-    register_backend,
     resolve_backend,
 )
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert backend_names() == ["local", "worker"]
-
-    def test_create_backend_by_name(self):
-        assert isinstance(create_backend("local"), LocalBackend)
-        assert isinstance(create_backend("worker"), WorkerBackend)
+        assert type(resolve_backend("local")) is LocalBackend
+        assert type(resolve_backend("worker")) is WorkerBackend
 
     def test_create_unknown_name_lists_known(self):
         with pytest.raises(ConfigurationError, match="local, worker"):
-            create_backend("cloud")
-
-    def test_reregistering_same_class_is_idempotent(self):
-        register_backend("local", LocalBackend)  # no error
-
-    def test_name_collision_refused(self):
-        class Impostor(SweepBackend):
-            name = "local"
-
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("local", Impostor)
-
-    def test_bad_name_refused(self):
-        with pytest.raises(ConfigurationError):
-            register_backend("", LocalBackend)
+            resolve_backend("cloud")
 
 
 class TestResolve:

@@ -12,13 +12,18 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel import resolve_cache
+from repro.parallel import ParallelSweepRunner, resolve_cache
 from repro.parallel.cache import ResultCache
 from repro.parallel.cachestore import (
     SharedCacheClient,
     SharedCacheServer,
     parse_endpoint,
 )
+from repro.scenarios import sweep
+
+# The fleet tests' three-point slice: small, and already importable by
+# spawned processes.
+from .test_worker_backend import CASES, CONFIGS, extract, make_config
 
 KEY = "k" * 64
 PAYLOAD = {"fwd": 0.5, "rev": 0.25}
@@ -164,3 +169,37 @@ class TestResolveCache:
     def test_path_still_resolves_to_local_cache(self, tmp_path):
         cache = resolve_cache(tmp_path / "cache")
         assert isinstance(cache, ResultCache)
+
+
+class TestRunnerClosesTheClientItOpened:
+    """``cache="tcp://..."`` makes the runner open a client; nobody else
+    can close it.  An unclosed one is a ``ResourceWarning`` when the
+    runner is collected, which tier-1 turns into this test's failure."""
+
+    def _conversations_end(self, store):
+        deadline = time.monotonic() + 2.0
+        while store._active and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return not store._active
+
+    def test_a_url_sweep_leaves_no_socket_and_no_conversation(self, store):
+        url = f"tcp://{store.host}:{store.port}"
+        for hits in (0, len(CASES)):  # cold, then warm: two clients
+            progress = []
+            sweep(make_config, CASES, extract, cache=url,
+                  on_progress=progress.append)
+            assert sum(event.cached for event in progress) == hits
+            assert self._conversations_end(store)
+        assert store.connections == 2
+
+    def test_the_runner_reconnects_for_its_next_sweep(self, store):
+        runner = ParallelSweepRunner(cache=f"tcp://{store.host}:{store.port}")
+        cold = runner.run_configs(CONFIGS, extract)
+        assert runner.cache._sock is None
+        assert runner.run_configs(CONFIGS, extract) == cold
+        assert (runner.cache.hits, runner.cache._sock) == (len(CONFIGS), None)
+
+    def test_a_client_the_caller_supplied_is_left_open(self, store, client):
+        runner = ParallelSweepRunner(cache=client)
+        runner.run_configs(CONFIGS[:1], extract)
+        assert client._sock is not None and not client.degraded

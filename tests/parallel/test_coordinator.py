@@ -128,7 +128,8 @@ class Scripted(Transport):
 
 
 class Stage:
-    """A fake clock, a fake ``connection.wait`` and a recording request."""
+    """A fake clock, a fake ``connection.wait`` and a recording ledger
+    (the six methods a coordinator may call)."""
 
     def __init__(self, monkeypatch, points, on_send, *, hello=None,
                  faults="", policy=None):
@@ -140,12 +141,9 @@ class Stage:
         self.report = ResilienceReport(points=points)
         self.request = BackendRequest(
             pending=list(range(points)), configs=[None] * points,
-            extract=None, jobs=2, complete=self._complete,
-            emit=lambda progress: None,
+            extract=None, jobs=2, ledger=self,
             policy=policy or ResilienceConfig(),
-            attempt_failed=self._attempt_failed,
-            fault_plan=parse_faults(faults), report=self.report,
-            conflict=lambda *args: self.conflicts.append(args))
+            fault_plan=parse_faults(faults))
         monkeypatch.setattr(coordinator, "monotonic", lambda: self.now)
         monkeypatch.setattr(coordinator.connection, "wait", self._wait)
 
@@ -155,15 +153,28 @@ class Stage:
                                   hello))
         return self.cast[-1]
 
-    def _complete(self, index, measurements, worker, wall_seconds, events,
-                  attempts=1, snapshot=None):
-        assert index not in self.completed, "a point completed twice"
+    def started(self, index, attempt, worker):
+        pass
+
+    def settle(self, index, measurements, source, worker, *, wall_seconds,
+               events, attempts, snapshot):
+        assert source == "live" and index not in self.completed, (
+            "a point completed twice")
         self.completed[index] = (measurements, worker, attempts)
 
-    def _attempt_failed(self, index, attempt, outcome, wall_seconds, detail,
-                        worker):
+    def attempt_failed(self, index, attempt, outcome, wall_seconds, detail,
+                       worker):
         self.failures.append((index, attempt, outcome, worker))
         return 0.25 if attempt < 3 else None
+
+    def duplicate(self, index):
+        self.report.duplicate_results += 1
+
+    def conflict(self, *args):
+        self.conflicts.append(args)
+
+    def reclaimed(self, leases):
+        self.report.lease_reclaims += leases
 
     def _wait(self, waitables, timeout=None):
         self.waits += 1
