@@ -29,7 +29,8 @@ COMMAND = [sys.executable, str(REPO_ROOT / "benchmarks" / "suite" / "run.py"),
 #: three of its five runs are far-out outliers (docs/performance.md).  The
 #: monitor row — what a ``TraceSet`` adds to an unmonitored two-way run, the
 #: one gated cost of enabled observation — is fenced the same way from 24
-#: runs of the PR 17 tree, which made that cost what it is.  The last two
+#: runs of the PR 23 tree, whose C-level journal sinks made that cost what
+#: it is (5.3 %; the eager handlers before it read 22).  The last two
 #: rows are same-run ratios in which machine speed cancels.  Cancel over
 #: tick stands in for the retired paired cancel gate, which has no twin in
 #: the suite.  Build at N = 128 over build at N = 2 is the growth law of
@@ -41,7 +42,7 @@ LIMITS = (
     ("parallel.runner_overhead_pct", None, 13.0, "above"),
     ("scenarios.run_overhead_pct", None, 15.0, "above"),
     ("net.red_overhead_pct", None, 42.0, "above"),
-    ("metrics.monitor_overhead_pct.two_way", None, 43.0, "above"),
+    ("metrics.monitor_overhead_pct.two_way", None, 33.0, "above"),
     ("engine.cancel_pairs_per_s", "engine.tick_events_per_s", 0.57, "below"),
     ("scenarios.build_ms.n128", "scenarios.build_ms.n2", 83.0, "above"),
 )

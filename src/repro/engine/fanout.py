@@ -1,8 +1,8 @@
 """Bind-once observer fan-out.
 
 Every hot object in the tree (senders, queues, ports, links, hosts,
-receivers) exposes ``on_*`` registration hooks, but in a typical run
-most hooks have **zero** observers — and per-event ``for observer in
+receivers) exposes registration hooks, but in a typical run most hooks
+have **zero** observers — and per-event ``for observer in
 self._x_observers:`` loops still pay an attribute load and an iterator
 per event.  :func:`bind_fanout` collapses an observer list into a
 single dispatch target *at registration time*:
@@ -13,11 +13,21 @@ single dispatch target *at registration time*:
   instrumented case: one metrics monitor per hook);
 - many → a closure over a frozen tuple.
 
-The calling convention at every fan-out site is::
+The calling convention at every fan-out site is **one record to a
+one-argument sink**: the site builds one positional tuple and hands it
+over, ::
 
-    fan = self._send_fan
+    fan = self._fan
     if fan is not None:
-        fan(now, packet)
+        fan((ADMIT, now, packet, len(self._packets)))
+
+so a consumer that only wants the observation kept registers a C-level
+sink — a list's ``append``, or an ``array('d')``'s ``extend`` where the
+record is all numbers — and the site enters no Python frame; what the
+record means is worked out on read (:mod:`repro.metrics.journal`).  A
+consumer that must react at once registers a Python callable and
+unpacks the same tuple.  Each site documents its record at its
+registration method; there is one channel per site.
 
 Registration rebinds the fan, so attach order and fire order still
 match list order.  Detachment is not supported anywhere in the tree
@@ -27,28 +37,28 @@ removal keeps the contract.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, TypeVar, cast
+from typing import Callable, Sequence
 
-__all__ = ["bind_fanout"]
+__all__ = ["Sink", "bind_fanout"]
 
-_F = TypeVar("_F", bound=Callable[..., None])
+#: What a fan-out site calls: one argument, the site's record tuple.
+Sink = Callable[[tuple], object]
 
 
-def bind_fanout(observers: Sequence[_F]) -> _F | None:
-    """Collapse ``observers`` into one callable, or ``None`` when empty.
+def bind_fanout(sinks: Sequence[Sink]) -> Sink | None:
+    """Collapse ``sinks`` into one callable, or ``None`` when empty.
 
-    The returned callable has the same signature as the observers; the
-    snapshot is taken now, so callers must rebind after mutating the
-    list.
+    The snapshot is taken now, so callers must rebind after mutating
+    the list.
     """
-    if not observers:
+    if not sinks:
         return None
-    if len(observers) == 1:
-        return observers[0]
-    bound = tuple(observers)
+    if len(sinks) == 1:
+        return sinks[0]
+    bound = tuple(sinks)
 
-    def fan(*args: Any) -> None:
-        for observer in bound:
-            observer(*args)
+    def fan(record: tuple) -> None:
+        for sink in bound:
+            sink(record)
 
-    return cast(_F, fan)
+    return fan

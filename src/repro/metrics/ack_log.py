@@ -9,11 +9,13 @@ inter-arrival statistics and compression ratios.
 
 from __future__ import annotations
 
+from array import array
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.net.packet import Packet
+from repro.metrics.journal import Derived
 from repro.tcp.sender import Sender
 
 __all__ = ["AckArrivalLog", "AckArrival"]
@@ -26,18 +28,33 @@ class AckArrival(NamedTuple):
     ack: int
 
 
+_new_arrival = partial(tuple.__new__, AckArrival)
+
+
 class AckArrivalLog:
-    """Records the ACK arrival process of one sender."""
+    """Records the ACK arrival process of one sender: its ``(now, ack,
+    uid)`` records are all numbers, so the sink is the ``extend`` of an
+    ``array('d')`` (:mod:`repro.metrics.journal`)."""
+
+    arrivals = Derived()
+    # A log restored from disk or preloaded has no sender: nothing pending.
+    _journal: array | tuple = ()
 
     def __init__(self, sender: Sender) -> None:
         self.conn_id = sender.conn_id
         self.arrivals: list[AckArrival] = []
-        sender.on_ack(self._on_ack)
+        self._journal = array("d")
+        sender.on_ack(self._journal.extend)
 
-    def _on_ack(self, time: float, packet: Packet) -> None:
+    def _derive(self) -> None:
+        journal = self._journal
+        if not journal:
+            return
         # tuple.__new__ is the C constructor AckArrival's own (Python)
         # __new__ would call: no frame per ACK.
-        self.arrivals.append(tuple.__new__(AckArrival, (time, packet.ack)))
+        self.__dict__["arrivals"].extend(map(
+            _new_arrival, zip(journal[0::3], map(int, journal[1::3]))))
+        del journal[:]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -7,8 +7,10 @@ instants the synchronization analysis keys off.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
+from repro.metrics.journal import Derived
 from repro.metrics.timeseries import StepSeries
 from repro.tcp.sender import Sender
 
@@ -26,27 +28,42 @@ class LossEvent:
 
 
 class CwndLog:
-    """Traces the congestion state of one adaptive sender."""
+    """Traces the congestion state of one adaptive sender: its ``(now,
+    cwnd, ssthresh)`` records are all numbers, so the sink is the
+    ``extend`` of an ``array('d')`` whose strided columns become the two
+    series (:mod:`repro.metrics.journal`)."""
+
+    cwnd = Derived()
+    ssthresh = Derived()
+    losses = Derived()
+    # A log preloaded without a sender has nothing pending.
+    _journal: array | tuple = ()
+    _loss_journal: list | tuple = ()
 
     def __init__(self, sender: Sender) -> None:
         self.conn_id = sender.conn_id
+        self._journal = array("d")
+        self._loss_journal: list[tuple[float, str, int]] = []
         self.cwnd = StepSeries(name=f"conn{sender.conn_id}:cwnd",
                                initial_value=sender.options.initial_cwnd)
         self.ssthresh = StepSeries(name=f"conn{sender.conn_id}:ssthresh",
                                    initial_value=sender.options.effective_initial_ssthresh)
         self.losses: list[LossEvent] = []
-        self._record_cwnd = self.cwnd.record
-        self._record_ssthresh = self.ssthresh.record
-        sender.on_cwnd_change(self._on_cwnd)
-        sender.on_loss_detected(self._on_loss)
+        sender.on_cwnd_change(self._journal.extend)
+        sender.on_loss_detected(self._loss_journal.append)
 
-    def _on_cwnd(self, time: float, cwnd: float, ssthresh: float) -> None:
-        self._record_cwnd(time, cwnd)
-        self._record_ssthresh(time, ssthresh)
-
-    def _on_loss(self, time: float, trigger: str, seq: int) -> None:
-        self.losses.append(LossEvent(time=time, conn_id=self.conn_id,
-                                     trigger=trigger, seq=seq))
+    def _derive(self) -> None:
+        journal = self._journal
+        if journal:
+            times = journal[0::3]
+            self.__dict__["cwnd"].extend_columns(times, journal[1::3])
+            self.__dict__["ssthresh"].extend_columns(times, journal[2::3])
+            del journal[:]
+        if self._loss_journal:
+            self.__dict__["losses"].extend(
+                LossEvent(time, self.conn_id, trigger, seq)
+                for time, trigger, seq in self._loss_journal)
+            self._loss_journal.clear()
 
     # ------------------------------------------------------------------
     @property

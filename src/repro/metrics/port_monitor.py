@@ -1,8 +1,10 @@
-"""Everything recorded at one output port, by one observer per site.
+"""Everything recorded at one output port, from one journal.
 
 A :class:`PortMonitor` is the only class in :mod:`repro.metrics` that
-registers port or queue observers.  From one bound method per emission
-site it keeps
+registers port or queue observers, and what it registers is the
+``append`` of one list: the queue's and the port's records land in it
+in event order.  From that journal it derives, on first read
+(:mod:`repro.metrics.journal`),
 
 - the queue length in packets (``lengths`` — the exact signal plotted in
   the paper's queue-length figures) and in bytes (``byte_lengths``),
@@ -13,9 +15,11 @@ site it keeps
   the same effect as increasing the pipe size",
 - every transmission as a ``(start, duration)`` interval, so utilization
   over a window is integrated exactly rather than sampled and the small
-  differences the paper reports (70% vs 60%) carry no estimator noise,
-- and the port's drops, appended to a :class:`~repro.metrics.drop_log.DropLog`
-  that several ports may share.
+  differences the paper reports (70% vs 60%) carry no estimator noise.
+
+The port's drops are the exception: they are appended as they happen to
+a :class:`~repro.metrics.drop_log.DropLog` that several ports may share,
+because only the moment of the drop orders it among the other ports'.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.metrics.drop_log import DropLog, DropRecord
+from repro.metrics.journal import Derived
 from repro.metrics.timeseries import StepSeries
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import PacketKind
 from repro.net.port import OutputPort
+from repro.net.queues import ADMIT, TAKE
 
 __all__ = ["PortMonitor", "DepartureRecord", "SojournSample",
            "effective_pipe_packets"]
@@ -55,11 +61,16 @@ class SojournSample(NamedTuple):
     conn_id: int
 
 
-# The handlers build their records with ``tuple.__new__(Record, (...))``:
-# a NamedTuple's own ``__new__`` is a Python function, one frame per
-# record; this is the C constructor it would have called.
+# Records are built with ``tuple.__new__(Record, (...))``: a NamedTuple's
+# own ``__new__`` is a Python function, one frame per record; this is
+# the C constructor it would have called.
 _new = tuple.__new__
 _DATA = PacketKind.DATA
+
+#: Journal records folded per step: the consumed block is released
+#: before the next is cut, so deriving never holds a whole journal and
+#: the whole of what it becomes at once.
+BLOCK = 8192
 
 
 class PortMonitor:
@@ -74,67 +85,94 @@ class PortMonitor:
     wait — they are the self-clocked case.
     """
 
+    lengths = Derived()
+    byte_lengths = Derived()
+    departures = Derived()
+    samples = Derived()
+    _intervals = Derived()  # (start, duration) per transmission
+
     def __init__(self, port: OutputPort, name: str | None = None,
                  drops: DropLog | None = None) -> None:
         self.port = port
         self.name = name or port.name
+        self.drops = drops if drops is not None else DropLog()
+        # Queue records ``(kind, now, packet, qlen)`` and port records
+        # ``(now, packet, duration)``, in the order the sites fired.
+        self._journal: list[tuple] = []
         self.lengths = StepSeries(name=f"{self.name}:qlen", initial_value=0.0)
         self.byte_lengths = StepSeries(name=f"{self.name}:qbytes", initial_value=0.0)
         self.departures: list[DepartureRecord] = []
         self.samples: list[SojournSample] = []
-        self.drops = drops if drops is not None else DropLog()
-        self.data_packets = 0  # DATA packets that started transmission
-        self.ack_packets = 0  # ACK packets that started transmission
-        self._intervals: list[tuple[float, float]] = []  # (start, duration)
+        self._intervals: list[tuple[float, float]] = []
         self._buffered_bytes = 0
-        # uid -> buffer entry time, from enqueue until the packet starts
-        # transmission or is evicted; presence is what tells a buffered
-        # drop victim from a refused arrival.
+        # uid -> buffer entry time, from the admit until the packet
+        # starts transmission or is evicted; presence is what tells a
+        # buffered drop victim from a refused arrival.
         self._entered: dict[int, float] = {}
-        self._record_bytes = self.byte_lengths.record
-        queue = port.queue
-        queue.on_length_change(self.lengths.record)
-        queue.on_enqueue(self._on_enqueue)
-        queue.on_dequeue(self._on_dequeue)
-        queue.on_drop(self._on_drop)
-        port.on_transmission(self._on_transmission)
+        port.queue.observe(self._journal.append, drops=self._on_drop)
+        port.on_transmission(self._journal.append)
 
-    def _on_enqueue(self, time: float, packet: Packet) -> None:
-        self._entered[packet.uid] = time
-        self._buffered_bytes += packet.size
-        self._record_bytes(time, self._buffered_bytes)
-
-    def _on_dequeue(self, time: float, packet: Packet) -> None:
-        # The entry stamp stays: the transmission that follows reads it.
-        self._buffered_bytes -= packet.size
-        self._record_bytes(time, self._buffered_bytes)
-
-    def _on_drop(self, time: float, packet: Packet) -> None:
-        # Random-drop queues evict *buffered* packets (enqueued, never
-        # dequeued): their bytes and entry stamp must go with them.
-        if self._entered.pop(packet.uid, None) is not None:
-            self._buffered_bytes -= packet.size
-            self._record_bytes(time, self._buffered_bytes)
+    def _on_drop(self, record: tuple) -> None:
+        _, time, packet, _ = record
+        self._journal.append(record)
         is_data = packet.kind is _DATA
         self.drops.records.append(_new(DropRecord, (
             time, self.name, packet.conn_id, is_data,
             packet.seq if is_data else packet.ack, packet.is_retransmit)))
 
-    def _on_transmission(self, start: float, duration: float, packet: Packet) -> None:
-        conn_id = packet.conn_id
-        uid = packet.uid
-        self._intervals.append((start, duration))
-        is_data = packet.kind is _DATA
-        if is_data:
-            self.data_packets += 1
-            seq = packet.seq
-        else:
-            self.ack_packets += 1
-            seq = packet.ack
-        self.departures.append(_new(DepartureRecord, (
-            start, conn_id, is_data, seq, packet.size, uid)))
-        self.samples.append(_new(SojournSample, (
-            start, start - self._entered.pop(uid, start), is_data, conn_id)))
+    def _derive(self) -> None:
+        """Replay the journal through what an eager handler per site did."""
+        journal = self._journal
+        if not journal:
+            return
+        published = self.__dict__
+        add_interval = published["_intervals"].append
+        add_departure = published["departures"].append
+        add_sample = published["samples"].append
+        entered = self._entered
+        stamp_of = entered.pop
+        buffered = self._buffered_bytes
+        while journal:
+            block = journal[:BLOCK]
+            del journal[:BLOCK]
+            length_times, length_values, byte_times, byte_values = [], [], [], []
+            for record in block:
+                if len(record) == 3:
+                    start, packet, duration = record
+                    is_data = packet.kind is _DATA
+                    add_interval((start, duration))
+                    add_departure(_new(DepartureRecord, (
+                        start, packet.conn_id, is_data,
+                        packet.seq if is_data else packet.ack, packet.size,
+                        packet.uid)))
+                    add_sample(_new(SojournSample, (
+                        start, start - stamp_of(packet.uid, start), is_data,
+                        packet.conn_id)))
+                    continue
+                kind, time, packet, qlen = record
+                if kind == ADMIT:
+                    entered[packet.uid] = time
+                    buffered += packet.size
+                elif kind == TAKE:
+                    # The entry stamp stays: the transmission that
+                    # follows reads it.
+                    buffered -= packet.size
+                else:
+                    # Random-drop queues evict *buffered* packets
+                    # (admitted, never taken): their bytes and entry
+                    # stamp must go with them.
+                    if stamp_of(packet.uid, None) is not None:
+                        buffered -= packet.size
+                        byte_times.append(time)
+                        byte_values.append(buffered)
+                    continue
+                length_times.append(time)
+                length_values.append(qlen)
+                byte_times.append(time)
+                byte_values.append(buffered)
+            published["lengths"].extend_columns(length_times, length_values)
+            published["byte_lengths"].extend_columns(byte_times, byte_values)
+        self._buffered_bytes = buffered
 
     # ------------------------------------------------------------------
     # Queue
@@ -157,6 +195,16 @@ class PortMonitor:
     def ack_departures(self) -> list[DepartureRecord]:
         """Only the ACK departures, in order."""
         return [d for d in self.departures if not d.is_data]
+
+    @property
+    def data_packets(self) -> int:
+        """DATA packets that started transmission."""
+        return len(self.data_departures())
+
+    @property
+    def ack_packets(self) -> int:
+        """ACK packets that started transmission."""
+        return len(self.ack_departures())
 
     # ------------------------------------------------------------------
     # Link

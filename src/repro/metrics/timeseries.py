@@ -65,6 +65,21 @@ class StepSeries:
         for time, value in points:
             self.record(time, value)
 
+    def extend_columns(self, times: Iterable[float],
+                       values: Iterable[float]) -> None:
+        """Append change-points given as two parallel columns: the same
+        points, guard and coercion as a ``record`` per pair, in C."""
+        column = array("d", times)
+        if not column:
+            return
+        if column[0] < self._last_time or (np.diff(column) < 0.0).any():
+            raise AnalysisError(
+                f"{self.name or 'series'}: time went backwards in or before "
+                f"a block starting at {column[0]} (after {self._last_time})")
+        self._last_time = column[-1]
+        self._times.extend(column)
+        self._values.extend(values)
+
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------

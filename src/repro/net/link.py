@@ -12,9 +12,9 @@ giving error-free transmission").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.engine.fanout import bind_fanout
+from repro.engine.fanout import Sink, bind_fanout
 from repro.engine.sanitize import SanitizerError
 from repro.engine.simulator import Simulator
 from repro.net.packet import Packet
@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
 
 __all__ = ["Link"]
-
-DeliverObserver = Callable[[float, Packet], None]
 
 
 class Link:
@@ -46,8 +44,8 @@ class Link:
         self._delivered = 0
         self._carried = 0
         self._strict = sim.strict
-        self._deliver_observers: list[DeliverObserver] = []
-        self._deliver_fan: DeliverObserver | None = None
+        self._deliver_sinks: list[Sink] = []
+        self._deliver_fan: Sink | None = None
         # The arrival label is constant per link; building the f-string
         # per carried packet showed up in the dumbbell profile.
         self._arrive_label = f"{name}:arrive"
@@ -72,14 +70,15 @@ class Link:
         """Total packets ever launched onto this link."""
         return self._carried
 
-    def on_deliver(self, observer: DeliverObserver) -> None:
-        """Register ``observer(time, packet)`` at each far-end delivery.
+    def on_deliver(self, sink: Sink) -> None:
+        """Register ``sink(record)`` at each far-end delivery,
+        ``record = (now, packet)``.
 
         Fires just before the destination node handles the packet — the
         hop the tracer records as ``deliver``.
         """
-        self._deliver_observers.append(observer)
-        self._deliver_fan = bind_fanout(self._deliver_observers)
+        self._deliver_sinks.append(sink)
+        self._deliver_fan = bind_fanout(self._deliver_sinks)
 
     def carry(self, packet: Packet) -> None:
         """Launch ``packet``; it reaches the destination after the delay."""
@@ -101,7 +100,7 @@ class Link:
             )
         fan = self._deliver_fan
         if fan is not None:
-            fan(self._sim.now, packet)
+            fan((self._sim.now, packet))
         self._handle(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

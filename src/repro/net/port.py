@@ -17,25 +17,20 @@ Semantics chosen to match the paper's accounting:
 - Zero-size packets (the Section 4.3.3 idealized ACKs) serialize in zero
   time.
 
-Departure observers fire at transmission *start*, which is the instant a
-packet irrevocably leaves the buffer; this is the stream the clustering
-and ACK-compression analyses consume.
+Transmission observers fire at transmission *start*, which is the
+instant a packet irrevocably leaves the buffer; this is the stream the
+clustering and ACK-compression analyses consume.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.engine.fanout import bind_fanout
+from repro.engine.fanout import Sink, bind_fanout
 from repro.engine.simulator import Simulator
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 
 __all__ = ["OutputPort"]
-
-DepartureObserver = Callable[[float, Packet], None]
-BusyObserver = Callable[[float, float, Packet], None]
 
 
 class OutputPort:
@@ -64,10 +59,8 @@ class OutputPort:
         self._busy = False
         self._transmissions = 0
         self._busy_time = 0.0
-        self._departure_observers: list[DepartureObserver] = []
-        self._busy_observers: list[BusyObserver] = []
-        self._departure_fan: DepartureObserver | None = None
-        self._busy_fan: BusyObserver | None = None
+        self._sinks: list[Sink] = []
+        self._fan: Sink | None = None
         # The txdone label never changes; building the f-string per
         # packet showed up in the dumbbell profile.
         self._txdone_label = f"{name}:txdone"
@@ -107,15 +100,11 @@ class OutputPort:
     # ------------------------------------------------------------------
     # Observers
     # ------------------------------------------------------------------
-    def on_departure(self, observer: DepartureObserver) -> None:
-        """Register ``observer(time, packet)`` at each transmission start."""
-        self._departure_observers.append(observer)
-        self._departure_fan = bind_fanout(self._departure_observers)
-
-    def on_transmission(self, observer: BusyObserver) -> None:
-        """Register ``observer(start, duration, packet)`` per transmission."""
-        self._busy_observers.append(observer)
-        self._busy_fan = bind_fanout(self._busy_observers)
+    def on_transmission(self, sink: Sink) -> None:
+        """Register ``sink(record)`` at each transmission start,
+        ``record = (now, packet, duration)``."""
+        self._sinks.append(sink)
+        self._fan = bind_fanout(self._sinks)
 
     # ------------------------------------------------------------------
     # Data path
@@ -138,12 +127,9 @@ class OutputPort:
         # tx_time(packet), inlined: a call per hop for one expression.
         size = packet.size
         duration = size * 8.0 / self.bandwidth if size > 0 else 0.0
-        fan = self._departure_fan
+        fan = self._fan
         if fan is not None:
-            fan(now, packet)
-        busy_fan = self._busy_fan
-        if busy_fan is not None:
-            busy_fan(now, duration, packet)
+            fan((now, packet, duration))
         self._schedule(duration, self._finish, packet, duration,
                        label=self._txdone_label)
 

@@ -6,26 +6,25 @@ arrives, the arriving packet is dropped"), counted in *packets* not
 bytes, and no sharing between output lines.  ``capacity=None`` models
 the infinite buffers used in the fixed-window experiments (Figures 8-9).
 
-Queue-length and drop observers are plain callables so the metrics layer
-can attach without the queue knowing about it.
+Observers are plain one-argument sinks (:mod:`repro.engine.fanout`) so
+the metrics layer can attach without the queue knowing about it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
-
-from repro.engine.fanout import bind_fanout
+from repro.engine.fanout import Sink, bind_fanout
 from repro.engine.rng import SimRandom
 from repro.engine.sanitize import SanitizerError, sanitize_enabled
 from repro.net.packet import Packet
 
-__all__ = ["DropTailQueue"]
+__all__ = ["DropTailQueue", "ADMIT", "TAKE", "REFUSE", "EVICT"]
 
-LengthObserver = Callable[[float, int], None]
-DropObserver = Callable[[float, Packet], None]
-EnqueueObserver = Callable[[float, Packet], None]
-DequeueObserver = Callable[[float, Packet], None]
+#: The ``kind`` of a queue record: an arrival accepted into the buffer,
+#: the head packet removed for transmission, an arrival discarded
+#: before admission (drop-tail overflow, a RED early discard), a
+#: *buffered* packet discarded by an overflow rule (Random Drop).
+ADMIT, TAKE, REFUSE, EVICT = range(4)
 
 
 class DropTailQueue:
@@ -56,9 +55,7 @@ class DropTailQueue:
     __slots__ = (
         "name", "capacity", "strict", "_rng", "_packets",
         "_drops", "_enqueues", "_dequeues", "_evictions",
-        "_length_observers", "_drop_observers",
-        "_enqueue_observers", "_dequeue_observers",
-        "_length_fan", "_drop_fan", "_enqueue_fan", "_dequeue_fan",
+        "_sinks", "_drop_sinks", "_fan",
         "_arrival_counter", "_stamps",
     )
 
@@ -76,16 +73,12 @@ class DropTailQueue:
         self._enqueues = 0
         self._dequeues = 0
         self._evictions = 0
-        self._length_observers: list[LengthObserver] = []
-        self._drop_observers: list[DropObserver] = []
-        self._enqueue_observers: list[EnqueueObserver] = []
-        self._dequeue_observers: list[DequeueObserver] = []
-        # Bound fan-out targets (None while a hook has no observers);
-        # rebuilt on registration — see repro.engine.fanout.
-        self._length_fan: LengthObserver | None = None
-        self._drop_fan: DropObserver | None = None
-        self._enqueue_fan: EnqueueObserver | None = None
-        self._dequeue_fan: DequeueObserver | None = None
+        self._sinks: list[Sink] = []
+        self._drop_sinks: list[Sink] = []
+        # Bound fan-out target of the admit / take sites (None while
+        # nobody observes); rebuilt on registration — see
+        # repro.engine.fanout.
+        self._fan: Sink | None = None
         # Sanitizer bookkeeping: arrival order stamps, keyed by packet
         # identity.  Entries are overwritten on (re)admission and popped
         # on departure, so id() reuse after eviction cannot alias.
@@ -140,25 +133,20 @@ class DropTailQueue:
     # ------------------------------------------------------------------
     # Observers
     # ------------------------------------------------------------------
-    def on_length_change(self, observer: LengthObserver) -> None:
-        """Register ``observer(time, new_length)`` for every length change."""
-        self._length_observers.append(observer)
-        self._length_fan = bind_fanout(self._length_observers)
+    def observe(self, sink: Sink, drops: Sink | None = None) -> None:
+        """Register ``sink(record)`` for every admit, take, refuse and
+        evict, ``record = (kind, now, packet, qlen)`` with ``qlen`` the
+        buffered packets once the operation is done.
 
-    def on_drop(self, observer: DropObserver) -> None:
-        """Register ``observer(time, packet)`` for every drop-tail discard."""
-        self._drop_observers.append(observer)
-        self._drop_fan = bind_fanout(self._drop_observers)
-
-    def on_enqueue(self, observer: EnqueueObserver) -> None:
-        """Register ``observer(time, packet)`` for every accepted arrival."""
-        self._enqueue_observers.append(observer)
-        self._enqueue_fan = bind_fanout(self._enqueue_observers)
-
-    def on_dequeue(self, observer: DequeueObserver) -> None:
-        """Register ``observer(time, packet)`` for every departure."""
-        self._dequeue_observers.append(observer)
-        self._dequeue_fan = bind_fanout(self._dequeue_observers)
+        ``drops``, when given, receives this observer's refuse and evict
+        records in place of ``sink``: discards are a few percent of
+        packets, so a consumer that has to react to them at once can
+        take a Python frame there and still leave a C-level sink on the
+        two sites every queued packet crosses.
+        """
+        self._sinks.append(sink)
+        self._drop_sinks.append(sink if drops is None else drops)
+        self._fan = bind_fanout(self._sinks)
 
     # ------------------------------------------------------------------
     # Operations
@@ -170,13 +158,18 @@ class DropTailQueue:
         """
         capacity = self.capacity
         if capacity is not None and len(self._packets) >= capacity:  # = is_full
-            self._drops += 1
-            fan = self._drop_fan
-            if fan is not None:
-                fan(now, packet)
-            return False
+            return self._discard(REFUSE, now, packet)
         self._admit(now, packet)
         return True
+
+    def _discard(self, kind: int, now: float, packet: Packet) -> bool:
+        """Count a ``REFUSE`` or ``EVICT`` and report it; always ``False``
+        (what ``offer`` returns for an arrival it did not admit)."""
+        self._drops += 1
+        record = (kind, now, packet, len(self._packets))
+        for sink in self._drop_sinks:
+            sink(record)
+        return False
 
     def _admit(self, now: float, packet: Packet) -> None:
         """Append an accepted packet and fire the admission observers.
@@ -190,12 +183,9 @@ class DropTailQueue:
             self._stamps[id(packet)] = self._arrival_counter
         self._packets.append(packet)
         self._enqueues += 1
-        fan = self._enqueue_fan
+        fan = self._fan
         if fan is not None:
-            fan(now, packet)
-        length_fan = self._length_fan
-        if length_fan is not None:
-            length_fan(now, len(self._packets))
+            fan((ADMIT, now, packet, len(self._packets)))
         if self.strict:
             self._check_conservation()
 
@@ -209,12 +199,9 @@ class DropTailQueue:
         victim = self._packets[index]
         del self._packets[index]
         self._evictions += 1
-        self._drops += 1
         if self.strict:
             self._stamps.pop(id(victim), None)
-        fan = self._drop_fan
-        if fan is not None:
-            fan(now, victim)
+        self._discard(EVICT, now, victim)
         return victim
 
     def take(self, now: float) -> Packet | None:
@@ -226,12 +213,9 @@ class DropTailQueue:
         if self.strict:
             self._check_fifo(packet)
             self._check_conservation()
-        fan = self._dequeue_fan
+        fan = self._fan
         if fan is not None:
-            fan(now, packet)
-        length_fan = self._length_fan
-        if length_fan is not None:
-            length_fan(now, len(self._packets))
+            fan((TAKE, now, packet, len(self._packets)))
         return packet
 
     # ------------------------------------------------------------------

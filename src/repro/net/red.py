@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from repro.engine.rng import SimRandom
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
+from repro.net.queues import REFUSE, DropTailQueue
 
 __all__ = ["RedQueue"]
 
@@ -115,7 +115,7 @@ class RedQueue(DropTailQueue):
             return super().offer(now, packet)
         if self._avg >= self._max_th:
             self._count = 0
-            return self._early_discard(now, packet)
+            return self._discard(REFUSE, now, packet)
         if self._avg >= self._min_th:
             self._count += 1
             p_b = self._max_p * (self._avg - self._min_th) / (
@@ -124,19 +124,11 @@ class RedQueue(DropTailQueue):
             p_a = 1.0 if denom <= 0.0 else p_b / denom
             if self._rng.uniform(0.0, 1.0) < p_a:
                 self._count = 0
-                return self._early_discard(now, packet)
+                return self._discard(REFUSE, now, packet)
         else:
             self._count = -1
         self._admit(now, packet)
         return True
-
-    def _early_discard(self, now: float, packet: Packet) -> bool:
-        """Discard the arriving packet before admission (a RED "mark")."""
-        self._drops += 1
-        fan = self._drop_fan
-        if fan is not None:
-            fan(now, packet)
-        return False
 
     def take(self, now: float) -> Packet | None:
         packet = super().take(now)

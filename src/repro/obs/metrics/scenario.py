@@ -118,17 +118,17 @@ class ScenarioMeter:
         port = built.net.port(src, dst)
         mark = rate.mark
 
-        def on_departure(time: float, packet: object) -> None:
-            mark(time)
+        def on_transmission(record: tuple) -> None:
+            mark(record[0])
 
-        port.on_departure(on_departure)
+        port.on_transmission(on_transmission)
 
     @staticmethod
     def _probe_rtt(conn: "Connection", hist: Histogram) -> None:
         observe = hist.observe
 
-        def on_rtt(time: float, rtt: float) -> None:
-            observe(rtt)
+        def on_rtt(record: tuple) -> None:
+            observe(record[1])
 
         conn.sender.on_rtt_sample(on_rtt)
 

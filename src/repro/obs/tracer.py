@@ -9,11 +9,12 @@ A :class:`Tracer` observes a simulation from two vantage points:
   ``benchmarks/perf_gate.py`` guards the disabled path through the
   suite's ``engine.vs_frozen_kernel_pct`` (the frozen kernel has no
   hook at all).
-- **the packet path** — :meth:`instrument` subscribes to the existing
-  observer callbacks of queues, ports, links and transport senders, so
-  every enqueue/dequeue/drop/transmit/deliver (plus transport-level
-  send/ack) becomes a :class:`~repro.obs.model.PacketHop` carrying the
-  buffer occupancy at that instant.
+- **the packet path** — :meth:`instrument` registers one sink per
+  site on queues, ports, links and transport senders and reads the
+  same records the monitors journal, so every enqueue/dequeue/drop/
+  transmit/deliver (plus transport-level send/ack) becomes a
+  :class:`~repro.obs.model.PacketHop` carrying the buffer occupancy at
+  that instant.
 
 Tracing is **observation only**: the tracer never schedules events,
 never mutates model state, and draws wall-clock readings exclusively
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketKind
 from repro.net.port import OutputPort
 from repro.net.topology import Network
 from repro.obs.model import CategoryStats, DispatchSpan, PacketHop, span_category
@@ -46,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.tcp.connection import Connection
 
 __all__ = ["Tracer", "resolve_tracer"]
+
+#: Hop name per queue record kind (ADMIT, TAKE, REFUSE, EVICT).
+_QUEUE_HOPS = ("enqueue", "dequeue", "drop", "drop")
+_ACK_KIND = str(PacketKind.ACK)
 
 
 def resolve_tracer(trace: object) -> "Tracer | None":
@@ -249,24 +254,18 @@ class Tracer:
         link = port.link
         record = self.packet_hop
 
-        def on_enqueue(time: float, packet: Packet) -> None:
-            record(time, "enqueue", site, packet, len(queue))
+        def on_queue(event: tuple) -> None:
+            kind, time, packet, queue_len = event
+            record(time, _QUEUE_HOPS[kind], site, packet, queue_len)
 
-        def on_dequeue(time: float, packet: Packet) -> None:
-            record(time, "dequeue", site, packet, len(queue))
-
-        def on_drop(time: float, packet: Packet) -> None:
-            record(time, "drop", site, packet, len(queue))
-
-        def on_transmission(start: float, duration: float, packet: Packet) -> None:
+        def on_transmission(event: tuple) -> None:
+            start, packet, duration = event
             record(start, "transmit", site, packet, len(queue), duration)
 
-        def on_deliver(time: float, packet: Packet) -> None:
-            record(time, "deliver", link.name, packet)
+        def on_deliver(event: tuple) -> None:
+            record(event[0], "deliver", link.name, event[1])
 
-        queue.on_enqueue(on_enqueue)
-        queue.on_dequeue(on_dequeue)
-        queue.on_drop(on_drop)
+        queue.observe(on_queue)
         port.on_transmission(on_transmission)
         link.on_deliver(on_deliver)
         self._instrumented = True
@@ -274,13 +273,19 @@ class Tracer:
     def instrument_connection(self, conn: "Connection") -> None:
         """Subscribe to transport-level send/ack hops of ``conn``."""
         site = f"conn{conn.conn_id}"
+        conn_id = conn.conn_id
         record = self.packet_hop
 
-        def on_send(time: float, packet: Packet) -> None:
-            record(time, "send", site, packet)
+        def on_send(event: tuple) -> None:
+            record(event[0], "send", site, event[1])
 
-        def on_ack(time: float, packet: Packet) -> None:
-            record(time, "ack", site, packet)
+        def on_ack(event: tuple) -> None:
+            time, ack, uid = event  # all numbers: there is no packet
+            if self.record_hops and self._in_window(time):
+                self.hops.append(PacketHop(
+                    sim_time=time, hop="ack", site=site, uid=uid,
+                    conn_id=conn_id, kind=_ACK_KIND, seq=ack,
+                    queue_len=-1, duration=0.0))
 
         conn.sender.on_send(on_send)
         conn.sender.on_ack(on_ack)

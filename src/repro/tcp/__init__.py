@@ -22,12 +22,6 @@ from repro.tcp.congestion import (
     register_algorithm,
 )
 from repro.tcp.connection import Connection, make_connection
-from repro.tcp.observers import (
-    AckObserver,
-    CwndObserver,
-    LossObserver,
-    SendObserver,
-)
 from repro.tcp.options import TcpOptions
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.rto import RttEstimator
@@ -51,8 +45,4 @@ __all__ = [
     "algorithm_names",
     "algorithm_factory",
     "is_registered",
-    "CwndObserver",
-    "LossObserver",
-    "SendObserver",
-    "AckObserver",
 ]

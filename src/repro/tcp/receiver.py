@@ -16,9 +16,7 @@ connections, as in the paper).
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.engine.fanout import bind_fanout
+from repro.engine.fanout import Sink, bind_fanout
 from repro.engine.simulator import Simulator
 from repro.engine.timer import OneShotTimer
 from repro.errors import ProtocolError
@@ -27,8 +25,6 @@ from repro.net.packet import Packet, PacketKind
 from repro.tcp.options import TcpOptions
 
 __all__ = ["TcpReceiver"]
-
-ReceiveObserver = Callable[[float, Packet], None]
 
 
 class TcpReceiver:
@@ -61,16 +57,17 @@ class TcpReceiver:
         self.acks_sent = 0
         self.delayed_ack_fires = 0
 
-        self._receive_observers: list[ReceiveObserver] = []
-        self._receive_fan: ReceiveObserver | None = None
+        self._receive_sinks: list[Sink] = []
+        self._receive_fan: Sink | None = None
 
     # ------------------------------------------------------------------
     # Observers / introspection
     # ------------------------------------------------------------------
-    def on_receive(self, observer: ReceiveObserver) -> None:
-        """Register ``observer(time, packet)`` for every data arrival."""
-        self._receive_observers.append(observer)
-        self._receive_fan = bind_fanout(self._receive_observers)
+    def on_receive(self, sink: Sink) -> None:
+        """Register ``sink(record)`` for every data arrival,
+        ``record = (now, packet)``."""
+        self._receive_sinks.append(sink)
+        self._receive_fan = bind_fanout(self._receive_sinks)
 
     @property
     def reassembly_queue(self) -> list[int]:
@@ -87,7 +84,7 @@ class TcpReceiver:
         self.packets_received += 1
         fan = self._receive_fan
         if fan is not None:
-            fan(self._sim.now, packet)
+            fan((self._sim.now, packet))
 
         seq = packet.seq
         if seq == self.rcv_nxt:

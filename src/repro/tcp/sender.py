@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.engine.fanout import bind_fanout
+from repro.engine.fanout import Sink, bind_fanout
 from repro.engine.simulator import Simulator
 from repro.engine.timer import CoarseTimer
 from repro.errors import ProtocolError
@@ -37,13 +37,6 @@ from repro.net.host import Host
 from repro.net.packet import Packet, PacketKind
 from repro.tcp.congestion.base import CongestionControl
 from repro.tcp.congestion.tahoe import TahoeControl
-from repro.tcp.observers import (
-    AckObserver,
-    CwndObserver,
-    LossObserver,
-    RttSampleObserver,
-    SendObserver,
-)
 from repro.tcp.options import TcpOptions
 from repro.tcp.rto import RttEstimator
 
@@ -107,16 +100,16 @@ class Sender:
         # The lists keep registration order; the fans are the bound
         # dispatch targets the data path actually calls (None when a
         # hook has no observers — see repro.engine.fanout).
-        self._cwnd_observers: list[CwndObserver] = []
-        self._loss_observers: list[LossObserver] = []
-        self._send_observers: list[SendObserver] = []
-        self._ack_observers: list[AckObserver] = []
-        self._rtt_observers: list[RttSampleObserver] = []
-        self._cwnd_fan: CwndObserver | None = None
-        self._loss_fan: LossObserver | None = None
-        self._send_fan: SendObserver | None = None
-        self._ack_fan: AckObserver | None = None
-        self._rtt_fan: RttSampleObserver | None = None
+        self._cwnd_sinks: list[Sink] = []
+        self._loss_sinks: list[Sink] = []
+        self._send_sinks: list[Sink] = []
+        self._ack_sinks: list[Sink] = []
+        self._rtt_sinks: list[Sink] = []
+        self._cwnd_fan: Sink | None = None
+        self._loss_fan: Sink | None = None
+        self._send_fan: Sink | None = None
+        self._ack_fan: Sink | None = None
+        self._rtt_fan: Sink | None = None
 
         self.control.attach(self)
         # Bind-once strategy dispatch: `control` is fixed for the life of
@@ -163,33 +156,36 @@ class Sender:
     # ------------------------------------------------------------------
     # Observers
     # ------------------------------------------------------------------
-    def on_cwnd_change(self, observer: CwndObserver) -> None:
-        """Register ``observer(time, cwnd, ssthresh)`` per adjustment."""
-        self._cwnd_observers.append(observer)
-        self._cwnd_fan = bind_fanout(self._cwnd_observers)
+    # One record to a one-argument sink (repro.engine.fanout); the
+    # cwnd and ACK records are all numbers, so an ``array('d').extend``
+    # can be their sink.
+    def on_cwnd_change(self, sink: Sink) -> None:
+        """Register ``sink((now, cwnd, ssthresh))`` per adjustment."""
+        self._cwnd_sinks.append(sink)
+        self._cwnd_fan = bind_fanout(self._cwnd_sinks)
 
-    def on_loss_detected(self, observer: LossObserver) -> None:
-        """Register ``observer(time, trigger, seq)``; trigger is
+    def on_loss_detected(self, sink: Sink) -> None:
+        """Register ``sink((now, trigger, seq))``; trigger is
         ``"dupack"`` or ``"timeout"``."""
-        self._loss_observers.append(observer)
-        self._loss_fan = bind_fanout(self._loss_observers)
+        self._loss_sinks.append(sink)
+        self._loss_fan = bind_fanout(self._loss_sinks)
 
-    def on_send(self, observer: SendObserver) -> None:
-        """Register ``observer(time, packet)`` per transmitted packet."""
-        self._send_observers.append(observer)
-        self._send_fan = bind_fanout(self._send_observers)
+    def on_send(self, sink: Sink) -> None:
+        """Register ``sink((now, packet))`` per transmitted packet."""
+        self._send_sinks.append(sink)
+        self._send_fan = bind_fanout(self._send_sinks)
 
-    def on_ack(self, observer: AckObserver) -> None:
-        """Register ``observer(time, packet)`` per arriving ACK.
+    def on_ack(self, sink: Sink) -> None:
+        """Register ``sink((now, ack, uid))`` per arriving ACK.
 
         Feeds the ACK-compression analysis, which measures inter-arrival
         spacing of ACKs at the source.
         """
-        self._ack_observers.append(observer)
-        self._ack_fan = bind_fanout(self._ack_observers)
+        self._ack_sinks.append(sink)
+        self._ack_fan = bind_fanout(self._ack_sinks)
 
-    def on_rtt_sample(self, observer: RttSampleObserver) -> None:
-        """Register ``observer(time, rtt_seconds)`` per accepted RTT
+    def on_rtt_sample(self, sink: Sink) -> None:
+        """Register ``sink((now, rtt_seconds))`` per accepted RTT
         measurement.
 
         Fires only for samples the estimator itself accepts — Karn's
@@ -197,8 +193,8 @@ class Sender:
         observers see anything, so the fan-out observes exactly the
         distribution the RTO computation consumed.
         """
-        self._rtt_observers.append(observer)
-        self._rtt_fan = bind_fanout(self._rtt_observers)
+        self._rtt_sinks.append(sink)
+        self._rtt_fan = bind_fanout(self._rtt_sinks)
 
     # ------------------------------------------------------------------
     # Strategy toolkit — the sanctioned calls a CongestionControl makes
@@ -208,14 +204,14 @@ class Sender:
         """Fan the current (cwnd, ssthresh) out to the cwnd observers."""
         fan = self._cwnd_fan
         if fan is not None:
-            fan(self._sim.now, self.cwnd, self.ssthresh)
+            fan((self._sim.now, self.cwnd, self.ssthresh))
 
     def emit_loss_event(self, trigger: str) -> None:
         """Count a loss detection and notify the loss observers."""
         self.loss_events += 1
         fan = self._loss_fan
         if fan is not None:
-            fan(self._sim.now, trigger, self.snd_una)
+            fan((self._sim.now, trigger, self.snd_una))
 
     def clear_rtt_sample(self) -> None:
         """Abandon the in-flight RTT measurement (Karn's rule)."""
@@ -277,10 +273,10 @@ class Sender:
         if packet.kind is not PacketKind.ACK:
             raise ProtocolError(f"conn {self.conn_id}: sender got non-ACK {packet!r}")
         self.acks_received += 1
+        ack = packet.ack
         fan = self._ack_fan
         if fan is not None:
-            fan(self._sim.now, packet)
-        ack = packet.ack
+            fan((self._sim.now, ack, packet.uid))
         if ack > self._high_seq:
             raise ProtocolError(
                 f"conn {self.conn_id}: ACK {ack} beyond highest sent {self._high_seq}"
@@ -308,7 +304,7 @@ class Sender:
                 self._timed_seq = None
                 fan = self._rtt_fan
                 if fan is not None:
-                    fan(now, now - self._timed_at)
+                    fan((now, now - self._timed_at))
             self._cc_grow(self)
             if self.packets_out == 0:
                 self._rexmt.cancel()
@@ -381,7 +377,7 @@ class Sender:
             self._rexmt.start_seconds(self.rtt.rto())
         fan = self._send_fan
         if fan is not None:
-            fan(now, packet)
+            fan((now, packet))
         self._host.send(packet, self.destination)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

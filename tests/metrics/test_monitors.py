@@ -12,6 +12,7 @@ from repro.metrics import (
     DropRecord,
     PortMonitor,
     SojournSample,
+    StepSeries,
     TraceSet,
 )
 from repro.net import Packet, PacketKind, build_dumbbell
@@ -277,10 +278,28 @@ class TestRecordTypes:
         assert type(ack_log.arrivals[0]) is AckArrival
 
     def test_logs_stay_plain_assignable_lists(self):
-        # io/persist.py and the analysis test fakes assign these.
-        _, _, _, queue_mon, _, _, _, ack_log = _loaded_network(until=5.0)
+        # io/persist.py and the analysis test fakes assign these; what
+        # is assigned is what the rest of the run is recorded into, and
+        # nothing from before the assignment leaks into it.
+        sim, _, _, queue_mon, _, _, cwnd_log, ack_log = _loaded_network(until=5.0)
         assert type(queue_mon.departures) is list
+        assert type(queue_mon.samples) is list
         assert type(ack_log.arrivals) is list
-        queue_mon.departures = []
+        assert type(queue_mon.lengths) is StepSeries
+        assert type(cwnd_log.cwnd) is StepSeries
+        queue_mon.departures = departures = []
+        queue_mon.samples = samples = []
+        queue_mon.lengths = lengths = StepSeries(name="fresh")
+        cwnd_log.cwnd = cwnd = StepSeries(name="fresh")
         ack_log.arrivals = [AckArrival(time=0.0, ack=1)]
         assert len(ack_log) == 1
+        sim.run(until=10.0)
+        assert queue_mon.departures is departures
+        assert queue_mon.samples is samples
+        assert queue_mon.lengths is lengths
+        assert cwnd_log.cwnd is cwnd
+        assert len(departures) == len(samples) > 0
+        assert departures[0].time >= 5.0 and lengths.first_time >= 5.0
+        assert cwnd.first_time >= 5.0 and len(cwnd_log.ssthresh) > len(cwnd)
+        assert ack_log.arrivals[0] == AckArrival(time=0.0, ack=1)
+        assert len(ack_log) > 1 and ack_log.arrivals[1].time >= 5.0

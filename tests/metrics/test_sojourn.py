@@ -122,7 +122,12 @@ class TestEffectivePipeEndToEnd:
 class TestRandomDropEviction:
     def test_evicted_packets_do_not_leak_entry_stamps(self):
         """A Random Drop victim was enqueued but never departs; its entry
-        stamp must go when it is evicted, not stay for the whole run."""
+        stamp must go when it is evicted, not stay for the whole run —
+        and once the monitor has folded its journal, nothing keeps the
+        victim's ``Packet`` alive either."""
+        import gc
+
+        from repro.net.queues import ADMIT, EVICT
         from repro.scenarios import QueueSpec, build, paper
 
         config = paper.figure4(duration=60.0, warmup=10.0).with_updates(
@@ -135,13 +140,37 @@ class TestRandomDropEviction:
         # drops: entry stamps kept forever, popped only on departure.
         entered: dict[int, float] = {}
         expected = []
-        port.queue.on_enqueue(lambda t, p: entered.__setitem__(p.uid, t))
-        port.on_departure(lambda t, p: expected.append(
-            (t, t - entered.pop(p.uid, t), p.is_data, p.conn_id)))
+        victims = set()
+
+        def on_queue(record):
+            kind, time, packet, _ = record
+            if kind == ADMIT:
+                entered[packet.uid] = time
+            elif kind == EVICT:
+                victims.add((id(packet), packet.uid))
+
+        def on_transmission(record):
+            time, packet, _ = record
+            expected.append((time, time - entered.pop(packet.uid, time),
+                             packet.is_data, packet.conn_id))
+
+        port.queue.observe(on_queue)
+        port.on_transmission(on_transmission)
+
+        def victims_alive():
+            # By identity: other runs' packets carry the same uids.
+            return {(id(obj), obj.uid) for obj in gc.get_objects()
+                    if type(obj) is Packet} & victims
 
         built.sim.run(until=config.duration)
 
-        assert port.queue.evictions > 0
-        assert len(entered) > len(port.queue)  # the reference does leak
-        assert set(monitor._entered) == {p.uid for p in port.queue.snapshot()}
+        assert port.queue.evictions == len(victims) > 0
+        assert victims_alive() == victims  # journalled, not yet folded
         assert monitor.samples == expected
+        assert len(entered) > len(port.queue)  # the reference does leak
+        # Leak-free: every victim left the byte count with its stamp, so
+        # the buffer reads empty of bytes exactly when it is empty.
+        waiting = sum(p.size for p in port.queue.snapshot())
+        assert monitor.byte_lengths.last_value == waiting
+        assert len(monitor.samples) == port.transmissions + int(port.busy)
+        assert victims_alive() == set()

@@ -119,7 +119,8 @@ class TestPortAccounting:
     def test_departure_observer_fires_at_tx_start(self):
         sim, _, _, port = _setup()
         departures = []
-        port.on_departure(lambda t, p: departures.append((t, p.seq)))
+        port.on_transmission(
+            lambda record: departures.append((record[0], record[1].seq)))
         port.send(_data(seq=0))
         port.send(_data(seq=1))
         sim.run()
@@ -128,7 +129,8 @@ class TestPortAccounting:
     def test_transmission_observer_reports_duration(self):
         sim, _, _, port = _setup()
         spans = []
-        port.on_transmission(lambda start, dur, p: spans.append((start, dur)))
+        port.on_transmission(
+            lambda record: spans.append((record[0], record[2])))
         port.send(_data())
         sim.run()
         assert spans == [(0.0, pytest.approx(0.08))]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import DropTailQueue, Packet, PacketKind
+from repro.net.queues import ADMIT, REFUSE, TAKE
 
 
 def _packet(seq=0, conn=1):
@@ -97,10 +98,13 @@ class TestCounters:
 
 
 class TestObservers:
+    """One sink per queue sees every admit / take / refuse as one
+    ``(kind, now, packet, qlen)`` record."""
+
     def test_length_observer_sees_every_change(self):
         queue = DropTailQueue("q", capacity=5)
         history = []
-        queue.on_length_change(lambda t, n: history.append((t, n)))
+        queue.observe(lambda record: history.append((record[1], record[3])))
         queue.offer(1.0, _packet())
         queue.offer(2.0, _packet())
         queue.take(3.0)
@@ -108,26 +112,39 @@ class TestObservers:
 
     def test_drop_observer(self):
         queue = DropTailQueue("q", capacity=1)
-        drops = []
-        queue.on_drop(lambda t, p: drops.append((t, p.seq)))
+        records = []
+        queue.observe(records.append)
         queue.offer(0.0, _packet(seq=0))
         queue.offer(5.0, _packet(seq=1))
-        assert drops == [(5.0, 1)]
+        assert [(kind, now, packet.seq, qlen)
+                for kind, now, packet, qlen in records] == [
+                    (ADMIT, 0.0, 0, 1), (REFUSE, 5.0, 1, 1)]
 
     def test_enqueue_and_dequeue_observers(self):
         queue = DropTailQueue("q", capacity=5)
-        enq, deq = [], []
-        queue.on_enqueue(lambda t, p: enq.append(p.seq))
-        queue.on_dequeue(lambda t, p: deq.append(p.seq))
+        records = []
+        queue.observe(records.append)
         queue.offer(0.0, _packet(seq=7))
         queue.take(1.0)
-        assert enq == [7]
-        assert deq == [7]
+        assert [(kind, packet.seq) for kind, _, packet, _ in records] == [
+            (ADMIT, 7), (TAKE, 7)]
+
+    def test_discards_go_to_the_drops_sink_when_one_is_given(self):
+        queue = DropTailQueue("q", capacity=1)
+        kept, dropped, everything = [], [], []
+        queue.observe(kept.append, drops=dropped.append)
+        queue.observe(everything.append)
+        queue.offer(0.0, _packet(seq=0))
+        queue.offer(1.0, _packet(seq=1))  # dropped
+        queue.take(2.0)
+        assert [record[0] for record in kept] == [ADMIT, TAKE]
+        assert [record[0] for record in dropped] == [REFUSE]
+        assert [record[0] for record in everything] == [ADMIT, REFUSE, TAKE]
 
     def test_no_length_change_on_drop(self):
         queue = DropTailQueue("q", capacity=1)
-        history = []
+        records = []
         queue.offer(0.0, _packet())
-        queue.on_length_change(lambda t, n: history.append(n))
+        queue.observe(records.append)
         queue.offer(1.0, _packet())  # dropped
-        assert history == []
+        assert [(kind, qlen) for kind, _, _, qlen in records] == [(REFUSE, 1)]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import SimRandom
 from repro.net import Packet, PacketKind, RandomDropQueue
+from repro.net.queues import EVICT
 from repro.scenarios.config import QueueSpec
 
 
@@ -32,7 +33,8 @@ class TestRandomDrop:
     def test_victim_reported_to_drop_observer(self):
         queue = RandomDropQueue("q", capacity=2, rng=SimRandom(1))
         victims = []
-        queue.on_drop(lambda t, p: victims.append(p.seq))
+        queue.observe(lambda record: record[0] == EVICT
+                      and victims.append(record[2].seq))
         queue.offer(0.0, _packet(0))
         queue.offer(0.0, _packet(1))
         queue.offer(1.0, _packet(2))
@@ -49,7 +51,8 @@ class TestRandomDrop:
         """Over many overflows, eviction should hit many positions."""
         queue = RandomDropQueue("q", capacity=10, rng=SimRandom(3))
         victims = []
-        queue.on_drop(lambda t, p: victims.append(p.seq))
+        queue.observe(lambda record: record[0] == EVICT
+                      and victims.append(record[2].seq))
         for i in range(500):
             queue.offer(float(i), _packet(i))
         # Victims should not all be the most recent packets (drop-tail)
@@ -74,7 +77,8 @@ class TestRandomDrop:
         def run_once(seed):
             queue = RandomDropQueue("q", capacity=3, rng=SimRandom(seed))
             victims = []
-            queue.on_drop(lambda t, p: victims.append(p.seq))
+            queue.observe(lambda record: record[0] == EVICT
+                          and victims.append(record[2].seq))
             for i in range(50):
                 queue.offer(0.0, _packet(i))
             return victims

@@ -114,7 +114,7 @@ class TestCountersAndObservers:
         sim = Simulator()
         net = build_dumbbell(sim)
         seen = []
-        net.host("host1").on_send(lambda t, p: seen.append(p.seq))
+        net.host("host1").on_send(lambda record: seen.append(record[1].seq))
         net.host("host2").register_endpoint(1, PacketKind.DATA, Collector())
         net.host("host1").send(_data(seq=42), "host2")
         sim.run()

@@ -22,21 +22,25 @@ quadratic in the population before they were budgeted.
 import functools
 import inspect
 import sys
+from array import array
 
 import pytest
 
 from repro.engine import Simulator
 from repro.metrics import StepSeries
 from repro.net import build_dumbbell
+from repro.net.queues import ADMIT, TAKE
+from repro.obs import ScenarioMeter, Tracer
 from repro.parallel import ResultCache
 from repro.scenarios import build, families, paper, sweep
 from repro.scenarios import run as run_scenario
 
 #: Python-level calls per delivered data packet.  The path measured
-#: 112.7 when the four per-port monitors became one observer per site
-#: (127.7 before that, 196.5 before events carried their arguments); the
-#: headroom is smaller than one extra call per hop.
-CALLS_PER_PACKET_BUDGET = 116.0
+#: 101.2 when the monitors' observers became C-level journal sinks
+#: (112.7 with one Python observer per site, 127.7 with four monitors a
+#: port, 196.5 before events carried their arguments); the headroom is
+#: smaller than one handler frame per ACK (+2).
+CALLS_PER_PACKET_BUDGET = 103.0
 
 #: ``figure2`` as measured before the per-packet path was restructured
 #: (≈ 14.15 events per delivered packet); the restructuring must not
@@ -46,9 +50,10 @@ FIGURE2_PACKETS = 5_312
 
 #: The two-way case — ``figure4`` as the goldens run it.  ``figure2``'s
 #: reverse path never queues, so the enqueue / dequeue sites barely fire
-#: there; here ACKs wait behind data in both directions.  Measured 117.2
-#: calls per packet (134.1 with the four monitors), same headroom.
-TWO_WAY_CALLS_PER_PACKET_BUDGET = 120.5
+#: there; here ACKs wait behind data in both directions.  Measured 102.9
+#: calls per packet (117.2 with one Python observer per site, 134.1 with
+#: the four monitors), same headroom.
+TWO_WAY_CALLS_PER_PACKET_BUDGET = 105.0
 FIGURE4_EVENTS = 43_905
 FIGURE4_PACKETS = 3_081
 
@@ -121,27 +126,75 @@ def test_figure4_calls_per_packet_within_budget():
     _assert_within(TWO_WAY_CALLS_PER_PACKET_BUDGET, calls, packets)
 
 
-def test_one_metrics_observer_per_emission_site():
-    """A second ``repro.metrics`` registration on a site would turn its
-    direct call into the ``bind_fanout`` closure: a frame and a loop per
-    packet that the budgets above see but cannot name."""
-    built = build(paper.figure4())
-    assert built.bottleneck_ports
+def _watched_fans(built):
+    """``{site: bound fan}`` of every site ``build()`` attached a
+    ``repro.metrics`` monitor to."""
+    fans = {}
     for name in built.bottleneck_ports:
         port = built.net.port(*name.split("->"))
-        queue = port.queue
-        sites = {
-            "on_departure": port._departure_observers,
-            "on_transmission": port._busy_observers,
-            "on_length_change": queue._length_observers,
-            "on_enqueue": queue._enqueue_observers,
-            "on_dequeue": queue._dequeue_observers,
-            "on_drop": queue._drop_observers,
-        }
-        for site, observers in sites.items():
-            ours = [observer for observer in observers
-                    if observer.__module__.startswith("repro.metrics")]
-            assert len(ours) <= 1, f"{name} {site}: {ours}"
+        fans[f"{name} queue"] = port.queue._fan
+        fans[f"{name} port"] = port._fan
+    for conn in built.connections:
+        sender = conn.sender
+        fans[f"conn{conn.conn_id} ack"] = sender._ack_fan
+        if sender.control.adaptive:
+            fans[f"conn{conn.conn_id} cwnd"] = sender._cwnd_fan
+            fans[f"conn{conn.conn_id} loss"] = sender._loss_fan
+    return fans
+
+
+def test_one_metrics_observer_per_emission_site():
+    """With only the ``TraceSet`` attached, what every watched queue,
+    port and sender site calls is a C-level ``append`` / ``extend``: no
+    Python frame per observation, which the budgets above see but cannot
+    name.  A tracer and a meter beside it turn the fans they join into
+    the ``bind_fanout`` closure, and every consumer of a site is handed
+    the same records."""
+    builtin = (type([].append), type(array("d").extend))  # both C-level
+    config = paper.figure4(duration=30.0, warmup=10.0)
+    built = build(config)
+    fans = _watched_fans(built)
+    assert len(fans) == (2 * len(built.bottleneck_ports)
+                         + 3 * len(built.connections))
+    for site, fan in fans.items():
+        assert type(fan) in builtin, f"{site}: {fan!r}"
+
+    tracer = Tracer().instrument(built)
+    meter = ScenarioMeter().instrument(built)
+    port = built.net.port("sw1", "sw2")
+    sender = built.connections[0].sender
+    queue_records, port_records, ack_records = [], [], []
+    port.queue.observe(queue_records.append)
+    port.on_transmission(port_records.append)
+    sender.on_ack(ack_records.append)
+    for site, fan in _watched_fans(built).items():
+        if site.endswith(("queue", "port", "ack")):
+            assert fan.__closure__ is not None, site
+        else:  # cwnd and loss: nobody joined the monitor
+            assert type(fan) in builtin, site
+    built.sim.run(until=config.duration)
+
+    monitor = built.traces.queue("sw1->sw2")
+    assert (list(monitor.lengths) == [
+        (now, qlen) for kind, now, _, qlen in queue_records
+        if kind in (ADMIT, TAKE)])
+    assert ([(d.time, d.uid) for d in monitor.departures]
+            == [(now, packet.uid) for now, packet, _ in port_records])
+    assert ([(hop.sim_time, hop.uid, hop.queue_len)
+             for hop in tracer.hops_at("sw1->sw2")
+             if hop.hop in ("enqueue", "dequeue", "drop")]
+            == [(now, packet.uid, qlen) for _, now, packet, qlen in queue_records])
+    assert ([(hop.sim_time, hop.uid, hop.duration)
+             for hop in tracer.hops_at("sw1->sw2", "transmit")]
+            == [(now, packet.uid, duration) for now, packet, duration in port_records])
+    assert (built.traces.ack_log(sender.conn_id).arrivals
+            == [(now, ack) for now, ack, _ in ack_records])
+    assert ([(hop.sim_time, hop.seq, hop.uid)
+             for hop in tracer.hops_at(f"conn{sender.conn_id}", "ack")]
+            == ack_records)
+    departures = meter.finalize(built).get(
+        "repro_link_departures", {"port": "sw1->sw2"})
+    assert departures.total == len(port_records)
 
 
 def test_replay_identifies_each_point_once(tmp_path, monkeypatch):

@@ -105,7 +105,7 @@ class TestDiagnostics:
     def test_ack_observer(self, sim, host):
         sender = make_sender(sim, host, window=2)
         acks = []
-        sender.on_ack(lambda t, p: acks.append(p.ack))
+        sender.on_ack(lambda record: acks.append(record[1]))
         sender.start()
         sender.deliver(make_ack(1, 1))
         assert acks == [1]
@@ -113,7 +113,7 @@ class TestDiagnostics:
     def test_send_observer(self, sim, host):
         sender = make_sender(sim, host, window=2)
         sent = []
-        sender.on_send(lambda t, p: sent.append(p.seq))
+        sender.on_send(lambda record: sent.append(record[1].seq))
         sender.start()
         assert sent == [0, 1]
 

@@ -122,8 +122,8 @@ class TestObservers:
     def test_send_and_ack_observers(self, sim, host):
         sender = make_sender(sim, host, window=2, interval=0.05)
         sent, acked = [], []
-        sender.on_send(lambda t, p: sent.append(p.seq))
-        sender.on_ack(lambda t, p: acked.append(p.ack))
+        sender.on_send(lambda record: sent.append(record[1].seq))
+        sender.on_ack(lambda record: acked.append(record[1]))
         sender.start()
         sim.run(until=0.2)
         sender.deliver(make_ack(1, 1))

@@ -118,7 +118,7 @@ class TestObservers:
     def test_receive_observer(self, sim, host):
         receiver = make_receiver(sim, host)
         seen = []
-        receiver.on_receive(lambda t, p: seen.append(p.seq))
+        receiver.on_receive(lambda record: seen.append(record[1].seq))
         receiver.deliver(make_data(1, 0))
         receiver.deliver(make_data(1, 5))
         assert seen == [0, 5]

@@ -41,7 +41,7 @@ class TestFastRecoveryEntry:
     def test_loss_observer_fires_once(self, sim, host):
         sender = loaded(sim, host)
         events = []
-        sender.on_loss_detected(lambda t, trig, seq: events.append(trig))
+        sender.on_loss_detected(lambda record: events.append(record[1]))
         for _ in range(6):
             sender.deliver(make_ack(1, 0))
         assert events == ["dupack"]

@@ -247,7 +247,7 @@ class TestObservers:
     def test_cwnd_observer_sees_growth(self, sim, host):
         sender = make_sender(sim, host)
         history = []
-        sender.on_cwnd_change(lambda t, c, s: history.append(c))
+        sender.on_cwnd_change(lambda record: history.append(record[1]))
         sender.start()
         sender.deliver(make_ack(1, 1))
         assert history[-1] == 2.0
@@ -255,7 +255,7 @@ class TestObservers:
     def test_loss_observer_reports_trigger(self, sim, host):
         sender = make_sender(sim, host, initial_cwnd=8.0)
         events = []
-        sender.on_loss_detected(lambda t, trig, seq: events.append(trig))
+        sender.on_loss_detected(lambda record: events.append(record[1]))
         sender.start()
         for _ in range(3):
             sender.deliver(make_ack(1, 0))
@@ -264,14 +264,14 @@ class TestObservers:
     def test_send_observer_sees_every_packet(self, sim, host):
         sender = make_sender(sim, host, initial_cwnd=3.0)
         sent = []
-        sender.on_send(lambda t, p: sent.append(p.seq))
+        sender.on_send(lambda record: sent.append(record[1].seq))
         sender.start()
         assert sent == [0, 1, 2]
 
     def test_ack_observer(self, sim, host):
         sender = make_sender(sim, host)
         acks = []
-        sender.on_ack(lambda t, p: acks.append(p.ack))
+        sender.on_ack(lambda record: acks.append(record[1]))
         sender.start()
         sender.deliver(make_ack(1, 1))
         assert acks == [1]

@@ -1,5 +1,6 @@
 """Unit tests for repro.io (trace persistence)."""
 
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,17 @@ class TestRoundTrip:
         assert saved.utilizations == result.utilizations()
         assert saved.window == result.window
         assert saved.meta["seed"] == result.config.seed
+
+
+    def test_saved_document_is_byte_identical_to_the_eager_monitors(
+            self, result, tmp_path):
+        """The same run saved by the parent of the commit that made the
+        monitors derive their series on read (236,690 bytes): queue
+        lengths, cwnd, ACK arrivals and drops land in the file exactly
+        as when every record was folded in as it happened."""
+        saved = save_result(result, tmp_path / "run.json").read_bytes()
+        assert hashlib.sha256(saved).hexdigest() == (
+            "73e20cb64bda8fb4bc5bf67133fa4e8f4b599945760ee2207eb492e40c95ef70")
 
 
 class TestAnalysesOnSavedRuns:
