@@ -52,19 +52,12 @@ from repro.analysis.oscillation import (
 )
 from repro.analysis.stats import BatchStats, batch_means, utilization_batches
 from repro.analysis.synchronization import (
-    EnsembleMode,
-    EnsembleVerdict,
-    GroupPhase,
     SyncMode,
     SyncVerdict,
     alternation_fraction,
-    classify_ensemble,
-    classify_phase,
+    classify_sync,
     drop_coincidence,
-    group_phase,
-    loss_synchronization,
-    mean_pairwise_correlation,
-    phase_correlation,
+    mean_correlation,
 )
 
 __all__ = [
@@ -74,15 +67,10 @@ __all__ = [
     "epoch_period",
     "SyncMode",
     "SyncVerdict",
-    "classify_phase",
-    "phase_correlation",
-    "loss_synchronization",
-    "alternation_fraction",
-    "EnsembleMode",
-    "EnsembleVerdict",
-    "classify_ensemble",
+    "classify_sync",
+    "mean_correlation",
     "drop_coincidence",
-    "mean_pairwise_correlation",
+    "alternation_fraction",
     "ClusterRun",
     "ClusteringStats",
     "cluster_runs",
@@ -107,8 +95,6 @@ __all__ = [
     "SquareTransition",
     "detect_square_cycles",
     "transitions_are_complementary",
-    "GroupPhase",
-    "group_phase",
     "BatchStats",
     "batch_means",
     "utilization_batches",

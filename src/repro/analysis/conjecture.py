@@ -33,7 +33,8 @@ class ConjecturePrediction:
     w1: int
     w2: int
     pipe: float
-    mode: SyncMode
+    mode: SyncMode | None
+    """The predicted queue phase; ``None`` on the boundary."""
     fully_utilized_lines: int
     """2 is never predicted with P > 0; 1 in the out-of-phase regime,
     0 in the strict in-phase regime."""
@@ -60,7 +61,7 @@ def predict(w1: int, w2: int, pipe: float) -> ConjecturePrediction:
             fully_utilized_lines=0, boundary=False,
         )
     return ConjecturePrediction(
-        w1=hi, w2=lo, pipe=pipe, mode=SyncMode.AMBIGUOUS,
+        w1=hi, w2=lo, pipe=pipe, mode=None,
         fully_utilized_lines=0, boundary=True,
     )
 

@@ -1,49 +1,37 @@
-"""Synchronization-mode classification: two signals, two groups, N flows.
+"""Synchronization-mode classification: one rule for two signals, two
+groups and N flows.
 
-The paper distinguishes two modes for two-way traffic:
+The paper distinguishes two modes for two-way traffic (§4.3):
 
 - **in-phase**: the connections' windows (and the two bottleneck
   queues) rise and fall together — Figures 6-7;
 - **out-of-phase**: one rises while the other falls — Figures 4-5 and
   the ten-connection data of Figure 3.
 
-Everything here rests on one statistic, :func:`phase_correlation`: the
-Pearson correlation of two signals resampled on a common grid, after
-removing their means.
+A population sharing a drop-tail bottleneck adds a third: the
+**drop-synchronized** limit cycle studied by Malangadan/Raina/Ghosh,
+where losses are global events hitting (almost) every connection in the
+same congestion epoch.  Whatever fits none of the three is
+**desynchronized** — what RED aims for, and what the paper means by
+modes that "do not fit neatly" (§4.3.3).
 
-**Two signals** (:func:`classify_phase`).  Strongly positive →
-in-phase; strongly negative → out-of-phase; near zero → ambiguous (the
-paper itself observes modes that "do not fit neatly" — §4.3.3).
+One statistic carries all of it, :func:`mean_correlation`: the mean
+Pearson correlation, over all pairs within one group of signals or all
+pairs across two, of the signals resampled on a common grid with their
+means removed.  Section 3.2's "connections sending in the same direction
+are window-synchronized in-phase, but the connections with sources on
+Host-1 are synchronized out-of-phase with the connections on Host-2" is
+three sign tests over it.
 
-**Two groups** (:func:`group_phase`).  Section 3.2, on the
-ten-connection configuration: "the connections sending in the same
-direction are window-synchronized in-phase, but the connections with
-sources on Host-1 are synchronized out-of-phase with the connections on
-Host-2."  The mean pairwise correlation within each group and across
-the two gives one number per relationship for the harness to grade.
-
-**N flows** (:func:`classify_ensemble`).  Given the cwnd traces of N
-connections sharing a bottleneck, are they
-
-- **drop-synchronized** — losses are global events hitting (almost)
-  every connection in the same congestion epoch, the drop-tail
-  limit-cycle pathology studied by Malangadan/Raina/Ghosh (large
-  drop-tail buffers drive the whole ensemble into synchronized
-  oscillations);
-- **in-phase** — windows rise and fall together (positive mean pairwise
-  correlation) without every epoch being a global loss;
-- **out-of-phase** — connections take turns (negative mean pairwise
-  correlation; for N signals the mean pairwise correlation is bounded
-  below by ``-1/(N-1)``, so the threshold scales accordingly);
-- **desynchronized** — no coherent phase relationship (what RED aims
-  for: losses spread thinly and independently across the population).
-
-The two supporting statistics — the drop-coincidence fraction over
-congestion epochs (:func:`drop_coincidence`; with a full quorum it is
-the paper's loss-synchronization, :func:`loss_synchronization`) and the
-mean pairwise correlation (:func:`mean_pairwise_correlation`) — are
-exposed separately so sweeps can record the raw numbers next to the
-categorical verdict.
+One classifier, :func:`classify_sync`, grades N signals and the
+congestion epochs they shared.  For N signals the mean pairwise
+correlation is bounded below by ``-1/(N-1)``, so the out-of-phase
+threshold scales by it; two signals and no epochs is the paper's §4.3
+dichotomy, with the floor at ``-1/(2-1) = -1`` and the threshold
+unscaled.  The supporting drop-coincidence fraction
+(:func:`drop_coincidence`; with ``quorum=1.0`` it is the paper's
+loss-synchronization) is exposed separately so sweeps can record the raw
+numbers next to the categorical verdict.
 """
 
 from __future__ import annotations
@@ -62,58 +50,68 @@ from repro.metrics.timeseries import StepSeries
 __all__ = [
     "SyncMode",
     "SyncVerdict",
-    "classify_phase",
-    "phase_correlation",
-    "loss_synchronization",
-    "alternation_fraction",
-    "GroupPhase",
-    "group_phase",
-    "EnsembleMode",
-    "EnsembleVerdict",
-    "classify_ensemble",
+    "classify_sync",
+    "mean_correlation",
     "drop_coincidence",
-    "mean_pairwise_correlation",
+    "alternation_fraction",
 ]
 
 
 class SyncMode(enum.Enum):
-    """The relative phase of two oscillating signals."""
+    """The collective phase behavior of two or more oscillating signals."""
 
+    DROP_SYNCHRONIZED = "drop-synchronized"
     IN_PHASE = "in-phase"
     OUT_OF_PHASE = "out-of-phase"
-    AMBIGUOUS = "ambiguous"
+    DESYNCHRONIZED = "desynchronized"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    @property
+    def code(self) -> int:
+        """A stable numeric code for sweep measurements (phase diagrams
+        store floats): 3 drop-synchronized, 2 in-phase, 1 out-of-phase,
+        0 desynchronized."""
+        return _MODE_CODES[self]
+
+
+_MODE_CODES = {
+    SyncMode.DROP_SYNCHRONIZED: 3,
+    SyncMode.IN_PHASE: 2,
+    SyncMode.OUT_OF_PHASE: 1,
+    SyncMode.DESYNCHRONIZED: 0,
+}
+
 
 @dataclass(frozen=True)
 class SyncVerdict:
-    """Classification result with its supporting statistic."""
+    """Classification result with its supporting statistics."""
 
     mode: SyncMode
     correlation: float
-
-
-def _sample_each(
-    series: Iterable[StepSeries], start: float, end: float, dt: float
-) -> list[np.ndarray]:
-    """Every series resampled, once, on the window's shared grid."""
-    if end <= start:
-        raise AnalysisError(f"need end > start, got [{start}, {end}]")
-    sampled = [s.sample(start, end, dt)[1] for s in series]
-    if sampled and len(sampled[0]) < 4:
-        raise AnalysisError("window too short for the requested sampling interval")
-    return sampled
+    """Mean pairwise Pearson correlation of the signals."""
+    coincidence: float
+    """Fraction of congestion epochs in which a loss quorum of the
+    population lost packets (1.0 = every epoch is a global loss)."""
+    n: int
+    """How many signals were classified."""
+    n_epochs: int
 
 
 def _centre_each(
     series: Iterable[StepSeries], start: float, end: float, dt: float
 ) -> list[tuple[np.ndarray, float]]:
-    """Each series as ``(v, v @ v)`` — its grid samples with their mean
-    removed, and their squared norm: all a correlation needs from one
-    series, computed once rather than once per pair it appears in."""
-    centred = [v - v.mean() for v in _sample_each(series, start, end, dt)]
+    """Each series as ``(v, v @ v)`` — its samples on the window's
+    shared grid with their mean removed, and their squared norm: all a
+    correlation needs from one series, computed once rather than once
+    per pair it appears in."""
+    if end <= start:
+        raise AnalysisError(f"need end > start, got [{start}, {end}]")
+    sampled = [s.sample(start, end, dt)[1] for s in series]
+    if sampled and len(sampled[0]) < 4:
+        raise AnalysisError("window too short for the requested sampling interval")
+    centred = [v - v.mean() for v in sampled]
     return [(v, v @ v) for v in centred]
 
 
@@ -126,49 +124,40 @@ def _correlate(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> floa
     return float((va @ vb) / denom)
 
 
-def _mean_correlation(centred: list[tuple[np.ndarray, float]]) -> float:
-    """Mean of :func:`_correlate` over all pairs (0.0 when there is none).
-
-    One scalar expression per pair, summed in index order: a Gram matrix
-    is faster and rounds differently in the last place, which every
-    cached ``mean_correlation`` and measurement hash would see.
-    """
-    pairs = len(centred) * (len(centred) - 1) // 2
-    total = 0.0
-    for a, b in itertools.combinations(centred, 2):
-        total += _correlate(a, b)
-    return total / pairs if pairs else 0.0
-
-
-def phase_correlation(
-    a: StepSeries,
-    b: StepSeries,
-    start: float,
-    end: float,
-    dt: float,
-) -> float:
-    """Pearson correlation of two step series resampled on a shared grid."""
-    return _correlate(*_centre_each((a, b), start, end, dt))
-
-
-def classify_phase(
-    a: StepSeries,
-    b: StepSeries,
+def mean_correlation(
+    series: Sequence[StepSeries],
     start: float,
     end: float,
     dt: float = 0.25,
-    threshold: float = 0.2,
-) -> SyncVerdict:
-    """Classify two signals as in-phase / out-of-phase / ambiguous.
+    *,
+    across: Sequence[StepSeries] | None = None,
+) -> float:
+    """Mean Pearson correlation over all pairs within ``series`` — or,
+    given ``across``, over all pairs of one signal from each group.
 
-    ``threshold`` is the minimum |correlation| for a definite verdict.
+    Within one group of N it is bounded below by ``-1/(N-1)`` (perfectly
+    staggered signals) and above by 1.0 (lock-step); a single series has
+    no pairs and returns 0.0.
+
+    One scalar expression per pair, summed in ``combinations`` /
+    ``product`` order: a Gram matrix is faster and rounds differently in
+    the last place, which every cached ``mean_correlation`` and
+    measurement hash would see.
     """
-    corr = phase_correlation(a, b, start, end, dt)
-    if corr >= threshold:
-        return SyncVerdict(SyncMode.IN_PHASE, corr)
-    if corr <= -threshold:
-        return SyncVerdict(SyncMode.OUT_OF_PHASE, corr)
-    return SyncVerdict(SyncMode.AMBIGUOUS, corr)
+    if not series or (across is not None and not across):
+        raise AnalysisError("need at least one cwnd series")
+    centred = _centre_each(series, start, end, dt)
+    if across is None:
+        pairs = itertools.combinations(centred, 2)
+        count = len(centred) * (len(centred) - 1) // 2
+    else:
+        others = _centre_each(across, start, end, dt)
+        pairs = itertools.product(centred, others)
+        count = len(centred) * len(others)
+    total = 0.0
+    for a, b in pairs:
+        total += _correlate(a, b)
+    return total / count if count else 0.0
 
 
 def alternation_fraction(epochs: list[CongestionEpoch]) -> float:
@@ -197,8 +186,11 @@ def drop_coincidence(
 
     The default half-quorum is the usual "global synchronization"
     criterion for larger populations (a few laggards do not hide an
-    ensemble-wide loss event); ``quorum=1.0`` is the strict
-    :func:`loss_synchronization` statistic.
+    ensemble-wide loss event).  ``quorum=1.0`` is the paper's strict
+    loss-synchronization — the fraction of epochs in which *every*
+    connection lost: 1.0 reproduces Figure 2, values near 0.0 with
+    alternating single-connection losses are the out-of-phase mode of
+    Figure 4.
     """
     if n_connections < 1:
         raise AnalysisError(f"need >= 1 connection, got {n_connections}")
@@ -212,134 +204,27 @@ def drop_coincidence(
     return hits / len(epochs)
 
 
-def loss_synchronization(epochs: list[CongestionEpoch], n_connections: int) -> float:
-    """Fraction of congestion epochs in which *every* connection lost.
-
-    1.0 reproduces the one-way loss-synchronization of Figure 2; values
-    near 0.0 with alternating single-connection losses correspond to the
-    out-of-phase mode of Figure 4.
-    """
-    return drop_coincidence(epochs, n_connections, quorum=1.0)
-
-
-def mean_pairwise_correlation(
+def classify_sync(
     series: Sequence[StepSeries],
     start: float,
     end: float,
-    dt: float = 0.25,
-) -> float:
-    """Mean Pearson correlation over all pairs of cwnd traces.
-
-    Bounded below by ``-1/(N-1)`` for N series (perfectly staggered
-    signals), above by 1.0 (lock-step).  A single series has no pairs
-    and returns 0.0.
-    """
-    if not series:
-        raise AnalysisError("need at least one cwnd series")
-    return _mean_correlation(_centre_each(series, start, end, dt))
-
-
-@dataclass(frozen=True)
-class GroupPhase:
-    """Mean pairwise correlations within and between two groups."""
-
-    within_a: float
-    within_b: float
-    between: float
-
-    @property
-    def groups_internally_in_phase(self) -> bool:
-        """True when both groups cohere positively."""
-        return self.within_a > 0.0 and self.within_b > 0.0
-
-    @property
-    def groups_mutually_out_of_phase(self) -> bool:
-        """True when the two groups anti-correlate."""
-        return self.between < 0.0
-
-
-def group_phase(
-    group_a: list[StepSeries],
-    group_b: list[StepSeries],
-    start: float,
-    end: float,
-    dt: float = 0.25,
-) -> GroupPhase:
-    """Within- and between-group mean phase correlations."""
-    if len(group_a) < 2 or len(group_b) < 2:
-        raise AnalysisError("each group needs at least two series")
-    centred_a = _centre_each(group_a, start, end, dt)
-    centred_b = _centre_each(group_b, start, end, dt)
-    cross = [_correlate(a, b) for a, b in itertools.product(centred_a, centred_b)]
-    return GroupPhase(
-        within_a=_mean_correlation(centred_a),
-        within_b=_mean_correlation(centred_b),
-        between=sum(cross) / len(cross),
-    )
-
-
-class EnsembleMode(enum.Enum):
-    """The collective phase behavior of an N-connection ensemble."""
-
-    DROP_SYNCHRONIZED = "drop-synchronized"
-    IN_PHASE = "in-phase"
-    OUT_OF_PHASE = "out-of-phase"
-    DESYNCHRONIZED = "desynchronized"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-    @property
-    def code(self) -> int:
-        """A stable numeric code for sweep measurements (phase diagrams
-        store floats): 3 drop-synchronized, 2 in-phase, 1 out-of-phase,
-        0 desynchronized."""
-        return _MODE_CODES[self]
-
-
-_MODE_CODES = {
-    EnsembleMode.DROP_SYNCHRONIZED: 3,
-    EnsembleMode.IN_PHASE: 2,
-    EnsembleMode.OUT_OF_PHASE: 1,
-    EnsembleMode.DESYNCHRONIZED: 0,
-}
-
-
-@dataclass(frozen=True)
-class EnsembleVerdict:
-    """Classification result with its supporting statistics."""
-
-    mode: EnsembleMode
-    coincidence: float
-    """Fraction of congestion epochs in which a loss quorum of the
-    population lost packets (1.0 = every epoch is a global loss)."""
-    correlation: float
-    """Mean pairwise Pearson correlation of the cwnd traces."""
-    n_connections: int
-    n_epochs: int
-
-
-def classify_ensemble(
-    series: Sequence[StepSeries],
-    epochs: Iterable[CongestionEpoch],
-    n_connections: int,
-    start: float,
-    end: float,
+    epochs: Iterable[CongestionEpoch] = (),
     *,
     dt: float = 0.25,
     corr_threshold: float = 0.2,
     coincidence_threshold: float = 0.6,
     quorum: float = 0.5,
     min_epochs: int = 3,
-) -> EnsembleVerdict:
-    """Classify an N-connection ensemble's collective phase behavior.
+) -> SyncVerdict:
+    """Classify the collective phase behavior of ``len(series)`` signals.
 
     Drop-coincidence dominates: when most congestion epochs are global
     loss events the ensemble is drop-synchronized whatever the window
     correlations say (lock-step windows are a *consequence*).  Otherwise
-    the mean pairwise cwnd correlation decides between in-phase,
-    out-of-phase (threshold scaled by the ``-1/(N-1)`` attainable floor)
-    and desynchronized.
+    the mean pairwise correlation decides between in-phase, out-of-phase
+    (threshold scaled by the ``-1/(N-1)`` attainable floor) and
+    desynchronized.  Two signals and no epochs is the two-signal case:
+    ``±corr_threshold`` on their one correlation.
 
     The coincidence fraction only gets a vote with at least
     ``min_epochs`` congestion epochs: in continuous-loss regimes the
@@ -348,20 +233,21 @@ def classify_ensemble(
     loss events.
     """
     epochs = list(epochs)
-    coincidence = drop_coincidence(epochs, n_connections, quorum=quorum)
-    correlation = mean_pairwise_correlation(series, start, end, dt)
+    n = len(series)
+    coincidence = drop_coincidence(epochs, n, quorum=quorum)
+    correlation = mean_correlation(series, start, end, dt)
     if len(epochs) >= min_epochs and coincidence >= coincidence_threshold:
-        mode = EnsembleMode.DROP_SYNCHRONIZED
+        mode = SyncMode.DROP_SYNCHRONIZED
     elif correlation >= corr_threshold:
-        mode = EnsembleMode.IN_PHASE
-    elif correlation <= -corr_threshold / max(1, n_connections - 1):
-        mode = EnsembleMode.OUT_OF_PHASE
+        mode = SyncMode.IN_PHASE
+    elif correlation <= -corr_threshold / max(1, n - 1):
+        mode = SyncMode.OUT_OF_PHASE
     else:
-        mode = EnsembleMode.DESYNCHRONIZED
-    return EnsembleVerdict(
+        mode = SyncMode.DESYNCHRONIZED
+    return SyncVerdict(
         mode=mode,
-        coincidence=coincidence,
         correlation=correlation,
-        n_connections=n_connections,
+        coincidence=coincidence,
+        n=n,
         n_epochs=len(epochs),
     )

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from repro.analysis.clustering import cluster_runs, clustering_stats
-from repro.analysis.synchronization import SyncMode, classify_phase
+from repro.analysis.synchronization import SyncMode
 from repro.experiments.report import ExperimentReport
 from repro.scenarios import paper, run
 
@@ -34,11 +34,7 @@ def four_switch(duration: float = 500.0, warmup: float = 200.0) -> ExperimentRep
                f"max compressed fraction {compressed_any:.0%}",
                compressed_any > 0.2)
 
-    verdict = classify_phase(
-        result.traces.queue("sw2->sw3").lengths,
-        result.traces.queue("sw3->sw2").lengths,
-        warmup, duration, dt=0.25,
-    )
+    verdict = result.queue_sync("sw2->sw3", "sw3->sw2")
     report.add("opposite middle-hop queues out-of-phase", "yes",
                f"{verdict.mode} (r={verdict.correlation:+.2f})",
                verdict.mode is SyncMode.OUT_OF_PHASE)
@@ -313,10 +309,7 @@ def four_switch_fifty(duration: float = 400.0, warmup: float = 150.0) -> Experim
     report.add("ACK-compression present", "yes",
                f"max compressed fraction {compressed:.0%}", compressed > 0.2)
 
-    verdict = classify_phase(
-        result.traces.queue("sw2->sw3").lengths,
-        result.traces.queue("sw3->sw2").lengths,
-        warmup, duration, dt=0.25)
+    verdict = result.queue_sync("sw2->sw3", "sw3->sw2")
     report.add("out-of-phase queue synchronization", "yes",
                f"{verdict.mode} (r={verdict.correlation:+.2f})",
                verdict.mode is SyncMode.OUT_OF_PHASE)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.analysis.acceleration import check_acceleration_prediction
 from repro.analysis.clustering import cluster_runs, clustering_stats
 from repro.analysis.epochs import epoch_period
-from repro.analysis.synchronization import loss_synchronization
+from repro.analysis.synchronization import drop_coincidence
 from repro.experiments.expectations import PERIODS, UTILIZATION
 from repro.experiments.report import ExperimentReport
 from repro.scenarios import paper, run
@@ -39,7 +39,7 @@ def fig2(duration: float = 500.0, warmup: float = 150.0) -> ExperimentReport:
         report.add("oscillation period", f"~{period_band.value:.0f} s",
                    f"{period:.1f} s", period_band.contains(period))
 
-    sync = loss_synchronization(epochs, n_connections=3)
+    sync = drop_coincidence(epochs, n_connections=3, quorum=1.0)
     report.add("loss-synchronization (all 3 lose per epoch)", "complete",
                f"{sync:.0%} of epochs", sync >= 0.8)
 

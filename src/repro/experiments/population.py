@@ -24,11 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.analysis.synchronization import (
-    EnsembleMode,
-    _sample_each,
-    classify_ensemble,
-)
+from repro.analysis.synchronization import SyncMode
 from repro.experiments.report import ExperimentReport
 from repro.scenarios import families, run
 from repro.scenarios.config import QueueSpec, ScenarioConfig
@@ -45,14 +41,6 @@ __all__ = ["droptail_sync", "red_meanfield", "meanfield_fixed_point",
 RED_PARAMS = {"min_th": 5.0, "max_th": 15.0, "max_p": 0.1, "wq": 0.002}
 RED_BUFFER = 40
 MEANFIELD_BASE_N = 2
-
-
-def _ensemble_verdict(result, quorum: float = 0.5):
-    start, end = result.window
-    series = [result.traces.cwnd(c.conn_id).cwnd for c in result.connections]
-    return classify_ensemble(series, result.epochs(),
-                             len(result.connections), start, end,
-                             quorum=quorum)
 
 
 def _droptail_config(n: int, buffers: int, duration: float,
@@ -80,10 +68,10 @@ def droptail_sync(duration: float = 300.0, warmup: float = 120.0,
         paper_ref="Malangadan/Raina/Ghosh (PAPERS.md); ROADMAP scale axis",
     )
     correlations: dict[int, float] = {}
-    modes: dict[int, EnsembleMode] = {}
+    modes: dict[int, SyncMode] = {}
     for buffers in (5, 20, 80):
         config = _droptail_config(n, buffers, duration, warmup)
-        verdict = _ensemble_verdict(run(config))
+        verdict = run(config).ensemble_sync()
         correlations[buffers] = verdict.correlation
         modes[buffers] = verdict.mode
         report.add(
@@ -100,10 +88,10 @@ def droptail_sync(duration: float = 300.0, warmup: float = 120.0,
                correlations[80] > correlations[5])
     report.add("large-buffer ensemble is drop-synchronized",
                "drop-synchronized", str(modes[80]),
-               modes[80] is EnsembleMode.DROP_SYNCHRONIZED)
+               modes[80] is SyncMode.DROP_SYNCHRONIZED)
     report.add("small-buffer ensemble is not drop-synchronized",
                "any other mode", str(modes[5]),
-               modes[5] is not EnsembleMode.DROP_SYNCHRONIZED)
+               modes[5] is not SyncMode.DROP_SYNCHRONIZED)
     report.note(
         "the qualitative trend of Malangadan/Raina/Ghosh: large drop-tail "
         "buffers drive the population into a synchronized limit cycle "
@@ -189,8 +177,8 @@ def _red_config(n: int, duration: float, warmup: float) -> ScenarioConfig:
 def _ensemble_mean_series(result) -> np.ndarray:
     """The instantaneous ensemble-mean cwnd on a regular grid."""
     start, end = result.window
-    series = [result.traces.cwnd(c.conn_id).cwnd for c in result.connections]
-    return np.mean(np.stack(_sample_each(series, start, end, 0.25)), axis=0)
+    return np.mean(np.stack([series.sample(start, end, 0.25)[1]
+                             for series in result.cwnd_series()]), axis=0)
 
 
 class _MeanfieldPoint(NamedTuple):

@@ -11,9 +11,8 @@ picklable too and is the supported way to fix durations or seeds.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from repro.analysis.synchronization import classify_ensemble
 from repro.scenarios import paper
 from repro.scenarios.config import (
     FlowParams,
@@ -37,9 +36,7 @@ __all__ = [
     "buffer_config",
     "buffer_duration",
     "conjecture_config",
-    "fixed_window_config",
     "manyflow_config",
-    "onoff_manyflow_config",
     "phase_grid",
     "queued_config",
     "substituted_config",
@@ -102,15 +99,6 @@ def conjecture_config(case: tuple[int, int, float],
                                        duration=duration, warmup=warmup)
 
 
-def fixed_window_config(case: tuple[int, int, float],
-                        duration: float = 200.0,
-                        warmup: float = 100.0) -> ScenarioConfig:
-    """A 50-byte-ACK fixed-window run (the figure 8/9 family)."""
-    w1, w2, tau = case
-    return paper.fixed_window_two_way(w1, w2, tau,
-                                      duration=duration, warmup=warmup)
-
-
 def buffer_duration(buffers: int,
                     base_duration: float = 300.0,
                     base_warmup: float = 120.0) -> tuple[float, float]:
@@ -136,7 +124,6 @@ def _manyflow_flows(
     n: int,
     rtt_spread: float,
     stagger: float,
-    start_times: Sequence[float] | None = None,
 ) -> tuple[FlowSpec, ...]:
     """N left-to-right flows with staggered starts and an RTT spread.
 
@@ -154,11 +141,10 @@ def _manyflow_flows(
             access = ACCESS_PROPAGATION * factor
         else:
             access = None
-        start = start_times[i] if start_times is not None else i * stagger
         flows.append(FlowSpec(
             src=f"host{i + 1}",
             dst=f"host{n + i + 1}",
-            start_time=start,
+            start_time=i * stagger,
             access_propagation=access,
         ))
     return tuple(flows)
@@ -188,33 +174,6 @@ def manyflow_config(case: tuple[int, int, float],
         buffer_packets=buffers,
         duration=duration,
         warmup=warmup,
-    )
-
-
-def onoff_manyflow_config(case: tuple[int, int, float],
-                          duration: float = 300.0,
-                          warmup: float = 120.0,
-                          waves: int = 3,
-                          wave_interval: float = 30.0) -> ScenarioConfig:
-    """The phase-diagram family with on-off-style arrival waves.
-
-    Sources here are infinite (they never fall silent once started), so
-    on-off restart dynamics are approximated by *join waves*: the
-    population starts in ``waves`` cohorts ``wave_interval`` seconds
-    apart, each late cohort hitting a bottleneck already owned by the
-    established flows — the "on" transition, which is where the
-    synchronization-relevant transient lives.  All waves are on well
-    before the warmup ends, so measurements still cover the full
-    population.
-    """
-    n, buffers, rtt_spread = case
-    starts = [(i % waves) * wave_interval + (i // waves) * 0.5
-              for i in range(n)]
-    config = manyflow_config(case, duration=duration, warmup=warmup)
-    return config.with_updates(
-        name=f"manyflow-onoff-N{n}-B{buffers}-S{rtt_spread:g}",
-        description=config.description + f", {waves} join waves",
-        flows=_manyflow_flows(n, rtt_spread, 0.0, start_times=starts),
     )
 
 
@@ -287,13 +246,10 @@ def sync_extract(result: ScenarioResult) -> dict[str, float]:
 
     The phase-diagram measurement: the categorical mode ships as its
     stable numeric code (see
-    :attr:`repro.analysis.synchronization.EnsembleMode.code`) next to the
+    :attr:`repro.analysis.synchronization.SyncMode.code`) next to the
     raw drop-coincidence and mean-pairwise-correlation numbers.
     """
-    start, end = result.window
-    series = [result.traces.cwnd(c.conn_id).cwnd for c in result.connections]
-    verdict = classify_ensemble(series, result.epochs(),
-                                len(result.connections), start, end)
+    verdict = result.ensemble_sync()
     return {
         "mode_code": float(verdict.mode.code),
         "drop_coincidence": verdict.coincidence,

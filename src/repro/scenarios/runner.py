@@ -13,13 +13,14 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.analysis.clustering import cluster_runs, clustering_stats
 from repro.analysis.compression import compression_stats
 from repro.analysis.epochs import CongestionEpoch, detect_epochs
-from repro.analysis.synchronization import SyncVerdict, classify_phase
+from repro.analysis.synchronization import SyncVerdict, classify_sync
 from repro.errors import AnalysisError
+from repro.metrics.timeseries import StepSeries
 from repro.metrics.trace import TraceSet
 from repro.net.topology import Network
 from repro.scenarios.builder import BuiltScenario, build
@@ -151,6 +152,13 @@ class ScenarioResult:
         name = port or self.bottleneck_ports[0]
         return self.traces.queue(name).lengths
 
+    def cwnd_series(self, conn_ids: Iterable[int] | None = None) -> list[StepSeries]:
+        """The cwnd :class:`StepSeries` of the given connections (all of
+        them by default), in the order asked."""
+        if conn_ids is None:
+            conn_ids = [conn.conn_id for conn in self.connections]
+        return [self.traces.cwnd(conn_id).cwnd for conn_id in conn_ids]
+
     def max_queue(self, port: str | None = None) -> float:
         """Maximum queue length in the measurement window."""
         name = port or self.bottleneck_ports[0]
@@ -179,19 +187,18 @@ class ScenarioResult:
             raise AnalysisError("need two watched ports for queue sync")
         a = port_a or self.bottleneck_ports[0]
         b = port_b or self.bottleneck_ports[1]
-        start, end = self.window
-        return classify_phase(
-            self.traces.queue(a).lengths, self.traces.queue(b).lengths,
-            start, end, dt=dt,
-        )
+        return classify_sync([self.queue_series(a), self.queue_series(b)],
+                             *self.window, dt=dt)
 
     def window_sync(self, conn_a: int, conn_b: int, dt: float = 0.25) -> SyncVerdict:
         """Phase classification of two connections' cwnd series."""
-        start, end = self.window
-        return classify_phase(
-            self.traces.cwnd(conn_a).cwnd, self.traces.cwnd(conn_b).cwnd,
-            start, end, dt=dt,
-        )
+        return classify_sync(self.cwnd_series((conn_a, conn_b)),
+                             *self.window, dt=dt)
+
+    def ensemble_sync(self) -> SyncVerdict:
+        """Collective classification of every connection's cwnd series
+        against the congestion epochs of the measurement window."""
+        return classify_sync(self.cwnd_series(), *self.window, self.epochs())
 
     # ------------------------------------------------------------------
     # Clustering / compression

@@ -21,7 +21,7 @@ class TestPredict:
     def test_boundary(self):
         pred = predict(30, 20, pipe=5.0)  # 30 == 20 + 10
         assert pred.boundary
-        assert pred.mode is SyncMode.AMBIGUOUS
+        assert pred.mode is None
 
     def test_windows_normalized(self):
         pred = predict(5, 30, pipe=0.125)

@@ -22,7 +22,7 @@ def test_prediction_is_symmetric_in_window_order(w1, w2, pipe):
 def test_exactly_one_regime_or_boundary(w1, w2, pipe):
     prediction = predict(w1, w2, pipe)
     if prediction.boundary:
-        assert prediction.mode is SyncMode.AMBIGUOUS
+        assert prediction.mode is None
     else:
         assert prediction.mode in (SyncMode.IN_PHASE, SyncMode.OUT_OF_PHASE)
 

@@ -10,7 +10,7 @@ from repro.analysis import (
     cluster_runs,
     clustering_stats,
     detect_epochs,
-    loss_synchronization,
+    drop_coincidence,
 )
 from repro.scenarios import paper, run
 
@@ -45,7 +45,7 @@ class TestLossPatterns:
     def test_loss_synchronization(self, one_way_result):
         epochs = one_way_result.epochs()
         assert len(epochs) >= 2
-        assert loss_synchronization(epochs, 3) >= 0.75
+        assert drop_coincidence(epochs, 3, quorum=1.0) >= 0.75
 
     def test_one_drop_per_connection_per_epoch(self, one_way_result):
         epochs = one_way_result.epochs()

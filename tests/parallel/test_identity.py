@@ -21,15 +21,17 @@ from repro.resilience import ResilienceConfig
 from repro.scenarios import families, paper
 
 #: ``families.manyflow_config((8, 40, 1.0))`` under ``families.sync_extract``
-#: as the tree before ``PointIdentity`` computed them (commit 6f0c7f6).
+#: as the tree before ``PointIdentity`` computed them (commit 6f0c7f6; the
+#: fingerprint and the key re-recorded once since, when ``sync_extract``'s
+#: body became ``result.ensemble_sync()`` — the recipe did not change).
 #: Caches on users' disks are addressed by these bytes: a change to the
 #: canonical config JSON or to the key recipe must bump
 #: ``CACHE_SCHEMA_VERSION``, not edit this literal.  (An edit to
 #: ``sync_extract``'s source legitimately moves the fingerprint and the
 #: key with it; the config hash never.)
 GOLDEN_CASE = (8, 40, 1.0)
-GOLDEN_FINGERPRINT = "repro.scenarios.families.sync_extract:9811cea97dd61b2a"
-GOLDEN_KEY = "acabdbee74860f9325d9d95e78e74f2642e4837ac853c3d77615447d1568f254"
+GOLDEN_FINGERPRINT = "repro.scenarios.families.sync_extract:6f2fd946241ab9fa"
+GOLDEN_KEY = "c1081d7017778c2aeeea960ed191ecf65428f04b186186672807b66fe7ea0fda"
 GOLDEN_CONFIG_HASH = (
     "07a111ab4194eb457b9e948db411db7951dc0f95ca04145a274c41008d17d546")
 GOLDEN_RUN_ID = "07a111ab4194-s1"
