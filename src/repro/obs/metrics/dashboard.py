@@ -3,9 +3,10 @@
 ``repro sweep --live`` attaches a :class:`LiveDashboard` to the
 runner's existing ``on_progress`` hook (no new instrumentation in the
 execution paths) next to a :class:`~repro.obs.metrics.telemetry.SweepTelemetry`
-that the runner is already feeding.  The dashboard reads every number
-it displays from the telemetry accumulator — points done/failed/
-retried, cache hit ratio, aggregate events and packets per second —
+that the sweep's ledger has bound to its books.  The dashboard reads
+every number it displays from there — points done/failed/retried from
+the sweep's resilience report, the cache hit ratio from the cache,
+aggregate events and packets per second from the folded live points —
 and adds only the per-worker activity map it reconstructs from
 ``start``/``finish``/``retry`` events.
 
@@ -47,8 +48,7 @@ class LiveDashboard:
     Parameters
     ----------
     telemetry:
-        The accumulator the runner is feeding; the dashboard only reads
-        from it.
+        The telemetry the sweep binds; the dashboard only reads from it.
     total:
         Number of points in the sweep.
     stream:
@@ -107,16 +107,16 @@ class LiveDashboard:
         elif phase == "fail":
             if worker in self._worker_state:
                 self._worker_state[worker] = "idle"
+        done = self.telemetry.report.measured
         if self.live:
             now = self._clock()
-            if (phase == "finish" and self.telemetry.done >= self.total) \
+            if (phase == "finish" and done >= self.total) \
                     or now - self._last_draw >= self.REDRAW_INTERVAL:
                 self._last_draw = now
                 self._redraw()
         elif phase == "finish" and (
-                self.telemetry.done % self.FALLBACK_EVERY == 0
-                or self.telemetry.done >= self.total):
-            self._summary_at = self.telemetry.done
+                done % self.FALLBACK_EVERY == 0 or done >= self.total):
+            self._summary_at = done
             self.stream.write(self.summary_line() + "\n")
             self.stream.flush()
         elif phase == "fail":
@@ -130,8 +130,8 @@ class LiveDashboard:
     # ------------------------------------------------------------------
     def eta_seconds(self) -> float:
         """Estimated seconds to completion from overall progress."""
-        tele = self.telemetry
-        settled = tele.done + tele.failed
+        report = self.telemetry.report
+        settled = report.measured + len(report.failures)
         if settled == 0 or settled >= self.total:
             return 0.0 if settled >= self.total else float("nan")
         elapsed = self._clock() - self._started
@@ -140,8 +140,10 @@ class LiveDashboard:
     def summary_line(self) -> str:
         """One-line digest (the non-TTY fallback format)."""
         tele = self.telemetry
-        return (f"sweep {tele.done}/{self.total} done"
-                f" | {tele.failed} failed | {tele.retried_attempts} retried"
+        report = tele.report
+        return (f"sweep {report.measured}/{self.total} done"
+                f" | {len(report.failures)} failed"
+                f" | {report.retries} retried"
                 f" | cache {tele.cache_hit_ratio * 100:.0f}%"
                 f" | {tele.events_per_second / 1e3:.0f}k ev/s"
                 f" | eta {_fmt_eta(self.eta_seconds())}")
@@ -149,8 +151,11 @@ class LiveDashboard:
     def render(self) -> str:
         """The full multi-line dashboard as a string."""
         tele = self.telemetry
+        report = tele.report
+        hits, misses, quarantined, _ = tele.since_bound()
         width = 30
-        settled = tele.done + tele.failed
+        failed = len(report.failures)
+        settled = report.measured + failed
         filled = int(width * settled / self.total) if self.total else width
         bar = "#" * filled + "-" * (width - filled)
         pkts = tele.aggregate_total("repro_tcp_packets_sent_total")
@@ -158,12 +163,13 @@ class LiveDashboard:
                      if tele.total_point_wall > 0 else 0.0)
         lines = [
             f"[{bar}] {settled}/{self.total}  eta {_fmt_eta(self.eta_seconds())}",
-            (f"  done {tele.done}  failed {tele.failed}"
-             f"  retried {tele.retried_attempts}"
-             f"  cached {tele.cached_points}  live {tele.live_points}"),
+            (f"  done {report.measured}  failed {failed}"
+             f"  retried {report.retries}"
+             f"  cached {report.cache_hits + report.journal_skips}"
+             f"  live {report.live}"),
             (f"  cache hit ratio {tele.cache_hit_ratio * 100:5.1f}%"
-             f"  ({tele.cache_hits} hits / {tele.cache_misses} misses"
-             f" / {tele.cache_quarantined} quarantined)"),
+             f"  ({hits} hits / {misses} misses"
+             f" / {quarantined} quarantined)"),
             (f"  throughput {tele.events_per_second / 1e3:8.1f}k events/s"
              f"  {pkts_rate / 1e3:8.1f}k pkts/s"),
         ]
@@ -187,6 +193,6 @@ class LiveDashboard:
         """Final draw (TTY) or final summary line (fallback)."""
         if self.live:
             self._redraw()
-        elif self.telemetry.done != self._summary_at:
+        elif self.telemetry.report.measured != self._summary_at:
             self.stream.write(self.summary_line() + "\n")
             self.stream.flush()

@@ -4,19 +4,19 @@ The :class:`ScenarioMeter` instruments a
 :class:`~repro.scenarios.builder.BuiltScenario` across all four layers
 while adding **nothing** to the unmetered hot path:
 
-- **Live probes** go through the existing observer fan-outs
+- **One live probe** goes through an existing observer fan-out
   (:func:`repro.engine.fanout.bind_fanout`): without a meter the fan is
   the ``None`` sentinel and the data path pays one ``is not None``
-  check it was already paying.  Only signals that cannot be
-  reconstructed afterwards are probed live — RTT samples (the
-  estimator consumes and discards them) and the windowed departure
-  rate at each bottleneck port.
+  check it was already paying.  Only a signal that cannot be
+  reconstructed afterwards is probed live — RTT samples (the estimator
+  consumes and discards them).
 - **Everything else is harvested in** :meth:`finalize`, after the run,
   from counters the model maintains anyway (queue drop/enqueue totals,
   port busy time, sender retransmit counters, engine compactions) and
-  from the :class:`~repro.metrics.trace.TraceSet` step series the
-  builder always attaches (occupancy and cwnd distributions are
-  time-weighted folds over the measurement window).
+  from the :class:`~repro.metrics.trace.TraceSet` monitors the builder
+  always attaches (occupancy and cwnd distributions are time-weighted
+  folds over the measurement window; the departure rate at each
+  bottleneck port is marked from its monitor's departures).
 
 Metering is observation-only by construction: probes never schedule
 events or mutate model state, so a metered run is bit-identical to a
@@ -28,14 +28,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.obs.metrics.core import (
     CWND_BUCKETS,
     OCCUPANCY_BUCKETS,
     RTT_BUCKETS,
     Histogram,
     MetricsRegistry,
-    Rate,
     observe_step_series,
 )
 
@@ -75,53 +74,31 @@ class ScenarioMeter:
     or simply ``run(config, metrics=True)``.
     """
 
-    #: Window of the departure-rate probes, in sim seconds.
+    #: Window of the departure rates, in sim seconds.
     RATE_WINDOW = 1.0
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._instrumented = False
         self._finalized = False
 
     # ------------------------------------------------------------------
-    # Live probes (bind-once: observers resolve into the existing fans)
+    # Live probe (bind-once: the observer resolves into the existing fan)
     # ------------------------------------------------------------------
     def instrument(self, built: "BuiltScenario") -> "ScenarioMeter":
-        """Attach the live probes to a built scenario.
+        """Attach the RTT probe to a built scenario.
 
-        Must run before the first event fires.  Ports are visited in
-        sorted name order and connections in id order so observer
-        registration — and therefore snapshot content — never depends
-        on construction order.
+        Must run before the first event fires.  Connections are visited
+        in id order so observer registration — and therefore snapshot
+        content — never depends on construction order.
         """
-        reg = self.registry
-        for name in sorted(built.bottleneck_ports):
-            rate = reg.rate(
-                "repro_link_departures", {"port": name},
-                help="packets leaving the port transmitter (sliding sim-time window)",
-                window=self.RATE_WINDOW,
-            )
-            self._probe_departures(built, name, rate)
         for conn in built.connections:
-            hist = reg.histogram(
+            hist = self.registry.histogram(
                 "repro_tcp_rtt_seconds", {"conn": str(conn.conn_id)},
                 help="accepted RTT samples (Karn-filtered), seconds",
                 buckets=RTT_BUCKETS,
             )
             self._probe_rtt(conn, hist)
-        self._instrumented = True
         return self
-
-    @staticmethod
-    def _probe_departures(built: "BuiltScenario", name: str, rate: Rate) -> None:
-        src, dst = name.split("->")
-        port = built.net.port(src, dst)
-        mark = rate.mark
-
-        def on_transmission(record: tuple) -> None:
-            mark(record[0])
-
-        port.on_transmission(on_transmission)
 
     @staticmethod
     def _probe_rtt(conn: "Connection", hist: Histogram) -> None:
@@ -170,9 +147,16 @@ class ScenarioMeter:
 
         # --- net: per watched bottleneck direction ---------------------
         for name in sorted(built.bottleneck_ports):
-            src, dst = name.split("->")
-            port = built.net.port(src, dst)
+            monitor = built.traces.queue(name)
+            port = monitor.port
             labels = {"port": name}
+            mark = reg.rate(
+                "repro_link_departures", labels,
+                help="packets leaving the port transmitter (sliding sim-time window)",
+                window=self.RATE_WINDOW,
+            ).mark
+            for departure in monitor.departures:
+                mark(departure.time)
             queue = port.queue
             reg.counter("repro_queue_drops_total", labels,
                         help="packets dropped at the buffer").inc(queue.drops)
@@ -191,14 +175,10 @@ class ScenarioMeter:
                      "window (count is in seconds)",
                 buckets=OCCUPANCY_BUCKETS,
             )
-            monitor = built.traces.queues.get(name)
-            if monitor is not None:
-                observe_step_series(occupancy, monitor.lengths, start, end)
-            link_mon = built.traces.links.get(name)
-            if link_mon is not None:
-                reg.gauge("repro_link_utilization_ratio", labels,
-                          help="busy fraction over the measurement window"
-                          ).set(link_mon.utilization(start, end))
+            observe_step_series(occupancy, monitor.lengths, start, end)
+            reg.gauge("repro_link_utilization_ratio", labels,
+                      help="busy fraction over the measurement window"
+                      ).set(monitor.utilization(start, end))
 
         # --- tcp: per flow ---------------------------------------------
         for conn in built.connections:
@@ -237,12 +217,16 @@ class ScenarioMeter:
             if ack_log is not None:
                 from repro.analysis.compression import compression_stats
 
-                stats = compression_stats(
-                    ack_log, data_tx_time=config.data_tx_time,
-                    start=start, end=end,
-                )
+                try:
+                    compressed = compression_stats(
+                        ack_log, data_tx_time=config.data_tx_time,
+                        start=start, end=end,
+                    ).compressed_gaps
+                except AnalysisError:
+                    # Fewer than two ACKs in the window: no gap to compress.
+                    compressed = 0
                 reg.counter(
                     "repro_tcp_ack_compression_incidents_total", labels,
                     help="compressed ACK gaps in the measurement window",
-                ).inc(stats.compressed_gaps)
+                ).inc(compressed)
         return reg

@@ -3,42 +3,46 @@
 A :class:`SweepTelemetry` rides along a
 :class:`~repro.parallel.runner.ParallelSweepRunner` execution
 (``telemetry=`` on :func:`repro.scenarios.sweep` /
-``repro sweep --telemetry``) and accumulates three streams:
+``repro sweep --telemetry``).  It keeps no tally the sweep already
+keeps: the sweep's ledger binds it once to the books every point
+crosses, and it reads them whenever it is asked —
 
-- **progress events** — every :class:`~repro.parallel.runner.PointProgress`
-  the runner emits (points done/failed/retried, per-worker throughput,
-  per-point wall-time histogram);
-- **per-point metric snapshots** — each live point runs metered
-  (``run(config, metrics=True)`` in the worker) and ships its registry
-  snapshot back with the measurements; counters and histograms merge
-  across points bucket-by-bucket, which the fixed deterministic bucket
-  layouts make exact.  Cache and journal hits replay stored
-  measurements without simulating, so they contribute to the hit-ratio
-  accounting but not to the per-flow aggregates;
-- **infrastructure counters** — cache hits/misses/quarantines, journal
-  restorations/appends, and the supervised runner's retry/timeout/crash
-  totals.
+- **the resilience report** — points settled live, from the cache or
+  from the journal, retried attempts, terminal failures and the
+  timeout/crash/error outcome totals;
+- **the result cache and the resume journal** — hits, misses and
+  quarantines, and checkpoint appends, as deltas from the moment of
+  binding.
+
+What only a live point knows arrives through :meth:`fold_point`, once
+per simulated point: the worker that ran it, its wall time and event
+count (per-worker throughput, per-point wall-time histogram) and its
+metric snapshot — each live point runs metered (``run(config,
+metrics=True)`` in the worker) and ships its registry snapshot back;
+counters and histograms merge across points bucket-by-bucket, which the
+fixed deterministic bucket layouts make exact.  Cache and journal hits
+replay stored measurements without simulating, so they count in the
+report but not in the per-flow aggregates.
 
 :meth:`document` renders everything as a JSON-able
 ``repro-sweep-telemetry/1`` document, persisted next to the sweep's
 per-point manifests (``sweep.telemetry.json``) so the provenance chain
-for a sweep includes its operational story.
+for a sweep includes its operational story.  A telemetry that was never
+bound reads as zeros.
 """
 
 from __future__ import annotations
 
 import json
+from operator import sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.obs.metrics.core import (
     WALL_SECONDS_BUCKETS,
     MetricsRegistry,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.parallel.runner import PointProgress
-    from repro.resilience.report import ResilienceReport
+from repro.resilience.report import ResilienceReport
 
 __all__ = ["SweepTelemetry", "TELEMETRY_SCHEMA", "write_telemetry"]
 
@@ -55,22 +59,12 @@ _SUMMED_FIELDS = {
 class SweepTelemetry:
     """Accumulates one sweep execution's operational metrics."""
 
-    def __init__(self, points: int = 0) -> None:
-        self.points = points
+    def __init__(self) -> None:
+        self.report = ResilienceReport()
+        self._cache = None
+        self._journal = None
+        self._bound_at = (0, 0, 0, 0)
         self.registry = MetricsRegistry()
-        self.done = 0
-        self.failed = 0
-        self.retried_attempts = 0
-        self.cached_points = 0
-        self.live_points = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_quarantined = 0
-        self.journal_restored = 0
-        self.journal_appends = 0
-        self.timeouts = 0
-        self.crashes = 0
-        self.errors = 0
         self.total_events = 0
         self.total_point_wall = 0.0
         self.workers: dict[str, dict[str, float]] = {}
@@ -83,36 +77,24 @@ class SweepTelemetry:
         )
 
     # ------------------------------------------------------------------
-    # Input streams
+    # Input
     # ------------------------------------------------------------------
-    def on_progress(self, progress: "PointProgress") -> None:
-        """Consume one runner progress notification."""
-        phase = progress.phase
-        if phase == "finish":
-            self.done += 1
-            if progress.cached:
-                self.cached_points += 1
-                if progress.worker == "journal":
-                    self.journal_restored += 1
-                return
-            self.live_points += 1
-            self.total_events += progress.events_processed
-            self.total_point_wall += progress.wall_seconds
-            self._wall_hist.observe(progress.wall_seconds)
-            stats = self.workers.setdefault(
-                progress.worker, {"points": 0.0, "busy_seconds": 0.0,
-                                  "events": 0.0})
-            stats["points"] += 1
-            stats["busy_seconds"] += progress.wall_seconds
-            stats["events"] += progress.events_processed
-        elif phase == "retry":
-            self.retried_attempts += 1
-        elif phase == "fail":
-            self.failed += 1
+    def bind(self, report: ResilienceReport, cache=None, journal=None) -> None:
+        """Read the sweep's books from now on: its ``report``, and the
+        ``cache`` and ``journal`` counters as they move from here."""
+        self.report, self._cache, self._journal = report, cache, journal
+        self._bound_at = self._counters()
 
-    def fold_point(self, index: int,
+    def _counters(self) -> tuple[int, int, int, int]:
+        cache, journal = self._cache, self._journal
+        return ((cache.hits, cache.misses, cache.quarantined)
+                if cache is not None else (0, 0, 0)) + (
+            journal.recorded if journal is not None else 0,)
+
+    def fold_point(self, worker: str, wall_seconds: float, events: int,
                    snapshot: Mapping[str, object] | None) -> None:
-        """Merge one live point's registry snapshot into the aggregate.
+        """Account one live point: its worker's throughput, its wall
+        time, and its registry snapshot merged into the aggregate.
 
         Counters and rates sum; histograms merge bucket-by-bucket (the
         layouts are fixed, so the merge is exact); gauges keep min, max
@@ -120,6 +102,14 @@ class SweepTelemetry:
         ``(name, labels)``, so per-flow series (``conn="1"``) stay
         per-flow across the whole sweep.
         """
+        self.total_events += events
+        self.total_point_wall += wall_seconds
+        self._wall_hist.observe(wall_seconds)
+        stats = self.workers.setdefault(
+            worker, {"points": 0.0, "busy_seconds": 0.0, "events": 0.0})
+        stats["points"] += 1
+        stats["busy_seconds"] += wall_seconds
+        stats["events"] += events
         if snapshot is None:
             return
         rows = snapshot.get("metrics")
@@ -172,33 +162,21 @@ class SweepTelemetry:
                         float(acc["peak_per_second"]),
                         float(row["peak_per_second"]))
 
-    def record_cache(self, hits: int, misses: int, quarantined: int) -> None:
-        """Record the result cache's counter deltas for this execution."""
-        self.cache_hits += hits
-        self.cache_misses += misses
-        self.cache_quarantined += quarantined
-
-    def record_journal_append(self, n: int = 1) -> None:
-        """Count checkpoint entries appended to the resume journal."""
-        self.journal_appends += n
-
-    def record_report(self, report: "ResilienceReport | None") -> None:
-        """Pull attempt-outcome totals from a supervised run's report."""
-        if report is None:
-            return
-        self.timeouts += report.timeouts
-        self.crashes += report.crashes
-        self.errors += report.errors
-
     # ------------------------------------------------------------------
-    # Derived quantities
+    # Read from the books
     # ------------------------------------------------------------------
+    def since_bound(self) -> tuple[int, ...]:
+        """Cache hits, misses and quarantines, and journal appends,
+        since :meth:`bind`."""
+        return tuple(map(sub, self._counters(), self._bound_at))
+
     @property
     def cache_hit_ratio(self) -> float:
         """Cache hits over cache lookups (0.0 when the cache was cold
         or disabled)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        hits, misses, _, _ = self.since_bound()
+        lookups = hits + misses
+        return hits / lookups if lookups else 0.0
 
     @property
     def events_per_second(self) -> float:
@@ -220,6 +198,8 @@ class SweepTelemetry:
     # ------------------------------------------------------------------
     def document(self) -> dict[str, object]:
         """The JSON-able ``repro-sweep-telemetry/1`` document."""
+        report = self.report
+        hits, misses, quarantined, appends = self.since_bound()
         workers = {
             name: {"points": int(stats["points"]),
                    "busy_seconds": stats["busy_seconds"],
@@ -230,24 +210,24 @@ class SweepTelemetry:
         own_rows = self.registry.snapshot()["metrics"]
         return {
             "schema": TELEMETRY_SCHEMA,
-            "points": self.points,
-            "done": self.done,
-            "failed": self.failed,
-            "live_points": self.live_points,
-            "cached_points": self.cached_points,
-            "retried_attempts": self.retried_attempts,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "errors": self.errors,
+            "points": report.points,
+            "done": report.measured,
+            "failed": len(report.failures),
+            "live_points": report.live,
+            "cached_points": report.cache_hits + report.journal_skips,
+            "retried_attempts": report.retries,
+            "timeouts": report.timeouts,
+            "crashes": report.crashes,
+            "errors": report.errors,
             "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "quarantined": self.cache_quarantined,
+                "hits": hits,
+                "misses": misses,
+                "quarantined": quarantined,
                 "hit_ratio": self.cache_hit_ratio,
             },
             "journal": {
-                "restored": self.journal_restored,
-                "appends": self.journal_appends,
+                "restored": report.journal_skips,
+                "appends": appends,
             },
             "execution": {
                 "total_events": self.total_events,

@@ -119,10 +119,6 @@ class _Ledger:
         self.fault_plan = active_plan().resolve(len(configs))
         self.histories: dict[int, list[AttemptRecord]] = {}
         self._warned_unreachable = False
-        if telemetry is not None:
-            telemetry.points = len(configs)
-            self._cache_base = ((cache.hits, cache.misses, cache.quarantined)
-                                if cache is not None else (0, 0, 0))
         # Identify every point once, up front: one extractor fingerprint
         # per sweep, one serialisation per config (a plain sweep: none).
         self.identities: list[PointIdentity] = []
@@ -137,6 +133,8 @@ class _Ledger:
             SweepJournal(journal) if self._owns_journal else journal)
         self.journal_entries: dict[str, JournalEntry] | None = (
             self.journal.load() if self.journal is not None else None)
+        if telemetry is not None:
+            telemetry.bind(self.report, cache, self.journal)
 
     def _cache_for(self, index: int) -> ResultCache | None:
         """The cache to use for one point — ``None`` under an
@@ -155,8 +153,6 @@ class _Ledger:
         return self.cache
 
     def _emit(self, progress: PointProgress) -> None:
-        if self.telemetry is not None:
-            self.telemetry.on_progress(progress)
         if self.on_progress is not None:
             self.on_progress(progress)
 
@@ -215,7 +211,8 @@ class _Ledger:
             if attempts > 1:
                 self.report.attempts_by_index[index] = attempts
             if self.telemetry is not None:
-                self.telemetry.fold_point(index, snapshot)
+                self.telemetry.fold_point(worker, wall_seconds, events,
+                                          snapshot)
             point_cache = self._cache_for(index)
             if point_cache is not None:
                 entry_path = point_cache.put(self.identities[index].key,
@@ -232,8 +229,6 @@ class _Ledger:
             self.journal.record(JournalEntry(
                 **self.identities[index]._asdict(), index=index,
                 attempts=attempts, source=source, measurements=measurements))
-            if self.telemetry is not None:
-                self.telemetry.record_journal_append()
         if self.on_point is not None:
             self.on_point(index, measurements)
         self._write_manifest(index, source, events_processed=events,
@@ -304,16 +299,9 @@ class _Ledger:
         self.report.lease_reclaims += leases
 
     def close(self, *, close_cache: bool) -> None:
-        """However the sweep ended: release what it opened, total up."""
+        """However the sweep ended: release what it opened."""
         if self.journal is not None and self._owns_journal:
             self.journal.close()
-        if self.telemetry is not None:
-            if self.cache is not None:
-                hits, misses, quarantined = self._cache_base
-                self.telemetry.record_cache(
-                    self.cache.hits - hits, self.cache.misses - misses,
-                    self.cache.quarantined - quarantined)
-            self.telemetry.record_report(self.report)
         if close_cache:
             self.cache.close()
 
@@ -399,14 +387,13 @@ class ParallelSweepRunner:
         timing and attempt counts.
 
         ``telemetry`` (a :class:`~repro.obs.metrics.SweepTelemetry`)
-        turns the sweep metered: every live point runs with
-        ``metrics=True`` and ships its registry snapshot back for
-        aggregation, progress events and cache/journal/report counters
-        feed the accumulator, and the caller persists the resulting
-        document (``repro sweep --telemetry`` / ``--live``).  Cache and
-        journal hits replay stored measurements without simulating, so
-        they count toward the hit ratio but not the per-flow
-        aggregates.
+        turns the sweep metered: the ledger binds it to the sweep's
+        report, cache and journal, every live point runs with
+        ``metrics=True`` and is folded in with its registry snapshot,
+        and the caller persists the resulting document (``repro sweep
+        --telemetry`` / ``--live``).  Cache and journal hits replay
+        stored measurements without simulating, so they count toward
+        the hit ratio but not the per-flow aggregates.
 
         ``manifest_dir`` writes one ``<run_id>.manifest.json`` per point
         into that directory; all sources carry identical identity fields

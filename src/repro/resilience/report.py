@@ -91,6 +91,11 @@ class ResilienceReport:
         """True when every point produced measurements."""
         return not self.failures
 
+    @property
+    def measured(self) -> int:
+        """Points settled with measurements so far, from any source."""
+        return self.journal_skips + self.cache_hits + self.live
+
     def count_attempt_outcome(self, outcome: str) -> None:
         """Bump the counter matching a failed attempt's outcome."""
         if outcome == OUTCOME_TIMEOUT:  # repro: noqa[RPR002] -- outcome label equality, not a float timestamp

@@ -1,5 +1,6 @@
-"""Suite-wide fixtures: the tier-1 process/thread leak guard."""
+"""Suite-wide fixtures: the tier-1 process/thread/fd leak guard."""
 
+import gc
 import multiprocessing
 import os
 import threading
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-#: Directories whose tests drive sweep workers, servers and agents.
-_GUARDED = ("tests/parallel/", "tests/resilience/", "tests/integration/")
+#: Directories whose tests drive sweep workers, servers, agents and
+#: telemetry.
+_GUARDED = ("tests/parallel/", "tests/resilience/", "tests/integration/",
+            "tests/obs/")
 #: Daemon threads the sweep machinery names; a daemon thread cannot keep
 #: the interpreter alive, so only these are held to account.
 _OURS = ("pump-", "heartbeat-", "repro-")
@@ -39,7 +42,18 @@ def _child_pids() -> set[int]:
     return children
 
 
-def _leaks(threads_before: set, children_before: set[int]) -> list[str]:
+def _open_fds() -> int:
+    """Descriptors this process holds, less the pipe to the spawn
+    context's resource tracker (started by the first spawn, kept as long
+    as we live); 0 without ``/proc``."""
+    if not os.path.isdir("/proc/self/fd"):
+        return 0
+    tracker = getattr(resource_tracker._resource_tracker, "_fd", None)
+    return sum(1 for fd in os.listdir("/proc/self/fd") if int(fd) != tracker)
+
+
+def _leaks(threads_before: set, children_before: set[int],
+           fds_before: int) -> list[str]:
     children = [f"process {child.name}"
                 for child in multiprocessing.active_children()]
     children += [f"child pid {pid}"
@@ -47,22 +61,30 @@ def _leaks(threads_before: set, children_before: set[int]) -> list[str]:
     threads = [f"thread {thread.name}" for thread in threading.enumerate()
                if thread.is_alive() and thread not in threads_before
                and (not thread.daemon or thread.name.startswith(_OURS))]
-    return children + threads
+    fds = _open_fds() - fds_before
+    if fds > 0:
+        # Unreachable objects may still hold some: collect them before
+        # blaming the test (only then — a full collection per test
+        # would cost a quarter of the guarded tests' run time).
+        gc.collect()
+        fds = _open_fds() - fds_before
+    return children + threads + ([f"{fds} fd(s)"] if fds > 0 else [])
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_workers(request):
-    """Fail a test that leaves a child process or one of our threads
-    behind — long-lived sweep workers make a forgotten shutdown path a
-    leak, not a zombie that exits by itself."""
+    """Fail a test that leaves a child process, one of our threads or an
+    open descriptor behind — long-lived sweep workers make a forgotten
+    shutdown path a leak, not a zombie that exits by itself."""
     if not request.node.nodeid.startswith(_GUARDED):
         yield
         return
     threads_before = set(threading.enumerate())
     children_before = _child_pids()
+    fds_before = _open_fds()
     yield
     deadline = time.monotonic() + 2.0  # a stopping thread may still be unwinding
-    while ((leaks := _leaks(threads_before, children_before))
+    while ((leaks := _leaks(threads_before, children_before, fds_before))
            and time.monotonic() < deadline):
         time.sleep(0.05)
     assert not leaks, f"test leaked: {', '.join(leaks)}"

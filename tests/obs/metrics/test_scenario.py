@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry, ScenarioMeter, resolve_meter
-from repro.scenarios import build, paper, run
+from repro.scenarios import build, families, paper, run
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,36 @@ class TestMeteredRun:
             return json.dumps(rows, sort_keys=True)
 
         assert stable_snapshot() == stable_snapshot()
+
+
+class TestHarvestedFromTheMonitors:
+    def test_meter_puts_no_sink_on_any_transmission_fan(self):
+        config = dataclasses.replace(paper.figure4(), duration=5.0, warmup=1.0)
+        built = build(config)
+        ports = [built.net.port(*name.split("->"))
+                 for name in built.bottleneck_ports]
+        fans = [port._fan for port in ports]
+        ScenarioMeter().instrument(built)
+        assert [port._fan for port in ports] == fans
+        # Still the monitor's own C-level append: nobody joined it.
+        assert all(isinstance(fan, type([].append)) for fan in fans)
+
+    def test_flows_without_two_acks_in_the_window_count_zero(self):
+        config = families.manyflow_config((16, 10, 0.0), duration=150.0,
+                                          warmup=60.0)
+        result = run(config, metrics=True)
+        start, end = config.measurement_window
+        silent = [conn.conn_id for conn in result.connections
+                  if len(result.traces.ack_log(conn.conn_id)
+                         .inter_arrival_times(start, end)) == 0]
+        assert silent  # the case that used to raise
+        for conn in result.connections:
+            counter = result.metrics.get(
+                "repro_tcp_ack_compression_incidents_total",
+                {"conn": str(conn.conn_id)})
+            assert counter is not None
+            if conn.conn_id in silent:
+                assert counter.value == 0
 
 
 class TestMeterLifecycle:

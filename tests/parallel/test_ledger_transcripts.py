@@ -3,18 +3,23 @@
 ``ledger_transcripts.json`` was captured on the commit *before* the
 runner's point accounting moved into one ledger, by running this module
 as a script there (``PYTHONPATH=src python -m
-tests.parallel.test_ledger_transcripts``).  Five drills over one
+tests.parallel.test_ledger_transcripts``); its ``telemetry`` sections
+were added, every other key unchanged, on the commit before the sweep
+telemetry stopped keeping counters of its own.  Five drills over one
 four-point family cover every way a point ends — simulated, replayed
 from the cache, restored from a journal, retried, failed for good — and
 each transcript holds everything an observer of ``run_configs`` can
 see: the progress events, the ``on_point`` order, ``--report``, the
-per-point manifests, the journal lines and the cache directory listing,
-with wall-clock fields (and the lint ruleset stamp, which moves with
-unrelated changes) nulled and live worker names reduced to their kind.
+per-point manifests, the journal lines, the cache directory listing and
+the sweep's telemetry document, with wall-clock fields (and the lint
+ruleset stamp, which moves with unrelated changes) nulled and live
+worker names reduced to their kind.
 
 ``jobs=1`` must reproduce a transcript exactly, order included;
 ``jobs=2`` completes points in any order, so it is held to the same
-transcript as multisets.  Regenerate the file only when something it
+transcript as multisets, with the telemetry's cross-point float sums
+compared to nine significant digits (their last bit follows the order
+the points were folded in).  Regenerate the file only when something it
 pins is *meant* to move (a cache schema bump, an edit to the
 extractor's source).
 """
@@ -24,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.metrics import SweepTelemetry
 from repro.parallel import ParallelSweepRunner, ResultCache
 from repro.resilience import FAULTS_ENV, ResilienceConfig
 from repro.scenarios import families
@@ -35,13 +41,18 @@ CONFIGS = [families.conjecture_config(case, duration=5.0, warmup=2.0)
 extract = families.utilization_extract
 
 FAST = dict(backoff_base=0.01, backoff_cap=0.02)
-_SCRUBBED = ("wall_seconds", "lint_ruleset")
+#: Keys nulled wherever they appear, and metric rows nulled by name.
+_SCRUBBED = ("wall_seconds", "lint_ruleset", "total_point_wall_seconds",
+             "events_per_second", "busy_seconds", "sweep_metrics",
+             "repro_run_wall_seconds")
 _REPLAYED = ("journal", "cache", "")
 
 
 def _scrub(document):
     """Null what no two runs share; name live workers by kind."""
     if isinstance(document, dict):
+        if document.get("name") in _SCRUBBED:
+            return None
         return {key: None if key in _SCRUBBED
                 else _kind(value) if key == "worker" else _scrub(value)
                 for key, value in document.items()}
@@ -54,19 +65,33 @@ def _kind(worker: str) -> str:
     return worker if worker in _REPLAYED else "process"
 
 
+def _telemetry(telemetry: SweepTelemetry) -> dict:
+    """The telemetry document, its per-worker rows summed by kind."""
+    document = telemetry.document()
+    workers: dict = {}
+    for name, stats in document["workers"].items():
+        merged = workers.setdefault(_kind(name), {})
+        for key, value in stats.items():
+            merged[key] = merged.get(key, 0) + value
+    return _scrub({**document, "workers": workers})
+
+
 def _observe(root: Path, jobs: int, policy=None, *, configs=CONFIGS,
              cache=True, observed=True) -> dict:
     """One ``run_configs`` call and everything it left behind."""
     events, points = [], []
+    telemetry = SweepTelemetry()
     runner = ParallelSweepRunner(
         jobs=jobs, cache=ResultCache(root / "cache") if cache else None,
         resilience=policy)
     results = runner.run_configs(
         configs, extract, on_point=lambda index, _: points.append(index),
         on_progress=events.append,
-        manifest_dir=root / "manifests" if observed else None)
+        manifest_dir=root / "manifests" if observed else None,
+        telemetry=telemetry)
     journal = root / "journal.jsonl"
     return {
+        "telemetry": _telemetry(telemetry),
         "results": results,
         "events": [[event.phase, event.index, event.cached,
                     _kind(event.worker), event.attempt] for event in events],
@@ -124,13 +149,24 @@ DRILLS = {
 }
 
 
+def _rounded(document):
+    if isinstance(document, float):
+        return float(f"{document:.9g}")
+    if isinstance(document, dict):
+        return {key: _rounded(value) for key, value in document.items()}
+    if isinstance(document, list):
+        return [_rounded(item) for item in document]
+    return document
+
+
 def _as_multisets(transcript: dict) -> dict:
     """Forget completion order: what ``jobs > 1`` may not promise."""
     return {**transcript,
             "events": sorted(transcript["events"]),
             "on_point": sorted(transcript["on_point"]),
             "journal": sorted(transcript["journal"],
-                              key=lambda line: line["index"])}
+                              key=lambda line: line["index"]),
+            "telemetry": _rounded(transcript["telemetry"])}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

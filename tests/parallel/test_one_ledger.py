@@ -12,10 +12,12 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import repro.obs.metrics
 import repro.parallel
 from repro.parallel.backends.base import BackendRequest
 
 PARALLEL = Path(repro.parallel.__file__).parent
+OBS_METRICS = Path(repro.obs.metrics.__file__).parent
 RUNNER = PARALLEL / "runner.py"
 BACKENDS = sorted((PARALLEL / "backends").glob("*.py"))
 
@@ -76,6 +78,29 @@ def test_the_backend_contract_is_eight_fields_and_no_callback_protocols():
     assert not any(_named(parent, "Protocol")
                    for node in _nodes(base, ast.ClassDef)
                    for parent in node.bases)
+
+
+def test_telemetry_reads_the_books_instead_of_keeping_its_own():
+    """The ledger binds the telemetry once and folds each live point in;
+    the telemetry has no second input stream; the meter reads departures
+    from the port monitors instead of observing the ports again."""
+    uses = [node.attr
+            for node in _nodes(PARALLEL.rglob("*.py"), ast.Attribute)
+            if _named(node.value, "telemetry")]
+    assert sorted(uses) == ["bind", "fold_point"]
+    (telemetry,) = [node for node in _nodes([OBS_METRICS / "telemetry.py"],
+                                            ast.ClassDef)
+                    if node.name == "SweepTelemetry"]
+    methods = [node.name for node in telemetry.body
+               if isinstance(node, ast.FunctionDef)]
+    assert not [name for name in methods
+                if name == "on_progress" or name.startswith("record_")]
+    (meter,) = [node for node in _nodes([OBS_METRICS / "scenario.py"],
+                                        ast.ClassDef)
+                if node.name == "ScenarioMeter"]
+    assert not [call for call in ast.walk(meter)
+                if isinstance(call, ast.Call)
+                and _called(call) == "on_transmission"]
 
 
 def test_run_configs_is_straight_line_code_over_the_ledger():
