@@ -501,7 +501,7 @@ def _cmd_trace(scenario: str, out: str, window: tuple[float, float] | None,
 def _cmd_metrics(scenario: str, prom: str | None, jsonl: str | None,
                  manifest_dir: str | None) -> int:
     from repro.obs import write_manifest
-    from repro.obs.metrics import (
+    from repro.obs.registry import (
         export_metrics_jsonl,
         export_prometheus,
         prometheus_text,
@@ -617,7 +617,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     telemetry = None
     dashboard = None
     if args.live or args.telemetry_out:
-        from repro.obs.metrics import LiveDashboard, SweepTelemetry
+        from repro.obs import LiveDashboard, SweepTelemetry
 
         telemetry = SweepTelemetry()
         if args.live:
@@ -667,7 +667,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report, cache = runner.last_report, runner.cache
 
     if telemetry is not None:
-        from repro.obs.metrics import write_telemetry
+        from repro.obs.telemetry import write_telemetry
 
         if args.telemetry_out:
             print(f"telemetry -> {write_telemetry(telemetry, args.telemetry_out)}")

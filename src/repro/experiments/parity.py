@@ -256,7 +256,7 @@ def capture(cases: list[ParityCase] | None = None,
     ``metered=True`` attaches the metrics registry to every run.  The
     fingerprints must be byte-identical either way — that is the
     observation-only contract metering promises, and the CI parity job
-    checks one metered case against the bare-run golden hashes.
+    checks every case metered against the bare-run golden hashes.
     """
     scenarios: dict[str, dict] = {}
     for case in cases or parity_cases():

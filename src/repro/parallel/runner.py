@@ -386,7 +386,7 @@ class ParallelSweepRunner:
         :class:`PointProgress` notifications carrying worker identity,
         timing and attempt counts.
 
-        ``telemetry`` (a :class:`~repro.obs.metrics.SweepTelemetry`)
+        ``telemetry`` (a :class:`~repro.obs.telemetry.SweepTelemetry`)
         turns the sweep metered: the ledger binds it to the sweep's
         report, cache and journal, every live point runs with
         ``metrics=True`` and is folded in with its registry snapshot,

@@ -34,8 +34,7 @@ from repro.tcp.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.manifest import RunManifest
-    from repro.obs.metrics.core import MetricsRegistry
-    from repro.obs.metrics.scenario import ScenarioMeter
+    from repro.obs.registry import MetricsRegistry
     from repro.obs.tracer import Tracer
 
 __all__ = ["ScenarioResult", "algorithm_override", "queue_override", "run"]
@@ -111,8 +110,8 @@ class ScenarioResult:
     manifest: "RunManifest | None" = field(default=None, compare=False)
     """Provenance document, populated when ``manifest=`` was requested."""
     metrics: "MetricsRegistry | None" = field(default=None, compare=False)
-    """The run's :class:`~repro.obs.metrics.MetricsRegistry` when the
-    run was metered (``metrics=`` on :func:`run`)."""
+    """The run's :class:`~repro.obs.registry.MetricsRegistry` when the
+    run was metered (``metrics=True`` on :func:`run`)."""
     wall_seconds: float = field(default=0.0, compare=False)
     """Wall-clock seconds :func:`run` spent inside ``sim.run`` (reporting
     only; never enters simulation state)."""
@@ -257,7 +256,7 @@ def run(
     *,
     trace: "Tracer | bool | None" = None,
     manifest: bool = False,
-    metrics: "ScenarioMeter | bool | None" = None,
+    metrics: bool = False,
 ) -> ScenarioResult:
     """Build and execute a scenario to completion.
 
@@ -274,13 +273,11 @@ def run(
         hash, seed, event count, wall time, plus tracer aggregates when
         traced) and attach it to the result.
     metrics:
-        Anything :func:`repro.obs.metrics.resolve_meter` accepts —
-        ``True`` for a default
-        :class:`~repro.obs.metrics.ScenarioMeter`, or a configured
-        instance.  Live probes bind into the existing observer fan-outs
-        before the first event fires; everything else is harvested
-        after the run.  Metering is observation-only: a metered run is
-        bit-identical to a bare run.
+        Harvest the finished run into a
+        :class:`~repro.obs.registry.MetricsRegistry`
+        (:func:`repro.obs.harvest.harvest`).  Nothing is attached
+        before the run, so a metered run is a bare run plus the
+        harvest.
 
     The :mod:`repro.obs` imports are deliberately lazy: obs sits above
     scenarios in the layer diagram (its manifest module reaches into
@@ -296,19 +293,14 @@ def run(
         tracer = resolve_tracer(trace)
         if tracer is not None:
             tracer.instrument(built)
-    meter = None
-    if metrics is not None and metrics is not False:
-        from repro.obs.metrics.scenario import resolve_meter
-
-        meter = resolve_meter(metrics)
-        if meter is not None:
-            meter.instrument(built)
     begin = perf_counter()
     built.sim.run(until=config.duration)
     wall_seconds = perf_counter() - begin
     registry = None
-    if meter is not None:
-        registry = meter.finalize(built, wall_seconds=wall_seconds)
+    if metrics:
+        from repro.obs.harvest import harvest
+
+        registry = harvest(built, wall_seconds=wall_seconds)
     run_manifest = None
     if manifest:
         from repro.obs.manifest import build_manifest

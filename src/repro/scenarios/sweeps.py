@@ -26,7 +26,7 @@ from repro.scenarios.families import utilization_extract
 from repro.scenarios.runner import ScenarioResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import SweepTelemetry
+    from repro.obs.telemetry import SweepTelemetry
     from repro.parallel.runner import PointProgress
     from repro.resilience.policy import ResilienceConfig
 
@@ -97,11 +97,11 @@ def sweep(
         ``None`` keeps the unsupervised hot path, where any point
         failure fails the whole sweep.
     telemetry:
-        A :class:`~repro.obs.metrics.SweepTelemetry` accumulator makes
+        A :class:`~repro.obs.telemetry.SweepTelemetry` accumulator makes
         the sweep metered: every live point runs with ``metrics=True``
         and folds its registry snapshot into the accumulator alongside
         progress, cache and resilience counters.  Persist the document
-        with :func:`~repro.obs.metrics.write_telemetry` — what
+        with :func:`~repro.obs.telemetry.write_telemetry` — what
         ``repro sweep --telemetry`` / ``--live`` do.
     backend:
         Which execution backend runs the live points: ``None`` (default)

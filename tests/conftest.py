@@ -10,10 +10,6 @@ from pathlib import Path
 
 import pytest
 
-#: Directories whose tests drive sweep workers, servers, agents and
-#: telemetry.
-_GUARDED = ("tests/parallel/", "tests/resilience/", "tests/integration/",
-            "tests/obs/")
 #: Daemon threads the sweep machinery names; a daemon thread cannot keep
 #: the interpreter alive, so only these are held to account.
 _OURS = ("pump-", "heartbeat-", "repro-")
@@ -72,13 +68,10 @@ def _leaks(threads_before: set, children_before: set[int],
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_workers(request):
+def no_leaked_workers():
     """Fail a test that leaves a child process, one of our threads or an
     open descriptor behind — long-lived sweep workers make a forgotten
     shutdown path a leak, not a zombie that exits by itself."""
-    if not request.node.nodeid.startswith(_GUARDED):
-        yield
-        return
     threads_before = set(threading.enumerate())
     children_before = _child_pids()
     fds_before = _open_fds()

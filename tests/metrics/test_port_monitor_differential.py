@@ -7,6 +7,8 @@ folded in as it happened, copied verbatim and fed through a record →
 callback adapter; both generations watch the same port or sender, and
 every series, log and counter either keeps must come out equal — bit for
 bit, windows included, and at any instant a reader happens to look.
+The ACK log's RTT samples are refereed by what the metrics meter once
+did live: one append per accepted sample.
 
 The golden fingerprints hash queue lengths, utilizations, ACK arrivals
 and drops, so byte occupancy, departures and sojourn samples have no
@@ -142,12 +144,14 @@ class EagerCwndLog(CwndLog):
 
 
 class EagerAckArrivalLog(AckArrivalLog):
-    arrivals = None
+    arrivals = rtt_samples = None
 
     def __init__(self, sender):
         self.conn_id = sender.conn_id
         self.arrivals = []
+        self.rtt_samples = []
         sender.on_ack(lambda record: self._on_ack(record[0], record[1]))
+        sender.on_rtt_sample(lambda record: self.rtt_samples.append(record[1]))
 
     def _on_ack(self, time, ack):
         self.arrivals.append(tuple.__new__(AckArrival, (time, ack)))
@@ -309,6 +313,7 @@ def _read_everything(built, referee, windows):
         eager = referee["acks"][conn_id]
         assert lazy.arrivals == eager.arrivals
         assert all(type(a.ack) is int for a in lazy.arrivals)
+        assert lazy.rtt_samples == eager.rtt_samples
         assert len(lazy) == len(eager)
 
 

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.obs.metrics import LiveDashboard, SweepTelemetry
+from repro.obs import LiveDashboard, SweepTelemetry
 from repro.parallel import ResultCache
 from repro.parallel.runner import PointProgress
 from repro.resilience import ResilienceReport

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs.metrics import (
+from repro.obs.registry import (
     MetricsRegistry,
     export_metrics_jsonl,
     export_prometheus,

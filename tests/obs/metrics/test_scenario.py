@@ -1,12 +1,12 @@
-"""ScenarioMeter integration: probes, harvest and the run() knob."""
+"""The meter as a function of the finished run: ``harvest`` and the
+``run(metrics=True)`` knob."""
 
 import dataclasses
 import json
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry, ScenarioMeter, resolve_meter
+from repro.obs import MetricsRegistry, harvest
 from repro.scenarios import build, families, paper, run
 
 
@@ -14,19 +14,6 @@ from repro.scenarios import build, families, paper, run
 def metered_result():
     config = dataclasses.replace(paper.figure2(), duration=40.0, warmup=10.0)
     return run(config, metrics=True)
-
-
-class TestResolveMeter:
-    def test_normalization(self):
-        assert resolve_meter(None) is None
-        assert resolve_meter(False) is None
-        assert isinstance(resolve_meter(True), ScenarioMeter)
-        meter = ScenarioMeter()
-        assert resolve_meter(meter) is meter
-
-    def test_rejects_other_types(self):
-        with pytest.raises(ConfigurationError):
-            resolve_meter("yes")
 
 
 class TestMeteredRun:
@@ -94,12 +81,14 @@ class TestMeteredRun:
             rate = reg.get("repro_link_departures", {"port": name})
             assert rate.total > 0
             assert rate.peak > 0
-        # RTT samples on at least one adaptive sender.
-        rtt_counts = [
-            reg.get("repro_tcp_rtt_seconds",
-                    {"conn": str(conn.conn_id)}).count
-            for conn in metered_result.connections
-        ]
+        # One RTT observation per journalled sample, on every flow.
+        rtt_counts = []
+        for conn in metered_result.connections:
+            hist = reg.get("repro_tcp_rtt_seconds", {"conn": str(conn.conn_id)})
+            samples = metered_result.traces.ack_log(conn.conn_id).rtt_samples
+            assert hist.count == len(samples)
+            assert hist.sum == sum(samples)
+            rtt_counts.append(hist.count)
         assert any(count > 0 for count in rtt_counts)
 
     def test_snapshot_deterministic_across_identical_runs(self):
@@ -121,7 +110,8 @@ class TestHarvestedFromTheMonitors:
         ports = [built.net.port(*name.split("->"))
                  for name in built.bottleneck_ports]
         fans = [port._fan for port in ports]
-        ScenarioMeter().instrument(built)
+        built.sim.run(until=config.duration)
+        harvest(built)
         assert [port._fan for port in ports] == fans
         # Still the monitor's own C-level append: nobody joined it.
         assert all(isinstance(fan, type([].append)) for fan in fans)
@@ -145,20 +135,21 @@ class TestHarvestedFromTheMonitors:
 
 
 class TestMeterLifecycle:
-    def test_finalize_twice_raises(self):
+    def test_harvest_twice_builds_equal_registries(self):
         config = dataclasses.replace(paper.figure2(), duration=5.0, warmup=1.0)
         built = build(config)
-        meter = ScenarioMeter().instrument(built)
         built.sim.run(until=config.duration)
-        meter.finalize(built)
-        with pytest.raises(ConfigurationError):
-            meter.finalize(built)
+        first, second = harvest(built), harvest(built)
+        assert first is not second
+        assert first.snapshot() == second.snapshot()
 
     def test_manual_lifecycle_matches_run_knob(self):
         config = dataclasses.replace(paper.figure2(), duration=10.0, warmup=2.0)
         built = build(config)
-        meter = ScenarioMeter().instrument(built)
         built.sim.run(until=config.duration)
-        manual = meter.finalize(built)
+        manual = harvest(built)
         assert manual.get("repro_engine_events_dispatched_total").value == \
             built.sim.events_processed
+        knob = run(config, metrics=True).metrics.snapshot()["metrics"]
+        assert manual.snapshot()["metrics"] == [
+            row for row in knob if row["name"] != "repro_run_wall_seconds"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import TELEMETRY_SCHEMA, SweepTelemetry, write_telemetry
+from repro.obs.telemetry import TELEMETRY_SCHEMA, SweepTelemetry, write_telemetry
 from repro.parallel import ResultCache
 from repro.resilience import FAULTS_ENV, ResilienceConfig, ResilienceReport
 from repro.scenarios import paper

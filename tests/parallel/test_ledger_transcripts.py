@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.metrics import SweepTelemetry
+from repro.obs import SweepTelemetry
 from repro.parallel import ParallelSweepRunner, ResultCache
 from repro.resilience import FAULTS_ENV, ResilienceConfig
 from repro.scenarios import families

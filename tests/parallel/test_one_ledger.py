@@ -12,12 +12,12 @@ import ast
 import dataclasses
 from pathlib import Path
 
-import repro.obs.metrics
-import repro.parallel
+import repro
 from repro.parallel.backends.base import BackendRequest
 
-PARALLEL = Path(repro.parallel.__file__).parent
-OBS_METRICS = Path(repro.obs.metrics.__file__).parent
+SRC = Path(repro.__file__).parent
+PARALLEL = SRC / "parallel"
+OBS = SRC / "obs"
 RUNNER = PARALLEL / "runner.py"
 BACKENDS = sorted((PARALLEL / "backends").glob("*.py"))
 
@@ -82,25 +82,42 @@ def test_the_backend_contract_is_eight_fields_and_no_callback_protocols():
 
 def test_telemetry_reads_the_books_instead_of_keeping_its_own():
     """The ledger binds the telemetry once and folds each live point in;
-    the telemetry has no second input stream; the meter reads departures
-    from the port monitors instead of observing the ports again."""
+    the telemetry has no second input stream."""
     uses = [node.attr
             for node in _nodes(PARALLEL.rglob("*.py"), ast.Attribute)
             if _named(node.value, "telemetry")]
     assert sorted(uses) == ["bind", "fold_point"]
-    (telemetry,) = [node for node in _nodes([OBS_METRICS / "telemetry.py"],
+    (telemetry,) = [node for node in _nodes([OBS / "telemetry.py"],
                                             ast.ClassDef)
                     if node.name == "SweepTelemetry"]
     methods = [node.name for node in telemetry.body
                if isinstance(node, ast.FunctionDef)]
     assert not [name for name in methods
                 if name == "on_progress" or name.startswith("record_")]
-    (meter,) = [node for node in _nodes([OBS_METRICS / "scenario.py"],
-                                        ast.ClassDef)
-                if node.name == "ScenarioMeter"]
-    assert not [call for call in ast.walk(meter)
-                if isinstance(call, ast.Call)
-                and _called(call) == "on_transmission"]
+
+
+def _registers(call: ast.Call) -> bool:
+    """A sink handed to the model: ``sender.on_ack(sink)``,
+    ``port.on_transmission(sink)``, ``queue.observe(sink)`` — not a
+    histogram's ``observe(value)``."""
+    name = _called(call)
+    return name.startswith("on_") or (
+        name == "observe" and isinstance(call.func, ast.Attribute)
+        and _named(call.func.value, "queue"))
+
+
+def test_a_metered_run_registers_the_sinks_a_bare_run_does():
+    """The meter is a function of the finished run: within ``repro.obs``
+    only the tracer hands the model a sink, and the RTT samples the meter
+    reports reach a journal through the ACK log's one registration."""
+    registering = sorted({path.name for path in OBS.rglob("*.py")
+                          for call in _nodes([path], ast.Call)
+                          if _registers(call)})
+    assert registering == ["tracer.py"]
+    rtt = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+           for call in _nodes([path], ast.Call)
+           if _called(call) == "on_rtt_sample"]
+    assert rtt == ["metrics/ack_log.py"]
 
 
 def test_run_configs_is_straight_line_code_over_the_ledger():

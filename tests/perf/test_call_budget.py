@@ -30,7 +30,7 @@ from repro.engine import Simulator
 from repro.metrics import StepSeries
 from repro.net import build_dumbbell
 from repro.net.queues import ADMIT, TAKE
-from repro.obs import ScenarioMeter, Tracer
+from repro.obs import Tracer, harvest
 from repro.parallel import ResultCache
 from repro.scenarios import build, families, paper, sweep
 from repro.scenarios import run as run_scenario
@@ -137,6 +137,7 @@ def _watched_fans(built):
     for conn in built.connections:
         sender = conn.sender
         fans[f"conn{conn.conn_id} ack"] = sender._ack_fan
+        fans[f"conn{conn.conn_id} rtt"] = sender._rtt_fan
         if sender.control.adaptive:
             fans[f"conn{conn.conn_id} cwnd"] = sender._cwnd_fan
             fans[f"conn{conn.conn_id} loss"] = sender._loss_fan
@@ -147,30 +148,34 @@ def test_one_metrics_observer_per_emission_site():
     """With only the ``TraceSet`` attached, what every watched queue,
     port and sender site calls is a C-level ``append`` / ``extend``: no
     Python frame per observation, which the budgets above see but cannot
-    name.  A tracer and a meter beside it turn the fans they join into
-    the ``bind_fanout`` closure, and every consumer of a site is handed
-    the same records."""
-    builtin = (type([].append), type(array("d").extend))  # both C-level
+    name.  The RTT site is the ACK log's ``array('d').extend``, and the
+    meter, which harvests after the run, joins no site at all.  A tracer
+    beside them turns the fans it joins into the ``bind_fanout``
+    closure, and every consumer of a site is handed the same records."""
+    extend = type(array("d").extend)
+    builtin = (type([].append), extend)  # both C-level
     config = paper.figure4(duration=30.0, warmup=10.0)
     built = build(config)
     fans = _watched_fans(built)
     assert len(fans) == (2 * len(built.bottleneck_ports)
-                         + 3 * len(built.connections))
+                         + 4 * len(built.connections))
     for site, fan in fans.items():
         assert type(fan) in builtin, f"{site}: {fan!r}"
+        if site.endswith("rtt"):
+            assert type(fan) is extend, site
 
     tracer = Tracer().instrument(built)
-    meter = ScenarioMeter().instrument(built)
     port = built.net.port("sw1", "sw2")
     sender = built.connections[0].sender
     queue_records, port_records, ack_records = [], [], []
     port.queue.observe(queue_records.append)
     port.on_transmission(port_records.append)
     sender.on_ack(ack_records.append)
-    for site, fan in _watched_fans(built).items():
+    joined = _watched_fans(built)
+    for site, fan in joined.items():
         if site.endswith(("queue", "port", "ack")):
             assert fan.__closure__ is not None, site
-        else:  # cwnd and loss: nobody joined the monitor
+        else:  # cwnd, loss and rtt: nobody joined the monitor
             assert type(fan) in builtin, site
     built.sim.run(until=config.duration)
 
@@ -192,9 +197,12 @@ def test_one_metrics_observer_per_emission_site():
     assert ([(hop.sim_time, hop.seq, hop.uid)
              for hop in tracer.hops_at(f"conn{sender.conn_id}", "ack")]
             == ack_records)
-    departures = meter.finalize(built).get(
-        "repro_link_departures", {"port": "sw1->sw2"})
+    registry = harvest(built)
+    assert _watched_fans(built) == joined
+    departures = registry.get("repro_link_departures", {"port": "sw1->sw2"})
     assert departures.total == len(port_records)
+    rtt = registry.get("repro_tcp_rtt_seconds", {"conn": str(sender.conn_id)})
+    assert rtt.count == len(built.traces.ack_log(sender.conn_id).rtt_samples) > 0
 
 
 def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
