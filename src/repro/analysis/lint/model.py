@@ -57,7 +57,9 @@ __all__ = [
 #: v9: whole-program layer retired (RPR009, RPR010, RPR011 and `--project`
 #:     removed): no finding outside its fixtures since v5; the runtime
 #:     checks at the sweep, protocol and registry boundaries remain.
-LINT_RULESET_VERSION = 9
+#: v10: RPR004 and RPR006 see `Simulator.post`, the handle-free way the
+#:     packet path puts work on the calendar, as a scheduling call.
+LINT_RULESET_VERSION = 10
 
 CheckFunction = Callable[["LintContext"], Iterator["Violation"]]
 

@@ -260,7 +260,7 @@ def check_event_field_mutation(ctx: LintContext) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 _SET_METHODS = {"intersection", "union", "difference", "symmetric_difference"}
 _DICT_VIEW_METHODS = {"values", "keys", "items"}
-_SCHEDULING_CALLS = {"schedule", "schedule_at", "send", "carry"}
+_SCHEDULING_CALLS = {"schedule", "schedule_at", "post", "send", "carry"}
 
 
 def _is_set_expression(node: ast.expr) -> bool:
@@ -460,10 +460,14 @@ def check_sweep_callables(ctx: LintContext) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 # RPR006 — infinite sentinel timestamps entering the heap
 # ----------------------------------------------------------------------
+#: Calls whose first argument (or `delay=` / `time=`) is a timestamp.
+_TIMESTAMP_CALLS = {"schedule", "schedule_at", "post"}
+
+
 @rule(
     "RPR006",
     "infinite-sentinel-timestamp",
-    "No `float('inf')`/`math.inf` sentinel passed to `schedule`/`schedule_at`.",
+    "No `float('inf')`/`math.inf` sentinel passed to `schedule`/`schedule_at`/`post`.",
     """\
 An event at `t = inf` never fires but permanently occupies a calendar
 slot, defeats compaction accounting, poisons `peek_time()`, and — with
@@ -480,7 +484,7 @@ def check_infinite_schedule(ctx: LintContext) -> Iterator[Violation]:
         if not isinstance(node, ast.Call):
             continue
         name = _terminal_name(node.func)
-        if name not in {"schedule", "schedule_at"}:
+        if name not in _TIMESTAMP_CALLS:
             continue
         candidates: list[ast.expr] = []
         if node.args:

@@ -1,17 +1,37 @@
 """The discrete-event simulation kernel.
 
-The :class:`Simulator` keeps a calendar of :class:`~repro.engine.event.Event`
-objects in a binary heap and advances virtual time by popping the earliest
-event and invoking its callback.  All model components (links, queues, TCP
-endpoints, monitors) interact with the world only by scheduling events, so
-a run is a pure function of its inputs: repeated runs produce identical
-traces, which the reproduction experiments rely on.
+The :class:`Simulator` keeps a calendar of scheduled calls in a binary
+heap and advances virtual time by popping the earliest entry and
+invoking its callback.  All model components (links, queues, TCP
+endpoints, monitors) interact with the world only by scheduling events,
+so a run is a pure function of its inputs: repeated runs produce
+identical traces, which the reproduction experiments rely on.
+
+Two calls put work on the calendar, one contract each:
+
+- :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — work that
+  may be revoked.  They return an :class:`~repro.engine.event.Event`
+  whose :meth:`~repro.engine.event.Event.cancel` withdraws it, and take
+  a ``priority``.  Timers, connection starts and the pacer use them.
+- :meth:`Simulator.post` — fire-and-forget work at ``NORMAL`` priority.
+  It returns nothing and builds no :class:`Event`.  Every per-packet hop
+  (a port's ``txdone``, a link's ``arrive``, a host's ``proc``) is a
+  post: nothing ever cancels one, and not constructing a handle is most
+  of what a hop costs the calendar.
+
+Both draw from one sequence counter, so same-timestamp order is
+insertion order whichever call inserted.
 
 Hot-path design — *bind once, branch never*:
 
-- Heap entries are ``(time, priority, sequence, event)`` tuples, so heap
-  sifting compares plain tuples at C speed instead of invoking
-  ``Event.__lt__``.
+- Every calendar entry is one tuple,
+  ``(time, priority, sequence, callback, args, label, event)``, with
+  ``event`` ``None`` for a post.  Heap sifting compares the leading
+  ``(time, priority, sequence)`` at C speed (the sequence is unique, so
+  no comparison reaches the callback), and dispatch reads the callback
+  and its arguments off the tuple: an :class:`Event` is consulted only
+  for its cancelled / fired bookkeeping.  The layout is private to this
+  module.
 - :meth:`run` samples the sanitizer flag and the tracer **once** and
   picks one of two drain loops.  The bare loop (:meth:`_drain_fast`)
   contains no strict checks, no tracer probes, and no observer code —
@@ -23,8 +43,8 @@ Hot-path design — *bind once, branch never*:
   runs.  The fast-path parity test, the differential test against the
   frozen ``benchmarks/baseline_kernel.py`` and ``repro parity --check``
   enforce this bit-for-bit.
-- An event carries the positional arguments of its callback
-  (``schedule(delay, handler, packet)``), so model components schedule
+- An entry carries the positional arguments of its callback
+  (``post(delay, handler, packet)``), so model components schedule
   methods they bound once at construction — no closure is allocated and
   no extra frame entered per event — and :attr:`Simulator.now` is a
   plain attribute the drain loops write, not a property, so reading the
@@ -42,9 +62,10 @@ Example
 >>> def note(what):
 ...     fired.append((sim.now, what))
 >>> _ = sim.schedule(1.5, note, "timer")
+>>> sim.post(0.5, note, "hop")
 >>> sim.run()
 >>> fired
-[(1.5, 'timer')]
+[(0.5, 'hop'), (1.5, 'timer')]
 """
 
 from __future__ import annotations
@@ -67,6 +88,10 @@ _isfinite = math.isfinite
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
+#: One calendar entry: ``(time, priority, sequence, callback, args,
+#: label, event)``; ``event`` is ``None`` for a :meth:`Simulator.post`.
+_Entry = tuple[float, int, int, Callable[..., None], tuple[Any, ...], str,
+               Event | None]
 
 
 class DispatchTracer(Protocol):
@@ -110,7 +135,7 @@ class Simulator:
     def __init__(self, start_time: float = 0.0, *,
                  strict: bool | None = None) -> None:
         self.now = float(start_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[_Entry] = []
         self._sequence = 0
         self._running = False
         self._events_processed = 0
@@ -191,17 +216,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Pass the handler's arguments here rather than closing over them
-        (``schedule(delay, self._arrive, packet)``, not a ``lambda``):
-        the event carries them, so the per-packet path allocates no
-        closure and enters no extra frame.  ``priority`` and ``label``
-        are keyword-only and never reach the callback.
+        (``schedule(delay, self._expire, conn)``, not a ``lambda``):
+        the calendar entry carries them, so no closure is allocated and
+        no extra frame entered.  ``priority`` and ``label`` are
+        keyword-only and never reach the callback.
 
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method can
         be used to revoke it (e.g. retransmit timers that get refreshed).
-
-        This is the hot path — the vast majority of events are label-less
-        relative schedules — so the push is inlined rather than delegated
-        to :meth:`schedule_at`.
+        Work nobody will revoke goes through :meth:`post`, which builds
+        no :class:`Event`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -215,8 +238,37 @@ class Simulator:
         self._sequence = sequence + 1
         prio = _NORMAL if priority is _NORMAL_MEMBER else int(priority)
         event = Event(time, prio, sequence, callback, label, self, args)
-        _heappush(self._heap, (time, prio, sequence, event))
+        _heappush(self._heap,
+                  (time, prio, sequence, callback, args, label, event))
         return event
+
+    def post(
+        self,
+        delay: float,
+        callback: Callable[..., None],
+        *args: Any,
+        label: str = "",
+    ) -> None:
+        """Run ``callback(*args)`` ``delay`` seconds from now, irrevocably.
+
+        The fire-and-forget twin of :meth:`schedule`: ``NORMAL``
+        priority, no handle, nothing to cancel.  It draws from the same
+        sequence counter, so a post and a schedule at one timestamp fire
+        in the order they were made.  This is the per-packet hot path
+        (every hop of every packet), so the push is inlined.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        time = self.now + delay
+        if self._strict and not _isfinite(time):
+            raise SanitizerError(
+                f"non-finite timestamp t={time} entering the calendar "
+                f"(delay={delay}); model 'never' by not scheduling"
+            )
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        _heappush(self._heap,
+                  (time, _NORMAL, sequence, callback, args, label, None))
 
     def schedule_at(
         self,
@@ -241,7 +293,8 @@ class Simulator:
         self._sequence = sequence + 1
         prio = int(priority)
         event = Event(time, prio, sequence, callback, label, self, args)
-        _heappush(self._heap, (time, prio, sequence, event))
+        _heappush(self._heap,
+                  (time, prio, sequence, callback, args, label, event))
         return event
 
     # ------------------------------------------------------------------
@@ -293,7 +346,8 @@ class Simulator:
     # back in `finally` so counters survive a raising callback.  Nothing
     # in the tree reads `events_processed` mid-run (callbacks included),
     # so the deferred write-back is unobservable.  Cancelled pops never
-    # consume `max_events` budget (they are skips, not executions).
+    # consume `max_events` budget (they are skips, not executions).  A
+    # post has no handle (`entry[6] is None`) and so no bookkeeping.
 
     def _drain_fast(self, until: float | None, max_events: int | None) -> None:
         """The bare loop: no sanitizer, no tracer — nothing but dispatch."""
@@ -310,13 +364,14 @@ class Simulator:
                 if entry[0] > until_t:
                     break
                 pop(heap)
-                event = entry[3]
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
+                event = entry[6]
+                if event is not None:
+                    if event.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    event._fired = True
                 self.now = entry[0]
-                event._fired = True
-                event.callback(*event.args)
+                entry[3](*entry[4])
                 processed += 1
                 budget -= 1
         finally:
@@ -342,24 +397,25 @@ class Simulator:
                 if entry[0] > until_t:
                     break
                 pop(heap)
-                event = entry[3]
-                if event.cancelled:
+                event = entry[6]
+                if event is not None and event.cancelled:
                     self._cancelled_pending -= 1
                     continue
                 if strict:
-                    self._sanitize_pop(entry, event)
+                    self._sanitize_pop(entry)
                 self.now = entry[0]
-                event._fired = True
+                if event is not None:
+                    event._fired = True
                 if dispatch is None:
-                    event.callback(*event.args)
+                    entry[3](*entry[4])
                 else:
                     # +1: the popped entry itself still counts toward the
                     # calendar depth the handler ran at.
                     depth = len(heap) + 1
                     begin = perf_counter_ns()
-                    event.callback(*event.args)
+                    entry[3](*entry[4])
                     dispatch(entry[0], perf_counter_ns() - begin,
-                             event.label, depth, entry[2])
+                             entry[5], depth, entry[2])
                 processed += 1
                 budget -= 1
         finally:
@@ -382,7 +438,7 @@ class Simulator:
     def peek_time(self) -> float | None:
         """Time of the next pending event, or ``None`` if none remain."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and (event := heap[0][6]) is not None and event.cancelled:
             _heappop(heap)
             self._cancelled_pending -= 1
         return heap[0][0] if heap else None
@@ -390,23 +446,27 @@ class Simulator:
     # ------------------------------------------------------------------
     # Sanitizer
     # ------------------------------------------------------------------
-    def _sanitize_pop(self, entry: tuple[float, int, int, Event],
-                      event: Event) -> None:
-        """Strict-mode invariants checked as an event leaves the calendar.
+    def _sanitize_pop(self, entry: _Entry) -> None:
+        """Strict-mode invariants checked as an entry leaves the calendar.
 
-        The heap entry snapshotted ``(time, priority, sequence)`` when
-        the event was scheduled; divergence means somebody mutated the
-        event's ordering fields afterwards (the dynamic twin of lint
-        rule RPR003).  A pop behind the clock means the calendar order
-        itself was corrupted (e.g. an entry injected directly into the
-        heap), and a re-fire means one callback ran twice.
+        A pop behind the clock means the calendar order itself was
+        corrupted (e.g. an entry injected directly into the heap); that
+        holds for posts and handles alike.  For a handle, the entry
+        snapshotted ``(time, priority, sequence)`` when the event was
+        scheduled; divergence means somebody mutated the event's
+        ordering fields afterwards (the dynamic twin of lint rule
+        RPR003), and a re-fire means one callback ran twice.
         """
-        time, priority, sequence = entry[0], entry[1], entry[2]
+        time, priority, sequence, event = entry[0], entry[1], entry[2], entry[6]
         if time < self.now:
+            what = (repr(event) if event is not None
+                    else f"post(seq={sequence}, {entry[5]!r})")
             raise SanitizerError(
-                f"monotonic clock violation: popped event {event!r} at "
+                f"monotonic clock violation: popped event {what} at "
                 f"t={time} with clock already at now={self.now}"
             )
+        if event is None:
+            return
         if (event.time != time or event.priority != priority  # repro: noqa[RPR002] -- mutation check needs bit-identity with the heap snapshot, not closeness
                 or event.sequence != sequence):
             raise SanitizerError(
@@ -434,7 +494,8 @@ class Simulator:
         before = len(heap)
         # In place: the drain loops hold a local alias to the heap list
         # across callbacks, and a callback may trigger this compaction.
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heap[:] = [entry for entry in heap
+                   if (event := entry[6]) is None or not event.cancelled]
         heapq.heapify(heap)
         self._cancelled_pending = 0
         self._compactions += 1

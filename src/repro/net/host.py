@@ -53,8 +53,9 @@ class Host(Node):
         self._send_fan: Sink | None = None
         # Constant per host; built per delivered packet before.
         self._proc_label = f"{name}:proc"
-        # Bound once: what the calendar calls per delivered packet.
-        self._schedule = sim.schedule
+        # Bound once: what the calendar calls per delivered packet
+        # (posted: processing, once begun, is never revoked).
+        self._post = sim.post
         self._deliver = self._deliver_local
 
     # ------------------------------------------------------------------
@@ -93,8 +94,8 @@ class Host(Node):
     def handle_packet(self, packet: Packet) -> None:
         """Receive from the wire: apply processing delay, then demux."""
         if self.processing_delay > 0:
-            self._schedule(self.processing_delay, self._deliver, packet,
-                           label=self._proc_label)
+            self._post(self.processing_delay, self._deliver, packet,
+                       label=self._proc_label)
         else:
             self._deliver_local(packet)
 

@@ -50,8 +50,9 @@ class Link:
         # per carried packet showed up in the dumbbell profile.
         self._arrive_label = f"{name}:arrive"
         # Bound once (the destination is fixed for the life of the
-        # link): what the calendar calls per carried packet.
-        self._schedule = sim.schedule
+        # link): what the calendar calls per carried packet.  Nothing
+        # recalls a packet in flight, so arrivals are posted.
+        self._post = sim.post
         self._on_arrive = self._arrive
         self._handle = destination.handle_packet
 
@@ -84,8 +85,8 @@ class Link:
         """Launch ``packet``; it reaches the destination after the delay."""
         self._in_flight += 1
         self._carried += 1
-        self._schedule(self.propagation, self._on_arrive, packet,
-                       label=self._arrive_label)
+        self._post(self.propagation, self._on_arrive, packet,
+                   label=self._arrive_label)
 
     def _arrive(self, packet: Packet) -> None:
         self._in_flight -= 1

@@ -65,8 +65,9 @@ class OutputPort:
         # packet showed up in the dumbbell profile.
         self._txdone_label = f"{name}:txdone"
         # Bound once: the handlers the calendar and the port call per
-        # packet, so no bound method or closure is built per event.
-        self._schedule = sim.schedule
+        # packet, so no bound method or closure is built per event.  A
+        # transmission is never revoked, so it is posted, not scheduled.
+        self._post = sim.post
         self._finish = self._finish_transmission
         self._carry = link.carry
 
@@ -130,8 +131,8 @@ class OutputPort:
         fan = self._fan
         if fan is not None:
             fan((now, packet, duration))
-        self._schedule(duration, self._finish, packet, duration,
-                       label=self._txdone_label)
+        self._post(duration, self._finish, packet, duration,
+                   label=self._txdone_label)
 
     def _finish_transmission(self, packet: Packet, duration: float) -> None:
         self._transmissions += 1

@@ -3,12 +3,15 @@
 ``benchmarks/baseline_kernel.py`` is an import-free snapshot of the
 engine's fast path, kept for the relative perf gate.  That also makes
 it a second implementation: hypothesis generates programs of schedule /
-cancel / ``run(until=, max_events=)`` / ``stop()`` operations, both
-kernels execute the same program, and after every ``run`` they must
-agree on fire order, clock, ``events_processed`` and
-``cancelled_pending``.  The live side runs under each (strict, traced)
-combination, so both drain loops and both instrumented-loop branches
-are held to the frozen kernel's behaviour.
+post / cancel / ``run(until=, max_events=)`` / ``stop()`` operations,
+both kernels execute the same program, and after every ``run`` they
+must agree on fire order, clock, ``events_processed`` and
+``cancelled_pending``.  The frozen kernel predates ``post``, so there a
+post is a ``schedule`` at ``NORMAL``: the handle-free entry must fire
+exactly where a handle would have.  The live side runs under each
+(strict, traced) combination, so both drain loops and both
+instrumented-loop branches are held to the frozen kernel's behaviour;
+traced, every dispatch must carry the label its entry was made with.
 """
 
 from types import SimpleNamespace
@@ -28,22 +31,34 @@ class _Driver:
     ``(method name, *arguments)`` of this class; ``()`` is no action.
     """
 
-    def __init__(self, sim, priority_cls):
+    def __init__(self, sim, priority_cls, post):
         self.sim = sim
         self.priority_cls = priority_cls
-        self.events = []
+        self._post = post
+        self.events = []  # handles, the targets of `cancel`
+        self.labels = []  # label of every entry made, by identity
         self.fired = []
 
-    def schedule(self, delay, priority, action):
-        ident = len(self.events)
+    def _firing(self, action):
+        """``(label, callback)`` for one new calendar entry."""
+        ident = len(self.labels)
+        self.labels.append(f"entry{ident}")
 
         def fire():
             self.fired.append((ident, self.sim.now))
             if action:
                 getattr(self, action[0])(*action[1:])
 
+        return self.labels[ident], fire
+
+    def schedule(self, delay, priority, action):
+        label, fire = self._firing(action)
         self.events.append(self.sim.schedule(
-            delay, fire, priority=self.priority_cls(priority)))
+            delay, fire, priority=self.priority_cls(priority), label=label))
+
+    def post(self, delay, action):
+        label, fire = self._firing(action)
+        self._post(delay, fire, label=label)
 
     def cancel(self, target):
         if self.events:
@@ -78,11 +93,13 @@ targets = st.integers(min_value=0, max_value=10_000)
 actions = st.one_of(
     st.just(()),
     st.tuples(st.just("schedule"), delays, priorities, st.just(())),
+    st.tuples(st.just("post"), delays, st.just(())),
     st.tuples(st.just("cancel"), targets),
     st.just(("stop",)),
 )
 operations = st.one_of(
     st.tuples(st.just("schedule"), delays, priorities, actions),
+    st.tuples(st.just("post"), delays, actions),
     st.tuples(st.just("cancel"), targets),
     st.tuples(st.just("burst"), st.integers(min_value=1, max_value=300),
               delays, st.integers(min_value=1, max_value=4)),
@@ -105,8 +122,9 @@ programs = st.lists(operations, max_size=40)
 @given(program=programs)
 @settings(max_examples=200, deadline=None)
 def test_live_kernel_matches_frozen_baseline(strict, traced, program):
-    live = _Driver(Simulator(strict=strict), EventPriority)
-    frozen = _Driver(BaselineSimulator(), BaselineEventPriority)
+    live_sim, frozen_sim = Simulator(strict=strict), BaselineSimulator()
+    live = _Driver(live_sim, EventPriority, live_sim.post)
+    frozen = _Driver(frozen_sim, BaselineEventPriority, frozen_sim.schedule)
     dispatched = []
     if traced:
         live.sim.set_tracer(SimpleNamespace(
@@ -119,3 +137,5 @@ def test_live_kernel_matches_frozen_baseline(strict, traced, program):
             assert live.state() == frozen.state()
     if traced:
         assert len(dispatched) == live.sim.events_processed
+        assert ([(record[0], record[2]) for record in dispatched]
+                == [(now, live.labels[ident]) for ident, now in live.fired])

@@ -7,7 +7,7 @@ import pytest
 from repro.engine import Simulator
 from repro.engine.event import Event
 from repro.engine.sanitize import SANITIZE_ENV, sanitize_enabled
-from repro.errors import SanitizerError
+from repro.errors import SanitizerError, SimulationError
 
 
 def _noop():
@@ -54,6 +54,30 @@ class TestFiniteTimestamps:
         event = Simulator(strict=False).schedule(float("inf"), _noop)
         assert event.time == float("inf")
 
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+    def test_strict_rejects_non_finite_post(self, delay):
+        sim = Simulator(strict=True)
+        with pytest.raises(SanitizerError, match="non-finite"):
+            sim.post(delay, _noop)
+        assert sim.calendar_size == 0
+
+
+class TestPost:
+    def test_negative_delay_is_a_simulation_error(self):
+        for strict in (False, True):
+            sim = Simulator(strict=strict)
+            with pytest.raises(SimulationError, match="into the past"):
+                sim.post(-1e-9, _noop)
+            assert sim.calendar_size == 0
+
+    def test_post_returns_no_handle_and_fires(self):
+        sim = Simulator(strict=True)
+        fired = []
+        assert sim.post(0.25, fired.append, "hop", label="x:arrive") is None
+        sim.run()
+        assert fired == ["hop"] and sim.now == 0.25
+        assert sim.events_processed == 1
+
 
 class TestPopInvariants:
     def test_past_event_injected_into_heap_trips_monotonic_check(self):
@@ -62,8 +86,19 @@ class TestPopInvariants:
         sim.run()
         assert sim.now == 1.0
         stale = Event(0.5, 1, 999, _noop)
-        heapq.heappush(sim._heap, (0.5, 1, 999, stale))
+        heapq.heappush(sim._heap, (0.5, 1, 999, _noop, (), "", stale))
         with pytest.raises(SanitizerError, match="monotonic clock violation"):
+            sim.run()
+
+    def test_past_post_injected_into_heap_trips_monotonic_check(self):
+        sim = Simulator(strict=True)
+        sim.post(1.0, _noop)
+        sim.run()
+        assert sim.now == 1.0
+        heapq.heappush(sim._heap, (0.5, 1, 999, _noop, (), "x:arrive", None))
+        with pytest.raises(SanitizerError,
+                           match=r"monotonic clock violation: popped event "
+                                 r"post\(seq=999, 'x:arrive'\)"):
             sim.run()
 
     def test_ordering_field_mutation_after_scheduling_trips(self):
@@ -77,7 +112,8 @@ class TestPopInvariants:
         sim = Simulator(strict=True)
         event = sim.schedule(1.0, _noop)
         heapq.heappush(sim._heap,
-                       (event.time, event.priority, event.sequence, event))
+                       (event.time, event.priority, event.sequence,
+                        event.callback, event.args, event.label, event))
         with pytest.raises(SanitizerError, match="fired twice"):
             sim.run()
 

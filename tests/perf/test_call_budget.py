@@ -26,7 +26,7 @@ from array import array
 
 import pytest
 
-from repro.engine import Simulator
+from repro.engine import Event, Simulator
 from repro.metrics import StepSeries
 from repro.net import build_dumbbell
 from repro.net.queues import ADMIT, TAKE
@@ -36,11 +36,12 @@ from repro.scenarios import build, families, paper, sweep
 from repro.scenarios import run as run_scenario
 
 #: Python-level calls per delivered data packet.  The path measured
-#: 101.2 when the monitors' observers became C-level journal sinks
-#: (112.7 with one Python observer per site, 127.7 with four monitors a
-#: port, 196.5 before events carried their arguments); the headroom is
-#: smaller than one handler frame per ACK (+2).
-CALLS_PER_PACKET_BUDGET = 103.0
+#: 87.0 when per-packet hops became handle-free posts (101.2 with an
+#: ``Event`` built per hop, 112.7 with one Python observer per site,
+#: 127.7 with four monitors a port, 196.5 before events carried their
+#: arguments); the headroom is smaller than one handler frame per ACK
+#: (+2).
+CALLS_PER_PACKET_BUDGET = 89.0
 
 #: ``figure2`` as measured before the per-packet path was restructured
 #: (≈ 14.15 events per delivered packet); the restructuring must not
@@ -50,12 +51,20 @@ FIGURE2_PACKETS = 5_312
 
 #: The two-way case — ``figure4`` as the goldens run it.  ``figure2``'s
 #: reverse path never queues, so the enqueue / dequeue sites barely fire
-#: there; here ACKs wait behind data in both directions.  Measured 102.9
-#: calls per packet (117.2 with one Python observer per site, 134.1 with
-#: the four monitors), same headroom.
-TWO_WAY_CALLS_PER_PACKET_BUDGET = 105.0
+#: there; here ACKs wait behind data in both directions.  Measured 88.6
+#: calls per packet (102.9 with an ``Event`` per hop, 117.2 with one
+#: Python observer per site, 134.1 with the four monitors), same
+#: headroom.
+TWO_WAY_CALLS_PER_PACKET_BUDGET = 90.6
 FIGURE4_EVENTS = 43_905
 FIGURE4_PACKETS = 3_081
+
+#: ``Event`` constructions per delivered packet while ``figure2``
+#: drains.  Only cancellable work — timers, the pacer — builds one;
+#: every hop is a handle-free ``Simulator.post``.  Measured 0.23 (14.38
+#: when hops were scheduled); one ``schedule`` back in ``repro.net``
+#: adds ≥ 1 per packet per hop kind.
+EVENTS_BUILT_PER_PACKET_BUDGET = 0.5
 
 
 #: The replay path — a warm ten-point ``sweep()`` through ``ResultCache``
@@ -77,14 +86,17 @@ BUILD_CALLS_DOUBLING_BUDGET = 2.2
 
 
 def _count_calls(run):
-    """``(Python-level calls made, result)`` of ``run()`` under
-    ``sys.setprofile``."""
-    calls = 0
+    """``(Python-level calls made, Event constructions among them,
+    result)`` of ``run()`` under ``sys.setprofile``."""
+    event_init = Event.__init__.__code__
+    calls = built_events = 0
 
     def count_calls(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, built_events
         if event == "call":
             calls += 1
+            if frame.f_code is event_init:
+                built_events += 1
 
     previous = sys.getprofile()
     sys.setprofile(count_calls)
@@ -92,16 +104,22 @@ def _count_calls(run):
         result = run()
     finally:
         sys.setprofile(previous)
-    return calls, result
+    return calls, built_events, result
 
 
 def _drain_counting_calls(config):
-    """``(calls, events, delivered packets)`` of one profiled run."""
+    """``(calls, Event constructions, events, delivered packets)`` of
+    one profiled run."""
     built = build(config)
-    calls, _ = _count_calls(
+    calls, built_events, _ = _count_calls(
         lambda: built.sim.run(until=built.config.duration))
     packets = sum(conn.receiver.rcv_nxt for conn in built.connections)
-    return calls, built.sim.events_processed, packets
+    return calls, built_events, built.sim.events_processed, packets
+
+
+@functools.cache
+def _figure2_drain():
+    return _drain_counting_calls(paper.figure2())
 
 
 def _assert_within(budget, calls, packets):
@@ -112,14 +130,22 @@ def _assert_within(budget, calls, packets):
 
 
 def test_figure2_calls_per_packet_within_budget():
-    calls, events, packets = _drain_counting_calls(paper.figure2())
+    calls, _, events, packets = _figure2_drain()
     assert events == FIGURE2_EVENTS
     assert packets == FIGURE2_PACKETS
     _assert_within(CALLS_PER_PACKET_BUDGET, calls, packets)
 
 
+def test_figure2_hops_build_no_event():
+    _, built_events, _, packets = _figure2_drain()
+    assert built_events / packets <= EVENTS_BUILT_PER_PACKET_BUDGET, (
+        f"{built_events / packets:.2f} Event constructions per delivered "
+        f"packet (budget {EVENTS_BUILT_PER_PACKET_BUDGET}): a per-packet "
+        "hop is scheduled with a handle instead of posted")
+
+
 def test_figure4_calls_per_packet_within_budget():
-    calls, events, packets = _drain_counting_calls(
+    calls, _, events, packets = _drain_counting_calls(
         paper.figure4(duration=200.0, warmup=60.0))
     assert events == FIGURE4_EVENTS
     assert packets == FIGURE4_PACKETS
@@ -225,7 +251,7 @@ def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
         return getsource(target)
 
     monkeypatch.setattr(inspect, "getsource", counting_getsource)
-    calls, warm = _count_calls(
+    calls, _, warm = _count_calls(
         lambda: sweep(make_config, values, families.sync_extract,
                       cache=cache, jobs=1))
     assert warm == cold
