@@ -7,10 +7,8 @@ depends on but generic linters cannot express:
 RPR000    blanket or unjustified ``# repro: noqa`` suppression
 RPR001    wall-clock time / unseeded randomness in simulation code
 RPR002    ``==``/``!=`` between float simulation timestamps
-RPR003    mutation of an Event's ordering fields after scheduling
 RPR004    unordered (set) iteration in engine/net/obs hot paths
 RPR005    non-module-level sweep callables / algorithm factories
-RPR006    ``float('inf')`` sentinel timestamps entering the heap
 RPR007    swallowed exceptions in supervision/cache/journal paths
 RPR008    constant dispatch hooks probed inside hot loop bodies
 RPR900    unparseable source (syntax error or not UTF-8)
@@ -19,11 +17,13 @@ RPR900    unparseable source (syntax error or not UTF-8)
 Use ``repro lint [paths]`` from the CLI, ``repro lint --explain CODE``
 for the rationale behind a rule, and suppress single lines with
 ``# repro: noqa[CODE] -- justification``.  Every rule looks at one file
-at a time.  The dynamic twins of these checks are the runtime sanitizer
-invariants enabled by ``Simulator(strict=True)`` or ``REPRO_SANITIZE=1``;
-what cannot be seen in one file (an unpicklable extractor built in
-another module, a registered class that is not a ``CongestionControl``
-or ``DropTailQueue``) is rejected eagerly where it is handed over, by
+at a time.  Each invariant has one check: what the runtime sanitizer
+(``Simulator(strict=True)`` or ``REPRO_SANITIZE=1``) enforces — event
+ordering fields left alone after scheduling, finite timestamps — has no
+rule here (RPR003 and RPR006 were retired for it), and what cannot be
+seen in one file (an unpicklable extractor built in another module, a
+registered class that is not a ``CongestionControl`` or
+``DropTailQueue``) is rejected eagerly where it is handed over, by
 ``ParallelSweepRunner``, ``extract_reference`` and the two registries.
 """
 
@@ -47,8 +47,8 @@ from repro.analysis.lint.runner import (
     lint_source,
     load_baseline,
 )
-from repro.analysis.lint import rules as _rules  # registers RPR001..RPR008
-from repro.analysis.lint.export import render_json, render_sarif, render_text
+from repro.analysis.lint import rules as _rules  # registers the AST rules
+from repro.analysis.lint.export import render_sarif
 
 __all__ = [
     "LINT_RULESET_VERSION",
@@ -66,8 +66,6 @@ __all__ = [
     "lint_paths",
     "iter_python_files",
     "format_violations",
-    "render_text",
-    "render_json",
     "render_sarif",
     "load_baseline",
     "apply_baseline",

@@ -1,6 +1,6 @@
-"""Machine-readable lint reports: ``--format json`` and ``--format sarif``.
+"""The machine-readable lint report: ``--format sarif``.
 
-Both renderers are deterministic — violations in canonical sort order,
+The renderer is deterministic — violations in canonical sort order,
 rules in code order, keys sorted — so CI artifacts diff cleanly between
 runs and the SARIF upload annotates PRs stably.  Rule metadata (name,
 summary, rationale) is embedded so a report is self-describing without
@@ -13,38 +13,10 @@ import json
 
 from repro.analysis.lint.model import LINT_RULESET_VERSION, Violation, iter_rules
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_sarif"]
 
 _TOOL_NAME = "repro-lint"
 _TOOL_URI = "https://example.invalid/repro/docs/analysis_methods.md"
-
-
-def render_text(violations: list[Violation]) -> str:
-    """The canonical text report (same shape as ``format_violations``)."""
-    from repro.analysis.lint.runner import format_violations
-
-    return format_violations(violations)
-
-
-def render_json(violations: list[Violation]) -> str:
-    """A self-describing JSON report with embedded rule metadata."""
-    ordered = sorted(violations, key=lambda violation: violation.sort_key)
-    document = {
-        "schema": "repro-lint-report/1",
-        "ruleset": LINT_RULESET_VERSION,
-        "rules": {
-            rule.code: {"name": rule.name, "summary": rule.summary}
-            for rule in iter_rules()
-        },
-        "violations": [
-            {"path": violation.path, "line": violation.line,
-             "col": violation.col, "code": violation.code,
-             "message": violation.message}
-            for violation in ordered
-        ],
-        "count": len(ordered),
-    }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def render_sarif(violations: list[Violation]) -> str:

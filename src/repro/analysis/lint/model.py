@@ -59,7 +59,11 @@ __all__ = [
 #:     checks at the sweep, protocol and registry boundaries remain.
 #: v10: RPR004 and RPR006 see `Simulator.post`, the handle-free way the
 #:     packet path puts work on the calendar, as a scheduling call.
-LINT_RULESET_VERSION = 10
+#: v11: RPR003 and RPR006 retired: the strict sanitizer fails a tier-1 run
+#:     on every planted mutation of an Event's ordering fields and every
+#:     non-finite timestamp.  RPR008 names only hook attributes that exist.
+#:     `--format json` removed.
+LINT_RULESET_VERSION = 11
 
 CheckFunction = Callable[["LintContext"], Iterator["Violation"]]
 

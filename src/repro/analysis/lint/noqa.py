@@ -14,7 +14,7 @@ one thing the linter refuses to negotiate about.
 Examples::
 
     t = time.time()  # repro: noqa[RPR001] -- CLI progress display, not sim state
-    if a.time == b.time:  # repro: noqa[RPR002,RPR006] -- exact tick boundaries
+    if a.time == b.time:  # repro: noqa[RPR002] -- exact tick boundaries
 """
 
 from __future__ import annotations

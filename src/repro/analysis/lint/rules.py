@@ -10,8 +10,10 @@ the assumption that both would have been identical.
 Static analysis is necessarily approximate.  Each rule documents its
 scope and known blind spots in its rationale; false positives are
 suppressed per line with ``# repro: noqa[CODE] -- why`` (see
-:mod:`repro.analysis.lint.noqa`).  The dynamic twins of these checks
-live in the runtime sanitizer (:mod:`repro.engine.sanitize`).
+:mod:`repro.analysis.lint.noqa`).  An invariant the runtime sanitizer
+(:mod:`repro.engine.sanitize`) enforces has no rule here;
+``docs/analysis_methods.md`` records the mutations that decided which
+rules stay.
 """
 
 from __future__ import annotations
@@ -45,25 +47,6 @@ def _violation(ctx: LintContext, node: ast.AST, code: str, message: str) -> Viol
         code=code,
         message=message,
     )
-
-
-def _is_infinite_literal(node: ast.expr) -> bool:
-    """True for ``float('inf')``-style and ``math.inf``-style expressions."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        return _is_infinite_literal(node.operand)
-    if isinstance(node, ast.Attribute):
-        return (node.attr in {"inf", "nan"}
-                and isinstance(node.value, ast.Name)
-                and node.value.id in {"math", "numpy", "np"})
-    if (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "float"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)):
-        text = node.args[0].value.strip().lower().lstrip("+-")
-        return text in {"inf", "infinity", "nan"}
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -198,61 +181,6 @@ def check_timestamp_equality(ctx: LintContext) -> Iterator[Violation]:
                         f"`{symbol}` on timestamp `{ast.unparse(side)}`; use "
                         "`repro.units.times_close()` or ordered comparisons")
                     break
-
-
-# ----------------------------------------------------------------------
-# RPR003 — mutation of event ordering fields
-# ----------------------------------------------------------------------
-_ORDERING_FIELDS = {"time", "priority", "sequence"}
-_EVENT_INTERNAL_MODULES = {"repro.engine.event", "repro.engine.simulator"}
-
-
-@rule(
-    "RPR003",
-    "event-ordering-mutation",
-    "No mutation of an Event's `time`/`priority`/`sequence` after scheduling.",
-    """\
-The calendar heap snapshots `(time, priority, sequence)` into its entry
-tuple when an event is scheduled.  Mutating those fields afterwards
-desynchronizes the Event from its heap position: the event still fires
-at its *original* time while any code reading `event.time` sees the new
-one, which breaks expiry introspection and — if the heap were ever
-rebuilt, as compaction does — silently reorders execution.  Reschedule
-by cancelling and scheduling a fresh event instead.  The engine's own
-internals (`repro.engine.event` / `repro.engine.simulator`) are exempt;
-the runtime sanitizer enforces the same invariant dynamically by
-checking popped events against their heap entry.""",
-)
-def check_event_field_mutation(ctx: LintContext) -> Iterator[Violation]:
-    if ctx.module in _EVENT_INTERNAL_MODULES:
-        return
-    for node in ast.walk(ctx.tree):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Name)
-              and node.func.id == "setattr"
-              and len(node.args) >= 2
-              and isinstance(node.args[1], ast.Constant)
-              and node.args[1].value in _ORDERING_FIELDS):
-            yield _violation(ctx, node, "RPR003",
-                             f"setattr of ordering field {node.args[1].value!r} "
-                             "after scheduling; cancel and re-schedule instead")
-            continue
-        for target in targets:
-            # Only attribute stores count: `obj.time = ...` is flagged
-            # wherever it appears (the field names are this distinctive on
-            # purpose); plain locals named `time` are not.
-            if (isinstance(target, ast.Attribute)
-                    and target.attr in _ORDERING_FIELDS):
-                yield _violation(
-                    ctx, node, "RPR003",
-                    f"assignment to ordering field `.{target.attr}`; heap "
-                    "entries snapshot it at schedule time — cancel and "
-                    "re-schedule instead")
 
 
 # ----------------------------------------------------------------------
@@ -458,50 +386,6 @@ def check_sweep_callables(ctx: LintContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR006 — infinite sentinel timestamps entering the heap
-# ----------------------------------------------------------------------
-#: Calls whose first argument (or `delay=` / `time=`) is a timestamp.
-_TIMESTAMP_CALLS = {"schedule", "schedule_at", "post"}
-
-
-@rule(
-    "RPR006",
-    "infinite-sentinel-timestamp",
-    "No `float('inf')`/`math.inf` sentinel passed to `schedule`/`schedule_at`/`post`.",
-    """\
-An event at `t = inf` never fires but permanently occupies a calendar
-slot, defeats compaction accounting, poisons `peek_time()`, and — with
-`run(until=...)` — turns "calendar drained" into "spin until the wall".
-`inf - inf` and `inf * 0` are NaN, so downstream arithmetic on such a
-timestamp corrupts silently.  Model "never" by *not scheduling* (timers
-already support disarmed state), and open-ended analysis windows with
-`float('inf')` are fine — only scheduling calls are flagged.  The
-runtime sanitizer rejects non-finite timestamps dynamically
-(`Simulator(strict=True)`).""",
-)
-def check_infinite_schedule(ctx: LintContext) -> Iterator[Violation]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _terminal_name(node.func)
-        if name not in _TIMESTAMP_CALLS:
-            continue
-        candidates: list[ast.expr] = []
-        if node.args:
-            candidates.append(node.args[0])
-        candidates.extend(
-            keyword.value for keyword in node.keywords
-            if keyword.arg in {"delay", "time"}
-        )
-        for argument in candidates:
-            if _is_infinite_literal(argument):
-                yield _violation(
-                    ctx, argument, "RPR006",
-                    f"non-finite timestamp `{ast.unparse(argument)}` entering "
-                    "the event heap; model 'never' by not scheduling")
-
-
-# ----------------------------------------------------------------------
 # RPR007 — swallowed exceptions
 # ----------------------------------------------------------------------
 _CATCH_ALL_NAMES = {"BaseException"}
@@ -571,32 +455,30 @@ def check_swallowed_exceptions(ctx: LintContext) -> Iterator[Violation]:
 # RPR008 — constant-hook probes inside dispatch loops
 # ----------------------------------------------------------------------
 _HOT_PATH_MODULE_PREFIXES = ("repro.engine", "repro.net", "repro.tcp")
-_CONSTANT_HOOK_ATTRS = {"_tracer", "_strict", "strict", "_meter", "_metrics"}
-#: Attribute-name suffixes that mark per-run-constant hook state: bound
-#: observer fan-outs and metrics probes.  Reading them per iteration
-#: inside a hot loop defeats the bind-once contract they exist for.
-_CONSTANT_HOOK_SUFFIXES = ("_observers", "_fan", "_probe")
+_CONSTANT_HOOK_ATTRS = {"_tracer", "_strict", "strict"}
+#: The attribute-name suffix of a bound observer fan-out.  Reading one per
+#: iteration inside a hot loop defeats the bind-once contract it exists for.
+_CONSTANT_HOOK_SUFFIX = "_fan"
 
 
 @rule(
     "RPR008",
     "hook-probe-in-dispatch-loop",
-    "No per-iteration `self._tracer`/`self._strict`/observer-list/metrics-"
-    "probe lookups inside engine/net/tcp loop bodies; bind them before "
-    "the loop.",
+    "No per-iteration `self._tracer`/`self._strict`/`self.*_fan` lookups "
+    "inside engine/net/tcp loop bodies; bind them before the loop.",
     """\
 The engine's fast-path contract is *bind once, branch never* (see
 docs/performance.md): hooks that are constant for the duration of a
-dispatch loop — the tracer, the sanitizer flag, observer lists, bound
-fan-outs and metrics probes (all fixed outside the loop; registration
-happens at build/attach time and the tracer is sampled per run()) — are
-resolved to locals or bound fan-outs BEFORE the loop, so the per-event
-cost of a disabled hook is zero.  An `if self._strict:`, a
-`for observer in self._x_observers:`, or a `self._rtt_fan(...)` /
-`self._meter`-style metrics-probe read inside a loop body re-probes per
-iteration, and those attribute loads are exactly the
-death-by-a-thousand-cuts tax that once cost this engine 3x
-(790k -> 244k chained events/s when tracing first went in).  Hoist the read (`strict =
+dispatch loop — the tracer, the sanitizer flag and bound observer
+fan-outs (all fixed outside the loop; registration happens at
+build/attach time and the tracer is sampled per run()) — are resolved to
+locals BEFORE the loop, so the per-event cost of a disabled hook is
+zero.  An `if self._strict:` or a `self._rtt_fan(...)` inside a loop
+body re-probes per iteration, and those attribute loads are exactly the
+death-by-a-thousand-cuts tax that once cost this engine 3x (790k -> 244k
+chained events/s when tracing first went in).  No runtime check notices
+one such load: it makes no call, so the call budget stays flat, and it
+costs less than the perf gate's timing noise.  Hoist the read (`strict =
 self._strict` / `fan = self._x_fan` before the loop) or call the bound
 local instead.  Scoped to the hot packages (repro.engine, repro.net,
 repro.tcp); static analysis cannot prove a given loop is hot, so
@@ -611,8 +493,6 @@ def check_hook_probe_in_dispatch_loop(ctx: LintContext) -> Iterator[Violation]:
         if isinstance(loop, ast.While):
             region: list[ast.AST] = [loop.test, *loop.body, *loop.orelse]
         elif isinstance(loop, (ast.For, ast.AsyncFor)):
-            # The iterable counts: `for observer in self._x_observers:`
-            # is itself the per-event probe the fan-out targets replace.
             region = [loop.iter, *loop.body, *loop.orelse]
         else:
             continue
@@ -624,7 +504,7 @@ def check_hook_probe_in_dispatch_loop(ctx: LintContext) -> Iterator[Violation]:
                         and node.value.id == "self"):
                     continue
                 if not (node.attr in _CONSTANT_HOOK_ATTRS
-                        or node.attr.endswith(_CONSTANT_HOOK_SUFFIXES)):
+                        or node.attr.endswith(_CONSTANT_HOOK_SUFFIX)):
                     continue
                 key = (node.lineno, node.col_offset)
                 if key in seen:  # nested loops walk the same statements

@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--list", action="store_true", dest="list_rules",
                         help="list all registered rule codes and exit")
     lint_p.add_argument("--format", default="text", dest="fmt",
-                        choices=["text", "json", "sarif"],
+                        choices=["text", "sarif"],
                         help="report format (default: text)")
     lint_p.add_argument("--output", default=None, metavar="FILE",
                         help="write the report to FILE (text summary still "
@@ -801,7 +801,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         iter_rules,
         lint_paths,
         load_baseline,
-        render_json,
         render_sarif,
     )
 
@@ -815,9 +814,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     violations = lint_paths(args.paths or ["src"])
     if args.baseline:
         violations = apply_baseline(violations, load_baseline(args.baseline))
-    if args.fmt == "json":
-        payload = render_json(violations)
-    elif args.fmt == "sarif":
+    if args.fmt == "sarif":
         payload = render_sarif(violations)
     else:
         payload = format_violations(violations) + "\n"

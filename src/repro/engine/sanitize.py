@@ -1,17 +1,17 @@
-"""Runtime invariant sanitizer — the dynamic twin of ``repro lint``.
+"""Runtime invariant sanitizer — the dynamic half of the determinism checks.
 
 The static rules in :mod:`repro.analysis.lint` catch determinism bugs
 that are visible in source text; this module catches the ones that only
-manifest at runtime.  When sanitizing is on, the engine and the packet
-path verify on every operation:
+manifest at runtime, and is the *only* check for the invariants below
+(lint rules RPR003 and RPR006 were retired for it).  When sanitizing is
+on, the engine and the packet path verify on every operation:
 
 - the virtual clock never moves backwards and no event fires in the
-  past (dynamic RPR001/RPR006 territory);
+  past;
 - a popped event still matches the ``(time, priority, sequence)`` its
   heap entry snapshotted at schedule time, so post-scheduling mutation
-  of ordering fields is caught the moment it would matter (dynamic
-  RPR003);
-- timestamps entering the heap are finite (dynamic RPR006);
+  of ordering fields is caught the moment it would matter;
+- timestamps entering the heap are finite;
 - every link conserves packets (``carried == delivered + in_flight``);
 - every queue conserves packets and serves strictly FIFO among the
   packets that survive admission (drop-tail discards and Random Drop

@@ -454,8 +454,8 @@ class Simulator:
         holds for posts and handles alike.  For a handle, the entry
         snapshotted ``(time, priority, sequence)`` when the event was
         scheduled; divergence means somebody mutated the event's
-        ordering fields afterwards (the dynamic twin of lint rule
-        RPR003), and a re-fire means one callback ran twice.
+        ordering fields afterwards, and a re-fire means one callback ran
+        twice.  No lint rule duplicates these checks.
         """
         time, priority, sequence, event = entry[0], entry[1], entry[2], entry[6]
         if time < self.now:

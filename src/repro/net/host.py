@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Protocol
 
-from repro.engine.fanout import Sink, bind_fanout
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.node import Node
@@ -49,8 +48,6 @@ class Host(Node):
         self._sinks: dict[tuple[int, bool], Callable[[Packet], None]] = {}
         self._received = 0
         self._sent = 0
-        self._send_sinks: list[Sink] = []
-        self._send_fan: Sink | None = None
         # Constant per host; built per delivered packet before.
         self._proc_label = f"{name}:proc"
         # Bound once: what the calendar calls per delivered packet
@@ -82,12 +79,6 @@ class Host(Node):
         """Packets injected into the network so far."""
         return self._sent
 
-    def on_send(self, sink: Sink) -> None:
-        """Register ``sink(record)`` for every injected packet,
-        ``record = (now, packet)``."""
-        self._send_sinks.append(sink)
-        self._send_fan = bind_fanout(self._send_sinks)
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -118,9 +109,6 @@ class Host(Node):
         packet.src = self.name
         packet.dst = destination
         self._sent += 1
-        fan = self._send_fan
-        if fan is not None:
-            fan((self.sim.now, packet))
         try:
             port = self.ports[self.routes[destination]]
         except KeyError:

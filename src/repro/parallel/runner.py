@@ -116,7 +116,7 @@ class _Ledger:
         self.telemetry = telemetry
         self.results: list[dict | None] = [None] * len(configs)
         self.report = ResilienceReport(points=len(configs), backend=backend)
-        self.fault_plan = active_plan().resolve(len(configs))
+        self.fault_plan = active_plan()
         self.histories: dict[int, list[AttemptRecord]] = {}
         self._warned_unreachable = False
         # Identify every point once, up front: one extractor fingerprint

@@ -10,10 +10,10 @@ the ``REPRO_FAULTS`` environment variable::
 
 Grammar (clauses separated by ``;``)::
 
-    clause := KIND '@' POINT [':' VALUE] ['*' COUNT]  |  'seed=' INT
+    clause := KIND '@' POINT [':' VALUE] ['*' COUNT]
     KIND   := kill | hang | slow | raise | corrupt
             | worker-kill | lease-expire | cache-unreachable
-    POINT  := sweep point index  |  '?'  (seeded deterministic choice)
+    POINT  := sweep point index
     VALUE  := seconds (hang: default 3600, slow: default 1.0)
     COUNT  := how many attempts the fault fires on (default 1)
 
@@ -23,9 +23,8 @@ but succeeds, ``raise`` throws :class:`~repro.errors.FaultInjectionError`
 inside the worker, and ``corrupt`` truncates the point's freshly written
 cache entry (exercising quarantine on the next read).  With the default
 ``COUNT`` of 1 a fault fires on the first attempt only, so a retry
-succeeds — the shape every recovery test wants.  ``'?'`` points are
-resolved by hashing the spec seed (``seed=N`` clause, default 0), never
-by ``random``: the whole schedule is a pure function of the spec string.
+succeeds — the shape every recovery test wants.  Every point is named
+explicitly, so the whole schedule is a pure function of the spec string.
 
 In-worker faults are applied by the one attempt body every execution
 path shares (``parallel/backends/coordinator.py::_attempt``): on
@@ -64,12 +63,11 @@ from __future__ import annotations
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from repro.errors import ConfigurationError, FaultInjectionError
-from repro.resilience.policy import deterministic_fraction
 
 __all__ = [
     "FAULTS_ENV",
@@ -101,11 +99,10 @@ KINDS = WORKER_KINDS + ("corrupt",) + REMOTE_KINDS
 _DEFAULT_VALUES = {"hang": 3600.0, "slow": 1.0}
 
 _CLAUSE_RE = re.compile(
-    r"^(?P<kind>[a-z][a-z-]*)@(?P<point>\d+|\?)"
+    r"^(?P<kind>[a-z][a-z-]*)@(?P<point>\d+)"
     r"(?::(?P<value>\d+(?:\.\d+)?))?"
     r"(?:\*(?P<count>\d+))?$"
 )
-_SEED_RE = re.compile(r"^seed=(?P<seed>-?\d+)$")
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,8 @@ class FaultClause:
     """One injected fault: what, where, how hard, and how often."""
 
     kind: str
-    point: int | None
-    """Target sweep point index; ``None`` while a ``'?'`` is unresolved."""
+    point: int
+    """Target sweep point index."""
     value: float = 0.0
     """Seconds, for ``hang``/``slow``; unused otherwise."""
     count: int = 1
@@ -136,7 +133,7 @@ class FaultClause:
         if not isinstance(kind, str) or kind not in KINDS:
             raise ValueError(f"bad fault clause kind: {kind!r}")
         point = raw.get("point")
-        if point is not None and not isinstance(point, int):
+        if not isinstance(point, int):
             raise ValueError(f"bad fault clause point: {point!r}")
         value = raw.get("value", 0.0)
         count = raw.get("count", 1)
@@ -149,32 +146,12 @@ class FaultClause:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A parsed, optionally resolved fault schedule."""
+    """A parsed fault schedule."""
 
     clauses: tuple[FaultClause, ...] = ()
-    seed: int = 0
 
     def __bool__(self) -> bool:
         return bool(self.clauses)
-
-    def resolve(self, n_points: int) -> "FaultPlan":
-        """Pin every ``'?'`` clause to a concrete point index.
-
-        The choice hashes ``(seed, clause position)`` through
-        :func:`~repro.resilience.policy.deterministic_fraction`, so the
-        schedule is identical on every run of the same spec over the
-        same sweep size.
-        """
-        if n_points < 1:
-            return self
-        resolved = []
-        for position, clause in enumerate(self.clauses):
-            if clause.point is None:
-                fraction = deterministic_fraction(self.seed, position,
-                                                  "fault-point")
-                clause = replace(clause, point=int(fraction * n_points))
-            resolved.append(clause)
-        return FaultPlan(tuple(resolved), self.seed)
 
     def corrupts(self, index: int) -> bool:
         """True when the cache entry written for ``index`` is torn."""
@@ -214,28 +191,22 @@ class FaultPlan:
 def parse_faults(spec: str) -> FaultPlan:
     """Parse a ``REPRO_FAULTS`` spec string into a :class:`FaultPlan`."""
     clauses: list[FaultClause] = []
-    seed = 0
     for raw in spec.split(";"):
         text = raw.strip()
         if not text:
-            continue
-        seed_match = _SEED_RE.match(text)
-        if seed_match:
-            seed = int(seed_match.group("seed"))
             continue
         match = _CLAUSE_RE.match(text)
         if match is None:
             raise ConfigurationError(
                 f"bad {FAULTS_ENV} clause {text!r}; expected "
                 "KIND@POINT[:SECONDS][*COUNT] with KIND in "
-                f"{'/'.join(KINDS)}, or seed=N")
+                f"{'/'.join(KINDS)}")
         kind = match.group("kind")
         if kind not in KINDS:
             raise ConfigurationError(
                 f"unknown fault kind {kind!r} in {FAULTS_ENV} clause "
                 f"{text!r} (known: {', '.join(KINDS)})")
-        point_text = match.group("point")
-        point = None if point_text == "?" else int(point_text)
+        point = int(match.group("point"))
         value_text = match.group("value")
         value = (float(value_text) if value_text is not None
                  else _DEFAULT_VALUES.get(kind, 0.0))
@@ -245,7 +216,7 @@ def parse_faults(spec: str) -> FaultPlan:
                 f"fault count must be >= 1 in {FAULTS_ENV} clause {text!r}")
         clauses.append(FaultClause(kind=kind, point=point, value=value,
                                    count=count))
-    return FaultPlan(tuple(clauses), seed)
+    return FaultPlan(tuple(clauses))
 
 
 def active_plan() -> FaultPlan:

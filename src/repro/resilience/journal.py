@@ -98,15 +98,12 @@ class SweepJournal:
     ----------
     path:
         Journal file; created (with parents) on first :meth:`record`.
-    fsync:
-        Force each entry to stable storage before returning (default).
-        Disable only for benchmarks — without fsync a power loss can
-        drop entries the runner believed durable.
+        Every entry is forced to stable storage before :meth:`record`
+        returns.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync = bool(fsync)
         self._handle: IO[str] | None = None
         self.recorded = 0
         self.skipped_lines = 0
@@ -148,8 +145,7 @@ class SweepJournal:
                           separators=(",", ":"))
         self._handle.write(line + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
         self.recorded += 1
 
     def compact(self) -> tuple[int, int]:
@@ -182,8 +178,7 @@ class SweepJournal:
                 handle.write(json.dumps(entry.to_dict(), sort_keys=True,
                                         separators=(",", ":")) + "\n")
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         tmp.replace(self.path)
         return (len(entries), total_lines - len(entries))
 

@@ -9,16 +9,11 @@ a document takes the :class:`~repro.scenarios.config.ScenarioConfig`
 default, so documents stay minimal and forward-compatible.
 
 Flows carry an open ``algorithm`` string (a congestion-control registry
-name) plus a ``params`` object.  Documents written before the pluggable
-architecture used a closed ``kind`` enum with the same three values
-("tahoe"/"reno"/"fixed"); ``kind`` is still accepted as an alias of
-``algorithm`` so old files keep loading.
-
-The bottleneck discipline is likewise an open ``queue`` object
-(``{"name": ..., "params": {...}}`` against the queue-discipline
-registry).  Documents written before the registry used a boolean
-``random_drop`` flag; it is still accepted and maps to the
-``randomdrop``/``droptail`` registry entries.
+name) plus a ``params`` object, and the bottleneck discipline is an open
+``queue`` object (``{"name": ..., "params": {...}}`` against the
+queue-discipline registry).  The keys older documents used in their
+place — a flow's ``kind`` and the scenario's ``random_drop`` flag — are
+unknown fields like any other.
 """
 
 from __future__ import annotations
@@ -77,46 +72,20 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
-def _flow_algorithm(raw: dict) -> str:
-    """The flow's algorithm name, honouring the legacy ``kind`` key."""
-    algorithm = raw.pop("algorithm", None)
-    kind = raw.pop("kind", None)
-    if algorithm is not None and kind is not None and algorithm != kind:
+def _queue_spec(queue_data: object) -> QueueSpec:
+    """The document's ``queue`` object as a :class:`QueueSpec`."""
+    if not isinstance(queue_data, dict):
         raise ConfigurationError(
-            f"flow names both algorithm={algorithm!r} and legacy "
-            f"kind={kind!r}; use algorithm alone")
-    resolved = algorithm if algorithm is not None else kind
-    return "tahoe" if resolved is None else str(resolved)
-
-
-def _queue_spec(data: dict) -> QueueSpec | None:
-    """The document's queue discipline, honouring legacy ``random_drop``.
-
-    Pops both spellings from ``data``; returns ``None`` when neither is
-    present (the dataclass default applies).
-    """
-    queue_data = data.pop("queue", None)
-    legacy = data.pop("random_drop", None)
-    if queue_data is not None and legacy is not None:
+            f"queue must be an object, got {type(queue_data).__name__}")
+    raw = dict(queue_data)
+    name = raw.pop("name", "droptail")
+    params = raw.pop("params", {})
+    if raw:
+        raise ConfigurationError(f"unknown queue fields: {sorted(raw)}")
+    if not isinstance(params, dict):
         raise ConfigurationError(
-            "scenario names both 'queue' and legacy 'random_drop'; "
-            "use queue alone")
-    if queue_data is not None:
-        if not isinstance(queue_data, dict):
-            raise ConfigurationError(
-                f"queue must be an object, got {type(queue_data).__name__}")
-        raw = dict(queue_data)
-        name = raw.pop("name", "droptail")
-        params = raw.pop("params", {})
-        if raw:
-            raise ConfigurationError(f"unknown queue fields: {sorted(raw)}")
-        if not isinstance(params, dict):
-            raise ConfigurationError(
-                f"queue params must be an object, got {type(params).__name__}")
-        return QueueSpec(name=str(name), params=params)
-    if legacy is not None:
-        return QueueSpec(name="randomdrop" if legacy else "droptail")
-    return None
+            f"queue params must be an object, got {type(params).__name__}")
+    return QueueSpec(name=str(name), params=params)
 
 
 def config_from_dict(document: dict) -> ScenarioConfig:
@@ -132,26 +101,26 @@ def config_from_dict(document: dict) -> ScenarioConfig:
     flow_specs = []
     for raw in data.pop("flows"):
         raw = dict(raw)
-        algorithm = _flow_algorithm(raw)
+        algorithm = raw.pop("algorithm", None)
         params = raw.pop("params", {})
         if not isinstance(params, dict):
             raise ConfigurationError(
                 f"flow params must be an object, got {type(params).__name__}")
-        flow_specs.append(FlowSpec(
+        spec = dict(
             src=raw.pop("src"),
             dst=raw.pop("dst"),
-            algorithm=algorithm,
+            algorithm="tahoe" if algorithm is None else str(algorithm),
             params=params,
             window=raw.pop("window", None),
             start_time=raw.pop("start_time", 0.0),
             access_propagation=raw.pop("access_propagation", None),
-        ))
+        )
         if raw:
             raise ConfigurationError(f"unknown flow fields: {sorted(raw)}")
+        flow_specs.append(FlowSpec(**spec))
 
-    queue = _queue_spec(data)
-    if queue is not None:
-        data["queue"] = queue
+    if "queue" in data:
+        data["queue"] = _queue_spec(data["queue"])
 
     tcp_data = data.pop("tcp", {})
     known_tcp = {field.name for field in fields(TcpOptions)}

@@ -16,7 +16,6 @@ connections, as in the paper).
 
 from __future__ import annotations
 
-from repro.engine.fanout import Sink, bind_fanout
 from repro.engine.simulator import Simulator
 from repro.engine.timer import OneShotTimer
 from repro.errors import ProtocolError
@@ -57,18 +56,9 @@ class TcpReceiver:
         self.acks_sent = 0
         self.delayed_ack_fires = 0
 
-        self._receive_sinks: list[Sink] = []
-        self._receive_fan: Sink | None = None
-
     # ------------------------------------------------------------------
-    # Observers / introspection
+    # Introspection
     # ------------------------------------------------------------------
-    def on_receive(self, sink: Sink) -> None:
-        """Register ``sink(record)`` for every data arrival,
-        ``record = (now, packet)``."""
-        self._receive_sinks.append(sink)
-        self._receive_fan = bind_fanout(self._receive_sinks)
-
     @property
     def reassembly_queue(self) -> list[int]:
         """Sequence numbers buffered out of order (sorted, for tests)."""
@@ -82,9 +72,6 @@ class TcpReceiver:
         if packet.kind is not PacketKind.DATA:
             raise ProtocolError(f"conn {self.conn_id}: receiver got non-data {packet!r}")
         self.packets_received += 1
-        fan = self._receive_fan
-        if fan is not None:
-            fan((self._sim.now, packet))
 
         seq = packet.seq
         if seq == self.rcv_nxt:

@@ -12,14 +12,7 @@ class Kernel:
             if tracer is not None:
                 tracer.dispatch(entry)
 
-    def emit(self, packets, now):
-        for packet in packets:
-            for observer in self._send_observers:
-                observer(now, packet)
-
     def drain(self, packets, now):
         for packet in packets:
             if self._rtt_fan is not None:
-                self._rtt_fan(now, packet)
-            if self._meter is not None:
-                self._meter.observe(packet)
+                self._rtt_fan((now, packet))

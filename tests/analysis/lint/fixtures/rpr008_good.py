@@ -13,17 +13,8 @@ class Kernel:
             if tracer is not None:
                 tracer.dispatch(entry)
 
-    def emit(self, packets, now):
-        fan = self._send_fan
-        if fan is not None:
-            for packet in packets:
-                fan(now, packet)
-
     def drain(self, packets, now):
         rtt_fan = self._rtt_fan
-        meter = self._meter
         for packet in packets:
             if rtt_fan is not None:
-                rtt_fan(now, packet)
-            if meter is not None:
-                meter.observe(packet)
+                rtt_fan((now, packet))

@@ -1,31 +1,14 @@
-"""JSON/SARIF exporters: determinism, rule metadata, location encoding."""
+"""The SARIF exporter: determinism, rule metadata, location encoding."""
 
 import json
 
-from repro.analysis.lint import render_json, render_sarif
-from repro.analysis.lint.model import LINT_RULESET_VERSION, Violation, iter_rules
+from repro.analysis.lint import render_sarif
+from repro.analysis.lint.model import Violation, iter_rules
 
 SAMPLE = [
     Violation(path="b.py", line=3, col=4, code="RPR008", message="second"),
     Violation(path="a.py", line=10, col=0, code="RPR001", message="first"),
 ]
-
-
-class TestJson:
-    def test_violations_sorted_and_counted(self):
-        document = json.loads(render_json(SAMPLE))
-        assert [v["path"] for v in document["violations"]] == ["a.py", "b.py"]
-        assert document["count"] == 2
-        assert document["ruleset"] == LINT_RULESET_VERSION
-
-    def test_rule_metadata_embedded(self):
-        document = json.loads(render_json([]))
-        assert set(document["rules"]) == {r.code for r in iter_rules()}
-        assert document["rules"]["RPR008"]["name"] == \
-            "hook-probe-in-dispatch-loop"
-
-    def test_deterministic_output(self):
-        assert render_json(SAMPLE) == render_json(list(reversed(SAMPLE)))
 
 
 class TestSarif:

@@ -110,16 +110,6 @@ class TestCountersAndObservers:
         assert net.host("host1").sent == 2
         assert net.host("host2").received == 2
 
-    def test_send_observer(self):
-        sim = Simulator()
-        net = build_dumbbell(sim)
-        seen = []
-        net.host("host1").on_send(lambda record: seen.append(record[1].seq))
-        net.host("host2").register_endpoint(1, PacketKind.DATA, Collector())
-        net.host("host1").send(_data(seq=42), "host2")
-        sim.run()
-        assert seen == [42]
-
 
 class TestSwitchForwarding:
     def test_switch_counts_forwarded(self):

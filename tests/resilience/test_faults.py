@@ -16,8 +16,7 @@ from repro.resilience import (
 
 class TestParsing:
     def test_full_grammar(self):
-        plan = parse_faults("kill@2;hang@7:600;slow@0:0.25*3;seed=42")
-        assert plan.seed == 42
+        plan = parse_faults("kill@2;hang@7:600;slow@0:0.25*3")
         kill, hang, slow = plan.clauses
         assert (kill.kind, kill.point, kill.count) == ("kill", 2, 1)
         assert (hang.kind, hang.point, hang.value) == ("hang", 7, 600.0)
@@ -40,7 +39,9 @@ class TestParsing:
         "kill@x",            # non-numeric point
         "kill@1*0",          # count < 1
         "kill@1:abc",        # non-numeric value
-        "seed=x",            # handled by the clause regex -> error
+        "seed=x",            # no seed clause in the grammar
+        "seed=7",
+        "kill@?",            # every point is named explicitly
     ])
     def test_bad_specs_are_configuration_errors(self, spec):
         with pytest.raises(ConfigurationError):
@@ -49,6 +50,9 @@ class TestParsing:
     def test_error_message_names_the_clause(self):
         with pytest.raises(ConfigurationError, match="explode@1"):
             parse_faults("explode@1")
+        with pytest.raises(ConfigurationError,
+                           match=r"bad REPRO_FAULTS clause 'kill@\?'"):
+            parse_faults("kill@2;kill@?")
 
 
 class TestScheduling:
@@ -57,18 +61,6 @@ class TestScheduling:
         assert clause.matches(3, 1) and clause.matches(3, 2)
         assert not clause.matches(3, 3)
         assert not clause.matches(4, 1)
-
-    def test_question_mark_resolves_deterministically(self):
-        plan = parse_faults("kill@?;raise@?;seed=7")
-        resolved = plan.resolve(100)
-        points = [clause.point for clause in resolved.clauses]
-        assert all(p is not None and 0 <= p < 100 for p in points)
-        assert points == [clause.point
-                          for clause in parse_faults("kill@?;raise@?;seed=7")
-                          .resolve(100).clauses]
-        # A different seed picks different points.
-        other = parse_faults("kill@?;raise@?;seed=8").resolve(100)
-        assert points != [clause.point for clause in other.clauses]
 
     def test_worker_faults_excludes_corrupt(self):
         plan = parse_faults("kill@1;corrupt@1")
@@ -116,6 +108,7 @@ class TestRemoteKinds:
         {"kind": "kill", "point": "one"},
         {"kind": "kill", "point": 1, "count": 0},
         {"kind": "kill", "point": 1, "value": "fast"},
+        {"kind": "kill", "point": None},
     ])
     def test_damaged_shipped_clause_rejected(self, raw):
         with pytest.raises(ValueError):

@@ -40,13 +40,14 @@ class TestRoundTrip:
         restored = config_from_dict(config_to_dict(config))
         assert restored.queue == config.queue
 
-    def test_legacy_random_drop_flag_maps_to_registry(self):
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_legacy_random_drop_flag_rejected(self, flag):
         document = config_to_dict(paper.figure4())
         document.pop("queue")
-        document["random_drop"] = True
-        assert config_from_dict(document).queue == QueueSpec("randomdrop")
-        document["random_drop"] = False
-        assert config_from_dict(document).queue == QueueSpec("droptail")
+        document["random_drop"] = flag
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown scenario fields: \['random_drop'\]"):
+            config_from_dict(document)
 
     def test_queue_and_legacy_flag_together_rejected(self):
         document = config_to_dict(paper.figure4())
@@ -155,34 +156,26 @@ class TestAlgorithmRoundTrip:
 
 
 class TestLegacyKindDocuments:
-    """Documents written before the pluggable-algorithm architecture."""
+    """Documents written before the pluggable-algorithm architecture named
+    a flow's algorithm ``kind``; that key is now an unknown flow field."""
 
-    @pytest.mark.parametrize("kind,window", [
-        ("tahoe", None), ("reno", None), ("fixed", 25),
-    ])
-    def test_old_kind_values_still_deserialize(self, kind, window):
+    @pytest.mark.parametrize("kind", ["tahoe", "reno", "fixed"])
+    def test_old_kind_values_rejected(self, kind):
         flow = {"src": "host1", "dst": "host2", "kind": kind}
-        if window is not None:
-            flow["window"] = window
-        config = config_from_dict({"name": "legacy", "flows": [flow]})
-        assert config.flows[0].algorithm == kind
-        assert config.flows[0].window == window
-
-    def test_kind_equal_to_algorithm_tolerated(self):
-        config = config_from_dict({"name": "legacy", "flows": [
-            {"src": "host1", "dst": "host2",
-             "kind": "reno", "algorithm": "reno"}]})
-        assert config.flows[0].algorithm == "reno"
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown flow fields: \['kind'\]"):
+            config_from_dict({"name": "legacy", "flows": [flow]})
 
     def test_rewritten_legacy_document_round_trips(self):
         legacy = {"name": "legacy", "flows": [
             {"src": "host1", "dst": "host2", "kind": "fixed",
              "window": 30, "start_time": None}]}
+        with pytest.raises(ConfigurationError, match="kind"):
+            config_from_dict(legacy)
+        legacy["flows"][0]["algorithm"] = legacy["flows"][0].pop("kind")
         config = config_from_dict(legacy)
-        modern = config_to_dict(config)
-        assert "kind" not in modern["flows"][0]
-        assert modern["flows"][0]["algorithm"] == "fixed"
-        assert config_from_dict(modern) == config
+        assert config.flows[0].algorithm == "fixed"
+        assert config_from_dict(config_to_dict(config)) == config
 
 
 class TestMinimalDocuments:

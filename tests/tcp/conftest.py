@@ -44,7 +44,9 @@ def make_data(conn_id, seq):
 
 @pytest.fixture
 def sim():
-    return Simulator()
+    # Strict: every timer, pacer wake and start a unit test drives passes
+    # the sanitizer's ordering-field and finite-time checks.
+    return Simulator(strict=True)
 
 
 @pytest.fixture

@@ -112,13 +112,3 @@ class TestDelayedAck:
         for seq in range(6):
             receiver.deliver(make_data(1, seq))
         assert [p.ack for p in host.ack_packets] == [2, 4, 6]
-
-
-class TestObservers:
-    def test_receive_observer(self, sim, host):
-        receiver = make_receiver(sim, host)
-        seen = []
-        receiver.on_receive(lambda record: seen.append(record[1].seq))
-        receiver.deliver(make_data(1, 0))
-        receiver.deliver(make_data(1, 5))
-        assert seen == [0, 5]
