@@ -12,8 +12,8 @@ ACKs, the paper conjectures exactly two regimes:
 ``W1 == W2 + 2P`` is the boundary; the conjecture makes no claim there.
 
 :func:`predict` evaluates the criterion; :func:`check_prediction`
-compares it against a measured run (queue phase + per-direction
-utilizations).
+compares its utilization pattern against a measured run's per-direction
+utilizations.
 """
 
 from __future__ import annotations
@@ -71,45 +71,32 @@ class CheckResult:
     """Comparison of a conjecture prediction against a measured run."""
 
     prediction: ConjecturePrediction
-    measured_mode: SyncMode
     utilization_1: float
     utilization_2: float
-    mode_matches: bool
     utilization_matches: bool
-
-    @property
-    def holds(self) -> bool:
-        """True when both the mode and the utilization pattern match."""
-        return self.mode_matches and self.utilization_matches
 
 
 def check_prediction(
     prediction: ConjecturePrediction,
-    measured_mode: SyncMode,
     utilization_1: float,
     utilization_2: float,
     full_threshold: float = 0.99,
 ) -> CheckResult:
-    """Grade a measured run against the conjecture.
+    """Grade a measured run's utilization pattern against the conjecture.
 
     A line counts as "fully utilized" when its utilization exceeds
     ``full_threshold``.  Boundary predictions never fail (the conjecture
-    is silent there).
+    is silent there).  The queue phase is not graded: measured with
+    ``result.queue_sync()``, the predicted in-phase cases of the graded
+    grid classify out-of-phase (see ``docs/analysis_methods.md``).
     """
     full_lines = sum(
         1 for u in (utilization_1, utilization_2) if u >= full_threshold
     )
-    if prediction.boundary:
-        mode_ok = True
-        util_ok = True
-    else:
-        mode_ok = measured_mode == prediction.mode
-        util_ok = full_lines == prediction.fully_utilized_lines
     return CheckResult(
         prediction=prediction,
-        measured_mode=measured_mode,
         utilization_1=utilization_1,
         utilization_2=utilization_2,
-        mode_matches=mode_ok,
-        utilization_matches=util_ok,
+        utilization_matches=(prediction.boundary
+                             or full_lines == prediction.fully_utilized_lines),
     )

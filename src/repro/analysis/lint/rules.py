@@ -266,12 +266,11 @@ def check_unordered_iteration(ctx: LintContext) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 # RPR005 — sweep callables must be module-level (picklable)
 # ----------------------------------------------------------------------
-_SWEEP_ENTRYPOINTS = {"sweep", "utilization_sweep", "run_configs"}
+_SWEEP_ENTRYPOINTS = {"sweep", "run_configs"}
 # Argument slots that cross process boundaries under jobs > 1 (or cross
 # the worker-agent wire protocol, which re-imports by reference).
 _PICKLED_POSITIONS = {
     "sweep": (0, 2),            # make_config, extract
-    "utilization_sweep": (0,),  # make_config
     "run_configs": (1,),        # extract (configs are data, not callables)
     "extract_reference": (0,),  # extract, shipped by module+qualname
 }

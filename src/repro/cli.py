@@ -25,6 +25,11 @@
     repro lint src/                 # determinism static analysis
     repro lint --explain RPR002     # why a rule exists, how to suppress
 
+``run``, ``run-config`` and ``sweep`` share the counterfactual flags
+``--algorithm/--param`` and ``--queue/--queue-param``: each substitutes
+through :func:`repro.scenarios.substitute`, and a ``--param`` without
+``--algorithm`` (or ``--queue-param`` without ``--queue``) exits 2.
+
 Also usable as ``python -m repro ...``.
 """
 
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any
 
 from repro.errors import ReproError
 
@@ -109,14 +115,13 @@ def _add_queue_flags(parser: argparse.ArgumentParser) -> None:
                              "e.g. --queue-param max_p=0.05")
 
 
-def _parse_params(pairs: list[str] | None,
-                  algorithm: str | None,
-                  flag: str = "--param",
-                  owner: str = "--algorithm") -> dict[str, object]:
-    """``KEY=VALUE`` flag strings as a factory keyword dict."""
+def _parse_params(pairs: list[str] | None, owner_value: str | None,
+                  flag: str, owner: str) -> tuple[tuple[str, object], ...]:
+    """``KEY=VALUE`` flag strings as sorted ``(key, value)`` pairs — the
+    form a config stores, and a picklable one."""
     from repro.errors import ConfigurationError
 
-    if pairs and algorithm is None:
+    if pairs and owner_value is None:
         raise ConfigurationError(f"{flag} requires {owner}")
     params: dict[str, object] = {}
     for pair in pairs or ():
@@ -133,7 +138,20 @@ def _parse_params(pairs: list[str] | None,
             except ValueError:
                 value = raw
         params[key] = value
-    return params
+    return tuple(sorted(params.items()))
+
+
+def _substitution(args: argparse.Namespace) -> dict[str, Any]:
+    """The four counterfactual flags as :func:`repro.scenarios.substitute`
+    keywords — the one wiring ``run``, ``run-config`` and ``sweep`` share."""
+    return {
+        "algorithm": args.algorithm,
+        "params": _parse_params(args.params, args.algorithm,
+                                "--param", "--algorithm"),
+        "queue": args.queue,
+        "queue_params": _parse_params(args.queue_params, args.queue,
+                                      "--queue-param", "--queue"),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,23 +429,27 @@ def _cmd_disciplines() -> int:
     return 0
 
 
-def _cmd_run(exp_id: str, fast: bool, algorithm: str | None,
-             params: dict[str, object], queue: str | None,
-             queue_params: dict[str, object]) -> int:
-    import contextlib
-
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_experiment
+    from repro.scenarios import override
 
-    stack = contextlib.ExitStack()
-    if queue is not None:
-        from repro.scenarios.runner import queue_override
-
-        stack.enter_context(queue_override(queue, queue_params or None))
-    with stack:
-        report = run_experiment(exp_id, fast=fast, algorithm=algorithm,
-                                params=params or None)
+    with override(**_substitution(args)):
+        report = run_experiment(args.experiment, fast=args.fast)
     print(report.format())
     return 0 if report.passed else 1
+
+
+def _cmd_run_config(args: argparse.Namespace) -> int:
+    from repro.scenarios import load_config, override, run
+
+    with override(**_substitution(args)):
+        result = run(load_config(args.config))
+    print(result.summary())
+    if args.save_traces:
+        from repro.io import save_result
+
+        print(f"traces -> {save_result(result, args.save_traces)}")
+    return 0
 
 
 def _cmd_report(fast: bool, output: str | None) -> int:
@@ -575,19 +597,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                               base_duration=80.0, base_warmup=30.0)
             if args.fast else families.buffer_config)
         extract = families.utilization_extract
-    params = _parse_params(args.params, args.algorithm)
-    queue_params = _parse_params(args.queue_params, args.queue,
-                                 flag="--queue-param", owner="--queue")
-    if args.algorithm:
+    substitution = _substitution(args)
+    if args.algorithm or args.queue:
         # Still a module-level function under partial application, so
         # spawn workers can re-import it and the cache can fingerprint it.
         make_config = functools.partial(
-            families.substituted_config, make_config=make_config,
-            algorithm=args.algorithm, params=tuple(sorted(params.items())))
-    if args.queue:
-        make_config = functools.partial(
-            families.queued_config, make_config=make_config,
-            queue=args.queue, params=tuple(sorted(queue_params.items())))
+            families.substituted, make_config=make_config, **substitution)
 
     cache = None if args.no_cache else args.cache_dir or True  # runner's to open
     # Always allow_partial at the library level: the CLI wants the
@@ -839,12 +854,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "disciplines":
             return _cmd_disciplines()
         if args.command == "run":
-            return _cmd_run(args.experiment, args.fast, args.algorithm,
-                            _parse_params(args.params, args.algorithm),
-                            args.queue,
-                            _parse_params(args.queue_params, args.queue,
-                                          flag="--queue-param",
-                                          owner="--queue"))
+            return _cmd_run(args)
         if args.command == "report":
             return _cmd_report(args.fast, args.output)
         if args.command == "plot":
@@ -878,27 +888,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "lint":
             return _cmd_lint(args)
         if args.command == "run-config":
-            from repro.scenarios import load_config, run, substitute_algorithm
-
-            config = load_config(args.config)
-            if args.algorithm:
-                config = substitute_algorithm(
-                    config, args.algorithm,
-                    _parse_params(args.params, args.algorithm))
-            if args.queue:
-                from repro.scenarios import substitute_queue
-
-                config = substitute_queue(
-                    config, args.queue,
-                    _parse_params(args.queue_params, args.queue,
-                                  flag="--queue-param", owner="--queue"))
-            result = run(config)
-            print(result.summary())
-            if args.save_traces:
-                from repro.io import save_result
-
-                print(f"traces -> {save_result(result, args.save_traces)}")
-            return 0
+            return _cmd_run_config(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -8,6 +8,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.analysis.clustering import cluster_runs, clustering_stats
 from repro.analysis.synchronization import SyncMode
 from repro.experiments.report import ExperimentReport
@@ -223,54 +225,39 @@ def aimd_conjecture(duration: float = 300.0, warmup: float = 200.0) -> Experimen
     boundary — the ramp-up transient, not the paper's analysis, decides
     the cases that sit close to it.
     """
-    from repro.analysis.conjecture import check_prediction, predict
-    from repro.scenarios import families, run
+    from repro.experiments.fixed_window import conjecture_rows
+    from repro.scenarios import families
 
     report = ExperimentReport(
         exp_id="aimd_conjecture",
         title="Zero-ACK conjecture grid under AIMD(1, 0.5)",
         paper_ref="Sections 4.3.3 and 6 (wider class of algorithms)",
     )
-    cases = [
-        (30, 25, 0.01),   # W1 > W2 + 2P  (2P = 0.25)
-        (30, 5, 0.01),    # W1 > W2 + 2P
-        (30, 25, 1.0),    # W1 < W2 + 2P  (2P = 25)
-        (20, 18, 1.0),    # W1 < W2 + 2P
-        (40, 10, 1.0),    # W1 > W2 + 2P (margin 5 — closest to boundary)
-        (26, 25, 1.0),    # W1 < W2 + 2P
-    ]
-    matched = 0
-    far_matched, far_total = 0, 0
-    for w1, w2, tau in cases:
-        config = families.aimd_conjecture_config((w1, w2, tau),
-                                                 duration=duration,
-                                                 warmup=warmup)
-        result = run(config)
-        prediction = predict(w1, w2, config.pipe_size)
-        utils = result.utilizations()
-        u1, u2 = utils["sw1->sw2"], utils["sw2->sw1"]
-        check = check_prediction(prediction, prediction.mode, u1, u2)
-        margin = abs(w1 - (w2 + 2 * config.pipe_size))
+    make_config = partial(
+        families.substituted,
+        make_config=partial(families.conjecture_config,
+                            duration=duration, warmup=warmup),
+        algorithm="aimd", params={"a": 1.0, "b": 0.5})
+    matched, far_matched, far_total = 0, 0, 0
+    for label, paper_value, measured, matches, margin in conjecture_rows(make_config):
+        # Close to the boundary the additive ramp-up, not the paper's
+        # analysis, decides the phase: those rows are informational.
         far = margin > 2.0
-        matched += check.utilization_matches
+        matched += matches
         if far:
             far_total += 1
-            far_matched += check.utilization_matches
-        report.add(
-            f"AIMD W1={w1} W2={w2} 2P={2 * config.pipe_size:g}: "
-            f"{prediction.mode}",
-            f"{prediction.fully_utilized_lines} line(s) full",
-            f"utils ({u1:.0%}, {u2:.0%})",
-            check.utilization_matches if far else None,
-        )
+            far_matched += matches
+        report.add(f"AIMD {label}", paper_value, measured,
+                   matches if far else None)
     report.add("boundary survives away from W1 = W2 + 2P",
                f"{far_total}/{far_total} far cases match",
-               f"{far_matched}/{far_total} far, {matched}/{len(cases)} overall",
+               f"{far_matched}/{far_total} far, "
+               f"{matched}/{len(families.GRADED_CONJECTURE_CASES)} overall",
                far_matched == far_total)
     report.note(
         "same W1/W2/tau grid as the fixed-window conjecture sweep, with "
         "AIMD(1, 0.5) window caps substituted via "
-        "scenarios.substitute_algorithm; near-boundary rows are "
+        "scenarios.substitute; near-boundary rows are "
         "informational (the additive ramp-up perturbs the phase there)"
     )
     return report

@@ -7,12 +7,14 @@ chronology, and the zero-length-ACK synchronization conjecture.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, Iterator
+
 from repro.analysis.compression import compressed_ack_bursts
 from repro.analysis.conjecture import check_prediction, predict
 from repro.experiments.expectations import QUEUE_MAXIMA, UTILIZATION
 from repro.experiments.report import ExperimentReport
-from repro.scenarios import paper, run
-from repro.units import LARGE_PIPE_PROPAGATION, SMALL_PIPE_PROPAGATION
+from repro.scenarios import ScenarioConfig, families, paper, run
 
 __all__ = ["fig8", "fig9", "ack_compression", "conjecture_sweep"]
 
@@ -117,6 +119,31 @@ def ack_compression(duration: float = 600.0, warmup: float = 400.0) -> Experimen
     return report
 
 
+def conjecture_rows(
+    make_config: Callable[[tuple[int, int, float]], ScenarioConfig],
+) -> Iterator[tuple[str, str, str, bool, float]]:
+    """Run every graded conjecture case through ``make_config``.
+
+    Yields one ``(label, paper, measured, matches, margin)`` row per
+    case of :data:`~repro.scenarios.families.GRADED_CONJECTURE_CASES`.
+    The grade is the utilization pattern, the conjecture's observable:
+    out-of-phase <=> exactly one line full.  ``margin`` is the case's
+    distance |W1 - (W2 + 2P)| from the boundary, in packets.
+    """
+    for case in families.GRADED_CONJECTURE_CASES:
+        w1, w2, _ = case
+        config = make_config(case)
+        utils = run(config).utilizations()
+        u1, u2 = utils["sw1->sw2"], utils["sw2->sw1"]
+        prediction = predict(w1, w2, config.pipe_size)
+        yield (f"W1={w1} W2={w2} 2P={2 * config.pipe_size:g}: "
+               f"{prediction.mode}",
+               f"{prediction.fully_utilized_lines} line(s) full",
+               f"utils ({u1:.0%}, {u2:.0%})",
+               check_prediction(prediction, u1, u2).utilization_matches,
+               abs(w1 - (w2 + 2 * config.pipe_size)))
+
+
 def conjecture_sweep(duration: float = 300.0, warmup: float = 200.0) -> ExperimentReport:
     """Section 4.3.3: the zero-length-ACK two-regime conjecture."""
     report = ExperimentReport(
@@ -124,28 +151,8 @@ def conjecture_sweep(duration: float = 300.0, warmup: float = 200.0) -> Experime
         title="Zero-ACK fixed-window synchronization conjecture",
         paper_ref="Section 4.3.3",
     )
-    cases = [
-        (30, 25, SMALL_PIPE_PROPAGATION),  # W1 > W2 + 2P  (2P = 0.25)
-        (30, 5, SMALL_PIPE_PROPAGATION),   # W1 > W2 + 2P
-        (30, 25, LARGE_PIPE_PROPAGATION),  # W1 < W2 + 2P  (2P = 25)
-        (20, 18, LARGE_PIPE_PROPAGATION),  # W1 < W2 + 2P
-        (40, 10, LARGE_PIPE_PROPAGATION),  # W1 > W2 + 2P
-        (26, 25, LARGE_PIPE_PROPAGATION),  # W1 < W2 + 2P
-    ]
-    for w1, w2, tau in cases:
-        config = paper.zero_ack_fixed_window(w1, w2, tau,
-                                             duration=duration, warmup=warmup)
-        result = run(config)
-        prediction = predict(w1, w2, config.pipe_size)
-        utils = result.utilizations()
-        u1, u2 = utils["sw1->sw2"], utils["sw2->sw1"]
-        # Grade on the utilization pattern, the conjecture's observable:
-        # out-of-phase <=> exactly one line full.
-        check = check_prediction(prediction, prediction.mode, u1, u2)
-        label = (f"W1={w1} W2={w2} 2P={2 * config.pipe_size:g}: "
-                 f"{prediction.mode}")
-        report.add(label,
-                   f"{prediction.fully_utilized_lines} line(s) full",
-                   f"utils ({u1:.0%}, {u2:.0%})",
-                   check.utilization_matches)
+    make_config = partial(families.conjecture_config,
+                          duration=duration, warmup=warmup)
+    for label, paper_value, measured, matches, _ in conjecture_rows(make_config):
+        report.add(label, paper_value, measured, matches)
     return report

@@ -9,7 +9,7 @@ for the full durations and may occasionally differ in fast mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.experiments import extensions, fixed_window, one_way, population, two_way
@@ -159,32 +159,21 @@ def experiment_ids() -> list[str]:
     return list(REGISTRY)
 
 
-def run_experiment(
-    exp_id: str,
-    fast: bool = False,
-    algorithm: str | None = None,
-    params: Mapping[str, object] | None = None,
-) -> ExperimentReport:
+def run_experiment(exp_id: str, fast: bool = False) -> ExperimentReport:
     """Run one experiment by id.
 
-    ``algorithm`` (a congestion-control registry name, with optional
-    factory ``params``) re-runs the experiment's scenarios under a
-    different window algorithm via
-    :func:`~repro.scenarios.runner.algorithm_override` — the expected
-    values still describe the original algorithm, so treat the verdicts
-    as a comparison, not a reproduction.
+    To re-run an experiment's scenarios under another window algorithm
+    or queue discipline, call this inside
+    :func:`~repro.scenarios.runner.override` — the expected values still
+    describe the original scenario, so treat the verdicts as a
+    comparison, not a reproduction.
     """
     if exp_id not in REGISTRY:
         raise ConfigurationError(
             f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY)}"
         )
     experiment = REGISTRY[exp_id]
-    if algorithm is None:
-        return experiment.fast() if fast else experiment.full()
-    from repro.scenarios.runner import algorithm_override
-
-    with algorithm_override(algorithm, params):
-        return experiment.fast() if fast else experiment.full()
+    return experiment.fast() if fast else experiment.full()
 
 
 def run_all(fast: bool = False) -> list[ExperimentReport]:

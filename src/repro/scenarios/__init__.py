@@ -7,41 +7,32 @@ from repro.scenarios.config import (
     QueueSpec,
     ScenarioConfig,
     TopologyKind,
-    substitute_algorithm,
-    substitute_queue,
+    substitute,
 )
-from repro.scenarios.runner import (
-    ScenarioResult,
-    algorithm_override,
-    queue_override,
-    run,
-)
+from repro.scenarios.runner import ScenarioResult, override, run
 from repro.scenarios.serialize import (
     config_from_dict,
     config_to_dict,
     load_config,
     save_config,
 )
-from repro.scenarios.sweeps import SweepPoint, sweep, utilization_sweep
+from repro.scenarios.sweeps import SweepPoint, sweep
 
 __all__ = [
     "ScenarioConfig",
     "FlowSpec",
     "QueueSpec",
     "TopologyKind",
-    "substitute_algorithm",
-    "substitute_queue",
+    "substitute",
     "BuiltScenario",
     "build",
     "run",
-    "algorithm_override",
-    "queue_override",
+    "override",
     "ScenarioResult",
     "paper",
     "families",
     "SweepPoint",
     "sweep",
-    "utilization_sweep",
     "config_to_dict",
     "config_from_dict",
     "save_config",

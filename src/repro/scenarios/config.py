@@ -33,7 +33,7 @@ from repro.units import (
 )
 
 __all__ = ["FlowSpec", "QueueSpec", "TopologyKind", "ScenarioConfig",
-           "substitute_algorithm", "substitute_queue"]
+           "substitute"]
 
 #: Algorithm parameters as passed by callers: a mapping, or the
 #: normalized sorted tuple-of-pairs form the frozen dataclass stores.
@@ -233,42 +233,40 @@ class ScenarioConfig:
         return replace(self, **changes)
 
 
-def substitute_algorithm(
+def substitute(
     config: ScenarioConfig,
-    algorithm: str,
+    *,
+    algorithm: str | None = None,
     params: FlowParams | None = None,
-    name: str | None = None,
+    queue: str | None = None,
+    queue_params: FlowParams | None = None,
 ) -> ScenarioConfig:
-    """``config`` with every flow switched to ``algorithm``.
+    """``config`` under another window algorithm and/or queue discipline.
 
-    A pure transform for counterfactual runs ("the same scenario under
-    AIMD"): every other per-flow field survives — so a fixed-window
-    grid keeps its W1/W2 as window caps and an RTT-spread population
-    its ``access_propagation`` — while the old algorithm and its
-    parameters are replaced wholesale.  The scenario
-    is renamed (``<name>+<algorithm>`` by default) so caches and
-    manifests cannot confuse the substituted run with the original.
+    The one transform behind every counterfactual run ("the same
+    scenario under AIMD / through RED").  ``algorithm`` replaces every
+    flow's algorithm and parameters wholesale while every other per-flow
+    field survives — a fixed-window grid keeps its W1/W2 as window caps,
+    an RTT-spread population its ``access_propagation``.  ``queue``
+    replaces the bottleneck discipline.  The algorithm is applied first,
+    and the scenario is renamed ``<name>+<algorithm>+<queue>`` (each
+    part only when substituted) so caches and manifests cannot confuse
+    the substituted run with the original.
     """
-    flows = tuple(
-        replace(flow, algorithm=algorithm,
-                params=() if params is None else params)
-        for flow in config.flows
-    )
-    return replace(config, flows=flows, name=name or f"{config.name}+{algorithm}")
-
-
-def substitute_queue(
-    config: ScenarioConfig,
-    queue: str,
-    params: FlowParams | None = None,
-    name: str | None = None,
-) -> ScenarioConfig:
-    """``config`` with the bottleneck discipline switched to ``queue``.
-
-    The queue-side twin of :func:`substitute_algorithm`: a pure
-    transform for counterfactual runs ("the same scenario through RED").
-    The scenario is renamed (``<name>+<queue>`` by default) so caches
-    and manifests cannot confuse the substituted run with the original.
-    """
-    spec = QueueSpec(name=queue, params=() if params is None else params)
-    return replace(config, queue=spec, name=name or f"{config.name}+{queue}")
+    if params and algorithm is None:
+        raise ConfigurationError("algorithm params given without an algorithm")
+    if queue_params and queue is None:
+        raise ConfigurationError("queue params given without a queue")
+    name, flows, spec = config.name, config.flows, config.queue
+    if algorithm is not None:
+        flows = tuple(
+            replace(flow, algorithm=algorithm,
+                    params=() if params is None else params)
+            for flow in flows
+        )
+        name += f"+{algorithm}"
+    if queue is not None:
+        spec = QueueSpec(name=queue,
+                         params=() if queue_params is None else queue_params)
+        name += f"+{queue}"
+    return replace(config, name=name, flows=flows, queue=spec)

@@ -18,8 +18,7 @@ from repro.scenarios.config import (
     FlowParams,
     FlowSpec,
     ScenarioConfig,
-    substitute_algorithm,
-    substitute_queue,
+    substitute,
 )
 from repro.scenarios.runner import ScenarioResult
 from repro.units import (
@@ -30,16 +29,15 @@ from repro.units import (
 
 __all__ = [
     "CONJECTURE_CASES",
+    "GRADED_CONJECTURE_CASES",
     "BUFFER_SIZES",
     "PHASE_CASES",
-    "aimd_conjecture_config",
     "buffer_config",
     "buffer_duration",
     "conjecture_config",
     "manyflow_config",
     "phase_grid",
-    "queued_config",
-    "substituted_config",
+    "substituted",
     "utilization_extract",
     "timeouts_extract",
     "sync_extract",
@@ -68,6 +66,12 @@ CONJECTURE_CASES: tuple[tuple[int, int, float], ...] = (
     (55, 5, LARGE_PIPE_PROPAGATION),
     (32, 28, LARGE_PIPE_PROPAGATION),
 )
+
+#: The six cases the ``conjecture`` and ``aimd_conjecture`` experiments
+#: grade: the small pipe's two out-of-phase cases and four large-pipe
+#: cases on both sides of the boundary.
+GRADED_CONJECTURE_CASES: tuple[tuple[int, int, float], ...] = tuple(
+    CONJECTURE_CASES[i] for i in (0, 1, 6, 7, 8, 9))
 
 #: The Section 4.3.1 buffer grid showing flat two-way utilization.
 BUFFER_SIZES: tuple[int, ...] = (20, 60, 120)
@@ -177,53 +181,26 @@ def manyflow_config(case: tuple[int, int, float],
     )
 
 
-def substituted_config(
+def substituted(
     value: object,
     make_config: Callable[..., ScenarioConfig],
-    algorithm: str,
+    *,
+    algorithm: str | None = None,
     params: FlowParams = (),
+    queue: str | None = None,
+    queue_params: FlowParams = (),
 ) -> ScenarioConfig:
-    """Any family's config with every flow switched to ``algorithm``.
+    """Any family's config passed through :func:`substitute`.
 
     Module-level (and so picklable/fingerprintable) wrapper: partial-
-    apply ``make_config``/``algorithm``/``params`` and hand the result
-    to a sweep as its config factory.  ``params`` should be the sorted
-    tuple-of-pairs form so equal parameter sets fingerprint equally.
+    apply ``make_config`` and the substitution and hand the result to a
+    sweep as its config factory.  Parameters should be the sorted
+    tuple-of-pairs form so equal parameter sets fingerprint equally; the
+    renamed scenario partitions the result cache away from the
+    original's entries.
     """
-    return substitute_algorithm(make_config(value), algorithm, dict(params))
-
-
-def queued_config(
-    value: object,
-    make_config: Callable[..., ScenarioConfig],
-    queue: str,
-    params: FlowParams = (),
-) -> ScenarioConfig:
-    """Any family's config with the bottleneck switched to ``queue``.
-
-    The discipline-side twin of :func:`substituted_config`, behind
-    ``repro sweep --queue``: module-level and so picklable for parallel
-    workers; the renamed scenario partitions the result cache away from
-    the original discipline's entries.
-    """
-    return substitute_queue(make_config(value), queue, dict(params))
-
-
-def aimd_conjecture_config(case: tuple[int, int, float],
-                           duration: float = 300.0,
-                           warmup: float = 200.0,
-                           a: float = 1.0,
-                           b: float = 0.5) -> ScenarioConfig:
-    """A conjecture-grid case re-run under ``AIMD(a, b)``.
-
-    The fixed windows W1/W2 survive as per-flow AIMD caps, so with
-    infinite buffers (no losses) each connection converges to its cap
-    and the W1 vs W2 + 2P regime prediction stays comparable.
-    """
-    return substitute_algorithm(
-        conjecture_config(case, duration=duration, warmup=warmup),
-        "aimd", {"a": a, "b": b},
-    )
+    return substitute(make_config(value), algorithm=algorithm, params=params,
+                      queue=queue, queue_params=queue_params)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.analysis.clustering import cluster_runs, clustering_stats
 from repro.analysis.compression import compression_stats
@@ -24,12 +24,7 @@ from repro.metrics.timeseries import StepSeries
 from repro.metrics.trace import TraceSet
 from repro.net.topology import Network
 from repro.scenarios.builder import BuiltScenario, build
-from repro.scenarios.config import (
-    FlowParams,
-    ScenarioConfig,
-    substitute_algorithm,
-    substitute_queue,
-)
+from repro.scenarios.config import FlowParams, ScenarioConfig, substitute
 from repro.tcp.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,61 +32,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import MetricsRegistry
     from repro.obs.tracer import Tracer
 
-__all__ = ["ScenarioResult", "algorithm_override", "queue_override", "run"]
+__all__ = ["ScenarioResult", "override", "run"]
 
-#: Process-local stack of (algorithm, params) forced onto every
-#: :func:`run` — see :func:`algorithm_override`.
-_OVERRIDES: list[tuple[str, FlowParams | None]] = []
-
-#: Process-local stack of (discipline, params) forced onto every
-#: :func:`run` — see :func:`queue_override`.
-_QUEUE_OVERRIDES: list[tuple[str, FlowParams | None]] = []
+#: Process-local stack of :func:`substitute` keywords forced onto every
+#: :func:`run` — see :func:`override`.
+_OVERRIDES: list[dict[str, Any]] = []
 
 
 @contextmanager
-def algorithm_override(algorithm: str,
-                       params: FlowParams | None = None) -> Iterator[None]:
-    """Force every :func:`run` in this ``with`` block onto ``algorithm``.
+def override(
+    *,
+    algorithm: str | None = None,
+    params: FlowParams | None = None,
+    queue: str | None = None,
+    queue_params: FlowParams | None = None,
+) -> Iterator[None]:
+    """Pass every :func:`run` in this ``with`` block through
+    :func:`~repro.scenarios.config.substitute` with these keywords.
 
-    The counterfactual lever behind ``repro run EXP --algorithm``:
+    The counterfactual lever behind ``repro run EXP --algorithm/--queue``:
     experiment code keeps building its usual configs, and each one is
-    passed through :func:`substitute_algorithm` at run time.  The
-    override is process-local state, so parallel sweep workers are not
-    affected — sweeps substitute their config factories instead.
+    substituted at run time.  An ``algorithm`` (with its ``params``) or
+    a ``queue`` (with its ``queue_params``) left ``None`` inherits from
+    the enclosing override.  The override is process-local state, so
+    parallel sweep workers are not affected — sweeps wrap their config
+    factories in :func:`repro.scenarios.families.substituted` instead.
     """
-    _OVERRIDES.append((algorithm, params))
+    entry = dict(_OVERRIDES[-1]) if _OVERRIDES else {}
+    if algorithm is not None or params:
+        entry.update(algorithm=algorithm, params=params)
+    if queue is not None or queue_params:
+        entry.update(queue=queue, queue_params=queue_params)
+    _OVERRIDES.append(entry)
     try:
         yield
     finally:
         _OVERRIDES.pop()
-
-
-@contextmanager
-def queue_override(queue: str,
-                   params: FlowParams | None = None) -> Iterator[None]:
-    """Force every :func:`run` in this ``with`` block onto ``queue``.
-
-    The discipline-side twin of :func:`algorithm_override`, behind
-    ``repro run EXP --queue``: each config is passed through
-    :func:`substitute_queue` at run time.  Process-local, so parallel
-    sweep workers are not affected — sweeps substitute their config
-    factories instead (:func:`repro.scenarios.families.queued_config`).
-    """
-    _QUEUE_OVERRIDES.append((queue, params))
-    try:
-        yield
-    finally:
-        _QUEUE_OVERRIDES.pop()
-
-
-def _apply_override(config: ScenarioConfig) -> ScenarioConfig:
-    if _OVERRIDES:
-        algorithm, params = _OVERRIDES[-1]
-        config = substitute_algorithm(config, algorithm, params)
-    if _QUEUE_OVERRIDES:
-        queue, params = _QUEUE_OVERRIDES[-1]
-        config = substitute_queue(config, queue, params)
-    return config
 
 
 @dataclass
@@ -284,7 +260,8 @@ def run(
     :mod:`repro.parallel`, which imports this runner), so a top-level
     import would be circular.
     """
-    config = _apply_override(config)
+    if _OVERRIDES:
+        config = substitute(config, **_OVERRIDES[-1])
     built: BuiltScenario = build(config)
     tracer = None
     if trace is not None and trace is not False:

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.scenarios.config import ScenarioConfig
-from repro.scenarios.families import utilization_extract
 from repro.scenarios.runner import ScenarioResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel.runner import PointProgress
     from repro.resilience.policy import ResilienceConfig
 
-__all__ = ["SweepPoint", "sweep", "utilization_sweep"]
+__all__ = ["SweepPoint", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -117,23 +116,3 @@ def sweep(
                       on_progress=on_progress, manifest_dir=manifest,
                       telemetry=telemetry)
 
-
-def utilization_sweep(
-    make_config: Callable[[object], ScenarioConfig],
-    values: Iterable[object],
-    *,
-    jobs: int = 1,
-    cache: object = None,
-    on_point: Callable[[SweepPoint], None] | None = None,
-    on_progress: "Callable[[PointProgress], None] | None" = None,
-    manifest: str | Path | None = None,
-    resilience: "ResilienceConfig | bool | None" = None,
-    telemetry: "SweepTelemetry | None" = None,
-    backend: object = None,
-) -> list[SweepPoint]:
-    """A sweep whose measurements are the per-direction utilizations."""
-    return sweep(make_config, values, utilization_extract,
-                 jobs=jobs, cache=cache, on_point=on_point,
-                 on_progress=on_progress, manifest=manifest,
-                 resilience=resilience, telemetry=telemetry,
-                 backend=backend)

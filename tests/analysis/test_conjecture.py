@@ -44,41 +44,27 @@ class TestPredict:
 class TestCheckPrediction:
     def test_out_of_phase_match(self):
         pred = predict(30, 5, pipe=0.125)
-        result = check_prediction(pred, SyncMode.OUT_OF_PHASE, 1.0, 0.4)
-        assert result.holds
+        assert check_prediction(pred, 1.0, 0.4).utilization_matches
 
     def test_out_of_phase_utilization_mismatch(self):
         pred = predict(30, 5, pipe=0.125)
-        result = check_prediction(pred, SyncMode.OUT_OF_PHASE, 0.9, 0.4)
-        assert result.mode_matches
-        assert not result.utilization_matches
-        assert not result.holds
+        assert not check_prediction(pred, 0.9, 0.4).utilization_matches
 
     def test_in_phase_match(self):
         pred = predict(30, 25, pipe=12.5)
-        result = check_prediction(pred, SyncMode.IN_PHASE, 0.8, 0.7)
-        assert result.holds
+        assert check_prediction(pred, 0.8, 0.7).utilization_matches
 
     def test_in_phase_fails_if_a_line_is_full(self):
         pred = predict(30, 25, pipe=12.5)
-        result = check_prediction(pred, SyncMode.IN_PHASE, 1.0, 0.7)
-        assert not result.holds
-
-    def test_mode_mismatch(self):
-        pred = predict(30, 5, pipe=0.125)
-        result = check_prediction(pred, SyncMode.IN_PHASE, 1.0, 0.4)
-        assert not result.mode_matches
+        assert not check_prediction(pred, 1.0, 0.7).utilization_matches
 
     def test_boundary_never_fails(self):
         pred = predict(30, 20, pipe=5.0)
-        result = check_prediction(pred, SyncMode.IN_PHASE, 1.0, 1.0)
-        assert result.holds
+        assert check_prediction(pred, 1.0, 1.0).utilization_matches
 
     def test_full_threshold(self):
         pred = predict(30, 5, pipe=0.125)
-        strict = check_prediction(pred, SyncMode.OUT_OF_PHASE, 0.985, 0.4,
-                                  full_threshold=0.99)
-        loose = check_prediction(pred, SyncMode.OUT_OF_PHASE, 0.985, 0.4,
-                                 full_threshold=0.98)
+        strict = check_prediction(pred, 0.985, 0.4, full_threshold=0.99)
+        loose = check_prediction(pred, 0.985, 0.4, full_threshold=0.98)
         assert not strict.utilization_matches
         assert loose.utilization_matches

@@ -28,7 +28,7 @@ def test_exactly_one_regime_or_boundary(w1, w2, pipe):
 
 
 @given(windows, windows, pipes)
-def test_mode_matches_inequality(w1, w2, pipe):
+def test_prediction_follows_inequality(w1, w2, pipe):
     prediction = predict(w1, w2, pipe)
     hi, lo = max(w1, w2), min(w1, w2)
     if hi > lo + 2 * pipe:

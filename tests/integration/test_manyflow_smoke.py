@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.synchronization import SyncMode
 from repro.experiments.parity import fingerprint_hash
 from repro.scenarios import run
-from repro.scenarios.families import manyflow_config, queued_config, sync_extract
+from repro.scenarios.families import manyflow_config, substituted, sync_extract
 
 #: ``sync_extract`` of three phase-grid points at this module's
 #: durations, as float hex, recorded on the parent of the one-classifier
@@ -44,12 +44,12 @@ PINNED_SYNC_EXTRACT = {
 
 
 def _config():
-    return queued_config(
+    return substituted(
         (16, 40, 0.5),
         make_config=lambda case: manyflow_config(
             case, duration=80.0, warmup=30.0),
         queue="red",
-        params=(("max_p", 0.05), ("min_th", 4.0), ("max_th", 12.0)),
+        queue_params=(("max_p", 0.05), ("min_th", 4.0), ("max_th", 12.0)),
     )
 
 

@@ -6,12 +6,12 @@ from repro.scenarios import (
     FlowSpec,
     ScenarioConfig,
     TopologyKind,
-    algorithm_override,
     build,
+    override,
     paper,
     run,
 )
-from repro.scenarios.families import substituted_config
+from repro.scenarios.families import substituted
 from repro.tcp import AimdControl, FixedWindowControl, TahoeControl
 
 
@@ -150,7 +150,7 @@ class TestRun:
 
 class TestAlgorithmOverride:
     def test_override_swaps_every_flow(self):
-        with algorithm_override("aimd", {"a": 1.0, "b": 0.5}):
+        with override(algorithm="aimd", params={"a": 1.0, "b": 0.5}):
             result = run(_small_two_way())
         for conn in result.connections:
             assert isinstance(conn.sender.control, AimdControl)
@@ -158,29 +158,44 @@ class TestAlgorithmOverride:
         assert result.config.name.endswith("+aimd")
 
     def test_override_is_scoped(self):
-        with algorithm_override("aimd"):
+        with override(algorithm="aimd"):
             pass
         result = run(_small_two_way())
         assert result.config.algorithms == ("tahoe",)
 
     def test_overridden_run_differs_from_baseline(self):
         baseline = run(_small_two_way(duration=80.0))
-        with algorithm_override("aimd", {"a": 1.0, "b": 0.5}):
+        with override(algorithm="aimd", params={"a": 1.0, "b": 0.5}):
             substituted = run(_small_two_way(duration=80.0))
         # AIMD skips slow start, so the event sequence must diverge.
         assert substituted.events_processed != baseline.events_processed
 
-    def test_substituted_config_family(self):
+    def test_nested_overrides_compose(self):
+        with override(algorithm="aimd", params={"a": 1.0, "b": 0.5}):
+            with override(queue="red", queue_params={"max_p": 0.05}):
+                both = run(_small_two_way(duration=20.0, warmup=5.0))
+            with override(algorithm="reno"):
+                inner = run(_small_two_way(duration=20.0, warmup=5.0))
+        assert both.config.name == "small+aimd+red"
+        assert both.config.queue.params == (("max_p", 0.05),)
+        assert all(flow.params == (("a", 1.0), ("b", 0.5))
+                   for flow in both.config.flows)
+        # An inner algorithm replaces the outer one and its params whole.
+        assert inner.config.name == "small+reno"
+        assert all(flow.params == () for flow in inner.config.flows)
+
+    def test_substituted_family(self):
         def make(value):
             return _small_two_way(duration=float(value))
 
-        config = substituted_config(
+        config = substituted(
             60, make_config=make, algorithm="aimd",
             params=(("a", 2.0), ("b", 0.25)))
         assert config.duration == 60.0
         assert config.algorithms == ("aimd",)
         assert all(flow.params == (("a", 2.0), ("b", 0.25))
                    for flow in config.flows)
+        assert substituted(60, make_config=make, queue="red").name == "small+red"
 
 
 class TestPaperFactories:

@@ -9,7 +9,7 @@ from repro.scenarios import (
     FlowSpec,
     ScenarioConfig,
     TopologyKind,
-    substitute_algorithm,
+    substitute,
 )
 from repro.tcp import TcpOptions
 
@@ -80,7 +80,7 @@ class TestFlowSpec:
 class TestSubstituteAlgorithm:
     def test_replaces_every_flow_and_renames(self):
         config = _config(flows=(_flow(), _flow(src="host2", dst="host1")))
-        swapped = substitute_algorithm(config, "aimd", {"a": 1.0, "b": 0.5})
+        swapped = substitute(config, algorithm="aimd", params={"a": 1.0, "b": 0.5})
         assert swapped.name == "test+aimd"
         assert swapped.algorithms == ("aimd",)
         assert all(f.params == (("a", 1.0), ("b", 0.5)) for f in swapped.flows)
@@ -88,7 +88,7 @@ class TestSubstituteAlgorithm:
     def test_keeps_window_and_start_time(self):
         config = _config(flows=(
             _flow(algorithm="fixed", window=30, start_time=None),))
-        swapped = substitute_algorithm(config, "aimd")
+        swapped = substitute(config, algorithm="aimd")
         assert swapped.flows[0].window == 30
         assert swapped.flows[0].start_time is None
 
@@ -97,7 +97,7 @@ class TestSubstituteAlgorithm:
         # substitution forgot shows as a reset to that default.
         flow = _flow(src="host2", dst="host1", algorithm="fixed", window=30,
                      start_time=None, access_propagation=0.0002)
-        swapped = substitute_algorithm(_config(flows=(flow,)), "aimd").flows[0]
+        swapped = substitute(_config(flows=(flow,)), algorithm="aimd").flows[0]
         kept = [f for f in dataclasses.fields(FlowSpec)
                 if f.name not in ("algorithm", "params")]
         assert kept
@@ -107,8 +107,24 @@ class TestSubstituteAlgorithm:
 
     def test_original_untouched(self):
         config = _config()
-        substitute_algorithm(config, "reno")
+        substitute(config, algorithm="reno")
         assert config.flows[0].algorithm == "tahoe"
+
+    def test_queue_then_both_rename_in_order(self):
+        config = _config()
+        red = substitute(config, queue="red", queue_params={"max_p": 0.05})
+        assert red.name == "test+red"
+        assert red.queue.params == (("max_p", 0.05),)
+        assert red.flows == config.flows
+        both = substitute(config, algorithm="aimd", queue="red")
+        assert both.name == "test+aimd+red"
+        assert both.algorithms == ("aimd",) and both.queue.name == "red"
+
+    def test_params_without_their_owner_rejected(self):
+        with pytest.raises(ConfigurationError):
+            substitute(_config(), params={"a": 1.0})
+        with pytest.raises(ConfigurationError):
+            substitute(_config(), queue_params={"max_p": 0.05})
 
     def test_algorithms_property(self):
         config = _config(flows=(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios import paper, sweep, utilization_sweep
+from repro.scenarios import families, paper, sweep
 
 
 class TestSweep:
@@ -34,13 +34,12 @@ class TestSweep:
         )
         assert seen == points
 
-
-class TestUtilizationSweep:
-    def test_measurements_are_per_direction(self):
-        points = utilization_sweep(
+    def test_utilization_extract_is_per_direction(self):
+        points = sweep(
             lambda buffers: paper.figure4(buffer_packets=buffers,
                                           duration=40.0, warmup=10.0),
             [10, 20],
+            families.utilization_extract,
         )
         assert len(points) == 2
         for point in points:
