@@ -50,7 +50,7 @@ __all__ = [
 #:     references and re-import on remote agents, so lambdas, nested
 #:     definitions and closure-factory results are flagged there too.
 #: v8: RPR005 and RPR011 extended to the queue-discipline registry:
-#:     `register_discipline(name, queue_class)` arguments get the same
+#:     `register_discipline` arguments get the same
 #:     module-level requirement, and registered queue classes are checked
 #:     against the DropTailQueue interface (base chain, `offer`/`take`
 #:     arity, `__slots__` on every chain class).
@@ -63,7 +63,10 @@ __all__ = [
 #:     on every planted mutation of an Event's ordering fields and every
 #:     non-finite timestamp.  RPR008 names only hook attributes that exist.
 #:     `--format json` removed.
-LINT_RULESET_VERSION = 11
+#: v12: RPR005 sees one registry signature, `(name, factory)`, for both
+#:     register functions; the discipline keyword it used to recognise is
+#:     gone from the API and from the rule.
+LINT_RULESET_VERSION = 12
 
 CheckFunction = Callable[["LintContext"], Iterator["Violation"]]
 

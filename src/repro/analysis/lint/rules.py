@@ -282,11 +282,10 @@ _PICKLED_KEYWORDS = {"make_config", "extract"}
 _PROTOCOL_ENTRYPOINTS = {"extract_reference"}
 # Algorithm factories and queue-discipline classes resolve by *name* in
 # re-importing worker processes, so they need the same module-level
-# discipline as pickled callables.
+# discipline as pickled callables.  Both take ``(name, factory)``.
 _REGISTRY_ENTRYPOINTS = {"register_algorithm", "register_discipline"}
-_REGISTRY_POSITIONS = {"register_algorithm": (1,),  # factory
-                       "register_discipline": (1,)}  # queue_class
-_REGISTRY_KEYWORDS = {"factory", "queue_class"}
+_REGISTRY_POSITIONS = (1,)
+_REGISTRY_KEYWORDS = {"factory"}
 
 
 def _nested_definition_names(tree: ast.Module) -> set[str]:
@@ -326,7 +325,7 @@ callback `on_point` runs in the parent and is exempt.  `functools.partial`
 over a module-level function is fine and is not flagged.
 
 The same discipline applies to `register_algorithm(name, factory)` and
-`register_discipline(name, queue_class)`: only the *name* crosses the
+`register_discipline(name, factory)`: only the *name* crosses the
 process boundary, and workers re-import modules to rebuild both
 registries.  A lambda, nested function, or class defined inside a
 function registered as a factory or discipline exists only in the
@@ -358,7 +357,7 @@ def check_sweep_callables(ctx: LintContext) -> Iterator[Violation]:
             what = ("worker agents re-importing it over the wire protocol "
                     "cannot resolve it")
         elif name in _REGISTRY_ENTRYPOINTS:
-            positions = _REGISTRY_POSITIONS[name]
+            positions = _REGISTRY_POSITIONS
             keywords = _REGISTRY_KEYWORDS
             what = "worker processes re-importing the registry cannot see it"
         else:

@@ -37,9 +37,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.registry import Registry
 
 __all__ = ["main", "build_parser"]
 
@@ -412,20 +415,10 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_algorithms() -> int:
-    from repro.tcp import algorithm_factory, algorithm_names
-
-    for name in algorithm_names():
-        print(f"{name:12}  {algorithm_factory(name).__name__}")
-    return 0
-
-
-def _cmd_disciplines() -> int:
-    from repro.net.disciplines import create_queue, discipline_names
-
-    for name in discipline_names():
-        kind = type(create_queue(name, "probe", 16)).__name__
-        print(f"{name:12}  {kind}")
+def _cmd_registry(registry: Registry[Any]) -> int:
+    """``repro algorithms`` / ``repro disciplines``: name and factory."""
+    for name in registry.names():
+        print(f"{name:12}  {registry.factory(name).__name__}")
     return 0
 
 
@@ -850,9 +843,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "list":
             return _cmd_list()
         if args.command == "algorithms":
-            return _cmd_algorithms()
+            from repro.tcp.congestion import ALGORITHMS
+
+            return _cmd_registry(ALGORITHMS)
         if args.command == "disciplines":
-            return _cmd_disciplines()
+            from repro.net.disciplines import DISCIPLINES
+
+            return _cmd_registry(DISCIPLINES)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "report":

@@ -3,7 +3,6 @@
 from repro.net.disciplines import (
     create_queue,
     discipline_names,
-    is_registered,
     register_discipline,
     validate_params,
 )
@@ -39,5 +38,4 @@ __all__ = [
     "create_queue",
     "validate_params",
     "discipline_names",
-    "is_registered",
 ]

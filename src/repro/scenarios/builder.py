@@ -13,8 +13,10 @@ from repro.engine.rng import SimRandom
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.metrics.trace import TraceSet
+from repro.net.disciplines import create_queue
 from repro.net.packet import reset_packet_uids
-from repro.net.topology import Network, build_chain, build_dumbbell
+from repro.net.queues import DropTailQueue
+from repro.net.topology import Network, QueueFactory, build_chain, build_dumbbell
 from repro.scenarios.config import ScenarioConfig, TopologyKind
 from repro.tcp.connection import Connection, make_connection
 
@@ -34,21 +36,14 @@ class BuiltScenario:
     """Names of the watched switch-to-switch ports, e.g. ``"sw1->sw2"``."""
 
 
-def _queue_factory(config: ScenarioConfig, sim: Simulator):
-    if config.queue.name == "droptail" and not config.queue.params:
-        # Plain drop-tail keeps queue_factory=None so OutputPort builds
-        # its own internal queue — the historical (and parity-pinned)
-        # fast path, byte-for-byte.
-        return None
-    from repro.net.disciplines import create_queue
-
-    # One seeded stream shared by both bottleneck directions, forked off
-    # the scenario seed — the same derivation the legacy random_drop
-    # flag used, so those runs stay bit-identical.
+def _queue_factory(config: ScenarioConfig, sim: Simulator) -> QueueFactory:
+    """Every bottleneck queue, drop-tail included, from the registry."""
+    # One seeded stream shared by all bottleneck queues, forked off the
+    # scenario seed; drop-tail never draws from it.
     rng = SimRandom(config.seed).fork(0xD0D0)
     spec = config.queue
 
-    def factory(name: str, capacity: int | None):
+    def factory(name: str, capacity: int | None) -> DropTailQueue:
         return create_queue(spec.name, name, capacity, spec.params,
                             rng=rng, strict=sim.strict)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.net.disciplines import validate_params as validate_queue_params
-from repro.tcp.congestion.registry import create_control
+from repro.tcp.congestion import create_control
 from repro.tcp.options import TcpOptions
 from repro.units import (
     ACCESS_BANDWIDTH,
@@ -38,6 +38,16 @@ __all__ = ["FlowSpec", "QueueSpec", "TopologyKind", "ScenarioConfig",
 #: Algorithm parameters as passed by callers: a mapping, or the
 #: normalized sorted tuple-of-pairs form the frozen dataclass stores.
 FlowParams = Mapping[str, object] | tuple[tuple[str, object], ...]
+
+
+def _normalize_params(params: FlowParams) -> tuple[tuple[str, object], ...]:
+    """Sorted tuple-of-pairs: hashable, order-independent, frozen."""
+    items = dict(params).items()
+    for key, _ in items:
+        if not isinstance(key, str):
+            raise ConfigurationError(
+                f"parameter names must be strings, got {key!r}")
+    return tuple(sorted(items))
 
 
 class TopologyKind(enum.Enum):
@@ -63,7 +73,7 @@ class QueueSpec:
     params: FlowParams = ()
 
     def __post_init__(self) -> None:
-        normalized = FlowSpec._normalize_params(self.params)
+        normalized = _normalize_params(self.params)
         object.__setattr__(self, "params", normalized)
         # Eagerly build (and discard) a probe queue so a bad discipline
         # name or parameter set fails at config time, not mid-build.
@@ -104,7 +114,7 @@ class FlowSpec:
             raise ConfigurationError(
                 f"access propagation override must be positive, "
                 f"got {self.access_propagation}")
-        normalized = self._normalize_params(self.params)
+        normalized = _normalize_params(self.params)
         object.__setattr__(self, "params", normalized)
         if self.window is not None and "window" in dict(normalized):
             raise ConfigurationError(
@@ -118,16 +128,6 @@ class FlowSpec:
         # Eagerly build (and discard) the strategy so a bad algorithm
         # name or parameter set fails at config time, not mid-build.
         create_control(self.algorithm, self.effective_params())
-
-    @staticmethod
-    def _normalize_params(params: FlowParams) -> tuple[tuple[str, object], ...]:
-        """Sorted tuple-of-pairs: hashable, order-independent, frozen."""
-        items = dict(params).items()
-        for key, _ in items:
-            if not isinstance(key, str):
-                raise ConfigurationError(
-                    f"algorithm parameter names must be strings, got {key!r}")
-        return tuple(sorted(items))
 
     def effective_params(self) -> dict[str, object]:
         """The full factory keyword set, with the ``window`` sugar folded in."""

@@ -15,10 +15,8 @@ from repro.tcp.congestion import (
     PacedControl,
     RenoControl,
     TahoeControl,
-    algorithm_factory,
     algorithm_names,
     create_control,
-    is_registered,
     register_algorithm,
 )
 from repro.tcp.connection import Connection, make_connection
@@ -43,6 +41,4 @@ __all__ = [
     "register_algorithm",
     "create_control",
     "algorithm_names",
-    "algorithm_factory",
-    "is_registered",
 ]

@@ -20,9 +20,9 @@ from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.packet import PacketKind
 from repro.net.topology import Network
+from repro.tcp.congestion import create_control
 from repro.tcp.congestion.base import CongestionControl
 from repro.tcp.congestion.fixed import FixedWindowControl
-from repro.tcp.congestion.registry import create_control
 from repro.tcp.options import TcpOptions
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import Sender

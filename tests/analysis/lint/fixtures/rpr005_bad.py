@@ -22,4 +22,4 @@ def install_queues(register_discipline, base_queue):
         pass
 
     register_discipline("local", LocalQueue)
-    register_discipline("inline", queue_class=lambda name, cap: base_queue(name, cap))
+    register_discipline("inline", factory=lambda name, cap: base_queue(name, cap))

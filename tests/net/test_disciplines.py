@@ -12,70 +12,41 @@ from repro.net import (
     RedQueue,
     create_queue,
     discipline_names,
-    is_registered,
-    register_discipline,
     validate_params,
 )
-from repro.net.disciplines import _DISCIPLINES
+from repro.net.disciplines import DISCIPLINES
 
 
 def _packet(seq, conn=1):
     return Packet(conn_id=conn, kind=PacketKind.DATA, seq=seq, size=500)
 
 
-class NotAQueue:
-    """Deliberately not a DropTailQueue subclass (rejection fixture)."""
-
-
 class TunedRed(RedQueue):
-    """A conforming subclass for the replace=True round-trip test."""
+    """A conforming subclass to swap in for ``red``."""
 
     __slots__ = ()
 
 
 class TestRegistry:
+    """The built-ins; the rules both registries share are in
+    ``tests/test_registry.py``."""
+
     def test_builtins_registered(self):
         assert discipline_names() == ["droptail", "randomdrop", "red"]
-        assert is_registered("red")
-        assert not is_registered("codel")
 
     def test_create_queue_builds_the_registered_class(self):
         assert type(create_queue("droptail", "q", 8)) is DropTailQueue
         assert type(create_queue("randomdrop", "q", 8)) is RandomDropQueue
         assert type(create_queue("red", "q", 8)) is RedQueue
 
-    def test_create_queue_unknown_name(self):
-        with pytest.raises(ConfigurationError, match="unknown queue discipline"):
-            create_queue("codel", "q", 8)
-
-    def test_create_queue_bad_params(self):
-        with pytest.raises(ConfigurationError):
-            create_queue("red", "q", 8, (("max_p", 7.0),))
-        with pytest.raises(ConfigurationError):
-            create_queue("droptail", "q", 8, (("nonsense", 1),))
-
     def test_validate_params_eagerly_rejects(self):
         validate_params("red", (("max_p", 0.5),))
         with pytest.raises(ConfigurationError):
             validate_params("red", (("min_th", 20.0), ("max_th", 10.0)))
 
-    def test_register_rejects_duplicates_and_bad_names(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_discipline("red", RedQueue)
-        with pytest.raises(ConfigurationError, match="lowercase"):
-            register_discipline("Fancy-Queue", RedQueue)
-
-    def test_register_rejects_non_queue_classes(self):
-        with pytest.raises(ConfigurationError, match="DropTailQueue"):
-            register_discipline("notaqueue", NotAQueue)
-
-    def test_register_replace_swaps_entry(self):
-        original = _DISCIPLINES["red"]
-        try:
-            register_discipline("red", TunedRed, replace=True)
-            assert type(create_queue("red", "q", 8)) is TunedRed
-        finally:
-            register_discipline("red", original, replace=True)
+    def test_swapped_entry_resolves(self, monkeypatch):
+        monkeypatch.setitem(DISCIPLINES._factories, "red", TunedRed)
+        assert type(create_queue("red", "q", 8)) is TunedRed
 
 
 class TestRedQueue:
