@@ -5,8 +5,9 @@ The paper reports single simulations.  Our runs are deterministic given
 a seed (which only jitters connection start times), so we can ask the
 modern question: do the headline claims hold across seeds?
 
-This example replicates the Figures 4-5 configuration over several
-seeds, reports mean ± 95% CI for the key metrics, saves one run's
+This example sweeps the Figures 4-5 configuration over several seeds
+(the seed is just another sweep axis), reports mean ± 95% CI for the
+key metrics, saves one run's
 traces to JSON for later re-analysis, and renders the bimodal ACK
 inter-arrival histogram that is ACK-compression's fingerprint.
 
@@ -14,28 +15,31 @@ Run:
     python examples/seed_robustness.py
 """
 
-from repro.analysis import drops_per_epoch
-from repro.experiments.replication import replicate
+from functools import partial
+
+from repro.analysis import drops_per_epoch, summarize
 from repro.io import load_result, save_result
-from repro.scenarios import paper, run
+from repro.scenarios import families, paper, run, sweep
 from repro.viz import ack_gap_histogram
 
 SEEDS = range(1, 7)
 
 
+def headline(result):
+    """The Figures 4-5 headline numbers of one run."""
+    return {
+        "utilization": result.utilization("sw1->sw2"),
+        "drops_per_epoch": drops_per_epoch(result.epochs()),
+        "queue_correlation": result.queue_sync().correlation,
+        "compression_factor": result.ack_compression(1).compression_factor,
+    }
+
+
 def main() -> None:
     print(f"replicating figure 4 across seeds {list(SEEDS)}...")
-    summaries = replicate(
-        lambda seed: paper.figure4(duration=350.0, warmup=150.0
-                                   ).with_updates(seed=seed),
-        seeds=SEEDS,
-        extract=lambda result: {
-            "utilization": result.utilization("sw1->sw2"),
-            "drops_per_epoch": drops_per_epoch(result.epochs()),
-            "queue_correlation": result.queue_sync().correlation,
-            "compression_factor": result.ack_compression(1).compression_factor,
-        },
-    )
+    base = paper.figure4(duration=350.0, warmup=150.0)
+    points = sweep(partial(families.seeded, config=base), SEEDS, headline)
+    summaries = summarize([point.measurements for point in points])
     print()
     print("metric                      paper      replicated (95% CI)")
     print("-" * 62)

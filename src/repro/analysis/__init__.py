@@ -50,7 +50,12 @@ from repro.analysis.oscillation import (
     plateau_heights,
     rapid_fluctuation_amplitude,
 )
-from repro.analysis.stats import BatchStats, batch_means, utilization_batches
+from repro.analysis.stats import (
+    BatchStats,
+    batch_means,
+    summarize,
+    utilization_batches,
+)
 from repro.analysis.synchronization import (
     SyncMode,
     SyncVerdict,
@@ -97,6 +102,7 @@ __all__ = [
     "transitions_are_complementary",
     "BatchStats",
     "batch_means",
+    "summarize",
     "utilization_batches",
     "GrowthFit",
     "sqrt_growth_fit",

@@ -9,7 +9,7 @@ from repro.scenarios.config import (
     TopologyKind,
     substitute,
 )
-from repro.scenarios.runner import ScenarioResult, override, run
+from repro.scenarios.runner import ScenarioResult, run
 from repro.scenarios.serialize import (
     config_from_dict,
     config_to_dict,
@@ -27,7 +27,6 @@ __all__ = [
     "BuiltScenario",
     "build",
     "run",
-    "override",
     "ScenarioResult",
     "paper",
     "families",

@@ -37,6 +37,7 @@ __all__ = [
     "conjecture_config",
     "manyflow_config",
     "phase_grid",
+    "seeded",
     "substituted",
     "utilization_extract",
     "timeouts_extract",
@@ -179,6 +180,16 @@ def manyflow_config(case: tuple[int, int, float],
         duration=duration,
         warmup=warmup,
     )
+
+
+def seeded(seed: int, config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` under another start-time seed: the seed axis.
+
+    ``sweep(partial(seeded, config=config), seeds, extract)`` replicates
+    one scenario; :func:`repro.analysis.stats.summarize` turns the points
+    into a mean and a 95% interval per metric.
+    """
+    return config.with_updates(seed=seed)
 
 
 def substituted(

@@ -92,20 +92,20 @@ class TestExtensionExperiments:
 
 
 class TestPopulationExperiments:
-    def test_meanfield_figure_renders_the_experiments_rows(self, tmp_path,
-                                                           monkeypatch):
+    def test_meanfield_figure_renders_the_experiments_rows(self, tmp_path):
         """The figure is drawn from the rows the experiment measured:
-        one run per N between them, and the same numbers in both."""
+        one run per N between them, shared through the result cache, and
+        the same numbers in both."""
+        from repro.parallel import ResultCache
+
         short = dict(duration=60.0, warmup=20.0, ns=(2, 4))
-        runs = []
-        run = population.run
-        monkeypatch.setattr(population, "run",
-                            lambda config: runs.append(config.name) or run(config))
-        report = population.red_meanfield(**short)
+        cache = ResultCache(tmp_path / "cache")
+        report = population.red_meanfield(cache=cache, **short)
         _check_report(report, "red_meanfield")
-        assert len(runs) == 2
-        figure = population.write_meanfield_figure(tmp_path / "fig.txt", **short)
-        assert len(runs) == 2
+        assert cache.misses == 2
+        figure = population.write_meanfield_figure(tmp_path / "fig.txt",
+                                                   cache=cache, **short)
+        assert (cache.hits, cache.misses) == (2, 2)
         table = [line.split() for line in figure.read_text().splitlines()[4:6]]
         for row, (n, measured, predicted, *_) in zip(report.rows, table):
             assert row.metric.startswith(f"N={n}:")

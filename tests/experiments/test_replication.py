@@ -1,10 +1,27 @@
-"""Unit tests for repro.experiments.replication."""
+"""Replication over seeds: a sweep whose values are seeds, summarized
+by batch means (``repro.analysis.stats``)."""
+
+from functools import partial
 
 import pytest
 
+from repro.analysis.stats import batch_means, summarize, t_critical_95
 from repro.errors import AnalysisError, ConfigurationError
-from repro.experiments.replication import MetricSummary, replicate, t_critical_95
-from repro.scenarios import paper
+from repro.scenarios import families, paper, sweep
+
+
+def replicate(base, seeds, extract):
+    """``base`` once per seed through the sweep runner, summarized."""
+    points = sweep(partial(families.seeded, config=base), seeds, extract)
+    return summarize([point.measurements for point in points])
+
+
+def nothing(result):
+    return {}
+
+
+def not_a_config(seed):
+    return 42
 
 
 class TestTCritical:
@@ -22,38 +39,24 @@ class TestTCritical:
 
 
 class TestSummaryMath:
-    def _summary(self, values):
-        from repro.experiments.replication import _summarize
-
-        return _summarize("m", list(values))
-
     def test_mean_and_std(self):
-        summary = self._summary([1.0, 2.0, 3.0])
+        summary = batch_means([1.0, 2.0, 3.0])
         assert summary.mean == 2.0
         assert summary.std == pytest.approx(1.0)
         assert summary.n == 3
 
     def test_ci_uses_t(self):
-        summary = self._summary([1.0, 2.0, 3.0])
+        summary = batch_means([1.0, 2.0, 3.0])
         expected = t_critical_95(2) * 1.0 / (3 ** 0.5)
         assert summary.ci_half_width == pytest.approx(expected)
-        assert summary.contains(2.0)
-        assert not summary.contains(10.0)
-
-    def test_single_value_infinite_ci(self):
-        summary = self._summary([5.0])
-        assert summary.ci_half_width == float("inf")
-        assert summary.contains(99.0)
-
-    def test_str(self):
-        assert "±" in str(self._summary([1.0, 2.0]))
+        assert summary.ci_low <= 2.0 <= summary.ci_high
+        assert not summary.ci_low <= 10.0 <= summary.ci_high
 
 
 class TestReplicate:
     def test_across_seeds(self):
         summaries = replicate(
-            lambda seed: paper.two_way(0.01, duration=60.0, warmup=20.0
-                                       ).with_updates(seed=seed),
+            paper.two_way(0.01, duration=60.0, warmup=20.0),
             seeds=range(1, 4),
             extract=lambda result: {
                 "util": result.utilization("sw1->sw2"),
@@ -72,8 +75,7 @@ class TestReplicate:
         from repro.analysis import drops_per_epoch
 
         summaries = replicate(
-            lambda seed: paper.figure4(duration=350.0, warmup=150.0
-                                       ).with_updates(seed=seed),
+            paper.figure4(duration=350.0, warmup=150.0),
             seeds=range(1, 6),
             extract=lambda result: {
                 "utilization": result.utilization("sw1->sw2"),
@@ -85,31 +87,21 @@ class TestReplicate:
         drops = summaries["drops_per_epoch"]
         # Paper: ~70% utilization, 2 drops per congestion epoch.
         assert 0.60 <= util.ci_low and util.ci_high <= 0.85
-        assert drops.contains(2.0) or abs(drops.mean - 2.0) < 0.7
+        assert drops.ci_low <= 2.0 <= drops.ci_high or abs(drops.mean - 2.0) < 0.7
         # Out-of-phase at every seed, not on average only.
-        assert all(v < -0.2 for v in summaries["queue_correlation"].values)
+        assert all(v < -0.2 for v in summaries["queue_correlation"].batches)
 
     def test_no_seeds_rejected(self):
+        with pytest.raises(ConfigurationError):
+            sweep(partial(families.seeded, config=paper.figure4()), [],
+                  nothing)
         with pytest.raises(AnalysisError):
-            replicate(lambda s: paper.figure4(), seeds=[], extract=lambda r: {})
+            summarize([])
 
     def test_non_config_rejected(self):
         with pytest.raises(ConfigurationError):
-            replicate(lambda s: 42, seeds=[1], extract=lambda r: {})
+            sweep(not_a_config, [1], nothing)
 
     def test_metric_consistency_enforced(self):
-        calls = []
-
-        def flaky_extract(result):
-            calls.append(1)
-            if len(calls) == 1:
-                return {"a": 1.0}
-            return {"b": 1.0}
-
         with pytest.raises(AnalysisError):
-            replicate(
-                lambda seed: paper.two_way(0.01, duration=30.0, warmup=10.0
-                                           ).with_updates(seed=seed),
-                seeds=[1, 2],
-                extract=flaky_extract,
-            )
+            summarize([{"a": 1.0}, {"b": 1.0}])

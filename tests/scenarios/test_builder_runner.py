@@ -7,7 +7,6 @@ from repro.scenarios import (
     ScenarioConfig,
     TopologyKind,
     build,
-    override,
     paper,
     run,
 )
@@ -149,40 +148,7 @@ class TestRun:
 
 
 class TestAlgorithmOverride:
-    def test_override_swaps_every_flow(self):
-        with override(algorithm="aimd", params={"a": 1.0, "b": 0.5}):
-            result = run(_small_two_way())
-        for conn in result.connections:
-            assert isinstance(conn.sender.control, AimdControl)
-        assert result.config.algorithms == ("aimd",)
-        assert result.config.name.endswith("+aimd")
-
-    def test_override_is_scoped(self):
-        with override(algorithm="aimd"):
-            pass
-        result = run(_small_two_way())
-        assert result.config.algorithms == ("tahoe",)
-
-    def test_overridden_run_differs_from_baseline(self):
-        baseline = run(_small_two_way(duration=80.0))
-        with override(algorithm="aimd", params={"a": 1.0, "b": 0.5}):
-            substituted = run(_small_two_way(duration=80.0))
-        # AIMD skips slow start, so the event sequence must diverge.
-        assert substituted.events_processed != baseline.events_processed
-
-    def test_nested_overrides_compose(self):
-        with override(algorithm="aimd", params={"a": 1.0, "b": 0.5}):
-            with override(queue="red", queue_params={"max_p": 0.05}):
-                both = run(_small_two_way(duration=20.0, warmup=5.0))
-            with override(algorithm="reno"):
-                inner = run(_small_two_way(duration=20.0, warmup=5.0))
-        assert both.config.name == "small+aimd+red"
-        assert both.config.queue.params == (("max_p", 0.05),)
-        assert all(flow.params == (("a", 1.0), ("b", 0.5))
-                   for flow in both.config.flows)
-        # An inner algorithm replaces the outer one and its params whole.
-        assert inner.config.name == "small+reno"
-        assert all(flow.params == () for flow in inner.config.flows)
+    """Counterfactuals are configs passed through ``substitute``."""
 
     def test_substituted_family(self):
         def make(value):
