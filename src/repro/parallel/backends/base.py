@@ -35,8 +35,9 @@ class BackendRequest:
     """Point indices still to execute, in input order."""
     configs: Sequence[ScenarioConfig]
     """All sweep configs; index into this with a pending index."""
-    extract: Callable
-    """Measurement extractor applied to each ScenarioResult."""
+    extracts: Sequence[Callable]
+    """Each config's measurement extractor, applied to its ScenarioResult
+    (one per config, like ``configs``)."""
     jobs: int
     """Worker budget, already clamped to ``len(pending)`` by the runner."""
     ledger: Any

@@ -224,7 +224,8 @@ class _Coordinator:
                 return
             self.queue.remove(task)
             job = (index, attempt, request.configs[index],
-                   request.fault_plan.agent_faults(index, attempt))
+                   request.fault_plan.agent_faults(index, attempt),
+                   request.extracts[index])
             if not self.slots:
                 self._run_here(job)
                 continue
@@ -259,8 +260,7 @@ class _Coordinator:
         name = multiprocessing.current_process().name
         request.ledger.started(index, attempt, name)
         begin = monotonic()
-        outcome, body, cause = _attempt(*job, request.extract,
-                                        request.metered)
+        outcome, body, cause = _attempt(*job, request.metered)
         self._settle(index, attempt, name, outcome, body,
                      monotonic() - begin, cause)
 

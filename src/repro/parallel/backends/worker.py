@@ -65,7 +65,7 @@ def default_agent_command() -> list[str]:
 class _Agent(Transport):
     """One fleet member: a spawned ``proc`` (stdio) or a connected ``sock``,
     its messages arriving on the raw descriptor ``fd``.  ``terms`` are the
-    lease fields every point shares (extract reference, metered, heartbeat)."""
+    lease fields every point shares (metered, heartbeat)."""
 
     ready = False
 
@@ -84,11 +84,12 @@ class _Agent(Transport):
         self.writer.flush()
 
     def send(self, lease_id: str, task: tuple) -> None:
-        index, attempt, config, faults = task
+        index, attempt, config, faults, extract = task
         self._write({
             "t": "lease", "lease_id": lease_id, "index": index,
             "attempt": attempt, "config": config_to_dict(config),
-            "faults": [clause.to_dict() for clause in faults], **self.terms})
+            "faults": [clause.to_dict() for clause in faults],
+            "extract": extract_reference(extract), **self.terms})
 
     def messages(self) -> list[tuple]:
         try:
@@ -254,8 +255,9 @@ class WorkerBackend(SweepBackend):
             raise BackendUnavailable(
                 "the worker backend always runs supervised; the runner must "
                 "provide a resilience policy")
-        terms = {"extract": extract_reference(request.extract),
-                 "metered": request.metered, "heartbeat": self.heartbeat}
+        for extract in {id(e): e for e in request.extracts}.values():
+            extract_reference(extract)  # refuse a lambda before any agent starts
+        terms = {"metered": request.metered, "heartbeat": self.heartbeat}
         fleet = len(self.connect) or self.workers or max(1, request.jobs)
         respawns = (self.max_respawns if self.max_respawns is not None
                     else 2 * fleet)

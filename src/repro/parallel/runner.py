@@ -104,8 +104,9 @@ class _Ledger:
     process only: a ledger never crosses to a worker.
     """
 
-    def __init__(self, configs: Sequence[ScenarioConfig], extract: Callable,
-                 backend: str, policy: ResilienceConfig | None, cache,
+    def __init__(self, configs: Sequence[ScenarioConfig],
+                 extracts: Sequence[Callable], backend: str,
+                 policy: ResilienceConfig | None, cache,
                  on_point, on_progress, manifest_dir, telemetry) -> None:
         self.configs = configs
         self.policy = policy
@@ -119,13 +120,17 @@ class _Ledger:
         self.fault_plan = active_plan()
         self.histories: dict[int, list[AttemptRecord]] = {}
         self._warned_unreachable = False
-        # Identify every point once, up front: one extractor fingerprint
-        # per sweep, one serialisation per config (a plain sweep: none).
+        # Identify every point once, up front: one fingerprint per
+        # distinct extractor, one serialisation per config (a plain
+        # sweep: none).
         self.identities: list[PointIdentity] = []
         if cache is not None or policy is not None or manifest_dir is not None:
-            fingerprint = _extractor_fingerprint(extract)
-            self.identities = [PointIdentity.of(config, fingerprint)
-                               for config in configs]
+            distinct = {id(extract): extract for extract in extracts}
+            fingerprints = {key: _extractor_fingerprint(extract)
+                            for key, extract in distinct.items()}
+            self.identities = [
+                PointIdentity.of(config, fingerprints[id(extract)])
+                for config, extract in zip(configs, extracts)]
         journal = policy.journal if policy is not None else None
         self._owns_journal = (journal is not None
                               and not isinstance(journal, SweepJournal))
@@ -370,13 +375,19 @@ class ParallelSweepRunner:
     def run_configs(
         self,
         configs: Sequence[ScenarioConfig],
-        extract: Callable[[ScenarioResult], dict],
+        extract: Callable[[ScenarioResult], dict]
+        | Sequence[Callable[[ScenarioResult], dict]],
         on_point: Callable[[int, dict], None] | None = None,
         on_progress: Callable[[PointProgress], None] | None = None,
         manifest_dir: str | Path | None = None,
         telemetry=None,
     ) -> list[dict]:
         """Measurements for each config, in input order.
+
+        ``extract`` measures every finished run, or is a sequence of
+        extractors, one per config — how one sweep carries the points of
+        several experiments.  Each point's cache key folds in its own
+        extractor's fingerprint.
 
         The sweep's :class:`_Ledger` settles every point once, from the
         first source that has it.  ``on_point(index, measurements)``
@@ -412,6 +423,11 @@ class ParallelSweepRunner:
         for config in configs:
             if not isinstance(config, ScenarioConfig):
                 raise ConfigurationError("make_config must return a ScenarioConfig")
+        extracts = ([extract] * len(configs) if callable(extract)
+                    else list(extract))
+        if len(extracts) != len(configs):
+            raise ConfigurationError(
+                f"{len(extracts)} extractors for {len(configs)} configs")
 
         backend = resolve_backend(self.backend)
         policy = self.resilience
@@ -419,7 +435,7 @@ class ParallelSweepRunner:
             # Distributed execution is pointless without supervision:
             # leases, retries and the report all hang off the policy.
             policy = ResilienceConfig()
-        ledger = _Ledger(configs, extract, backend.name, policy,
+        ledger = _Ledger(configs, extracts, backend.name, policy,
                          self.cache, on_point, on_progress, manifest_dir,
                          telemetry)
         report = ledger.report
@@ -429,7 +445,7 @@ class ParallelSweepRunner:
             for source in ("journal", "cache"):
                 pending = ledger.replay(pending, source)
             request = BackendRequest(
-                pending=pending, configs=configs, extract=extract,
+                pending=pending, configs=configs, extracts=extracts,
                 jobs=min(self.jobs, len(pending)), ledger=ledger,
                 policy=policy, fault_plan=ledger.fault_plan,
                 metered=telemetry is not None)

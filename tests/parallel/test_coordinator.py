@@ -141,7 +141,7 @@ class Stage:
         self.report = ResilienceReport(points=points)
         self.request = BackendRequest(
             pending=list(range(points)), configs=[None] * points,
-            extract=None, jobs=2, ledger=self,
+            extracts=[None] * points, jobs=2, ledger=self,
             policy=policy or ResilienceConfig(),
             fault_plan=parse_faults(faults))
         monkeypatch.setattr(coordinator, "monotonic", lambda: self.now)

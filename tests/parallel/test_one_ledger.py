@@ -72,7 +72,7 @@ def test_backends_never_touch_the_report():
 
 def test_the_backend_contract_is_eight_fields_and_no_callback_protocols():
     assert [field.name for field in dataclasses.fields(BackendRequest)] == [
-        "pending", "configs", "extract", "jobs", "ledger", "policy",
+        "pending", "configs", "extracts", "jobs", "ledger", "policy",
         "fault_plan", "metered"]
     base = [PARALLEL / "backends" / "base.py"]
     assert not any(_named(parent, "Protocol")

@@ -171,6 +171,32 @@ class TestCacheIntegration:
         assert [p.value for p in points] == CASES[:2]
 
 
+class TestPerConfigExtractors:
+    """One sweep with one extractor per config — how ``repro report``
+    runs every experiment's points through one pool."""
+
+    EXTRACTS = [families.utilization_extract, families.timeouts_extract]
+
+    def test_each_point_is_measured_and_keyed_by_its_own_extractor(
+            self, tmp_path):
+        configs = [make_config(case) for case in CASES[:2]]
+        cache = ResultCache(tmp_path)
+        mixed = ParallelSweepRunner(jobs=2, cache=cache).run_configs(
+            configs, self.EXTRACTS)
+        assert mixed == [ParallelSweepRunner().run_configs([config], extract)[0]
+                         for config, extract in zip(configs, self.EXTRACTS)]
+        warm = ResultCache(tmp_path)
+        ParallelSweepRunner(cache=warm).run_configs(configs, self.EXTRACTS)
+        ParallelSweepRunner(cache=warm).run_configs(
+            configs[1:], families.utilization_extract)
+        assert (warm.hits, warm.misses) == (2, 1)
+
+    def test_one_extractor_per_config(self):
+        with pytest.raises(ConfigurationError, match="2 extractors for 1 configs"):
+            ParallelSweepRunner().run_configs([make_config(CASES[0])],
+                                              self.EXTRACTS)
+
+
 class TestProgressCallback:
     def test_on_point_sees_every_point(self):
         seen = []

@@ -75,6 +75,14 @@ class TestFaultFree:
         assert runner.run_configs(CONFIGS, extract) == baseline
         assert runner.last_report.backend == "worker"
 
+    def test_per_config_extractors_cross_the_wire(self, baseline):
+        runner = ParallelSweepRunner(
+            jobs=1, backend=WorkerBackend(workers=1, lease_ttl=30.0))
+        results = runner.run_configs(
+            CONFIGS, [extract, families.timeouts_extract, extract])
+        assert [results[0], results[2]] == [baseline[0], baseline[2]]
+        assert set(results[1]) == {"timeouts"}
+
     def test_lambda_extract_rejected_before_spawning(self):
         runner = ParallelSweepRunner(backend=WorkerBackend(workers=1))
         with pytest.raises(ConfigurationError, match="lambda"):
