@@ -89,7 +89,7 @@ def validate_params(discipline: str,
     ``ScenarioConfig`` construction, not mid-run).
     """
     create_queue(discipline, f"{discipline}:probe", _PROBE_CAPACITY,
-                 params, rng=SimRandom(0), strict=False)
+                 params, strict=False)
 
 
 def discipline_names() -> list[str]:

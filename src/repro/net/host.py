@@ -19,6 +19,7 @@ from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
+from repro.net.port import OutputPort
 
 __all__ = ["Host", "PacketSink"]
 
@@ -54,6 +55,15 @@ class Host(Node):
         # (posted: processing, once begun, is never revoked).
         self._post = sim.post
         self._deliver = self._deliver_local
+        # Destination -> output port, resolved through port_toward on the
+        # first send there: one dict lookup per packet, whatever kind of
+        # table the host routes by.
+        self._route_ports: dict[str, OutputPort] = {}
+
+    def add_route(self, destination: str, via: str) -> None:
+        """Route packets for ``destination`` via ``via`` from now on."""
+        super().add_route(destination, via)
+        self._route_ports.pop(destination, None)
 
     # ------------------------------------------------------------------
     # Endpoint registry
@@ -110,7 +120,8 @@ class Host(Node):
         packet.dst = destination
         self._sent += 1
         try:
-            port = self.ports[self.routes[destination]]
+            port = self._route_ports[destination]
         except KeyError:
-            port = self.port_toward(destination)  # raises: no route
+            # Raises on no route, and then memoises nothing.
+            port = self._route_ports[destination] = self.port_toward(destination)
         return port.send(packet)

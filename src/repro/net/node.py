@@ -2,11 +2,16 @@
 
 A node owns a set of :class:`~repro.net.port.OutputPort` objects, one per
 attached simplex link, keyed by the neighbor's name, and a static routing
-table mapping destination host names to neighbor names.  Packet motion is
+table mapping destination host names to neighbor names.  A node with a
+single port reads its table through a view shared with the other nodes
+on the same neighbor (:class:`~repro.net.routing.SingleHopRoutes`);
+:meth:`Node.add_route` is the one way to change a table.  Packet motion is
 push-based: a link calls :meth:`Node.handle_packet` when a packet arrives.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
@@ -23,7 +28,7 @@ class Node:
         self.sim = sim
         self.name = name
         self.ports: dict[str, OutputPort] = {}
-        self.routes: dict[str, str] = {}
+        self.routes: Mapping[str, str] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -40,14 +45,19 @@ class Node:
             raise ConfigurationError(
                 f"{self.name}: route to {destination} via unknown neighbor {via}"
             )
-        self.routes[destination] = via
+        routes = self.routes
+        if not isinstance(routes, dict):
+            # A shared single-hop view is read-only: write to a copy of
+            # it that is this node's alone.
+            routes = self.routes = dict(routes)
+        routes[destination] = via
 
     def port_toward(self, destination: str) -> OutputPort:
         """The output port used for packets addressed to ``destination``.
 
-        The per-packet paths (:meth:`Switch.handle_packet`,
-        :meth:`Host.send`) do this lookup inline and come here only to
-        raise the no-route error.
+        :meth:`Switch.handle_packet` does this lookup inline and comes
+        here only to raise the no-route error; :meth:`Host.send` comes
+        here once per destination and keeps the port.
         """
         via = self.routes.get(destination)
         if via is None:

@@ -39,8 +39,9 @@ class DropTailQueue:
         it has left the buffer).  ``None`` means unbounded.
     rng:
         Seeded random stream for disciplines whose overflow/marking rule
-        is randomized (Random Drop, RED).  Accepted — and ignored — by
-        pure drop-tail so every discipline registered with
+        is randomized (Random Drop, RED), which keep it.  Accepted — and
+        dropped — by pure drop-tail, which never draws, so every
+        discipline registered with
         :func:`~repro.net.disciplines.register_discipline` shares one
         constructor shape ``cls(name, capacity, rng=..., strict=...,
         **params)``.
@@ -53,7 +54,7 @@ class DropTailQueue:
     """
 
     __slots__ = (
-        "name", "capacity", "strict", "_rng", "_packets",
+        "name", "capacity", "strict", "_packets",
         "_drops", "_enqueues", "_dequeues", "_evictions",
         "_sinks", "_drop_sinks", "_fan",
         "_arrival_counter", "_stamps",
@@ -66,7 +67,6 @@ class DropTailQueue:
             raise ValueError(f"queue capacity must be >= 1 or None, got {capacity}")
         self.name = name
         self.capacity = capacity
-        self._rng = rng if rng is not None else SimRandom(0)
         self.strict = sanitize_enabled() if strict is None else bool(strict)
         self._packets: deque[Packet] = deque()
         self._drops = 0

@@ -26,12 +26,13 @@ __all__ = ["RandomDropQueue"]
 class RandomDropQueue(DropTailQueue):
     """FIFO service with random-drop overflow."""
 
-    __slots__ = ()
+    __slots__ = ("_rng",)
 
     def __init__(self, name: str, capacity: int | None,
                  rng: SimRandom | None = None, *,
                  strict: bool | None = None) -> None:
         super().__init__(name, capacity, rng, strict=strict)
+        self._rng = rng if rng is not None else SimRandom(0)
 
     def offer(self, now: float, packet: Packet) -> bool:
         """Admit ``packet``; on overflow evict a random queued packet.

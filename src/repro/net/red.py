@@ -58,7 +58,7 @@ class RedQueue(DropTailQueue):
         periods; ``0`` (default) disables idle decay.
     """
 
-    __slots__ = ("_min_th", "_max_th", "_max_p", "_wq",
+    __slots__ = ("_rng", "_min_th", "_max_th", "_max_p", "_wq",
                  "_idle_pkt_time", "_avg", "_count", "_idle_since")
 
     def __init__(self, name: str, capacity: int | None,
@@ -68,6 +68,7 @@ class RedQueue(DropTailQueue):
                  max_p: float = 0.02, wq: float = 0.002,
                  idle_pkt_time: float = 0.0) -> None:
         super().__init__(name, capacity, rng, strict=strict)
+        self._rng = rng if rng is not None else SimRandom(0)
         min_th = float(min_th)
         max_th = float(max_th)
         max_p = float(max_p)

@@ -7,30 +7,71 @@ destination over the undirected adjacency induced by the installed
 links.  Deterministic tie-breaking (alphabetical neighbor order) keeps
 runs reproducible.
 
-The cost is linear in what the tables hold, not quadratic in the host
-count.  A destination with a single neighbor (every host of the paper's
-topologies) hangs its BFS tree off that neighbor's: the search from the
-destination visits the neighbor first and then proceeds exactly as the
-neighbor's own search does, so every other node gets the same parent
-either way, and hosts attached to one switch share one search.  A node
-with a single neighbor forwards everything through it, so its table is
-``dict.fromkeys`` over the destinations rather than one Python-level
-assignment per destination; only nodes with a choice of ports are
-filled in entry by entry.
+What a table costs depends on the node.  A node with a choice of ports
+(a switch) holds one entry per destination host: O(H) for H hosts.  A
+node with a single neighbor (every host of the paper's topologies)
+forwards everything through it, so its table is a
+:class:`SingleHopRoutes` view: two references, O(1), onto one
+``dict.fromkeys(destinations, neighbor)`` built once per neighbor and
+shared by every node attached to it.  A dumbbell with H hosts therefore
+holds O(H) route entries in all, not H², and a point at 512 hosts a side
+builds no table larger than its two switches'.
+
+The searches are linear too.  A destination with a single neighbor
+hangs its BFS tree off that neighbor's: the search from the destination
+visits the neighbor first and then proceeds exactly as the neighbor's
+own search does, so every other node gets the same parent either way,
+and hosts attached to one switch share one search.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator, Mapping
 
 from repro.errors import ConfigurationError
 
-__all__ = ["compute_next_hops"]
+__all__ = ["compute_next_hops", "SingleHopRoutes"]
+
+
+class SingleHopRoutes(Mapping[str, str]):
+    """The routes of a node with a single neighbor, as a read-only view.
+
+    ``table`` maps every destination to that neighbor and is shared by
+    every node attached to it; the view answers for each of them except
+    its own node ``own``, which has no route to itself.  Lookups,
+    membership, ``len``, iteration order and the ``KeyError`` of a
+    missing destination are those of the ``dict`` the node would
+    otherwise hold.  :meth:`repro.net.node.Node.add_route` swaps the
+    view for a private ``dict`` before writing, so the shared table never
+    changes.
+    """
+
+    __slots__ = ("_table", "_own")
+
+    def __init__(self, table: dict[str, str], own: str) -> None:
+        self._table = table
+        self._own = own
+
+    def __getitem__(self, destination: str) -> str:
+        if destination == self._own:
+            raise KeyError(destination)
+        return self._table[destination]
+
+    def __iter__(self) -> Iterator[str]:
+        own = self._own
+        return (destination for destination in self._table if destination != own)
+
+    def __len__(self) -> int:
+        return len(self._table) - (self._own in self._table)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 def compute_next_hops(
     adjacency: dict[str, list[str]], destinations: list[str]
-) -> dict[str, dict[str, str]]:
+) -> dict[str, Mapping[str, str]]:
     """Compute next-hop tables for every node toward each destination.
 
     Parameters
@@ -45,20 +86,22 @@ def compute_next_hops(
     -------
     dict
         ``tables[node][destination] = neighbor`` for every node that can
-        reach the destination (the destination itself is omitted).
+        reach the destination (the destination itself is omitted).  A
+        single-neighbor node's table is a :class:`SingleHopRoutes` view;
+        every other node's is a ``dict``.
 
     Raises
     ------
     ConfigurationError
         If some node cannot reach a destination (partitioned network).
     """
-    tables: dict[str, dict[str, str]] = {name: {} for name in adjacency}
     # Sorted once, not per BFS visit: the tie-break order is the same for
     # every destination, and a 129-neighbor switch is visited once per search.
     ordered = {name: sorted(neighbors) for name, neighbors in adjacency.items()}
     # Nodes with a choice of ports (or none at all) get one entry per
-    # destination; everything else is filled in wholesale at the end.
+    # destination; everything else shares one table per neighbor.
     choosers = [name for name, neighbors in ordered.items() if len(neighbors) != 1]
+    filled: dict[str, dict[str, str]] = {name: {} for name in choosers}
     trees: dict[str, dict[str, str]] = {}
     for dst in destinations:
         if dst not in adjacency:
@@ -75,13 +118,20 @@ def compute_next_hops(
             raise ConfigurationError(f"node {node!r} cannot reach {dst!r}")
         for node in choosers:
             if node != dst:
-                tables[node][dst] = dst if node == root else parent[node]
+                filled[node][dst] = dst if node == root else parent[node]
+    tables: dict[str, Mapping[str, str]] = {}
+    shared: dict[str, dict[str, str]] = {}
     for node, neighbors in ordered.items():
         if len(neighbors) == 1:
             # Every destination is reachable, so all of them lie through
             # the node's only neighbor.
-            tables[node] = dict.fromkeys(destinations, neighbors[0])
-            tables[node].pop(node, None)
+            via = neighbors[0]
+            table = shared.get(via)
+            if table is None:
+                table = shared[via] = dict.fromkeys(destinations, via)
+            tables[node] = SingleHopRoutes(table, node)
+        else:
+            tables[node] = filled[node]
     return tables
 
 

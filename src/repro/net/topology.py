@@ -124,10 +124,11 @@ class Network:
         hosts = [name for name, node in self.nodes.items() if isinstance(node, Host)]
         tables = compute_next_hops(adjacency, hosts)
         for name, node in self.nodes.items():
-            if len(node.ports) == 1:
+            if len(node.ports) == 1 and not node.routes:
                 # Every entry names the node's only port: nothing for
-                # add_route to check, and N hosts x N destinations of it.
-                node.routes.update(tables[name])
+                # add_route to check, and the view is O(1) where a table
+                # of its own would be O(hosts).
+                node.routes = tables[name]
             else:
                 for dst, via in tables[name].items():
                     node.add_route(dst, via)

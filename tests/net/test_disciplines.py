@@ -44,6 +44,27 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             validate_params("red", (("min_th", 20.0), ("max_th", 10.0)))
 
+    def test_only_drawing_disciplines_hold_a_random_stream(self):
+        assert not hasattr(create_queue("droptail", "q", 8, rng=SimRandom(3)),
+                           "_rng")
+        assert not hasattr(DropTailQueue("q", 8), "_rng")
+        for name in ("randomdrop", "red"):
+            given = SimRandom(3)
+            assert create_queue(name, "q", 8, rng=given)._rng is given
+            assert create_queue(name, "q", 8)._rng.seed == 0
+
+    @pytest.mark.parametrize("name", ["randomdrop", "red"])
+    def test_an_omitted_stream_draws_as_seed_zero(self, name):
+        def outcomes(**rng):
+            queue = create_queue(name, "q", 6, (("min_th", 1.0), ("max_th", 8.0),
+                                                ("max_p", 0.5), ("wq", 0.5))
+                                 if name == "red" else (), **rng)
+            kept = [queue.offer(i * 0.01, _packet(i)) for i in range(40)]
+            return kept, [p.seq for p in queue.snapshot()], queue.drops
+
+        assert outcomes() == outcomes(rng=SimRandom(0))
+        assert outcomes()[2] > 0
+
     def test_swapped_entry_resolves(self, monkeypatch):
         monkeypatch.setitem(DISCIPLINES._factories, "red", TunedRed)
         assert type(create_queue("red", "q", 8)) is TunedRed

@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import Simulator
 from repro.errors import ConfigurationError
-from repro.net import build_chain, build_dumbbell, compute_next_hops
+from repro.net import Packet, PacketKind, build_chain, build_dumbbell, compute_next_hops
 
 
 def _chain(names):
@@ -138,3 +138,85 @@ class TestSortOnceMatchesPerVisitSort:
                      "s1": ["hub"], "s2": ["hub"], "s3": ["hub"]}
         compute_next_hops(adjacency, ["s1"])
         assert adjacency["hub"] == ["s3", "s1", "s2"]
+
+
+def _four_switch():
+    from repro.scenarios import build, paper
+
+    return build(paper.four_switch(duration=1.0, warmup=0.5)).net
+
+
+INSTALLED = [
+    pytest.param(lambda: build_dumbbell(Simulator()), id="dumbbell-n1"),
+    pytest.param(lambda: build_dumbbell(Simulator(), n_left=2, n_right=2),
+                 id="dumbbell-n2"),
+    pytest.param(lambda: build_dumbbell(Simulator(), n_left=5, n_right=5),
+                 id="dumbbell-n5"),
+    pytest.param(lambda: build_dumbbell(Simulator(), n_left=64, n_right=64),
+                 id="dumbbell-n64"),
+    pytest.param(lambda: build_chain(Simulator(), n_switches=3,
+                                     hosts_per_switch=2), id="chain-3x2"),
+    pytest.param(_four_switch, id="four_switch"),
+]
+
+
+class TestInstalledRoutesAnswerAsFullTables:
+    """What a node's routes answer — a shared single-hop view for a
+    single-port node, a dict for a switch — is what the full per-node
+    dict of the per-destination BFS answers, for every node and every
+    destination, the node itself and unknown names included."""
+
+    @staticmethod
+    def _expected(net):
+        adjacency, hosts = TestSortOnceMatchesPerVisitSort._adjacency_and_hosts(net)
+        return _reference_next_hops(adjacency, hosts), hosts
+
+    @pytest.mark.parametrize("build", INSTALLED)
+    def test_mapping_surface(self, build):
+        net = build()
+        expected, hosts = self._expected(net)
+        for name, node in net.nodes.items():
+            table, routes = expected[name], node.routes
+            assert len(routes) == len(table)
+            assert list(routes) == list(table)
+            assert list(routes.items()) == list(table.items())
+            assert routes == table
+            for dst in [*hosts, name, "sw1", "nowhere"]:
+                assert (dst in routes) == (dst in table), (name, dst)
+                assert routes.get(dst) == table.get(dst), (name, dst)
+                assert routes.get(dst, "-") == table.get(dst, "-"), (name, dst)
+                if dst in table:
+                    assert routes[dst] == table[dst]
+                else:
+                    with pytest.raises(KeyError):
+                        routes[dst]
+
+    @pytest.mark.parametrize("build", INSTALLED)
+    def test_port_toward_and_send(self, build):
+        net = build()
+        expected, hosts = self._expected(net)
+        for name, node in net.nodes.items():
+            for dst in [*hosts, name, "nowhere"]:
+                if dst in expected[name]:
+                    assert node.port_toward(dst) is node.ports[expected[name][dst]]
+                else:
+                    with pytest.raises(ConfigurationError,
+                                       match=f"{name}: no route to {dst}$"):
+                        node.port_toward(dst)
+        for name in hosts:
+            host = net.host(name)
+            taken = []
+            for port in host.ports.values():
+                port.send = lambda packet, port=port: taken.append(port) or True
+            for dst in [*hosts, "nowhere"]:
+                for _ in range(2):  # the second send is answered by the memo
+                    packet = Packet(conn_id=1, kind=PacketKind.DATA, seq=0,
+                                    size=500)
+                    if dst in expected[name]:
+                        assert host.send(packet, dst)
+                        assert taken.pop() is host.ports[expected[name][dst]]
+                    else:
+                        with pytest.raises(ConfigurationError,
+                                           match=f"{name}: no route to {dst}$"):
+                            host.send(packet, dst)
+                        assert not taken

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import Simulator
 from repro.errors import ConfigurationError
-from repro.net import Network, build_chain, build_dumbbell
+from repro.net import Network, Packet, PacketKind, build_chain, build_dumbbell
 
 
 class TestDumbbell:
@@ -197,3 +197,54 @@ class TestMultiHostChain:
     def test_hosts_per_switch_validated(self):
         with pytest.raises(ConfigurationError):
             build_chain(Simulator(), n_switches=2, hosts_per_switch=0)
+
+
+class TestAddRoute:
+    """Hosts on one switch read one shared table; a route added to one
+    of them is that host's alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_add_route_changes_no_other_host(self, n):
+        net = build_dumbbell(Simulator(), n_left=n, n_right=n)
+        before = {name: dict(node.routes) for name, node in net.nodes.items()}
+        net.nodes["host1"].add_route("sw2", via="sw1")
+        net.nodes["host1"].add_route("host2", via="sw1")
+        assert net.nodes["host1"].routes == {**before["host1"], "sw2": "sw1"}
+        for name, node in net.nodes.items():
+            if name != "host1":
+                assert dict(node.routes) == before[name], name
+                assert "sw2" not in node.routes
+
+    def test_add_route_on_a_host_with_two_ports_moves_its_sends(self):
+        sim = Simulator()
+        net = Network(sim)
+        home, far = net.add_host("home"), net.add_host("far")
+        sw1, sw2 = net.add_switch("sw1"), net.add_switch("sw2")
+        net.connect(home, sw1, 1e6, 0.001, None, None)
+        net.connect(home, sw2, 1e6, 0.001, None, None)
+        net.connect(sw1, far, 1e6, 0.001, None, None)
+        net.connect(sw1, sw2, 1e6, 0.001, None, None)
+        net.compute_routes()
+        taken = []
+        for port in home.ports.values():
+            port.send = lambda packet, port=port: taken.append(port) or True
+
+        def first_hop():
+            home.send(Packet(conn_id=1, kind=PacketKind.DATA, seq=0, size=500),
+                      "far")
+            return taken.pop()
+
+        assert first_hop() is home.ports["sw1"] is home.port_toward("far")
+        home.add_route("far", via="sw2")
+        assert first_hop() is home.ports["sw2"] is home.port_toward("far")
+        assert net.nodes["far"].routes == {"home": "sw1"}
+
+    def test_recomputed_routes_cover_hosts_added_since(self):
+        sim = Simulator()
+        net = build_dumbbell(sim)
+        late = net.add_host("late")
+        net.connect(net.switch("sw2"), late, 1e6, 0.001, None, None)
+        net.compute_routes()
+        assert net.nodes["host1"].routes == {"host2": "sw1", "late": "sw1"}
+        assert net.nodes["late"].routes == {"host1": "sw2", "host2": "sw2"}
+        assert net.nodes["sw1"].routes["late"] == "sw2"

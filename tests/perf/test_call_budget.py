@@ -15,13 +15,15 @@ of times the sweep reads its extractor's source.
 
 What a sweep point does *around* the event loop is held to a growth law
 rather than a constant: resampling calls per extracted trace, and calls
-spent building a dumbbell as its host count doubles.  Both were
-quadratic in the population before they were budgeted.
+and memory spent building a dumbbell as its host count doubles.  All
+three were quadratic in the population before they were budgeted.
 """
 
 import functools
+import gc
 import inspect
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -83,6 +85,13 @@ REPLAY_POINTS = 10
 #: (3,376 -> 6,704 calls from 64 to 128 hosts a side); one BFS and one
 #: ``add_route`` per (host, node) pair made it 3.67.
 BUILD_CALLS_DOUBLING_BUDGET = 2.2
+
+#: Doubling a dumbbell's hosts may at most double the memory the built
+#: network holds, plus slack for the per-build constant.  Measured 1.98
+#: (744 -> 1,474 kB traced from 64 to 128 hosts a side); a route table
+#: per host over every host made it 2.42, and the call budget above did
+#: not see it: ``dict.fromkeys`` fills a table in one C call.
+BUILD_MEMORY_DOUBLING_BUDGET = 2.1
 
 
 def _count_calls(run):
@@ -293,3 +302,26 @@ def test_dumbbell_build_calls_grow_linearly_in_hosts():
         f"{small} -> {large} Python calls from 64 to 128 hosts a side "
         f"({large / small:.2f}x, budget {BUILD_CALLS_DOUBLING_BUDGET}x): "
         "something per (host, node) pair is back in the build")
+
+
+def test_dumbbell_build_memory_grows_linearly_in_hosts():
+    def held_bytes(hosts):
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net = build_dumbbell(Simulator(), n_left=hosts, n_right=hosts)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(net.nodes) == 2 * hosts + 2
+        return held
+
+    small, large = held_bytes(64), held_bytes(128)
+    assert large / small <= BUILD_MEMORY_DOUBLING_BUDGET, (
+        f"{small} -> {large} bytes held from 64 to 128 hosts a side "
+        f"({large / small:.2f}x, budget {BUILD_MEMORY_DOUBLING_BUDGET}x): "
+        "something per (host, node) pair is back in the built network")
