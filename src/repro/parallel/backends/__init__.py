@@ -7,7 +7,7 @@ execute.  ``repro sweep --backend worker`` and
 :func:`resolve_backend`'s two-entry table:
 
 - ``local`` — this host's processes (``jobs`` long-lived workers
-  spawned once per sweep; in-process for ``jobs == 1``).  The default,
+  started once per sweep; in-process for ``jobs == 1``).  The default,
   and the degradation target when any other backend dies mid-sweep.
 - ``worker`` — a fleet of long-lived ``repro worker serve`` agents
   speaking the line-JSON wire protocol.

@@ -8,16 +8,17 @@ worker replacement, at-least-once dedupe and teardown — and talks to
 workers only through a :class:`Transport`: *send a task, hand me a
 waitable, give me the messages that arrived, stop*.
 
-Two transports exist: the ``spawn`` + ``Pipe`` worker process of
-:mod:`~repro.parallel.backends.local` (pickled tuples) and the
-``repro worker serve`` agent of :mod:`~repro.parallel.backends.worker`
-(line-JSON over stdio or TCP).  What distinguishes them is data, not
-code here — a :class:`Crew` of values: a pipe worker is ready at birth,
-never sends a keep-alive and may stay silent forever (``ttl = inf``);
-an agent becomes ready on ``hello`` and must heartbeat inside the lease
-TTL.  ``jobs == 1`` is the same loop with zero worker slots: every
-attempt runs in this process, through the path that also catches a
-host that can no longer spawn.
+Two transports exist: the ``Pipe`` worker process of
+:mod:`~repro.parallel.backends.local` (forked or spawned; pickled
+tuples) and the ``repro worker serve`` agent of
+:mod:`~repro.parallel.backends.worker` (line-JSON over stdio or TCP).
+What distinguishes them is data, not code here — a :class:`Crew` of
+values: a pipe worker is ready at birth, never sends a keep-alive and
+may stay silent forever (``ttl = inf``); an agent becomes ready on
+``hello`` and must heartbeat inside the lease TTL.  ``jobs == 1`` is
+the same loop with zero worker slots: every attempt runs in this
+process, through the path that also catches a host that can no longer
+spawn.
 
 The busy-table is a :class:`~repro.parallel.leases.LeaseTable` on both
 transports, so ``worker-kill`` / ``lease-expire`` faults, reclamation

@@ -3,13 +3,22 @@
 ``LocalBackend.execute`` is pre-flight checks, a crew of pipe workers
 and :func:`~repro.parallel.backends.coordinator.coordinate`.  With
 ``jobs > 1`` the crew has ``jobs`` slots: long-lived ``repro-worker-N``
-processes, each spawned once (``spawn`` start method) and fed one point
-at a time over its own duplex pipe as pickled tuples.  With
-``jobs == 1`` the crew has no slots and the same loop runs every
-attempt in this process — no pickling requirements, and no process
-boundary to enforce a timeout across.  What a policy adds (deadlines,
-crash containment, retries) is the coordinator's business, not this
-module's.
+processes, each started once and fed one point at a time over its own
+duplex pipe as pickled tuples.  With ``jobs == 1`` the crew has no
+slots and the same loop runs every attempt in this process — no
+pickling requirements, and no process boundary to enforce a timeout
+across.  What a policy adds (deadlines, crash containment, retries) is
+the coordinator's business, not this module's.
+
+Where each start method applies: on Linux, when this process runs no
+other Python thread, workers are forked from it and start serving at
+once; everywhere else — other platforms, or a parent that hosts a
+cache-server or fleet pump thread — they are spawned, fresh
+interpreters that pay their start-up and ``import repro`` before their
+first point.  Both are one code path.  A forked worker closes its
+inherited copies of every worker pipe's parent end, so it sees EOF
+when this process dies, just as a spawned one does, and it freezes the
+heap it inherited and turns its collector back on.
 
 This module is also the fallback target for graceful degradation: when
 a distributed backend dies mid-sweep the runner re-issues the remaining
@@ -18,12 +27,16 @@ points here, so a fleet outage costs locality, never results.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing
 import os
 import pickle
 import sys
+import threading
 import warnings
+from contextlib import contextmanager, nullcontext
+from multiprocessing import connection, util
 
 from repro.errors import ConfigurationError
 from repro.parallel.backends.base import BackendRequest, SweepBackend
@@ -36,8 +49,51 @@ from repro.parallel.backends.coordinator import (
 
 __all__ = ["LocalBackend"]
 
-#: Works on every platform and never inherits dirty parent state.
+#: The fallback, and the only choice off Linux or beside another Python
+#: thread: works on every platform and never inherits dirty parent
+#: state, at the price of a fresh interpreter per worker.
 _START_METHOD = "spawn"
+
+#: What CPython >= 3.12 warns on every fork from a process with more
+#: than one OS thread, exactly (``warnings`` matches it from the start).
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of "
+                 r"fork\(\) may lead to deadlocks in the child\.")
+
+
+def _start_method() -> str:
+    """``fork`` on Linux when this process runs no other Python thread;
+    :data:`_START_METHOD` otherwise.
+
+    A forked child holds only the thread that forked it: any lock
+    another Python thread held at that instant (a cache server's, a
+    fleet pump's) stays held forever in the child.  Hence the thread
+    count, read once per sweep: replacement workers start the way the
+    first ones did.
+    """
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        return "fork"
+    return _START_METHOD
+
+
+@contextmanager
+def _quiet_fork():
+    """Silence CPython's multi-threaded-fork warning, on the fork path.
+
+    CPython issues it after the fork and drops it if a filter turns it
+    into an error, so it cannot fail a start; unfiltered it is printed
+    under ``-W default`` and in pytest's summary, once per worker.
+    The threads it counts are native ones: ``import numpy`` starts an
+    OpenBLAS pool, so this process has two OS threads and one Python
+    thread.  Forking beside that pool is safe: OpenBLAS registers a
+    ``pthread_atfork`` handler that shuts the pool down before every
+    fork and restarts it lazily on next use, and its threads never
+    run Python, so they hold no Python lock.  ``catch_warnings`` is
+    not thread-safe, which :func:`_start_method` makes moot: it forks
+    only when this is the only Python thread.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        yield
 
 
 def _check_spawnable_main() -> None:
@@ -87,7 +143,15 @@ def _worker_main(conn, metered: bool) -> None:
     A worker that dies without answering is diagnosed as a crash by the
     parent when the pipe EOFs; one whose parent has stopped listening
     (it timed the attempt out, or died) just leaves.
+
+    A forked worker may inherit a paused collector (the parent can sweep
+    with gc disabled) and a heap it only reads: collect again, but never
+    the inherited objects — a collection that walks them copies their
+    pages, and one that frees an inherited unreachable cycle would
+    finalize the parent's objects here (flush its file buffers twice).
     """
+    gc.enable()
+    gc.freeze()
     try:
         while True:
             lease_id, *job = conn.recv()
@@ -97,21 +161,26 @@ def _worker_main(conn, metered: bool) -> None:
 
 
 class _PipeWorker(Transport):
-    """A spawned worker process and its dedicated duplex pipe.
+    """A worker process and its dedicated duplex pipe.
 
     Ready at birth and silent while it works: a dead one surfaces as
     EOF on *its* pipe the moment its only writer is gone, a hung one
-    only as a missed per-point deadline.
+    only as a missed per-point deadline.  The parent end is closed in
+    every forked child, this worker's and its later siblings', so this
+    process stays the only holder and a worker sees EOF when it dies.
     """
 
     def __init__(self, context, ordinal: int, metered: bool) -> None:
         self.waitable, child_end = context.Pipe()
+        util.register_after_fork(self.waitable, connection.Connection.close)
         self.process = context.Process(
             target=_worker_main, args=(child_end, metered),
             name=f"repro-worker-{ordinal}", daemon=True)
         self.name = self.process.name
+        forks = context.get_start_method() == "fork"
         try:
-            self.process.start()
+            with _quiet_fork() if forks else nullcontext():
+                self.process.start()
         except OSError:
             self.waitable.close()
             raise
@@ -150,7 +219,7 @@ class LocalBackend(SweepBackend):
         if request.jobs > 1:
             _check_spawnable_main()
             _check_picklable_extract(request.extracts)
-        context = multiprocessing.get_context(_START_METHOD)
+        context = multiprocessing.get_context(_start_method())
         ordinals = itertools.count(1)
 
         def spawn() -> _PipeWorker | None:

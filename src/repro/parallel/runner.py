@@ -319,7 +319,7 @@ class ParallelSweepRunner:
     ----------
     jobs:
         Worker process count.  ``1`` runs everything serially in-process
-        (no pickling requirements); more spawns that many long-lived
+        (no pickling requirements); more starts that many long-lived
         workers once per sweep and feeds them one point at a time.
     cache:
         Anything :func:`resolve_cache` accepts.

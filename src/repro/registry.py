@@ -8,9 +8,9 @@ Two policies are chosen by name: the sender's window algorithm
 keys and manifests — and a :class:`Registry` resolves them back into
 factories.  Each policy module holds one instance and registers its
 built-ins on import, so a name resolves wherever that module is
-importable, spawn workers included: they re-import modules rather than
-inherit state.  The experiment table behind ``repro run`` is a third
-instance (:mod:`repro.experiments.registry`).
+importable, spawned workers and fleet agents included: they re-import
+modules rather than inherit state.  The experiment table behind
+``repro run`` is a third instance (:mod:`repro.experiments.registry`).
 
 This module sits beside :mod:`repro.errors` so that ``repro.net`` and
 ``repro.tcp`` can both use it without importing each other.

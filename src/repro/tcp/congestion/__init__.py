@@ -10,9 +10,11 @@ same class (:mod:`repro.net.disciplines`), with the same rules and
 errors.
 
 The built-ins register themselves here, on package import, so a name
-is resolvable wherever ``repro.tcp`` is importable — including spawn
-worker processes, which re-import modules rather than inherit state.
-An extension registers once, at module scope of an importable module::
+is resolvable wherever ``repro.tcp`` is importable.  A worker forked on
+Linux inherits the registry as it stood when the sweep began, but a
+spawned worker (other platforms, or a parent running another thread)
+and every fleet agent re-import modules rather than inherit state, so
+an extension registers once, at module scope of an importable module::
 
     from repro import tcp
 

@@ -10,6 +10,7 @@ small and the faulted tests reuse one module-level baseline.
 import functools
 import multiprocessing
 import os
+import sys
 import time
 
 import pytest
@@ -222,6 +223,30 @@ class TestLongLivedWorkers:
         with pytest.warns(RuntimeWarning, match="could not spawn"):
             assert runner.run_configs(CONFIGS, extract) == baseline
         assert runner.last_report.ok
+
+
+class TestForkedWorkerDeadline:
+    """The per-point deadline starts at hand-off, so a spawned worker's
+    first point also pays for its interpreter start-up and ``import
+    repro``; a forked worker has nothing left to import."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="workers fork on Linux only")
+    def test_timeout_below_import_time_costs_no_attempt(self):
+        # Below ``parallel.spawn_import_s`` (≈ 0.3 s), ten times the
+        # ≈ 0.02 s these points take.
+        configs = [families.manyflow_config(case, duration=40.0,
+                                            warmup=20.0)
+                   for case in [(4, 20, 1.0), (4, 30, 1.0), (4, 30, 0.0),
+                                (2, 20, 1.0), (3, 25, 1.0), (4, 25, 0.5)]]
+        expected = ParallelSweepRunner(jobs=1).run_configs(configs, extract)
+        runner = ParallelSweepRunner(
+            jobs=2, resilience=ResilienceConfig(timeout=0.25, retries=0))
+        assert runner.run_configs(configs, extract) == expected
+        report = runner.last_report
+        assert report.ok
+        assert (report.timeouts, report.retries) == (0, 0)
+        assert report.attempts_by_index == {}
 
 
 class TestUnsupervisedWorkers:
