@@ -73,7 +73,7 @@ One coordinator runs every point, on any --backend: with --jobs > 1 on
 that many long-lived worker processes (forked on Linux, spawned on other
 platforms or beside another thread, where a worker's first point also
 pays its interpreter start-up), with --backend worker on a fleet of
-agents, with --jobs 1 in-process.  Supervision (--timeout/--retries/
+agents (local ones started the same way), with --jobs 1 in-process.  Supervision (--timeout/--retries/
 --resume) replaces any worker that dies, goes silent or hangs; on
 --jobs 1 retries still apply but a per-point timeout cannot be enforced,
 and a REPRO_FAULTS kill or hang takes this process with it.  A malformed

@@ -11,7 +11,8 @@ waitable, give me the messages that arrived, stop*.
 Two transports exist: the ``Pipe`` worker process of
 :mod:`~repro.parallel.backends.local` (forked or spawned; pickled
 tuples) and the ``repro worker serve`` agent of
-:mod:`~repro.parallel.backends.worker` (line-JSON over stdio or TCP).
+:mod:`~repro.parallel.backends.worker` (line-JSON over a forked
+agent's pipes, a spawned one's stdio, or TCP).
 What distinguishes them is data, not code here — a :class:`Crew` of
 values: a pipe worker is ready at birth, never sends a keep-alive and
 may stay silent forever (``ttl = inf``); an agent becomes ready on

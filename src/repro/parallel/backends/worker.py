@@ -3,13 +3,24 @@
 ``WorkerBackend.execute`` is pre-flight checks, a crew of agents and
 :func:`~repro.parallel.backends.coordinator.coordinate` — the same
 supervision loop the local backend runs.  An agent is a long-lived
-``repro worker serve`` process speaking the
-:mod:`repro.parallel.protocol` conversation: spawned locally over stdio
-pipes by default, or reached over TCP with ``connect=``.  Each pending
+``repro worker serve`` conversation
+(:func:`~repro.parallel.worker_agent.serve` speaking the
+:mod:`repro.parallel.protocol`): started locally over a pair of pipes
+by default, or reached over TCP with ``connect=``.  Each pending
 sweep point becomes a **lease** (:mod:`repro.parallel.leases`): granted
 to an idle agent, kept alive by heartbeats, reclaimed and re-leased
 when its deadline passes without one.  An agent crash, hang, or network
 partition costs the sweep latency, never a point.
+
+Where each start applies, for the default local agents: on Linux, when
+this process runs no other Python thread, an agent is forked from it
+and serves over its own ``os.pipe()`` pair at once; everywhere else —
+other platforms, a parent that hosts a cache-server thread, or a custom
+``command=`` — it is spawned as ``python -u -m repro worker serve``
+over stdio, a fresh interpreter that pays its start-up and ``import
+repro`` first.  Either way the same bytes cross the same protocol.  A
+forked agent closes its inherited copies of every agent pipe's parent
+end, so it sees EOF when this process dies, just as a spawned one does.
 
 What this module adds to the loop is the transport: :class:`_Agent`
 turns the agent's byte stream into the coordinator's messages (a
@@ -26,6 +37,9 @@ sweep's worst case is a slow local sweep.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import itertools
 import os
 import socket
@@ -62,10 +76,57 @@ def default_agent_command() -> list[str]:
     return [sys.executable, "-u", "-m", "repro", "worker", "serve"]
 
 
+def _agent_main(reader_fd: int, writer_fd: int) -> None:
+    """Body of a forked local agent: ``repro worker serve`` over its pipes.
+
+    Like a forked pool worker, it turns the collector back on (the
+    parent may sweep with it paused) but freezes the heap it inherited,
+    so no collection walks — and copies — those pages.
+    """
+    from repro.parallel.worker_agent import serve
+
+    gc.enable()
+    gc.freeze()
+    reader = open(reader_fd, encoding="utf-8", newline="\n")
+    writer = open(writer_fd, "w", encoding="utf-8", newline="\n")
+    try:
+        sys.exit(serve(reader, writer))
+    finally:
+        reader.close()
+        # ``serve`` flushes every message it writes: a line still
+        # buffered here was bound for a coordinator that has died.
+        with contextlib.suppress(BrokenPipeError):
+            writer.close()
+
+
+class _Forked:
+    """A forked agent's process handle, answering what :class:`_Agent`
+    asks of a ``Popen``: ``kill``, ``wait``, ``returncode`` and the
+    ``stdout`` it reads from."""
+
+    def __init__(self, process, stdout) -> None:
+        self.process = process
+        self.stdout = stdout
+
+    def kill(self) -> None:
+        self.process.kill()
+
+    def wait(self, timeout: float | None = None) -> int:
+        self.process.join(timeout)
+        if self.process.exitcode is None:
+            raise subprocess.TimeoutExpired(self.process.name, timeout)
+        return self.process.exitcode
+
+    @property
+    def returncode(self) -> int | None:
+        return self.process.exitcode
+
+
 class _Agent(Transport):
-    """One fleet member: a spawned ``proc`` (stdio) or a connected ``sock``,
-    its messages arriving on the raw descriptor ``fd``.  ``terms`` are the
-    lease fields every point shares (metered, heartbeat)."""
+    """One fleet member: a local ``proc`` (a ``Popen`` over stdio or a
+    :class:`_Forked` over pipes) or a connected ``sock``, its messages
+    arriving on the raw descriptor ``fd``.  ``terms`` are the lease
+    fields every point shares (metered, heartbeat)."""
 
     ready = False
 
@@ -184,8 +245,9 @@ class WorkerBackend(SweepBackend):
     ----------
     command:
         Argv to spawn one agent over stdio (default: this interpreter
-        running ``repro worker serve``).  The fleet inherits the
-        coordinator's environment, so ``PYTHONPATH`` et al. carry over.
+        running ``repro worker serve``, forked instead where the module
+        docstring says).  Spawned agents inherit the coordinator's
+        environment, so ``PYTHONPATH`` et al. carry over.
     workers:
         Fleet size when spawning (default: the request's job budget).
     connect:
@@ -213,7 +275,14 @@ class WorkerBackend(SweepBackend):
                 "socket descriptors and needs a POSIX host (its agents, "
                 "`repro worker serve`, run anywhere)")
         if lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
+            raise ConfigurationError(
+                f"lease_ttl must be positive, got {float(lease_ttl)}")
+        if workers is not None and workers < 1:
+            raise ConfigurationError(
+                f"workers must be at least 1, got {workers}")
+        #: Only the default agent may be forked: a custom command is
+        #: someone's own program.
+        self._forkable = not command
         self.command = list(command) if command else default_agent_command()
         self.workers = workers
         self.connect = tuple(connect)
@@ -226,8 +295,11 @@ class WorkerBackend(SweepBackend):
         self.max_respawns = max_respawns
         self.hello_timeout = float(hello_timeout)
 
-    def _spawn_agent(self, ordinal: int, terms: dict) -> _Agent | None:
+    def _start_agent(self, ordinal: int, terms: dict,
+                     forks: bool) -> _Agent | None:
         try:
+            if forks:
+                return self._fork_agent(ordinal, terms)
             proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
                                     stdout=subprocess.PIPE)
         except OSError as exc:
@@ -236,6 +308,44 @@ class WorkerBackend(SweepBackend):
             return None
         return _Agent(f"agent{ordinal}", proc.stdout.fileno(), proc.stdin,
                       terms, proc=proc)
+
+    @staticmethod
+    def _fork_agent(ordinal: int, terms: dict) -> _Agent:
+        from multiprocessing import get_context, util
+
+        from repro.parallel.backends.local import _quiet_fork
+
+        ends: list[int] = []
+        try:
+            ends += os.pipe()  # leases: coordinator -> agent
+            ends += os.pipe()  # messages: agent -> coordinator
+        except OSError:
+            for fd in ends:
+                os.close(fd)
+            raise
+        agent_in, lease_out, message_in, agent_out = ends
+        reader = open(message_in, "rb", buffering=0)
+        writer = open(lease_out, "wb")
+        # The parent ends are closed in every forked child, this agent's
+        # and its later siblings', so this process stays their only
+        # holder and an agent reads EOF when it dies.
+        for end in (reader, writer.raw):
+            util.register_after_fork(end, io.FileIO.close)
+        process = get_context("fork").Process(
+            target=_agent_main, args=(agent_in, agent_out),
+            name=f"repro-agent-{ordinal}", daemon=True)
+        try:
+            with _quiet_fork():
+                process.start()
+        except OSError:
+            reader.close()
+            writer.close()
+            raise
+        finally:
+            os.close(agent_in)
+            os.close(agent_out)
+        return _Agent(f"agent{ordinal}", message_in, writer, terms,
+                      proc=_Forked(process, reader))
 
     def _connect_agent(self, ordinal: int, endpoint: tuple[str, int],
                        terms: dict) -> _Agent | None:
@@ -251,6 +361,8 @@ class WorkerBackend(SweepBackend):
                       terms, sock=sock)
 
     def execute(self, request: BackendRequest) -> None:
+        from repro.parallel.backends.local import _start_method
+
         if request.policy is None:
             raise BackendUnavailable(
                 "the worker backend always runs supervised; the runner must "
@@ -263,6 +375,9 @@ class WorkerBackend(SweepBackend):
                     else 2 * fleet)
         ordinals = itertools.count()
         endpoints = list(self._endpoints)
+        # Read once per sweep, as the pool does: replacement agents
+        # start the way the first ones did.
+        forks = self._forkable and _start_method() == "fork"
 
         def spawn() -> _Agent | None:
             # TCP endpoints are someone else's processes — they are not
@@ -275,7 +390,7 @@ class WorkerBackend(SweepBackend):
             ordinal = next(ordinals)
             if self.connect or ordinal >= fleet + respawns:
                 return None
-            return self._spawn_agent(ordinal, terms)
+            return self._start_agent(ordinal, terms, forks)
 
         coordinate(request, Crew(
             spawn, slots=fleet, ttl=self.lease_ttl,

@@ -9,9 +9,10 @@ transport reaches EOF.
 The agent is deliberately dumb.  It holds no queue, no cache, no
 journal, no retry policy: all of that lives in the coordinator
 (:mod:`repro.parallel.backends.coordinator`), which is what lets the
-same agent binary join a fleet over any transport that can move lines
-of JSON — a stdio pipe from a local spawn, ``ssh host repro worker
-serve``, a container runtime, or a TCP socket (``--listen``).
+same agent loop join a fleet over any transport that can move lines
+of JSON — a pipe pair from a local fork, a stdio pipe from a local
+spawn, ``ssh host repro worker serve``, a container runtime, or a TCP
+socket (``--listen``).
 
 Determinism note: a lease is served by the same ``_attempt`` body a
 local worker process and the in-process path run, on a config rebuilt

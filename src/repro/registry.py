@@ -8,8 +8,8 @@ Two policies are chosen by name: the sender's window algorithm
 keys and manifests — and a :class:`Registry` resolves them back into
 factories.  Each policy module holds one instance and registers its
 built-ins on import, so a name resolves wherever that module is
-importable, spawned workers and fleet agents included: they re-import
-modules rather than inherit state.  The experiment table behind
+importable, spawned workers and agents and remote agents included:
+they re-import modules rather than inherit state.  The experiment table behind
 ``repro run`` is a third instance (:mod:`repro.experiments.registry`).
 
 This module sits beside :mod:`repro.errors` so that ``repro.net`` and

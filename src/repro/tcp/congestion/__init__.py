@@ -10,11 +10,12 @@ same class (:mod:`repro.net.disciplines`), with the same rules and
 errors.
 
 The built-ins register themselves here, on package import, so a name
-is resolvable wherever ``repro.tcp`` is importable.  A worker forked on
-Linux inherits the registry as it stood when the sweep began, but a
-spawned worker (other platforms, or a parent running another thread)
-and every fleet agent re-import modules rather than inherit state, so
-an extension registers once, at module scope of an importable module::
+is resolvable wherever ``repro.tcp`` is importable.  A worker or fleet
+agent forked on Linux inherits the registry as it stood when the sweep
+began, but a spawned one (other platforms, a parent running another
+thread, a custom agent command) and every remote agent re-import
+modules rather than inherit state, so an extension registers once, at
+module scope of an importable module::
 
     from repro import tcp
 

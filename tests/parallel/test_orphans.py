@@ -5,6 +5,8 @@ process alone; when that process dies the worker reads EOF — or fails
 its next send — and leaves as soon as its point ends.  A forked worker
 inherits copies of every parent end open at the fork, its own
 included, and would wait on its pipe forever unless it closed them.
+Both transports are held to this: the local pool's pipe workers and
+the fleet's local agents.
 """
 
 import os
@@ -24,7 +26,7 @@ from repro.resilience import FAULTS_ENV
 POINT_S = 3.0
 
 HELPER = """
-from repro.parallel import ParallelSweepRunner
+from repro.parallel import ParallelSweepRunner, WorkerBackend
 from repro.scenarios import families
 
 def announce(event):
@@ -32,7 +34,7 @@ def announce(event):
 
 configs = [families.manyflow_config((2, 20, 1.0), duration=10.0, warmup=5.0)
            for _ in range(4)]
-ParallelSweepRunner(jobs=2).run_configs(
+ParallelSweepRunner(jobs=2, backend={backend}).run_configs(
     configs, families.sync_extract, on_progress=announce)
 """
 
@@ -74,12 +76,16 @@ def _await_starts(stream, count: int, timeout: float) -> None:
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"),
                     reason="needs /proc to find the helper's workers")
-def test_sigkilled_parent_leaves_no_worker_behind():
+@pytest.mark.parametrize("backend", ["None", "WorkerBackend(workers=2)"],
+                         ids=["pool", "fleet"])
+def test_sigkilled_parent_leaves_no_worker_behind(backend):
     env = {**os.environ, FAULTS_ENV: f"slow@0:{POINT_S};slow@1:{POINT_S}",
            "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     workers: set[int] = set()
-    with subprocess.Popen([sys.executable, "-c", HELPER], env=env,
-                          stdout=subprocess.PIPE) as helper:
+    with subprocess.Popen([sys.executable, "-c",
+                           HELPER.format(backend=backend)], env=env,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as helper:
         try:
             _await_starts(helper.stdout, 2, timeout=60.0)
             workers = _children(helper.pid)
@@ -91,6 +97,9 @@ def test_sigkilled_parent_leaves_no_worker_behind():
                    and time.monotonic() < deadline):
                 time.sleep(0.1)
             assert not alive, f"workers outlived their parent: {alive}"
+            # They left quietly: every writer of the helper's stderr is
+            # gone, so this reads to EOF.
+            assert b"Traceback" not in helper.stderr.read()
         finally:
             helper.kill()
             for pid in workers:

@@ -1,22 +1,28 @@
-"""How ``jobs > 1`` workers are started, and that it never shows.
+"""How ``jobs > 1`` workers and local fleet agents are started, and
+that it never shows.
 
-On Linux a single-threaded parent forks its workers; any other parent
-spawns them.  The two must be indistinguishable in what a sweep
+On Linux a single-threaded parent forks its workers and its default
+agents; any other parent spawns them, and so does a fleet given its own
+``command=``.  The two must be indistinguishable in what a sweep
 returns: a forked worker inherits the parent's heap, so a measurement
 that leaned on state the parent left behind would differ here.
 """
 
 import gc
 import multiprocessing
+import os
 import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs.telemetry import SweepTelemetry
-from repro.parallel import ParallelSweepRunner
+from repro.parallel import ParallelSweepRunner, WorkerBackend
 from repro.parallel.backends import local
+from repro.parallel.backends.worker import default_agent_command
 from repro.scenarios import families
 
 CONFIGS = [families.manyflow_config(case, duration=20.0, warmup=5.0)
@@ -48,11 +54,51 @@ def helper_thread():
         assert not thread.is_alive()
 
 
-def sweep(extract, metered=False):
+class AgentProbe:
+    """Progress callback: each agent's parent PID and argv, read from
+    ``/proc`` when its first point starts (the agent is alive then)."""
+
+    def __init__(self):
+        self.agents = {}
+
+    def __call__(self, event):
+        if event.phase != "start" or event.worker in self.agents:
+            return
+        pid = int(event.worker.rsplit(":", 1)[1])  # agentN@host:pid
+        stat = Path(f"/proc/{pid}/stat").read_text()
+        argv = Path(f"/proc/{pid}/cmdline").read_bytes().split(b"\0")
+        self.agents[event.worker] = (int(stat.rsplit(")", 1)[1].split()[1]),
+                                     b" ".join(argv).decode())
+
+    def spawned(self):
+        """Whether the agents that ran points run ``repro worker
+        serve``: ``{True}``, ``{False}``, or both.  Every one must be a
+        child of this process either way."""
+        assert self.agents
+        assert {ppid for ppid, _ in self.agents.values()} == {os.getpid()}
+        return {" ".join(default_agent_command()[-3:]) in argv
+                for _, argv in self.agents.values()}
+
+
+@pytest.fixture
+def agent_path(monkeypatch):
+    """Spawned agents re-import repro; make sure they can find it."""
+    monkeypatch.setenv("PYTHONPATH", str(Path(repro.__file__).parents[1]))
+
+
+def sweep(extract, metered=False, backend=None, on_progress=None):
     telemetry = SweepTelemetry() if metered else None
-    results = ParallelSweepRunner(jobs=2).run_configs(
-        CONFIGS, extract, telemetry=telemetry)
+    results = ParallelSweepRunner(jobs=2, backend=backend).run_configs(
+        CONFIGS, extract, telemetry=telemetry, on_progress=on_progress)
     return results, telemetry
+
+
+def fleet_sweep(extract, metered=False, command=None):
+    """A two-agent fleet sweep; also returns who ran it."""
+    probe = AgentProbe()
+    results, telemetry = sweep(
+        extract, metered, WorkerBackend(workers=2, command=command), probe)
+    return results, telemetry, probe
 
 
 def aggregate(telemetry):
@@ -108,6 +154,42 @@ class TestStartMethod:
                              "heap_frozen": True} for point in results)
 
 
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                                reason="reads each agent's /proc entry")
+
+
+@needs_proc
+@pytest.mark.usefixtures("agent_path")
+class TestAgentStart:
+    @linux
+    def test_single_threaded_linux_parent_forks_its_agents(self):
+        assert threading.active_count() == 1, threading.enumerate()
+        _, _, probe = fleet_sweep(families.sync_extract)
+        assert probe.spawned() == {False}
+
+    @linux
+    def test_forked_agent_collects_but_not_what_it_inherited(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            results, _, _ = fleet_sweep(worker_state)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert all(point["gc_enabled"] and point["heap_frozen"]
+                   for point in results)
+
+    def test_parent_with_helper_thread_spawns_its_agents(self):
+        with helper_thread():
+            _, _, probe = fleet_sweep(families.sync_extract)
+        assert probe.spawned() == {True}
+
+    def test_custom_command_spawns_its_agents(self):
+        _, _, probe = fleet_sweep(families.sync_extract,
+                                  command=default_agent_command())
+        assert probe.spawned() == {True}
+
+
 @linux
 class TestForkSpawnEquivalence:
     def test_serial_fork_and_spawn_measure_alike(self):
@@ -136,3 +218,27 @@ class TestForkSpawnEquivalence:
         assert aggregate(spawn_telemetry) == pytest.approx(expected, rel=1e-9)
         assert (fork_telemetry.total_events == spawn_telemetry.total_events
                 == serial_telemetry.total_events)
+
+    @needs_proc
+    @pytest.mark.usefixtures("agent_path")
+    @pytest.mark.parametrize("metered", [False, True],
+                             ids=["plain", "metered"])
+    def test_serial_forked_and_spawned_fleets_measure_alike(self, metered):
+        serial_telemetry = SweepTelemetry() if metered else None
+        serial = ParallelSweepRunner(jobs=1).run_configs(
+            CONFIGS, families.sync_extract, telemetry=serial_telemetry)
+        forked, fork_telemetry, fork_probe = fleet_sweep(
+            families.sync_extract, metered)
+        with helper_thread():
+            spawned, spawn_telemetry, spawn_probe = fleet_sweep(
+                families.sync_extract, metered)
+        assert fork_probe.spawned() == {False}
+        assert spawn_probe.spawned() == {True}
+        assert forked == serial
+        assert spawned == serial
+        if metered:
+            expected = aggregate(serial_telemetry)
+            assert aggregate(fork_telemetry) == pytest.approx(expected,
+                                                              rel=1e-9)
+            assert aggregate(spawn_telemetry) == pytest.approx(expected,
+                                                               rel=1e-9)

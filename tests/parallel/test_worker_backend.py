@@ -144,6 +144,20 @@ class TestInjectedFleetFaults:
         assert len(cache) == len(CONFIGS) - 1
 
 
+class TestConfiguration:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fleet_of_no_agents_is_refused(self, workers):
+        with pytest.raises(ConfigurationError,
+                           match=f"workers must be at least 1, got {workers}"):
+            WorkerBackend(workers=workers)
+
+    @pytest.mark.parametrize("ttl", [0, -1.0])
+    def test_non_positive_lease_ttl_is_refused(self, ttl):
+        with pytest.raises(ConfigurationError,
+                           match="lease_ttl must be positive"):
+            WorkerBackend(lease_ttl=ttl)
+
+
 class _StubStream:
     """An agent's stdin, as far as teardown can tell."""
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.scenarios import paper, save_config
 
@@ -193,6 +198,27 @@ class TestSweepExitCodes:
         captured = capsys.readouterr()
         assert "needs a POSIX host" in captured.err
         assert "point" not in captured.out  # nothing ran
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fleet_of_no_workers_exits_2(self, capsys, workers):
+        assert main(["sweep", "conjecture", "--fast", "--no-cache",
+                     "--backend", "worker", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: workers must be at least 1, got {workers}"
+                in captured.err)
+        assert "point" not in captured.out  # nothing ran
+
+    @pytest.mark.parametrize("ttl", ["0", "-1"])
+    def test_non_positive_lease_ttl_exits_2(self, ttl):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "conjecture", "--fast",
+             "--no-cache", "--backend", "worker", "--lease-ttl", ttl],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(repro.__file__).parents[1])})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"error: lease_ttl must be positive, "
+                               f"got {float(ttl)}\n")
 
     def test_unreachable_worker_endpoint_degrades_to_local(self, capsys):
         import socket
