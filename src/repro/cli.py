@@ -73,14 +73,14 @@ One coordinator runs every point, on any --backend: with --jobs > 1 on
 that many long-lived worker processes (forked on Linux, spawned on other
 platforms or beside another thread, where a worker's first point also
 pays its interpreter start-up), with --backend worker on a fleet of
-agents (local ones started the same way), with --jobs 1 in-process.  Supervision (--timeout/--retries/
---resume) replaces any worker that dies, goes silent or hangs; on
---jobs 1 retries still apply but a per-point timeout cannot be enforced,
-and a REPRO_FAULTS kill or hang takes this process with it.  A malformed
---worker-connect HOST:PORT is a configuration error; an unreachable one
-is warned about and the sweep degrades to local execution.  Failed
-points are reported on stderr and recorded in --manifest-dir manifests
-and the --report document.
+agents (started the same way), with --jobs 1 in-process.  Supervision
+(--timeout/--retries/--resume) replaces any worker that dies, goes
+silent or hangs; on --jobs 1 retries still apply but a per-point
+timeout cannot be enforced, and a REPRO_FAULTS kill or hang takes this
+process with it.  A fleet whose agents cannot be started is warned
+about and the sweep degrades to local execution.  Failed points are
+reported on stderr and recorded in --manifest-dir manifests and the
+--report document.
 """
 
 #: Default sim-time slice a ``repro trace`` records: enough to show several
@@ -255,15 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "lease-based work claiming)")
     swp_p.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker-backend fleet size (default: --jobs)")
-    swp_p.add_argument("--worker-connect", action="append", default=None,
-                       metavar="HOST:PORT",
-                       help="connect to an already-running "
-                            "`repro worker serve --listen` agent instead of "
-                            "spawning one (repeatable, worker backend only)")
-    swp_p.add_argument("--lease-ttl", type=float, default=15.0,
+    swp_p.add_argument("--lease-ttl", type=float, default=None,
                        metavar="SECONDS",
-                       help="seconds a distributed lease survives without a "
-                            "heartbeat before the point is reclaimed and "
+                       help="seconds a worker-backend lease survives without "
+                            "a heartbeat before the point is reclaimed and "
                             "re-leased (default: 15)")
     swp_p.add_argument("--no-cache", action="store_true",
                        help="always simulate; skip the on-disk result cache")
@@ -398,16 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed sweep worker agents (see `repro sweep --backend "
              "worker`)")
     wrk_sub = wrk_p.add_subparsers(dest="worker_command", required=True)
-    srv_p = wrk_sub.add_parser(
+    wrk_sub.add_parser(
         "serve",
-        help="serve sweep leases to one coordinator over stdio (default) "
-             "or TCP; stdout is reserved for the wire protocol")
-    srv_p.add_argument("--listen", default=None, metavar="HOST:PORT",
-                       help="listen on TCP instead of stdio (port 0 picks "
-                            "a free port, printed to stderr)")
-    srv_p.add_argument("--forever", action="store_true",
-                       help="with --listen: serve coordinator conversations "
-                            "serially forever instead of exiting after one")
+        help="serve sweep leases to one coordinator over stdio; stdout is "
+             "reserved for the wire protocol")
 
     cache_p = sub.add_parser(
         "cache",
@@ -643,11 +632,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.backend == "worker":
         from repro.parallel.backends import WorkerBackend
 
-        backend = WorkerBackend(workers=args.workers,
-                                connect=tuple(args.worker_connect or ()),
-                                lease_ttl=args.lease_ttl)
-    elif args.workers is not None or args.worker_connect:
-        print("error: --workers/--worker-connect need --backend worker",
+        lease = {} if args.lease_ttl is None else {"lease_ttl": args.lease_ttl}
+        backend = WorkerBackend(workers=args.workers, **lease)
+    elif args.workers is not None or args.lease_ttl is not None:
+        print("error: --workers/--lease-ttl need --backend worker",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
     done = [0]
@@ -758,13 +746,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.parallel.cachestore import parse_endpoint
-    from repro.parallel.worker_agent import serve_stdio, serve_tcp
+    from repro.parallel.worker_agent import serve_stdio
 
-    if args.listen is None:
-        return serve_stdio()
-    host, port = parse_endpoint(args.listen)
-    return serve_tcp(host, port, once=not args.forever)
+    return serve_stdio()
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:

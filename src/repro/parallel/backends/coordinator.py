@@ -12,7 +12,7 @@ Two transports exist: the ``Pipe`` worker process of
 :mod:`~repro.parallel.backends.local` (forked or spawned; pickled
 tuples) and the ``repro worker serve`` agent of
 :mod:`~repro.parallel.backends.worker` (line-JSON over a forked
-agent's pipes, a spawned one's stdio, or TCP).
+agent's pipes or a spawned one's stdio).
 What distinguishes them is data, not code here — a :class:`Crew` of
 values: a pipe worker is ready at birth, never sends a keep-alive and
 may stay silent forever (``ttl = inf``); an agent becomes ready on
@@ -252,7 +252,6 @@ class _Coordinator:
                 # result).  The worker keeps working, oblivious; whichever
                 # copy reports second must dedupe by content.
                 self.expire_fired[index] = fired + 1
-                self.leases.force_expire(index)
                 self.leases.reclaim(lease.lease_id)
                 self.queue.append((index, attempt, now))
 

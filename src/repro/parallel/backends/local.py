@@ -15,10 +15,11 @@ other Python thread, workers are forked from it and start serving at
 once; everywhere else — other platforms, or a parent that hosts a
 cache-server or fleet pump thread — they are spawned, fresh
 interpreters that pay their start-up and ``import repro`` before their
-first point.  Both are one code path.  A forked worker closes its
-inherited copies of every worker pipe's parent end, so it sees EOF
-when this process dies, just as a spawned one does, and it freezes the
-heap it inherited and turns its collector back on.
+first point.  Both are one code path, :func:`_start_child`, which the
+worker backend's forked agents start through too: a forked child
+closes its inherited copies of every parent end, so it sees EOF when
+this process dies, just as a spawned one does, and it freezes the heap
+it inherited and turns its collector back on.
 
 This module is also the fallback target for graceful degradation: when
 a distributed backend dies mid-sweep the runner re-issues the remaining
@@ -36,7 +37,8 @@ import sys
 import threading
 import warnings
 from contextlib import contextmanager, nullcontext
-from multiprocessing import connection, util
+from typing import Callable
+from multiprocessing import util
 
 from repro.errors import ConfigurationError
 from repro.parallel.backends.base import BackendRequest, SweepBackend
@@ -134,6 +136,51 @@ def _check_picklable_extract(extracts) -> None:
         ) from exc
 
 
+def _child_main(target: Callable[..., object], *args: object) -> None:
+    """Entry of every child :func:`_start_child` starts: ``target(*args)``.
+
+    A forked child may inherit a paused collector (the parent can sweep
+    with gc disabled) and a heap it only reads: collect again, but never
+    the inherited objects — a collection that walks them copies their
+    pages, and one that frees an inherited unreachable cycle would
+    finalize the parent's objects here (flush its file buffers twice).
+    """
+    gc.enable()
+    gc.freeze()
+    target(*args)
+
+
+def _start_child(context, name: str, target: Callable[..., object],
+                 parent_ends: tuple, child_ends: tuple,
+                 *args: object) -> multiprocessing.process.BaseProcess:
+    """Start ``target(*child_ends, *args)`` as daemon process ``name``.
+
+    The one start of a sweep worker or a forked fleet agent.  Each
+    parent end is closed in every forked child, this one's and its
+    later siblings', so this process stays its only holder and the
+    child reads EOF when this process dies; the child ends are closed
+    here once the child holds them, and the parent ends too when the
+    start fails.  Every end answers ``close()``.
+    """
+    for end in parent_ends:
+        util.register_after_fork(end, type(end).close)
+    process = context.Process(target=_child_main,
+                              args=(target, *child_ends, *args),
+                              name=name, daemon=True)
+    forks = context.get_start_method() == "fork"
+    try:
+        with _quiet_fork() if forks else nullcontext():
+            process.start()
+    except OSError:
+        for end in parent_ends:
+            end.close()
+        raise
+    finally:
+        for end in child_ends:
+            end.close()
+    return process
+
+
 def _worker_main(conn, metered: bool) -> None:
     """Body of a long-lived worker: one task in, one tagged outcome out.
 
@@ -143,15 +190,7 @@ def _worker_main(conn, metered: bool) -> None:
     A worker that dies without answering is diagnosed as a crash by the
     parent when the pipe EOFs; one whose parent has stopped listening
     (it timed the attempt out, or died) just leaves.
-
-    A forked worker may inherit a paused collector (the parent can sweep
-    with gc disabled) and a heap it only reads: collect again, but never
-    the inherited objects — a collection that walks them copies their
-    pages, and one that frees an inherited unreachable cycle would
-    finalize the parent's objects here (flush its file buffers twice).
     """
-    gc.enable()
-    gc.freeze()
     try:
         while True:
             lease_id, *job = conn.recv()
@@ -165,27 +204,15 @@ class _PipeWorker(Transport):
 
     Ready at birth and silent while it works: a dead one surfaces as
     EOF on *its* pipe the moment its only writer is gone, a hung one
-    only as a missed per-point deadline.  The parent end is closed in
-    every forked child, this worker's and its later siblings', so this
-    process stays the only holder and a worker sees EOF when it dies.
+    only as a missed per-point deadline.
     """
 
     def __init__(self, context, ordinal: int, metered: bool) -> None:
         self.waitable, child_end = context.Pipe()
-        util.register_after_fork(self.waitable, connection.Connection.close)
-        self.process = context.Process(
-            target=_worker_main, args=(child_end, metered),
-            name=f"repro-worker-{ordinal}", daemon=True)
+        self.process = _start_child(
+            context, f"repro-worker-{ordinal}", _worker_main,
+            (self.waitable,), (child_end,), metered)
         self.name = self.process.name
-        forks = context.get_start_method() == "fork"
-        try:
-            with _quiet_fork() if forks else nullcontext():
-                self.process.start()
-        except OSError:
-            self.waitable.close()
-            raise
-        finally:
-            child_end.close()
 
     def send(self, lease_id: str, task: tuple) -> None:
         self.waitable.send((lease_id, *task))

@@ -5,26 +5,26 @@
 supervision loop the local backend runs.  An agent is a long-lived
 ``repro worker serve`` conversation
 (:func:`~repro.parallel.worker_agent.serve` speaking the
-:mod:`repro.parallel.protocol`): started locally over a pair of pipes
-by default, or reached over TCP with ``connect=``.  Each pending
-sweep point becomes a **lease** (:mod:`repro.parallel.leases`): granted
-to an idle agent, kept alive by heartbeats, reclaimed and re-leased
-when its deadline passes without one.  An agent crash, hang, or network
-partition costs the sweep latency, never a point.
+:mod:`repro.parallel.protocol`) over a child process's pipes.  Each
+pending sweep point becomes a **lease** (:mod:`repro.parallel.leases`):
+granted to an idle agent, kept alive by heartbeats, reclaimed and
+re-leased when its deadline passes without one.  An agent crash, hang,
+or partition costs the sweep latency, never a point.
 
-Where each start applies, for the default local agents: on Linux, when
-this process runs no other Python thread, an agent is forked from it
-and serves over its own ``os.pipe()`` pair at once; everywhere else —
-other platforms, a parent that hosts a cache-server thread, or a custom
-``command=`` — it is spawned as ``python -u -m repro worker serve``
-over stdio, a fresh interpreter that pays its start-up and ``import
-repro`` first.  Either way the same bytes cross the same protocol.  A
-forked agent closes its inherited copies of every agent pipe's parent
-end, so it sees EOF when this process dies, just as a spawned one does.
+Where each start applies: on Linux, when this process runs no other
+Python thread, a default agent is forked from it (through the local
+backend's one child start) and serves over its own ``os.pipe()`` pair
+at once; everywhere else — other platforms, a parent that hosts a
+cache-server thread, or a custom ``command=`` — it is spawned from
+``command`` and served over its stdio: by default ``python -u -m repro
+worker serve``, a fresh interpreter that pays its start-up and ``import
+repro`` first, and on another host, for example, ``ssh HOST python -m
+repro worker serve``.  Either way the same bytes cross the same
+protocol.
 
 What this module adds to the loop is the transport: :class:`_Agent`
 turns the agent's byte stream into the coordinator's messages (a
-bounded line splitter over the raw pipe or socket fd, so the
+bounded line splitter over the raw pipe fd, so the
 coordinator blocks in one ``connection.wait`` over the whole fleet),
 keeps ``hello`` — and its version check — to itself and surfaces it as
 *ready*, and turns ``heartbeat`` into a keep-alive.
@@ -38,11 +38,9 @@ sweep's worst case is a slow local sweep.
 from __future__ import annotations
 
 import contextlib
-import gc
 import io
 import itertools
 import os
-import socket
 import subprocess
 import sys
 import warnings
@@ -51,7 +49,6 @@ from typing import Sequence
 from repro.errors import BackendUnavailable, ConfigurationError, WireError
 from repro.parallel.backends.base import BackendRequest, SweepBackend
 from repro.parallel.backends.coordinator import Crew, Transport, coordinate
-from repro.parallel.cachestore import parse_endpoint
 from repro.parallel.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -68,7 +65,7 @@ __all__ = ["WorkerBackend", "default_agent_command"]
 #: inside one TTL, so a single dropped message never orphans a point.
 _HEARTBEAT_FRACTION = 0.25
 #: Seconds a freshly started agent gets to say ``hello``.
-_DEFAULT_HELLO_TIMEOUT = 30.0
+_HELLO_TIMEOUT = 30.0
 
 
 def default_agent_command() -> list[str]:
@@ -76,19 +73,14 @@ def default_agent_command() -> list[str]:
     return [sys.executable, "-u", "-m", "repro", "worker", "serve"]
 
 
-def _agent_main(reader_fd: int, writer_fd: int) -> None:
-    """Body of a forked local agent: ``repro worker serve`` over its pipes.
-
-    Like a forked pool worker, it turns the collector back on (the
-    parent may sweep with it paused) but freezes the heap it inherited,
-    so no collection walks — and copies — those pages.
-    """
+def _agent_main(reader_end: io.FileIO, writer_end: io.FileIO) -> None:
+    """Body of a forked local agent: ``repro worker serve`` over its pipes."""
     from repro.parallel.worker_agent import serve
 
-    gc.enable()
-    gc.freeze()
-    reader = open(reader_fd, encoding="utf-8", newline="\n")
-    writer = open(writer_fd, "w", encoding="utf-8", newline="\n")
+    reader = io.TextIOWrapper(io.BufferedReader(reader_end),
+                              encoding="utf-8", newline="\n")
+    writer = io.TextIOWrapper(io.BufferedWriter(writer_end),
+                              encoding="utf-8", newline="\n")
     try:
         sys.exit(serve(reader, writer))
     finally:
@@ -123,21 +115,20 @@ class _Forked:
 
 
 class _Agent(Transport):
-    """One fleet member: a local ``proc`` (a ``Popen`` over stdio or a
-    :class:`_Forked` over pipes) or a connected ``sock``, its messages
-    arriving on the raw descriptor ``fd``.  ``terms`` are the lease
-    fields every point shares (metered, heartbeat)."""
+    """One fleet member: its process ``proc`` (a ``Popen`` over stdio or
+    a :class:`_Forked` over pipes; ``None`` for a bare stream), its
+    messages arriving on the raw descriptor ``fd``.  ``terms`` are the
+    lease fields every point shares (metered, heartbeat)."""
 
     ready = False
 
     def __init__(self, name: str, fd: int, writer, terms: dict, *,
-                 proc=None, sock=None) -> None:
+                 proc=None) -> None:
         self.name = name
         self.waitable = fd
         self.writer = writer
         self.terms = terms
         self.proc = proc
-        self.sock = sock
         self._buffer = bytearray()
 
     def _write(self, message: dict) -> None:
@@ -225,8 +216,7 @@ class _Agent(Transport):
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck agent
                 self.proc.kill()
                 self.proc.wait()
-        self._close(self.writer, getattr(self.proc, "stdout", None),
-                    self.sock)
+        self._close(self.writer, getattr(self.proc, "stdout", None))
 
     @staticmethod
     def _close(*streams) -> None:
@@ -246,33 +236,27 @@ class WorkerBackend(SweepBackend):
     command:
         Argv to spawn one agent over stdio (default: this interpreter
         running ``repro worker serve``, forked instead where the module
-        docstring says).  Spawned agents inherit the coordinator's
-        environment, so ``PYTHONPATH`` et al. carry over.
+        docstring says; ``["ssh", host, "python", "-m", "repro",
+        "worker", "serve"]`` runs each agent on ``host``).  Spawned
+        agents inherit the coordinator's environment, so ``PYTHONPATH``
+        et al. carry over.
     workers:
-        Fleet size when spawning (default: the request's job budget).
-    connect:
-        ``host:port`` endpoints of already-running agents
-        (``repro worker serve --listen``); when given, nothing is
-        spawned and a dead endpoint cannot be replaced.
+        Fleet size (default: the request's job budget).  A dead agent
+        is replaced while work is outstanding, at most ``2 * workers``
+        times per sweep; then the fleet is unrecoverable.
     lease_ttl:
         Seconds a lease survives without a heartbeat.
-    max_respawns:
-        Replacement agents allowed before the fleet is considered
-        unrecoverable (default ``2 * fleet size``).
     """
 
     name = "worker"
 
     def __init__(self, *, command: Sequence[str] | None = None,
                  workers: int | None = None,
-                 connect: Sequence[str] = (),
-                 lease_ttl: float = 15.0,
-                 max_respawns: int | None = None,
-                 hello_timeout: float = _DEFAULT_HELLO_TIMEOUT) -> None:
+                 lease_ttl: float = 15.0) -> None:
         if os.name != "posix":
             raise ConfigurationError(
-                "the worker backend's coordinator waits on raw pipe and "
-                "socket descriptors and needs a POSIX host (its agents, "
+                "the worker backend's coordinator waits on raw pipe "
+                "descriptors and needs a POSIX host (its agents, "
                 "`repro worker serve`, run anywhere)")
         if lease_ttl <= 0:
             raise ConfigurationError(
@@ -285,15 +269,8 @@ class WorkerBackend(SweepBackend):
         self._forkable = not command
         self.command = list(command) if command else default_agent_command()
         self.workers = workers
-        self.connect = tuple(connect)
-        #: Parsed here so a typo is a ConfigurationError before anything
-        #: is spawned, not an agent that "could not be reached".
-        self._endpoints = [parse_endpoint(endpoint)
-                           for endpoint in self.connect]
         self.lease_ttl = float(lease_ttl)
         self.heartbeat = max(0.05, self.lease_ttl * _HEARTBEAT_FRACTION)
-        self.max_respawns = max_respawns
-        self.hello_timeout = float(hello_timeout)
 
     def _start_agent(self, ordinal: int, terms: dict,
                      forks: bool) -> _Agent | None:
@@ -311,9 +288,9 @@ class WorkerBackend(SweepBackend):
 
     @staticmethod
     def _fork_agent(ordinal: int, terms: dict) -> _Agent:
-        from multiprocessing import get_context, util
+        from multiprocessing import get_context
 
-        from repro.parallel.backends.local import _quiet_fork
+        from repro.parallel.backends.local import _start_child
 
         ends: list[int] = []
         try:
@@ -323,42 +300,15 @@ class WorkerBackend(SweepBackend):
             for fd in ends:
                 os.close(fd)
             raise
-        agent_in, lease_out, message_in, agent_out = ends
-        reader = open(message_in, "rb", buffering=0)
-        writer = open(lease_out, "wb")
-        # The parent ends are closed in every forked child, this agent's
-        # and its later siblings', so this process stays their only
-        # holder and an agent reads EOF when it dies.
-        for end in (reader, writer.raw):
-            util.register_after_fork(end, io.FileIO.close)
-        process = get_context("fork").Process(
-            target=_agent_main, args=(agent_in, agent_out),
-            name=f"repro-agent-{ordinal}", daemon=True)
-        try:
-            with _quiet_fork():
-                process.start()
-        except OSError:
-            reader.close()
-            writer.close()
-            raise
-        finally:
-            os.close(agent_in)
-            os.close(agent_out)
-        return _Agent(f"agent{ordinal}", message_in, writer, terms,
-                      proc=_Forked(process, reader))
-
-    def _connect_agent(self, ordinal: int, endpoint: tuple[str, int],
-                       terms: dict) -> _Agent | None:
-        try:
-            sock = socket.create_connection(endpoint, timeout=10.0)
-        except OSError as exc:
-            warnings.warn("could not connect to worker agent "
-                          f"{endpoint[0]}:{endpoint[1]} ({exc})",
-                          RuntimeWarning, stacklevel=5)
-            return None
-        sock.settimeout(None)
-        return _Agent(f"agent{ordinal}", sock.fileno(), sock.makefile("wb"),
-                      terms, sock=sock)
+        agent_in, lease_out, message_in, agent_out = (
+            open(fd, mode, buffering=0)
+            for fd, mode in zip(ends, ("rb", "wb", "rb", "wb")))
+        writer = io.BufferedWriter(lease_out)
+        process = _start_child(
+            get_context("fork"), f"repro-agent-{ordinal}", _agent_main,
+            (message_in, lease_out), (agent_in, agent_out))
+        return _Agent(f"agent{ordinal}", message_in.fileno(), writer, terms,
+                      proc=_Forked(process, message_in))
 
     def execute(self, request: BackendRequest) -> None:
         from repro.parallel.backends.local import _start_method
@@ -370,32 +320,22 @@ class WorkerBackend(SweepBackend):
         for extract in {id(e): e for e in request.extracts}.values():
             extract_reference(extract)  # refuse a lambda before any agent starts
         terms = {"metered": request.metered, "heartbeat": self.heartbeat}
-        fleet = len(self.connect) or self.workers or max(1, request.jobs)
-        respawns = (self.max_respawns if self.max_respawns is not None
-                    else 2 * fleet)
+        fleet = self.workers or max(1, request.jobs)
+        respawns = 2 * fleet
         ordinals = itertools.count()
-        endpoints = list(self._endpoints)
         # Read once per sweep, as the pool does: replacement agents
         # start the way the first ones did.
         forks = self._forkable and _start_method() == "fork"
 
         def spawn() -> _Agent | None:
-            # TCP endpoints are someone else's processes — they are not
-            # replaced, the fleet just shrinks.
-            while endpoints:
-                agent = self._connect_agent(next(ordinals), endpoints.pop(0),
-                                            terms)
-                if agent is not None:
-                    return agent
             ordinal = next(ordinals)
-            if self.connect or ordinal >= fleet + respawns:
+            if ordinal >= fleet + respawns:
                 return None
             return self._start_agent(ordinal, terms, forks)
 
         coordinate(request, Crew(
             spawn, slots=fleet, ttl=self.lease_ttl,
-            hello_timeout=self.hello_timeout,
+            hello_timeout=_HELLO_TIMEOUT,
             unavailable="worker backend: no agent is alive and no more can "
-                        f"be started (command={self.command!r}, "
-                        f"connect={self.connect!r}, respawn budget "
-                        f"{respawns})"))
+                        f"be started (command={self.command!r}, respawn "
+                        f"budget {respawns})"))

@@ -44,10 +44,9 @@ __all__ = ["SharedCacheClient", "SharedCacheServer", "parse_endpoint"]
 def parse_endpoint(url: str) -> tuple[str, int]:
     """``tcp://host:port`` (or bare ``host:port``) → ``(host, port)``.
 
-    The one ``HOST:PORT`` parser: the shared cache URL, ``repro worker
-    serve --listen`` and ``--worker-connect`` all come through here, so
-    a malformed endpoint is the same :class:`ConfigurationError`
-    everywhere.
+    The shared cache URL (``cache="tcp://…"``, ``--cache-dir
+    tcp://…``) comes through here, so a malformed endpoint is a
+    :class:`ConfigurationError` before any connection is tried.
     """
     text = url.strip()
     if text.startswith("tcp://"):

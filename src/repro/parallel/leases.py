@@ -26,7 +26,7 @@ deterministic under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Lease", "LeaseTable"]
 
@@ -48,9 +48,6 @@ class Lease:
     granted_at: float = 0.0
     """Monotonic instant of the grant (a failed attempt's wall time)."""
     heartbeats: int = 0
-    forced: bool = False
-    """True when a ``lease-expire`` fault expired this lease on purpose
-    (the worker is healthy; its eventual duplicate result will dedupe)."""
 
 
 class LeaseTable:
@@ -125,31 +122,12 @@ class LeaseTable:
         return [lease for lease in self._ordered()
                 if lease.point_deadline <= now]
 
-    def force_expire(self, index: int) -> list[Lease]:
-        """Expire every live lease on ``index`` immediately (fault hook).
-
-        Marks the leases ``forced`` so the coordinator knows the worker
-        is healthy and must *not* be killed — this is the injected
-        network-partition, the scenario reclamation exists for.
-        """
-        forced = []
-        for lease in self._ordered():
-            if lease.index == index:
-                lease.deadline = -math.inf
-                lease.forced = True
-                forced.append(lease)
-        return forced
-
     def reclaim(self, lease_id: str) -> Lease | None:
         """Take an expired lease back for re-leasing; counts it."""
         lease = self.active.pop(lease_id, None)
         if lease is not None:
             self.reclaimed += 1
         return lease
-
-    def by_worker(self, worker: str) -> list[Lease]:
-        """The live leases held by one worker (its crash orphans these)."""
-        return [lease for lease in self._ordered() if lease.worker == worker]
 
     def _ordered(self) -> list[Lease]:
         """Active leases in grant order (dict preserves insertion)."""

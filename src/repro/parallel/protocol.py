@@ -13,8 +13,9 @@ Framing is **line-delimited JSON**: every message is one canonical
 (sorted-key, compact) JSON object on one ``\\n``-terminated line, with
 a mandatory ``"t"`` type field.  Line framing keeps the transport
 trivial — anything that can spawn a process and pipe its stdio (ssh, a
-container runtime, a queue worker) or open a TCP socket can join a
-fleet — and keeps every exchange greppable in flight recordings.
+container runtime, a queue worker) can join a fleet, and a TCP socket
+can reach the cache store — and keeps every exchange greppable in
+flight recordings.
 
 Messages never carry code.  Configs travel as their canonical dict form
 (:func:`~repro.scenarios.serialize.config_to_dict`) and the measurement

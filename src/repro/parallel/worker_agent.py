@@ -9,10 +9,10 @@ transport reaches EOF.
 The agent is deliberately dumb.  It holds no queue, no cache, no
 journal, no retry policy: all of that lives in the coordinator
 (:mod:`repro.parallel.backends.coordinator`), which is what lets the
-same agent loop join a fleet over any transport that can move lines
-of JSON — a pipe pair from a local fork, a stdio pipe from a local
-spawn, ``ssh host repro worker serve``, a container runtime, or a TCP
-socket (``--listen``).
+same agent loop join a fleet over any pipe that can move lines of
+JSON — a pipe pair from a local fork, or the stdio of a spawned
+command: ``repro worker serve`` here, ``ssh host repro worker serve``
+or a container runtime elsewhere.
 
 Determinism note: a lease is served by the same ``_attempt`` body a
 local worker process and the in-process path run, on a config rebuilt
@@ -41,7 +41,7 @@ from repro.resilience.faults import FaultClause
 from repro.resilience.report import OUTCOME_OK
 from repro.scenarios.serialize import config_from_dict
 
-__all__ = ["serve", "serve_stdio", "serve_tcp"]
+__all__ = ["serve", "serve_stdio"]
 
 #: Fallback heartbeat cadence when a lease does not specify one.
 DEFAULT_HEARTBEAT_SECONDS = 2.0
@@ -193,32 +193,3 @@ def serve_stdio() -> int:
     """
     return serve(sys.stdin, sys.stdout)
 
-
-def serve_tcp(host: str, port: int, *, once: bool = True) -> int:
-    """Listen on ``host:port`` and serve coordinator connections.
-
-    ``once`` (default) exits after the first conversation — the shape a
-    supervisor/systemd template or a test wants.  With ``once=False``
-    the agent accepts conversations serially, forever (it still runs
-    one lease at a time; fleets scale by running more agents, not by
-    threading one).
-    """
-    listener = socket.create_server((host, port))
-    try:
-        actual = listener.getsockname()[1]
-        print(f"repro worker agent listening on {host}:{actual}",
-              file=sys.stderr, flush=True)
-        while True:
-            conn, peer = listener.accept()
-            with conn:
-                reader = conn.makefile("r", encoding="utf-8", newline="\n")
-                writer = conn.makefile("w", encoding="utf-8", newline="\n")
-                try:
-                    code = serve(reader, writer)
-                finally:
-                    reader.close()
-                    writer.close()
-            if once:
-                return code
-    finally:
-        listener.close()

@@ -81,24 +81,3 @@ class TestExpiryAndReclaim:
         second = table.grant(0, 1, "b", now=12.0)
         assert second.worker == "b"
         assert table.expired(now=13.0) == []
-
-    def test_force_expire_marks_forced(self):
-        table = LeaseTable(ttl=10.0)
-        lease = table.grant(4, 1, "a", now=0.0)
-        other = table.grant(5, 1, "b", now=0.0)
-        forced = table.force_expire(4)
-        assert forced == [lease]
-        assert lease.forced and not other.forced
-        # Forced expiry is immediate whatever the clock says.
-        assert lease in table.expired(now=0.0)
-        assert other not in table.expired(now=0.0)
-
-
-class TestByWorker:
-    def test_crash_orphans_are_discoverable(self):
-        table = LeaseTable()
-        mine = table.grant(0, 1, "agent0", now=0.0)
-        table.grant(1, 1, "agent1", now=0.0)
-        also_mine = table.grant(2, 1, "agent0", now=0.0)
-        assert table.by_worker("agent0") == [mine, also_mine]
-        assert table.by_worker("agent9") == []

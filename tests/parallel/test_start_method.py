@@ -184,10 +184,17 @@ class TestAgentStart:
             _, _, probe = fleet_sweep(families.sync_extract)
         assert probe.spawned() == {True}
 
-    def test_custom_command_spawns_its_agents(self):
-        _, _, probe = fleet_sweep(families.sync_extract,
-                                  command=default_agent_command())
+    @pytest.mark.parametrize("wrap", [[], ["sh", "-c", 'exec "$@"', "sh"]],
+                             ids=["direct", "wrapped"])
+    def test_custom_command_spawns_its_agents(self, wrap):
+        # ``wrapped`` is shaped like ``ssh host python -m repro worker
+        # serve``: another program starts the agent and hands it its stdio.
+        serial = ParallelSweepRunner(jobs=1).run_configs(
+            CONFIGS, families.sync_extract)
+        results, _, probe = fleet_sweep(
+            families.sync_extract, command=[*wrap, *default_agent_command()])
         assert probe.spawned() == {True}
+        assert results == serial
 
 
 @linux

@@ -11,9 +11,7 @@ faulted drills share one module-level baseline.
 import functools
 import json
 import os
-import socket
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -23,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.parallel import ParallelSweepRunner, ResultCache, WorkerBackend
 from repro.parallel.backends.coordinator import stop_all
 from repro.parallel.backends.worker import _Agent
-from repro.parallel.worker_agent import serve_tcp
 from repro.resilience import FAULTS_ENV, ResilienceConfig
 from repro.scenarios import families
 
@@ -200,7 +197,7 @@ class TestDegradation:
     def test_dead_fleet_degrades_to_local(self, baseline):
         backend = WorkerBackend(
             command=[sys.executable, "-c", "raise SystemExit(1)"],
-            workers=1, max_respawns=0, lease_ttl=5.0)
+            workers=1, lease_ttl=5.0)
         runner = ParallelSweepRunner(
             backend=backend, resilience=ResilienceConfig(retries=1, **FAST))
         with pytest.warns(RuntimeWarning, match="degrading"):
@@ -219,34 +216,3 @@ class TestDegradation:
                 pytest.warns(RuntimeWarning, match="could not spawn worker agent"):
             assert runner.run_configs(CONFIGS, extract) == baseline
         assert runner.last_report.degraded_points == len(CONFIGS)
-
-
-class TestTcpFleet:
-    def test_connect_to_listening_agent(self, baseline, monkeypatch):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        # The coordinator connects within a few ms of agent.start(); wait
-        # until the agent thread is actually listening, or the connect
-        # races the bind and is refused about one run in three.
-        listening = threading.Event()
-        create_server = socket.create_server
-
-        def create_server_and_signal(*args, **kwargs):
-            server = create_server(*args, **kwargs)
-            listening.set()
-            return server
-
-        monkeypatch.setattr(socket, "create_server", create_server_and_signal)
-        agent = threading.Thread(target=serve_tcp, args=("127.0.0.1", port),
-                                 kwargs=dict(once=True), daemon=True)
-        agent.start()
-        assert listening.wait(timeout=10.0)
-        runner = ParallelSweepRunner(
-            backend=WorkerBackend(connect=[f"127.0.0.1:{port}"],
-                                  lease_ttl=30.0))
-        assert runner.run_configs(CONFIGS, extract) == baseline
-        report = runner.last_report
-        assert report.ok and report.backend == "worker"
-        agent.join(timeout=10.0)
-        assert not agent.is_alive()

@@ -175,16 +175,6 @@ class TestSweepExitCodes:
         assert document["journal_skips"] == 3
         assert document["live"] == 0
 
-    def test_malformed_worker_endpoint_exits_2(self, capsys):
-        """A typo in --worker-connect is a configuration error, not a
-        fleet that "could not be reached" and a silent local run."""
-        assert main(["sweep", "conjecture", "--fast", "--no-cache",
-                     "--backend", "worker",
-                     "--worker-connect", "localhost:port"]) == 2
-        captured = capsys.readouterr()
-        assert "bad endpoint 'localhost:port'" in captured.err
-        assert "point" not in captured.out  # nothing ran
-
     def test_worker_backend_off_posix_exits_2(self, capsys, monkeypatch):
         """The coordinator waits on raw descriptors: elsewhere that is a
         configuration error up front, not a traceback from the wait."""
@@ -208,6 +198,17 @@ class TestSweepExitCodes:
                 in captured.err)
         assert "point" not in captured.out  # nothing ran
 
+    @pytest.mark.parametrize("flag", [["--workers", "2"],
+                                      ["--lease-ttl", "5"]],
+                             ids=["workers", "lease-ttl"])
+    def test_fleet_flag_without_worker_backend_exits_2(self, capsys, flag):
+        assert main(["sweep", "conjecture", "--fast", "--no-cache",
+                     *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --workers/--lease-ttl need "
+                                "--backend worker\n")
+        assert "point" not in captured.out  # nothing ran
+
     @pytest.mark.parametrize("ttl", ["0", "-1"])
     def test_non_positive_lease_ttl_exits_2(self, ttl):
         proc = subprocess.run(
@@ -219,23 +220,6 @@ class TestSweepExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == (f"error: lease_ttl must be positive, "
                                f"got {float(ttl)}\n")
-
-    def test_unreachable_worker_endpoint_degrades_to_local(self, capsys):
-        import socket
-
-        with socket.socket() as probe:  # a port nobody listens on
-            probe.bind(("127.0.0.1", 0))
-            endpoint = "127.0.0.1:%d" % probe.getsockname()[1]
-        with pytest.warns(RuntimeWarning, match="degrading"), \
-                pytest.warns(RuntimeWarning, match="could not connect"):
-            assert main(["sweep", "conjecture", "--fast", "--no-cache",
-                         "--backend", "worker",
-                         "--worker-connect", endpoint]) == 0
-        assert "3 points" in capsys.readouterr().out
-
-    def test_malformed_listen_endpoint_exits_2(self, capsys):
-        assert main(["worker", "serve", "--listen", "0.0.0.0:http"]) == 2
-        assert "bad endpoint '0.0.0.0:http'" in capsys.readouterr().err
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
