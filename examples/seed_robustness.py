@@ -7,19 +7,22 @@ modern question: do the headline claims hold across seeds?
 
 This example sweeps the Figures 4-5 configuration over several seeds
 (the seed is just another sweep axis), reports mean ± 95% CI for the
-key metrics, saves one run's
-traces to JSON for later re-analysis, and renders the bimodal ACK
-inter-arrival histogram that is ACK-compression's fingerprint.
+key metrics, re-analyses one run from its saved scenario document
+(a run is its config: re-running the file is the same run), and
+renders the bimodal ACK inter-arrival histogram that is
+ACK-compression's fingerprint.
 
 Run:
     python examples/seed_robustness.py
 """
 
+import tempfile
 from functools import partial
+from pathlib import Path
 
 from repro.analysis import drops_per_epoch, summarize
-from repro.io import load_result, save_result
-from repro.scenarios import families, paper, run, sweep
+from repro.experiments.parity import fingerprint_hash
+from repro.scenarios import families, load_config, paper, run, save_config, sweep
 from repro.viz import ack_gap_histogram
 
 SEEDS = range(1, 7)
@@ -54,14 +57,18 @@ def main() -> None:
               f"{summary.mean:7.3f} ± {summary.ci_half_width:.3f}  "
               f"(n={summary.n})")
 
-    # Persist one run and re-analyze it offline.
+    # Save one run as its scenario document and re-analyse it by
+    # re-running the file.
     print()
     result = run(paper.figure4(duration=350.0, warmup=150.0))
-    path = save_result(result, "figure4_run.json")
-    saved = load_result(path)
-    print(f"saved traces to {path} "
-          f"({len(saved.queues['sw1->sw2'])} queue points, "
-          f"{len(saved.drops)} drops) and reloaded them")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_config(result.config, Path(tmp) / "figure4.json")
+        rerun = run(load_config(path))
+    same = fingerprint_hash(rerun) == fingerprint_hash(result)
+    print(f"re-ran {result.config.name} from its saved config "
+          f"({len(rerun.queue_series('sw1->sw2'))} queue points, "
+          f"{len(rerun.traces.drops)} drops): "
+          f"fingerprint {'matches' if same else 'DIFFERS from'} the original")
 
     # The compression fingerprint: bimodal ACK gaps at 8 ms and 80 ms.
     start, end = result.window

@@ -15,8 +15,7 @@ The package provides:
 - ``repro.scenarios`` — the paper's named configurations;
 - ``repro.parallel`` — multiprocess sweep execution + on-disk result cache;
 - ``repro.experiments`` — paper-vs-measured reproduction harness;
-- ``repro.viz`` — ASCII strip charts, histograms and CSV export;
-- ``repro.io`` — trace persistence for offline re-analysis.
+- ``repro.viz`` — ASCII strip charts, histograms and CSV export.
 
 Quickstart::
 
@@ -29,7 +28,6 @@ from repro import (
     analysis,
     engine,
     experiments,
-    io,
     metrics,
     net,
     parallel,
@@ -61,7 +59,6 @@ __all__ = [
     "scenarios",
     "experiments",
     "viz",
-    "io",
     "Simulator",
     "Network",
     "build_dumbbell",

@@ -13,7 +13,7 @@
     repro report --jobs 2 --cache-dir D  # experiment points via the sweep runner
     repro plot fig4 [--window A B]  # ASCII queue plots for a scenario
     repro figures [-o DIR]          # render every paper figure as text
-    repro run-config FILE [--save-traces F]  # run a JSON scenario
+    repro run-config FILE           # run a JSON scenario
     repro sweep conjecture --jobs 4 # parallel, cached parameter sweep
     repro sweep buffer --progress   # per-point start/finish telemetry
     repro sweep conjecture --jobs 4 --timeout 120 --retries 3 \
@@ -232,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     cfg_p = sub.add_parser("run-config",
                            help="run a scenario described in a JSON file")
     cfg_p.add_argument("config", help="path to a scenario JSON document")
-    cfg_p.add_argument("--save-traces", default=None, metavar="FILE",
-                       help="also persist the run's traces as JSON")
     _add_algorithm_flags(cfg_p)
     _add_queue_flags(cfg_p)
 
@@ -461,10 +459,6 @@ def _cmd_run_config(args: argparse.Namespace) -> int:
     substitution = _substitution(args)
     result = run(substitute(load_config(args.config), **substitution))
     print(result.summary())
-    if args.save_traces:
-        from repro.io import save_result
-
-        print(f"traces -> {save_result(result, args.save_traces)}")
     return 0
 
 

@@ -42,7 +42,7 @@ class AckArrivalLog:
     arrivals = Derived()
     #: Accepted RTT samples in seconds, in the order the sender took them.
     rtt_samples = Derived()
-    # A log restored from disk or preloaded has no sender: nothing pending.
+    # A log preloaded without a sender has nothing pending.
     _journal: array | tuple = ()
     _rtt_journal: array | tuple = ()
 

@@ -72,19 +72,22 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
+def _object(value: object, what: str) -> dict:
+    """``value`` itself, or a :class:`ConfigurationError` naming ``what``
+    when it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(
+            f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _queue_spec(queue_data: object) -> QueueSpec:
     """The document's ``queue`` object as a :class:`QueueSpec`."""
-    if not isinstance(queue_data, dict):
-        raise ConfigurationError(
-            f"queue must be an object, got {type(queue_data).__name__}")
-    raw = dict(queue_data)
+    raw = dict(_object(queue_data, "queue"))
     name = raw.pop("name", "droptail")
-    params = raw.pop("params", {})
+    params = _object(raw.pop("params", {}), "queue params")
     if raw:
         raise ConfigurationError(f"unknown queue fields: {sorted(raw)}")
-    if not isinstance(params, dict):
-        raise ConfigurationError(
-            f"queue params must be an object, got {type(params).__name__}")
     return QueueSpec(name=str(name), params=params)
 
 
@@ -94,18 +97,21 @@ def config_from_dict(document: dict) -> ScenarioConfig:
     Unknown keys are rejected (typo protection); missing keys take the
     dataclass defaults.
     """
-    data = dict(document)
+    data = dict(_object(document, "scenario document"))
     if "name" not in data or "flows" not in data:
         raise ConfigurationError("scenario document needs 'name' and 'flows'")
+    flows = data.pop("flows")
+    if not isinstance(flows, list):
+        raise ConfigurationError(
+            f"flows must be a list, got {type(flows).__name__}")
 
     flow_specs = []
-    for raw in data.pop("flows"):
-        raw = dict(raw)
+    for raw in flows:
+        raw = dict(_object(raw, "flow"))
+        if "src" not in raw or "dst" not in raw:
+            raise ConfigurationError("flow needs 'src' and 'dst'")
         algorithm = raw.pop("algorithm", None)
-        params = raw.pop("params", {})
-        if not isinstance(params, dict):
-            raise ConfigurationError(
-                f"flow params must be an object, got {type(params).__name__}")
+        params = _object(raw.pop("params", {}), "flow params")
         spec = dict(
             src=raw.pop("src"),
             dst=raw.pop("dst"),
@@ -122,7 +128,7 @@ def config_from_dict(document: dict) -> ScenarioConfig:
     if "queue" in data:
         data["queue"] = _queue_spec(data["queue"])
 
-    tcp_data = data.pop("tcp", {})
+    tcp_data = _object(data.pop("tcp", {}), "tcp")
     known_tcp = {field.name for field in fields(TcpOptions)}
     unknown_tcp = set(tcp_data) - known_tcp
     if unknown_tcp:
@@ -151,7 +157,18 @@ def save_config(config: ScenarioConfig, path: str | Path) -> Path:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Load a scenario document written by :func:`save_config` (or by hand)."""
+    """Load a scenario document written by :func:`save_config` (or by hand).
+
+    A file that cannot be read or is not JSON raises
+    :class:`ConfigurationError`, like a malformed document.
+    """
     source = Path(path)
-    with source.open() as handle:
-        return config_from_dict(json.load(handle))
+    try:
+        with source.open() as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read {source}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(f"{source} is not JSON: {exc}") from exc
+    return config_from_dict(document)

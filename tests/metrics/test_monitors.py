@@ -278,9 +278,9 @@ class TestRecordTypes:
         assert type(ack_log.arrivals[0]) is AckArrival
 
     def test_logs_stay_plain_assignable_lists(self):
-        # io/persist.py and the analysis test fakes assign these; what
-        # is assigned is what the rest of the run is recorded into, and
-        # nothing from before the assignment leaks into it.
+        # The analysis test fakes assign these; what is assigned is what
+        # the rest of the run is recorded into, and nothing from before
+        # the assignment leaks into it.
         sim, _, _, queue_mon, _, _, cwnd_log, ack_log = _loaded_network(until=5.0)
         assert type(queue_mon.departures) is list
         assert type(queue_mon.samples) is list

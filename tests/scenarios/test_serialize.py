@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import parity
+from repro.experiments.registry import EXPERIMENTS, experiment_ids
+from repro.parallel.cache import config_hash
 from repro.scenarios import (
     FlowSpec,
     QueueSpec,
@@ -13,20 +16,40 @@ from repro.scenarios import (
     config_to_dict,
     load_config,
     paper,
+    run,
     save_config,
 )
 from repro.tcp import TcpOptions
 
+#: The paper factories at their defaults, then every config `repro
+#: report` plans (49 points, 43 distinct), keyed `<experiment>-<index>`.
+CONFIGS = {
+    **{factory.__name__: factory() for factory in (
+        paper.figure2, paper.figure3, paper.figure4, paper.figure6,
+        paper.figure8, paper.figure9, paper.four_switch, paper.reno_two_way)},
+    **{f"{exp_id}-{index}": config
+       for exp_id in experiment_ids()
+       for index, config in enumerate(EXPERIMENTS.factory(exp_id).plan())},
+}
+
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("factory", [
-        paper.figure2, paper.figure3, paper.figure4, paper.figure6,
-        paper.figure8, paper.figure9, paper.four_switch, paper.reno_two_way,
-    ])
-    def test_every_paper_config_round_trips(self, factory):
-        config = factory()
-        restored = config_from_dict(config_to_dict(config))
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_every_paper_config_round_trips(self, name):
+        config = CONFIGS[name]
+        restored = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
         assert restored == config
+        assert config_hash(restored) == config_hash(config)
+
+    def test_rerun_from_saved_file_is_the_same_run(self, tmp_path):
+        """A saved run is its config: re-running the file reproduces the
+        live run section by section, which also catches state outside
+        the config that equality cannot see."""
+        [case] = parity.parity_cases(["figure4"])
+        config = case.build()
+        live = parity.section_hashes(run(config))
+        path = save_config(config, tmp_path / "figure4.json")
+        assert parity.section_hashes(run(load_config(path))) == live
 
     def test_tcp_options_preserved(self):
         config = paper.delayed_ack_two_way(maxwnd=8)

@@ -35,18 +35,33 @@ class TestRunConfigCommand:
         assert "two-way" in out
         assert "sw1->sw2" in out
 
-    def test_save_traces_option(self, config_file, tmp_path, capsys):
-        traces = tmp_path / "traces.json"
-        assert main(["run-config", config_file, "--save-traces", str(traces)]) == 0
-        document = json.loads(traces.read_text())
-        assert document["format_version"] == 1
-        assert "sw1->sw2" in document["queues"]
-
-    def test_invalid_document_is_clean_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [
+        pytest.param(json.dumps({"name": "x", "flows": [], "bogus": 1}),
+                     id="unknown-field"),
+        pytest.param(None, id="missing-path"),
+        pytest.param("directory", id="directory"),
+        pytest.param("not json {", id="not-json"),
+        pytest.param(json.dumps([1, 2]), id="top-level-list"),
+        pytest.param(json.dumps({"name": "x", "flows": 7}), id="flows-not-list"),
+        pytest.param(json.dumps({"name": "x", "flows": [7]}), id="flow-not-object"),
+        pytest.param(json.dumps({"name": "x", "flows": [{"dst": 1}]}),
+                     id="flow-without-src"),
+        pytest.param(json.dumps({"name": "x", "flows": [{"src": 0}]}),
+                     id="flow-without-dst"),
+        pytest.param(json.dumps({"name": "x", "flows": [], "tcp": 3}),
+                     id="tcp-not-object"),
+    ])
+    def test_invalid_document_is_clean_error(self, content, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"name": "x", "flows": [], "bogus": 1}))
+        if content == "directory":
+            bad.mkdir()
+        elif content is not None:
+            bad.write_text(content)
         assert main(["run-config", str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestFiguresCommand:
