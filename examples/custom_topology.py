@@ -5,11 +5,16 @@ Everything the scenario layer does can be assembled by hand: create a
 simulator, wire a topology, attach connections and monitors, run, and
 export traces to CSV for external plotting.  This example builds a
 three-switch chain with a long-haul connection sharing a hop with a
-short cross-flow, then exports the middle queue's trace.
+short cross-flow, then exports the middle queue's trace and the drop
+log into a temporary directory (point the two ``write_*_csv`` calls at
+a path of your own to keep them).
 
 Run:
     python examples/custom_topology.py
 """
+
+import tempfile
+from pathlib import Path
 
 from repro.engine import Simulator
 from repro.metrics import TraceSet
@@ -65,10 +70,12 @@ def main() -> None:
     print(plot_series(middle.lengths, 60.0, 120.0,
                       title="shared middle queue sw2->sw3"))
 
-    queue_csv = write_series_csv(middle.lengths, "chain_queue.csv")
-    drops_csv = write_drops_csv(traces.drops, "chain_drops.csv")
-    print(f"exported: {queue_csv} ({len(middle.lengths)} points), "
-          f"{drops_csv} ({len(traces.drops)} drops)")
+    with tempfile.TemporaryDirectory() as tmp:
+        queue_csv = write_series_csv(middle.lengths,
+                                     Path(tmp) / "chain_queue.csv")
+        drops_csv = write_drops_csv(traces.drops, Path(tmp) / "chain_drops.csv")
+        print(f"exported: {queue_csv.name} ({len(middle.lengths)} points), "
+              f"{drops_csv.name} ({len(traces.drops)} drops)")
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@
     repro figures [-o DIR]          # render every paper figure as text
     repro run-config FILE           # run a JSON scenario
     repro sweep conjecture --jobs 4 # parallel, cached parameter sweep
-    repro sweep buffer --progress   # per-point start/finish telemetry
+    repro sweep buffer --progress   # per-point start/finish/retry/fail lines
     repro sweep conjecture --jobs 4 --timeout 120 --retries 3 \
           --resume sweep.journal    # supervised: contain crashes, resume
-    repro sweep buffer --live       # live terminal dashboard + telemetry
+    repro sweep buffer --manifest-dir D  # one provenance manifest per point
     repro trace fig4 --out t.json   # Perfetto-loadable execution trace
     repro metrics fig4 --prom m.prom  # metered run, Prometheus exposition
     repro profile fig4              # per-category wall-time attribution
@@ -62,8 +62,9 @@ EXIT_SWEEP_TOTAL = 4
 _SWEEP_EPILOG = """\
 exit codes:
   0  every point produced measurements
-  2  configuration error (bad flags, bad REPRO_FAULTS spec, or a
-     __main__ that spawn workers cannot re-import -- use --jobs 1)
+  2  configuration error (bad flags, bad REPRO_FAULTS spec, a --report
+     or --export path whose directory does not exist, or a __main__
+     that spawn workers cannot re-import -- use --jobs 1)
   3  some points failed after exhausting their retries; completed
      measurements were still returned/journaled (with --allow-partial
      this case exits 0 instead)
@@ -81,6 +82,12 @@ process with it.  A fleet whose agents cannot be started is warned
 about and the sweep degrades to local execution.  Failed points are
 reported on stderr and recorded in --manifest-dir manifests and the
 --report document.
+
+A sweep is observed three ways: --progress prints each point's phase,
+worker, wall time, events and attempt as it happens; --manifest-dir
+writes each point's source (live/cache/journal/failed), worker, wall
+time, events, attempts and failure; --report and the closing status
+line give the retries, failures and cache hits/misses.
 """
 
 #: Default sim-time slice a ``repro trace`` records: enough to show several
@@ -290,17 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--export", default=None, metavar="FILE",
                        help="write the sweep's values and measurements as "
                             "JSON (stable field order, for diffing runs)")
-    swp_p.add_argument("--live", action="store_true",
-                       help="live terminal dashboard: points done/failed/"
-                            "retried, ETA, per-worker state, cache hit "
-                            "ratio, aggregate packet throughput (implies "
-                            "metered points)")
-    swp_p.add_argument("--telemetry", default=None, metavar="FILE",
-                       dest="telemetry_out",
-                       help="run every point metered and write the "
-                            "aggregated SweepTelemetry document as JSON "
-                            "(also written to --manifest-dir as "
-                            "sweep.telemetry.json when that is set)")
     _add_algorithm_flags(swp_p)
 
     trc_p = sub.add_parser(
@@ -583,6 +579,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import functools
     import json
     import time
+    from pathlib import Path
 
     from repro.parallel import ParallelSweepRunner
     from repro.resilience import ResilienceConfig
@@ -632,6 +629,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --workers/--lease-ttl need --backend worker",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    for flag, path in (("--report", args.report), ("--export", args.export)):
+        # Refuse before the first point runs, not after the last.
+        if path is not None and not Path(path).parent.is_dir():
+            print(f"error: {flag} {path}: directory {Path(path).parent} "
+                  "does not exist", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     done = [0]
 
     def on_point(point) -> None:
@@ -640,20 +643,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                             for key, value in sorted(point.measurements.items()))
         print(f"[{done[0]}/{len(values)}] {point.value}: {numbers}")
 
-    telemetry = None
-    dashboard = None
-    if args.live or args.telemetry_out:
-        from repro.obs import LiveDashboard, SweepTelemetry
-
-        telemetry = SweepTelemetry()
-        if args.live:
-            dashboard = LiveDashboard(telemetry, total=len(values))
-
-    on_progress = dashboard
+    on_progress = None
     if args.progress:
         def on_progress(event) -> None:
-            if dashboard is not None:
-                dashboard(event)
             value = values[event.index]
             tag = f"  point {event.index} ({value})"
             if event.phase == "start":
@@ -673,32 +665,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                       f"{event.wall_seconds:.2f}s "
                       f"{event.events_processed} events [cache miss]")
 
-    if dashboard is not None:
-        # The dashboard redraws over the per-point lines; keep stdout
-        # for the final table only.
-        on_point = None
-
     runner = ParallelSweepRunner(jobs=args.jobs, cache=cache,
                                  resilience=policy, backend=backend)
     started = time.perf_counter()
-    try:
-        points = runner.run(make_config, values, extract,
-                            on_point=on_point, on_progress=on_progress,
-                            manifest_dir=args.manifest_dir,
-                            telemetry=telemetry)
-    finally:
-        if dashboard is not None:
-            dashboard.close()
+    points = runner.run(make_config, values, extract,
+                        on_point=on_point, on_progress=on_progress,
+                        manifest_dir=args.manifest_dir)
     elapsed = time.perf_counter() - started
     report, cache = runner.last_report, runner.cache
-
-    if telemetry is not None:
-        from repro.obs.telemetry import write_telemetry
-
-        if args.telemetry_out:
-            print(f"telemetry -> {write_telemetry(telemetry, args.telemetry_out)}")
-        if args.manifest_dir:
-            print(f"telemetry -> {write_telemetry(telemetry, args.manifest_dir)}")
 
     if args.export:
         document = [{"value": str(point.value),

@@ -1,4 +1,4 @@
-"""Engine-level observability: tracing, profiling and run telemetry.
+"""Engine-level observability: tracing, profiling and run metrics.
 
 The subsystem threads through the engine and net layers without either
 knowing about it:
@@ -18,17 +18,14 @@ knowing about it:
   :class:`~repro.obs.registry.MetricsRegistry` (counters, gauges,
   fixed-layout histograms, sim-time rates; Prometheus and JSONL
   exporters), read off the traces after the run.
-- :class:`~repro.obs.telemetry.SweepTelemetry` — one sweep's points
-  folded into one document; :class:`~repro.obs.dashboard.LiveDashboard`
-  renders it for ``repro sweep --live``.
 
 Entry points: ``trace=`` / ``manifest=`` on :func:`repro.scenarios.run`
-and :func:`repro.scenarios.sweep`, ``metrics=`` on ``run`` and
-``telemetry=`` on ``sweep``, and the ``repro trace`` / ``repro
-profile`` CLI verbs.
+and :func:`repro.scenarios.sweep`, ``metrics=`` on ``run``, and the
+``repro trace`` / ``repro profile`` / ``repro metrics`` CLI verbs.  A
+sweep is observed through its :class:`~repro.parallel.progress.PointProgress`
+stream, its per-point manifests and its resilience report.
 """
 
-from repro.obs.dashboard import LiveDashboard
 from repro.obs.export import chrome_trace_events, export_chrome_trace, export_jsonl
 from repro.obs.harvest import harvest
 from repro.obs.manifest import (
@@ -42,7 +39,6 @@ from repro.obs.manifest import (
 from repro.obs.model import HOP_KINDS, CategoryStats, DispatchSpan, PacketHop
 from repro.obs.profile import format_profile, profile_rows
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Rate
-from repro.obs.telemetry import SweepTelemetry
 from repro.obs.tracer import Tracer, resolve_tracer
 
 __all__ = [
@@ -51,8 +47,6 @@ __all__ = [
     "Histogram",
     "Rate",
     "MetricsRegistry",
-    "SweepTelemetry",
-    "LiveDashboard",
     "harvest",
     "OBS_SCHEMA_VERSION",
     "HOP_KINDS",

@@ -9,8 +9,7 @@ Four instrument types cover everything the reproduction reports as an
 - :class:`Histogram` — a distribution over **fixed, deterministic
   bucket layouts** (queue occupancy, cwnd, RTT samples).  Layouts are
   module constants, never derived from the data, so two runs of the
-  same scenario produce byte-identical snapshots and snapshots from
-  different sweep points can be merged bucket-by-bucket.
+  same scenario produce byte-identical snapshots.
 - :class:`Rate` — a windowed event rate over *simulation* time
   (departures per second at a bottleneck port).  The window slides on
   sim timestamps only; no wall clock is read.
@@ -18,19 +17,17 @@ Four instrument types cover everything the reproduction reports as an
 All instruments live in a :class:`MetricsRegistry`, keyed by
 ``(name, labels)`` exactly as Prometheus models series.  Snapshots are
 plain JSON-able dicts, sorted by name and labels, so they are stable
-under hashing, safe to pickle across sweep workers, and mergeable by
-:mod:`repro.obs.telemetry`.  A run's registry is filled after the run
-by :func:`repro.obs.harvest.harvest`.
+under hashing.  A run's registry is filled after the run by
+:func:`repro.obs.harvest.harvest`.
 
 Both exporters — Prometheus text exposition format 0.0.4 and JSONL —
 consume the plain-dict snapshot (or the registry itself), so they work
-identically on a live registry, a snapshot that crossed a worker
-process boundary, and a snapshot reloaded from disk.  Prometheus output
-has ``# HELP`` / ``# TYPE`` headers, one sample per line, histogram
-``_bucket{le=...}`` series with cumulative counts and a ``+Inf``
-terminal bucket, plus ``_sum``/``_count``; a :class:`Rate` flattens
-into a ``_total`` counter and ``_peak_per_second``/``_last_per_second``
-gauges.
+identically on a live registry and on a snapshot reloaded from disk.
+Prometheus output has ``# HELP`` / ``# TYPE`` headers, one sample per
+line, histogram ``_bucket{le=...}`` series with cumulative counts and a
+``+Inf`` terminal bucket, plus ``_sum``/``_count``; a :class:`Rate`
+flattens into a ``_total`` counter and
+``_peak_per_second``/``_last_per_second`` gauges.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ __all__ = [
     "OCCUPANCY_BUCKETS",
     "CWND_BUCKETS",
     "RTT_BUCKETS",
-    "WALL_SECONDS_BUCKETS",
 ]
 
 #: General-purpose decade layout.
@@ -75,9 +71,6 @@ CWND_BUCKETS: tuple[float, ...] = (
 #: tens-of-milliseconds to seconds range once queues fill).
 RTT_BUCKETS: tuple[float, ...] = (
     0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
-#: Per-point wall time in seconds (sweep telemetry).
-WALL_SECONDS_BUCKETS: tuple[float, ...] = (
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0)
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _LABEL_RE = re.compile(r"[a-z][a-z0-9_]*\Z")

@@ -4,7 +4,7 @@ A backend executes the *live* points of one sweep — everything the
 journal and cache prefilters left pending — and reports each point back
 through the sweep's ledger, handed over in a :class:`BackendRequest`.
 The ledger owns all sweep-level state (results list, cache, journal,
-report, manifests, telemetry); a backend owns only *how* points run:
+report, manifests); a backend owns only *how* points run:
 in-process, on local worker processes, or leased out to a fleet of
 worker agents.
 
@@ -51,8 +51,6 @@ class BackendRequest:
     retries, the first failure fails the sweep); distributed backends
     always run supervised."""
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
-    metered: bool = False
-    """Run points with metrics registries and ship snapshots back."""
 
 
 class SweepBackend:

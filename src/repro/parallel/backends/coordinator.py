@@ -55,15 +55,15 @@ __all__ = ["Crew", "Transport", "coordinate", "stop_all"]
 
 
 def _attempt(index: int, attempt: int, config: ScenarioConfig, faults,
-             extract, metered: bool,
+             extract,
              alive: Callable[[], ContextManager] = nullcontext) -> tuple:
     """One contained attempt, in whichever process it runs.
 
     Applies any scheduled injected faults first (so a ``kill`` dies
     before simulating, like a real early OOM, and a ``hang`` goes quiet
     before ``alive`` — an agent's heartbeat — starts), then runs and
-    extracts.  Returns ``("ok", (measurements, wall_seconds, events,
-    metrics_snapshot), None)`` or ``("error", detail, exception)``; a
+    extracts.  Returns ``("ok", (measurements, wall_seconds, events),
+    None)`` or ``("error", detail, exception)``; a
     worker ships the first two items, an in-process caller keeps the
     exception to chain it.
     """
@@ -71,13 +71,11 @@ def _attempt(index: int, attempt: int, config: ScenarioConfig, faults,
         apply_worker_faults(faults, index, attempt)
         with alive():
             begin = perf_counter()
-            result = run_scenario(config, metrics=metered)
+            result = run_scenario(config)
             wall_seconds = perf_counter() - begin
             measurements = extract(result)
-        snapshot = (result.metrics.snapshot()
-                    if result.metrics is not None else None)
         return OUTCOME_OK, (measurements, wall_seconds,
-                            result.events_processed, snapshot), None
+                            result.events_processed), None
     except Exception as exc:
         return OUTCOME_ERROR, f"{type(exc).__name__}: {exc}", exc
 
@@ -86,7 +84,7 @@ class Transport:
     """One worker, as the coordinator sees it.
 
     ``messages()`` returns ``(kind, lease_id, body)`` tuples: ``("ok",
-    id, (measurements, wall_seconds, events, snapshot))``, ``("error",
+    id, (measurements, wall_seconds, events))``, ``("error",
     id, detail)``, ``("alive", id, None)`` for a keep-alive, and
     ``("dead", "", why)`` once the worker is gone — by then the
     transport has killed and reaped it.  Handshakes stay inside the
@@ -261,7 +259,7 @@ class _Coordinator:
         name = multiprocessing.current_process().name
         request.ledger.started(index, attempt, name)
         begin = monotonic()
-        outcome, body, cause = _attempt(*job, request.metered)
+        outcome, body, cause = _attempt(*job)
         self._settle(index, attempt, name, outcome, body,
                      monotonic() - begin, cause)
 
@@ -357,12 +355,12 @@ class _Coordinator:
         ledger = self.request.ledger
         settled = index in self.accepted or index in self.failed
         if outcome == OUTCOME_OK:
-            measurements, simulate_seconds, events, snapshot = body
+            measurements, simulate_seconds, events = body
             if not settled:
                 self.accepted[index] = measurements
                 ledger.settle(index, measurements, "live", worker,
                               wall_seconds=simulate_seconds, events=events,
-                              attempts=attempt, snapshot=snapshot)
+                              attempts=attempt)
             # At-least-once aftermath: a reclaimed lease's worker finished
             # anyway.  Equal payloads dedupe by content; unequal payloads
             # mean nondeterminism or corruption — quarantine both.

@@ -151,9 +151,9 @@ def _child_main(target: Callable[..., object], *args: object) -> None:
 
 
 def _start_child(context, name: str, target: Callable[..., object],
-                 parent_ends: tuple, child_ends: tuple,
-                 *args: object) -> multiprocessing.process.BaseProcess:
-    """Start ``target(*child_ends, *args)`` as daemon process ``name``.
+                 parent_ends: tuple, child_ends: tuple
+                 ) -> multiprocessing.process.BaseProcess:
+    """Start ``target(*child_ends)`` as daemon process ``name``.
 
     The one start of a sweep worker or a forked fleet agent.  Each
     parent end is closed in every forked child, this one's and its
@@ -165,7 +165,7 @@ def _start_child(context, name: str, target: Callable[..., object],
     for end in parent_ends:
         util.register_after_fork(end, type(end).close)
     process = context.Process(target=_child_main,
-                              args=(target, *child_ends, *args),
+                              args=(target, *child_ends),
                               name=name, daemon=True)
     forks = context.get_start_method() == "fork"
     try:
@@ -181,7 +181,7 @@ def _start_child(context, name: str, target: Callable[..., object],
     return process
 
 
-def _worker_main(conn, metered: bool) -> None:
+def _worker_main(conn) -> None:
     """Body of a long-lived worker: one task in, one tagged outcome out.
 
     Serves ``(lease_id, index, attempt, config, faults, extract)`` tasks
@@ -194,7 +194,7 @@ def _worker_main(conn, metered: bool) -> None:
     try:
         while True:
             lease_id, *job = conn.recv()
-            conn.send((lease_id, *_attempt(*job, metered)[:2]))
+            conn.send((lease_id, *_attempt(*job)[:2]))
     except (EOFError, OSError):
         conn.close()
 
@@ -207,11 +207,11 @@ class _PipeWorker(Transport):
     only as a missed per-point deadline.
     """
 
-    def __init__(self, context, ordinal: int, metered: bool) -> None:
+    def __init__(self, context, ordinal: int) -> None:
         self.waitable, child_end = context.Pipe()
         self.process = _start_child(
             context, f"repro-worker-{ordinal}", _worker_main,
-            (self.waitable,), (child_end,), metered)
+            (self.waitable,), (child_end,))
         self.name = self.process.name
 
     def send(self, lease_id: str, task: tuple) -> None:
@@ -251,7 +251,7 @@ class LocalBackend(SweepBackend):
 
         def spawn() -> _PipeWorker | None:
             try:
-                return _PipeWorker(context, next(ordinals), request.metered)
+                return _PipeWorker(context, next(ordinals))
             except OSError as exc:
                 # fd/PID exhaustion: degrade instead of killing the sweep.
                 warnings.warn(

@@ -118,7 +118,7 @@ class _Agent(Transport):
     """One fleet member: its process ``proc`` (a ``Popen`` over stdio or
     a :class:`_Forked` over pipes; ``None`` for a bare stream), its
     messages arriving on the raw descriptor ``fd``.  ``terms`` are the
-    lease fields every point shares (metered, heartbeat)."""
+    lease fields every point shares (the heartbeat interval)."""
 
     ready = False
 
@@ -184,8 +184,7 @@ class _Agent(Transport):
             return [(OUTCOME_OK, lease_id,
                      (message.get("measurements"),
                       float(message.get("wall_seconds", 0.0)),
-                      int(message.get("events_processed", 0)),
-                      message.get("snapshot")))]
+                      int(message.get("events_processed", 0))))]
         elif kind == "error":
             return [(OUTCOME_ERROR, lease_id,
                      str(message.get("detail", "worker error")))]
@@ -319,7 +318,7 @@ class WorkerBackend(SweepBackend):
                 "provide a resilience policy")
         for extract in {id(e): e for e in request.extracts}.values():
             extract_reference(extract)  # refuse a lambda before any agent starts
-        terms = {"metered": request.metered, "heartbeat": self.heartbeat}
+        terms = {"heartbeat": self.heartbeat}
         fleet = self.workers or max(1, request.jobs)
         respawns = 2 * fleet
         ordinals = itertools.count()

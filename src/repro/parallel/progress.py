@@ -1,7 +1,9 @@
 """Progress notifications of a sweep, whatever backend executes it.
 
 The sweep ledger (:mod:`repro.parallel.runner`) is their only emitter;
-telemetry, the dashboard and ``repro sweep --progress`` consume them.
+``repro sweep --progress`` prints them.  With the per-point manifests
+(``manifest_dir=``) and the resilience report they are the whole record
+of how a sweep ran.
 """
 
 from __future__ import annotations

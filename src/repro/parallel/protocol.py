@@ -33,11 +33,11 @@ Message vocabulary (``"t"`` values)::
       hello       agent -> coordinator   proto/host/pid handshake
       lease       coordinator -> agent   one sweep point: lease_id, index,
                                          attempt, config, extract ref,
-                                         shipped fault clauses, metered,
+                                         shipped fault clauses,
                                          heartbeat interval
       heartbeat   agent -> coordinator   lease_id keep-alive while running
       result      agent -> coordinator   lease_id, measurements, wall
-                                         seconds, events, snapshot
+                                         seconds, events
       error       agent -> coordinator   lease_id, detail (the attempt
                                          failed; the agent survives)
       shutdown    coordinator -> agent   drain and exit

@@ -13,7 +13,7 @@ the runner skips simulation entirely for points it has seen before, so a
 warm re-run of a benchmark sweep costs milliseconds.
 
 Everything a sweep shares across backends — results, cache, journal,
-retry accounting, manifests, telemetry, the resilience report — is one
+retry accounting, manifests, the resilience report — is one
 :class:`_Ledger`, which settles a point once whether the journal, the
 cache or a simulation supplied it; backends get it in a
 :class:`~repro.parallel.backends.base.BackendRequest` and own only
@@ -96,9 +96,9 @@ class _Ledger:
     """One sweep's books: where every point is settled, exactly once.
 
     Owns what a sweep accumulates — results, report, point identities,
-    cache, journal and manifest handles, the caller's callbacks,
-    telemetry — with one method per transition of a point: the runner
-    calls :meth:`replay` and :meth:`unsettled`, the coordinator
+    cache, journal and manifest handles, the caller's callbacks — with
+    one method per transition of a point: the runner calls
+    :meth:`replay` and :meth:`unsettled`, the coordinator
     :meth:`started`, :meth:`settle`, :meth:`attempt_failed`,
     :meth:`duplicate`, :meth:`conflict` and :meth:`reclaimed`.  Parent
     process only: a ledger never crosses to a worker.
@@ -107,14 +107,13 @@ class _Ledger:
     def __init__(self, configs: Sequence[ScenarioConfig],
                  extracts: Sequence[Callable], backend: str,
                  policy: ResilienceConfig | None, cache,
-                 on_point, on_progress, manifest_dir, telemetry) -> None:
+                 on_point, on_progress, manifest_dir) -> None:
         self.configs = configs
         self.policy = policy
         self.cache = cache
         self.on_point = on_point
         self.on_progress = on_progress
         self.manifest_dir = manifest_dir
-        self.telemetry = telemetry
         self.results: list[dict | None] = [None] * len(configs)
         self.report = ResilienceReport(points=len(configs), backend=backend)
         self.fault_plan = active_plan()
@@ -138,8 +137,6 @@ class _Ledger:
             SweepJournal(journal) if self._owns_journal else journal)
         self.journal_entries: dict[str, JournalEntry] | None = (
             self.journal.load() if self.journal is not None else None)
-        if telemetry is not None:
-            telemetry.bind(self.report, cache, self.journal)
 
     def _cache_for(self, index: int) -> ResultCache | None:
         """The cache to use for one point — ``None`` under an
@@ -203,8 +200,7 @@ class _Ledger:
 
     def settle(self, index: int, measurements: dict, source: str,
                worker: str, *, wall_seconds: float | None = None,
-               events: int | None = None, attempts: int = 1,
-               snapshot: dict | None = None) -> None:
+               events: int | None = None, attempts: int = 1) -> None:
         """A point has its measurements: from the ``"journal"``, the
         ``"cache"``, or ``"live"`` from ``worker`` with its statistics.
         Every sink hears of it here and nowhere else: results, the cache
@@ -215,9 +211,6 @@ class _Ledger:
             self.report.live += 1
             if attempts > 1:
                 self.report.attempts_by_index[index] = attempts
-            if self.telemetry is not None:
-                self.telemetry.fold_point(worker, wall_seconds, events,
-                                          snapshot)
             point_cache = self._cache_for(index)
             if point_cache is not None:
                 entry_path = point_cache.put(self.identities[index].key,
@@ -380,7 +373,6 @@ class ParallelSweepRunner:
         on_point: Callable[[int, dict], None] | None = None,
         on_progress: Callable[[PointProgress], None] | None = None,
         manifest_dir: str | Path | None = None,
-        telemetry=None,
     ) -> list[dict]:
         """Measurements for each config, in input order.
 
@@ -396,15 +388,6 @@ class ParallelSweepRunner:
         report progress.  ``on_progress`` additionally receives
         :class:`PointProgress` notifications carrying worker identity,
         timing and attempt counts.
-
-        ``telemetry`` (a :class:`~repro.obs.telemetry.SweepTelemetry`)
-        turns the sweep metered: the ledger binds it to the sweep's
-        report, cache and journal, every live point runs with
-        ``metrics=True`` and is folded in with its registry snapshot,
-        and the caller persists the resulting document (``repro sweep
-        --telemetry`` / ``--live``).  Cache and journal hits replay
-        stored measurements without simulating, so they count toward
-        the hit ratio but not the per-flow aggregates.
 
         ``manifest_dir`` writes one ``<run_id>.manifest.json`` per point
         into that directory; all sources carry identical identity fields
@@ -436,8 +419,7 @@ class ParallelSweepRunner:
             # leases, retries and the report all hang off the policy.
             policy = ResilienceConfig()
         ledger = _Ledger(configs, extracts, backend.name, policy,
-                         self.cache, on_point, on_progress, manifest_dir,
-                         telemetry)
+                         self.cache, on_point, on_progress, manifest_dir)
         report = ledger.report
         self.last_report = report if policy is not None else None
         try:
@@ -447,8 +429,7 @@ class ParallelSweepRunner:
             request = BackendRequest(
                 pending=pending, configs=configs, extracts=extracts,
                 jobs=min(self.jobs, len(pending)), ledger=ledger,
-                policy=policy, fault_plan=ledger.fault_plan,
-                metered=telemetry is not None)
+                policy=policy, fault_plan=ledger.fault_plan)
             if pending:
                 try:
                     backend.execute(request)
@@ -484,7 +465,6 @@ class ParallelSweepRunner:
         on_point: Callable | None = None,
         on_progress: Callable[[PointProgress], None] | None = None,
         manifest_dir: str | Path | None = None,
-        telemetry=None,
     ) -> list:
         """Run ``make_config(v)`` for each value; the parallel ``sweep()``.
 
@@ -508,7 +488,6 @@ class ParallelSweepRunner:
 
         measurements = self.run_configs(configs, extract, on_point=wrapped,
                                         on_progress=on_progress,
-                                        manifest_dir=manifest_dir,
-                                        telemetry=telemetry)
+                                        manifest_dir=manifest_dir)
         return [SweepPoint(value=value, measurements=m)
                 for value, m in zip(values, measurements)]

@@ -112,7 +112,6 @@ def _serve_lease(message: dict, writer: IO[str],
         config = config_from_dict(message["config"])
         extract = resolve_extract(message["extract"])
         faults = _shipped_faults(message.get("faults"))
-        metered = bool(message.get("metered", False))
         interval = float(message.get("heartbeat", DEFAULT_HEARTBEAT_SECONDS))
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         with lock:
@@ -125,14 +124,14 @@ def _serve_lease(message: dict, writer: IO[str],
     # quiet, and the coordinator's lease deadline — not the agent's
     # goodwill — detects both.
     outcome, body, _ = _attempt(
-        index, attempt, config, faults, extract, metered,
+        index, attempt, config, faults, extract,
         alive=lambda: _Heartbeat(writer, lock, lease_id, interval))
     if outcome == OUTCOME_OK:
-        measurements, wall_seconds, events, snapshot = body
+        measurements, wall_seconds, events = body
         message = {"t": "result", "lease_id": lease_id, "index": index,
                    "measurements": measurements,
                    "wall_seconds": wall_seconds,
-                   "events_processed": events, "snapshot": snapshot}
+                   "events_processed": events}
     else:
         message = {"t": "error", "lease_id": lease_id, "detail": body}
     with lock:

@@ -25,7 +25,6 @@ from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import ScenarioResult
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.telemetry import SweepTelemetry
     from repro.parallel.runner import PointProgress
     from repro.resilience.policy import ResilienceConfig
 
@@ -51,7 +50,6 @@ def sweep(
     on_progress: "Callable[[PointProgress], None] | None" = None,
     manifest: str | Path | None = None,
     resilience: "ResilienceConfig | bool | None" = None,
-    telemetry: "SweepTelemetry | None" = None,
     backend: object = None,
 ) -> list[SweepPoint]:
     """Run ``make_config(v)`` for each value and extract measurements.
@@ -95,13 +93,6 @@ def sweep(
         :class:`~repro.resilience.journal.SweepJournal`.  The default
         ``None`` keeps the unsupervised hot path, where any point
         failure fails the whole sweep.
-    telemetry:
-        A :class:`~repro.obs.telemetry.SweepTelemetry` accumulator makes
-        the sweep metered: every live point runs with ``metrics=True``
-        and folds its registry snapshot into the accumulator alongside
-        progress, cache and resilience counters.  Persist the document
-        with :func:`~repro.obs.telemetry.write_telemetry` — what
-        ``repro sweep --telemetry`` / ``--live`` do.
     backend:
         Which execution backend runs the live points: ``None`` (default)
         or ``"local"`` for this host's process pool, ``"worker"`` (or a
@@ -113,6 +104,5 @@ def sweep(
     runner = ParallelSweepRunner(jobs=jobs, cache=cache, resilience=resilience,
                                  backend=backend)
     return runner.run(make_config, values, extract, on_point=on_point,
-                      on_progress=on_progress, manifest_dir=manifest,
-                      telemetry=telemetry)
+                      on_progress=on_progress, manifest_dir=manifest)
 

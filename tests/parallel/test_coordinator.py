@@ -90,7 +90,7 @@ def test_a_fault_means_the_same_on_either_transport(
 # Scripted: the loop against an in-memory transport on a fake clock
 # ----------------------------------------------------------------------
 def ok(value):
-    return ({"value": value}, 0.5, 7, None)
+    return ({"value": value}, 0.5, 7)
 
 
 class Scripted(Transport):
@@ -157,7 +157,7 @@ class Stage:
         pass
 
     def settle(self, index, measurements, source, worker, *, wall_seconds,
-               events, attempts, snapshot):
+               events, attempts):
         assert source == "live" and index not in self.completed, (
             "a point completed twice")
         self.completed[index] = (measurements, worker, attempts)

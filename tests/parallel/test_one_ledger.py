@@ -70,30 +70,14 @@ def test_backends_never_touch_the_report():
     assert touched == []
 
 
-def test_the_backend_contract_is_eight_fields_and_no_callback_protocols():
+def test_the_backend_contract_is_seven_fields_and_no_callback_protocols():
     assert [field.name for field in dataclasses.fields(BackendRequest)] == [
         "pending", "configs", "extracts", "jobs", "ledger", "policy",
-        "fault_plan", "metered"]
+        "fault_plan"]
     base = [PARALLEL / "backends" / "base.py"]
     assert not any(_named(parent, "Protocol")
                    for node in _nodes(base, ast.ClassDef)
                    for parent in node.bases)
-
-
-def test_telemetry_reads_the_books_instead_of_keeping_its_own():
-    """The ledger binds the telemetry once and folds each live point in;
-    the telemetry has no second input stream."""
-    uses = [node.attr
-            for node in _nodes(PARALLEL.rglob("*.py"), ast.Attribute)
-            if _named(node.value, "telemetry")]
-    assert sorted(uses) == ["bind", "fold_point"]
-    (telemetry,) = [node for node in _nodes([OBS / "telemetry.py"],
-                                            ast.ClassDef)
-                    if node.name == "SweepTelemetry"]
-    methods = [node.name for node in telemetry.body
-               if isinstance(node, ast.FunctionDef)]
-    assert not [name for name in methods
-                if name == "on_progress" or name.startswith("record_")]
 
 
 def _registers(call: ast.Call) -> bool:

@@ -15,7 +15,8 @@ from repro.parallel.protocol import (
     resolve_extract,
     write_message,
 )
-from repro.scenarios import families
+from repro.parallel.worker_agent import serve
+from repro.scenarios import config_to_dict, families, run
 
 
 class TestFraming:
@@ -112,3 +113,29 @@ class TestExtractReference:
         with pytest.raises(WireError, match="not callable"):
             resolve_extract({"module": "repro.scenarios.families",
                              "qualname": "CONJECTURE_CASES"})
+
+
+class TestAgentConversation:
+    def test_a_lease_with_an_unknown_key_is_served_bare(self):
+        """An agent reads the lease fields it knows and ignores the rest
+        (an older coordinator still sends ``metered``); its result is
+        the measurements and the run's statistics, nothing more."""
+        config = families.conjecture_config(families.CONJECTURE_CASES[0],
+                                            duration=5.0, warmup=2.0)
+        extract = families.utilization_extract
+        reader = io.StringIO()
+        write_message(reader, {
+            "t": "lease", "lease_id": "L1", "index": 0, "attempt": 1,
+            "config": config_to_dict(config), "faults": [],
+            "extract": extract_reference(extract), "metered": True,
+            "heartbeat": 60.0})
+        write_message(reader, {"t": "shutdown"})
+        reader.seek(0)
+        writer = io.StringIO()
+        assert serve(reader, writer) == 0
+        writer.seek(0)
+        hello, result = read_message(writer), read_message(writer)
+        assert hello["t"] == "hello"
+        assert sorted(result) == ["events_processed", "index", "lease_id",
+                                  "measurements", "t", "wall_seconds"]
+        assert result["measurements"] == extract(run(config))

@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.obs.telemetry import SweepTelemetry
 from repro.parallel import ParallelSweepRunner, WorkerBackend
 from repro.parallel.backends import local
 from repro.parallel.backends.worker import default_agent_command
@@ -86,41 +85,16 @@ def agent_path(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(Path(repro.__file__).parents[1]))
 
 
-def sweep(extract, metered=False, backend=None, on_progress=None):
-    telemetry = SweepTelemetry() if metered else None
-    results = ParallelSweepRunner(jobs=2, backend=backend).run_configs(
-        CONFIGS, extract, telemetry=telemetry, on_progress=on_progress)
-    return results, telemetry
+def sweep(extract, backend=None, on_progress=None):
+    return ParallelSweepRunner(jobs=2, backend=backend).run_configs(
+        CONFIGS, extract, on_progress=on_progress)
 
 
-def fleet_sweep(extract, metered=False, command=None):
+def fleet_sweep(extract, command=None):
     """A two-agent fleet sweep; also returns who ran it."""
     probe = AgentProbe()
-    results, telemetry = sweep(
-        extract, metered, WorkerBackend(workers=2, command=command), probe)
-    return results, telemetry, probe
-
-
-def aggregate(telemetry):
-    """Every simulated number the metered points reported, one entry
-    per value: all rows but the wall clock's.
-
-    Workers fold in completion order, so float sums may differ in the
-    last place between runs; anything inherited would differ by far
-    more.
-    """
-    values = {}
-    for row in telemetry.document()["point_aggregate"]:
-        if "wall" in row["name"]:
-            continue
-        key = (row["name"], tuple(sorted(row["labels"].items())))
-        for field, value in row.items():
-            if isinstance(value, list):
-                for position, item in enumerate(value):
-                    values[key + (field, position)] = item
-            elif isinstance(value, (int, float)):
-                values[key + (field,)] = value
-    return values
+    results = sweep(extract, WorkerBackend(workers=2, command=command), probe)
+    return results, probe
 
 
 class TestStartMethod:
@@ -128,13 +102,13 @@ class TestStartMethod:
     def test_single_threaded_linux_parent_forks(self):
         assert threading.active_count() == 1, threading.enumerate()
         assert local._start_method() == "fork"
-        results, _ = sweep(worker_state)
+        results = sweep(worker_state)
         assert {point["start_method"] for point in results} == {"fork"}
 
     def test_parent_with_helper_thread_spawns(self):
         with helper_thread():
             assert local._start_method() == "spawn"
-            results, _ = sweep(worker_state)
+            results = sweep(worker_state)
         assert {point["start_method"] for point in results} == {"spawn"}
 
     def test_other_platforms_spawn(self, monkeypatch):
@@ -146,7 +120,7 @@ class TestStartMethod:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            results, _ = sweep(worker_state)
+            results = sweep(worker_state)
         finally:
             if was_enabled:
                 gc.enable()
@@ -164,7 +138,7 @@ class TestAgentStart:
     @linux
     def test_single_threaded_linux_parent_forks_its_agents(self):
         assert threading.active_count() == 1, threading.enumerate()
-        _, _, probe = fleet_sweep(families.sync_extract)
+        _, probe = fleet_sweep(families.sync_extract)
         assert probe.spawned() == {False}
 
     @linux
@@ -172,7 +146,7 @@ class TestAgentStart:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            results, _, _ = fleet_sweep(worker_state)
+            results, _ = fleet_sweep(worker_state)
         finally:
             if was_enabled:
                 gc.enable()
@@ -181,7 +155,7 @@ class TestAgentStart:
 
     def test_parent_with_helper_thread_spawns_its_agents(self):
         with helper_thread():
-            _, _, probe = fleet_sweep(families.sync_extract)
+            _, probe = fleet_sweep(families.sync_extract)
         assert probe.spawned() == {True}
 
     @pytest.mark.parametrize("wrap", [[], ["sh", "-c", 'exec "$@"', "sh"]],
@@ -191,7 +165,7 @@ class TestAgentStart:
         # serve``: another program starts the agent and hands it its stdio.
         serial = ParallelSweepRunner(jobs=1).run_configs(
             CONFIGS, families.sync_extract)
-        results, _, probe = fleet_sweep(
+        results, probe = fleet_sweep(
             families.sync_extract, command=[*wrap, *default_agent_command()])
         assert probe.spawned() == {True}
         assert results == serial
@@ -202,50 +176,21 @@ class TestForkSpawnEquivalence:
     def test_serial_fork_and_spawn_measure_alike(self):
         serial = ParallelSweepRunner(jobs=1).run_configs(
             CONFIGS, families.sync_extract)
-        forked, _ = sweep(families.sync_extract)
+        forked = sweep(families.sync_extract)
         with helper_thread():
-            spawned, _ = sweep(families.sync_extract)
+            spawned = sweep(families.sync_extract)
         assert forked == serial
         assert spawned == serial
-
-    def test_metered_points_carry_nothing_from_the_parent(self):
-        # The parent meters every point first: a registry or harvest
-        # state it kept would ride into the forked workers.
-        serial_telemetry = SweepTelemetry()
-        serial = ParallelSweepRunner(jobs=1).run_configs(
-            CONFIGS, families.sync_extract, telemetry=serial_telemetry)
-        forked, fork_telemetry = sweep(families.sync_extract, metered=True)
-        with helper_thread():
-            spawned, spawn_telemetry = sweep(families.sync_extract,
-                                             metered=True)
-        assert forked == serial
-        assert spawned == serial
-        expected = aggregate(serial_telemetry)
-        assert aggregate(fork_telemetry) == pytest.approx(expected, rel=1e-9)
-        assert aggregate(spawn_telemetry) == pytest.approx(expected, rel=1e-9)
-        assert (fork_telemetry.total_events == spawn_telemetry.total_events
-                == serial_telemetry.total_events)
 
     @needs_proc
     @pytest.mark.usefixtures("agent_path")
-    @pytest.mark.parametrize("metered", [False, True],
-                             ids=["plain", "metered"])
-    def test_serial_forked_and_spawned_fleets_measure_alike(self, metered):
-        serial_telemetry = SweepTelemetry() if metered else None
+    def test_serial_forked_and_spawned_fleets_measure_alike(self):
         serial = ParallelSweepRunner(jobs=1).run_configs(
-            CONFIGS, families.sync_extract, telemetry=serial_telemetry)
-        forked, fork_telemetry, fork_probe = fleet_sweep(
-            families.sync_extract, metered)
+            CONFIGS, families.sync_extract)
+        forked, fork_probe = fleet_sweep(families.sync_extract)
         with helper_thread():
-            spawned, spawn_telemetry, spawn_probe = fleet_sweep(
-                families.sync_extract, metered)
+            spawned, spawn_probe = fleet_sweep(families.sync_extract)
         assert fork_probe.spawned() == {False}
         assert spawn_probe.spawned() == {True}
         assert forked == serial
         assert spawned == serial
-        if metered:
-            expected = aggregate(serial_telemetry)
-            assert aggregate(fork_telemetry) == pytest.approx(expected,
-                                                              rel=1e-9)
-            assert aggregate(spawn_telemetry) == pytest.approx(expected,
-                                                               rel=1e-9)

@@ -1,4 +1,4 @@
-"""Sweep telemetry: PointProgress notifications and per-point manifests."""
+"""How a sweep is observed: PointProgress notifications and per-point manifests."""
 
 import json
 

@@ -190,6 +190,19 @@ class TestSweepExitCodes:
         assert document["journal_skips"] == 3
         assert document["live"] == 0
 
+    @pytest.mark.parametrize("flag", ["--report", "--export"])
+    def test_output_in_a_missing_directory_exits_2_before_any_point(
+            self, flag, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        assert main(["sweep", "conjecture", "--fast", "--no-cache",
+                     flag, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no point ran: each one prints a line
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.strip()]
+        assert str(target.parent) in err
+        assert not target.parent.exists()
+
     def test_worker_backend_off_posix_exits_2(self, capsys, monkeypatch):
         """The coordinator waits on raw descriptors: elsewhere that is a
         configuration error up front, not a traceback from the wait."""
