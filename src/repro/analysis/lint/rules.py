@@ -321,7 +321,7 @@ qualified name the child cannot import*, so the sweep dies with an
 opaque PicklingError — or worse, works in serial mode and fails only on
 the parallel path CI doesn't exercise.  Define sweep families as
 module-level functions (see `repro.scenarios.families`); the progress
-callback `on_point` runs in the parent and is exempt.  `functools.partial`
+callback `on_progress` runs in the parent and is exempt.  `functools.partial`
 over a module-level function is fine and is not flagged.
 
 The same discipline applies to `register_algorithm(name, factory)` and

@@ -22,7 +22,7 @@
     repro trace fig4 --out t.json   # Perfetto-loadable execution trace
     repro metrics fig4 --prom m.prom  # metered run, Prometheus exposition
     repro profile fig4              # per-category wall-time attribution
-    repro parity --check            # figure set vs golden output hashes
+    repro parity --check            # metered figure set vs golden hashes
     repro lint src/                 # determinism static analysis
     repro lint --explain RPR002     # why a rule exists, how to suppress
 
@@ -30,6 +30,8 @@
 ``--algorithm/--param`` and ``--queue/--queue-param``: each substitutes
 through :func:`repro.scenarios.substitute`, and a ``--param`` without
 ``--algorithm`` (or ``--queue-param`` without ``--queue``) exits 2.
+Every verb that writes a file refuses an output path under a missing
+directory or a regular file the same way, before it runs.
 
 Also usable as ``python -m repro ...``.
 """
@@ -62,9 +64,9 @@ EXIT_SWEEP_TOTAL = 4
 _SWEEP_EPILOG = """\
 exit codes:
   0  every point produced measurements
-  2  configuration error (bad flags, bad REPRO_FAULTS spec, a --report
-     or --export path whose directory does not exist, or a __main__
-     that spawn workers cannot re-import -- use --jobs 1)
+  2  configuration error (bad flags, bad REPRO_FAULTS spec, a --report,
+     --export or --manifest-dir path that cannot be written, or a
+     __main__ that spawn workers cannot re-import -- use --jobs 1)
   3  some points failed after exhausting their retries; completed
      measurements were still returned/journaled (with --allow-partial
      this case exits 0 instead)
@@ -83,8 +85,9 @@ about and the sweep degrades to local execution.  Failed points are
 reported on stderr and recorded in --manifest-dir manifests and the
 --report document.
 
-A sweep is observed three ways: --progress prints each point's phase,
-worker, wall time, events and attempt as it happens; --manifest-dir
+A sweep is observed three ways: one progress stream prints each
+point's "[k/n] value: ..." line as it finishes and, with --progress,
+each point's phase, worker, wall time, events and attempt; --manifest-dir
 writes each point's source (live/cache/journal/failed), worker, wall
 time, events, attempts and failure; --report and the closing status
 line give the retries, failures and cache hits/misses.
@@ -152,6 +155,32 @@ def _report_cache(cache) -> None:
     if cache is not None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses",
               file=sys.stderr)
+
+
+def _check_outputs(*files: tuple[str, str | None],
+                   directories: tuple[tuple[str, str | None], ...] = ()
+                   ) -> None:
+    """Refuse an output path before the command's first event, not after
+    its last: each ``(flag, path)`` file needs an existing directory,
+    and each directory (created on write) an existing directory as its
+    nearest existing ancestor.  :func:`main` prints the
+    :class:`~repro.errors.ConfigurationError` as one ``error:`` line and
+    exits 2."""
+    from pathlib import Path
+
+    from repro.errors import ConfigurationError
+
+    wanted = [(flag, path, Path(path).parent)
+              for flag, path in files if path is not None]
+    for flag, path in directories:
+        if path is not None:
+            where = Path(path)
+            while not where.exists() and where != where.parent:
+                where = where.parent
+            wanted.append((flag, path, where))
+    for flag, path, where in wanted:
+        if not where.is_dir():
+            raise ConfigurationError(f"{flag} {path}: {where} is not a directory")
 
 
 def _parse_params(pairs: list[str] | None, owner_value: str | None,
@@ -315,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record the entire run (large output)")
     trc_p.add_argument("--spans", action="store_true",
                        help="also record per-event dispatch spans")
-    trc_p.add_argument("--jsonl", default=None, metavar="FILE",
-                       help="additionally export a structured JSONL log")
     trc_p.add_argument("--manifest-dir", default=None, metavar="DIR",
                        help="write a run manifest here, recording the "
                             "exported files relative to it")
@@ -324,15 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     met_p = sub.add_parser(
         "metrics",
         help="run a scenario metered and export the metric snapshot "
-             "(Prometheus text exposition and/or JSONL)")
+             "as a Prometheus text exposition")
     met_p.add_argument("scenario", choices=_PLOT_SCENARIOS)
     met_p.add_argument("--prom", default=None, metavar="FILE",
                        help="write the Prometheus text exposition here "
-                            "(printed to stdout when neither --prom nor "
-                            "--jsonl is given)")
-    met_p.add_argument("--jsonl", default=None, metavar="FILE",
-                       help="write the snapshot as JSONL (one metric row "
-                            "per line)")
+                            "(default: print it to stdout)")
     met_p.add_argument("--manifest-dir", default=None, metavar="DIR",
                        help="write a run manifest here, recording the "
                             "exported files relative to it")
@@ -345,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     par_p = sub.add_parser(
         "parity",
-        help="golden-output parity: run the figure set and compare "
-             "dynamics fingerprints against committed golden hashes")
+        help="golden-output parity: run the figure set metered and "
+             "compare dynamics fingerprints against committed golden "
+             "hashes")
     par_p.add_argument("--check", action="store_true",
                        help="compare against the golden file (default)")
     par_p.add_argument("--update", action="store_true",
@@ -358,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     par_p.add_argument("--diff-out", default=None, metavar="FILE",
                        help="write the per-figure drift report as JSON "
                             "(written on --check even when clean)")
-    par_p.add_argument("--metered", action="store_true",
-                       help="run the cases with the metrics registry "
-                            "attached: fingerprints must still match, "
-                            "proving metering is observation-only")
 
     lint_p = sub.add_parser(
         "lint",
@@ -462,6 +482,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_all
     from repro.experiments.report import format_reports_markdown
 
+    _check_outputs(("--output", args.output))
     cache = _experiment_cache(args)
     reports = run_all(fast=args.fast, jobs=args.jobs, cache=cache)
     text = format_reports_markdown(
@@ -491,11 +512,11 @@ def _cmd_plot(scenario: str, window: tuple[float, float] | None) -> int:
 
 
 def _cmd_trace(scenario: str, out: str, window: tuple[float, float] | None,
-               full: bool, spans: bool, jsonl: str | None,
-               manifest_dir: str | None) -> int:
-    from repro.obs import Tracer, export_chrome_trace, export_jsonl, write_manifest
+               full: bool, spans: bool, manifest_dir: str | None) -> int:
+    from repro.obs import Tracer, build_manifest, export_chrome_trace, write_manifest
     from repro.scenarios import run
 
+    _check_outputs(("--out", out), directories=(("--manifest-dir", manifest_dir),))
     config = _scenario_factories()[scenario]()
     if full:
         record_window = None
@@ -505,7 +526,9 @@ def _cmd_trace(scenario: str, out: str, window: tuple[float, float] | None,
         start, end = config.measurement_window
         record_window = (start, min(end, start + _TRACE_WINDOW_SECONDS))
     tracer = Tracer(record_spans=spans, record_hops=True, window=record_window)
-    result = run(config, trace=tracer, manifest=True)
+    result = run(config, trace=tracer)
+    manifest = build_manifest(config, events_processed=result.events_processed,
+                              wall_seconds=result.wall_seconds, tracer=tracer)
     shown = "full run" if record_window is None else (
         f"[{record_window[0]:.0f}s, {record_window[1]:.0f}s]")
     print(f"{scenario}: {result.events_processed} events in "
@@ -513,33 +536,24 @@ def _cmd_trace(scenario: str, out: str, window: tuple[float, float] | None,
           + (f", {len(tracer.spans)} spans" if spans else "")
           + f" over {shown}")
     path = export_chrome_trace(tracer, out, traces=result.traces,
-                               manifest=result.manifest)
+                               manifest=manifest)
     print(f"trace -> {path} (load in https://ui.perfetto.dev "
           "or chrome://tracing)")
-    artifacts = {"chrome_trace": path}
-    if jsonl:
-        jsonl_path = export_jsonl(tracer, jsonl, manifest=result.manifest)
-        print(f"jsonl -> {jsonl_path}")
-        artifacts["trace_jsonl"] = jsonl_path
     if manifest_dir:
-        written = write_manifest(result.manifest, manifest_dir,
-                                 artifacts=artifacts)
+        written = write_manifest(manifest, manifest_dir,
+                                 artifacts={"chrome_trace": path})
         print(f"manifest -> {written}")
     return 0
 
 
-def _cmd_metrics(scenario: str, prom: str | None, jsonl: str | None,
+def _cmd_metrics(scenario: str, prom: str | None,
                  manifest_dir: str | None) -> int:
-    from repro.obs import write_manifest
-    from repro.obs.registry import (
-        export_metrics_jsonl,
-        export_prometheus,
-        prometheus_text,
-    )
+    from repro.obs import build_manifest, write_manifest
+    from repro.obs.registry import export_prometheus, prometheus_text
     from repro.scenarios import run
 
-    result = run(_scenario_factories()[scenario](), metrics=True,
-                 manifest=bool(manifest_dir))
+    _check_outputs(("--prom", prom), directories=(("--manifest-dir", manifest_dir),))
+    result = run(_scenario_factories()[scenario](), metrics=True)
     registry = result.metrics
     assert registry is not None
     snapshot = registry.snapshot()
@@ -551,15 +565,13 @@ def _cmd_metrics(scenario: str, prom: str | None, jsonl: str | None,
         prom_path = export_prometheus(snapshot, prom)
         print(f"prometheus -> {prom_path}")
         artifacts["prometheus"] = str(prom_path)
-    if jsonl:
-        jsonl_path = export_metrics_jsonl(snapshot, jsonl)
-        print(f"jsonl -> {jsonl_path}")
-        artifacts["metrics_jsonl"] = str(jsonl_path)
-    if not prom and not jsonl:
+    else:
         print(prometheus_text(snapshot), end="")
     if manifest_dir:
-        written = write_manifest(result.manifest, manifest_dir,
-                                 artifacts=artifacts)
+        manifest = build_manifest(result.config,
+                                  events_processed=result.events_processed,
+                                  wall_seconds=result.wall_seconds)
+        written = write_manifest(manifest, manifest_dir, artifacts=artifacts)
         print(f"manifest -> {written}")
     return 0
 
@@ -579,7 +591,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import functools
     import json
     import time
-    from pathlib import Path
 
     from repro.parallel import ParallelSweepRunner
     from repro.resilience import ResilienceConfig
@@ -606,6 +617,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                               base_duration=80.0, base_warmup=30.0)
             if args.fast else families.buffer_config)
         extract = families.utilization_extract
+    _check_outputs(("--report", args.report), ("--export", args.export),
+                   directories=(("--manifest-dir", args.manifest_dir),))
     substitution = _substitution(args)
     if args.algorithm or args.queue:
         # Still a module-level function under partial application, so
@@ -629,24 +642,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: --workers/--lease-ttl need --backend worker",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    for flag, path in (("--report", args.report), ("--export", args.export)):
-        # Refuse before the first point runs, not after the last.
-        if path is not None and not Path(path).parent.is_dir():
-            print(f"error: {flag} {path}: directory {Path(path).parent} "
-                  "does not exist", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
     done = [0]
 
-    def on_point(point) -> None:
-        done[0] += 1
-        numbers = "  ".join(f"{key}={value:.3f}"
-                            for key, value in sorted(point.measurements.items()))
-        print(f"[{done[0]}/{len(values)}] {point.value}: {numbers}")
-
-    on_progress = None
-    if args.progress:
-        def on_progress(event) -> None:
-            value = values[event.index]
+    def on_progress(event) -> None:
+        value = values[event.index]
+        if event.phase == "finish":
+            done[0] += 1
+            numbers = "  ".join(
+                f"{key}={number:.3f}"
+                for key, number in sorted(event.measurements.items()))
+            print(f"[{done[0]}/{len(values)}] {value}: {numbers}")
+        if args.progress:
             tag = f"  point {event.index} ({value})"
             if event.phase == "start":
                 attempt = (f" attempt {event.attempt}"
@@ -668,8 +674,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = ParallelSweepRunner(jobs=args.jobs, cache=cache,
                                  resilience=policy, backend=backend)
     started = time.perf_counter()
-    points = runner.run(make_config, values, extract,
-                        on_point=on_point, on_progress=on_progress,
+    points = runner.run(make_config, values, extract, on_progress=on_progress,
                         manifest_dir=args.manifest_dir)
     elapsed = time.perf_counter() - started
     report, cache = runner.last_report, runner.cache
@@ -754,6 +759,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
         print("error: --check and --update are mutually exclusive",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    _check_outputs(("--diff-out", args.diff_out))
     golden_path = args.golden or parity.DEFAULT_GOLDEN_PATH
     cases = parity.parity_cases(args.cases)
 
@@ -761,8 +767,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
         def on_captured(name: str, digest: str) -> None:
             print(f"  {name}: {digest[:12]}")
 
-        document = parity.capture(cases, on_case=on_captured,
-                                  metered=args.metered)
+        document = parity.capture(cases, on_case=on_captured)
         print(f"golden -> {parity.save_golden(document, golden_path)}")
         return EXIT_OK
 
@@ -771,8 +776,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     def on_checked(name: str, ok: bool) -> None:
         print(f"  {name}: {'ok' if ok else 'DRIFT'}")
 
-    diffs = parity.check(golden, cases, on_case=on_checked,
-                         metered=args.metered)
+    diffs = parity.check(golden, cases, on_case=on_checked)
     if args.diff_out:
         report = [{"name": diff.name, "expected": diff.expected,
                    "actual": diff.actual, "sections": diff.sections}
@@ -807,6 +811,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule in iter_rules():
             print(f"{rule.code}  {rule.name:32}  {rule.summary}")
         return 0
+    _check_outputs(("--output", args.output))
     violations = lint_paths(args.paths or ["src"])
     if args.baseline:
         violations = apply_baseline(violations, load_baseline(args.baseline))
@@ -848,6 +853,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figures":
             from repro.viz.gallery import render_gallery
 
+            _check_outputs(directories=(("--output", args.output),))
             for path in render_gallery(args.output):
                 print(f"wrote {path}")
             return 0
@@ -856,10 +862,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "trace":
             window = tuple(args.window) if args.window else None
             return _cmd_trace(args.scenario, args.out, window, args.full,
-                              args.spans, args.jsonl, args.manifest_dir)
+                              args.spans, args.manifest_dir)
         if args.command == "metrics":
-            return _cmd_metrics(args.scenario, args.prom, args.jsonl,
-                                args.manifest_dir)
+            return _cmd_metrics(args.scenario, args.prom, args.manifest_dir)
         if args.command == "profile":
             return _cmd_profile(args.scenario)
         if args.command == "worker":

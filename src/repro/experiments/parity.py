@@ -1,12 +1,19 @@
 """Golden-output parity: prove refactors leave the dynamics untouched.
 
-The transport refactor contract is *bit-identical* output for every
-paper scenario.  This module pins that contract down as data: each
-parity case runs one figure configuration and reduces the run to a
-dynamics-only fingerprint — event counts, queue-length series, cwnd
-series, ACK arrival times, drop records, per-sender counters — hashed
-section by section so a regression report can say *which* aspect of a
-run drifted, not merely that something did.
+The contract is that every paper scenario's output is *bit-identical
+under the engine's tie rule*: events at the same time and priority run
+in the order they were made, and a change that keeps that order must
+reproduce every recorded fingerprint exactly.  This module pins that
+contract down as data: each parity case runs one figure configuration
+and reduces the run to a dynamics-only fingerprint — event counts,
+queue-length series, cwnd series, ACK arrival times, drop records,
+per-sender counters — hashed section by section so a regression report
+can say *which* aspect of a run drifted, not merely that something did.
+
+A parity run meters: :func:`capture` and :func:`check` run every case
+with ``metrics=True``.  The harvest only reads the finished run, so one
+``repro parity --check`` proves both that the dynamics are unchanged
+and that metering is observation-only.
 
 The fingerprint deliberately excludes the configuration's canonical
 JSON: config schema migrations (e.g. ``FlowKind`` becoming an open
@@ -240,8 +247,9 @@ def section_hashes(result: ScenarioResult) -> dict[str, str]:
 
 
 def fingerprint_hash(result: ScenarioResult) -> str:
-    """The scenario's overall parity digest."""
-    return _digest(fingerprint(result))
+    """The scenario's parity digest: the golden file's ``hash``, a
+    digest of the sorted :func:`section_hashes`."""
+    return _digest(section_hashes(result))
 
 
 # ----------------------------------------------------------------------
@@ -249,35 +257,24 @@ def fingerprint_hash(result: ScenarioResult) -> str:
 # ----------------------------------------------------------------------
 
 def capture(cases: list[ParityCase] | None = None,
-            on_case: Callable[[str, str], None] | None = None,
-            metered: bool = False) -> dict:
-    """Run every case and return a golden document.
-
-    ``metered=True`` attaches the metrics registry to every run.  The
-    fingerprints must be byte-identical either way — that is the
-    observation-only contract metering promises, and the CI parity job
-    checks every case metered against the bare-run golden hashes.
-    """
+            on_case: Callable[[str, str], None] | None = None) -> dict:
+    """Run every case, metered, and return a golden document."""
     scenarios: dict[str, dict] = {}
     for case in cases or parity_cases():
-        result = run(case.build(), metrics=metered)
-        sections = section_hashes(result)
-        overall = _digest(dict(sorted(sections.items())))
-        scenarios[case.name] = {"hash": overall, "sections": sections}
+        result = run(case.build(), metrics=True)
+        overall = fingerprint_hash(result)
+        scenarios[case.name] = {"hash": overall,
+                                "sections": section_hashes(result)}
         if on_case is not None:
             on_case(case.name, overall)
     return {"schema": PARITY_GOLDEN_SCHEMA, "scenarios": scenarios}
 
 
 def check(golden: dict, cases: list[ParityCase] | None = None,
-          on_case: Callable[[str, bool], None] | None = None,
-          metered: bool = False) -> list[ParityDiff]:
-    """Run every case against ``golden``; return the drifted ones.
-
-    ``metered=True`` runs each case with the metrics registry attached
-    while still comparing against the bare-run golden hashes — any
-    metering side effect on the dynamics shows up as drift.
-    """
+          on_case: Callable[[str, bool], None] | None = None
+          ) -> list[ParityDiff]:
+    """Run every case, metered, against ``golden``; return the drifted
+    ones.  A metering side effect on the dynamics shows up as drift."""
     if golden.get("schema") != PARITY_GOLDEN_SCHEMA:
         raise AnalysisError(
             f"unsupported parity golden schema {golden.get('schema')!r}; "
@@ -285,15 +282,15 @@ def check(golden: dict, cases: list[ParityCase] | None = None,
     recorded = golden.get("scenarios", {})
     diffs: list[ParityDiff] = []
     for case in cases or parity_cases():
-        result = run(case.build(), metrics=metered)
-        sections = section_hashes(result)
-        actual = _digest(dict(sorted(sections.items())))
+        result = run(case.build(), metrics=True)
+        actual = fingerprint_hash(result)
         entry = recorded.get(case.name)
         ok = entry is not None and entry.get("hash") == actual
         if not ok:
             expected = None if entry is None else entry.get("hash")
             drifted = []
             if entry is not None:
+                sections = section_hashes(result)
                 old_sections = entry.get("sections", {})
                 drifted = sorted(
                     name for name in set(sections) | set(old_sections)

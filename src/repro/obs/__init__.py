@@ -9,24 +9,25 @@ knowing about it:
   untraced runs, and a detached tracer costs the engine one attribute
   check per event.
 - :mod:`~repro.obs.export` — Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``) and structured JSONL.
+  ``chrome://tracing``), a trace's one format.
 - :class:`~repro.obs.manifest.RunManifest` — per-run provenance
   (config hash shared with the parallel result cache, seed, schema
   versions, event counts, wall time, peak calendar size).
 - :mod:`~repro.obs.profile` — per-category wall-time attribution.
 - :func:`~repro.obs.harvest.harvest` — a finished run's
   :class:`~repro.obs.registry.MetricsRegistry` (counters, gauges,
-  fixed-layout histograms, sim-time rates; Prometheus and JSONL
-  exporters), read off the traces after the run.
+  fixed-layout histograms, sim-time rates; the Prometheus exposition
+  is its one export), read off the traces after the run.
 
-Entry points: ``trace=`` / ``manifest=`` on :func:`repro.scenarios.run`
-and :func:`repro.scenarios.sweep`, ``metrics=`` on ``run``, and the
+Entry points: ``trace=`` / ``metrics=`` on :func:`repro.scenarios.run`,
+:func:`~repro.obs.manifest.build_manifest` over a finished run,
+``manifest=`` on :func:`repro.scenarios.sweep`, and the
 ``repro trace`` / ``repro profile`` / ``repro metrics`` CLI verbs.  A
 sweep is observed through its :class:`~repro.parallel.progress.PointProgress`
 stream, its per-point manifests and its resilience report.
 """
 
-from repro.obs.export import chrome_trace_events, export_chrome_trace, export_jsonl
+from repro.obs.export import chrome_trace_events, export_chrome_trace
 from repro.obs.harvest import harvest
 from repro.obs.manifest import (
     OBS_SCHEMA_VERSION,
@@ -61,7 +62,6 @@ __all__ = [
     "write_manifest",
     "chrome_trace_events",
     "export_chrome_trace",
-    "export_jsonl",
     "format_profile",
     "profile_rows",
     "resolve_tracer",

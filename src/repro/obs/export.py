@@ -1,22 +1,21 @@
-"""Trace exporters: Chrome trace-event JSON and structured JSONL.
+"""The trace exporter: Chrome trace-event JSON, a trace's one format.
 
-Two output formats cover the two consumers of a trace:
+:func:`export_chrome_trace` writes the `Trace Event Format
+<https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
+consumed by Perfetto and ``chrome://tracing``.  The simulation timeline
+is laid out in *sim-time* microseconds: one thread track per output port
+(transmission slices with their ``dur``, drop instants) and per
+connection (send/ack instants), plus counter tracks for queue occupancy
+and — when a :class:`~repro.metrics.trace.TraceSet` is supplied —
+per-flow cwnd.  Every hop's ``uid`` / ``conn`` / ``kind`` / ``seq`` ride
+in its event's ``args``, dispatch spans are ``X`` slices carrying
+``label`` / ``calendar`` / ``seq``, and the run's manifest is the
+document's ``otherData``.  The square-wave queue oscillation of the
+paper's Figures 4/5 and the ACK bursts of a compression episode are
+directly visible.
 
-- :func:`export_chrome_trace` writes the `Trace Event Format
-  <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
-  consumed by Perfetto and ``chrome://tracing``.  The simulation
-  timeline is laid out in *sim-time* microseconds: one thread track per
-  output port (transmission slices, drop instants) and per connection
-  (send/ack instants), plus counter tracks for queue occupancy and —
-  when a :class:`~repro.metrics.trace.TraceSet` is supplied — per-flow
-  cwnd.  The square-wave queue oscillation of the paper's Figures 4/5
-  and the ACK bursts of a compression episode are directly visible.
-- :func:`export_jsonl` writes one self-describing JSON object per line
-  (a ``run`` header with the ``run_id``, then every span and hop), the
-  format downstream telemetry pipelines ingest.
-
-Exporters only *read* tracer state; they can run any number of times on
-the same tracer.
+The exporter only *reads* tracer state; it can run any number of times
+on the same tracer.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
     from repro.metrics.trace import TraceSet
 
-__all__ = ["chrome_trace_events", "export_chrome_trace", "export_jsonl"]
+__all__ = ["chrome_trace_events", "export_chrome_trace"]
 
 # Process ids of the three Chrome-trace tracks.
 _PID_PORTS = 1
@@ -161,45 +160,3 @@ def export_chrome_trace(
         json.dump(document, handle, separators=(",", ":"))
     return target
 
-
-def export_jsonl(
-    tracer: "Tracer",
-    path: str | Path,
-    *,
-    manifest: RunManifest | None = None,
-    run_id: str | None = None,
-) -> Path:
-    """Write the structured JSONL log; returns the path.
-
-    The first line is a ``run`` header carrying the ``run_id`` (from
-    ``manifest`` unless given explicitly), so every telemetry line of a
-    file is attributable to exactly one run.
-    """
-    target = Path(path)
-    identity = run_id or (manifest.run_id if manifest is not None else "unidentified")
-    header: dict = {"type": "run", "run_id": identity,
-                    "events_observed": tracer.events_observed,
-                    "spans": len(tracer.spans), "hops": len(tracer.hops)}
-    if manifest is not None:
-        header["manifest"] = manifest.to_dict()
-    # Serialize the whole document up front and write it with a single
-    # call: a traced run holds millions of records, and per-record
-    # ``handle.write`` round trips dominate export time.
-    dumps = json.dumps
-    lines = [dumps(header, sort_keys=True)]
-    lines.extend(
-        dumps({"type": "span", "run_id": identity, "t": span.sim_time,
-               "wall_ns": span.wall_ns, "category": span.category,
-               "label": span.label, "calendar": span.calendar_size,
-               "seq": span.sequence})
-        for span in tracer.spans)
-    lines.extend(
-        dumps({"type": "hop", "run_id": identity, "t": hop.sim_time,
-               "hop": hop.hop, "site": hop.site, "uid": hop.uid,
-               "conn": hop.conn_id, "kind": hop.kind, "seq": hop.seq,
-               "qlen": hop.queue_len, "dur": hop.duration})
-        for hop in tracer.hops)
-    with target.open("w") as handle:
-        handle.write("\n".join(lines))
-        handle.write("\n")
-    return target

@@ -14,7 +14,8 @@ in record order.
 
 A metered run therefore registers exactly the sinks a bare run
 registers, and is bit-identical to it on every parity fingerprint by
-construction (``repro parity --check --metered``).
+construction: every ``repro parity --check`` case runs metered against
+the golden fingerprints.
 """
 
 from __future__ import annotations

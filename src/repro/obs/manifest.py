@@ -114,11 +114,10 @@ class RunManifest:
     distributed backend, a process name locally, empty for cache and
     journal replays."""
     artifacts: dict[str, str] = field(default_factory=dict)
-    """Companion files this run exported (chrome trace, trace JSONL,
-    Prometheus snapshot, metrics JSONL, ...), keyed by kind.  Written
-    manifests record these *relative to the manifest's directory* — see
-    :func:`write_manifest` — so the whole results directory stays
-    self-contained when moved."""
+    """Companion files this run exported (``chrome_trace``,
+    ``prometheus``), keyed by kind.  Written manifests record these
+    *relative to the manifest's directory* — see :func:`write_manifest`
+    — so the whole results directory stays self-contained when moved."""
     obs_schema: int = OBS_SCHEMA_VERSION
     cache_schema: int = CACHE_SCHEMA_VERSION
     lint_ruleset: int = field(default_factory=lint_ruleset_version)

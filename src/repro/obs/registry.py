@@ -20,11 +20,11 @@ plain JSON-able dicts, sorted by name and labels, so they are stable
 under hashing.  A run's registry is filled after the run by
 :func:`repro.obs.harvest.harvest`.
 
-Both exporters — Prometheus text exposition format 0.0.4 and JSONL —
-consume the plain-dict snapshot (or the registry itself), so they work
-identically on a live registry and on a snapshot reloaded from disk.
-Prometheus output has ``# HELP`` / ``# TYPE`` headers, one sample per
-line, histogram ``_bucket{le=...}`` series with cumulative counts and a
+A snapshot's one export is the Prometheus text exposition format
+0.0.4.  The exporter consumes the plain-dict snapshot (or the registry
+itself), so it works identically on a live registry and on a snapshot
+held in memory.  The output has ``# HELP`` / ``# TYPE`` headers, one
+sample per line, histogram ``_bucket{le=...}`` series with cumulative counts and a
 ``+Inf`` terminal bucket, plus ``_sum``/``_count``; a :class:`Rate`
 flattens into a ``_total`` counter and
 ``_peak_per_second``/``_last_per_second`` gauges.
@@ -32,7 +32,6 @@ flattens into a ``_total`` counter and
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Iterable, Mapping, Union
@@ -49,8 +48,6 @@ __all__ = [
     "observe_step_series",
     "prometheus_text",
     "export_prometheus",
-    "metrics_jsonl",
-    "export_metrics_jsonl",
     "DEFAULT_BUCKETS",
     "OCCUPANCY_BUCKETS",
     "CWND_BUCKETS",
@@ -519,24 +516,3 @@ def export_prometheus(source: "MetricsRegistry | Mapping[str, object]",
     target.write_text(prometheus_text(source), encoding="utf-8")
     return target
 
-
-def metrics_jsonl(source: "MetricsRegistry | Mapping[str, object]") -> str:
-    """One JSON object per metric row, one row per line.
-
-    The whole document is serialized in one pass and written with a
-    single call — serialization stays out of any per-record loop the
-    caller might be timing.
-    """
-    snapshot = _snapshot_of(source)
-    rows = snapshot["metrics"]
-    assert isinstance(rows, list)
-    out = [json.dumps(row, sort_keys=True) for row in rows]
-    return "\n".join(out) + ("\n" if out else "")
-
-
-def export_metrics_jsonl(source: "MetricsRegistry | Mapping[str, object]",
-                         path: str | Path) -> Path:
-    """Write the JSONL snapshot to ``path``."""
-    target = Path(path)
-    target.write_text(metrics_jsonl(source), encoding="utf-8")
-    return target

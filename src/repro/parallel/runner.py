@@ -96,8 +96,8 @@ class _Ledger:
     """One sweep's books: where every point is settled, exactly once.
 
     Owns what a sweep accumulates — results, report, point identities,
-    cache, journal and manifest handles, the caller's callbacks — with
-    one method per transition of a point: the runner calls
+    cache, journal and manifest handles, the caller's progress callback
+    — with one method per transition of a point: the runner calls
     :meth:`replay` and :meth:`unsettled`, the coordinator
     :meth:`started`, :meth:`settle`, :meth:`attempt_failed`,
     :meth:`duplicate`, :meth:`conflict` and :meth:`reclaimed`.  Parent
@@ -107,11 +107,10 @@ class _Ledger:
     def __init__(self, configs: Sequence[ScenarioConfig],
                  extracts: Sequence[Callable], backend: str,
                  policy: ResilienceConfig | None, cache,
-                 on_point, on_progress, manifest_dir) -> None:
+                 on_progress, manifest_dir) -> None:
         self.configs = configs
         self.policy = policy
         self.cache = cache
-        self.on_point = on_point
         self.on_progress = on_progress
         self.manifest_dir = manifest_dir
         self.results: list[dict | None] = [None] * len(configs)
@@ -204,7 +203,7 @@ class _Ledger:
         """A point has its measurements: from the ``"journal"``, the
         ``"cache"``, or ``"live"`` from ``worker`` with its statistics.
         Every sink hears of it here and nowhere else: results, the cache
-        and journal that lack it, report, ``on_point``, manifest, progress."""
+        and journal that lack it, report, manifest, progress."""
         live = source == "live"
         self.results[index] = measurements
         if live:
@@ -227,15 +226,14 @@ class _Ledger:
             self.journal.record(JournalEntry(
                 **self.identities[index]._asdict(), index=index,
                 attempts=attempts, source=source, measurements=measurements))
-        if self.on_point is not None:
-            self.on_point(index, measurements)
         self._write_manifest(index, source, events_processed=events,
                              wall_seconds=wall_seconds, attempts=attempts,
                              worker=worker if live else "")
         statistics = dict(wall_seconds=wall_seconds, events_processed=events,
                           attempt=attempts) if live else {}
         self._emit(PointProgress(index=index, phase="finish", cached=not live,
-                                 worker=worker, **statistics))
+                                 worker=worker, measurements=measurements,
+                                 **statistics))
 
     def attempt_failed(self, index: int, attempt: int, outcome: str,
                        wall_seconds: float, detail: str,
@@ -370,7 +368,6 @@ class ParallelSweepRunner:
         configs: Sequence[ScenarioConfig],
         extract: Callable[[ScenarioResult], dict]
         | Sequence[Callable[[ScenarioResult], dict]],
-        on_point: Callable[[int, dict], None] | None = None,
         on_progress: Callable[[PointProgress], None] | None = None,
         manifest_dir: str | Path | None = None,
     ) -> list[dict]:
@@ -382,12 +379,12 @@ class ParallelSweepRunner:
         extractor's fingerprint.
 
         The sweep's :class:`_Ledger` settles every point once, from the
-        first source that has it.  ``on_point(index, measurements)``
-        fires as each is settled — journal restorations and cache hits
-        first, then simulations in completion order — so long sweeps can
-        report progress.  ``on_progress`` additionally receives
+        first source that has it.  ``on_progress`` receives
         :class:`PointProgress` notifications carrying worker identity,
-        timing and attempt counts.
+        timing and attempt counts; a ``"finish"`` one, carrying the
+        point's measurements, fires as each point is settled — journal
+        restorations and cache hits first, then simulations in
+        completion order — so long sweeps can report progress.
 
         ``manifest_dir`` writes one ``<run_id>.manifest.json`` per point
         into that directory; all sources carry identical identity fields
@@ -419,7 +416,7 @@ class ParallelSweepRunner:
             # leases, retries and the report all hang off the policy.
             policy = ResilienceConfig()
         ledger = _Ledger(configs, extracts, backend.name, policy,
-                         self.cache, on_point, on_progress, manifest_dir)
+                         self.cache, on_progress, manifest_dir)
         report = ledger.report
         self.last_report = report if policy is not None else None
         try:
@@ -462,15 +459,13 @@ class ParallelSweepRunner:
         make_config: Callable[[object], ScenarioConfig],
         values: Iterable[object],
         extract: Callable[[ScenarioResult], dict],
-        on_point: Callable | None = None,
         on_progress: Callable[[PointProgress], None] | None = None,
         manifest_dir: str | Path | None = None,
     ) -> list:
         """Run ``make_config(v)`` for each value; the parallel ``sweep()``.
 
         Returns :class:`~repro.scenarios.sweeps.SweepPoint` objects in
-        input order.  ``on_point`` receives each finished ``SweepPoint``;
-        ``on_progress`` and ``manifest_dir`` behave as in
+        input order.  ``on_progress`` and ``manifest_dir`` behave as in
         :meth:`run_configs`.  Under an ``allow_partial`` policy, failed
         points come back with ``measurements=None``.
         """
@@ -480,13 +475,7 @@ class ParallelSweepRunner:
         if not values:
             raise ConfigurationError("sweep needs at least one value")
         configs = [make_config(value) for value in values]
-
-        wrapped = None
-        if on_point is not None:
-            def wrapped(index: int, measurements: dict) -> None:
-                on_point(SweepPoint(value=values[index], measurements=measurements))
-
-        measurements = self.run_configs(configs, extract, on_point=wrapped,
+        measurements = self.run_configs(configs, extract,
                                         on_progress=on_progress,
                                         manifest_dir=manifest_dir)
         return [SweepPoint(value=value, measurements=m)

@@ -27,7 +27,6 @@ from repro.scenarios.config import ScenarioConfig
 from repro.tcp.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.manifest import RunManifest
     from repro.obs.registry import MetricsRegistry
     from repro.obs.tracer import Tracer
 
@@ -47,8 +46,6 @@ class ScenarioResult:
     tracer: "Tracer | None" = field(default=None, compare=False)
     """The attached :class:`~repro.obs.tracer.Tracer` when the run was
     traced (``trace=`` on :func:`run`)."""
-    manifest: "RunManifest | None" = field(default=None, compare=False)
-    """Provenance document, populated when ``manifest=`` was requested."""
     metrics: "MetricsRegistry | None" = field(default=None, compare=False)
     """The run's :class:`~repro.obs.registry.MetricsRegistry` when the
     run was metered (``metrics=True`` on :func:`run`)."""
@@ -195,7 +192,6 @@ def run(
     config: ScenarioConfig,
     *,
     trace: "Tracer | bool | None" = None,
-    manifest: bool = False,
     metrics: bool = False,
 ) -> ScenarioResult:
     """Build and execute a scenario to completion.
@@ -208,16 +204,17 @@ def run(
         The tracer is attached before the first event fires and is
         observation-only: the traced run is bit-identical to the
         untraced one.
-    manifest:
-        Build a :class:`~repro.obs.RunManifest` for the run (config
-        hash, seed, event count, wall time, plus tracer aggregates when
-        traced) and attach it to the result.
     metrics:
         Harvest the finished run into a
         :class:`~repro.obs.registry.MetricsRegistry`
         (:func:`repro.obs.harvest.harvest`).  Nothing is attached
         before the run, so a metered run is a bare run plus the
         harvest.
+
+    A run's :class:`~repro.obs.RunManifest` is built from the finished
+    result: ``build_manifest(result.config,
+    events_processed=result.events_processed,
+    wall_seconds=result.wall_seconds, tracer=result.tracer)``.
 
     The :mod:`repro.obs` imports are deliberately lazy: obs sits above
     scenarios in the layer diagram (its manifest module reaches into
@@ -240,17 +237,6 @@ def run(
         from repro.obs.harvest import harvest
 
         registry = harvest(built, wall_seconds=wall_seconds)
-    run_manifest = None
-    if manifest:
-        from repro.obs.manifest import build_manifest
-
-        run_manifest = build_manifest(
-            config,
-            source="live",
-            events_processed=built.sim.events_processed,
-            wall_seconds=wall_seconds,
-            tracer=tracer,
-        )
     return ScenarioResult(
         config=config,
         net=built.net,
@@ -259,7 +245,6 @@ def run(
         bottleneck_ports=built.bottleneck_ports,
         events_processed=built.sim.events_processed,
         tracer=tracer,
-        manifest=run_manifest,
         metrics=registry,
         wall_seconds=wall_seconds,
     )

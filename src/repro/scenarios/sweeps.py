@@ -46,7 +46,6 @@ def sweep(
     *,
     jobs: int = 1,
     cache: object = None,
-    on_point: Callable[[SweepPoint], None] | None = None,
     on_progress: "Callable[[PointProgress], None] | None" = None,
     manifest: str | Path | None = None,
     resilience: "ResilienceConfig | bool | None" = None,
@@ -72,14 +71,13 @@ def sweep(
         ``True`` for the default on-disk cache, a path or
         :class:`~repro.parallel.cache.ResultCache` for a specific one,
         ``None``/``False`` (default) to disable.
-    on_point:
-        Progress callback invoked with each finished :class:`SweepPoint`
-        (cache hits first, then completions).
     on_progress:
-        Lower-level progress callback receiving
-        :class:`~repro.parallel.runner.PointProgress` start/finish
-        notifications with worker identity, cache-hit status and timing
-        (what ``repro sweep --progress`` prints).
+        Progress callback receiving
+        :class:`~repro.parallel.runner.PointProgress` start/finish/retry/
+        fail notifications with worker identity, cache-hit status and
+        timing; a finish carries the point's measurements (cache hits
+        first, then completions).  ``repro sweep`` prints its lines from
+        these.
     manifest:
         Directory receiving one ``<run_id>.manifest.json`` provenance
         document per sweep point, cache hits included; the manifest's
@@ -103,6 +101,6 @@ def sweep(
 
     runner = ParallelSweepRunner(jobs=jobs, cache=cache, resilience=resilience,
                                  backend=backend)
-    return runner.run(make_config, values, extract, on_point=on_point,
-                      on_progress=on_progress, manifest_dir=manifest)
+    return runner.run(make_config, values, extract, on_progress=on_progress,
+                      manifest_dir=manifest)
 

@@ -16,10 +16,10 @@ class ModuleControl:
 
 
 def run_family(sweep, values):
-    # partial over a module-level function is fine; on_point stays in the
-    # parent process so a lambda there is exempt.
+    # partial over a module-level function is fine; on_progress stays in
+    # the parent process so a lambda there is exempt.
     return sweep(functools.partial(make_config, duration=50.0), values,
-                 extract, on_point=lambda point: print(point))
+                 extract, on_progress=lambda event: print(event))
 
 
 def install(register_algorithm):

@@ -4,7 +4,10 @@
 A digest that changes means an experiment's configs, measurements or
 grading moved — not only its verdict.  ``EXPERIMENTS.md`` (full
 durations) is diffed byte for byte by CI; this pins the fast durations,
-and holds them across ``--jobs`` and a warm ``--cache-dir``.
+and holds them across two workers and a warm cache: one pooled sweep of
+every experiment and one cache-only pass (what ``repro run`` prints is
+``report.format()`` and a newline), plus one ``repro run`` for the
+``--jobs`` / ``--cache-dir`` wiring.
 """
 
 import hashlib
@@ -12,6 +15,8 @@ import hashlib
 import pytest
 
 from repro.cli import main
+from repro.experiments.registry import run_all
+from repro.parallel import ResultCache
 
 #: SHA-256 of ``repro run <id> --fast`` stdout, in paper order.
 FAST_STDOUT = {
@@ -51,16 +56,41 @@ def test_fast_stdout(exp_id, capsys):
     assert _digest(capsys.readouterr().out) == FAST_STDOUT[exp_id]
 
 
+@pytest.fixture(scope="module")
+def pooled_and_cached(tmp_path_factory):
+    """Every experiment's ``repro run`` stdout digest from one sweep over
+    two workers (cold cache), then from the cache alone (warm), with the
+    warm pass's new misses."""
+    cache = ResultCache(tmp_path_factory.mktemp("cache"))
+
+    def digests(reports):
+        return {report.exp_id: _digest(report.format() + "\n")
+                for report in reports}
+
+    cold = digests(run_all(fast=True, jobs=2, cache=cache))
+    misses = cache.misses
+    warm = digests(run_all(fast=True, cache=cache))
+    return cold, warm, cache.misses - misses
+
+
 @pytest.mark.parametrize("exp_id", FAST_STDOUT)
-def test_fast_stdout_across_workers_and_cache(exp_id, tmp_path, capsys):
+def test_fast_stdout_across_workers_and_cache(exp_id, pooled_and_cached):
     """The same digest from two workers and then from the result cache
     alone: grading reads only what a cached point replays."""
+    cold, warm, warm_misses = pooled_and_cached
+    assert cold[exp_id] == FAST_STDOUT[exp_id]
+    assert warm[exp_id] == FAST_STDOUT[exp_id]
+    assert warm_misses == 0
+
+
+def test_run_flags_reach_the_sweep(tmp_path, capsys):
+    """``repro run --jobs --cache-dir`` wires into the same sweep."""
     cache = ["--cache-dir", str(tmp_path)]
-    assert main(["run", exp_id, "--fast", "--jobs", "2", *cache]) == 0
-    assert _digest(capsys.readouterr().out) == FAST_STDOUT[exp_id]
-    assert main(["run", exp_id, "--fast", *cache]) == 0
+    assert main(["run", "fig2", "--fast", "--jobs", "2", *cache]) == 0
+    assert _digest(capsys.readouterr().out) == FAST_STDOUT["fig2"]
+    assert main(["run", "fig2", "--fast", *cache]) == 0
     captured = capsys.readouterr()
-    assert _digest(captured.out) == FAST_STDOUT[exp_id]
+    assert _digest(captured.out) == FAST_STDOUT["fig2"]
     assert captured.err.endswith(" 0 misses\n")
 
 

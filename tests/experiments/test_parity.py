@@ -50,3 +50,10 @@ class TestGoldenSmoke:
     def test_smoke_case_bit_identical(self, golden, name):
         diffs = parity.check(golden, parity.parity_cases([name]))
         assert diffs == [], "\n".join(d.describe() for d in diffs)
+
+    def test_fingerprint_hash_is_the_golden_hash(self, golden):
+        # One digest of a run: a bare run's fingerprint_hash is the
+        # golden file's hash, which check() compares on a metered run.
+        [case] = parity.parity_cases(["figure2"])
+        assert (parity.fingerprint_hash(run(case.build()))
+                == golden["scenarios"]["figure2"]["hash"])

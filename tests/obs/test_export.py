@@ -1,11 +1,11 @@
-"""Unit tests for repro.obs.export: Chrome trace-event JSON and JSONL."""
+"""Unit tests for repro.obs.export: Chrome trace-event JSON, a trace's one format."""
 
 import hashlib
 import json
 
 import pytest
 
-from repro.obs import Tracer, chrome_trace_events, export_chrome_trace, export_jsonl
+from repro.obs import Tracer, build_manifest, chrome_trace_events, export_chrome_trace
 from repro.scenarios import FlowSpec, ScenarioConfig, run
 
 
@@ -22,7 +22,7 @@ def traced():
         bottleneck_propagation=0.01,
     )
     tracer = Tracer(record_spans=True)
-    result = run(config, trace=tracer, manifest=True)
+    result = run(config, trace=tracer)
     return tracer, result
 
 
@@ -61,14 +61,31 @@ class TestChromeTrace:
         horizon = result.config.duration * 1e6
         assert all(0 <= e["ts"] <= horizon for e in stamped)
 
+    def test_every_hop_and_span_is_one_event(self, traced):
+        # Each hop's identity and each span's fields ride in ``args``:
+        # the document carries the whole tracer record.
+        tracer, _ = traced
+        events = chrome_trace_events(tracer)
+        hops = [e["args"] for e in events if "uid" in e.get("args", {})]
+        assert len(hops) == tracer.hop_count
+        assert all({"uid", "conn", "kind", "seq"} <= set(args) for args in hops)
+        spans = [e["args"] for e in events
+                 if e["ph"] == "X" and "label" in e["args"]]
+        assert len(spans) == len(tracer.spans) > 0
+        assert all({"label", "calendar", "seq"} <= set(args) for args in spans)
+
     def test_file_export_and_manifest_embedding(self, traced, tmp_path):
         tracer, result = traced
+        manifest = build_manifest(result.config,
+                                  events_processed=result.events_processed,
+                                  wall_seconds=result.wall_seconds,
+                                  tracer=tracer)
         target = tmp_path / "trace.json"
         assert export_chrome_trace(tracer, target, traces=result.traces,
-                                   manifest=result.manifest) == target
+                                   manifest=manifest) == target
         document = json.loads(target.read_text())
         assert isinstance(document["traceEvents"], list)
-        assert document["otherData"]["run_id"] == result.manifest.run_id
+        assert document["otherData"] == json.loads(json.dumps(manifest.to_dict()))
 
     def test_export_is_deterministic(self, traced, tmp_path):
         # Byte-identical traces for the same run: the exporter must not
@@ -85,26 +102,3 @@ class TestChromeTrace:
                 (tmp_path / name).read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
-
-class TestJsonl:
-    def test_lines_and_header(self, traced, tmp_path):
-        tracer, result = traced
-        target = tmp_path / "trace.jsonl"
-        export_jsonl(tracer, target, manifest=result.manifest)
-        lines = [json.loads(line) for line in target.read_text().splitlines()]
-        header, records = lines[0], lines[1:]
-        assert header["type"] == "run"
-        assert header["run_id"] == result.manifest.run_id
-        types = {record["type"] for record in records}
-        assert types <= {"span", "hop"}
-        hops = [r for r in records if r["type"] == "hop"]
-        assert len(hops) == tracer.hop_count
-        assert all(record["run_id"] == header["run_id"] for record in records)
-
-    def test_span_records_present_when_recorded(self, traced, tmp_path):
-        tracer, _ = traced
-        target = tmp_path / "spans.jsonl"
-        export_jsonl(tracer, target, run_id="test-run")
-        lines = [json.loads(line) for line in target.read_text().splitlines()]
-        spans = [r for r in lines if r.get("type") == "span"]
-        assert len(spans) == len(tracer.spans)

@@ -75,6 +75,11 @@ class TestBuildManifest:
         assert manifest.obs_schema == OBS_SCHEMA_VERSION
         assert manifest.cache_schema == CACHE_SCHEMA_VERSION
         assert sum(manifest.event_categories.values()) == result.events_processed
+        # Untraced runs do not pay for calendar bookkeeping.
+        untraced = build_manifest(config,
+                                  events_processed=result.events_processed)
+        assert untraced.peak_calendar is None
+        assert untraced.event_categories is None
 
     def test_cache_manifest_has_identity_but_no_stats(self):
         config = small_config()
@@ -125,16 +130,6 @@ class TestBuildManifest:
         assert build_manifest(small_config()).attempts == 1
         with pytest.raises(ValueError):
             build_manifest(small_config(), attempts=0)
-
-    def test_run_manifest_knob(self):
-        result = run(small_config(), manifest=True)
-        assert result.manifest is not None
-        assert result.manifest.source == "live"
-        assert result.manifest.events_processed == result.events_processed
-        # Untraced runs do not pay for calendar bookkeeping.
-        assert result.manifest.peak_calendar is None
-        untraced = run(small_config())
-        assert untraced.manifest is None
 
 
 class TestWriteManifest:

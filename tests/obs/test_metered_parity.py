@@ -1,8 +1,9 @@
 """Metering must be observation-only: metered == bare, bit for bit.
 
 The same acceptance property the tracer established, extended to the
-metrics registry: attaching live probes (RTT samples, departure rates)
-and the post-run harvest may never perturb a simulation.  Checked over
+metrics registry: the post-run harvest reads the finished run and may
+never perturb it.  ``repro parity`` meters every case, so this file is
+where a *bare* run is still compared with a metered one.  Checked over
 shortened paper figures covering every sender family the parity suite
 distinguishes (tahoe two-way, fixed-window phase locking, reno).
 """

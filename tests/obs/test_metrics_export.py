@@ -1,14 +1,6 @@
-"""Exporter tests: Prometheus text exposition 0.0.4 and JSONL."""
+"""Exporter tests: Prometheus text exposition 0.0.4, a snapshot's one format."""
 
-import json
-
-from repro.obs.registry import (
-    MetricsRegistry,
-    export_metrics_jsonl,
-    export_prometheus,
-    metrics_jsonl,
-    prometheus_text,
-)
+from repro.obs.registry import MetricsRegistry, export_prometheus, prometheus_text
 
 
 def sample_registry():
@@ -71,19 +63,3 @@ class TestPrometheusText:
         target = export_prometheus(sample_registry(), tmp_path / "m.prom")
         assert target.read_text().endswith("\n")
 
-
-class TestMetricsJsonl:
-    def test_one_row_per_line_round_trips(self):
-        reg = sample_registry()
-        lines = metrics_jsonl(reg).splitlines()
-        assert len(lines) == len(reg.snapshot()["metrics"])
-        rows = [json.loads(line) for line in lines]
-        assert rows == reg.snapshot()["metrics"]
-
-    def test_empty_registry_renders_empty(self):
-        assert metrics_jsonl(MetricsRegistry()) == ""
-
-    def test_export_writes_file(self, tmp_path):
-        target = export_metrics_jsonl(sample_registry(), tmp_path / "m.jsonl")
-        assert len(target.read_text().splitlines()) == \
-            len(sample_registry().snapshot()["metrics"])

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import Tracer, build_manifest
 from repro.scenarios import paper, run
 
 FIGURES = {
@@ -59,6 +59,9 @@ def test_windowed_tracer_and_manifest_do_not_perturb():
     config = short(paper.figure4())
     baseline = fingerprint(run(config))
     tracer = Tracer(record_spans=True, record_hops=True, window=(10.0, 30.0))
-    observed = fingerprint(run(config, trace=tracer, manifest=True))
+    result = run(config, trace=tracer)
+    build_manifest(config, events_processed=result.events_processed,
+                   wall_seconds=result.wall_seconds, tracer=tracer)
+    observed = fingerprint(result)
     assert observed == baseline
     assert tracer.hops

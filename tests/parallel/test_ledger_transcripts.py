@@ -5,11 +5,13 @@ runner's point accounting moved into one ledger, by running this module
 as a script there (``PYTHONPATH=src python -m
 tests.parallel.test_ledger_transcripts``).  A ``telemetry`` section per
 drill was added later and stripped again when the sweep telemetry was
-deleted, every other key byte-identical both times.  Five drills over one
-four-point family cover every way a point ends — simulated, replayed
-from the cache, restored from a journal, retried, failed for good — and
-each transcript holds everything an observer of ``run_configs`` can
-see: the progress events, the ``on_point`` order, ``--report``, the
+deleted, every other key byte-identical both times; the order of a
+second per-point callback was stripped when it was deleted (it was the
+finish events' index order, checked on all five drills).  Five
+drills over one four-point family cover every way a point ends —
+simulated, replayed from the cache, restored from a journal, retried,
+failed for good — and each transcript holds everything an observer of
+``run_configs`` can see: the progress events, ``--report``, the
 per-point manifests, the journal lines and the cache directory
 listing, with wall-clock fields (and the lint ruleset stamp, which
 moves with unrelated changes) nulled and live worker names reduced to
@@ -61,20 +63,21 @@ def _kind(worker: str) -> str:
 def _observe(root: Path, jobs: int, policy=None, *, configs=CONFIGS,
              cache=True, observed=True) -> dict:
     """One ``run_configs`` call and everything it left behind."""
-    events, points = [], []
+    events = []
     runner = ParallelSweepRunner(
         jobs=jobs, cache=ResultCache(root / "cache") if cache else None,
         resilience=policy)
     results = runner.run_configs(
-        configs, extract, on_point=lambda index, _: points.append(index),
-        on_progress=events.append,
+        configs, extract, on_progress=events.append,
         manifest_dir=root / "manifests" if observed else None)
+    # A finish event carries what the sweep returns for its point.
+    assert all(event.measurements == results[event.index]
+               for event in events if event.phase == "finish")
     journal = root / "journal.jsonl"
     return {
         "results": results,
         "events": [[event.phase, event.index, event.cached,
                     _kind(event.worker), event.attempt] for event in events],
-        "on_point": points,
         "report": (_scrub(runner.last_report.to_dict())
                    if runner.last_report is not None else None),
         "manifests": [_scrub(json.loads(path.read_text())) for path
@@ -132,7 +135,6 @@ def _as_multisets(transcript: dict) -> dict:
     """Forget completion order: what ``jobs > 1`` may not promise."""
     return {**transcript,
             "events": sorted(transcript["events"]),
-            "on_point": sorted(transcript["on_point"]),
             "journal": sorted(transcript["journal"],
                               key=lambda line: line["index"])}
 

@@ -13,7 +13,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.parallel import ParallelSweepRunner, ResultCache
 from repro.scenarios import families, sweep
-from repro.scenarios.sweeps import SweepPoint
 
 from .test_protocol import make_probe
 
@@ -197,19 +196,28 @@ class TestPerConfigExtractors:
                                               self.EXTRACTS)
 
 
-class TestProgressCallback:
-    def test_on_point_sees_every_point(self):
-        seen = []
-        points = sweep(make_config, CASES[:2], families.utilization_extract,
-                       on_point=seen.append)
-        assert seen == points
-        assert all(isinstance(p, SweepPoint) for p in seen)
+def _finishes(events):
+    return [(event.index, event.measurements) for event in events
+            if event.phase == "finish"]
 
-    def test_on_point_fires_for_cache_hits(self, tmp_path):
+
+class TestProgressCallback:
+    def test_finish_events_carry_every_point(self):
+        events = []
+        points = sweep(make_config, CASES[:2], families.utilization_extract,
+                       on_progress=events.append)
+        assert _finishes(events) == [(index, point.measurements)
+                                     for index, point in enumerate(points)]
+        assert all(event.measurements is None for event in events
+                   if event.phase != "finish")
+
+    def test_finish_events_fire_for_cache_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
+        points = sweep(make_config, CASES[:2], families.utilization_extract,
+                       cache=cache)
+        events = []
         sweep(make_config, CASES[:2], families.utilization_extract,
-              cache=cache)
-        seen = []
-        sweep(make_config, CASES[:2], families.utilization_extract,
-              cache=cache, on_point=seen.append)
-        assert [p.value for p in seen] == CASES[:2]
+              cache=cache, on_progress=events.append)
+        assert all(event.cached for event in events)
+        assert _finishes(events) == [(index, point.measurements)
+                                     for index, point in enumerate(points)]

@@ -24,15 +24,16 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep(lambda v: paper.figure4(), [], lambda r: {})
 
-    def test_on_point_reports_progress_in_order(self):
+    def test_finish_events_report_progress_in_order(self):
         seen = []
         points = sweep(
             lambda tau: paper.two_way(tau, duration=30.0, warmup=10.0),
             [0.01, 1.0],
             lambda result: {"events": float(result.events_processed)},
-            on_point=seen.append,
+            on_progress=seen.append,
         )
-        assert seen == points
+        assert [event.measurements for event in seen
+                if event.phase == "finish"] == [p.measurements for p in points]
 
     def test_utilization_extract_is_per_direction(self):
         points = sweep(

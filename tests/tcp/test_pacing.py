@@ -164,9 +164,9 @@ class TestPacedScenario:
 
     def test_observed_run_is_bit_identical_to_bare(self):
         result = run(paper.paced_two_way(250.0, 100.0),
-                     metrics=True, trace=True, manifest=True)
+                     metrics=True, trace=True)
         assert paced_digest(result.traces) == PACED_DIGEST
-        assert result.manifest.events_processed == result.events_processed
+        assert result.tracer.events_observed == result.events_processed
         assert result.metrics.snapshot()
 
     def test_config_round_trips_and_hashes_stably(self):

@@ -190,18 +190,37 @@ class TestSweepExitCodes:
         assert document["journal_skips"] == 3
         assert document["live"] == 0
 
-    @pytest.mark.parametrize("flag", ["--report", "--export"])
+    @pytest.mark.parametrize("argv, parent", [
+        pytest.param(["sweep", "conjecture", "--fast", "--no-cache",
+                      "--report"], "missing", id="--report"),
+        pytest.param(["sweep", "conjecture", "--fast", "--no-cache",
+                      "--export"], "missing", id="--export"),
+        pytest.param(["sweep", "conjecture", "--fast", "--no-cache",
+                      "--manifest-dir"], "file", id="sweep --manifest-dir"),
+        pytest.param(["trace", "fig2", "--out"], "missing", id="trace"),
+        pytest.param(["trace", "fig2", "--manifest-dir"], "file",
+                     id="trace --manifest-dir"),
+        pytest.param(["metrics", "fig2", "--prom"], "file", id="metrics"),
+        pytest.param(["report", "--fast", "-o"], "file", id="report"),
+        pytest.param(["parity", "--case", "figure2", "--diff-out"], "file",
+                     id="parity"),
+        pytest.param(["figures", "-o"], "file", id="figures"),
+        pytest.param(["lint", "--output"], "missing", id="lint"),
+    ])
     def test_output_in_a_missing_directory_exits_2_before_any_point(
-            self, flag, tmp_path, capsys):
-        target = tmp_path / "missing" / "out.json"
-        assert main(["sweep", "conjecture", "--fast", "--no-cache",
-                     flag, str(target)]) == 2
+            self, argv, parent, tmp_path, capsys):
+        """Every verb that writes a file refuses a path it could not
+        write before its first event: under a directory that does not
+        exist, or under a regular file."""
+        (tmp_path / "file").write_text("")
+        target = tmp_path / parent / "out"
+        assert main([*argv, str(target)]) == 2
         out, err = capsys.readouterr()
-        assert out == ""  # no point ran: each one prints a line
+        assert out == ""  # nothing ran: every verb prints as it goes
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.strip()]
         assert str(target.parent) in err
-        assert not target.parent.exists()
+        assert list(tmp_path.iterdir()) == [tmp_path / "file"]  # none made
 
     def test_worker_backend_off_posix_exits_2(self, capsys, monkeypatch):
         """The coordinator waits on raw descriptors: elsewhere that is a
