@@ -64,7 +64,7 @@ def main() -> None:
 
     middle = traces.queue("sw2->sw3")
     print(f"middle hop sw2->sw3: max queue {middle.max_length:.0f}, "
-          f"utilization {traces.link('sw2->sw3').utilization(60, duration):.0%}")
+          f"utilization {traces.queue('sw2->sw3').utilization(60, duration):.0%}")
 
     print()
     print(plot_series(middle.lengths, 60.0, 120.0,

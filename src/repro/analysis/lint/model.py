@@ -66,7 +66,9 @@ __all__ = [
 #: v12: RPR005 sees one registry signature, `(name, factory)`, for both
 #:     register functions; the discipline keyword it used to recognise is
 #:     gone from the API and from the rule.
-LINT_RULESET_VERSION = 12
+#: v13: RPR005 no longer flags a sweep's `make_config`: the runner calls
+#:     it in the parent, and only the configs it returns cross to workers.
+LINT_RULESET_VERSION = 13
 
 CheckFunction = Callable[["LintContext"], Iterator["Violation"]]
 

@@ -269,12 +269,13 @@ def check_unordered_iteration(ctx: LintContext) -> Iterator[Violation]:
 _SWEEP_ENTRYPOINTS = {"sweep", "run_configs"}
 # Argument slots that cross process boundaries under jobs > 1 (or cross
 # the worker-agent wire protocol, which re-imports by reference).
+# ``make_config`` runs in the parent; only the configs it returns cross.
 _PICKLED_POSITIONS = {
-    "sweep": (0, 2),            # make_config, extract
+    "sweep": (2,),              # extract
     "run_configs": (1,),        # extract (configs are data, not callables)
     "extract_reference": (0,),  # extract, shipped by module+qualname
 }
-_PICKLED_KEYWORDS = {"make_config", "extract"}
+_PICKLED_KEYWORDS = {"extract"}
 # Callables shipped over the worker-agent protocol travel as a
 # module+qualname reference and are re-imported on the agent, so the
 # module-level discipline is the same as pickling — but the failure is
@@ -314,15 +315,17 @@ def _nested_definition_names(tree: ast.Module) -> set[str]:
     "unpicklable-sweep-callable",
     "Sweep callables and algorithm factories must be module-level.",
     """\
-With `jobs > 1` the sweep runner pickles `make_config` results and the
-`extract` callable to spawn-started worker processes.  Lambdas and
+With `jobs > 1` the sweep runner ships the `extract` callable to its
+worker processes, by pickle or by import reference.  Lambdas and
 functions defined inside another function pickle by *reference to a
-qualified name the child cannot import*, so the sweep dies with an
+qualified name the worker cannot import*, so the sweep dies with an
 opaque PicklingError — or worse, works in serial mode and fails only on
-the parallel path CI doesn't exercise.  Define sweep families as
-module-level functions (see `repro.scenarios.families`); the progress
-callback `on_progress` runs in the parent and is exempt.  `functools.partial`
-over a module-level function is fine and is not flagged.
+the parallel path CI doesn't exercise.  Define extractors as
+module-level functions (see `repro.scenarios.families`).  `make_config`
+and the progress callback `on_progress` run in the parent (only the
+configs `make_config` returns cross the boundary, as data) and are
+exempt.  `functools.partial` over a module-level function is fine and
+is not flagged.
 
 The same discipline applies to `register_algorithm(name, factory)` and
 `register_discipline(name, factory)`: only the *name* crosses the
@@ -350,7 +353,7 @@ def check_sweep_callables(ctx: LintContext) -> Iterator[Violation]:
         if name in _SWEEP_ENTRYPOINTS:
             positions = _PICKLED_POSITIONS[name]
             keywords = _PICKLED_KEYWORDS
-            what = "spawn workers cannot import it"
+            what = "sweep workers cannot import it"
         elif name in _PROTOCOL_ENTRYPOINTS:
             positions = _PICKLED_POSITIONS[name]
             keywords = _PICKLED_KEYWORDS

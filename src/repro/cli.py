@@ -158,29 +158,36 @@ def _report_cache(cache) -> None:
 
 
 def _check_outputs(*files: tuple[str, str | None],
-                   directories: tuple[tuple[str, str | None], ...] = ()
+                   directories: tuple[tuple[str, str | None], ...] = (),
+                   journals: tuple[tuple[str, str | None], ...] = ()
                    ) -> None:
     """Refuse an output path before the command's first event, not after
-    its last: each ``(flag, path)`` file needs an existing directory,
-    and each directory (created on write) an existing directory as its
-    nearest existing ancestor.  :func:`main` prints the
-    :class:`~repro.errors.ConfigurationError` as one ``error:`` line and
-    exits 2."""
+    its last: each ``(flag, path)`` file needs an existing directory as
+    its parent, and each directory (created on write) and each journal
+    (whose missing parents are created) an existing directory as the
+    nearest existing ancestor.  No file or journal may be a directory.
+    :func:`main` prints the :class:`~repro.errors.ConfigurationError` as
+    one ``error:`` line and exits 2."""
     from pathlib import Path
 
     from repro.errors import ConfigurationError
 
     wanted = [(flag, path, Path(path).parent)
               for flag, path in files if path is not None]
-    for flag, path in directories:
-        if path is not None:
-            where = Path(path)
-            while not where.exists() and where != where.parent:
-                where = where.parent
-            wanted.append((flag, path, where))
+    created = ([(flag, path, Path(path)) for flag, path in directories
+                if path is not None]
+               + [(flag, path, Path(path).parent) for flag, path in journals
+                  if path is not None])
+    for flag, path, where in created:
+        while not where.exists() and where != where.parent:
+            where = where.parent
+        wanted.append((flag, path, where))
     for flag, path, where in wanted:
         if not where.is_dir():
             raise ConfigurationError(f"{flag} {path}: {where} is not a directory")
+    for flag, path in files + journals:
+        if path is not None and Path(path).is_dir():
+            raise ConfigurationError(f"{flag} {path}: is a directory")
 
 
 def _parse_params(pairs: list[str] | None, owner_value: str | None,
@@ -549,14 +556,13 @@ def _cmd_trace(scenario: str, out: str, window: tuple[float, float] | None,
 def _cmd_metrics(scenario: str, prom: str | None,
                  manifest_dir: str | None) -> int:
     from repro.obs import build_manifest, write_manifest
-    from repro.obs.registry import export_prometheus, prometheus_text
+    from repro.obs.export import export_prometheus, prometheus_text
     from repro.scenarios import run
 
     _check_outputs(("--prom", prom), directories=(("--manifest-dir", manifest_dir),))
     result = run(_scenario_factories()[scenario](), metrics=True)
-    registry = result.metrics
-    assert registry is not None
-    snapshot = registry.snapshot()
+    snapshot = result.metrics
+    assert snapshot is not None
     print(f"{scenario}: {result.events_processed} events in "
           f"{result.wall_seconds:.2f}s, "
           f"{len(snapshot['metrics'])} metric rows")
@@ -618,7 +624,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if args.fast else families.buffer_config)
         extract = families.utilization_extract
     _check_outputs(("--report", args.report), ("--export", args.export),
-                   directories=(("--manifest-dir", args.manifest_dir),))
+                   directories=(("--manifest-dir", args.manifest_dir),),
+                   journals=(("--resume", args.resume),))
     substitution = _substitution(args)
     if args.algorithm or args.queue:
         # Still a module-level function under partial application, so
@@ -740,6 +747,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_journal(args: argparse.Namespace) -> int:
     from repro.resilience import SweepJournal
 
+    _check_outputs(journals=(("journal", args.journal),))
     journal = SweepJournal(args.journal)
     kept, dropped = journal.compact()
     if kept == 0 and dropped == 0 and not journal.path.exists():

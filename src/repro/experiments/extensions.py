@@ -127,7 +127,7 @@ def effective_pipe_measure(result: ScenarioResult) -> dict:
     """The effective pipe, in packets: physical P plus the mean queued
     ACK wait at ``sw1->sw2`` in data transmission times."""
     start, end = result.window
-    ack_wait = result.traces.sojourn("sw1->sw2").mean_wait(
+    ack_wait = result.traces.queue("sw1->sw2").mean_wait(
         data_only=False, start=start, end=end)
     return {"pipe": effective_pipe_packets(
         result.config.pipe_size, ack_wait, result.config.data_tx_time)}

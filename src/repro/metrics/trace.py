@@ -23,10 +23,9 @@ class TraceSet:
     """All monitors attached to one simulation."""
 
     def __init__(self) -> None:
-        # One monitor per watched port, under the three names its
-        # queue, link and sojourn readers address it by.
+        # One monitor per watched port: its queue, link, sojourn and
+        # drop readings.
         self.queues: dict[str, PortMonitor] = {}
-        self.links = self.sojourns = self.queues
         self.cwnds: dict[int, CwndLog] = {}
         self.acks: dict[int, AckArrivalLog] = {}
         self.drops = DropLog()
@@ -63,8 +62,6 @@ class TraceSet:
         if name not in self.queues:
             raise AnalysisError(f"no port monitor named {name!r}; have {sorted(self.queues)}")
         return self.queues[name]
-
-    link = sojourn = queue
 
     def cwnd(self, conn_id: int) -> CwndLog:
         """The cwnd log of connection ``conn_id``."""

@@ -9,15 +9,16 @@ knowing about it:
   untraced runs, and a detached tracer costs the engine one attribute
   check per event.
 - :mod:`~repro.obs.export` — Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``), a trace's one format.
+  ``chrome://tracing``), a trace's one format, and the Prometheus text
+  exposition, a metrics snapshot's one format.
 - :class:`~repro.obs.manifest.RunManifest` — per-run provenance
   (config hash shared with the parallel result cache, seed, schema
   versions, event counts, wall time, peak calendar size).
 - :mod:`~repro.obs.profile` — per-category wall-time attribution.
-- :func:`~repro.obs.harvest.harvest` — a finished run's
-  :class:`~repro.obs.registry.MetricsRegistry` (counters, gauges,
-  fixed-layout histograms, sim-time rates; the Prometheus exposition
-  is its one export), read off the traces after the run.
+- :func:`~repro.obs.harvest.harvest` — a finished run's metrics
+  snapshot, the sorted ``{"metrics": [row, ...]}`` document (counter,
+  gauge, fixed-layout histogram and sim-time rate rows), read off the
+  traces after the run.
 
 Entry points: ``trace=`` / ``metrics=`` on :func:`repro.scenarios.run`,
 :func:`~repro.obs.manifest.build_manifest` over a finished run,
@@ -39,15 +40,9 @@ from repro.obs.manifest import (
 )
 from repro.obs.model import HOP_KINDS, CategoryStats, DispatchSpan, PacketHop
 from repro.obs.profile import format_profile, profile_rows
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Rate
 from repro.obs.tracer import Tracer, resolve_tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Rate",
-    "MetricsRegistry",
     "harvest",
     "OBS_SCHEMA_VERSION",
     "HOP_KINDS",

@@ -1,4 +1,5 @@
-"""The trace exporter: Chrome trace-event JSON, a trace's one format.
+"""The exporters: Chrome trace-event JSON, a trace's one format, and the
+Prometheus text exposition, a metrics snapshot's one format.
 
 :func:`export_chrome_trace` writes the `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
@@ -16,13 +17,20 @@ directly visible.
 
 The exporter only *reads* tracer state; it can run any number of times
 on the same tracer.
+
+:func:`prometheus_text` renders a snapshot
+(:func:`~repro.obs.harvest.harvest`) in text exposition format 0.0.4:
+``# HELP`` / ``# TYPE`` headers, one sample per line, histogram
+``_bucket{le=...}`` series with cumulative counts and a ``+Inf``
+terminal bucket, plus ``_sum``/``_count``; a rate row flattens into a
+``_total`` counter and ``_peak_per_second``/``_last_per_second`` gauges.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.obs.manifest import RunManifest
 
@@ -30,7 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
     from repro.metrics.trace import TraceSet
 
-__all__ = ["chrome_trace_events", "export_chrome_trace"]
+__all__ = ["chrome_trace_events", "export_chrome_trace", "prometheus_text",
+           "export_prometheus"]
 
 # Process ids of the three Chrome-trace tracks.
 _PID_PORTS = 1
@@ -160,3 +169,102 @@ def export_chrome_trace(
         json.dump(document, handle, separators=(",", ":"))
     return target
 
+
+
+def _escape(value: str) -> str:
+    return (value.replace("\\", "\\\\")
+                 .replace("\"", "\\\"")
+                 .replace("\n", "\\n"))
+
+
+def _labels_text(labels: Mapping[str, str],
+                 extra: tuple[tuple[str, str], ...] = ()) -> str:
+    pairs = [(k, labels[k]) for k in sorted(labels)] + list(extra)
+    if not pairs:
+        return ""
+    body = ",".join(f'{k}="{_escape(v)}"' for k, v in pairs)
+    return "{" + body + "}"
+
+
+def _format_value(value: float) -> str:
+    if value == float("inf"):
+        return "+Inf"
+    if value == float("-inf"):
+        return "-Inf"
+    # Integral floats print as integers: Prometheus accepts either, and
+    # `repro_queue_drops_total 41` reads better than `41.0`.
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
+def prometheus_text(snapshot: Mapping[str, Any]) -> str:
+    """Render a metrics snapshot in Prometheus text exposition format.
+
+    Samples are grouped under one ``# TYPE`` header per metric family
+    (the format requires it): label variants of the same metric — and
+    the counter/gauge series a rate row flattens into — emit together
+    regardless of snapshot row order.
+    """
+    #: family name -> (kind, help, [sample lines]) in first-seen order.
+    groups: dict[str, tuple[str, str, list[str]]] = {}
+
+    def sample(family: str, kind: str, help_text: str, line: str) -> None:
+        group = groups.get(family)
+        if group is None:
+            group = (kind, help_text, [])
+            groups[family] = group
+        group[2].append(line)
+
+    for row in snapshot["metrics"]:
+        name = str(row["name"])
+        kind = str(row["type"])
+        labels = row.get("labels", {})
+        help_text = str(row.get("help", ""))
+        if kind in ("counter", "gauge"):
+            sample(name, kind, help_text,
+                   f"{name}{_labels_text(labels)} "
+                   f"{_format_value(float(row['value']))}")
+        elif kind == "histogram":
+            buckets = list(row["buckets"])
+            counts = list(row["counts"])
+            running = 0.0
+            for upper, count in zip(buckets + [float("inf")], counts):
+                running += float(count)
+                le = _labels_text(labels, (("le", _format_value(float(upper))),))
+                sample(name, "histogram", help_text,
+                       f"{name}_bucket{le} {_format_value(running)}")
+            sample(name, "histogram", help_text,
+                   f"{name}_sum{_labels_text(labels)} "
+                   f"{_format_value(float(row['sum']))}")
+            sample(name, "histogram", help_text,
+                   f"{name}_count{_labels_text(labels)} "
+                   f"{_format_value(float(row['count']))}")
+        elif kind == "rate":
+            sample(f"{name}_total", "counter",
+                   help_text and f"{help_text} (lifetime total)",
+                   f"{name}_total{_labels_text(labels)} "
+                   f"{_format_value(float(row['total']))}")
+            sample(f"{name}_peak_per_second", "gauge",
+                   help_text and f"{help_text} (peak windowed rate)",
+                   f"{name}_peak_per_second{_labels_text(labels)} "
+                   f"{_format_value(float(row['peak_per_second']))}")
+            sample(f"{name}_last_per_second", "gauge",
+                   help_text and f"{help_text} (final windowed rate)",
+                   f"{name}_last_per_second{_labels_text(labels)} "
+                   f"{_format_value(float(row['last_per_second']))}")
+
+    lines: list[str] = []
+    for family, (kind, help_text, samples) in groups.items():
+        if help_text:
+            lines.append(f"# HELP {family} {_escape(help_text)}")
+        lines.append(f"# TYPE {family} {kind}")
+        lines.extend(samples)
+    return "\n".join(lines) + "\n"
+
+
+def export_prometheus(snapshot: Mapping[str, Any], path: str | Path) -> Path:
+    """Write the Prometheus text exposition of ``snapshot`` to ``path``."""
+    target = Path(path)
+    target.write_text(prometheus_text(snapshot), encoding="utf-8")
+    return target

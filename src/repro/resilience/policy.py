@@ -24,6 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ResilienceConfig", "deterministic_fraction", "resolve_resilience"]
 
+#: Seconds before the first retry; each further retry doubles it.
+BACKOFF_BASE = 0.25
+#: The longest backoff, in seconds, before jitter.
+BACKOFF_CAP = 5.0
+#: Fractional spread added on top of the exponential delay.
+JITTER = 0.5
+
 
 def deterministic_fraction(*parts: object) -> float:
     """A reproducible pseudo-uniform draw in ``[0, 1)`` keyed by ``parts``.
@@ -52,13 +59,6 @@ class ResilienceConfig:
     retries:
         Retries *after* the first attempt; ``retries=2`` allows three
         attempts total.
-    backoff_base / backoff_cap:
-        The delay before retry ``n`` is
-        ``min(cap, base * 2**(n-1)) * (1 + jitter * u)`` where ``u`` is
-        a deterministic per-(point, attempt) fraction.
-    jitter:
-        Fractional spread added on top of the exponential delay;
-        ``0`` disables jitter entirely.
     journal:
         A :class:`~repro.resilience.journal.SweepJournal`, or a path to
         open one at.  Completed points are appended as they finish and
@@ -67,13 +67,14 @@ class ResilienceConfig:
         When ``True`` a sweep with failed points returns partial
         results (``None`` at the failed indices) instead of raising
         :class:`~repro.errors.SweepFailureError`.
+
+    The delay before retry ``n`` is :meth:`backoff_delay`:
+    ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(n-1)) * (1 + JITTER * u)``,
+    where ``u`` is a deterministic per-(point, attempt) fraction.
     """
 
     timeout: float | None = None
     retries: int = 2
-    backoff_base: float = 0.25
-    backoff_cap: float = 5.0
-    jitter: float = 0.5
     journal: Union["SweepJournal", str, Path, None] = None
     allow_partial: bool = False
 
@@ -83,16 +84,6 @@ class ResilienceConfig:
                 f"timeout must be positive or None, got {self.timeout}")
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base < 0:
-            raise ConfigurationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_cap < self.backoff_base:
-            raise ConfigurationError(
-                f"backoff_cap ({self.backoff_cap}) must be >= backoff_base "
-                f"({self.backoff_base})")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}")
 
     @property
     def max_attempts(self) -> int:
@@ -108,8 +99,8 @@ class ResilienceConfig:
         """
         if attempt < 1:
             raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
-        base = min(self.backoff_cap, self.backoff_base * 2.0 ** (attempt - 1))
-        return base * (1.0 + self.jitter * deterministic_fraction(key, attempt))
+        base = min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (attempt - 1))
+        return base * (1.0 + JITTER * deterministic_fraction(key, attempt))
 
 
 def resolve_resilience(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analysis.clustering import cluster_runs, clustering_stats
 from repro.analysis.compression import compression_stats
@@ -27,7 +27,6 @@ from repro.scenarios.config import ScenarioConfig
 from repro.tcp.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.registry import MetricsRegistry
     from repro.obs.tracer import Tracer
 
 __all__ = ["ScenarioResult", "run"]
@@ -46,9 +45,12 @@ class ScenarioResult:
     tracer: "Tracer | None" = field(default=None, compare=False)
     """The attached :class:`~repro.obs.tracer.Tracer` when the run was
     traced (``trace=`` on :func:`run`)."""
-    metrics: "MetricsRegistry | None" = field(default=None, compare=False)
-    """The run's :class:`~repro.obs.registry.MetricsRegistry` when the
-    run was metered (``metrics=True`` on :func:`run`)."""
+    metrics: "dict[str, list[dict[str, Any]]] | None" = field(
+        default=None, compare=False)
+    """The run's metrics snapshot when the run was metered
+    (``metrics=True`` on :func:`run`): the ``{"metrics": [row, ...]}``
+    document :func:`repro.obs.harvest.harvest` builds, one row per
+    ``(name, labels)`` series, sorted."""
     wall_seconds: float = field(default=0.0, compare=False)
     """Wall-clock seconds :func:`run` spent inside ``sim.run`` (reporting
     only; never enters simulation state)."""
@@ -73,13 +75,13 @@ class ScenarioResult:
         """
         name = port or self.bottleneck_ports[0]
         start, end = self.window
-        return self.traces.link(name).utilization(start, end)
+        return self.traces.queue(name).utilization(start, end)
 
     def utilizations(self) -> dict[str, float]:
         """Utilization of every watched bottleneck direction."""
         start, end = self.window
         return {
-            name: self.traces.link(name).utilization(start, end)
+            name: self.traces.queue(name).utilization(start, end)
             for name in self.bottleneck_ports
         }
 
@@ -205,8 +207,7 @@ def run(
         observation-only: the traced run is bit-identical to the
         untraced one.
     metrics:
-        Harvest the finished run into a
-        :class:`~repro.obs.registry.MetricsRegistry`
+        Harvest the finished run into its metrics snapshot
         (:func:`repro.obs.harvest.harvest`).  Nothing is attached
         before the run, so a metered run is a bare run plus the
         harvest.
@@ -232,11 +233,11 @@ def run(
     begin = perf_counter()
     built.sim.run(until=config.duration)
     wall_seconds = perf_counter() - begin
-    registry = None
+    snapshot = None
     if metrics:
         from repro.obs.harvest import harvest
 
-        registry = harvest(built, wall_seconds=wall_seconds)
+        snapshot = harvest(built, wall_seconds=wall_seconds)
     return ScenarioResult(
         config=config,
         net=built.net,
@@ -245,6 +246,6 @@ def run(
         bottleneck_ports=built.bottleneck_ports,
         events_processed=built.sim.events_processed,
         tracer=tracer,
-        metrics=registry,
+        metrics=snapshot,
         wall_seconds=wall_seconds,
     )

@@ -6,6 +6,7 @@ def run_family(sweep, build, values):
     def local_extract(result):
         return {"u": result.utilization}
 
+    # The make_config lambda runs in the parent: only local_extract counts.
     return sweep(lambda v: build(v), values, local_extract)
 
 

@@ -22,6 +22,12 @@ def run_family(sweep, values):
                  extract, on_progress=lambda event: print(event))
 
 
+def run_inline_family(sweep, values):
+    # make_config runs in the parent too: only its configs cross.
+    return sweep(lambda value: make_config(value, 20.0), values, extract,
+                 jobs=2)
+
+
 def install(register_algorithm):
     # A module-level class resolves by name in any re-importing worker.
     register_algorithm("module", ModuleControl)

@@ -21,7 +21,7 @@ CASES = [
     ("RPR004", "rpr004_bad.py", 2, "rpr004_good.py"),
     ("RPR004", "rpr004_obs_bad.py", 2, "rpr004_obs_good.py"),
     ("RPR004", "rpr004_post_bad.py", 2, "rpr004_post_good.py"),
-    ("RPR005", "rpr005_bad.py", 6, "rpr005_good.py"),
+    ("RPR005", "rpr005_bad.py", 5, "rpr005_good.py"),
     ("RPR005", "rpr005_protocol_bad.py", 2, "rpr005_protocol_good.py"),
     ("RPR007", "rpr007_bad.py", 2, "rpr007_good.py"),
     ("RPR008", "rpr008_bad.py", 4, "rpr008_good.py"),

@@ -81,3 +81,15 @@ def no_leaked_workers():
            and time.monotonic() < deadline):
         time.sleep(0.05)
     assert not leaks, f"test leaked: {', '.join(leaks)}"
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retry after 0.01 s, capped at 0.02 s, instead of the policy's
+    seconds; the backoff schedule itself is covered in
+    ``tests/resilience/test_policy.py``.  The delay is computed in the
+    parent, so patching the parent's constants is enough."""
+    from repro.resilience import policy
+
+    monkeypatch.setattr(policy, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(policy, "BACKOFF_CAP", 0.02)

@@ -50,7 +50,7 @@ class TestFourSwitchScenario:
 
     def test_every_interswitch_port_carries_traffic(self, result):
         for name in result.bottleneck_ports:
-            assert result.traces.link(name).transmissions > 50
+            assert result.traces.queue(name).transmissions > 50
 
     def test_multihop_acks_can_be_dropped(self, result):
         # Unlike the dumbbell, compressed ACK clusters hit downstream

@@ -150,7 +150,7 @@ class TestTraceSet:
         traces.watch_connection(conn)
         sim.run(until=10.0)
         assert traces.queue("bottleneck").max_length >= 0
-        assert traces.link("bottleneck").transmissions > 0
+        assert traces.queue("bottleneck").transmissions > 0
         assert len(traces.cwnd(1).cwnd) > 0
         assert len(traces.ack_log(1)) > 0
 
@@ -167,7 +167,7 @@ class TestTraceSet:
         with pytest.raises(Exception):
             traces.queue("nope")
         with pytest.raises(Exception):
-            traces.link("nope")
+            traces.queue("nope")
         with pytest.raises(Exception):
             traces.cwnd(9)
         with pytest.raises(Exception):

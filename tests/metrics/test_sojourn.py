@@ -134,7 +134,7 @@ class TestRandomDropEviction:
             queue=QueueSpec("randomdrop"))
         built = build(config)
         port = built.net.port("sw1", "sw2")
-        monitor = built.traces.sojourn("sw1->sw2")
+        monitor = built.traces.queue("sw1->sw2")
 
         # The samples as the monitor computed them before it watched
         # drops: entry stamps kept forever, popped only on departure.

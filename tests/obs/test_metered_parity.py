@@ -58,7 +58,7 @@ def test_metered_snapshots_identical_across_reruns():
 
     def stable_rows(result):
         return json.dumps(
-            [row for row in result.metrics.snapshot()["metrics"]
+            [row for row in result.metrics["metrics"]
              if row["name"] != "repro_run_wall_seconds"],
             sort_keys=True)
 

@@ -1,7 +1,7 @@
 """Metered snapshots of figures 2 and 4, pinned row for row.
 
 ``tests/golden/metered_snapshots.json`` holds the full
-``snapshot()["metrics"]`` rows of a metered ``paper.figure2()`` and
+``metrics["metrics"]`` rows of a metered ``paper.figure2()`` and
 ``paper.figure4()`` run, less the wall-clock ``repro_run_wall_seconds``
 gauge.  It was recorded by running this module as a script
 (``PYTHONPATH=src python -m tests.obs.test_metered_snapshots``) while the
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.registry import prometheus_text
+from repro.obs.export import prometheus_text
 from repro.scenarios import paper, run
 
 GOLDEN = Path(__file__).parents[1] / "golden" / "metered_snapshots.json"
@@ -44,7 +44,7 @@ def recorded_rows(name: str) -> list:
 
 
 def metered_rows(name: str) -> list:
-    rows = run(CASES[name](), metrics=True).metrics.snapshot()["metrics"]
+    rows = run(CASES[name](), metrics=True).metrics["metrics"]
     return json.loads(json.dumps(
         [row for row in rows if row["name"] != "repro_run_wall_seconds"]))
 

@@ -6,8 +6,15 @@ import json
 
 import pytest
 
-from repro.obs import MetricsRegistry, harvest
+from repro.obs import harvest
 from repro.scenarios import build, families, paper, run
+
+
+def row(snapshot, name, labels=None):
+    """The row of series ``(name, labels)`` in ``snapshot``, or ``None``."""
+    return next((row for row in snapshot["metrics"]
+                 if (row["name"], row["labels"]) == (name, labels or {})),
+                None)
 
 
 @pytest.fixture(scope="module")
@@ -18,15 +25,15 @@ def metered_result():
 
 class TestMeteredRun:
     def test_registry_attached_and_bare_run_has_none(self, metered_result):
-        assert isinstance(metered_result.metrics, MetricsRegistry)
+        assert list(metered_result.metrics) == ["metrics"]
         config = dataclasses.replace(paper.figure2(), duration=5.0, warmup=1.0)
         assert run(config).metrics is None
 
     def test_engine_counters_match_run(self, metered_result):
         reg = metered_result.metrics
-        dispatched = reg.get("repro_engine_events_dispatched_total")
-        assert dispatched.value == metered_result.events_processed
-        assert reg.get("repro_run_sim_seconds").value == \
+        dispatched = row(reg, "repro_engine_events_dispatched_total")
+        assert dispatched["value"] == metered_result.events_processed
+        assert row(reg, "repro_run_sim_seconds")["value"] == \
             metered_result.config.duration
 
     def test_queue_counters_per_bottleneck(self, metered_result):
@@ -35,14 +42,14 @@ class TestMeteredRun:
         for name in metered_result.bottleneck_ports:
             labels = {"port": name}
             port = metered_result.net.port(*name.split("->"))
-            enq = reg.get("repro_queue_enqueues_total", labels).value
-            deq = reg.get("repro_queue_dequeues_total", labels).value
+            enq = row(reg, "repro_queue_enqueues_total", labels)["value"]
+            deq = row(reg, "repro_queue_dequeues_total", labels)["value"]
             assert enq == port.queue.enqueues
             assert deq == port.queue.dequeues
-            assert reg.get("repro_queue_drops_total", labels).value == \
+            assert row(reg, "repro_queue_drops_total", labels)["value"] == \
                 port.queue.drops
             dequeued.append(deq)
-            util = reg.get("repro_link_utilization_ratio", labels).value
+            util = row(reg, "repro_link_utilization_ratio", labels)["value"]
             assert 0.0 <= util <= 1.0
         # The loaded direction buffers; not every direction has to.
         assert any(d > 0 for d in dequeued)
@@ -51,8 +58,8 @@ class TestMeteredRun:
         reg = metered_result.metrics
         start, end = metered_result.config.measurement_window
         for name in metered_result.bottleneck_ports:
-            hist = reg.get("repro_queue_occupancy_packets", {"port": name})
-            assert hist.count == pytest.approx(end - start)
+            hist = row(reg, "repro_queue_occupancy_packets", {"port": name})
+            assert hist["count"] == pytest.approx(end - start)
 
     def test_cwnd_histogram_covers_measurement_window(self, metered_result):
         reg = metered_result.metrics
@@ -61,41 +68,41 @@ class TestMeteredRun:
                  if c.conn_id in metered_result.traces.cwnds]
         assert conns
         for conn in conns:
-            hist = reg.get("repro_tcp_cwnd_packets",
+            hist = row(reg, "repro_tcp_cwnd_packets",
                            {"conn": str(conn.conn_id)})
-            assert hist.count == pytest.approx(end - start)
+            assert hist["count"] == pytest.approx(end - start)
 
     def test_tcp_counters_match_senders(self, metered_result):
         reg = metered_result.metrics
         for conn in metered_result.connections:
             labels = {"conn": str(conn.conn_id)}
-            assert reg.get("repro_tcp_packets_sent_total", labels).value == \
+            assert row(reg, "repro_tcp_packets_sent_total", labels)["value"] == \
                 conn.sender.packets_sent
-            assert reg.get("repro_tcp_retransmits_total", labels).value == \
+            assert row(reg, "repro_tcp_retransmits_total", labels)["value"] == \
                 conn.sender.retransmits
 
     def test_live_probes_fired(self, metered_result):
         reg = metered_result.metrics
         # Departure rates at every bottleneck direction.
         for name in metered_result.bottleneck_ports:
-            rate = reg.get("repro_link_departures", {"port": name})
-            assert rate.total > 0
-            assert rate.peak > 0
+            rate = row(reg, "repro_link_departures", {"port": name})
+            assert rate["total"] > 0
+            assert rate["peak_per_second"] > 0
         # One RTT observation per journalled sample, on every flow.
         rtt_counts = []
         for conn in metered_result.connections:
-            hist = reg.get("repro_tcp_rtt_seconds", {"conn": str(conn.conn_id)})
+            hist = row(reg, "repro_tcp_rtt_seconds", {"conn": str(conn.conn_id)})
             samples = metered_result.traces.ack_log(conn.conn_id).rtt_samples
-            assert hist.count == len(samples)
-            assert hist.sum == sum(samples)
-            rtt_counts.append(hist.count)
+            assert hist["count"] == len(samples)
+            assert hist["sum"] == sum(samples)
+            rtt_counts.append(hist["count"])
         assert any(count > 0 for count in rtt_counts)
 
     def test_snapshot_deterministic_across_identical_runs(self):
         config = dataclasses.replace(paper.figure4(), duration=20.0, warmup=5.0)
 
         def stable_snapshot():
-            snap = run(config, metrics=True).metrics.snapshot()
+            snap = run(config, metrics=True).metrics
             rows = [row for row in snap["metrics"]
                     if row["name"] != "repro_run_wall_seconds"]
             return json.dumps(rows, sort_keys=True)
@@ -126,12 +133,12 @@ class TestHarvestedFromTheMonitors:
                          .inter_arrival_times(start, end)) == 0]
         assert silent  # the case that used to raise
         for conn in result.connections:
-            counter = result.metrics.get(
+            counter = row(result.metrics,
                 "repro_tcp_ack_compression_incidents_total",
                 {"conn": str(conn.conn_id)})
             assert counter is not None
             if conn.conn_id in silent:
-                assert counter.value == 0
+                assert counter["value"] == 0
 
 
 class TestMeterLifecycle:
@@ -141,15 +148,15 @@ class TestMeterLifecycle:
         built.sim.run(until=config.duration)
         first, second = harvest(built), harvest(built)
         assert first is not second
-        assert first.snapshot() == second.snapshot()
+        assert first == second
 
     def test_manual_lifecycle_matches_run_knob(self):
         config = dataclasses.replace(paper.figure2(), duration=10.0, warmup=2.0)
         built = build(config)
         built.sim.run(until=config.duration)
         manual = harvest(built)
-        assert manual.get("repro_engine_events_dispatched_total").value == \
+        assert row(manual, "repro_engine_events_dispatched_total")["value"] == \
             built.sim.events_processed
-        knob = run(config, metrics=True).metrics.snapshot()["metrics"]
-        assert manual.snapshot()["metrics"] == [
+        knob = run(config, metrics=True).metrics["metrics"]
+        assert manual["metrics"] == [
             row for row in knob if row["name"] != "repro_run_wall_seconds"]

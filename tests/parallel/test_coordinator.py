@@ -29,7 +29,6 @@ from repro.resilience.report import ResilienceReport
 # spawned agents need are the fleet tests' own.
 from .test_worker_backend import (  # noqa: F401 -- fixtures are used by name
     CONFIGS,
-    FAST,
     agent_environment,
     baseline,
     extract,
@@ -70,12 +69,13 @@ def _drill(backend, policy):
     return results, phases, {name: getattr(report, name) for name in COUNTERS}
 
 
+@pytest.mark.usefixtures("fast_backoff")
 @pytest.mark.parametrize("spec, extras, faulted_phases, nonzero", DRILLS,
                          ids=[drill[0] for drill in DRILLS])
 def test_a_fault_means_the_same_on_either_transport(
         spec, extras, faulted_phases, nonzero, baseline, monkeypatch):
     monkeypatch.setenv(FAULTS_ENV, spec)
-    policy = ResilienceConfig(retries=2, **FAST, **extras)
+    policy = ResilienceConfig(retries=2, **extras)
     local = _drill(None, policy)
     fleet = _drill(WorkerBackend(workers=2, lease_ttl=30.0), policy)
     assert local == fleet

@@ -39,7 +39,7 @@ CONFIGS = [families.conjecture_config(case, duration=5.0, warmup=2.0)
            for case in families.CONJECTURE_CASES[:4]]
 extract = families.utilization_extract
 
-FAST = dict(backoff_base=0.01, backoff_cap=0.02)
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 #: Keys nulled wherever they appear.
 _SCRUBBED = ("wall_seconds", "lint_ruleset")
 _REPLAYED = ("journal", "cache", "")
@@ -92,7 +92,7 @@ def _observe(root: Path, jobs: int, policy=None, *, configs=CONFIGS,
 
 
 def _journaled(root: Path, **policy) -> ResilienceConfig:
-    return ResilienceConfig(journal=root / "journal.jsonl", **FAST, **policy)
+    return ResilienceConfig(journal=root / "journal.jsonl", **policy)
 
 
 def _cold(root, jobs):
@@ -156,6 +156,10 @@ def test_a_sweep_reads_as_it_did_before_the_ledger(name, jobs, tmp_path,
 if __name__ == "__main__":  # pragma: no cover - the recording session
     import os
     import tempfile
+
+    from repro.resilience import policy
+
+    policy.BACKOFF_BASE, policy.BACKOFF_CAP = 0.01, 0.02  # as fast_backoff
 
     def _record(drill, jobs: int) -> dict:
         with tempfile.TemporaryDirectory() as scratch:

@@ -30,7 +30,7 @@ make_config = functools.partial(families.conjecture_config,
 CONFIGS = [make_config(case) for case in CASES]
 extract = families.utilization_extract
 
-FAST = dict(backoff_base=0.01, backoff_cap=0.02)
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ class TestInjectedFleetFaults:
         monkeypatch.setenv(FAULTS_ENV, "worker-kill@1")
         runner = ParallelSweepRunner(
             backend=WorkerBackend(workers=2, lease_ttl=30.0),
-            resilience=ResilienceConfig(retries=2, **FAST))
+            resilience=ResilienceConfig(retries=2))
         assert runner.run_configs(CONFIGS, extract) == baseline
         report = runner.last_report
         assert report.ok
@@ -105,7 +105,7 @@ class TestInjectedFleetFaults:
         monkeypatch.setenv(FAULTS_ENV, "lease-expire@2")
         runner = ParallelSweepRunner(
             backend=WorkerBackend(workers=2, lease_ttl=3.0),
-            resilience=ResilienceConfig(retries=2, **FAST))
+            resilience=ResilienceConfig(retries=2))
         assert runner.run_configs(CONFIGS, extract) == baseline
         report = runner.last_report
         assert report.ok
@@ -120,7 +120,7 @@ class TestInjectedFleetFaults:
         monkeypatch.setenv(FAULTS_ENV, "worker-kill@0;lease-expire@2")
         runner = ParallelSweepRunner(
             backend=WorkerBackend(workers=2, lease_ttl=3.0),
-            resilience=ResilienceConfig(retries=2, **FAST))
+            resilience=ResilienceConfig(retries=2))
         assert runner.run_configs(CONFIGS, extract) == baseline
         report = runner.last_report
         assert report.ok
@@ -133,7 +133,7 @@ class TestInjectedFleetFaults:
         cache = ResultCache(tmp_path / "cache")
         runner = ParallelSweepRunner(
             backend=WorkerBackend(workers=2, lease_ttl=30.0), cache=cache,
-            resilience=ResilienceConfig(retries=1, **FAST))
+            resilience=ResilienceConfig(retries=1))
         with pytest.warns(RuntimeWarning, match="unreachable"):
             assert runner.run_configs(CONFIGS, extract) == baseline
         assert runner.last_report.ok
@@ -199,7 +199,7 @@ class TestDegradation:
             command=[sys.executable, "-c", "raise SystemExit(1)"],
             workers=1, lease_ttl=5.0)
         runner = ParallelSweepRunner(
-            backend=backend, resilience=ResilienceConfig(retries=1, **FAST))
+            backend=backend, resilience=ResilienceConfig(retries=1))
         with pytest.warns(RuntimeWarning, match="degrading"):
             results = runner.run_configs(CONFIGS, extract)
         assert results == baseline

@@ -232,12 +232,13 @@ def test_one_metrics_observer_per_emission_site():
     assert ([(hop.sim_time, hop.seq, hop.uid)
              for hop in tracer.hops_at(f"conn{sender.conn_id}", "ack")]
             == ack_records)
-    registry = harvest(built)
+    rows = {(row["name"], tuple(row["labels"].values())): row
+            for row in harvest(built)["metrics"]}
     assert _watched_fans(built) == joined
-    departures = registry.get("repro_link_departures", {"port": "sw1->sw2"})
-    assert departures.total == len(port_records)
-    rtt = registry.get("repro_tcp_rtt_seconds", {"conn": str(sender.conn_id)})
-    assert rtt.count == len(built.traces.ack_log(sender.conn_id).rtt_samples) > 0
+    departures = rows["repro_link_departures", ("sw1->sw2",)]
+    assert departures["total"] == len(port_records)
+    rtt = rows["repro_tcp_rtt_seconds", (str(sender.conn_id),)]
+    assert rtt["count"] == len(built.traces.ack_log(sender.conn_id).rtt_samples) > 0
 
 
 def test_replay_identifies_each_point_once(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.resilience import (
     ResilienceConfig,
     deterministic_fraction,
+    policy,
     resolve_resilience,
 )
 
@@ -39,10 +40,6 @@ class TestResilienceConfigValidation:
         {"timeout": 0.0},
         {"timeout": -1.0},
         {"retries": -1},
-        {"backoff_base": -0.1},
-        {"backoff_base": 10.0, "backoff_cap": 5.0},
-        {"jitter": -0.1},
-        {"jitter": 1.5},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -54,15 +51,18 @@ class TestResilienceConfigValidation:
 
 
 class TestBackoffDelay:
-    def test_grows_exponentially_then_caps(self):
-        config = ResilienceConfig(backoff_base=1.0, backoff_cap=4.0,
-                                  jitter=0.0)
+    def test_grows_exponentially_then_caps(self, monkeypatch):
+        monkeypatch.setattr(policy, "BACKOFF_BASE", 1.0)
+        monkeypatch.setattr(policy, "BACKOFF_CAP", 4.0)
+        monkeypatch.setattr(policy, "JITTER", 0.0)
+        config = ResilienceConfig()
         delays = [config.backoff_delay("k", attempt)
                   for attempt in (1, 2, 3, 4, 5)]
         assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]
 
-    def test_jitter_is_bounded_and_deterministic(self):
-        config = ResilienceConfig(backoff_base=1.0, jitter=0.5)
+    def test_jitter_is_bounded_and_deterministic(self, monkeypatch):
+        monkeypatch.setattr(policy, "BACKOFF_BASE", 1.0)
+        config = ResilienceConfig()
         first = config.backoff_delay("key", 1)
         assert 1.0 <= first <= 1.5
         assert first == config.backoff_delay("key", 1)

@@ -26,9 +26,7 @@ make_config = functools.partial(families.conjecture_config,
 CONFIGS = [make_config(case) for case in CASES]
 extract = families.utilization_extract
 
-# Retry quickly in tests; the backoff schedule itself is covered in
-# test_policy.py.
-FAST_BACKOFF = dict(backoff_base=0.01, backoff_cap=0.02)
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +65,7 @@ class TestInjectedFaults:
     def test_serial_retry_recovers_from_raise(self, baseline, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "raise@1")
         runner = ParallelSweepRunner(
-            jobs=1, resilience=ResilienceConfig(retries=2, **FAST_BACKOFF))
+            jobs=1, resilience=ResilienceConfig(retries=2))
         assert runner.run_configs(CONFIGS, extract) == baseline
         report = runner.last_report
         assert (report.errors, report.retries) == (1, 1)
@@ -78,8 +76,7 @@ class TestInjectedFaults:
         monkeypatch.setenv(FAULTS_ENV, "kill@1")
         runner = ParallelSweepRunner(
             jobs=2,
-            resilience=ResilienceConfig(timeout=120.0, retries=2,
-                                        **FAST_BACKOFF))
+            resilience=ResilienceConfig(timeout=120.0, retries=2))
         assert runner.run_configs(CONFIGS, extract) == baseline
         report = runner.last_report
         assert (report.crashes, report.retries) == (1, 1)
@@ -103,7 +100,7 @@ class TestInjectedFaults:
     def test_terminal_failure_raises_with_history(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "raise@0*9")
         runner = ParallelSweepRunner(
-            jobs=1, resilience=ResilienceConfig(retries=1, **FAST_BACKOFF))
+            jobs=1, resilience=ResilienceConfig(retries=1))
         with pytest.raises(SweepFailureError, match="allow-partial"):
             runner.run_configs(CONFIGS, extract)
         (failure,) = runner.last_report.failures
@@ -117,8 +114,7 @@ class TestInjectedFaults:
         monkeypatch.setenv(FAULTS_ENV, "raise@2*9")
         runner = ParallelSweepRunner(
             jobs=1,
-            resilience=ResilienceConfig(retries=0, allow_partial=True,
-                                        **FAST_BACKOFF))
+            resilience=ResilienceConfig(retries=0, allow_partial=True))
         results = runner.run_configs(CONFIGS, extract)
         assert results[2] is None
         assert results[:2] == baseline[:2]
@@ -163,7 +159,7 @@ class TestLongLivedWorkers:
         # dies and the freed slot can only go to a replacement.
         monkeypatch.setenv(FAULTS_ENV, "kill@1;slow@0:1.0")
         results, report, events = _run_six(
-            ResilienceConfig(timeout=120.0, retries=2, **FAST_BACKOFF))
+            ResilienceConfig(timeout=120.0, retries=2))
         assert results == baseline_six
         assert (report.crashes, report.retries) == (1, 1)
         assert len({event.worker for event in events}) == 3
@@ -188,7 +184,7 @@ class TestLongLivedWorkers:
         # slot can only be refilled by a freshly spawned replacement.
         monkeypatch.setenv(FAULTS_ENV, "hang@0:600;slow@1:1.6;slow@2:1.6")
         results, report, events = _run_six(
-            ResilienceConfig(timeout=3.0, retries=1, **FAST_BACKOFF))
+            ResilienceConfig(timeout=3.0, retries=1))
         assert results == baseline_six
         assert (report.timeouts, report.crashes, report.retries) == (1, 0, 1)
         (timed_out,) = [position for position, event in enumerate(events)
@@ -207,7 +203,7 @@ class TestLongLivedWorkers:
     def test_error_outcome_keeps_the_worker(self, baseline_six, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "raise@1")
         results, report, events = _run_six(
-            ResilienceConfig(timeout=120.0, retries=1, **FAST_BACKOFF))
+            ResilienceConfig(timeout=120.0, retries=1))
         assert results == baseline_six
         assert (report.errors, report.retries) == (1, 1)
         assert len({event.worker for event in events}) == 2
@@ -287,8 +283,7 @@ class TestJournalResume:
         interrupted = ParallelSweepRunner(
             jobs=1,
             resilience=ResilienceConfig(retries=0, allow_partial=True,
-                                        journal=journal_path,
-                                        **FAST_BACKOFF))
+                                        journal=journal_path))
         interrupted.run_configs(CONFIGS, extract)
 
         monkeypatch.delenv(FAULTS_ENV)
@@ -313,7 +308,7 @@ class TestProgress:
         monkeypatch.setenv(FAULTS_ENV, "raise@0")
         events = []
         runner = ParallelSweepRunner(
-            jobs=1, resilience=ResilienceConfig(retries=1, **FAST_BACKOFF))
+            jobs=1, resilience=ResilienceConfig(retries=1))
         runner.run_configs(CONFIGS, extract,
                            on_progress=lambda p: events.append(
                                (p.index, p.phase, p.attempt)))
@@ -326,8 +321,7 @@ class TestProgress:
         events = []
         runner = ParallelSweepRunner(
             jobs=1,
-            resilience=ResilienceConfig(retries=0, allow_partial=True,
-                                        **FAST_BACKOFF))
+            resilience=ResilienceConfig(retries=0, allow_partial=True))
         runner.run_configs(CONFIGS, extract,
                            on_progress=lambda p: events.append(
                                (p.index, p.phase)))

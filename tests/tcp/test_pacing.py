@@ -167,7 +167,7 @@ class TestPacedScenario:
                      metrics=True, trace=True)
         assert paced_digest(result.traces) == PACED_DIGEST
         assert result.tracer.events_observed == result.events_processed
-        assert result.metrics.snapshot()
+        assert result.metrics["metrics"]
 
     def test_config_round_trips_and_hashes_stably(self):
         config = paper.paced_two_way(250.0, 100.0)

@@ -206,13 +206,25 @@ class TestSweepExitCodes:
                      id="parity"),
         pytest.param(["figures", "-o"], "file", id="figures"),
         pytest.param(["lint", "--output"], "missing", id="lint"),
+        pytest.param(["sweep", "conjecture", "--fast", "--no-cache",
+                      "--report"], "dir", id="--report is a directory"),
+        pytest.param(["sweep", "buffer", "--fast", "--no-cache",
+                      "--resume"], "file", id="--resume"),
+        pytest.param(["sweep", "buffer", "--fast", "--no-cache",
+                      "--resume"], "dir", id="--resume is a directory"),
+        pytest.param(["journal", "compact"], "file", id="journal compact"),
+        pytest.param(["journal", "compact"], "dir",
+                     id="journal compact is a directory"),
     ])
     def test_output_in_a_missing_directory_exits_2_before_any_point(
             self, argv, parent, tmp_path, capsys):
         """Every verb that writes a file refuses a path it could not
         write before its first event: under a directory that does not
-        exist, or under a regular file."""
+        exist, under a regular file, or a file path that is a directory.
+        A sweep journal creates its missing parents, so only the last
+        two apply to it."""
         (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "out").mkdir(parents=True)
         target = tmp_path / parent / "out"
         assert main([*argv, str(target)]) == 2
         out, err = capsys.readouterr()
@@ -220,7 +232,8 @@ class TestSweepExitCodes:
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.strip()]
         assert str(target.parent) in err
-        assert list(tmp_path.iterdir()) == [tmp_path / "file"]  # none made
+        assert sorted(tmp_path.rglob("*")) == [  # none made
+            tmp_path / "dir", tmp_path / "dir" / "out", tmp_path / "file"]
 
     def test_worker_backend_off_posix_exits_2(self, capsys, monkeypatch):
         """The coordinator waits on raw descriptors: elsewhere that is a
