@@ -170,7 +170,6 @@ def export_chrome_trace(
     return target
 
 
-
 def _escape(value: str) -> str:
     return (value.replace("\\", "\\\\")
                  .replace("\"", "\\\"")
