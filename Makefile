@@ -2,6 +2,9 @@
 
 PYTHON ?= python
 
+# Every target runs against this checkout's src/, installed or not.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test lint bench report figures examples clean
 
 install:
@@ -13,7 +16,7 @@ test:
 # repro's own determinism linter always runs (stdlib-only); ruff and mypy
 # run when installed and are skipped quietly otherwise (CI installs both).
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint src
+	$(PYTHON) -m repro lint src
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \

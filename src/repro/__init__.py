@@ -15,63 +15,19 @@ The package provides:
 - ``repro.scenarios`` — the paper's named configurations;
 - ``repro.parallel`` — multiprocess sweep execution + on-disk result cache;
 - ``repro.experiments`` — paper-vs-measured reproduction harness;
-- ``repro.viz`` — ASCII strip charts, histograms and CSV export.
+- ``repro.viz`` — ASCII strip charts, histograms and CSV export;
+- ``repro.cli`` — the ``repro`` command: an argparse parser whose verbs
+  each carry their handler.
+
+Importing ``repro`` loads none of them: import each name from its home
+module, e.g. ``from repro.scenarios import run`` or
+``from repro.errors import ReproError``.
 
 Quickstart::
 
-    from repro import scenarios
-    result = scenarios.run(scenarios.paper.figure4())
+    from repro.scenarios import paper, run
+    result = run(paper.figure4())
     print(result.summary())
 """
 
-from repro import (
-    analysis,
-    engine,
-    experiments,
-    metrics,
-    net,
-    parallel,
-    scenarios,
-    tcp,
-    viz,
-)
-from repro.engine import Simulator
-from repro.errors import (
-    AnalysisError,
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-)
-from repro.net import Network, build_chain, build_dumbbell
-from repro.scenarios import ScenarioConfig, ScenarioResult, run
-from repro.tcp import Sender, TcpOptions
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "engine",
-    "net",
-    "tcp",
-    "metrics",
-    "analysis",
-    "parallel",
-    "scenarios",
-    "experiments",
-    "viz",
-    "Simulator",
-    "Network",
-    "build_dumbbell",
-    "build_chain",
-    "Sender",
-    "TcpOptions",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "run",
-    "ReproError",
-    "SimulationError",
-    "ConfigurationError",
-    "ProtocolError",
-    "AnalysisError",
-    "__version__",
-]

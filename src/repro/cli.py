@@ -33,6 +33,10 @@ through :func:`repro.scenarios.substitute`, and a ``--param`` without
 Every verb that writes a file refuses an output path under a missing
 directory or a regular file the same way, before it runs.
 
+The module is a parser plus handlers: each verb's subparser attaches its
+``_cmd_*`` handler with ``set_defaults(run=...)``, which imports only
+what that verb runs.
+
 Also usable as ``python -m repro ...``.
 """
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
 
@@ -98,17 +102,11 @@ line give the retries, failures and cache hits/misses.
 _TRACE_WINDOW_SECONDS = 60.0
 
 
-def _scenario_factories():
+def _scenario_config(scenario: str):
+    """``figN`` as the paper's ``figureN`` configuration."""
     from repro.scenarios import paper
 
-    return {
-        "fig2": paper.figure2,
-        "fig3": paper.figure3,
-        "fig4": paper.figure4,
-        "fig6": paper.figure6,
-        "fig8": paper.figure8,
-        "fig9": paper.figure9,
-    }
+    return getattr(paper, f"figure{scenario[3:]}")()
 
 
 def _add_algorithm_flags(parser: argparse.ArgumentParser) -> None:
@@ -129,6 +127,45 @@ def _add_queue_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="KEY=VALUE", dest="queue_params",
                         help="queue-discipline parameter (repeatable), "
                              "e.g. --queue-param max_p=0.05")
+
+
+def _verb(sub: Any, name: str, handler: Callable[[argparse.Namespace], int],
+          help: str, **kwargs: Any) -> argparse.ArgumentParser:
+    """The subparser for verb ``name``, carrying ``handler`` as ``run``."""
+    parser = sub.add_parser(name, help=help, **kwargs)
+    parser.set_defaults(run=handler)
+    return parser
+
+
+def _scenario_verb(sub: Any, name: str,
+                   handler: Callable[[argparse.Namespace], int],
+                   help: str) -> argparse.ArgumentParser:
+    """A verb that runs one of the paper's figure scenarios."""
+    parser = _verb(sub, name, handler, help)
+    parser.add_argument("scenario", choices=_PLOT_SCENARIOS)
+    return parser
+
+
+def _add_window_flag(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--window", nargs=2, type=float, default=None,
+                        metavar=("START", "END"),
+                        help=f"sim-time slice (default: {default})")
+
+
+def _add_manifest_dir_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--manifest-dir", default=None, metavar="DIR",
+                        help="write a provenance manifest here, one per run "
+                             "or per sweep point")
+
+
+def _write_json(document: Any, path: str, label: str) -> None:
+    """``document`` as stable JSON at ``path``, announced as ``label -> path``."""
+    import json
+
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"{label} -> {path}")
 
 
 def _add_experiment_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -240,15 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list registered experiments")
+    _verb(sub, "list", _cmd_list, "list registered experiments")
+    _verb(sub, "algorithms", _cmd_algorithms,
+          "list registered congestion-control algorithms")
+    _verb(sub, "disciplines", _cmd_disciplines,
+          "list registered queue disciplines")
 
-    sub.add_parser("algorithms",
-                   help="list registered congestion-control algorithms")
-
-    sub.add_parser("disciplines",
-                   help="list registered queue disciplines")
-
-    run_p = sub.add_parser("run", help="run one experiment")
+    run_p = _verb(sub, "run", _cmd_run, "run one experiment")
     run_p.add_argument("experiment", help="experiment id (see `repro list`)")
     run_p.add_argument("--fast", action="store_true",
                        help="shorter simulations (smoke mode)")
@@ -256,32 +291,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_algorithm_flags(run_p)
     _add_queue_flags(run_p)
 
-    rep_p = sub.add_parser("report", help="run all experiments, emit Markdown")
+    rep_p = _verb(sub, "report", _cmd_report,
+                  "run all experiments, emit Markdown")
     rep_p.add_argument("--fast", action="store_true")
     rep_p.add_argument("-o", "--output", default=None,
                        help="write Markdown here instead of stdout")
     _add_experiment_sweep_flags(rep_p)
 
-    plot_p = sub.add_parser("plot", help="ASCII queue-length plots")
-    plot_p.add_argument("scenario", choices=_PLOT_SCENARIOS)
-    plot_p.add_argument("--window", nargs=2, type=float, default=None,
-                        metavar=("START", "END"))
+    plot_p = _scenario_verb(sub, "plot", _cmd_plot, "ASCII queue-length plots")
+    _add_window_flag(plot_p, "the measurement window")
 
-    fig_p = sub.add_parser("figures",
-                           help="render every paper figure to text files")
+    fig_p = _verb(sub, "figures", _cmd_figures,
+                  "render every paper figure to text files")
     fig_p.add_argument("-o", "--output", default="figures",
                        help="directory for the rendered figures")
 
-    cfg_p = sub.add_parser("run-config",
-                           help="run a scenario described in a JSON file")
+    cfg_p = _verb(sub, "run-config", _cmd_run_config,
+                  "run a scenario described in a JSON file")
     cfg_p.add_argument("config", help="path to a scenario JSON document")
     _add_algorithm_flags(cfg_p)
     _add_queue_flags(cfg_p)
 
-    swp_p = sub.add_parser(
-        "sweep",
-        help="run a named sweep family over a worker pool with result "
-             "caching and fault-tolerant supervision",
+    swp_p = _verb(
+        sub, "sweep", _cmd_sweep,
+        "run a named sweep family over a worker pool with result caching "
+        "and fault-tolerant supervision",
         epilog=_SWEEP_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     swp_p.add_argument("family", choices=("buffer", "conjecture", "phase"),
@@ -312,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp_p.add_argument("--progress", action="store_true",
                        help="print per-point start/finish/retry/fail lines "
                             "with worker id, cache status and wall time")
-    swp_p.add_argument("--manifest-dir", default=None, metavar="DIR",
-                       help="write one provenance manifest per sweep point")
+    _add_manifest_dir_flag(swp_p)
     swp_p.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-point wall-clock budget; an attempt running "
@@ -335,49 +368,38 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSON (stable field order, for diffing runs)")
     _add_algorithm_flags(swp_p)
 
-    trc_p = sub.add_parser(
-        "trace",
-        help="run a scenario with the tracer attached, export a Chrome "
-             "trace-event JSON loadable in Perfetto / chrome://tracing")
-    trc_p.add_argument("scenario", choices=_PLOT_SCENARIOS)
+    trc_p = _scenario_verb(
+        sub, "trace", _cmd_trace,
+        "run a scenario with the tracer attached, export a Chrome "
+        "trace-event JSON loadable in Perfetto / chrome://tracing")
     trc_p.add_argument("--out", default="trace.json", metavar="FILE",
                        help="output trace path (default: trace.json)")
-    trc_p.add_argument("--window", nargs=2, type=float, default=None,
-                       metavar=("START", "END"),
-                       help="sim-time slice to record (default: the first "
-                            f"{_TRACE_WINDOW_SECONDS:.0f}s of the "
-                            "measurement window)")
+    _add_window_flag(trc_p, f"the first {_TRACE_WINDOW_SECONDS:.0f}s of "
+                            "the measurement window")
     trc_p.add_argument("--full", action="store_true",
                        help="record the entire run (large output)")
     trc_p.add_argument("--spans", action="store_true",
                        help="also record per-event dispatch spans")
-    trc_p.add_argument("--manifest-dir", default=None, metavar="DIR",
-                       help="write a run manifest here, recording the "
-                            "exported files relative to it")
+    _add_manifest_dir_flag(trc_p)
 
-    met_p = sub.add_parser(
-        "metrics",
-        help="run a scenario metered and export the metric snapshot "
-             "as a Prometheus text exposition")
-    met_p.add_argument("scenario", choices=_PLOT_SCENARIOS)
+    met_p = _scenario_verb(
+        sub, "metrics", _cmd_metrics,
+        "run a scenario metered and export the metric snapshot "
+        "as a Prometheus text exposition")
     met_p.add_argument("--prom", default=None, metavar="FILE",
                        help="write the Prometheus text exposition here "
                             "(default: print it to stdout)")
-    met_p.add_argument("--manifest-dir", default=None, metavar="DIR",
-                       help="write a run manifest here, recording the "
-                            "exported files relative to it")
+    _add_manifest_dir_flag(met_p)
 
-    prf_p = sub.add_parser(
-        "profile",
-        help="run a scenario traced and print per-category wall-time "
-             "attribution")
-    prf_p.add_argument("scenario", choices=_PLOT_SCENARIOS)
+    _scenario_verb(
+        sub, "profile", _cmd_profile,
+        "run a scenario traced and print per-category wall-time "
+        "attribution")
 
-    par_p = sub.add_parser(
-        "parity",
-        help="golden-output parity: run the figure set metered and "
-             "compare dynamics fingerprints against committed golden "
-             "hashes")
+    par_p = _verb(
+        sub, "parity", _cmd_parity,
+        "golden-output parity: run the figure set metered and compare "
+        "dynamics fingerprints against committed golden hashes")
     par_p.add_argument("--check", action="store_true",
                        help="compare against the golden file (default)")
     par_p.add_argument("--update", action="store_true",
@@ -390,9 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the per-figure drift report as JSON "
                             "(written on --check even when clean)")
 
-    lint_p = sub.add_parser(
-        "lint",
-        help="determinism & simulation-correctness static analysis")
+    lint_p = _verb(sub, "lint", _cmd_lint,
+                   "determinism & simulation-correctness static analysis")
     lint_p.add_argument("paths", nargs="*", default=None, metavar="PATH",
                         help="files or directories to lint (default: src)")
     lint_p.add_argument("--explain", default=None, metavar="CODE",
@@ -414,19 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed sweep worker agents (see `repro sweep --backend "
              "worker`)")
     wrk_sub = wrk_p.add_subparsers(dest="worker_command", required=True)
-    wrk_sub.add_parser(
-        "serve",
-        help="serve sweep leases to one coordinator over stdio; stdout is "
-             "reserved for the wire protocol")
+    _verb(wrk_sub, "serve", _cmd_worker,
+          "serve sweep leases to one coordinator over stdio; stdout is "
+          "reserved for the wire protocol")
 
     cache_p = sub.add_parser(
         "cache",
         help="result-cache maintenance and the shared cache store")
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
-    cserve_p = cache_sub.add_parser(
-        "serve",
-        help="serve a result cache to sweep hosts over TCP "
-             "(`--cache-dir` elsewhere, `cache=tcp://HOST:PORT` here)")
+    cserve_p = _verb(cache_sub, "serve", _cmd_cache,
+                     "serve a result cache to sweep hosts over TCP "
+                     "(`--cache-dir` elsewhere, `cache=tcp://HOST:PORT` here)")
     cserve_p.add_argument("--cache-dir", default=None, metavar="DIR",
                           help="cache directory (default: ~/.cache/repro)")
     cserve_p.add_argument("--host", default="127.0.0.1",
@@ -439,16 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
         "journal",
         help="sweep resume-journal maintenance")
     jrn_sub = jrn_p.add_subparsers(dest="journal_command", required=True)
-    cmp_p = jrn_sub.add_parser(
-        "compact",
-        help="rewrite a JSONL journal keeping only the last entry per "
-             "cache key (atomic; torn tail lines are dropped)")
+    cmp_p = _verb(jrn_sub, "compact", _cmd_journal,
+                  "rewrite a JSONL journal keeping only the last entry per "
+                  "cache key (atomic; torn tail lines are dropped)")
     cmp_p.add_argument("journal", help="path to the journal file")
 
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments.registry import EXPERIMENTS, experiment_ids
 
     for exp_id in experiment_ids():
@@ -457,11 +475,23 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_registry(registry: Registry[Any]) -> int:
+def _print_registry(registry: Registry[Any]) -> int:
     """``repro algorithms`` / ``repro disciplines``: name and factory."""
     for name in registry.names():
         print(f"{name:12}  {registry.factory(name).__name__}")
     return 0
+
+
+def _cmd_algorithms(args: argparse.Namespace) -> int:
+    from repro.tcp.congestion import ALGORITHMS
+
+    return _print_registry(ALGORITHMS)
+
+
+def _cmd_disciplines(args: argparse.Namespace) -> int:
+    from repro.net.disciplines import DISCIPLINES
+
+    return _print_registry(DISCIPLINES)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -474,6 +504,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(report.format())
     _report_cache(cache)
     return 0 if report.passed else 1
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.viz.gallery import render_gallery
+
+    _check_outputs(directories=(("--output", args.output),))
+    for path in render_gallery(args.output):
+        print(f"wrote {path}")
+    return 0
 
 
 def _cmd_run_config(args: argparse.Namespace) -> int:
@@ -505,12 +544,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_plot(scenario: str, window: tuple[float, float] | None) -> int:
+def _cmd_plot(args: argparse.Namespace) -> int:
     from repro.scenarios import run
     from repro.viz.ascii_plot import plot_two_series
 
-    result = run(_scenario_factories()[scenario]())
-    start, end = window if window else result.window
+    scenario = args.scenario
+    result = run(_scenario_config(scenario))
+    start, end = args.window or result.window
     q1 = result.queue_series("sw1->sw2")
     q2 = result.queue_series("sw2->sw1")
     print(plot_two_series(q1, q2, start, end,
@@ -518,52 +558,53 @@ def _cmd_plot(scenario: str, window: tuple[float, float] | None) -> int:
     return 0
 
 
-def _cmd_trace(scenario: str, out: str, window: tuple[float, float] | None,
-               full: bool, spans: bool, manifest_dir: str | None) -> int:
+def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Tracer, build_manifest, export_chrome_trace, write_manifest
     from repro.scenarios import run
 
-    _check_outputs(("--out", out), directories=(("--manifest-dir", manifest_dir),))
-    config = _scenario_factories()[scenario]()
-    if full:
+    _check_outputs(("--out", args.out),
+                   directories=(("--manifest-dir", args.manifest_dir),))
+    config = _scenario_config(args.scenario)
+    if args.full:
         record_window = None
-    elif window is not None:
-        record_window = window
+    elif args.window is not None:
+        record_window = tuple(args.window)
     else:
         start, end = config.measurement_window
         record_window = (start, min(end, start + _TRACE_WINDOW_SECONDS))
-    tracer = Tracer(record_spans=spans, record_hops=True, window=record_window)
+    tracer = Tracer(record_spans=args.spans, record_hops=True,
+                    window=record_window)
     result = run(config, trace=tracer)
     manifest = build_manifest(config, events_processed=result.events_processed,
                               wall_seconds=result.wall_seconds, tracer=tracer)
     shown = "full run" if record_window is None else (
         f"[{record_window[0]:.0f}s, {record_window[1]:.0f}s]")
-    print(f"{scenario}: {result.events_processed} events in "
+    print(f"{args.scenario}: {result.events_processed} events in "
           f"{result.wall_seconds:.2f}s, recorded {tracer.hop_count} hops"
-          + (f", {len(tracer.spans)} spans" if spans else "")
+          + (f", {len(tracer.spans)} spans" if args.spans else "")
           + f" over {shown}")
-    path = export_chrome_trace(tracer, out, traces=result.traces,
+    path = export_chrome_trace(tracer, args.out, traces=result.traces,
                                manifest=manifest)
     print(f"trace -> {path} (load in https://ui.perfetto.dev "
           "or chrome://tracing)")
-    if manifest_dir:
-        written = write_manifest(manifest, manifest_dir,
+    if args.manifest_dir:
+        written = write_manifest(manifest, args.manifest_dir,
                                  artifacts={"chrome_trace": path})
         print(f"manifest -> {written}")
     return 0
 
 
-def _cmd_metrics(scenario: str, prom: str | None,
-                 manifest_dir: str | None) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import build_manifest, write_manifest
     from repro.obs.export import export_prometheus, prometheus_text
     from repro.scenarios import run
 
+    prom, manifest_dir = args.prom, args.manifest_dir
     _check_outputs(("--prom", prom), directories=(("--manifest-dir", manifest_dir),))
-    result = run(_scenario_factories()[scenario](), metrics=True)
+    result = run(_scenario_config(args.scenario), metrics=True)
     snapshot = result.metrics
     assert snapshot is not None
-    print(f"{scenario}: {result.events_processed} events in "
+    print(f"{args.scenario}: {result.events_processed} events in "
           f"{result.wall_seconds:.2f}s, "
           f"{len(snapshot['metrics'])} metric rows")
     artifacts: dict[str, str] = {}
@@ -582,20 +623,19 @@ def _cmd_metrics(scenario: str, prom: str | None,
     return 0
 
 
-def _cmd_profile(scenario: str) -> int:
+def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import Tracer, format_profile
     from repro.scenarios import run
 
     tracer = Tracer(record_spans=False, record_hops=False)
-    result = run(_scenario_factories()[scenario](), trace=tracer)
-    print(f"{scenario}: {result.config.name}")
+    result = run(_scenario_config(args.scenario), trace=tracer)
+    print(f"{args.scenario}: {result.config.name}")
     print(format_profile(tracer, wall_seconds=result.wall_seconds))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import functools
-    import json
     import time
 
     from repro.parallel import ParallelSweepRunner
@@ -687,18 +727,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report, cache = runner.last_report, runner.cache
 
     if args.export:
-        document = [{"value": str(point.value),
-                     "measurements": point.measurements}
-                    for point in points]
-        with open(args.export, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"export -> {args.export}")
+        _write_json([{"value": str(point.value),
+                      "measurements": point.measurements}
+                     for point in points], args.export, "export")
     if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report -> {args.report}")
+        _write_json(report.to_dict(), args.report, "report")
 
     status = (f"cache: {cache.hits} hits, {cache.misses} misses"
               if cache is not None else "cache: off")
@@ -759,8 +792,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
 
 def _cmd_parity(args: argparse.Namespace) -> int:
-    import json
-
     from repro.experiments import parity
 
     if args.update and args.check:
@@ -786,13 +817,9 @@ def _cmd_parity(args: argparse.Namespace) -> int:
 
     diffs = parity.check(golden, cases, on_case=on_checked)
     if args.diff_out:
-        report = [{"name": diff.name, "expected": diff.expected,
-                   "actual": diff.actual, "sections": diff.sections}
-                  for diff in diffs]
-        with open(args.diff_out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"diff report -> {args.diff_out}")
+        _write_json([{"name": diff.name, "expected": diff.expected,
+                      "actual": diff.actual, "sections": diff.sections}
+                     for diff in diffs], args.diff_out, "diff report")
     if not diffs:
         print(f"{len(cases)} scenario(s) bit-identical to golden")
         return EXIT_OK
@@ -841,56 +868,10 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "algorithms":
-            from repro.tcp.congestion import ALGORITHMS
-
-            return _cmd_registry(ALGORITHMS)
-        if args.command == "disciplines":
-            from repro.net.disciplines import DISCIPLINES
-
-            return _cmd_registry(DISCIPLINES)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "plot":
-            window = tuple(args.window) if args.window else None
-            return _cmd_plot(args.scenario, window)
-        if args.command == "figures":
-            from repro.viz.gallery import render_gallery
-
-            _check_outputs(directories=(("--output", args.output),))
-            for path in render_gallery(args.output):
-                print(f"wrote {path}")
-            return 0
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "trace":
-            window = tuple(args.window) if args.window else None
-            return _cmd_trace(args.scenario, args.out, window, args.full,
-                              args.spans, args.manifest_dir)
-        if args.command == "metrics":
-            return _cmd_metrics(args.scenario, args.prom, args.manifest_dir)
-        if args.command == "profile":
-            return _cmd_profile(args.scenario)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        if args.command == "journal":
-            return _cmd_journal(args)
-        if args.command == "parity":
-            return _cmd_parity(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "run-config":
-            return _cmd_run_config(args)
+        return args.run(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    return EXIT_CONFIG_ERROR  # unreachable with required=True
 
 
 if __name__ == "__main__":  # pragma: no cover

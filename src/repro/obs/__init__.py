@@ -39,7 +39,7 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.model import HOP_KINDS, CategoryStats, DispatchSpan, PacketHop
-from repro.obs.profile import format_profile, profile_rows
+from repro.obs.profile import format_profile
 from repro.obs.tracer import Tracer, resolve_tracer
 
 __all__ = [
@@ -58,6 +58,5 @@ __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
     "format_profile",
-    "profile_rows",
     "resolve_tracer",
 ]

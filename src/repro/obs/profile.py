@@ -13,17 +13,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs.model import CategoryStats
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.tracer import Tracer
 
-__all__ = ["profile_rows", "format_profile"]
-
-
-def profile_rows(tracer: "Tracer") -> list[CategoryStats]:
-    """Per-category aggregates, heaviest first (deterministic ties)."""
-    return tracer.profile()
+__all__ = ["format_profile"]
 
 
 def format_profile(tracer: "Tracer", *, wall_seconds: float | None = None) -> str:
@@ -33,7 +26,7 @@ def format_profile(tracer: "Tracer", *, wall_seconds: float | None = None) -> st
     total understates it by the engine's own pop/push overhead, which is
     reported as the residual ``(engine overhead)`` row.
     """
-    rows = profile_rows(tracer)
+    rows = tracer.profile()
     total_events = tracer.events_observed
     total_ns = tracer.wall_ns_total
     lines = [

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet, PacketKind
 from repro.net.port import OutputPort
@@ -223,13 +222,9 @@ class Tracer:
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
-    def attach(self, sim: Simulator) -> None:
-        """Hook this tracer into ``sim``'s dispatch loop."""
-        sim.set_tracer(self)
-
     def instrument(self, built: "BuiltScenario") -> "Tracer":
         """Attach to a built scenario: engine, every port, every flow."""
-        self.attach(built.sim)
+        built.sim.set_tracer(self)
         self.instrument_network(built.net)
         for conn in built.connections:
             self.instrument_connection(conn)

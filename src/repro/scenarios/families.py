@@ -11,6 +11,7 @@ picklable too and is the supported way to fix durations or seeds.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable
 
 from repro.scenarios import paper
@@ -39,6 +40,7 @@ __all__ = [
     "phase_grid",
     "seeded",
     "substituted",
+    "time_scaled",
     "utilization_extract",
     "timeouts_extract",
     "sync_extract",
@@ -212,6 +214,53 @@ def substituted(
     """
     return substitute(make_config(value), algorithm=algorithm, params=params,
                       queue=queue, queue_params=queue_params)
+
+
+#: The seconds-valued fields :func:`time_scaled` divides by ``k``: the
+#: scenario's, each flow's, the TCP timers, and the time-valued
+#: algorithm and queue-discipline parameters.
+_SCENARIO_TIMES = ("bottleneck_propagation", "access_propagation",
+                   "host_processing_delay", "start_jitter", "duration",
+                   "warmup")
+_FLOW_TIMES = ("start_time", "access_propagation")
+_TCP_TIMES = ("delayed_ack_timeout", "timer_tick", "min_rto", "max_rto",
+              "initial_rto")
+_PARAM_TIMES = ("idle_pkt_time", "pace_interval")
+
+
+def _divided(owner: object, names: Iterable[str], k: float) -> dict:
+    return {name: getattr(owner, name) / k for name in names
+            if getattr(owner, name) is not None}
+
+
+def _divided_params(params: FlowParams, k: float) -> dict[str, object]:
+    return {name: value / k if name in _PARAM_TIMES else value
+            for name, value in dict(params).items()}
+
+
+def time_scaled(config: ScenarioConfig, k: float) -> ScenarioConfig:
+    """``config`` run ``k`` times faster: every bandwidth times ``k``,
+    every time divided by ``k``.
+
+    The paper's dynamics depend on the pipe size, buffers, windows and
+    packet sizes, not on the unit of time, and a power-of-two ``k``
+    scales binary floating point exactly: the run must process the same
+    events at every original time divided by ``k``.  A recorded time
+    that is not points to an absolute-time constant this transform does
+    not reach.
+    """
+    return replace(
+        config,
+        bottleneck_bandwidth=config.bottleneck_bandwidth * k,
+        access_bandwidth=config.access_bandwidth * k,
+        **_divided(config, _SCENARIO_TIMES, k),
+        tcp=replace(config.tcp, **_divided(config.tcp, _TCP_TIMES, k)),
+        flows=tuple(replace(flow, **_divided(flow, _FLOW_TIMES, k),
+                            params=_divided_params(flow.params, k))
+                    for flow in config.flows),
+        queue=replace(config.queue,
+                      params=_divided_params(config.queue.params, k)),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Unit tests for repro.obs.profile: per-category wall-time attribution."""
 
-from repro.obs import Tracer, format_profile, profile_rows
+from repro.obs import Tracer, format_profile
 from repro.scenarios import FlowSpec, ScenarioConfig, run
 
 
@@ -18,7 +18,7 @@ def traced_run():
 
 def test_rows_cover_all_events():
     tracer, result = traced_run()
-    rows = profile_rows(tracer)
+    rows = tracer.profile()
     assert sum(row.events for row in rows) == result.events_processed
     assert [row.wall_ns for row in rows] == sorted(
         (row.wall_ns for row in rows), reverse=True)

@@ -52,7 +52,7 @@ class TestEngineHook:
     def test_every_event_observed(self):
         sim = Simulator()
         tracer = Tracer(record_spans=True)
-        tracer.attach(sim)
+        sim.set_tracer(tracer)
         for i in range(5):
             sim.schedule(0.1 * (i + 1), lambda: None, label="demo:tick")
         sim.run()
@@ -68,7 +68,7 @@ class TestEngineHook:
     def test_aggregates_without_span_storage(self):
         sim = Simulator()
         tracer = Tracer(record_spans=False)
-        tracer.attach(sim)
+        sim.set_tracer(tracer)
         sim.schedule(0.1, lambda: None, label="q:proc")
         sim.schedule(0.2, lambda: None, label="q:proc")
         sim.run()
@@ -80,7 +80,7 @@ class TestEngineHook:
     def test_step_is_traced(self):
         sim = Simulator()
         tracer = Tracer(record_spans=True)
-        tracer.attach(sim)
+        sim.set_tracer(tracer)
         sim.schedule(1.0, lambda: None, label="x:one")
         assert sim.step()
         assert tracer.events_observed == 1

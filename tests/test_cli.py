@@ -1,8 +1,43 @@
 """Unit tests for the CLI (light commands only; full runs live in benches)."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _verbs(parser, prefix=()):
+    """``(path, parser)`` for every verb and sub-verb that runs."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _verbs(child, (*prefix, name))
+            return
+    yield prefix, parser
+
+
+def _minimal_argv(path, parser):
+    """``path`` plus a value for each required positional of ``parser``."""
+    argv = list(path)
+    for action in parser._actions:
+        if action.option_strings or action.nargs in ("*", "?"):
+            continue
+        argv.append(action.choices[0] if action.choices else "x")
+    return argv
+
+
+def _python(*args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC})
 
 
 class TestParser:
@@ -64,3 +99,34 @@ class TestMain:
             units.transmission_time(500, 0)
         with pytest.raises(ValueError):
             units.pipe_size(1.0, 1.0, 0)
+
+
+class TestDispatchContract:
+    """The parser carries the dispatch, and ``import repro`` loads nothing."""
+
+    def test_every_verb_and_sub_verb_parses_to_a_handler(self):
+        verbs = {" ".join(path): _minimal_argv(path, parser)
+                 for path, parser in _verbs(build_parser())}
+        assert {"list", "run", "sweep", "lint", "worker serve", "cache serve",
+                "journal compact"} <= set(verbs)
+        unhandled = [verb for verb, argv in verbs.items()
+                     if not callable(getattr(build_parser().parse_args(argv),
+                                             "run", None))]
+        assert unhandled == []
+
+    def test_import_repro_loads_no_subpackage(self):
+        proc = _python("-c", "import sys, repro; print(sorted("
+                             "m for m in sys.modules if m.startswith('repro')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['repro']\n"
+
+    @pytest.mark.parametrize("verb", ["algorithms", "disciplines"])
+    def test_registry_verbs_do_not_load_numpy(self, verb):
+        proc = _python("-X", "importtime", "-m", "repro", verb)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "repro.cli" in imported
+        assert not {name for name in imported
+                    if name.split(".")[0] == "numpy"}
