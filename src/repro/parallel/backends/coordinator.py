@@ -72,8 +72,8 @@ def _attempt(index: int, attempt: int, config: ScenarioConfig, faults,
         with alive():
             begin = perf_counter()
             result = run_scenario(config)
-            wall_seconds = perf_counter() - begin
             measurements = extract(result)
+            wall_seconds = perf_counter() - begin
         return OUTCOME_OK, (measurements, wall_seconds,
                             result.events_processed), None
     except Exception as exc:

@@ -18,29 +18,6 @@ def large_pipe():
     return run(paper.figure6(duration=500.0, warmup=200.0))
 
 
-#: ``(mode, r as float hex)`` of the two-signal verdicts on this module's
-#: two runs, recorded on the parent of the one-classifier change, when
-#: ``classify_phase`` produced them.
-PINNED_VERDICTS = {
-    ("figure4", "queue"): ("out-of-phase", "-0x1.935f31f850b89p-1"),
-    ("figure4", "window"): ("out-of-phase", "-0x1.0b08b332f0673p-1"),
-    ("figure6", "queue"): ("in-phase", "0x1.16d86c6c47aa1p-1"),
-    ("figure6", "window"): ("in-phase", "0x1.0a9ea1ae0207dp-2"),
-}
-
-
-def test_two_signal_verdicts_are_bit_identical_to_the_recorded_parent(
-        small_pipe, large_pipe):
-    measured = {}
-    for name, result in (("figure4", small_pipe), ("figure6", large_pipe)):
-        for signal, verdict in (("queue", result.queue_sync()),
-                                ("window", result.window_sync(1, 2))):
-            measured[name, signal] = (str(verdict.mode),
-                                      verdict.correlation.hex())
-            assert (verdict.coincidence, verdict.n, verdict.n_epochs) == (0.0, 2, 0)
-    assert measured == PINNED_VERDICTS
-
-
 class TestAckCompression:
     def test_compression_factor_is_size_ratio(self, small_pipe):
         stats = small_pipe.ack_compression(1)

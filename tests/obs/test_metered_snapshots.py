@@ -51,6 +51,9 @@ def metered_rows(name: str) -> list:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_metered_snapshot_matches_the_recording(name):
+    """The one check on what the meter harvests from a run: a moved
+    bucket bound (the RTT layout's 10 s made 20 s) fails here alone, as
+    no parity fingerprint or ``EXPERIMENTS.md`` row reads a metric."""
     assert metered_rows(name) == recorded_rows(name)
 
 

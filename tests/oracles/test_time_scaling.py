@@ -12,15 +12,18 @@ known.
 """
 
 import functools
+import inspect
 import typing
 from dataclasses import fields
 
 import pytest
 
 from repro.experiments.parity import fingerprint, parity_cases
+from repro.net.disciplines import DISCIPLINES, discipline_names
 from repro.scenarios import FlowSpec, QueueSpec, ScenarioConfig, run
-from repro.scenarios.families import time_scaled
+from repro.scenarios.families import _PARAM_TIMES, time_scaled
 from repro.tcp import TcpOptions
+from repro.tcp.congestion import ALGORITHMS, algorithm_names
 
 SCALES = (0.5, 2.0)
 
@@ -34,6 +37,11 @@ DEVIATIONS: dict[tuple[str, float], str] = {}
 #: Float fields that count packets, not seconds or bits per second.
 DIMENSIONLESS = {"TcpOptions.initial_cwnd", "TcpOptions.initial_ssthresh",
                  "TcpOptions.min_ssthresh"}
+
+#: Float policy parameters that are ratios, probabilities, weights or
+#: packet counts: AIMD's increase and decrease, RED's thresholds, drop
+#: probability and averaging weight.
+DIMENSIONLESS_PARAMS = {"a", "b", "min_th", "max_th", "max_p", "wq"}
 
 
 @functools.cache
@@ -124,3 +132,20 @@ def test_transform_covers_every_time_and_rate_field():
         dict(config.flows[0].params)["pace_interval"] / 4.0)
     assert dict(scaled.queue.params)["idle_pkt_time"] == (
         dict(config.queue.params)["idle_pkt_time"] / 4.0)
+
+
+@pytest.mark.parametrize("registry,name", [
+    *(pytest.param(ALGORITHMS, name, id=f"algorithm-{name}")
+      for name in algorithm_names()),
+    *(pytest.param(DISCIPLINES, name, id=f"discipline-{name}")
+      for name in discipline_names()),
+])
+def test_transform_covers_every_time_valued_policy_parameter(registry, name):
+    """Every float keyword a registered algorithm or discipline takes is
+    either divided by k (``_PARAM_TIMES``) or dimensionless; a new
+    time-valued parameter fails here until ``time_scaled`` reaches it."""
+    signature = inspect.signature(registry.factory(name), eval_str=True)
+    floats = {parameter.name for parameter in signature.parameters.values()
+              if float in (parameter.annotation,
+                           *typing.get_args(parameter.annotation))}
+    assert floats <= set(_PARAM_TIMES) | DIMENSIONLESS_PARAMS

@@ -2,7 +2,9 @@
 are the one-shot ``cache_key`` / ``config_hash`` / ``run_id_for``, byte
 for byte, wherever the runner hands them — cache, journal, failure
 report, manifests — and extractor fingerprints do not depend on the
-process that computes them."""
+process that computes them.  The bytes themselves, which caches on
+users' disks are addressed by, are pinned once, by the cache listing
+and manifests of ``test_ledger_transcripts.py``."""
 
 import functools
 import json
@@ -19,22 +21,6 @@ from repro.parallel import ParallelSweepRunner, cache_key, config_hash
 from repro.parallel.cache import PointIdentity, _extractor_fingerprint
 from repro.resilience import ResilienceConfig
 from repro.scenarios import families, paper
-
-#: ``families.manyflow_config((8, 40, 1.0))`` under ``families.sync_extract``
-#: as the tree before ``PointIdentity`` computed them (commit 6f0c7f6; the
-#: fingerprint and the key re-recorded once since, when ``sync_extract``'s
-#: body became ``result.ensemble_sync()`` — the recipe did not change).
-#: Caches on users' disks are addressed by these bytes: a change to the
-#: canonical config JSON or to the key recipe must bump
-#: ``CACHE_SCHEMA_VERSION``, not edit this literal.  (An edit to
-#: ``sync_extract``'s source legitimately moves the fingerprint and the
-#: key with it; the config hash never.)
-GOLDEN_CASE = (8, 40, 1.0)
-GOLDEN_FINGERPRINT = "repro.scenarios.families.sync_extract:6f2fd946241ab9fa"
-GOLDEN_KEY = "c1081d7017778c2aeeea960ed191ecf65428f04b186186672807b66fe7ea0fda"
-GOLDEN_CONFIG_HASH = (
-    "07a111ab4194eb457b9e948db411db7951dc0f95ca04145a274c41008d17d546")
-GOLDEN_RUN_ID = "07a111ab4194-s1"
 
 GRID = families.phase_grid((2, 8, 32), (10, 40), (1.0,))
 STUB = {"stub": 1.0}
@@ -59,27 +45,6 @@ def _one_shot(config, extract):
     return PointIdentity(key=cache_key(config, extract),
                          config_hash=config_hash(config),
                          run_id=run_id_for(config))
-
-
-class TestGolden:
-    def test_one_shot_functions_reproduce_the_parent_bytes(self):
-        config = families.manyflow_config(GOLDEN_CASE)
-        assert _extractor_fingerprint(families.sync_extract) == GOLDEN_FINGERPRINT
-        assert cache_key(config, families.sync_extract) == GOLDEN_KEY
-        assert config_hash(config) == GOLDEN_CONFIG_HASH
-        assert run_id_for(config) == GOLDEN_RUN_ID
-
-    def test_runner_identities_reproduce_the_parent_bytes(self, tmp_path):
-        cache = AlwaysHit()
-        ParallelSweepRunner(cache=cache).run_configs(
-            [families.manyflow_config(GOLDEN_CASE)], families.sync_extract,
-            manifest_dir=tmp_path)
-        assert cache.asked == [GOLDEN_KEY]
-        document = json.loads(
-            (tmp_path / f"{GOLDEN_RUN_ID}.manifest.json").read_text())
-        assert document["cache_key"] == GOLDEN_KEY
-        assert document["config_hash"] == GOLDEN_CONFIG_HASH
-        assert document["run_id"] == GOLDEN_RUN_ID
 
 
 class TestRunnerIdentity:

@@ -21,7 +21,10 @@ their kind.
 ``jobs=2`` completes points in any order, so it is held to the same
 transcript as multisets.  Regenerate the file only when something it
 pins is *meant* to move (a cache schema bump, an edit to the
-extractor's source).
+extractor's source).  The cache listing and manifests are also the one
+pin on the bytes of a point's cache key, config hash and run id, which
+caches on users' disks are addressed by: a changed key recipe or
+extractor fingerprint fails here alone.
 """
 
 import json

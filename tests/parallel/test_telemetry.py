@@ -1,6 +1,7 @@
 """How a sweep is observed: PointProgress notifications and per-point manifests."""
 
 import json
+import time
 
 from repro.parallel import PointProgress, ResultCache, cache_key, config_hash
 from repro.scenarios import paper
@@ -15,6 +16,11 @@ def extract(result):
     return {"events": float(result.events_processed)}
 
 
+def slow_extract(result):
+    time.sleep(0.05)
+    return extract(result)
+
+
 class TestPointProgress:
     def test_serial_run_emits_start_and_finish(self):
         seen = []
@@ -26,6 +32,13 @@ class TestPointProgress:
         assert all(p.wall_seconds > 0 for p in finishes)
         assert all(p.events_processed > 0 for p in finishes)
         assert all(p.worker for p in seen)
+
+    def test_wall_seconds_covers_extraction(self):
+        seen = []
+        sweep(make_config, [0.01], slow_extract, jobs=1,
+              on_progress=seen.append)
+        [finish] = [p for p in seen if p.phase == "finish"]
+        assert finish.wall_seconds >= 0.05
 
     def test_cache_hits_finish_immediately(self, tmp_path):
         cache = ResultCache(tmp_path)

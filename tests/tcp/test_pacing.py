@@ -157,12 +157,17 @@ class TestPacedScenario:
     """``algorithm="paced"`` as plain config data through ``scenarios.run``."""
 
     def test_run_reproduces_the_hand_wired_sender(self):
+        """The one check on the pacer's arithmetic: a pace interval off by
+        one part in 2**20 fails here alone (the ``pacing`` experiment's
+        fast digest and ``EXPERIMENTS.md`` do not move)."""
         result = run(paper.paced_two_way(250.0, 100.0))
         assert len(result.traces.ack_log(1)) == 2883
         assert len(result.traces.queue("sw1->sw2").departures) == 5296
         assert paced_digest(result.traces) == PACED_DIGEST
 
     def test_observed_run_is_bit_identical_to_bare(self):
+        """A pacer wake-up that moves when a tracer is attached fails here
+        alone: no parity case paces, and no other observed run does."""
         result = run(paper.paced_two_way(250.0, 100.0),
                      metrics=True, trace=True)
         assert paced_digest(result.traces) == PACED_DIGEST
