@@ -13,9 +13,12 @@ in event order.  From that journal it derives, on first read
 - each packet's buffer wait (``samples``) — Section 4.2's key quantity:
   "whenever an ACK packet has to wait in a queue, the queueing delay has
   the same effect as increasing the pipe size",
-- every transmission as a ``(start, duration)`` interval, so utilization
-  over a window is integrated exactly rather than sampled and the small
-  differences the paper reports (70% vs 60%) carry no estimator noise.
+- every transmission as a ``(start, duration)`` interval.
+
+Utilization over a window is integrated exactly from the transmissions
+rather than sampled, so the small differences the paper reports (70% vs
+60%) carry no estimator noise; it reads the derived intervals and then
+the port records still pending in the journal, so it folds nothing.
 
 The port's drops are the exception: they are appended as they happen to
 a :class:`~repro.metrics.drop_log.DropLog` that several ports may share,
@@ -25,6 +28,7 @@ because only the moment of the drop orders it among the other ports'.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +75,13 @@ _DATA = PacketKind.DATA
 #: before the next is cut, so deriving never holds a whole journal and
 #: the whole of what it becomes at once.
 BLOCK = 8192
+
+
+def _record_time(record: tuple) -> float:
+    """A journal record's time: a port record ``(start, packet,
+    duration)`` holds it first, a queue record ``(kind, time, packet,
+    qlen)`` second."""
+    return record[0] if len(record) == 3 else record[1]
 
 
 class PortMonitor:
@@ -212,19 +223,28 @@ class PortMonitor:
     @property
     def transmissions(self) -> int:
         """All packets that started transmission."""
-        return len(self._intervals)
+        return (len(self.__dict__["_intervals"])
+                + sum(len(record) == 3 for record in self._journal))
 
     def busy_time(self, start: float, end: float) -> float:
-        """Seconds of ``[start, end]`` spent transmitting."""
+        """Seconds of ``[start, end]`` spent transmitting.
+
+        Reads the transmissions already derived, then the ones still
+        pending in the journal, without folding it: a utilization read
+        builds no departure record, sojourn sample or series.
+        """
         if end <= start:
             raise AnalysisError(f"need end > start, got [{start}, {end}]")
-        intervals = self._intervals
-        # A port serializes one packet at a time, so the intervals are
-        # disjoint and sorted by start: only the one straddling ``start``
-        # can begin before it, and none beginning at or after ``end``
-        # overlaps.  The sum stays a left-to-right Python float sum —
-        # utilizations are hashed by the parity fingerprints, and a
-        # pairwise (numpy) sum differs in the last bit.
+        intervals = self.__dict__["_intervals"]
+        journal = self._journal
+        # A port serializes one packet at a time, so the transmissions
+        # are disjoint and sorted by start: only the one straddling
+        # ``start`` can begin before it, and none beginning at or after
+        # ``end`` overlaps.  The derived ones all precede the pending
+        # ones, and the sum stays one left-to-right Python float sum
+        # over both — utilizations are hashed by the parity
+        # fingerprints, and a pairwise (numpy) sum differs in the last
+        # bit.
         lo = max(bisect_left(intervals, (start,)) - 1, 0)
         hi = bisect_left(intervals, (end,))
         total = 0.0
@@ -232,6 +252,18 @@ class PortMonitor:
             overlap = min(t0 + duration, end) - max(t0, start)
             if overlap > 0:
                 total += overlap
+        lo = bisect_left(journal, start, key=_record_time)
+        while lo > 0:
+            lo -= 1
+            if len(journal[lo]) == 3:
+                break
+        for record in islice(journal, lo,
+                             bisect_left(journal, end, key=_record_time)):
+            if len(record) == 3:
+                t0, _, duration = record
+                overlap = min(t0 + duration, end) - max(t0, start)
+                if overlap > 0:
+                    total += overlap
         return total
 
     def utilization(self, start: float, end: float) -> float:

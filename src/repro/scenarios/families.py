@@ -39,6 +39,7 @@ __all__ = [
     "manyflow_config",
     "phase_grid",
     "seeded",
+    "size_scaled",
     "substituted",
     "time_scaled",
     "utilization_extract",
@@ -260,6 +261,25 @@ def time_scaled(config: ScenarioConfig, k: float) -> ScenarioConfig:
                     for flow in config.flows),
         queue=replace(config.queue,
                       params=_divided_params(config.queue.params, k)),
+    )
+
+
+def size_scaled(config: ScenarioConfig, k: int) -> ScenarioConfig:
+    """``config`` with packets ``k`` times larger on links ``k`` times
+    faster: both packet sizes and both bandwidths times ``k``.
+
+    A transmission lasts ``size * 8 / bandwidth``, the same float for a
+    power-of-two ``k``, and the model counts buffers and windows in
+    packets: the run must process the same events at the same times,
+    and only what is recorded in bytes scales by ``k``.
+    """
+    return replace(
+        config,
+        bottleneck_bandwidth=config.bottleneck_bandwidth * k,
+        access_bandwidth=config.access_bandwidth * k,
+        tcp=replace(config.tcp,
+                    data_packet_bytes=config.tcp.data_packet_bytes * k,
+                    ack_packet_bytes=config.tcp.ack_packet_bytes * k),
     )
 
 

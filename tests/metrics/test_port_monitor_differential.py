@@ -14,7 +14,11 @@ The golden fingerprints hash queue lengths, utilizations, ACK arrivals
 and drops, so byte occupancy, departures and sojourn samples have no
 other bit-level guard; Random Drop's eviction of a *buffered* packet is
 where the uid dictionary can go wrong, and a read in the middle of a run
-is where a journal can be folded twice or not at all.
+is where a journal can be folded twice or not at all.  Utilization and
+the transmission count fold nothing: they read the derived transmissions
+and then the journal's pending tail, so they are compared before any
+``Derived`` read (tail only) and again after a mid-run read followed by
+more events (prefix plus tail).
 """
 
 import pytest
@@ -49,11 +53,13 @@ _DATA = PacketKind.DATA
 # ----------------------------------------------------------------------
 # The referee.  Class attributes shadow the ``Derived`` descriptors, so
 # these are plain attributes written by handlers again; every read-side
-# method is inherited from the class under test.
+# method is inherited from the class under test, and finds no pending
+# journal tail.
 # ----------------------------------------------------------------------
 class EagerPortMonitor(PortMonitor):
     lengths = byte_lengths = departures = samples = None
     data_packets = ack_packets = _intervals = None
+    _journal = ()
 
     def __init__(self, port, name=None, drops=None):
         self.port = port
@@ -157,7 +163,20 @@ class EagerAckArrivalLog(AckArrivalLog):
         self.arrivals.append(tuple.__new__(AckArrival, (time, ack)))
 
 
+def _same_link_reads(lazy, eager, windows):
+    assert lazy.transmissions == eager.transmissions
+    for start, length in windows:
+        end = start + length
+        assert lazy.busy_time(start, end) == eager.busy_time(start, end)
+        assert lazy.utilization(start, end) == eager.utilization(start, end)
+        assert (lazy.throughput_bps(start, end)
+                == eager.throughput_bps(start, end))
+
+
 def _same_port_records(lazy, eager, windows):
+    # Link reads first: they must agree on whatever the journal still
+    # holds, before the ``Derived`` reads below fold it.
+    _same_link_reads(lazy, eager, windows)
     assert list(lazy.lengths) == list(eager.lengths)
     assert list(lazy.byte_lengths) == list(eager.byte_lengths)
     assert lazy.departures == eager.departures
@@ -165,19 +184,19 @@ def _same_port_records(lazy, eager, windows):
     assert lazy.drops.records == eager.drops.records
     assert lazy.data_packets == eager.data_packets
     assert lazy.ack_packets == eager.ack_packets
-    assert lazy.transmissions == eager.transmissions
     assert lazy.max_length == eager.max_length
     for data_only in (None, True, False):
         assert lazy.mean_wait(data_only) == eager.mean_wait(data_only)
     for start, length in windows:
         end = start + length
-        assert lazy.busy_time(start, end) == eager.busy_time(start, end)
-        assert lazy.utilization(start, end) == eager.utilization(start, end)
         assert (lazy.mean_wait(start=start, end=end)
                 == eager.mean_wait(start=start, end=end))
+    _same_link_reads(lazy, eager, windows)
 
 
-#: What a reader may touch mid-run; any one of them folds the journal.
+#: What a reader may touch mid-run.  Each folds the journal except
+#: ``transmissions``, which counts the derived prefix and the pending
+#: tail.
 PORT_READS = ("lengths", "byte_lengths", "departures", "samples",
               "data_packets", "transmissions", "max_length")
 
@@ -352,3 +371,34 @@ def test_lazy_monitors_match_eager_two_way(
     _read_everything(built, referee, windows)
     assert built.traces.drops.records == drops.records
     assert len(drops) > 0
+
+
+#: Windows inside, across and outside the mid-run fold at 20 s.
+FOLD_AT = 20.0
+FOLD_WINDOWS = [(0.0, DURATION), (10.0, 30.0), (15.0, 10.0), (19.99, 0.02),
+                (20.0, 1e-3), (30.0, 40.0)]
+
+
+@pytest.mark.parametrize("discipline", sorted(QUEUES))
+def test_link_reads_on_the_raw_tail_and_on_prefix_plus_tail(discipline):
+    """Utilization and the transmission count agree with the referee
+    when every transmission is still a raw journal record, and when a
+    ``Derived`` read in mid-run has folded some of them."""
+    config = paper.two_way(0.01, buffer_packets=8, duration=DURATION,
+                           warmup=10.0).with_updates(queue=QUEUES[discipline])
+    built = build(config)
+    referee = {name: EagerPortMonitor(built.net.port(*name.split("->")),
+                                      name=name)
+               for name in built.bottleneck_ports}
+    built.sim.run(until=FOLD_AT)
+    for name, lazy in built.traces.queues.items():
+        assert not lazy.__dict__["_intervals"]
+        assert any(len(record) == 3 for record in lazy._journal)
+        _same_link_reads(lazy, referee[name], FOLD_WINDOWS)
+        assert not lazy.__dict__["departures"]
+        lazy.lengths  # folds the journal
+    built.sim.run(until=DURATION)
+    for name, lazy in built.traces.queues.items():
+        assert lazy.__dict__["_intervals"]
+        assert any(len(record) == 3 for record in lazy._journal)
+        _same_link_reads(lazy, referee[name], FOLD_WINDOWS)

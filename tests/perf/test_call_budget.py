@@ -293,6 +293,21 @@ def test_sync_extract_resamples_each_trace_once(monkeypatch, flows):
     assert len({id(series) for series in sampled}) == flows
 
 
+def test_utilization_reads_fold_no_port_journal():
+    """``sync_extract`` and ``utilizations`` integrate the bottleneck
+    ports' pending transmission records: they build no departure record
+    and leave every journal as the run left it."""
+    result = run_scenario(families.manyflow_config((4, 20, 0.0),
+                                                   duration=10.0, warmup=4.0))
+    monitors = [result.traces.queue(name) for name in result.bottleneck_ports]
+    journals = [len(monitor._journal) for monitor in monitors]
+    families.sync_extract(result)
+    result.utilizations()
+    assert [len(monitor._journal) for monitor in monitors] == journals
+    assert all(journals)
+    assert not any(monitor.__dict__["departures"] for monitor in monitors)
+
+
 def test_dumbbell_build_calls_grow_linearly_in_hosts():
     def build_calls(hosts):
         return _count_calls(lambda: build_dumbbell(
