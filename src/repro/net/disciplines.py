@@ -86,10 +86,12 @@ def validate_params(discipline: str,
 
     Builds and discards a probe queue, so the exact constructor-level
     validation runs at config time (the FlowSpec pattern: fail on
-    ``ScenarioConfig`` construction, not mid-run).
+    ``ScenarioConfig`` construction, not mid-run); a set the class
+    accepted once in this process is not probed again
+    (:meth:`~repro.registry.Registry.validate`).
     """
-    create_queue(discipline, f"{discipline}:probe", _PROBE_CAPACITY,
-                 params, strict=False)
+    DISCIPLINES.validate(discipline, f"{discipline}:probe", _PROBE_CAPACITY,
+                         None, params=params, strict=False)
 
 
 def discipline_names() -> list[str]:

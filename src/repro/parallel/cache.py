@@ -7,7 +7,10 @@ the key is the SHA-256 of the canonical (sorted, compact) JSON form of
 schema version.  Because the extractor decides *which* numbers are pulled
 out of a run, its fingerprint (qualified name + source hash) is folded
 into the key too — editing an extractor invalidates its entries without
-touching anybody else's.
+touching anybody else's.  The source is read once per code object in a
+process, so the edit takes effect where the edited code runs: in a new
+process, or after the module is re-imported.  A process still running
+the old code keeps filing under the old code's key.
 
 Entries are single JSON files under ``~/.cache/repro`` (override with
 ``REPRO_CACHE_DIR`` or ``XDG_CACHE_HOME``), written atomically via a
@@ -113,6 +116,21 @@ def _extractor_fingerprint(extract: Callable | None) -> str:
         return f"{_extractor_fingerprint(extract.func)}({extract.args!r},{keywords!r})"
     named = extract if hasattr(extract, "__qualname__") else type(extract)
     name = f"{getattr(named, '__module__', '?')}.{named.__qualname__}"
+    code = getattr(inspect.unwrap(named), "__code__", named)
+    return _source_fingerprint(name, code, named)
+
+
+@functools.lru_cache(maxsize=256)
+def _source_fingerprint(name: str, code: object, named: Callable) -> str:
+    """``name`` plus a hash of ``named``'s source, read once per code
+    object that runs (a class stands for itself).  A code object never
+    changes, so the text read when it is first seen describes the code
+    that runs (unless the file was edited between import and that
+    read), where a re-read would follow the file on disk, edited but
+    not yet imported.  ``named`` — a function, or the class — is
+    part of the key because code objects compare by value: a reloaded
+    function whose code equals the old one's still gets its source read.
+    """
     try:
         source = inspect.getsource(named)
     except (OSError, TypeError):
@@ -133,8 +151,8 @@ class PointIdentity(NamedTuple):
 
     @classmethod
     def of(cls, config: ScenarioConfig, fingerprint: str) -> "PointIdentity":
-        """Identify ``config`` given its extractor's fingerprint — which
-        re-reads source, so a sweep computes it once for all its points."""
+        """Identify ``config`` given its extractor's fingerprint, which
+        a sweep computes once for all its points."""
         document = canonical_config_json(config)
         digest = hashlib.sha256(document.encode()).hexdigest()
         blob = f"v{CACHE_SCHEMA_VERSION}|{document}|{fingerprint}"
@@ -149,7 +167,7 @@ def config_hash(config: ScenarioConfig) -> str:
 
 def cache_key(config: ScenarioConfig, extract: Callable | None = None) -> str:
     """The content address of one (config, extractor) measurement set
-    (one-shot: every call fingerprints the extractor again)."""
+    (one-shot)."""
     return PointIdentity.of(config, _extractor_fingerprint(extract)).key
 
 
@@ -165,6 +183,7 @@ class ResultCache:
 
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._version_root = os.path.join(self.root, f"v{CACHE_SCHEMA_VERSION}")
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
@@ -173,7 +192,7 @@ class ResultCache:
     # Raw key interface
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
-        return self.root / f"v{CACHE_SCHEMA_VERSION}" / key[:2] / f"{key}.json"
+        return Path(self._version_root, key[:2], f"{key}.json")
 
     def get(self, key: str) -> dict | None:
         """The stored measurements for ``key``, or ``None`` on a miss.
@@ -187,9 +206,10 @@ class ResultCache:
         emitted, and the read counts as a miss so the point is simply
         recomputed.
         """
-        path = self._path(key)
+        path = f"{self._version_root}/{key[:2]}/{key}.json"
         try:
-            raw = path.read_text()
+            with open(path) as handle:
+                raw = handle.read()
         except OSError:  # absent (the common miss) or unreadable
             self.misses += 1
             return None
@@ -205,7 +225,7 @@ class ResultCache:
         if damage is None:
             damage = self._entry_damage(document)
         if damage is not None:
-            self._quarantine(path, damage)
+            self._quarantine(Path(path), damage)
             self.misses += 1
             return None
         assert isinstance(document, dict)
@@ -290,9 +310,13 @@ class ResultCache:
             "config": config_to_dict(config) if config is not None else None,
             "measurements": measurements,
         }
+        text = json.dumps(document, indent=2)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("w") as handle:
-            json.dump(document, handle, indent=2)
+        try:
+            tmp.write_text(text)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         tmp.replace(path)
         return path
 
@@ -360,7 +384,7 @@ class ResultCache:
     # Maintenance
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        version_dir = self.root / f"v{CACHE_SCHEMA_VERSION}"
+        version_dir = Path(self._version_root)
         if not version_dir.is_dir():
             return 0
         return sum(1 for _ in version_dir.glob("*/*.json"))
@@ -368,8 +392,7 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every entry of the current schema; returns the count."""
         count = len(self)
-        shutil.rmtree(self.root / f"v{CACHE_SCHEMA_VERSION}",
-                      ignore_errors=True)
+        shutil.rmtree(self._version_root, ignore_errors=True)
         return count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,13 +12,20 @@ importable, spawned workers and agents and remote agents included:
 they re-import modules rather than inherit state.  The experiment table behind
 ``repro run`` is a third instance (:mod:`repro.experiments.registry`).
 
+Configs validate their policy eagerly (:meth:`Registry.validate`): a
+bad name or parameter fails where the config is built, not mid-sweep in
+a worker.  One probe per distinct ``(factory, params, arguments)`` per
+process is enough — a factory is a pure check of its keywords — so the
+probes of both registries share one bounded memo of the sets that passed.
+
 This module sits beside :mod:`repro.errors` so that ``repro.net`` and
 ``repro.tcp`` can both use it without importing each other.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, Mapping, TypeVar
+import functools
+from typing import Any, Callable, Generic, Iterable, Mapping, TypeVar
 
 from repro.errors import ConfigurationError
 
@@ -84,7 +91,33 @@ class Registry(Generic[T]):
         name, so a bad sweep point fails with context instead of a bare
         error from deep inside a worker process.
         """
+        return self._build(name, self.factory(name), args, params, kwargs)
+
+    def validate(self, name: str, *args: object,
+                 params: Iterable[tuple[str, object]] = (),
+                 **kwargs: object) -> None:
+        """Build and discard one product, as :meth:`create` would, unless
+        this factory already accepted these arguments in this process.
+
+        The memo is keyed on the factory object, not the name, so a
+        factory swapped in under a name is probed afresh; a failure is
+        never remembered, so a rejected parameter set raises on every
+        call; a parameter value that cannot be hashed (a list) is
+        probed every time.
+        """
         factory = self.factory(name)
+        try:
+            _probe(self, name, factory, args, tuple(params),
+                   tuple(kwargs.items()))
+        except TypeError:  # an unhashable argument: no memo entry
+            self._build(name, factory, args, params, kwargs)
+
+    def _build(self, name: str, factory: Callable[..., T],
+               args: tuple[object, ...],
+               params: Mapping[str, object] | Iterable[tuple[str, object]],
+               kwargs: Mapping[str, object]) -> T:
+        """Call ``factory``, mapping its refusals onto
+        :class:`~repro.errors.ConfigurationError`."""
         options = dict(params)
         try:
             product = factory(*args, **kwargs, **options)
@@ -96,3 +129,12 @@ class Registry(Generic[T]):
                 f"{self.kind} {name!r} returned {type(product).__name__}, "
                 f"not a {self.product.__name__}")
         return product
+
+
+@functools.lru_cache(maxsize=1024)
+def _probe(registry: Registry[Any], name: str, factory: Callable[..., object],
+           args: tuple[object, ...], params: tuple[tuple[str, object], ...],
+           kwargs: tuple[tuple[str, object], ...]) -> None:
+    """The probes that passed (``lru_cache`` keeps no exception); cleared
+    with ``_probe.cache_clear()``."""
+    registry._build(name, factory, args, params, dict(kwargs))

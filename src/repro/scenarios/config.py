@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.net.disciplines import validate_params as validate_queue_params
-from repro.tcp.congestion import create_control
+from repro.tcp.congestion import ALGORITHMS
 from repro.tcp.options import TcpOptions
 from repro.units import (
     ACCESS_BANDWIDTH,
@@ -75,8 +75,8 @@ class QueueSpec:
     def __post_init__(self) -> None:
         normalized = _normalize_params(self.params)
         object.__setattr__(self, "params", normalized)
-        # Eagerly build (and discard) a probe queue so a bad discipline
-        # name or parameter set fails at config time, not mid-build.
+        # Eagerly probe the discipline so a bad name or parameter set
+        # fails at config time, not mid-build.
         validate_queue_params(self.name, normalized)
 
 
@@ -125,9 +125,11 @@ class FlowSpec:
         if self.window is not None and self.window < 1:
             raise ConfigurationError(
                 f"fixed-window flows need window >= 1, got {self.window}")
-        # Eagerly build (and discard) the strategy so a bad algorithm
-        # name or parameter set fails at config time, not mid-build.
-        create_control(self.algorithm, self.effective_params())
+        # Eagerly probe the strategy so a bad algorithm name or
+        # parameter set fails at config time, not mid-build.
+        if self.window is not None:
+            normalized += (("window", self.window),)
+        ALGORITHMS.validate(self.algorithm, params=normalized)
 
     def effective_params(self) -> dict[str, object]:
         """The full factory keyword set, with the ``window`` sugar folded in."""

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -82,6 +83,32 @@ class TestResultCache:
             assert cache.get_config(config) is None
         assert not path.exists()
         assert cache.quarantined == 1
+
+    def test_unserialisable_put_leaves_no_temp_file(self, cache):
+        """An extractor returning a numpy integer fails the put — and the
+        failed write must not strand a truncated ``<key>.tmp.<pid>`` in
+        the cache tree, where nothing counts or removes it."""
+        config = _config()
+        with pytest.raises(TypeError, match="int64"):
+            cache.put_config(config, {"drops": np.int64(3)})
+        assert sorted(cache.root.rglob("*.tmp.*")) == []
+        assert len(cache) == 0
+        assert cache.get_config(config) is None
+        cache.put_config(config, {"drops": 3})
+        assert cache.get_config(config) == {"drops": 3}
+
+    def test_failed_write_leaves_no_temp_file(self, cache, monkeypatch):
+        """A write that dies half-way (a full disk) removes its temp file
+        and re-raises."""
+        def torn_write(path, text):
+            with open(path, "w") as handle:
+                handle.write(text[:10])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="No space left"):
+            cache.put_config(_config(), {"a": 1.0})
+        assert sorted(cache.root.rglob("*.tmp.*")) == []
 
     def test_len_and_clear(self, cache):
         cache.put_config(_config(), {"a": 1.0})

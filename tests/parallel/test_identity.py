@@ -3,10 +3,13 @@ are the one-shot ``cache_key`` / ``config_hash`` / ``run_id_for``, byte
 for byte, wherever the runner hands them — cache, journal, failure
 report, manifests — and extractor fingerprints do not depend on the
 process that computes them.  The bytes themselves, which caches on
-users' disks are addressed by, are pinned once, by the cache listing
-and manifests of ``test_ledger_transcripts.py``."""
+users' disks are addressed by, are pinned by the cache listing and
+manifests of ``test_ledger_transcripts.py`` and, for every config shape
+``repro report`` runs, by :data:`REPORT_PLAN_SHA256`."""
 
 import functools
+import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -16,14 +19,28 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.registry import EXPERIMENTS, experiment_ids
 from repro.obs.manifest import run_id_for
-from repro.parallel import ParallelSweepRunner, cache_key, config_hash
+from repro.parallel import (
+    ParallelSweepRunner,
+    ResultCache,
+    cache_key,
+    config_hash,
+)
 from repro.parallel.cache import PointIdentity, _extractor_fingerprint
 from repro.resilience import ResilienceConfig
-from repro.scenarios import families, paper
+from repro.scenarios import families, paper, sweep
 
 GRID = families.phase_grid((2, 8, 32), (10, 40), (1.0,))
 STUB = {"stub": 1.0}
+
+
+#: SHA-256 over the sorted ``exp_id,config_hash,run_id`` lines of every
+#: point ``repro report`` plans (49 configs: chain, RED at four
+#: thresholds, fixed-window, paced and AIMD flows beside plain Tahoe),
+#: recorded before flow and queue validation was memoised.
+REPORT_PLAN_SHA256 = (
+    "5feaa7dcee60799864c3aa206e7dd9537ab650816aec7381e3dd90c08bf85bf3")
 
 
 class AlwaysHit:
@@ -113,6 +130,22 @@ class Thresholded:
         return {"over": float(result.events_processed > self.threshold)}
 
 
+def test_report_plan_identities_are_pinned():
+    """The names every ``repro report`` point is cached, journalled and
+    manifested under.  The ledger transcripts pin only plain drop-tail
+    Tahoe configs, so this is the one check that sees a serialisation
+    change confined to policy parameters: writing integral float
+    parameters as JSON integers (RED's ``"max_th":120.0`` as ``120``)
+    round-trips to an equal config that runs identically, and re-keys
+    every RED and AIMD entry on users' disks."""
+    rows = sorted((exp_id, config_hash(config), run_id_for(config))
+                  for exp_id in experiment_ids()
+                  for config in EXPERIMENTS.factory(exp_id).plan())
+    assert len(rows) == 49
+    blob = "\n".join(",".join(row) for row in rows)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_PLAN_SHA256
+
+
 class TestExtractorFingerprint:
     def test_equal_partials_built_separately_agree(self):
         one = functools.partial(families.sync_extract, 3, scale=2.0, name="a")
@@ -171,3 +204,45 @@ class TestExtractorFingerprint:
             stdout=subprocess.PIPE, text=True).stdout.strip()
         assert elsewhere == _extractor_fingerprint(
             functools.partial(families.sync_extract, 1, scale=2))
+
+
+EDITED_MODULE = "edited_extractor_probe"
+EXTRACTOR_SOURCE = """
+def extract(result):
+    return {{"value": {value}}}
+"""
+
+
+def test_fingerprint_follows_the_code_that_runs(tmp_path, monkeypatch):
+    """Editing an extractor's file does not move the fingerprint of the
+    code already imported — that code still runs, so a warm sweep must
+    still hit — and re-importing the edited file does move it.  Keyed on
+    the file's text instead, the sweep after the edit would file the old
+    code's measurements under the new source's key."""
+    module_path = tmp_path / f"{EDITED_MODULE}.py"
+    module_path.write_text(EXTRACTOR_SOURCE.format(value=1.0))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        module = importlib.import_module(EDITED_MODULE)
+        imported = _extractor_fingerprint(module.extract)
+
+        make_config = functools.partial(families.manyflow_config,
+                                        duration=5.0, warmup=2.0)
+        values = [(2, 10, 0.0)]
+        cache = ResultCache(tmp_path / "cache")
+        cold = sweep(make_config, values, module.extract, cache=cache, jobs=1)
+
+        module_path.write_text(EXTRACTOR_SOURCE.format(value=2.0))
+        later = module_path.stat().st_mtime + 10
+        os.utime(module_path, (later, later))
+        assert _extractor_fingerprint(module.extract) == imported
+        warm = sweep(make_config, values, module.extract, cache=cache, jobs=1)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert warm == cold
+        assert warm[0].measurements == {"value": 1.0}
+
+        reloaded = importlib.reload(module)
+        assert reloaded.extract(None) == {"value": 2.0}
+        assert _extractor_fingerprint(reloaded.extract) != imported
+    finally:
+        sys.modules.pop(EDITED_MODULE, None)

@@ -11,7 +11,8 @@ packet totals are pinned too, so a change that makes the path cheaper by
 
 The replay path — a warm sweep answered entirely by the result cache —
 is budgeted the same way, per replayed point, together with the number
-of times the sweep reads its extractor's source.
+of times the sweep reads its extractor's source and builds a flow's
+strategy to validate it.
 
 What a sweep point does *around* the event loop is held to a growth law
 rather than a constant: resampling calls per extracted trace, and calls
@@ -34,8 +35,11 @@ from repro.net import build_dumbbell
 from repro.net.queues import ADMIT, TAKE
 from repro.obs import Tracer, harvest
 from repro.parallel import ResultCache
+from repro.parallel.cache import _source_fingerprint
+from repro.registry import Registry, _probe
 from repro.scenarios import build, families, paper, sweep
 from repro.scenarios import run as run_scenario
+from repro.tcp.congestion import ALGORITHMS
 
 #: Python-level calls per delivered data packet.  The path measured
 #: 87.0 when per-packet hops became handle-free posts (101.2 with an
@@ -70,14 +74,17 @@ EVENTS_BUILT_PER_PACKET_BUDGET = 0.5
 
 
 #: The replay path — a warm ten-point ``sweep()`` through ``ResultCache``
-#: — in Python-level calls per replayed point: make_config (29), one
-#: canonical serialisation hashed twice (29), one ``cache.get``, and a
-#: tenth of the sweep's one extractor fingerprint (422).  Measured 141.5
-#: on CPython 3.11 (520.3 when every point re-read and re-tokenised the
-#: extractor's source); stdlib frames count here, so the headroom allows
-#: for another interpreter's ``pathlib`` / ``json`` but is smaller than a
-#: second serialisation of the config (+27).
-REPLAY_CALLS_PER_POINT_BUDGET = 160.0
+#: after a cold one in the same process — in Python-level calls per
+#: replayed point: make_config (22, its flow policies already probed),
+#: one canonical serialisation hashed twice (28), one ``cache.get`` (8)
+#: and a tenth of the sweep's one memoised extractor fingerprint.
+#: Measured 68.1 on CPython 3.11 (141.5 when each flow built and dropped
+#: a strategy, every sweep re-read its extractor's source and a read
+#: went through ``pathlib``; 520.3 when every point re-read the source);
+#: the headroom (13 %, as before) allows for another interpreter's
+#: ``json`` but is smaller than a second serialisation of the config
+#: (+27) or a source read per sweep (+27 a point).
+REPLAY_CALLS_PER_POINT_BUDGET = 77.0
 REPLAY_POINTS = 10
 
 #: Doubling a dumbbell's hosts may at most double the Python-level calls
@@ -242,8 +249,11 @@ def test_one_metrics_observer_per_emission_site():
 
 
 def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
-    """A warm sweep fingerprints its extractor once, not once per point,
-    and spends a bounded number of calls on each replayed point."""
+    """A warm sweep after a cold one in the same process reads no
+    extractor source, probes no flow policy it has already validated and
+    spends a bounded number of calls on each replayed point."""
+    _source_fingerprint.cache_clear()
+    _probe.cache_clear()
     make_config = functools.partial(families.manyflow_config,
                                     duration=5.0, warmup=2.0)
     values = families.phase_grid((2,), (10, 20, 30, 40, 50), (0.0, 1.0))
@@ -260,13 +270,26 @@ def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
         source_reads.append(target)
         return getsource(target)
 
+    strategies = []
+    build = Registry._build
+
+    def counting_build(self, name, factory, args, params, kwargs):
+        if self is ALGORITHMS:
+            strategies.append((name, tuple(params)))
+        return build(self, name, factory, args, params, kwargs)
+
     monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    monkeypatch.setattr(Registry, "_build", counting_build)
     calls, _, warm = _count_calls(
         lambda: sweep(make_config, values, families.sync_extract,
                       cache=cache, jobs=1))
     assert warm == cold
     assert (cache.hits, cache.misses) == (REPLAY_POINTS, REPLAY_POINTS)
-    assert source_reads == [families.sync_extract]
+    assert source_reads == []
+    policies = {(flow.algorithm, flow.params, flow.window)
+                for value in values for flow in make_config(value).flows}
+    assert len(strategies) <= len(policies)
+    assert len(set(strategies)) == len(strategies)
     assert calls / REPLAY_POINTS <= REPLAY_CALLS_PER_POINT_BUDGET, (
         f"{calls / REPLAY_POINTS:.1f} Python calls per replayed point "
         f"(budget {REPLAY_CALLS_PER_POINT_BUDGET}): a sweep point is being "

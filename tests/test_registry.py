@@ -18,7 +18,8 @@ from repro.net import (
     register_discipline,
 )
 from repro.net.disciplines import DISCIPLINES
-from repro.registry import Registry
+from repro.registry import Registry, _probe
+from repro.scenarios.config import FlowSpec, QueueSpec
 from repro.tcp import (
     TahoeControl,
     algorithm_names,
@@ -61,19 +62,46 @@ def _create_queue(name, params=()):
     return create_queue(name, "q", 8, params)
 
 
+def _flow_spec(name, params=()):
+    return FlowSpec("a", "b", algorithm=name, params=params)
+
+
+class ListGainControl(TahoeControl):
+    """A strategy whose one parameter is a list (unhashable)."""
+
+    def __init__(self, gains=(1.0,)) -> None:
+        super().__init__()
+        if min(gains) <= 0:
+            raise ValueError(f"gains must be positive, got {gains}")
+
+
+class ListGainQueue(DropTailQueue):
+    """A discipline whose one parameter is a list (unhashable)."""
+
+    def __init__(self, name, capacity, rng=None, *, strict=None,
+                 gains=(1.0,)):
+        super().__init__(name, capacity, rng, strict=strict)
+        if min(gains) <= 0:
+            raise ValueError(f"gains must be positive, got {gains}")
+
+
 class Policy(NamedTuple):
     registry: Registry
     register: Callable
     create: Callable  # (name, params) -> product
     names: Callable
     gain_class: type
+    spec: Callable  # (name, params) -> the config field that validates
+    list_class: type
 
 
 POLICIES = {
     "algorithm": Policy(ALGORITHMS, register_algorithm, create_control,
-                        algorithm_names, GainControl),
+                        algorithm_names, GainControl, _flow_spec,
+                        ListGainControl),
     "queue discipline": Policy(DISCIPLINES, register_discipline, _create_queue,
-                               discipline_names, GainQueue),
+                               discipline_names, GainQueue, QueueSpec,
+                               ListGainQueue),
 }
 
 
@@ -138,3 +166,58 @@ class TestRegistryContract:
         with pytest.raises(ConfigurationError, match="DropTailQueue"):
             register_discipline("function", make_object)
         assert "notaqueue" not in discipline_names()
+
+
+class TestValidationMemo:
+    """``FlowSpec`` and ``QueueSpec`` probe their policy once per distinct
+    (factory, params) in a process — and only what passed is remembered."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        _probe.cache_clear()
+        yield
+        _probe.cache_clear()
+
+    def test_an_accepted_set_is_probed_once(self, policy):
+        built = []
+
+        class Counted(policy.gain_class):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("gain"))
+                super().__init__(*args, **kwargs)
+
+        policy.register("gain", Counted)
+        for _ in range(3):
+            policy.spec("gain", {"gain": 2.0})
+        policy.spec("gain", {"gain": 3.0})
+        assert built == [2.0, 3.0]
+
+    def test_a_rejected_set_raises_every_time(self, policy):
+        policy.register("gain", policy.gain_class)
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match="rejected params"):
+                policy.spec("gain", {"gain": -1.0})
+
+    def test_a_factory_swapped_in_under_a_name_is_probed(self, policy,
+                                                         monkeypatch):
+        policy.register("gain", policy.gain_class)
+        policy.spec("gain", {"gain": 2.0})
+
+        class Stricter(policy.gain_class):
+            def __init__(self, *args, gain=1.0, **kwargs):
+                if gain > 1.0:
+                    raise ValueError("gain above 1")
+                super().__init__(*args, gain=gain, **kwargs)
+
+        monkeypatch.setitem(policy.registry._factories, "gain", Stricter)
+        with pytest.raises(ConfigurationError, match="gain above 1"):
+            policy.spec("gain", {"gain": 2.0})
+
+    def test_a_list_valued_param_still_validates(self, policy):
+        policy.register("gains", policy.list_class)
+        for _ in range(2):
+            spec = policy.spec("gains", {"gains": [1.0, 2.0]})
+            assert spec.params == (("gains", [1.0, 2.0]),)
+            with pytest.raises(ConfigurationError, match="rejected params"):
+                policy.spec("gains", {"gains": [1.0, -2.0]})
+        assert _probe.cache_info().currsize == 0
