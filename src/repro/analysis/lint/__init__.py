@@ -6,9 +6,8 @@ depends on but generic linters cannot express:
 ========  ==============================================================
 RPR000    blanket or unjustified ``# repro: noqa`` suppression
 RPR001    wall-clock time / unseeded randomness in simulation code
-RPR002    ``==``/``!=`` between float simulation timestamps
 RPR004    unordered (set) iteration in engine/net/obs hot paths
-RPR005    non-module-level sweep callables / algorithm factories
+RPR005    non-module-level algorithm factories / queue disciplines
 RPR007    swallowed exceptions in supervision/cache/journal paths
 RPR008    constant dispatch hooks probed inside hot loop bodies
 RPR900    unparseable source (syntax error or not UTF-8)
@@ -20,11 +19,13 @@ for the rationale behind a rule, and suppress single lines with
 at a time.  Each invariant has one check: what the runtime sanitizer
 (``Simulator(strict=True)`` or ``REPRO_SANITIZE=1``) enforces — event
 ordering fields left alone after scheduling, finite timestamps — has no
-rule here (RPR003 and RPR006 were retired for it), and what cannot be
-seen in one file (an unpicklable extractor built in another module, a
-registered class that is not a ``CongestionControl`` or
-``DropTailQueue``) is rejected eagerly where it is handed over, by
-``ParallelSweepRunner``, ``extract_reference`` and the two registries.
+rule here (RPR003 and RPR006 were retired for it); simulated times are
+compared exactly, and the parity fingerprints and scaling oracles hold
+them bit for bit (RPR002 was retired for it); and an extractor that
+cannot cross to a worker, or a registered class that is not a
+``CongestionControl`` or ``DropTailQueue``, is rejected eagerly where it
+is handed over, by ``ParallelSweepRunner``, ``extract_reference`` and
+the two registries.
 """
 
 from repro.analysis.lint.model import (
@@ -39,13 +40,11 @@ from repro.analysis.lint.model import (
 from repro.analysis.lint.noqa import Suppression, parse_suppressions
 from repro.analysis.lint.runner import (
     LintContext,
-    apply_baseline,
     format_violations,
     iter_python_files,
     lint_file,
     lint_paths,
     lint_source,
-    load_baseline,
 )
 from repro.analysis.lint import rules as _rules  # registers the AST rules
 from repro.analysis.lint.export import render_sarif
@@ -67,8 +66,6 @@ __all__ = [
     "iter_python_files",
     "format_violations",
     "render_sarif",
-    "load_baseline",
-    "apply_baseline",
 ]
 
 del _rules

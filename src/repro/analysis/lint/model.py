@@ -68,7 +68,12 @@ __all__ = [
 #:     gone from the API and from the rule.
 #: v13: RPR005 no longer flags a sweep's `make_config`: the runner calls
 #:     it in the parent, and only the configs it returns cross to workers.
-LINT_RULESET_VERSION = 13
+#: v14: RPR002 retired: the parity fingerprints and the scaling oracles
+#:     fail on a planted tolerance-needing timestamp `==`, and every `==`
+#:     it matched was exact on purpose.  RPR005 keeps only registrations:
+#:     the sweep runner and `extract_reference` refuse a lambda or nested
+#:     extractor before any worker starts.  `--baseline` removed.
+LINT_RULESET_VERSION = 14
 
 CheckFunction = Callable[["LintContext"], Iterator["Violation"]]
 

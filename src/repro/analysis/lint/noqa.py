@@ -14,7 +14,7 @@ one thing the linter refuses to negotiate about.
 Examples::
 
     t = time.time()  # repro: noqa[RPR001] -- CLI progress display, not sim state
-    if a.time == b.time:  # repro: noqa[RPR002] -- exact tick boundaries
+    for item in set(pending):  # repro: noqa[RPR004] -- order-free tally
 """
 
 from __future__ import annotations

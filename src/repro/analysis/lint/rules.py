@@ -10,10 +10,11 @@ the assumption that both would have been identical.
 Static analysis is necessarily approximate.  Each rule documents its
 scope and known blind spots in its rationale; false positives are
 suppressed per line with ``# repro: noqa[CODE] -- why`` (see
-:mod:`repro.analysis.lint.noqa`).  An invariant the runtime sanitizer
-(:mod:`repro.engine.sanitize`) enforces has no rule here;
-``docs/analysis_methods.md`` records the mutations that decided which
-rules stay.
+:mod:`repro.analysis.lint.noqa`).  An invariant that a tier-1 test
+fails on deterministically — through the runtime sanitizer
+(:mod:`repro.engine.sanitize`), the parity fingerprints or a refusal at
+the sweep boundary — has no rule here; ``docs/analysis_methods.md``
+records the mutations that decided which rules stay.
 """
 
 from __future__ import annotations
@@ -133,57 +134,6 @@ def check_wall_clock(ctx: LintContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR002 — float timestamp equality
-# ----------------------------------------------------------------------
-def _is_time_like(node: ast.expr) -> bool:
-    name = _terminal_name(node)
-    if name is None:
-        return False
-    lowered = name.lower()
-    if lowered in {"now", "time", "expiry"}:
-        return True
-    return "time" in lowered and not lowered.endswith(("times", "timer"))
-
-
-@rule(
-    "RPR002",
-    "timestamp-equality",
-    "No `==`/`!=` between float simulation timestamps; use epsilon helpers.",
-    """\
-Virtual timestamps are floats accumulated through additions
-(`now + delay`), so two paths to "the same" instant can differ in the
-last ulp — e.g. a tick boundary computed as `3 * 0.5` versus
-`0.5 + 0.5 + 0.5`.  Exact equality then silently takes the wrong branch
-and the simulation lands in a different synchronization mode instead of
-crashing.  Compare timestamps with `repro.units.times_close(a, b)` (or
-explicit `<`/`>=` window logic).  The rule flags any `==`/`!=` whose
-operand is a name or attribute containing `time` or named `now`;
-counters like `busy_times` that are genuinely integral can suppress
-with a justification.""",
-)
-def check_timestamp_equality(ctx: LintContext) -> Iterator[Violation]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            # `x == None` is an `is` bug, not a float comparison; E711 turf.
-            if any(isinstance(o, ast.Constant) and o.value is None
-                   for o in (left, right)):
-                continue
-            for side in (left, right):
-                if _is_time_like(side):
-                    symbol = "==" if isinstance(op, ast.Eq) else "!="
-                    yield _violation(
-                        ctx, node, "RPR002",
-                        f"`{symbol}` on timestamp `{ast.unparse(side)}`; use "
-                        "`repro.units.times_close()` or ordered comparisons")
-                    break
-
-
-# ----------------------------------------------------------------------
 # RPR004 — unordered iteration in engine/net/obs hot paths
 # ----------------------------------------------------------------------
 _SET_METHODS = {"intersection", "union", "difference", "symmetric_difference"}
@@ -264,29 +214,10 @@ def check_unordered_iteration(ctx: LintContext) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# RPR005 — sweep callables must be module-level (picklable)
+# RPR005 — policies registered from module-level definitions
 # ----------------------------------------------------------------------
-_SWEEP_ENTRYPOINTS = {"sweep", "run_configs"}
-# Argument slots that cross process boundaries under jobs > 1 (or cross
-# the worker-agent wire protocol, which re-imports by reference).
-# ``make_config`` runs in the parent; only the configs it returns cross.
-_PICKLED_POSITIONS = {
-    "sweep": (2,),              # extract
-    "run_configs": (1,),        # extract (configs are data, not callables)
-    "extract_reference": (0,),  # extract, shipped by module+qualname
-}
-_PICKLED_KEYWORDS = {"extract"}
-# Callables shipped over the worker-agent protocol travel as a
-# module+qualname reference and are re-imported on the agent, so the
-# module-level discipline is the same as pickling — but the failure is
-# remote (the agent's import error comes back as a lease error).
-_PROTOCOL_ENTRYPOINTS = {"extract_reference"}
-# Algorithm factories and queue-discipline classes resolve by *name* in
-# re-importing worker processes, so they need the same module-level
-# discipline as pickled callables.  Both take ``(name, factory)``.
+# Both take ``(name, factory)``: the factory is argument 1 or ``factory=``.
 _REGISTRY_ENTRYPOINTS = {"register_algorithm", "register_discipline"}
-_REGISTRY_POSITIONS = (1,)
-_REGISTRY_KEYWORDS = {"factory"}
 
 
 def _nested_definition_names(tree: ast.Module) -> set[str]:
@@ -312,78 +243,48 @@ def _nested_definition_names(tree: ast.Module) -> set[str]:
 
 @rule(
     "RPR005",
-    "unpicklable-sweep-callable",
-    "Sweep callables and algorithm factories must be module-level.",
+    "nested-policy-registration",
+    "Algorithm factories and queue disciplines must be module-level definitions.",
     """\
-With `jobs > 1` the sweep runner ships the `extract` callable to its
-worker processes, by pickle or by import reference.  Lambdas and
-functions defined inside another function pickle by *reference to a
-qualified name the worker cannot import*, so the sweep dies with an
-opaque PicklingError — or worse, works in serial mode and fails only on
-the parallel path CI doesn't exercise.  Define extractors as
-module-level functions (see `repro.scenarios.families`).  `make_config`
-and the progress callback `on_progress` run in the parent (only the
-configs `make_config` returns cross the boundary, as data) and are
-exempt.  `functools.partial` over a module-level function is fine and
-is not flagged.
+`register_algorithm(name, factory)` and `register_discipline(name,
+factory)` file a factory under a name, and only the name crosses to a
+sweep worker: a spawned worker rebuilds both registries by importing
+their modules.  A lambda, nested function or class defined inside a
+function exists only in the process that ran that function.  A forked
+worker inherits it and the sweep is correct; a spawned one (macOS,
+Windows, or a Linux parent with another thread alive) fails every point
+with `unknown algorithm` (or `unknown queue discipline`).  Tier-1 and
+CI sweep in forked workers, so nothing else notices.  Register classes
+defined at module scope.
 
-The same discipline applies to `register_algorithm(name, factory)` and
-`register_discipline(name, factory)`: only the *name* crosses the
-process boundary, and workers re-import modules to rebuild both
-registries.  A lambda, nested function, or class defined inside a
-function registered as a factory or discipline exists only in the
-parent process — every worker resolving the name would fail (or
-silently diverge).  Register strategy and queue classes defined at
-module scope.
-
-The distributed worker-agent protocol is stricter still: an extractor
-handed to `extract_reference()` (what the `worker` backend ships with
-every lease) crosses the wire as a bare module+qualname reference and
-is re-imported on the agent — possibly on another host.  A lambda or
-closure has no importable identity at all there, and the failure
-surfaces remotely, as a lease error from the agent, instead of a local
-PicklingError.""",
+The rule sees the nesting, not when the registration runs: a
+module-level class registered under an `if __name__ == "__main__":`
+guard fails under spawn the same way and is not flagged.  Extractors
+are not checked here: the sweep runner and `extract_reference` refuse
+a lambda or nested extractor before any worker starts.""",
 )
-def check_sweep_callables(ctx: LintContext) -> Iterator[Violation]:
+def check_nested_registration(ctx: LintContext) -> Iterator[Violation]:
     nested = _nested_definition_names(ctx.tree)
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         name = _terminal_name(node.func)
-        if name in _SWEEP_ENTRYPOINTS:
-            positions = _PICKLED_POSITIONS[name]
-            keywords = _PICKLED_KEYWORDS
-            what = "sweep workers cannot import it"
-        elif name in _PROTOCOL_ENTRYPOINTS:
-            positions = _PICKLED_POSITIONS[name]
-            keywords = _PICKLED_KEYWORDS
-            what = ("worker agents re-importing it over the wire protocol "
-                    "cannot resolve it")
-        elif name in _REGISTRY_ENTRYPOINTS:
-            positions = _REGISTRY_POSITIONS
-            keywords = _REGISTRY_KEYWORDS
-            what = "worker processes re-importing the registry cannot see it"
-        else:
+        if name not in _REGISTRY_ENTRYPOINTS:
             continue
-        candidates: list[ast.expr] = []
-        for position in positions:
-            if len(node.args) > position:
-                candidates.append(node.args[position])
-        candidates.extend(
-            keyword.value for keyword in node.keywords
-            if keyword.arg in keywords
-        )
+        candidates = [*node.args[1:2], *(keyword.value for keyword in node.keywords
+                                         if keyword.arg == "factory")]
         for argument in candidates:
             if isinstance(argument, ast.Lambda):
                 yield _violation(
                     ctx, argument, "RPR005",
-                    f"lambda passed to `{name}()`; lambdas never survive the "
-                    "process boundary — use a module-level definition")
+                    f"lambda registered with `{name}()`; spawned workers "
+                    "cannot re-import it — use a module-level definition")
             elif isinstance(argument, ast.Name) and argument.id in nested:
                 yield _violation(
                     ctx, argument, "RPR005",
-                    f"nested definition `{argument.id}` passed to `{name}()`; "
-                    f"{what} — move it to module level")
+                    f"nested definition `{argument.id}` registered with "
+                    f"`{name}()`; spawned workers re-importing the registry "
+                    "cannot see it — move it to module level")
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,8 @@
 The runner owns everything rule implementations should not care about:
 resolving a file's *logical module* (so path-scoped rules like RPR001's
 ``repro.engine.rng`` exemption work), parsing, dispatching every
-registered rule, applying ``# repro: noqa`` suppressions, sorting the
-surviving violations into a deterministic report, and filtering a
-report through a curated baseline of known violations.
+registered rule, applying ``# repro: noqa`` suppressions, and sorting
+the surviving violations into a deterministic report.
 
 Logical modules are derived from the path: the segment after the last
 ``src/`` (or the last path component named ``repro``) onward, dotted.
@@ -19,8 +18,6 @@ in their first ten lines::
 from __future__ import annotations
 
 import ast
-import json
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,8 +32,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "load_baseline",
-    "apply_baseline",
     "iter_python_files",
     "format_violations",
 ]
@@ -156,48 +151,6 @@ def lint_paths(paths: Iterable[str | Path]) -> list[Violation]:
     for path in iter_python_files(paths):
         violations.extend(lint_file(path))
     return sorted(violations, key=lambda violation: violation.sort_key)
-
-
-def load_baseline(path: str | Path) -> list[tuple[str, str]]:
-    """Load a baseline file: a JSON list of ``{"path": ..., "code": ...}``.
-
-    A baseline is the curated list of known violations CI tolerates when
-    linting ``tests/`` and ``benchmarks/`` (rule fixtures, mostly).  Paths
-    match as suffixes (``tests/analysis/lint/fixtures/...``), so the
-    baseline is independent of the checkout directory.
-    """
-    target = Path(path)
-    try:
-        raw = json.loads(target.read_text())
-    except OSError as exc:
-        raise LintError(f"cannot read baseline {target}: {exc}") from exc
-    except ValueError as exc:
-        raise LintError(f"baseline {target} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise LintError(f"baseline {target} must be a JSON list")
-    entries: list[tuple[str, str]] = []
-    for item in raw:
-        if (not isinstance(item, dict) or "path" not in item
-                or "code" not in item):
-            raise LintError(
-                f"baseline {target}: each entry needs 'path' and 'code'")
-        entries.append((str(item["path"]), str(item["code"]).upper()))
-    return entries
-
-
-def apply_baseline(
-    violations: list[Violation],
-    baseline: list[tuple[str, str]],
-) -> list[Violation]:
-    """Drop violations covered by the baseline (suffix path + code match)."""
-    def covered(violation: Violation) -> bool:
-        normalized = violation.path.replace(os.sep, "/")
-        for suffix, code in baseline:
-            if code == violation.code and normalized.endswith(suffix):
-                return True
-        return False
-
-    return [violation for violation in violations if not covered(violation)]
 
 
 def format_violations(violations: list[Violation]) -> str:

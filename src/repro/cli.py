@@ -24,7 +24,7 @@
     repro profile fig4              # per-category wall-time attribution
     repro parity --check            # metered figure set vs golden hashes
     repro lint src/                 # determinism static analysis
-    repro lint --explain RPR002     # why a rule exists, how to suppress
+    repro lint --explain RPR004     # why a rule exists, how to suppress
 
 ``run``, ``run-config`` and ``sweep`` share the counterfactual flags
 ``--algorithm/--param`` and ``--queue/--queue-param``: each substitutes
@@ -426,9 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--output", default=None, metavar="FILE",
                         help="write the report to FILE (text summary still "
                              "goes to stdout)")
-    lint_p.add_argument("--baseline", default=None, metavar="FILE",
-                        help="JSON list of {path,code} entries to ignore "
-                             "(curated known-violations, e.g. rule fixtures)")
 
     wrk_p = sub.add_parser(
         "worker",
@@ -830,12 +827,10 @@ def _cmd_parity(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.lint import (
-        apply_baseline,
         explain,
         format_violations,
         iter_rules,
         lint_paths,
-        load_baseline,
         render_sarif,
     )
 
@@ -848,8 +843,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     _check_outputs(("--output", args.output))
     violations = lint_paths(args.paths or ["src"])
-    if args.baseline:
-        violations = apply_baseline(violations, load_baseline(args.baseline))
     if args.fmt == "sarif":
         payload = render_sarif(violations)
     else:

@@ -467,7 +467,7 @@ class Simulator:
             )
         if event is None:
             return
-        if (event.time != time or event.priority != priority  # repro: noqa[RPR002] -- mutation check needs bit-identity with the heap snapshot, not closeness
+        if (event.time != time or event.priority != priority
                 or event.sequence != sequence):
             raise SanitizerError(
                 "event ordering fields mutated after scheduling: heap entry "

@@ -131,7 +131,7 @@ class CoarseTimer:
         # Both sides of the comparison come from the identical expression
         # over the same period, so float equality is exact here.
         event = self._event
-        if event is not None and event.pending and event.time == fire_at:  # repro: noqa[RPR002] -- same quantized boundary computed by the same expression; bit-equality is intended
+        if event is not None and event.pending and event.time == fire_at:
             return
         self.cancel()
         self._event = self._sim.schedule_at(

@@ -24,8 +24,8 @@ resolved by re-import on the agent (:func:`extract_reference` /
 :func:`resolve_extract`).  A lambda or closure therefore cannot cross
 the protocol boundary at all; :func:`extract_reference` rejects it
 eagerly at the coordinator with an actionable error instead of letting
-a worker die on an import it can never satisfy (the RPR005 lint rule
-flags such callables statically where the call site shows them).
+a worker die on an import it can never satisfy.  This refusal is the
+one check: no lint rule duplicates it.
 
 Message vocabulary (``"t"`` values)::
 
@@ -143,8 +143,9 @@ def extract_reference(extract: Callable) -> dict[str, str]:
     Agents re-import the extractor from this reference — nothing else
     crosses the wire — so only module-level callables qualify.  Lambdas,
     nested functions and bound closures are rejected here, at the
-    coordinator, with the same discipline the local worker path enforces
-    via pickling (and the RPR005 lint rule flags at visible call sites).
+    coordinator and before any agent starts, with the same discipline
+    the local worker path enforces via pickling; a serial sweep takes
+    any callable.
     """
     module = getattr(extract, "__module__", None)
     qualname = getattr(extract, "__qualname__", None)

@@ -98,7 +98,7 @@ class ResilienceReport:
 
     def count_attempt_outcome(self, outcome: str) -> None:
         """Bump the counter matching a failed attempt's outcome."""
-        if outcome == OUTCOME_TIMEOUT:  # repro: noqa[RPR002] -- outcome label equality, not a float timestamp
+        if outcome == OUTCOME_TIMEOUT:
             self.timeouts += 1
         elif outcome == OUTCOME_CRASH:
             self.crashes += 1

@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable
 
+from repro.errors import ConfigurationError
 from repro.scenarios import paper
 from repro.scenarios.config import (
     FlowParams,
     FlowSpec,
     ScenarioConfig,
+    TopologyKind,
     substitute,
 )
 from repro.scenarios.runner import ScenarioResult
@@ -37,6 +39,7 @@ __all__ = [
     "buffer_duration",
     "conjecture_config",
     "manyflow_config",
+    "mirrored",
     "phase_grid",
     "seeded",
     "size_scaled",
@@ -281,6 +284,26 @@ def size_scaled(config: ScenarioConfig, k: int) -> ScenarioConfig:
                     data_packet_bytes=config.tcp.data_packet_bytes * k,
                     ack_packet_bytes=config.tcp.ack_packet_bytes * k),
     )
+
+
+#: The host swap :func:`mirrored` applies to each flow's ``src`` and ``dst``.
+_MIRROR = {"host1": "host2", "host2": "host1"}
+
+
+def mirrored(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` with every flow's ends swapped between ``host1`` and
+    ``host2``, so ``sw1->sw2`` and ``sw2->sw1`` trade roles.
+
+    The dumbbell builds its two directions alike: the run must be the
+    base run with the two bottleneck ports' names swapped, in every
+    port's series and drop record, and with every connection's series
+    unchanged.
+    """
+    if (config.topology, config.n_left, config.n_right) != (TopologyKind.DUMBBELL, 1, 1):
+        raise ConfigurationError("mirrored needs a dumbbell with one host per side")
+    return replace(config, flows=tuple(
+        replace(flow, src=_MIRROR[flow.src], dst=_MIRROR[flow.dst])
+        for flow in config.flows))
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,8 @@ module scope of an importable module::
     tcp.register_algorithm("aiad", Aiad)
 
 A factory defined inside a function would exist only in the process
-that ran it (lint rule RPR005 flags this).
+that ran it (lint rule RPR005 flags this): forked workers inherit it,
+spawned ones fail every point with ``unknown algorithm``.
 """
 
 from typing import Callable, Mapping

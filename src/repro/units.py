@@ -15,8 +15,6 @@ __all__ = [
     "bytes_to_bits",
     "transmission_time",
     "pipe_size",
-    "TIME_EPSILON",
-    "times_close",
     "BOTTLENECK_BANDWIDTH",
     "ACCESS_BANDWIDTH",
     "ACCESS_PROPAGATION",
@@ -28,23 +26,6 @@ __all__ = [
     "DEFAULT_BUFFER_PACKETS",
     "DEFAULT_MAXWND",
 ]
-
-
-#: Tolerance for comparing virtual timestamps, in seconds.  Five orders
-#: of magnitude below the smallest modeled delay (the 0.1 ms host
-#: processing step), yet far above accumulated float error over any
-#: plausible run length.
-TIME_EPSILON = 1e-9
-
-
-def times_close(a: float, b: float, *, eps: float = TIME_EPSILON) -> bool:
-    """Whether two virtual timestamps denote the same instant.
-
-    Timestamps are floats accumulated through additions, so two paths to
-    "the same" time can differ in the last ulp; exact ``==`` silently
-    takes the wrong branch (lint rule RPR002).  Use this instead.
-    """
-    return abs(a - b) <= eps
 
 
 def kbps(value: float) -> float:

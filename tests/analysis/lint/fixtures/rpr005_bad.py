@@ -1,13 +1,5 @@
 # repro-lint-module: repro.scenarios.demo
-"""Positive fixture: unpicklable callables crossing the sweep boundary (RPR005)."""
-
-
-def run_family(sweep, build, values):
-    def local_extract(result):
-        return {"u": result.utilization}
-
-    # The make_config lambda runs in the parent: only local_extract counts.
-    return sweep(lambda v: build(v), values, local_extract)
+"""Positive fixture: policies registered from nested definitions (RPR005)."""
 
 
 def install(register_algorithm, base):

@@ -1,10 +1,5 @@
 # repro-lint-module: repro.scenarios.demo
-"""Negative fixture: module-level sweep callables pickle by reference."""
-import functools
-
-
-def make_config(value, duration=100.0):
-    return (value, duration)
+"""Negative fixture: module-level policies resolve by name in any worker."""
 
 
 def extract(result):
@@ -16,16 +11,8 @@ class ModuleControl:
 
 
 def run_family(sweep, values):
-    # partial over a module-level function is fine; on_progress stays in
-    # the parent process so a lambda there is exempt.
-    return sweep(functools.partial(make_config, duration=50.0), values,
-                 extract, on_progress=lambda event: print(event))
-
-
-def run_inline_family(sweep, values):
-    # make_config runs in the parent too: only its configs cross.
-    return sweep(lambda value: make_config(value, 20.0), values, extract,
-                 jobs=2)
+    # Extractors are the sweep runner's to refuse, not this rule's.
+    return sweep(lambda value: value, values, lambda result: extract(result))
 
 
 def install(register_algorithm):

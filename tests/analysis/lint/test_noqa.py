@@ -2,8 +2,8 @@
 
 from repro.analysis.lint import lint_source, parse_suppressions
 
-# One RPR002 violation on line 2, with room for a trailing comment.
-_TEMPLATE = "def is_due(event_time, now):\n    return event_time == now{comment}\n"
+# One RPR005 violation on line 2, with room for a trailing comment.
+_TEMPLATE = "def install():\n    register_algorithm('x', lambda: None){comment}\n"
 
 
 def _lint(comment=""):
@@ -12,40 +12,40 @@ def _lint(comment=""):
 
 class TestValidSuppression:
     def test_justified_coded_suppression_silences(self):
-        assert _lint("  # repro: noqa[RPR002] -- integral tick counters") == []
+        assert _lint("  # repro: noqa[RPR005] -- serial-only demo registry") == []
 
     def test_multiple_codes_one_comment(self):
         source = (
             "import time\n"
-            "def f(event_time, now):\n"
-            "    return event_time == now and time.time() > 0"
-            "  # repro: noqa[RPR001,RPR002] -- demo of multi-code suppression\n"
+            "def f():\n"
+            "    register_algorithm(str(time.time()), lambda: None)"
+            "  # repro: noqa[RPR001,RPR005] -- demo of multi-code suppression\n"
         )
         assert lint_source(source, module="repro.demo") == []
 
     def test_suppression_only_covers_its_own_line(self):
         source = (
-            "def f(a_time, now):  # repro: noqa[RPR002] -- wrong line\n"
-            "    return a_time == now\n"
+            "def f():  # repro: noqa[RPR005] -- wrong line\n"
+            "    register_algorithm('x', lambda: None)\n"
         )
-        assert [v.code for v in lint_source(source)] == ["RPR002"]
+        assert [v.code for v in lint_source(source)] == ["RPR005"]
 
     def test_codes_are_case_insensitive(self):
-        assert _lint("  # repro: noqa[rpr002] -- lowercase is fine") == []
+        assert _lint("  # repro: noqa[rpr005] -- lowercase is fine") == []
 
 
 class TestHygiene:
     def test_blanket_noqa_is_rpr000_and_silences_nothing(self):
         codes = [v.code for v in _lint("  # repro: noqa")]
-        assert sorted(codes) == ["RPR000", "RPR002"]
+        assert sorted(codes) == ["RPR000", "RPR005"]
 
     def test_unjustified_noqa_is_rpr000_and_silences_nothing(self):
-        codes = [v.code for v in _lint("  # repro: noqa[RPR002]")]
-        assert sorted(codes) == ["RPR000", "RPR002"]
+        codes = [v.code for v in _lint("  # repro: noqa[RPR005]")]
+        assert sorted(codes) == ["RPR000", "RPR005"]
 
     def test_unknown_code_is_rpr000(self):
         codes = [v.code for v in _lint("  # repro: noqa[RPR999] -- no such rule")]
-        assert sorted(codes) == ["RPR000", "RPR002"]
+        assert sorted(codes) == ["RPR000", "RPR005"]
 
     def test_rpr000_cannot_be_suppressed(self):
         source = "x = 1  # repro: noqa[RPR000] -- trying to silence hygiene\n"
@@ -60,10 +60,10 @@ class TestParsing:
         assert parse_suppressions(source) == []
 
     def test_comment_is_parsed_with_line_and_codes(self):
-        source = "x = 1  # repro: noqa[RPR001, RPR002] -- two codes\n"
+        source = "x = 1  # repro: noqa[RPR001, RPR005] -- two codes\n"
         (supp,) = parse_suppressions(source)
         assert supp.line == 1
-        assert supp.codes == ("RPR001", "RPR002")
+        assert supp.codes == ("RPR001", "RPR005")
         assert supp.justification == "two codes"
         assert supp.is_justified and not supp.is_blanket
 

@@ -1,17 +1,15 @@
-"""Runner mechanics: module resolution, file walking, RPR900, baselines, reports."""
+"""Runner mechanics: module resolution, file walking, RPR900, reports."""
 
-import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.lint import (
-    apply_baseline,
     format_violations,
     get_rule,
     iter_rules,
     lint_paths,
     lint_source,
-    load_baseline,
 )
 from repro.analysis.lint.runner import iter_python_files, resolve_module
 from repro.errors import LintError
@@ -74,8 +72,8 @@ class TestRegistry:
         assert [rule.code for rule in iter_rules()] == ALL_CODES
 
     def test_explain_mentions_suppression_syntax(self):
-        text = get_rule("RPR002").explain()
-        assert "RPR002" in text
+        text = get_rule("RPR004").explain()
+        assert "RPR004" in text
         assert "noqa" in text
 
     def test_unknown_code_raises(self):
@@ -83,40 +81,18 @@ class TestRegistry:
             get_rule("RPR999")
 
 
-class TestBaseline:
-    def test_suffix_and_code_matching(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            [{"path": "fixtures/rpr005_bad.py", "code": "RPR005"}]))
-        violations = lint_paths([FIXTURES / "rpr005_bad.py"])
-        assert {v.code for v in violations} == {"RPR005"}
-        filtered = apply_baseline(violations, load_baseline(baseline))
-        assert filtered == []
-
-    def test_baseline_does_not_hide_other_codes(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            [{"path": "fixtures/rpr007_bad.py", "code": "RPR001"}]))
-        violations = lint_paths([FIXTURES / "rpr007_bad.py"])
-        assert violations
-        assert apply_baseline(violations, load_baseline(baseline)) == violations
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"path": "x"}))
-        with pytest.raises(LintError):
-            load_baseline(baseline)
-
-    def test_shipped_ci_baseline_loads(self):
-        shipped = FIXTURES.parent / "ci-baseline.json"
-        entries = load_baseline(shipped)
-        assert entries, "the CI baseline must cover the rule fixtures"
-        assert all(code in ALL_CODES for _path, code in entries)
-
-
 def test_shipped_tree_is_clean():
     """`repro lint src` finds nothing — clean by construction."""
     assert lint_paths([REPO_SRC]) == []
+
+
+def test_tests_and_benchmarks_are_clean():
+    """`repro lint tests benchmarks` finds nothing outside the rule
+    fixtures, which `test_rules.py` pins one by one: a new violation or a
+    stale suppression in test or bench code fails here."""
+    found = lint_paths([REPO_SRC.parent / "tests", REPO_SRC.parent / "benchmarks"])
+    assert [v.format() for v in found
+            if FIXTURES not in Path(v.path).parents] == []
 
 
 class TestReport:

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import AnalysisError
 from repro.metrics.timeseries import StepSeries
 from repro.obs.harvest import counter, gauge, histogram, holding_times, rate
-from repro.units import TIME_EPSILON
 
 
 class TestScalarRows:
@@ -111,19 +110,20 @@ class TestObserveStepSeries:
         assert holding_times(series, 10.0, 12.0) == [(1.0, 2.0)]
 
     def test_window_boundaries_at_exact_epsilon_multiples(self):
-        # Change-points and window edges all sit on the TIME_EPSILON
-        # grid, the finest spacing two distinct event times can have.
+        eps = 1e-9
+        # Change-points and window edges on a 1 ns grid, five orders of
+        # magnitude finer than the smallest modelled delay.
         series = StepSeries("q", initial_value=0.0)
-        series.record(2 * TIME_EPSILON, 1.0)
-        series.record(3 * TIME_EPSILON, 3.0)
-        series.record(5 * TIME_EPSILON, 7.0)
-        row = self.hist(series, 2 * TIME_EPSILON, 5 * TIME_EPSILON)
+        series.record(2 * eps, 1.0)
+        series.record(3 * eps, 3.0)
+        series.record(5 * eps, 7.0)
+        row = self.hist(series, 2 * eps, 5 * eps)
         # [2eps, 3eps) at 1.0, [3eps, 5eps) at 3.0; the point at end is
         # outside the half-open window.
-        assert row["counts"][0] == pytest.approx(TIME_EPSILON)
-        assert row["counts"][2] == pytest.approx(2 * TIME_EPSILON)
+        assert row["counts"][0] == pytest.approx(eps)
+        assert row["counts"][2] == pytest.approx(2 * eps)
         assert row["counts"][3] == pytest.approx(0.0)
-        assert row["count"] == pytest.approx(3 * TIME_EPSILON)
+        assert row["count"] == pytest.approx(3 * eps)
 
     def test_count_telescopes_to_window_length(self):
         series = StepSeries("q")

@@ -24,6 +24,11 @@ def scratch_registry(monkeypatch):
     monkeypatch.setattr(ALGORITHMS, "_factories", dict(ALGORITHMS._factories))
 
 
+class Aiad(CongestionControl):
+    """An extension strategy, defined at module scope as registration
+    requires."""
+
+
 class TestRegistry:
     """The built-ins; the rules both registries share are in
     ``tests/test_registry.py``."""
@@ -47,9 +52,6 @@ class TestRegistry:
         assert type(create_control("tahoe")) is RenoControl
 
     def test_extension_registration_round_trip(self, scratch_registry):
-        class Aiad(CongestionControl):
-            pass
-
         register_algorithm("aiad", Aiad)
         assert "aiad" in algorithm_names()
         assert type(create_control("aiad")) is Aiad

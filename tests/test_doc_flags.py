@@ -1,4 +1,5 @@
-"""Every ``--flag`` the docs show after ``repro <verb>`` is a flag of that verb.
+"""Every ``--flag`` the docs show after ``repro <verb>`` is a flag of that
+verb, and every rule code they ``--explain`` is registered.
 
 A command is ``repro`` (or ``repro.cli``), a verb of :func:`build_parser`
 and, where the verb has its own verbs (``worker serve``, ``cache
@@ -23,6 +24,7 @@ COMMAND = re.compile(r"(?<![\w./-])repro(?:\.cli)? +([a-z][\w-]*)"
                      r"(?: +([a-z][\w-]*))?")
 END = re.compile(r"`|#|(?<!\\)\n")
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+EXPLAIN = re.compile(r"repro lint --explain +([A-Z]+[0-9]+)")
 
 
 def _verbs(parser: argparse.ArgumentParser) -> dict:
@@ -66,6 +68,16 @@ def test_shown_flags_exist(name, text):
     unknown = sorted({f"repro {words} {flag}" for words, flag, known
                       in shown_flags(text, cli.build_parser()) if not known})
     assert unknown == [], f"{name} shows flags its verb does not take"
+
+
+def test_explained_rule_codes_exist():
+    """Every ``repro lint --explain CODE`` shown names a registered rule."""
+    from repro.analysis.lint import RULES
+
+    shown = {(name, code) for name, text in _sources()
+             for code in EXPLAIN.findall(text)}
+    assert ("README.md", "RPR004") in shown
+    assert sorted(pair for pair in shown if pair[1] not in RULES) == []
 
 
 def test_sweep_epilog_flags_exist():
