@@ -47,5 +47,5 @@ examples:
 	@echo "all examples ran cleanly"
 
 clean:
-	rm -rf .pytest_cache .hypothesis figures
+	rm -rf .pytest_cache .hypothesis figures .repro-cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

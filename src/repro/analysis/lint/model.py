@@ -7,9 +7,8 @@ summary (shown in violation listings) and a longer rationale (shown by
 layer and the docs generator consume.
 
 The :data:`LINT_RULESET_VERSION` integer is bumped whenever a rule is
-added, removed, or its detection logic changes meaningfully.  The sweep
-result cache records it alongside each entry so a cache file says which
-generation of static checking the producing tree had passed.
+added, removed, or its detection logic changes meaningfully; SARIF
+reports carry it as the tool version.
 """
 
 from __future__ import annotations

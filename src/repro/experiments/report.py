@@ -126,10 +126,10 @@ class Experiment:
     the two keyword sets it is called with (``repro report`` and ``repro
     run`` use ``full``, ``--fast`` the shorter runs).  ``measure`` is the
     one extractor applied to every finished run: it is module-level,
-    because it crosses to sweep workers and its source keys the result
-    cache, and it returns JSON-native values — everything ``grade``
-    needs, config facts included, so a cached point grades exactly like
-    a live one.  ``grade(report, points)`` adds the rows from those
+    because it crosses to sweep workers and its qualified name keys the
+    result cache (with the package's code digest), and it returns
+    JSON-native values — everything ``grade`` needs, config facts
+    included, so a cached point grades exactly like a live one.  ``grade(report, points)`` adds the rows from those
     measurement dicts (one per config, in order) against the bands of
     :mod:`repro.experiments.expectations`.
     """

@@ -3,9 +3,9 @@
 A :class:`RunManifest` pins down *which* simulation produced a result:
 the content hash of its :class:`~repro.scenarios.config.ScenarioConfig`
 (the same canonical JSON the parallel result cache is keyed by), the
-seed, the schema/ruleset versions of the producing tree, and — for runs
-that actually executed — event counts, wall time and peak calendar
-size.  Sweep points emit one manifest each, whether the measurements
+seed, the schema versions and code digest of the producing tree, and —
+for runs that actually executed — event counts, wall time and peak
+calendar size.  Sweep points emit one manifest each, whether the measurements
 came from a live simulation or a cache hit, so cached and live results
 carry identical identity fields (``run_id`` / ``config_hash`` /
 ``cache_key``) and differ only in the ``source`` marker and the
@@ -24,11 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from repro.parallel.cache import (
-    CACHE_SCHEMA_VERSION,
-    PointIdentity,
-    lint_ruleset_version,
-)
+from repro.parallel.cache import CACHE_SCHEMA_VERSION, PointIdentity, code_digest
 from repro.scenarios.config import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,28 +35,17 @@ __all__ = ["MANIFEST_SOURCES", "OBS_SCHEMA_VERSION", "RunManifest",
            "build_manifest", "relativize_artifacts", "run_id_for",
            "write_manifest"]
 
-#: Bump when the manifest or trace-record layout changes.
-#: v2: ``attempts`` / ``failure`` fields and the ``journal`` / ``failed``
-#: sources, added with the resilience layer.
-#: v3: the ``algorithms`` field recording each flow's congestion-control
-#: registry name, added with the pluggable-algorithm architecture (the
-#: config hash changed canonical form at the same time; see
-#: ``CACHE_SCHEMA_VERSION`` v2).
-#: v4: the ``artifacts`` field — exported trace/metrics file paths are
-#: recorded *relative to the manifest's own directory* so a results
-#: directory can be moved, archived or mounted elsewhere without the
-#: manifest's pointers going stale.
-#: v5: the ``backend`` / ``worker`` provenance fields — which execution
-#: backend ran the sweep and which worker (``agent0@host:pid`` for the
-#: distributed backend, a process name locally) computed this point,
-#: added with the pluggable-backend architecture.  Determinism makes
-#: these debugging breadcrumbs, not identity: the same config computes
-#: the same measurements on every host.
-#: v6: the ``queue`` field recording the bottleneck discipline's registry
-#: name, added with the queue-discipline registry (the config hash
-#: changed canonical form at the same time; see ``CACHE_SCHEMA_VERSION``
-#: v3).
-OBS_SCHEMA_VERSION = 6
+#: Bump when the manifest or trace-record layout changes.  v2:
+#: ``attempts`` / ``failure`` and the ``journal`` / ``failed`` sources.
+#: v3: ``algorithms``, each flow's congestion-control registry name.  v4:
+#: ``artifacts``, paths relative to the manifest's own directory, so a
+#: results directory can move.  v5: ``backend`` / ``worker`` provenance
+#: (debugging breadcrumbs, not identity).  v6: ``queue``, the bottleneck
+#: discipline's registry name.  v7: ``code_digest`` (see
+#: :func:`~repro.parallel.cache.code_digest`, which every cache key
+#: folds in) replaces the ``lint_ruleset`` stamp, so a manifest names
+#: the code that measured.
+OBS_SCHEMA_VERSION = 7
 
 #: Where a point's measurements came from.  ``live`` simulated now,
 #: ``cache`` replayed from the result cache, ``journal`` restored from a
@@ -120,7 +105,7 @@ class RunManifest:
     — so the whole results directory stays self-contained when moved."""
     obs_schema: int = OBS_SCHEMA_VERSION
     cache_schema: int = CACHE_SCHEMA_VERSION
-    lint_ruleset: int = field(default_factory=lint_ruleset_version)
+    code_digest: str = field(default_factory=code_digest)
 
     def to_dict(self) -> dict[str, object]:
         """A JSON-compatible representation."""

@@ -1,42 +1,38 @@
 """Content-addressed on-disk cache for sweep measurements.
 
-Simulations here are pure functions of their :class:`ScenarioConfig`, so
-a finished run's extracted measurements can be keyed by the config alone:
-the key is the SHA-256 of the canonical (sorted, compact) JSON form of
-:func:`~repro.scenarios.serialize.config_to_dict`, prefixed with a cache
-schema version.  Because the extractor decides *which* numbers are pulled
-out of a run, its fingerprint (qualified name + source hash) is folded
-into the key too — editing an extractor invalidates its entries without
-touching anybody else's.  The source is read once per code object in a
-process, so the edit takes effect where the edited code runs: in a new
-process, or after the module is re-imported.  A process still running
-the old code keeps filing under the old code's key.
+A run is a pure function of its :class:`ScenarioConfig` and of the code
+that runs it, so its extracted measurements are keyed by both: the
+SHA-256 of the entry layout's schema version, the canonical (sorted,
+compact) JSON of :func:`~repro.scenarios.serialize.config_to_dict`, the
+:func:`code_digest` of the ``repro`` package and the extractor's
+fingerprint (qualified name + a hash of the file that defines it).  Any
+edit under the package, a comment included, orphans every entry, and an
+edit to a user's extractor script orphans that extractor's: a hit
+replays what the asking code would measure.  Orphans are never read;
+deleting the cache directory removes them.  Both digests are read
+lazily, never at import — the package's on a process's first key, an
+extractor's file once per code object — so a file edited after import
+but before that read is the one window in which a key names code that
+is not running.
 
 Entries are single JSON files under ``~/.cache/repro`` (override with
 ``REPRO_CACHE_DIR`` or ``XDG_CACHE_HOME``), written atomically via a
-temp-file rename so concurrent sweep workers never observe torn entries.
-Bumping :data:`CACHE_SCHEMA_VERSION` orphans all old entries at once.
-Reads distrust the disk anyway: an entry that fails validation — torn
-bytes, foreign schema stamp, missing measurements — is moved to a
+temp-file rename so concurrent sweep workers never observe torn entries,
+each noting the code digest of the tree that produced it.  Reads
+distrust the disk anyway: an entry that fails validation — torn bytes,
+foreign schema stamp, missing measurements — is moved to a
 ``quarantine/`` directory with a reason note and recomputed, never
 returned and never silently destroyed.
-
-A cache hit silently substitutes an old result for a re-run, so it is
-only sound while the engine stays bit-for-bit deterministic.  Each
-stored document therefore notes the :data:`~repro.analysis.lint.LINT_RULESET_VERSION`
-the producing tree was checked against — a provenance breadcrumb for
-debugging stale-looking entries (it does not affect the key; bump the
-schema version to actually invalidate).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import json
 import os
 import shutil
+import sys
 import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -50,32 +46,41 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "canonical_config_json",
+    "code_digest",
     "config_hash",
     "default_cache_dir",
 ]
 
-#: Bump when the meaning of cached measurements changes (engine semantics,
-#: serialization format, ...) to invalidate every existing entry.
-#: v2: flows serialize an open ``algorithm`` name + ``params`` object
-#: (pluggable congestion control) instead of the closed ``kind`` enum,
-#: changing the canonical JSON every key is derived from.
-#: v3: the bottleneck discipline serializes as an open ``queue`` object
-#: (name + params against the queue-discipline registry) instead of the
-#: ``random_drop`` boolean, and configs gain the generalized-dumbbell
-#: fields (``n_left``/``n_right``, ``access_buffer_packets``, per-flow
-#: ``access_propagation``) — the discipline identity is now part of
-#: every key.
-CACHE_SCHEMA_VERSION = 3
+#: Bump when the layout of an entry or of its key changes, to orphan every
+#: existing entry; code changes need none, :func:`code_digest` is in
+#: every key.  v2: flows name an open ``algorithm`` + ``params``.  v3:
+#: the bottleneck ``queue`` object and the generalized-dumbbell fields.
+#: v4: keys fold in :func:`code_digest` and the extractor's file digest
+#: (not its source text); entries record ``code_digest``, not the lint
+#: ruleset.
+CACHE_SCHEMA_VERSION = 4
+
+_CODE_DIGEST: str | None = None
 
 
-def lint_ruleset_version() -> int:
-    """The linter's ruleset stamp, imported where a document is written:
-    a module-level import would load the whole linter into every process
-    that imports ``repro`` — each sweep worker and fleet agent — for this
-    one integer."""
-    from repro.analysis.lint.model import LINT_RULESET_VERSION
+def code_digest() -> str:
+    """SHA-256 over every ``*.py`` file of the ``repro`` package —
+    relative path, length and bytes, in relative-path order.
 
-    return LINT_RULESET_VERSION
+    Taken on the first call in a process (the first key or manifest),
+    never at import, and kept: a file edited after that read is not
+    seen until the next process.
+    """
+    global _CODE_DIGEST
+    if _CODE_DIGEST is None:
+        root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for relative in sorted(path.relative_to(root).as_posix()
+                               for path in root.rglob("*.py")):
+            data = (root / relative).read_bytes()
+            digest.update(f"{relative}\0{len(data)}\0".encode() + data)
+        _CODE_DIGEST = digest.hexdigest()
+    return _CODE_DIGEST
 
 
 def default_cache_dir() -> Path:
@@ -102,12 +107,13 @@ def canonical_config_json(config: ScenarioConfig) -> str:
 def _extractor_fingerprint(extract: Callable | None) -> str:
     """A stable identity for the measurement extractor.
 
-    Module-level functions hash their qualified name plus source text, so
-    renaming or editing the extractor invalidates its cache entries.  A
+    Module-level functions hash their qualified name plus the bytes of
+    the file that defines them, so renaming the extractor, or editing
+    it or a helper beside it, invalidates its cache entries.  A
     :func:`functools.partial` adds its bound arguments to its function's
     fingerprint and a callable instance stands for its class, so neither
-    is named by a ``repr()`` whose address changes with the process.  For
-    objects without retrievable source, the qualified name alone is used.
+    is named by a ``repr()`` whose address changes with the process.  An
+    extractor without a file behind it is named by its qualified name.
     """
     if extract is None:
         return ""
@@ -116,27 +122,33 @@ def _extractor_fingerprint(extract: Callable | None) -> str:
         return f"{_extractor_fingerprint(extract.func)}({extract.args!r},{keywords!r})"
     named = extract if hasattr(extract, "__qualname__") else type(extract)
     name = f"{getattr(named, '__module__', '?')}.{named.__qualname__}"
-    code = getattr(inspect.unwrap(named), "__code__", named)
+    code = getattr(named, "__code__", named)
     return _source_fingerprint(name, code, named)
 
 
 @functools.lru_cache(maxsize=256)
 def _source_fingerprint(name: str, code: object, named: Callable) -> str:
-    """``name`` plus a hash of ``named``'s source, read once per code
-    object that runs (a class stands for itself).  A code object never
-    changes, so the text read when it is first seen describes the code
-    that runs (unless the file was edited between import and that
-    read), where a re-read would follow the file on disk, edited but
-    not yet imported.  ``named`` — a function, or the class — is
-    part of the key because code objects compare by value: a reloaded
-    function whose code equals the old one's still gets its source read.
+    """``name`` plus a hash of the file of ``named``'s module, read once
+    per code object that runs (a class stands for itself), so the bytes
+    describe the code that runs, not a later edit on disk.  ``named`` —
+    a function, or the class — is part of the key because code objects
+    compare by value: a reloaded function whose code equals the old
+    one's still gets its file read.
     """
-    try:
-        source = inspect.getsource(named)
-    except (OSError, TypeError):
-        source = ""
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    module = sys.modules.get(getattr(named, "__module__", None) or "")
+    try:  # no module file (``-c``, a REPL, a builtin) opens ""
+        with open(getattr(module, "__file__", None) or "", "rb") as handle:
+            source = handle.read()
+    except OSError:
+        source = b""
+    digest = hashlib.sha256(source).hexdigest()[:16]
     return f"{name}:{digest}"
+
+
+def _key_fingerprint(extract: Callable | None) -> str:
+    """What a key adds to its config: the package's :func:`code_digest`
+    and the extractor's fingerprint."""
+    return f"{code_digest()}|{_extractor_fingerprint(extract)}"
 
 
 class PointIdentity(NamedTuple):
@@ -151,8 +163,9 @@ class PointIdentity(NamedTuple):
 
     @classmethod
     def of(cls, config: ScenarioConfig, fingerprint: str) -> "PointIdentity":
-        """Identify ``config`` given its extractor's fingerprint, which
-        a sweep computes once for all its points."""
+        """Identify ``config`` given its :func:`_key_fingerprint`, which
+        a sweep computes once for all its points; ``config_hash`` and
+        ``run_id`` do not depend on it."""
         document = canonical_config_json(config)
         digest = hashlib.sha256(document.encode()).hexdigest()
         blob = f"v{CACHE_SCHEMA_VERSION}|{document}|{fingerprint}"
@@ -168,7 +181,7 @@ def config_hash(config: ScenarioConfig) -> str:
 def cache_key(config: ScenarioConfig, extract: Callable | None = None) -> str:
     """The content address of one (config, extractor) measurement set
     (one-shot)."""
-    return PointIdentity.of(config, _extractor_fingerprint(extract)).key
+    return PointIdentity.of(config, _key_fingerprint(extract)).key
 
 
 class ResultCache:
@@ -188,9 +201,6 @@ class ResultCache:
         self.misses = 0
         self.quarantined = 0
 
-    # ------------------------------------------------------------------
-    # Raw key interface
-    # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
         return Path(self._version_root, key[:2], f"{key}.json")
 
@@ -306,7 +316,7 @@ class ResultCache:
         document = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
-            "lint_ruleset": lint_ruleset_version(),
+            "code_digest": code_digest(),
             "config": config_to_dict(config) if config is not None else None,
             "measurements": measurements,
         }
@@ -366,19 +376,6 @@ class ResultCache:
             RuntimeWarning,
             stacklevel=3,
         )
-
-    # ------------------------------------------------------------------
-    # Config-level interface
-    # ------------------------------------------------------------------
-    def get_config(self, config: ScenarioConfig,
-                   extract: Callable | None = None) -> dict | None:
-        """Cached measurements for a (config, extractor) pair, if any."""
-        return self.get(cache_key(config, extract))
-
-    def put_config(self, config: ScenarioConfig, measurements: dict,
-                   extract: Callable | None = None) -> Path | None:
-        """Store measurements for a (config, extractor) pair."""
-        return self.put(cache_key(config, extract), measurements, config=config)
 
     # ------------------------------------------------------------------
     # Maintenance

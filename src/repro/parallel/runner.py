@@ -52,7 +52,7 @@ from repro.engine.sanitize import SANITIZE_ENV, sanitize_enabled
 from repro.errors import BackendUnavailable, ConfigurationError, SweepFailureError
 from repro.parallel.backends import LocalBackend, resolve_backend
 from repro.parallel.backends.base import BackendRequest
-from repro.parallel.cache import PointIdentity, ResultCache, _extractor_fingerprint
+from repro.parallel.cache import PointIdentity, ResultCache, _key_fingerprint
 from repro.parallel.progress import PointProgress
 from repro.resilience.faults import active_plan, corrupt_entry_file
 from repro.resilience.journal import JournalEntry, SweepJournal
@@ -124,7 +124,7 @@ class _Ledger:
         self.identities: list[PointIdentity] = []
         if cache is not None or policy is not None or manifest_dir is not None:
             distinct = {id(extract): extract for extract in extracts}
-            fingerprints = {key: _extractor_fingerprint(extract)
+            fingerprints = {key: _key_fingerprint(extract)
                             for key, extract in distinct.items()}
             self.identities = [
                 PointIdentity.of(config, fingerprints[id(extract)])

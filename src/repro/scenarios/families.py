@@ -2,10 +2,10 @@
 
 Parallel sweeps pickle the ``make_config`` products and the ``extract``
 callable to worker processes, and the result cache fingerprints the
-extractor's source.  Both want *module-level* functions — closures and
-lambdas neither pickle nor fingerprint stably — so the sweep families
-shared by the CLI (``repro sweep``), the benchmark suite and the tests live
-here.  Partial application (``functools.partial``) of these functions is
+extractor by its qualified name and file.  Both want *module-level*
+functions — closures and lambdas neither pickle nor fingerprint stably —
+so the sweep families shared by the CLI (``repro sweep``), the benchmark
+suite and the tests live here.  Partial application (``functools.partial``) of these functions is
 picklable too and is the supported way to fix durations or seeds.
 """
 

@@ -5,7 +5,6 @@ import shutil
 
 import pytest
 
-from repro.analysis.lint.model import LINT_RULESET_VERSION
 from repro.obs import (
     OBS_SCHEMA_VERSION,
     Tracer,
@@ -21,6 +20,7 @@ from repro.parallel import (
     cache_key,
     config_hash,
 )
+from repro.parallel.cache import code_digest
 from repro.scenarios import FlowSpec, ScenarioConfig, run
 from repro.scenarios.families import utilization_extract
 
@@ -95,7 +95,8 @@ class TestBuildManifest:
         # The manifest must point at the exact file the cache would use.
         config = small_config()
         cache = ResultCache(tmp_path)
-        stored = cache.put_config(config, {"u": 1.0}, utilization_extract)
+        stored = cache.put(cache_key(config, utilization_extract), {"u": 1.0},
+                           config=config)
         manifest = build_manifest(config, source="cache",
                                   identity=_identity(config))
         assert stored.stem == manifest.cache_key
@@ -140,7 +141,7 @@ class TestWriteManifest:
         assert path.name == f"{manifest.run_id}.manifest.json"
         data = json.loads(path.read_text())
         assert data["config_hash"] == config_hash(config)
-        assert data["lint_ruleset"] == LINT_RULESET_VERSION
+        assert data["code_digest"] == code_digest()
 
     def test_explicit_file_target(self, tmp_path):
         manifest = build_manifest(small_config())

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analysis.lint.model import LINT_RULESET_VERSION
+from repro.obs.manifest import run_id_for
 from repro.parallel.cache import (
     CACHE_SCHEMA_VERSION,
+    PointIdentity,
     ResultCache,
     cache_key,
     canonical_config_json,
+    code_digest,
+    config_hash,
     default_cache_dir,
 )
 from repro.parallel.runner import resolve_cache
@@ -55,6 +58,18 @@ class TestCacheKey:
                 != cache_key(config, timeouts_extract))
         assert cache_key(config, utilization_extract) != cache_key(config)
 
+    def test_code_digest_is_part_of_every_key(self, monkeypatch):
+        """A key names the tree that measured; the config hash and run
+        id name the config alone."""
+        config = _config()
+        keys = (cache_key(config), cache_key(config, utilization_extract))
+        identity = PointIdentity.of(config, "")
+        monkeypatch.setattr("repro.parallel.cache._CODE_DIGEST", "0" * 64)
+        assert cache_key(config) != keys[0]
+        assert cache_key(config, utilization_extract) != keys[1]
+        assert config_hash(config) == identity.config_hash
+        assert run_id_for(config) == identity.run_id
+
     def test_key_is_hex_sha256(self):
         key = cache_key(_config())
         assert len(key) == 64
@@ -64,10 +79,11 @@ class TestCacheKey:
 class TestResultCache:
     def test_miss_then_hit_round_trip(self, cache):
         config = _config()
-        assert cache.get_config(config, utilization_extract) is None
+        key = cache_key(config, utilization_extract)
+        assert cache.get(key) is None
         measurements = {"util:sw1->sw2": 0.7012345678901234}
-        cache.put_config(config, measurements, utilization_extract)
-        assert cache.get_config(config, utilization_extract) == measurements
+        cache.put(key, measurements, config=config)
+        assert cache.get(key) == measurements
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_floats_survive_exactly(self, cache):
@@ -77,10 +93,10 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss_and_removed(self, cache):
         config = _config()
-        path = cache.put_config(config, {"a": 1.0})
+        path = cache.put(cache_key(config), {"a": 1.0}, config=config)
         path.write_text("{not json")
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert cache.get_config(config) is None
+            assert cache.get(cache_key(config)) is None
         assert not path.exists()
         assert cache.quarantined == 1
 
@@ -90,12 +106,12 @@ class TestResultCache:
         the cache tree, where nothing counts or removes it."""
         config = _config()
         with pytest.raises(TypeError, match="int64"):
-            cache.put_config(config, {"drops": np.int64(3)})
+            cache.put(cache_key(config), {"drops": np.int64(3)}, config=config)
         assert sorted(cache.root.rglob("*.tmp.*")) == []
         assert len(cache) == 0
-        assert cache.get_config(config) is None
-        cache.put_config(config, {"drops": 3})
-        assert cache.get_config(config) == {"drops": 3}
+        assert cache.get(cache_key(config)) is None
+        cache.put(cache_key(config), {"drops": 3}, config=config)
+        assert cache.get(cache_key(config)) == {"drops": 3}
 
     def test_failed_write_leaves_no_temp_file(self, cache, monkeypatch):
         """A write that dies half-way (a full disk) removes its temp file
@@ -107,39 +123,43 @@ class TestResultCache:
 
         monkeypatch.setattr(Path, "write_text", torn_write)
         with pytest.raises(OSError, match="No space left"):
-            cache.put_config(_config(), {"a": 1.0})
+            cache.put("k" * 64, {"a": 1.0})
         assert sorted(cache.root.rglob("*.tmp.*")) == []
 
     def test_len_and_clear(self, cache):
-        cache.put_config(_config(), {"a": 1.0})
-        cache.put_config(_config(seed=2), {"a": 2.0})
+        cache.put("a" * 64, {"a": 1.0})
+        cache.put("b" * 64, {"a": 2.0})
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
-        assert cache.get_config(_config()) is None
+        assert cache.get("a" * 64) is None
 
     def test_entries_are_self_describing(self, cache):
         config = _config()
-        path = cache.put_config(config, {"a": 1.0})
+        path = cache.put(cache_key(config), {"a": 1.0}, config=config)
         document = json.loads(path.read_text())
         assert document["schema"] == CACHE_SCHEMA_VERSION
         assert document["config"] == config_to_dict(config)
-        assert document["lint_ruleset"] == LINT_RULESET_VERSION
+        assert document["code_digest"] == code_digest()
 
     def test_importing_repro_does_not_load_the_linter(self):
-        """The ruleset stamp is read where it is written, so workers and
-        fleet agents do not compile ~3.5k lint lines to simulate."""
+        """Importing the cache loads no linter and reads no source file:
+        workers and fleet agents import it to simulate, and the code
+        digest is taken on a process's first key."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-        probe = ("import repro, sys; assert not any("
+        probe = ("import repro.parallel, repro.obs, sys; "
+                 "from repro.parallel import cache; "
+                 "assert cache._CODE_DIGEST is None; assert not any("
                  "m.startswith('repro.analysis.lint') for m in sys.modules)")
         subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
     def test_schema_version_partitions_entries(self, cache, monkeypatch):
-        cache.put_config(_config(), {"a": 1.0})
+        key = cache_key(_config())
+        cache.put(key, {"a": 1.0})
         monkeypatch.setattr("repro.parallel.cache.CACHE_SCHEMA_VERSION", 99)
         fresh = ResultCache(cache.root)
-        assert fresh.get_config(_config()) is None
+        assert fresh.get(key) is None
 
 
 class TestDefaults:

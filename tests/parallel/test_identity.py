@@ -12,6 +12,7 @@ import hashlib
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -246,3 +247,46 @@ def test_fingerprint_follows_the_code_that_runs(tmp_path, monkeypatch):
         assert _extractor_fingerprint(reloaded.extract) != imported
     finally:
         sys.modules.pop(EDITED_MODULE, None)
+
+
+#: One cached point of the tree on ``sys.path``, in a fresh process.
+PLANTED_PROBE = """
+import functools, json, sys
+from repro.parallel import ResultCache
+from repro.scenarios import families, sweep
+cache = ResultCache(sys.argv[1])
+make_config = functools.partial(families.conjecture_config, duration=5.0,
+                                warmup=2.0)
+[point] = sweep(make_config, families.CONJECTURE_CASES[:1],
+                families.utilization_extract, cache=cache, jobs=1)
+print(json.dumps([point.measurements, cache.hits, cache.misses]))
+"""
+UTILIZATION = "return self.busy_time(start, end) / (end - start)"
+HALVED = "return 0.5 * self.busy_time(start, end) / (end - start)"
+
+
+def test_an_edit_under_the_package_misses_the_cache(tmp_path):
+    """A cache hit replays what the running code would measure: after an
+    edit to a monitor the extractor only calls, the warm point misses
+    and measures with the edited code; the unedited tree then hits."""
+    package = tmp_path / "src" / "repro"
+    shutil.copytree(Path(repro.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    env.pop("REPRO_FAULTS", None)
+
+    def point():
+        probe = subprocess.run(
+            [sys.executable, "-c", PLANTED_PROBE, str(tmp_path / "cache")],
+            check=True, env=env, stdout=subprocess.PIPE, text=True)
+        return json.loads(probe.stdout)
+
+    cold, hits, misses = point()
+    assert (hits, misses) == (0, 1) and all(cold.values())
+    monitor = package / "metrics" / "port_monitor.py"
+    source = monitor.read_text()
+    assert source.count(UTILIZATION) == 1
+    monitor.write_text(source.replace(UTILIZATION, HALVED))
+    edited = point()
+    assert edited == [{name: u / 2 for name, u in cold.items()}, 0, 1]
+    assert point() == edited[:1] + [1, 0]

@@ -13,18 +13,20 @@ simulated, replayed from the cache, restored from a journal, retried,
 failed for good — and each transcript holds everything an observer of
 ``run_configs`` can see: the progress events, ``--report``, the
 per-point manifests, the journal lines and the cache directory
-listing, with wall-clock fields (and the lint ruleset stamp, which
-moves with unrelated changes) nulled and live worker names reduced to
+listing, with wall-clock fields nulled and live worker names reduced to
 their kind.
 
 ``jobs=1`` must reproduce a transcript exactly, order included;
 ``jobs=2`` completes points in any order, so it is held to the same
-transcript as multisets.  Regenerate the file only when something it
-pins is *meant* to move (a cache schema bump, an edit to the
-extractor's source).  The cache listing and manifests are also the one
-pin on the bytes of a point's cache key, config hash and run id, which
-caches on users' disks are addressed by: a changed key recipe or
-extractor fingerprint fails here alone.
+transcript as multisets.  Every key folds in digests of the code on
+disk, which any edit moves, so the drills run under :data:`CODE_DIGEST`
+and :data:`FILE_DIGEST` in their place (``test_cache.py`` checks that
+the live digest enters the key).  Regenerate the file only when
+something it pins is *meant* to move (a cache schema bump, a new key
+recipe).  The cache listing and manifests are also the one pin on the
+bytes of a point's cache key, config hash and run id, which caches on
+users' disks are addressed by: a changed key recipe or extractor name
+fails here alone.
 """
 
 import json
@@ -33,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.parallel import ParallelSweepRunner, ResultCache
+from repro.parallel import cache as cache_module
 from repro.resilience import FAULTS_ENV, ResilienceConfig
 from repro.scenarios import families
 
@@ -42,9 +45,13 @@ CONFIGS = [families.conjecture_config(case, duration=5.0, warmup=2.0)
            for case in families.CONJECTURE_CASES[:4]]
 extract = families.utilization_extract
 
+#: Stand-ins for the package's code digest and the extractor file's.
+CODE_DIGEST = "c0de" * 16
+FILE_DIGEST = "f11e" * 4
+
 pytestmark = pytest.mark.usefixtures("fast_backoff")
 #: Keys nulled wherever they appear.
-_SCRUBBED = ("wall_seconds", "lint_ruleset")
+_SCRUBBED = ("wall_seconds",)
 _REPLAYED = ("journal", "cache", "")
 
 
@@ -61,6 +68,16 @@ def _scrub(document):
 
 def _kind(worker: str) -> str:
     return worker if worker in _REPLAYED else "process"
+
+
+def _fixed_source_fingerprint(name, code, named):
+    return f"{name}:{FILE_DIGEST}"
+
+
+def _fix_digests(setattr) -> None:
+    """Key every point under the stand-in digests."""
+    setattr(cache_module, "_CODE_DIGEST", CODE_DIGEST)
+    setattr(cache_module, "_source_fingerprint", _fixed_source_fingerprint)
 
 
 def _observe(root: Path, jobs: int, policy=None, *, configs=CONFIGS,
@@ -148,6 +165,7 @@ def test_a_sweep_reads_as_it_did_before_the_ledger(name, jobs, tmp_path,
                                                    monkeypatch):
     spec, drill = DRILLS[name]
     monkeypatch.setenv(FAULTS_ENV, spec)
+    _fix_digests(monkeypatch.setattr)
     recorded = json.loads(TRANSCRIPTS.read_text())[name]
     # Through JSON, as the recording went: tuples and int keys flatten.
     seen = json.loads(json.dumps(drill(tmp_path, jobs)))
@@ -163,6 +181,7 @@ if __name__ == "__main__":  # pragma: no cover - the recording session
     from repro.resilience import policy
 
     policy.BACKOFF_BASE, policy.BACKOFF_CAP = 0.01, 0.02  # as fast_backoff
+    _fix_digests(setattr)
 
     def _record(drill, jobs: int) -> dict:
         with tempfile.TemporaryDirectory() as scratch:

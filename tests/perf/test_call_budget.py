@@ -11,7 +11,7 @@ packet totals are pinned too, so a change that makes the path cheaper by
 
 The replay path — a warm sweep answered entirely by the result cache —
 is budgeted the same way, per replayed point, together with the number
-of times the sweep reads its extractor's source and builds a flow's
+of times the sweep reads its extractor's file and builds a flow's
 strategy to validate it.
 
 What a sweep point does *around* the event loop is held to a growth law
@@ -22,7 +22,6 @@ three were quadratic in the population before they were budgeted.
 
 import functools
 import gc
-import inspect
 import sys
 import tracemalloc
 from array import array
@@ -80,7 +79,8 @@ EVENTS_BUILT_PER_PACKET_BUDGET = 0.5
 #: and a tenth of the sweep's one memoised extractor fingerprint.
 #: Measured 68.1 on CPython 3.11 (141.5 when each flow built and dropped
 #: a strategy, every sweep re-read its extractor's source and a read
-#: went through ``pathlib``; 520.3 when every point re-read the source);
+#: went through ``pathlib``; 520.3 when every point re-read the source;
+#: the package's code digest, taken once a process, adds nothing);
 #: the headroom (13 %, as before) allows for another interpreter's
 #: ``json`` but is smaller than a second serialisation of the config
 #: (+27) or a source read per sweep (+27 a point).
@@ -263,13 +263,7 @@ def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
                  jobs=1)
     assert (cache.hits, cache.misses) == (0, REPLAY_POINTS)
 
-    source_reads = []
-    getsource = inspect.getsource
-
-    def counting_getsource(target):
-        source_reads.append(target)
-        return getsource(target)
-
+    source_reads = _source_fingerprint.cache_info().misses
     strategies = []
     build = Registry._build
 
@@ -278,14 +272,13 @@ def test_replay_identifies_each_point_once(tmp_path, monkeypatch):
             strategies.append((name, tuple(params)))
         return build(self, name, factory, args, params, kwargs)
 
-    monkeypatch.setattr(inspect, "getsource", counting_getsource)
     monkeypatch.setattr(Registry, "_build", counting_build)
     calls, _, warm = _count_calls(
         lambda: sweep(make_config, values, families.sync_extract,
                       cache=cache, jobs=1))
     assert warm == cold
     assert (cache.hits, cache.misses) == (REPLAY_POINTS, REPLAY_POINTS)
-    assert source_reads == []
+    assert _source_fingerprint.cache_info().misses == source_reads
     policies = {(flow.algorithm, flow.params, flow.window)
                 for value in values for flow in make_config(value).flows}
     assert len(strategies) <= len(policies)

@@ -112,12 +112,22 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "cache: off" in out
 
-    def test_parallel_jobs_accepted(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family", ["conjecture", "phase", "buffer"])
+    def test_parallel_jobs_accepted(self, family, tmp_path, capsys,
+                                    monkeypatch):
+        """Every family's extractor and config factory cross to a worker:
+        two points, so ``jobs=2`` really starts two."""
+        from repro.scenarios import families
+
+        values = {"conjecture": "CONJECTURE_CASES", "phase": "PHASE_CASES",
+                  "buffer": "BUFFER_SIZES"}[family]
+        monkeypatch.setattr(families, values, getattr(families, values)[:2])
         cache_dir = str(tmp_path / "cache")
-        assert main(["sweep", "conjecture", "--fast", "--jobs", "2",
+        assert main(["sweep", family, "--fast", "--jobs", "2",
                      "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "jobs=2" in out
+        assert "0 hits, 2 misses" in out
 
 
 class TestSweepExitCodes:
