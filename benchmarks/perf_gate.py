@@ -6,8 +6,8 @@ suite, judged on the per-metric median of the suite's own ledger.
 No arguments and no timing code: every number comes from the last-line
 JSON of ``benchmarks/suite/run.py --workload paper_figures --trace 1``.
 Exit 1 when a run is not ``correct``, a named metric is absent, or a
-median crosses its limit.  ``docs/performance.md`` has the parent-commit
-medians and quartiles each limit was derived from.
+median crosses its limit.  The medians and quartiles each limit was
+derived from are in docs/performance.md, "The CI perf gate's limits".
 """
 
 from __future__ import annotations
@@ -26,19 +26,20 @@ COMMAND = [sys.executable, str(REPO_ROOT / "benchmarks" / "suite" / "run.py"),
 #: (metric, divisor metric or None, worst allowed median, which side is bad).
 #: Each limit is the outer fence (q3 + 3 IQR; q1 - 3 IQR for the floor) of
 #: 50 single runs on the parent of PR 16, rounded outward: a gate fails when
-#: three of its five runs are far-out outliers (docs/performance.md).  The
-#: monitor row — what a ``TraceSet`` adds to an unmonitored two-way run, the
-#: one gated cost of enabled observation — is fenced the same way from 24
-#: runs of the PR 23 tree, whose C-level journal sinks made that cost what
-#: it is (5.3 %; the eager handlers before it read 22).  The last two
-#: rows are same-run ratios in which machine speed cancels.  Cancel over
-#: tick stands in for the retired paired cancel gate, which has no twin in
-#: the suite.  Build at N = 128 over build at N = 2 is the growth law of
-#: everything a population point sets up before its first event: 28 when
-#: single-port nodes share one route table per neighbour and drop-tail
-#: queues hold no random stream (25 runs of that tree, fenced the same
-#: way), 68 when every host held a table over every host, 166 ... 215
-#: when it was one BFS per host.
+#: three of its five runs are far-out outliers
+#: (docs/performance.md, "The CI perf gate's limits").  The monitor row —
+#: what a ``TraceSet`` adds to an unmonitored two-way run, the one gated cost
+#: of enabled observation — is fenced the same way from 24 runs of the PR 23
+#: tree, whose C-level journal sinks made that cost what it is (5.3 %; the
+#: eager handlers before it read 22).  The last two rows are same-run
+#: ratios in which machine speed cancels.  Cancel over tick stands in for
+#: the retired paired cancel gate, which has no twin in the suite.  Build
+#: at N = 128 over build at N = 2 is the growth law of everything a
+#: population point sets up before its first event: 28 when single-port
+#: nodes share one route table per neighbour and drop-tail queues hold no
+#: random stream (25 runs of that tree, fenced the same way), 68 when every
+#: host held a table over every host, 166 ... 215 when it was one BFS per
+#: host.
 LIMITS = (
     ("engine.vs_frozen_kernel_pct", None, -2.0, "above"),
     ("parallel.runner_overhead_pct", None, 13.0, "above"),

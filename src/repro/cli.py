@@ -504,10 +504,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from repro.experiments import population
     from repro.viz.gallery import render_gallery
 
     _check_outputs(directories=(("--output", args.output),))
-    for path in render_gallery(args.output):
+    meanfield = Path(args.output) / "red_meanfield.txt"
+    for path in [*render_gallery(args.output),
+                 population.write_meanfield_figure(meanfield)]:
         print(f"wrote {path}")
     return 0
 

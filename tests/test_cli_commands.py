@@ -1,5 +1,6 @@
 """CLI command tests that exercise real (but small) runs."""
 
+import functools
 import hashlib
 import json
 import os
@@ -66,7 +67,8 @@ class TestRunConfigCommand:
 
 class TestFiguresCommand:
     def test_renders_to_directory(self, tmp_path, capsys, monkeypatch):
-        # Swap the gallery for one fast figure.
+        # Swap the gallery for one fast figure and shorten the mean-field one.
+        from repro.experiments import population
         from repro.viz import gallery
 
         fast = {
@@ -74,10 +76,13 @@ class TestFiguresCommand:
                         gallery.FIGURES["figure8"][1]),
         }
         monkeypatch.setattr(gallery, "FIGURES", fast)
+        monkeypatch.setattr(population, "write_meanfield_figure", functools.partial(
+            population.write_meanfield_figure, duration=60.0, warmup=20.0, ns=(2,)))
         out_dir = tmp_path / "figs"
         assert main(["figures", "-o", str(out_dir)]) == 0
-        assert (out_dir / "figure8.txt").exists()
-        assert "wrote" in capsys.readouterr().out
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "figure8.txt", "red_meanfield.txt"]
+        assert capsys.readouterr().out.count("wrote") == 2
 
 
 class TestRunCommandFast:
