@@ -8,9 +8,6 @@
 
 from __future__ import annotations
 
-from repro.analysis.clustering import cluster_runs, clustering_stats
-from repro.analysis.oscillation import rapid_fluctuation_amplitude
-from repro.analysis.synchronization import SyncMode
 from repro.errors import AnalysisError
 from repro.experiments.fixed_window import (
     add_conjecture_rows,
@@ -42,6 +39,8 @@ def four_switch_measure(result: ScenarioResult) -> dict:
 
 
 def _grade_four_switch(report, points) -> None:
+    from repro.analysis.synchronization import SyncMode
+
     [m] = points
     report.add("ACK-compression present at some source", "yes",
                f"max compressed fraction {m['compressed']:.0%}",
@@ -79,6 +78,8 @@ four_switch = Experiment(
 def clustering_measure(result: ScenarioResult) -> dict:
     """Cluster statistics of the mixed stream in both bottleneck
     directions: one connection's data with the other's ACKs."""
+    from repro.analysis.clustering import cluster_runs, clustering_stats
+
     start, end = result.window
     measured = {}
     for port in ("sw1->sw2", "sw2->sw1"):
@@ -202,6 +203,8 @@ def merged_cluster_measure(result: ScenarioResult) -> dict:
     """Data-packet clustering on the last forward hop, where every flow
     has merged: ``sw1->sw2`` on a dumbbell, ``sw2->sw3`` on a
     three-switch chain."""
+    from repro.analysis.clustering import cluster_runs, clustering_stats
+
     start, end = result.window
     stats = clustering_stats(cluster_runs(
         result.traces.queue(result.bottleneck_ports[-2]).departures,
@@ -302,6 +305,8 @@ aimd_conjecture = Experiment(
 
 def four_switch_fifty_measure(result: ScenarioResult) -> dict:
     """The 50-connection chain's observables on its middle hop."""
+    from repro.analysis.oscillation import rapid_fluctuation_amplitude
+
     start, end = result.window
     # Heavily contended connections can be starved over a short window;
     # skip any with too few ACKs to measure.
@@ -324,6 +329,8 @@ def four_switch_fifty_measure(result: ScenarioResult) -> dict:
 
 
 def _grade_four_switch_fifty(report, points) -> None:
+    from repro.analysis.synchronization import SyncMode
+
     [m] = points
     report.add("ACK-compression present", "yes",
                f"max compressed fraction {m['compressed']:.0%}",

@@ -7,8 +7,6 @@ chronology, and the zero-length-ACK synchronization conjecture.
 
 from __future__ import annotations
 
-from repro.analysis.compression import compressed_ack_bursts
-from repro.analysis.conjecture import check_prediction, predict
 from repro.experiments.expectations import QUEUE_MAXIMA, UTILIZATION
 from repro.experiments.report import Experiment
 from repro.scenarios import ScenarioResult, families, paper
@@ -94,6 +92,8 @@ fig9 = Experiment(
 def ack_compression_measure(result: ScenarioResult) -> dict:
     """ACK-compression at both sources and the compressed ACK bursts
     leaving ``sw2->sw1``."""
+    from repro.analysis.compression import compressed_ack_bursts
+
     start, end = result.window
     data_tx = result.config.data_tx_time
     compression = {}
@@ -163,6 +163,8 @@ def add_conjecture_rows(report, points, label_prefix: str = "",
     most that many packets is reported ungraded.  Returns each case's
     match.
     """
+    from repro.analysis.conjecture import check_prediction, predict
+
     matches = []
     for (w1, w2, _), m in zip(families.GRADED_CONJECTURE_CASES, points):
         u1, u2 = m["util:sw1->sw2"], m["util:sw2->sw1"]

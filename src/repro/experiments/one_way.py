@@ -7,12 +7,6 @@ the utilization claims for both pipe sizes.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.acceleration import check_acceleration_prediction
-from repro.analysis.clustering import cluster_runs, clustering_stats
-from repro.analysis.epochs import epoch_period
-from repro.analysis.synchronization import drop_coincidence
 from repro.experiments.expectations import PERIODS, UTILIZATION
 from repro.experiments.report import Experiment
 from repro.scenarios import ScenarioResult, families, paper
@@ -22,6 +16,11 @@ __all__ = ["fig2", "fig2_small_pipe", "idle_scaling", "capacity_check"]
 
 def fig2_measure(result: ScenarioResult) -> dict:
     """Figure 2's observables on the ``sw1->sw2`` bottleneck."""
+    from repro.analysis.acceleration import check_acceleration_prediction
+    from repro.analysis.clustering import cluster_runs, clustering_stats
+    from repro.analysis.epochs import epoch_period
+    from repro.analysis.synchronization import drop_coincidence
+
     start, end = result.window
     epochs = result.epochs()
     check = check_acceleration_prediction(epochs, n_connections=3)
@@ -123,6 +122,8 @@ def _idle_configs(duration, warmup):
 
 
 def _grade_idle_scaling(report, points) -> None:
+    import numpy as np
+
     idles = {buffers: 1.0 - m["util:sw1->sw2"]
              for buffers, m in zip(IDLE_BUFFERS, points)}
     for buffers, idle in idles.items():

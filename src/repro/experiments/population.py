@@ -21,9 +21,6 @@ import math
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.analysis.synchronization import SyncMode
 from repro.experiments.report import Experiment, verdict_measure
 from repro.scenarios import ScenarioResult, families
 from repro.scenarios.config import QueueSpec, ScenarioConfig
@@ -71,6 +68,8 @@ def ensemble_measure(result: ScenarioResult) -> dict:
 
 
 def _grade_droptail_sync(report, points) -> None:
+    from repro.analysis.synchronization import SyncMode
+
     verdicts = dict(zip(DROPTAIL_BUFFERS, points))
     for buffers, v in verdicts.items():
         report.add(
@@ -190,6 +189,8 @@ def _red_config(n: int, duration: float, warmup: float) -> ScenarioConfig:
 def meanfield_measure(result: ScenarioResult) -> dict:
     """The instantaneous ensemble-mean cwnd (sampled every 0.25 s)
     against the run's mean-field fixed point."""
+    import numpy as np
+
     start, end = result.window
     ensemble = np.mean(np.stack([series.sample(start, end, 0.25)[1]
                                  for series in result.cwnd_series()]), axis=0)

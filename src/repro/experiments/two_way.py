@@ -7,15 +7,6 @@ delayed-ACK discussion of Section 5.
 
 from __future__ import annotations
 
-from repro.analysis.clustering import cluster_runs, clustering_stats
-from repro.analysis.epochs import drops_per_epoch
-from repro.analysis.growth import growth_concavity, rebuild_segments
-from repro.analysis.oscillation import rapid_fluctuation_amplitude
-from repro.analysis.synchronization import (
-    SyncMode,
-    alternation_fraction,
-    mean_correlation,
-)
 from repro.experiments.expectations import DROP_PATTERNS, UTILIZATION
 from repro.experiments.report import Experiment, add_sync_row, verdict_measure
 from repro.scenarios import ScenarioResult, families, paper
@@ -30,6 +21,10 @@ FORWARD = "util:sw1->sw2"
 def fig3_measure(result: ScenarioResult) -> dict:
     """Figure 3's observables: sw1->sw2, epochs at a 4 s gap, and the
     window coherence within and between the two host groups."""
+    from repro.analysis.epochs import drops_per_epoch
+    from repro.analysis.oscillation import rapid_fluctuation_amplitude
+    from repro.analysis.synchronization import mean_correlation
+
     start, end = result.window
     host1_group = result.cwnd_series(range(1, 6))
     host2_group = result.cwnd_series(range(6, 11))
@@ -49,6 +44,8 @@ def fig3_measure(result: ScenarioResult) -> dict:
 
 
 def _grade_fig3(report, points) -> None:
+    from repro.analysis.synchronization import SyncMode
+
     [m] = points
     band = UTILIZATION["fig3_b30"]
     report.add("bottleneck utilization", f"~{band.value:.0%}",
@@ -117,6 +114,10 @@ fig3_buffer60 = Experiment(
 def fig4_5_measure(result: ScenarioResult) -> dict:
     """Figures 4-5's observables: phase, per-epoch loss pattern,
     ACK-compression at connection 1 and the shape of its rebuilds."""
+    from repro.analysis.epochs import drops_per_epoch
+    from repro.analysis.growth import growth_concavity, rebuild_segments
+    from repro.analysis.synchronization import alternation_fraction
+
     start, end = result.window
     epochs = result.epochs()
     single = sum(1 for e in epochs if len(e.connections) == 1)
@@ -135,6 +136,8 @@ def fig4_5_measure(result: ScenarioResult) -> dict:
 
 
 def _grade_fig4_5(report, points) -> None:
+    from repro.analysis.synchronization import SyncMode
+
     [m] = points
     band = UTILIZATION["fig4_two_way_small_pipe"]
     report.add("bottleneck utilization", f"~{band.value:.0%}",
@@ -201,6 +204,8 @@ def fig6_7_measure(result: ScenarioResult) -> dict:
 
 
 def _grade_fig6_7(report, points) -> None:
+    from repro.analysis.synchronization import SyncMode
+
     [m] = points
     band = UTILIZATION["fig6_two_way_large_pipe"]
     report.add("bottleneck utilization", f"~{band.value:.0%}",
@@ -272,6 +277,8 @@ def mixed_cluster_measure(result: ScenarioResult) -> dict:
     """Cluster statistics of the *mixed* departure stream of
     ``sw1->sw2`` — one connection's data interleaved with the other's
     ACKs, the stream whose run lengths ACK-compression feeds on."""
+    from repro.analysis.clustering import cluster_runs, clustering_stats
+
     start, end = result.window
     stats = clustering_stats(cluster_runs(
         result.traces.queue("sw1->sw2").departures,

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.metrics.journal import Derived
 from repro.tcp.sender import Sender
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["AckArrivalLog", "AckArrival"]
 
@@ -75,10 +76,14 @@ class AckArrivalLog:
     @property
     def times(self) -> np.ndarray:
         """Arrival instants as an array."""
+        import numpy as np
+
         return np.asarray([a.time for a in self.arrivals], dtype=float)
 
     def inter_arrival_times(self, start: float = 0.0, end: float = float("inf")) -> np.ndarray:
         """Gaps between consecutive ACK arrivals within a window."""
+        import numpy as np
+
         times = self.times
         mask = (times >= start) & (times < end)
         selected = times[mask]

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import AnalysisError
 from repro.metrics.drop_log import DropLog, DropRecord
@@ -40,6 +38,9 @@ from repro.metrics.timeseries import StepSeries
 from repro.net.packet import PacketKind
 from repro.net.port import OutputPort
 from repro.net.queues import ADMIT, TAKE
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["PortMonitor", "DepartureRecord", "SojournSample",
            "effective_pipe_packets"]
@@ -292,6 +293,8 @@ class PortMonitor:
         ``data_only=True`` keeps DATA packets, ``False`` keeps ACKs,
         ``None`` keeps both.
         """
+        import numpy as np
+
         selected = [
             s.wait for s in self.samples
             if start <= s.departed_at < end

@@ -12,16 +12,19 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["StepSeries"]
 
 
 def _view(column: array) -> np.ndarray:
+    import numpy as np
+
     view = np.asarray(column)
     view.flags.writeable = False
     return view
@@ -69,6 +72,8 @@ class StepSeries:
                        values: Iterable[float]) -> None:
         """Append change-points given as two parallel columns: the same
         points, guard and coercion as a ``record`` per pair, in C."""
+        import numpy as np
+
         column = array("d", times)
         if not column:
             return
@@ -149,6 +154,8 @@ class StepSeries:
 
         Returns ``(grid_times, grid_values)``.
         """
+        import numpy as np
+
         if dt <= 0:
             raise AnalysisError(f"sample interval must be positive, got {dt}")
         if end <= start:

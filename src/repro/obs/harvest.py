@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.analysis.compression import compression_stats
 from repro.errors import AnalysisError
 from repro.metrics.timeseries import StepSeries
 
@@ -176,6 +175,8 @@ def harvest(built: "BuiltScenario", *,
     as ``repro_run_wall_seconds`` when non-zero (reporting only, the one
     row two identical runs may disagree on).
     """
+    from repro.analysis.compression import compression_stats
+
     sim = built.sim
     config = built.config
     start, end = config.measurement_window

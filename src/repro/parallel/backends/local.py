@@ -84,9 +84,10 @@ def _quiet_fork():
     CPython issues it after the fork and drops it if a filter turns it
     into an error, so it cannot fail a start; unfiltered it is printed
     under ``-W default`` and in pytest's summary, once per worker.
-    The threads it counts are native ones: ``import numpy`` starts an
-    OpenBLAS pool, so this process has two OS threads and one Python
-    thread.  Forking beside that pool is safe: OpenBLAS registers a
+    The threads it counts are native ones: once this process has
+    imported numpy (:func:`_start_child` imports the measurement stack
+    before it forks), an OpenBLAS pool gives it two OS threads and one
+    Python thread.  Forking beside that pool is safe: OpenBLAS registers a
     ``pthread_atfork`` handler that shuts the pool down before every
     fork and restarts it lazily on next use, and its threads never
     run Python, so they hold no Python lock.  ``catch_warnings`` is
@@ -161,6 +162,11 @@ def _start_child(context, name: str, target: Callable[..., object],
     child reads EOF when this process dies; the child ends are closed
     here once the child holds them, and the parent ends too when the
     start fails.  Every end answers ``close()``.
+
+    A forked child inherits every module this process has loaded.
+    Building, running and replaying a config load neither numpy nor
+    :mod:`repro.analysis`, so a fork imports them here, once, rather
+    than in each child on its first extraction.
     """
     for end in parent_ends:
         util.register_after_fork(end, type(end).close)
@@ -168,6 +174,8 @@ def _start_child(context, name: str, target: Callable[..., object],
                               args=(target, *child_ends),
                               name=name, daemon=True)
     forks = context.get_start_method() == "fork"
+    if forks:
+        import repro.analysis  # noqa: F401
     try:
         with _quiet_fork() if forks else nullcontext():
             process.start()

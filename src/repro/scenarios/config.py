@@ -42,6 +42,8 @@ FlowParams = Mapping[str, object] | tuple[tuple[str, object], ...]
 
 def _normalize_params(params: FlowParams) -> tuple[tuple[str, object], ...]:
     """Sorted tuple-of-pairs: hashable, order-independent, frozen."""
+    if not params:
+        return ()
     items = dict(params).items()
     for key, _ in items:
         if not isinstance(key, str):
@@ -116,11 +118,12 @@ class FlowSpec:
                 f"got {self.access_propagation}")
         normalized = _normalize_params(self.params)
         object.__setattr__(self, "params", normalized)
-        if self.window is not None and "window" in dict(normalized):
+        params_window = bool(normalized) and "window" in dict(normalized)
+        if self.window is not None and params_window:
             raise ConfigurationError(
                 "flow window given twice: as the window field and in params")
         if self.algorithm == "fixed" and (self.window is None
-                                          and "window" not in dict(normalized)):
+                                          and not params_window):
             raise ConfigurationError("fixed-window flows need window >= 1")
         if self.window is not None and self.window < 1:
             raise ConfigurationError(

@@ -4,7 +4,9 @@
 wraps the traces in a :class:`ScenarioResult`, which provides the
 measurements the paper reports — per-direction utilization, queue
 statistics, drop patterns, synchronization verdicts — computed over the
-post-warmup window.
+post-warmup window.  Each analysis shortcut imports its function where
+it calls it, so building, running and replaying a config load neither
+numpy nor :mod:`repro.analysis`.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.analysis.clustering import cluster_runs, clustering_stats
-from repro.analysis.compression import compression_stats
-from repro.analysis.epochs import CongestionEpoch, detect_epochs
-from repro.analysis.synchronization import SyncVerdict, classify_sync
 from repro.errors import AnalysisError
 from repro.metrics.timeseries import StepSeries
 from repro.metrics.trace import TraceSet
@@ -27,6 +25,8 @@ from repro.scenarios.config import ScenarioConfig
 from repro.tcp.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.epochs import CongestionEpoch
+    from repro.analysis.synchronization import SyncVerdict
     from repro.obs.tracer import Tracer
 
 __all__ = ["ScenarioResult", "run"]
@@ -108,6 +108,8 @@ class ScenarioResult:
     # ------------------------------------------------------------------
     def epochs(self, gap: float = 8.0) -> list[CongestionEpoch]:
         """Congestion epochs detected in the measurement window."""
+        from repro.analysis.epochs import detect_epochs
+
         start, end = self.window
         return detect_epochs(self.traces.drops, gap=gap, start=start, end=end)
 
@@ -121,6 +123,8 @@ class ScenarioResult:
     def queue_sync(self, port_a: str | None = None, port_b: str | None = None,
                    dt: float = 0.25) -> SyncVerdict:
         """Phase classification of two bottleneck queue-length series."""
+        from repro.analysis.synchronization import classify_sync
+
         if len(self.bottleneck_ports) < 2:
             raise AnalysisError("need two watched ports for queue sync")
         a = port_a or self.bottleneck_ports[0]
@@ -130,12 +134,16 @@ class ScenarioResult:
 
     def window_sync(self, conn_a: int, conn_b: int, dt: float = 0.25) -> SyncVerdict:
         """Phase classification of two connections' cwnd series."""
+        from repro.analysis.synchronization import classify_sync
+
         return classify_sync(self.cwnd_series((conn_a, conn_b)),
                              *self.window, dt=dt)
 
     def ensemble_sync(self) -> SyncVerdict:
         """Collective classification of every connection's cwnd series
         against the congestion epochs of the measurement window."""
+        from repro.analysis.synchronization import classify_sync
+
         return classify_sync(self.cwnd_series(), *self.window, self.epochs())
 
     # ------------------------------------------------------------------
@@ -143,6 +151,8 @@ class ScenarioResult:
     # ------------------------------------------------------------------
     def clustering(self, port: str | None = None):
         """Clustering statistics of the data departures at a port."""
+        from repro.analysis.clustering import cluster_runs, clustering_stats
+
         name = port or self.bottleneck_ports[0]
         start, end = self.window
         runs = cluster_runs(self.traces.queue(name).departures, start=start, end=end)
@@ -150,6 +160,8 @@ class ScenarioResult:
 
     def ack_compression(self, conn_id: int, threshold: float = 0.75):
         """ACK-compression statistics for one connection's source."""
+        from repro.analysis.compression import compression_stats
+
         start, end = self.window
         return compression_stats(
             self.traces.ack_log(conn_id),

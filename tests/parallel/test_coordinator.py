@@ -50,11 +50,15 @@ DRILLS = [
      dict(crashes=1, retries=1, lease_reclaims=1)),
     ("hang@1:600", dict(timeout=2.0), RETRIED,
      dict(timeouts=1, retries=1, lease_reclaims=1)),
-    # The slow first copy is still asleep when the other worker runs out
-    # of fresh points, so the requeued copy is always started; whichever
-    # copy finishes first ends the sweep before the other can report.
-    ("lease-expire@1;slow@1:2.0", {}, ["start:1", "start:1", "finish:1"],
-     dict(lease_reclaims=1)),
+    # A re-leased copy keeps its attempt number, so both copies of point
+    # 1 sleep 4 s.  The other worker reaches the requeued copy after
+    # point 0 and point 2's 2 s, about 2 s before the first copy
+    # reports, and that report ends the sweep about 2 s before the
+    # second copy could: its result never arrives, however loaded the
+    # host.  (With both copies started a few ms apart, they could report
+    # in one wait and count a duplicate.)
+    ("lease-expire@1;slow@1:4.0;slow@2:2.0", {},
+     ["start:1", "start:1", "finish:1"], dict(lease_reclaims=1)),
 ]
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the CLI (light commands only; full runs live in benches)."""
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.parallel import ResultCache
+from repro.scenarios import families, sweep
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -119,6 +122,39 @@ class TestDispatchContract:
                              "m for m in sys.modules if m.startswith('repro')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['repro']\n"
+
+    def test_config_run_replay_and_list_load_no_numpy(self, tmp_path):
+        """Building, running and replaying a config, and ``repro list``,
+        import neither numpy nor :mod:`repro.analysis`: only the code
+        that computes with them does."""
+        make_config = functools.partial(families.manyflow_config,
+                                        duration=20.0, warmup=5.0)
+        values = [(2, 20, 0.0), (2, 40, 0.0)]
+        sweep(make_config, values, families.sync_extract,
+              cache=ResultCache(tmp_path))
+        proc = _python("-c", f"""
+import functools, sys
+import repro.experiments.parity, repro.experiments.population
+import repro.obs, repro.parallel, repro.scenarios
+from repro.cli import main
+from repro.parallel import ResultCache
+from repro.scenarios import families, paper, run, sweep
+run(paper.figure4(duration=20.0, warmup=5.0))
+hits = []
+sweep(functools.partial(families.manyflow_config, duration=20.0,
+                        warmup=5.0),
+      {values!r}, families.sync_extract,
+      cache=ResultCache({str(tmp_path)!r}),
+      on_progress=lambda event: event.phase == "finish"
+      and hits.append(event.cached))
+main(["list"])
+print(hits, sorted(name for name in sys.modules
+                   if name.split(".")[0] == "numpy"
+                   or name.startswith("repro.analysis")))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert "fig4_5" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "[True, True] []"
 
     @pytest.mark.parametrize("verb", ["algorithms", "disciplines"])
     def test_registry_verbs_do_not_load_numpy(self, verb):
